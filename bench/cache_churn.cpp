@@ -21,8 +21,10 @@ using namespace tracejit_bench;
 static std::string churnSource(int Loops, int Iters) {
   std::string S = "var total = 0;\n";
   for (int L = 0; L < Loops; ++L) {
-    std::string I = "i" + std::to_string(L);
-    std::string A = "a" + std::to_string(L);
+    std::string I = "i";
+    I += std::to_string(L);
+    std::string A = "a";
+    A += std::to_string(L);
     S += "var " + A + " = 0;\n";
     S += "for (var " + I + " = 0; " + I + " < " + std::to_string(Iters) +
          "; ++" + I + ") { " + A + " += " + I + " * " +

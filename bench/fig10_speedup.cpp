@@ -76,6 +76,7 @@ int main(int argc, char **argv) {
       return 1;
     }
     fprintf(F, "{\n  \"bench\": \"suite_speedup\",\n");
+    fprintf(F, "  \"host\": %s,\n", hostJson().c_str());
     fprintf(F, "  \"geomean_speedup\": %.3f,\n  \"benchmarks\": [\n", Geo);
     for (size_t I = 0; I < Rows.size(); ++I)
       fprintf(F,

@@ -4,6 +4,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <thread>
 
 namespace tracejit_bench {
 
@@ -618,6 +620,27 @@ RunResult runProgram(const BenchProgram &P, const EngineOptions &O,
   R.MeanMs = Total / Runs;
   R.BestMs = Best;
   return R;
+}
+
+std::string hostJson() {
+  std::string Cpu = "unknown";
+  std::ifstream In("/proc/cpuinfo");
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.rfind("model name", 0) != 0)
+      continue;
+    size_t Colon = Line.find(':');
+    if (Colon != std::string::npos && Colon + 2 <= Line.size())
+      Cpu = Line.substr(Colon + 2);
+    break;
+  }
+  std::string Json = "{\"cores\": ";
+  Json += std::to_string(std::thread::hardware_concurrency());
+  Json += ", \"cpu\": \"";
+  for (char C : Cpu)
+    if (C != '"' && C != '\\')
+      Json += C;
+  Json += "\"}";
+  return Json;
 }
 
 } // namespace tracejit_bench

@@ -53,6 +53,10 @@ tracejit::EngineOptions tracingOptions();
 /// flag is unrecognized.
 bool applyBenchArgs(tracejit::EngineOptions &O, int argc, char **argv);
 
+/// The host a snapshot was taken on, as a JSON object ({"cores": N,
+/// "cpu": "model name"}) for the "host" field of BENCH_*.json.
+std::string hostJson();
+
 } // namespace tracejit_bench
 
 #endif // TRACEJIT_BENCH_SUITE_H

@@ -225,7 +225,9 @@ int main(int argc, char **argv) {
       fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
       return 1;
     }
-    fprintf(F, "{\n  \"bench\": \"tier_hostile\",\n  \"kernels\": [\n");
+    fprintf(F, "{\n  \"bench\": \"tier_hostile\",\n");
+    fprintf(F, "  \"host\": %s,\n", tracejit_bench::hostJson().c_str());
+    fprintf(F, "  \"kernels\": [\n");
     for (size_t I = 0; I < Rows.size(); ++I)
       fprintf(F,
               "    {\"name\": \"%s\", \"interp_ms\": %.2f, \"trace_ms\": "

@@ -44,7 +44,7 @@ int main() {
     return 1;
   }
 
-  auto *M = static_cast<TraceMonitorImpl *>(E.context().Monitor);
+  TraceMonitor *M = E.context().Monitor;
   printf("\n--- trace anatomy (compare with paper §2) ---\n");
   for (const auto &F : M->fragments()) {
     if (F->Body.empty())

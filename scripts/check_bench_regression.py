@@ -4,16 +4,23 @@
 Three snapshot shapes are understood, detected from the document itself:
 
 * The speedup suite (BENCH_suite.json, from fig10_speedup --json): the
-  geomean of per-benchmark speedups gates; per-row deltas are advisory.
+  geomean of per-benchmark speedups gates, and so does every row on its
+  own -- no benchmark may run slower with the JIT on than the interpreter
+  by more than the noise band (speedup >= 1 - threshold). Per-row deltas
+  against the snapshot are advisory.
 * The serving harness (BENCH_server_throughput.json, from
   server_throughput --json): every config row gates on both throughput
   (scripts_per_sec may not drop more than the threshold) and tail latency
   (p99_ms may not rise more than twice the threshold -- tails are noisier
   than means on shared runners).
 * The tier-hostile kernels (BENCH_tier_hostile.json, from
-  tier_hostile --json): each kernel row gates on hybrid_speedup vs the
-  committed snapshot, and the megamorphic/unbiased-branch rows also gate
-  on the absolute 2x acceptance floor from the tier PR.
+  tier_hostile --json): each kernel row gates on hybrid_speedup and on
+  trace_ms (the trace tier's own time, which the interpreter <-> trace
+  transition costs dominate) vs the committed snapshot, and the
+  megamorphic/unbiased-branch rows also gate on the absolute 2x acceptance
+  floor of the hybrid tier. trace_ms is compared per interpreter
+  millisecond of the same run (trace_ms / interp_ms), so a snapshot taken
+  on one host can gate a run on a faster or slower one.
 
 The committed snapshot is the perf-trajectory record: every PR that claims
 a speedup (or must not cost one) regenerates it, and CI re-measures so an
@@ -53,24 +60,43 @@ def check_suite(base, fresh, threshold):
     print(f"fresh geomean speedup:    {fresh_gm:.2f}x")
     print(f"ratio: {ratio:.3f} (threshold: >= {1 - threshold:.3f})")
 
-    # Per-benchmark deltas are advisory: single kernels are noisy on shared
-    # CI runners, so only the geomean gates.
+    # Per-row floor: with the JIT on, no benchmark may be slower than the
+    # interpreter beyond the noise band. Deltas vs the snapshot stay
+    # advisory: single kernels are noisy on shared CI runners.
+    floor = 1 - threshold
+    below_floor = []
     base_rows = {r["name"]: r for r in base.get("benchmarks", [])}
     for r in fresh.get("benchmarks", []):
+        marker = ""
+        if r.get("speedup", 0) < floor:
+            marker = f"  <-- below the {floor:.2f}x row floor"
+            below_floor.append(f"{r['name']}: {r.get('speedup', 0):.2f}x")
         b = base_rows.get(r["name"])
         if not b or b.get("speedup", 0) <= 0 or r.get("speedup", 0) <= 0:
+            print(f"  {r['name']:28s} (new row) {r.get('speedup', 0):8.2f}x"
+                  f"{marker}")
             continue
         d = r["speedup"] / b["speedup"]
-        marker = "  <-- slower" if d < 1 - threshold else ""
+        if not marker and d < 1 - threshold:
+            marker = "  <-- slower"
         print(f"  {r['name']:28s} {b['speedup']:8.2f}x -> "
               f"{r['speedup']:8.2f}x  ({d:5.3f}){marker}")
 
+    failed = False
     if ratio < 1 - threshold:
         print(f"FAIL: geomean regressed more than "
               f"{threshold * 100:.0f}% vs the committed snapshot",
               file=sys.stderr)
+        failed = True
+    if below_floor:
+        print(f"FAIL: rows below the {floor:.2f}x speedup floor "
+              f"(JIT on slower than the interpreter):", file=sys.stderr)
+        for row in below_floor:
+            print(f"  {row}", file=sys.stderr)
+        failed = True
+    if failed:
         return 1
-    print("OK: no geomean regression")
+    print("OK: no geomean regression, every row above the floor")
     return 0
 
 
@@ -98,8 +124,22 @@ def check_tier_hostile(base, fresh, threshold):
             failures.append(
                 f"{k['name']}: hybrid_speedup {k['hybrid_speedup']:.2f}x "
                 f"is below the 2x floor")
+        # The trace tier's own time, per interpreter ms of the same run
+        # (raw ms follow the host's speed). Lower is better, so a rise
+        # beyond the threshold is the regression.
+        def trace_per_interp(row):
+            return row["trace_ms"] / row["interp_ms"]
+        trace_ratio = trace_per_interp(k) / trace_per_interp(b)
+        if trace_ratio > 1 + threshold:
+            marker = "  <-- trace_ms regressed"
+            failures.append(
+                f"{k['name']}: trace_ms/interp_ms "
+                f"{trace_per_interp(b):.3f} -> {trace_per_interp(k):.3f} "
+                f"({trace_ratio:.3f})")
         print(f"  {k['name']:20s} {b['hybrid_speedup']:8.2f}x -> "
-              f"{k['hybrid_speedup']:8.2f}x ({ratio:5.3f}){marker}")
+              f"{k['hybrid_speedup']:8.2f}x ({ratio:5.3f})  trace/interp "
+              f"{trace_per_interp(b):6.3f} -> {trace_per_interp(k):6.3f} "
+              f"({trace_ratio:5.3f}){marker}")
 
     if failures:
         print("FAIL: tier-hostile kernels regressed vs the committed "

@@ -6,7 +6,7 @@
 
 #include "frontend/parser.h"
 #include "interp/natives.h"
-#include "interp/tracehooks.h"
+#include "trace/monitor.h"
 #include "trace/oracle.h"
 
 namespace tracejit {
@@ -27,7 +27,7 @@ Engine::Engine(const EngineOptions &Opts) : Ctx(Opts) {
   }
   refreshListenerGate();
   if (Opts.EnableJit) {
-    Monitor = createTraceMonitor(Ctx, *Interp);
+    Monitor = std::make_unique<TraceMonitor>(Ctx, *Interp);
     Ctx.Monitor = Monitor.get();
   }
 }
@@ -275,7 +275,7 @@ std::vector<FragmentProfile> Engine::fragmentProfiles() const {
 Tier Engine::tierOf(uint32_t ScriptId, uint16_t LoopId) const {
   if (!Monitor)
     return Tier::Interpreter; // JIT off: everything interprets
-  return (Tier)Monitor->tierOfLoop(ScriptId, LoopId);
+  return Monitor->tierOfLoop(ScriptId, LoopId);
 }
 
 bool Engine::exportTraceEvents(const std::string &Path) const {

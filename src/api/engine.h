@@ -31,12 +31,13 @@
 #include "api/options.h"
 #include "api/result.h"
 #include "interp/interpreter.h"
-#include "interp/tracehooks.h"
 #include "interp/vmcontext.h"
 #include "support/events.h"
 #include "trace/tier.h"
 
 namespace tracejit {
+
+class TraceMonitor;
 
 class Engine {
 public:
@@ -207,11 +208,6 @@ private:
   bool TimerArmed = false; ///< Guarded by TimerMu.
   bool TimerStop = false;  ///< Guarded by TimerMu; set once in ~Engine.
 };
-
-/// Factory defined by the trace engine; returns nullptr when \p Opts
-/// disables the JIT.
-std::unique_ptr<TraceMonitor> createTraceMonitor(VMContext &Ctx,
-                                                 Interpreter &I);
 
 } // namespace tracejit
 

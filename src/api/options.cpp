@@ -20,8 +20,6 @@ constexpr BoolFlag BoolFlags[] = {
     {"--no-jit", &EngineOptions::EnableJit, false},
     {"--ic", &EngineOptions::EnableIC, true},
     {"--no-ic", &EngineOptions::EnableIC, false},
-    {"--threaded-dispatch", &EngineOptions::ThreadedDispatch, true},
-    {"--no-threaded-dispatch", &EngineOptions::ThreadedDispatch, false},
     {"--verify-lir", &EngineOptions::VerifyLir, true},
     {"--no-verify-lir", &EngineOptions::VerifyLir, false},
     {"--stats", &EngineOptions::CollectStats, true},

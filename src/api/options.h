@@ -55,6 +55,8 @@ enum class FaultSite : uint8_t {
   HeapAllocFail, ///< An allocation site acts as if collection could not get
                  ///< the heap under quota: the HeapQuota interrupt is raised
                  ///< and the script terminates as OutOfMemory.
+  VerifyFail,    ///< The whole-trace LIR verifier rejects a finished
+                 ///< recording (AbortReason::VerifyFailed).
 };
 
 const char *faultSiteName(FaultSite S);
@@ -307,11 +309,6 @@ struct EngineOptions {
   /// recorder reuses the cached shape+slot when emitting guards. Off
   /// reproduces the seed interpreter's lookup path bit-for-bit.
   bool EnableIC = TRACEJIT_IC_DEFAULT != 0;
-
-  /// Computed-goto threaded dispatch for the interpreter loop. Only
-  /// effective when the build detected compiler support (CMake defines
-  /// TRACEJIT_COMPUTED_GOTO); otherwise the switch loop runs regardless.
-  bool ThreadedDispatch = true;
 
   // --- Resource governance ----------------------------------------------------
 

@@ -91,15 +91,21 @@ struct EngineError {
     if (!File.empty()) {
       Out += File;
       if (Line) {
-        Out += ":" + std::to_string(Line);
-        if (Col)
-          Out += ":" + std::to_string(Col);
+        Out += ':';
+        Out += std::to_string(Line);
+        if (Col) {
+          Out += ':';
+          Out += std::to_string(Col);
+        }
       }
       Out += ": ";
     } else if (Line) {
-      Out += "line " + std::to_string(Line);
-      if (Col)
-        Out += ", col " + std::to_string(Col);
+      Out += "line ";
+      Out += std::to_string(Line);
+      if (Col) {
+        Out += ", col ";
+        Out += std::to_string(Col);
+      }
       Out += ": ";
     }
     Out += Message;

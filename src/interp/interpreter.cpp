@@ -7,7 +7,7 @@
 #include <cstring>
 
 #include "interp/natives.h"
-#include "interp/tracehooks.h"
+#include "trace/monitor.h"
 
 namespace tracejit {
 
@@ -272,7 +272,7 @@ Value Interpreter::run(FunctionScript *Top) {
   Sp += Top->NumLocals;
   Pc = 0;
   Value R = dispatchUntil(Frames.size() - 1);
-  if (Ctx.Monitor)
+  if (Ctx.Recording)
     Ctx.Monitor->flushRecorder();
   // An error unwind pops frames without restoring Sp; reset it so the dead
   // frames' values stop rooting garbage (an aborted allocation bomb must be
@@ -281,8 +281,6 @@ Value Interpreter::run(FunctionScript *Top) {
     Sp = EntrySp;
   return R;
 }
-
-Value Interpreter::dispatch() { return dispatchUntil(Frames.size() - 1); }
 
 // --- Shared op bodies (multi-label cases in the seed switch) --------------------
 
@@ -524,14 +522,6 @@ void Interpreter::icInsert(PropertyIC &IC, const ICEntry &E,
 
 // --- Dispatch harnesses ---------------------------------------------------------
 
-Value Interpreter::dispatchUntil(size_t StopDepth) {
-#if defined(TRACEJIT_COMPUTED_GOTO)
-  if (Ctx.Opts.ThreadedDispatch)
-    return dispatchThreaded(StopDepth);
-#endif
-  return dispatchSwitch(StopDepth);
-}
-
 /// X-macro over every opcode, in Op enum order. Drives the threaded-dispatch
 /// label table; must stay in sync with enum Op (static_asserted below).
 #define TJ_FOR_EACH_OP(X)                                                      \
@@ -548,12 +538,86 @@ static_assert(0 TJ_FOR_EACH_OP(TJ_COUNT) == (int)Op::NumOps,
               "TJ_FOR_EACH_OP out of sync with enum Op");
 #undef TJ_COUNT
 
-Value Interpreter::dispatchSwitch(size_t StopDepth) {
+/// Op bodies that can change the frame chain refresh the cached frame.
+#define TJ_RELOAD_FRAME()                                                      \
+  do {                                                                         \
+    F = &Frames.back();                                                        \
+    Script = F->Script;                                                        \
+  } while (0)
+
+#if defined(TRACEJIT_COMPUTED_GOTO)
+// Threaded harness: every op ends in its own copy of the dispatch tail.
+Value Interpreter::dispatchUntil(size_t StopDepth) {
   VMContext &C = Ctx;
   const bool Stats = C.Opts.CollectStats;
   const bool IcOn = C.Opts.EnableIC;
-  Frame *F;
-  FunctionScript *Script;
+  Frame *F = &Frames.back();
+  FunctionScript *Script = F->Script;
+  Op O;
+
+  // One label per opcode, indexed by the opcode byte.
+  static const void *const Table[] = {
+#define TJ_LABEL(name) &&L_##name,
+      TJ_FOR_EACH_OP(TJ_LABEL)
+#undef TJ_LABEL
+  };
+
+  // The dispatch tail, copied into every op so each op has its own
+  // indirect jump (and its own branch-predictor history). The recording
+  // hook and the bytecode counter sit behind one flag test each; the cold
+  // work lives out of line at TjHooks.
+#define TJ_DISPATCH()                                                          \
+  do {                                                                         \
+    if (C.HasError)                                                            \
+      goto TjUnwind;                                                           \
+    O = (Op)Script->Code[Pc];                                                  \
+    if (C.Recording)                                                           \
+      goto TjHooks;                                                            \
+    if (Stats)                                                                 \
+      ++C.Stats.BytecodesInterpreted;                                          \
+    if ((uint8_t)O >= (uint8_t)Op::NumOps)                                     \
+      goto L_Corrupt;                                                          \
+    goto *Table[(uint8_t)O];                                                   \
+  } while (0)
+
+  TJ_DISPATCH();
+
+TjHooks:
+  if (O != Op::LoopHeader) {
+    C.Monitor->recordOp(Pc);
+    if (Stats)
+      ++C.Stats.BytecodesRecorded;
+  } else if (Stats) {
+    ++C.Stats.BytecodesInterpreted;
+  }
+  if ((uint8_t)O >= (uint8_t)Op::NumOps)
+    goto L_Corrupt;
+  goto *Table[(uint8_t)O];
+
+#define TJ_OP(name) L_##name: {
+#define TJ_NEXT() } TJ_DISPATCH();
+#include "interp/dispatch.inc"
+#undef TJ_OP
+#undef TJ_NEXT
+
+L_Corrupt:
+  rtError("corrupt bytecode");
+  TJ_DISPATCH();
+
+TjUnwind:
+  while (Frames.size() > StopDepth)
+    Frames.pop_back();
+  return Value::undefined();
+#undef TJ_DISPATCH
+}
+#else
+// Portable fallback harness: one switch, one shared dispatch point.
+Value Interpreter::dispatchUntil(size_t StopDepth) {
+  VMContext &C = Ctx;
+  const bool Stats = C.Opts.CollectStats;
+  const bool IcOn = C.Opts.EnableIC;
+  Frame *F = &Frames.back();
+  FunctionScript *Script = F->Script;
   Op O;
 
   while (true) {
@@ -563,12 +627,10 @@ Value Interpreter::dispatchSwitch(size_t StopDepth) {
         Frames.pop_back();
       return Value::undefined();
     }
-    F = &Frames.back();
-    Script = F->Script;
     O = (Op)Script->Code[Pc];
 
-    if (C.Monitor && C.Monitor->recording() && O != Op::LoopHeader) {
-      C.Monitor->recordOp(*this, Pc);
+    if (C.Recording && O != Op::LoopHeader) {
+      C.Monitor->recordOp(Pc);
       if (Stats)
         ++C.Stats.BytecodesRecorded;
     } else if (Stats) {
@@ -587,57 +649,8 @@ Value Interpreter::dispatchSwitch(size_t StopDepth) {
     }
   }
 }
-
-#if defined(TRACEJIT_COMPUTED_GOTO)
-Value Interpreter::dispatchThreaded(size_t StopDepth) {
-  VMContext &C = Ctx;
-  const bool Stats = C.Opts.CollectStats;
-  const bool IcOn = C.Opts.EnableIC;
-  Frame *F;
-  FunctionScript *Script;
-  Op O;
-
-  // One label per opcode, indexed by the opcode byte. A single shared
-  // prologue (error unwind + recording hook) keeps the op bodies identical
-  // to the switch harness; each body jumps back to TjDispatch.
-  static const void *const Table[] = {
-#define TJ_LABEL(name) &&L_##name,
-      TJ_FOR_EACH_OP(TJ_LABEL)
-#undef TJ_LABEL
-  };
-
-TjDispatch:
-  if (C.HasError) {
-    while (Frames.size() > StopDepth)
-      Frames.pop_back();
-    return Value::undefined();
-  }
-  F = &Frames.back();
-  Script = F->Script;
-  O = (Op)Script->Code[Pc];
-
-  if (C.Monitor && C.Monitor->recording() && O != Op::LoopHeader) {
-    C.Monitor->recordOp(*this, Pc);
-    if (Stats)
-      ++C.Stats.BytecodesRecorded;
-  } else if (Stats) {
-    ++C.Stats.BytecodesInterpreted;
-  }
-
-  if ((uint8_t)O >= (uint8_t)Op::NumOps)
-    goto L_Corrupt;
-  goto *Table[(uint8_t)O];
-
-#define TJ_OP(name) L_##name: {
-#define TJ_NEXT() } goto TjDispatch;
-#include "interp/dispatch.inc"
-#undef TJ_OP
-#undef TJ_NEXT
-
-L_Corrupt:
-  rtError("corrupt bytecode");
-  goto TjDispatch;
-}
 #endif // TRACEJIT_COMPUTED_GOTO
+
+#undef TJ_RELOAD_FRAME
 
 } // namespace tracejit

@@ -79,18 +79,11 @@ private:
   friend class TraceRecorder;
   friend struct MethodOps; ///< Method-tier helper bodies (trace/helpers.cpp).
 
-  /// The dispatch loop. Executes until the entry frame returns or an error
-  /// is raised.
-  Value dispatch();
-  /// Dispatch until the frame stack shrinks back to \p StopDepth. Picks the
-  /// threaded (computed-goto) harness when the build supports it and
-  /// EngineOptions::ThreadedDispatch is set; both harnesses stamp out the
-  /// same op bodies from interp/dispatch.inc.
+  /// Dispatch until the frame stack shrinks back to \p StopDepth. The
+  /// build picks one harness: threaded (computed goto) when the compiler
+  /// supports it (TRACEJIT_COMPUTED_GOTO), else a switch loop. Both stamp
+  /// out the same op bodies from interp/dispatch.inc.
   Value dispatchUntil(size_t StopDepth);
-  Value dispatchSwitch(size_t StopDepth);
-#if defined(TRACEJIT_COMPUTED_GOTO)
-  Value dispatchThreaded(size_t StopDepth);
-#endif
 
   // Op bodies the seed interpreter shared between several case labels,
   // factored out so each opcode keeps its own dispatch label (dispatch.inc).

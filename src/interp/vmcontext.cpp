@@ -10,7 +10,7 @@
 
 #include "interp/vmcontext.h"
 
-#include "interp/tracehooks.h"
+#include "trace/monitor.h"
 
 namespace tracejit {
 

@@ -110,8 +110,17 @@ struct VMContext {
     return It->second.get();
   }
 
-  /// Created lazily when the JIT is enabled. Owned by the Engine.
+  /// The trace monitor (trace/monitor.h); null when the JIT is off. Owned
+  /// by the Engine.
   TraceMonitor *Monitor = nullptr;
+
+  /// True exactly while the monitor has an active trace recorder. The
+  /// dispatch loop reads this one flag per bytecode to decide whether to
+  /// call the recording hook, so plain interpretation makes no monitor
+  /// call between loop edges (§6.3 swaps the dispatch table instead; same
+  /// semantics). Only the monitor writes it, in the two places that install
+  /// and drop its recorder.
+  bool Recording = false;
 
   /// The installed JIT event listener (null = observability off). Every
   /// emission site is gated on this single pointer so a disabled engine

@@ -32,7 +32,8 @@ static std::string typeMapSummary(const TypeMap &M) {
     if (I == M.NumGlobals)
       Out += "|";
     if (I >= Limit) {
-      Out += "+" + std::to_string(M.size() - I);
+      Out += '+';
+      Out += std::to_string(M.size() - I);
       break;
     }
     switch (M.Types[I]) {

@@ -176,6 +176,8 @@ const char *faultSiteName(FaultSite S) {
     return "compile-fail";
   case FaultSite::HeapAllocFail:
     return "heap-alloc-fail";
+  case FaultSite::VerifyFail:
+    return "verify-fail";
   }
   return "?";
 }

@@ -2,6 +2,7 @@
 
 #include "trace/monitor.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -15,7 +16,7 @@
 
 namespace tracejit {
 
-TraceMonitorImpl::TraceMonitorImpl(VMContext &C, Interpreter &I)
+TraceMonitor::TraceMonitor(VMContext &C, Interpreter &I)
     : Ctx(C), Interp(I), Policy(C.Opts) {
   if (Ctx.Opts.JitBackend == Backend::Native) {
     // Off-thread compilation needs the dual-mapped pool so the worker can
@@ -53,7 +54,7 @@ TraceMonitorImpl::TraceMonitorImpl(VMContext &C, Interpreter &I)
   });
 }
 
-TraceMonitorImpl::~TraceMonitorImpl() {
+TraceMonitor::~TraceMonitor() {
   // The client must die before the fragments and the backend a worker
   // compile could still be touching: its destructor pulls queued jobs and
   // waits out an in-flight one. Then the private service (if any) joins
@@ -62,13 +63,14 @@ TraceMonitorImpl::~TraceMonitorImpl() {
   // shuffles.
   Queue.reset();
   OwnService.reset();
+  Ctx.Recording = false; // the recorder dies with the monitor
 }
 
-VMStats &TraceMonitorImpl::stats() { return Ctx.Stats; }
+VMStats &TraceMonitor::stats() { return Ctx.Stats; }
 
-void TraceMonitorImpl::emitEvent(const JitEvent &E) { Ctx.emitEvent(E); }
+void TraceMonitor::emitEvent(const JitEvent &E) { Ctx.emitEvent(E); }
 
-void TraceMonitorImpl::collectFragmentProfiles(
+void TraceMonitor::collectFragmentProfiles(
     std::vector<FragmentProfile> &Out) const {
   Out.reserve(Out.size() + Fragments.size());
   for (const auto &F : Fragments) {
@@ -103,7 +105,7 @@ void TraceMonitorImpl::collectFragmentProfiles(
   }
 }
 
-Fragment *TraceMonitorImpl::newFragment(FragmentKind K) {
+Fragment *TraceMonitor::newFragment(FragmentKind K) {
   auto F = std::make_unique<Fragment>();
   F->Id = NextFragmentId++;
   F->Generation = CacheGeneration;
@@ -117,7 +119,7 @@ Fragment *TraceMonitorImpl::newFragment(FragmentKind K) {
   return P;
 }
 
-const CallInfo *TraceMonitorImpl::mathCallInfo(NativeFn Boxed) {
+const CallInfo *TraceMonitor::mathCallInfo(NativeFn Boxed) {
   auto It = MathCIs.find(Boxed);
   if (It != MathCIs.end())
     return It->second.get();
@@ -134,7 +136,7 @@ const CallInfo *TraceMonitorImpl::mathCallInfo(NativeFn Boxed) {
   return P;
 }
 
-LoopState *TraceMonitorImpl::loopState(FunctionScript *S, uint16_t LoopId) {
+LoopState *TraceMonitor::loopState(FunctionScript *S, uint16_t LoopId) {
   LoopRecord &L = S->Loops[LoopId];
   if (!L.State) {
     auto LS = std::make_unique<LoopState>();
@@ -149,48 +151,92 @@ LoopState *TraceMonitorImpl::loopState(FunctionScript *S, uint16_t LoopId) {
   return L.State;
 }
 
-uint64_t TraceMonitorImpl::oracleKeyForSlot(
+/// Oracle key of value-stack slot \p StackIdx under \p Frames (interpreter
+/// frames or recorded FrameEntries), or 0 for an operand-stack temporary.
+template <typename FrameT>
+static uint64_t stackSlotKey(uint32_t StackIdx,
+                             const std::vector<FrameT> &Frames) {
+  for (const FrameT &F : Frames)
+    if (StackIdx >= F.Base && StackIdx < F.Base + F.Script->NumLocals)
+      return Oracle::localKey(F.Script->Id, StackIdx - F.Base);
+  return 0;
+}
+
+uint64_t TraceMonitor::oracleKeyForSlot(
     uint32_t Slot, const std::vector<FrameEntry> &Frames) {
   uint32_t NG = Ctx.Globals.size();
   if (Slot < NG)
     return Oracle::globalKey(Slot);
-  uint32_t StackIdx = Slot - NG;
-  for (const FrameEntry &F : Frames) {
-    if (StackIdx >= F.Base && StackIdx < F.Base + F.Script->NumLocals)
-      return Oracle::localKey(F.Script->Id, StackIdx - F.Base);
-  }
-  return 0; // operand-stack temporary: not oracle-tracked
+  return stackSlotKey(Slot - NG, Frames);
 }
 
 // --- Entry type maps and TAR transfer -----------------------------------------------
 
-TypeMap TraceMonitorImpl::buildEntryTypeMap(uint32_t Sp) {
-  TypeMap M;
-  M.NumGlobals = Ctx.Globals.size();
-  M.Types.resize(M.NumGlobals + Sp);
-  std::vector<FrameEntry> Frames;
-  for (const Frame &F : Interp.frames())
-    Frames.push_back({F.Script, F.Base, F.ReturnPc});
+/// The §3.2 entry-typing rule for one live value: an int reads as Double
+/// when the oracle demoted its variable. \p Probe is the oracle to consult,
+/// or null when it holds no demotions; \p KeyOf (the variable's oracle
+/// key, 0 for an untracked temporary) runs only for probed ints.
+template <typename KeyFn>
+static TraceType entryTypeOf(const Value &V, const Oracle *Probe,
+                             KeyFn KeyOf) {
+  TraceType T = traceTypeOf(V);
+  if (!Probe || T != TraceType::Int)
+    return T;
+  uint64_t Key = KeyOf();
+  return Key && Probe->isDemoted(Key) ? TraceType::Double : T;
+}
 
-  bool UseOracle = Ctx.Opts.EnableOracle;
-  for (uint32_t G = 0; G < M.NumGlobals; ++G) {
-    TraceType T = traceTypeOf(Ctx.Globals.Values[G]);
-    if (UseOracle && T == TraceType::Int &&
-        TheOracle.isDemoted(Oracle::globalKey(G)))
-      T = TraceType::Double;
-    M.Types[G] = T;
-  }
-  Value *Stack = Interp.stackData();
-  for (uint32_t I = 0; I < Sp; ++I) {
-    TraceType T = traceTypeOf(Stack[I]);
-    if (UseOracle && T == TraceType::Int) {
-      uint64_t Key = oracleKeyForSlot(M.NumGlobals + I, Frames);
-      if (Key && TheOracle.isDemoted(Key))
-        T = TraceType::Double;
-    }
-    M.Types[M.NumGlobals + I] = T;
-  }
+const Oracle *TraceMonitor::entryOracle() const {
+  return Ctx.Opts.EnableOracle && TheOracle.size() != 0 ? &TheOracle
+                                                        : nullptr;
+}
+
+TypeMap TraceMonitor::buildEntryTypeMap(uint32_t Sp) {
+  TypeMap M;
+  uint32_t NG = M.NumGlobals = Ctx.Globals.size();
+  M.Types.resize(NG + Sp);
+  const Oracle *Probe = entryOracle();
+  const std::vector<Frame> &Frames = Interp.frames();
+  for (uint32_t G = 0; G < NG; ++G)
+    M.Types[G] = entryTypeOf(Ctx.Globals.Values[G], Probe,
+                             [G] { return Oracle::globalKey(G); });
+  const Value *Stack = Interp.stackData();
+  for (uint32_t I = 0; I < Sp; ++I)
+    M.Types[NG + I] = entryTypeOf(Stack[I], Probe,
+                                  [&] { return stackSlotKey(I, Frames); });
   return M;
+}
+
+bool TraceMonitor::framesMatchLive(const std::vector<FrameEntry> &Entry) const {
+  const std::vector<Frame> &Frames = Interp.frames();
+  if (Entry.size() != Frames.size())
+    return false;
+  for (size_t D = 0; D < Frames.size(); ++D)
+    if (Entry[D].Script != Frames[D].Script || Entry[D].Base != Frames[D].Base)
+      return false;
+  return true;
+}
+
+bool TraceMonitor::entryMatches(const Fragment &P) const {
+  const TypeMap &Want = P.EntryTypes;
+  uint32_t NG = Ctx.Globals.size();
+  uint32_t Sp = Interp.stackTop();
+  if (Want.NumGlobals != NG || Want.size() != NG + Sp ||
+      !framesMatchLive(P.EntryFrames))
+    return false;
+  // buildEntryTypeMap(Sp) == Want, slot by slot, without building it.
+  const Oracle *Probe = entryOracle();
+  const std::vector<Frame> &Frames = Interp.frames();
+  for (uint32_t G = 0; G < NG; ++G)
+    if (entryTypeOf(Ctx.Globals.Values[G], Probe,
+                    [G] { return Oracle::globalKey(G); }) != Want.Types[G])
+      return false;
+  const Value *Stack = Interp.stackData();
+  for (uint32_t I = 0; I < Sp; ++I)
+    if (entryTypeOf(Stack[I], Probe, [&] { return stackSlotKey(I, Frames); }) !=
+        Want.Types[NG + I])
+      return false;
+  return true;
 }
 
 static uint64_t unboxForTar(const Value &V, TraceType T) {
@@ -243,8 +289,7 @@ static Value boxFromTar(VMContext &Ctx, uint64_t W, TraceType T) {
   return Value::undefined();
 }
 
-void TraceMonitorImpl::fillTar(const TypeMap &Types, uint32_t Sp,
-                               uint64_t *Tar) {
+void TraceMonitor::fillTar(const TypeMap &Types, uint32_t Sp, uint64_t *Tar) {
   uint32_t NG = Types.NumGlobals;
   for (uint32_t G = 0; G < NG; ++G)
     Tar[G] = unboxForTar(Ctx.Globals.Values[G], Types.Types[G]);
@@ -253,8 +298,7 @@ void TraceMonitorImpl::fillTar(const TypeMap &Types, uint32_t Sp,
     Tar[NG + I] = unboxForTar(Stack[I], Types.Types[NG + I]);
 }
 
-void TraceMonitorImpl::restoreFromExit(ExitDescriptor *E,
-                                       const uint64_t *Tar) {
+void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar) {
   uint32_t NG = E->Types.NumGlobals;
 
   // "It pops or synthesizes interpreter JavaScript call stack frames as
@@ -280,14 +324,11 @@ void TraceMonitorImpl::restoreFromExit(ExitDescriptor *E,
     Stack[I] = boxFromTar(Ctx, Tar[NG + I], E->Types.Types[NG + I]);
 }
 
-ExitDescriptor *TraceMonitorImpl::executeFragment(Fragment *Frag) {
+ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag) {
   bool Stats = Ctx.Opts.CollectStats;
   // Size the TAR generously: any fragment reachable from Frag (branches,
-  // peers, nested trees) fits below the monitor-wide maximum.
-  uint32_t Slots = 64;
-  for (auto &F : Fragments)
-    if (F->RequiredTarSlots > Slots)
-      Slots = F->RequiredTarSlots;
+  // peers, nested trees) is installed, so it fits below MaxTarSlots.
+  uint32_t Slots = MaxTarSlots;
 
   // Re-entrant entry (a method-tier helper ran a nested call whose
   // dispatch reached another compiled loop): the outer fragment's native
@@ -377,10 +418,9 @@ ExitDescriptor *TraceMonitorImpl::executeFragment(Fragment *Frag) {
 
 // --- Recording lifecycle -----------------------------------------------------------------
 
-void TraceMonitorImpl::startRecording(TraceRecorder::Mode Mode, LoopState *LS,
-                                      FunctionScript *Script,
-                                      uint32_t AnchorPc,
-                                      ExitDescriptor *AnchorExit) {
+void TraceMonitor::startRecording(TraceRecorder::Mode Mode, LoopState *LS,
+                                  FunctionScript *Script, uint32_t AnchorPc,
+                                  ExitDescriptor *AnchorExit) {
   assert(!Recorder);
   Fragment *F = newFragment(Mode == TraceRecorder::Mode::Root
                                 ? FragmentKind::Root
@@ -398,8 +438,8 @@ void TraceMonitorImpl::startRecording(TraceRecorder::Mode Mode, LoopState *LS,
   } else {
     F->Root = AnchorExit->Parent->Root;
   }
-  Recorder = std::make_unique<TraceRecorder>(Ctx, Interp, *this, F, Mode,
-                                             LS->Loop, AnchorExit);
+  setRecorder(std::make_unique<TraceRecorder>(Ctx, Interp, *this, F, Mode,
+                                              LS->Loop, AnchorExit));
   RecorderLoopState = LS;
   ++Ctx.Stats.TracesStarted;
   if (Ctx.EventListener) {
@@ -416,8 +456,7 @@ void TraceMonitorImpl::startRecording(TraceRecorder::Mode Mode, LoopState *LS,
   (void)Script;
 }
 
-void TraceMonitorImpl::abortRecording(AbortReason Why,
-                                      bool CountsTowardBlacklist) {
+void TraceMonitor::abortRecording(AbortReason Why, bool CountsTowardBlacklist) {
   if (!Recorder)
     return;
   ++Ctx.Stats.TracesAborted;
@@ -426,7 +465,7 @@ void TraceMonitorImpl::abortRecording(AbortReason Why,
   Fragment *F = Recorder->fragment();
   bool WasBranch = Recorder->mode() == TraceRecorder::Mode::Branch;
   F->Body.clear(); // fragment stays allocated (ids/roots) but is inert
-  Recorder.reset();
+  takeRecorder();
   RecorderLoopState = nullptr;
   if (Ctx.EventListener) {
     JitEvent E;
@@ -468,15 +507,15 @@ void TraceMonitorImpl::abortRecording(AbortReason Why,
     Ctx.Stats.switchTo(Activity::Interpret);
 }
 
-void TraceMonitorImpl::applyTierAction(LoopState *LS, TierAction A,
-                                       TierChangeReason Why) {
+void TraceMonitor::applyTierAction(LoopState *LS, TierAction A,
+                                   TierChangeReason Why) {
   if (A == TierAction::Promote)
     promoteToMethod(LS, Why);
   else if (A == TierAction::Demote)
     demoteToInterpreter(LS, Why);
 }
 
-void TraceMonitorImpl::promoteToMethod(LoopState *LS, TierChangeReason Why) {
+void TraceMonitor::promoteToMethod(LoopState *LS, TierChangeReason Why) {
   if (LS->Tier.Current != Tier::Trace)
     return;
   LS->Tier.Current = Tier::Method;
@@ -495,8 +534,7 @@ void TraceMonitorImpl::promoteToMethod(LoopState *LS, TierChangeReason Why) {
   // keep seeing this loop to compile and enter the method body.
 }
 
-void TraceMonitorImpl::demoteToInterpreter(LoopState *LS,
-                                           TierChangeReason Why) {
+void TraceMonitor::demoteToInterpreter(LoopState *LS, TierChangeReason Why) {
   if (LS->Tier.Current == Tier::Interpreter)
     return;
   LS->Tier.Current = Tier::Interpreter;
@@ -517,7 +555,7 @@ void TraceMonitorImpl::demoteToInterpreter(LoopState *LS,
   LS->Script->Code[LS->Loop->HeaderPc] = (uint8_t)Op::Nop3;
 }
 
-void TraceMonitorImpl::linkUnstableExits(LoopState *LS, Fragment *NewPeer) {
+void TraceMonitor::linkUnstableExits(LoopState *LS, Fragment *NewPeer) {
   auto FramesEqual = [&](const ExitDescriptor *E) {
     if (E->Frames.size() != NewPeer->EntryFrames.size())
       return false;
@@ -548,14 +586,14 @@ void TraceMonitorImpl::linkUnstableExits(LoopState *LS, Fragment *NewPeer) {
   }
 }
 
-void TraceMonitorImpl::finishRecording(const std::vector<Fragment *> &Peers) {
+void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
   assert(Recorder);
   LoopState *LS = RecorderLoopState;
   bool Stats = Ctx.Opts.CollectStats;
   if (Stats)
     Ctx.Stats.switchTo(Activity::Compile);
 
-  std::unique_ptr<TraceRecorder> R = std::move(Recorder);
+  std::unique_ptr<TraceRecorder> R = takeRecorder();
   RecorderLoopState = nullptr;
 
   if (R->status() == TraceRecorder::Status::Recording)
@@ -563,7 +601,7 @@ void TraceMonitorImpl::finishRecording(const std::vector<Fragment *> &Peers) {
   if (R->status() != TraceRecorder::Status::Finished) {
     if (Stats)
       Ctx.Stats.switchTo(Activity::Interpret);
-    Recorder = std::move(R); // restore so abortRecording can bookkeep
+    setRecorder(std::move(R)); // restore so abortRecording can bookkeep
     abortRecording(Recorder->abortReason(), true);
     return;
   }
@@ -589,11 +627,16 @@ void TraceMonitorImpl::finishRecording(const std::vector<Fragment *> &Peers) {
     // compiler: a trace that breaks the SSA/type/guard/exit-map invariants
     // aborts and blacklists instead of compiling garbage.
     VerifyError VErr;
-    if (!verifyTrace(*F, F->EntryTypes.NumGlobals, VErr, &Ctx.Stats)) {
+    bool Injected = Ctx.Opts.FaultInjector &&
+                    Ctx.Opts.FaultInjector(FaultSite::VerifyFail);
+    if (Injected)
+      VErr.Message = "injected verify-fail";
+    if (Injected ||
+        !verifyTrace(*F, F->EntryTypes.NumGlobals, VErr, &Ctx.Stats)) {
       fprintf(stderr, "tracejit: LIR verification failed: %s\n",
               VErr.describe().c_str());
       F->Body.clear();
-      Recorder = std::move(R); // restore so abortRecording can bookkeep
+      setRecorder(std::move(R)); // restore so abortRecording can bookkeep
       RecorderLoopState = LS;
       abortRecording(AbortReason::VerifyFailed, true);
       return;
@@ -642,7 +685,7 @@ void TraceMonitorImpl::finishRecording(const std::vector<Fragment *> &Peers) {
       // recording with the usual abort backoff rather than buffering
       // unboundedly; the loop stays hot and will re-record once the
       // backlog clears.
-      Recorder = std::move(R); // restore so abortRecording can bookkeep
+      setRecorder(std::move(R)); // restore so abortRecording can bookkeep
       RecorderLoopState = LS;
       abortRecording(AbortReason::CompileQueueFull, true);
       return;
@@ -682,7 +725,7 @@ void TraceMonitorImpl::finishRecording(const std::vector<Fragment *> &Peers) {
       // (never here -- this stack frame still holds the doomed fragment).
       if (CR == CompileResult::PoolExhausted)
         FlushPending = true;
-      Recorder = std::move(R); // restore so abortRecording can bookkeep
+      setRecorder(std::move(R)); // restore so abortRecording can bookkeep
       RecorderLoopState = LS;
       abortRecording(compileAbortReason(CR), true);
       return;
@@ -697,8 +740,9 @@ void TraceMonitorImpl::finishRecording(const std::vector<Fragment *> &Peers) {
     Ctx.Stats.switchTo(Activity::Interpret);
 }
 
-void TraceMonitorImpl::installCompiledFragment(Fragment *F, LoopState *LS,
-                                               ExitDescriptor *Anchor) {
+void TraceMonitor::installCompiledFragment(Fragment *F, LoopState *LS,
+                                           ExitDescriptor *Anchor) {
+  MaxTarSlots = std::max(MaxTarSlots, F->RequiredTarSlots);
   ++Ctx.Stats.TracesCompleted;
   if (Ctx.EventListener) {
     JitEvent E;
@@ -747,7 +791,7 @@ void TraceMonitorImpl::installCompiledFragment(Fragment *F, LoopState *LS,
 
 // --- Method tier (trace/tier.h, jit/method_builder.h) ------------------------
 
-void TraceMonitorImpl::requestMethodCompile(LoopState *LS) {
+void TraceMonitor::requestMethodCompile(LoopState *LS) {
   bool Stats = Ctx.Opts.CollectStats;
   if (Stats)
     Ctx.Stats.switchTo(Activity::Compile);
@@ -843,7 +887,8 @@ void TraceMonitorImpl::requestMethodCompile(LoopState *LS) {
     Ctx.Stats.switchTo(Activity::Interpret);
 }
 
-void TraceMonitorImpl::installMethodFragment(LoopState *LS, Fragment *F) {
+void TraceMonitor::installMethodFragment(LoopState *LS, Fragment *F) {
+  MaxTarSlots = std::max(MaxTarSlots, F->RequiredTarSlots);
   LS->MethodFrag = F;
   ++Ctx.Stats.MethodCompiles;
   if (Ctx.EventListener) {
@@ -860,7 +905,7 @@ void TraceMonitorImpl::installMethodFragment(LoopState *LS, Fragment *F) {
 
 // --- Off-thread compile publication ------------------------------------------
 
-void TraceMonitorImpl::drainCompileJobs() {
+void TraceMonitor::drainCompileJobs() {
   if (!Queue || !Queue->hasCompleted())
     return;
   // Safe-point discipline: publication mutates LoopStates, patches code,
@@ -874,7 +919,7 @@ void TraceMonitorImpl::drainCompileJobs() {
     publishJob(J);
 }
 
-void TraceMonitorImpl::publishJob(CompileJob &J) {
+void TraceMonitor::publishJob(CompileJob &J) {
   // Stale job: its generation was flushed (the fragment is already freed)
   // or the engine gave up on jitting. Drop it using only the copied ids --
   // Frag/LS/AnchorExit must not be dereferenced on this path (LS itself
@@ -951,21 +996,21 @@ void TraceMonitorImpl::publishJob(CompileJob &J) {
     installCompiledFragment(F, LS, J.IsRoot ? nullptr : J.AnchorExit);
 }
 
-void TraceMonitorImpl::waitCompileQueueIdle() {
+void TraceMonitor::waitCompileQueueIdle() {
   if (!Queue)
     return;
   Queue->waitIdle();
   drainCompileJobs();
 }
 
-void TraceMonitorImpl::flushRecorder() {
+void TraceMonitor::flushRecorder() {
   if (Recorder)
     abortRecording(AbortReason::DispatchUnwound, false);
 }
 
 // --- Code-cache lifecycle ----------------------------------------------------
 
-AbortReason TraceMonitorImpl::compileAbortReason(CompileResult R) {
+AbortReason TraceMonitor::compileAbortReason(CompileResult R) {
   switch (R) {
   case CompileResult::PoolExhausted:
     return AbortReason::CompilePoolExhausted;
@@ -981,15 +1026,15 @@ AbortReason TraceMonitorImpl::compileAbortReason(CompileResult R) {
   return AbortReason::CompileFault;
 }
 
-size_t TraceMonitorImpl::codeCacheUsed() const {
+size_t TraceMonitor::codeCacheUsed() const {
   return Native ? Native->pool().used() : 0;
 }
 
-size_t TraceMonitorImpl::codeCacheCapacity() const {
+size_t TraceMonitor::codeCacheCapacity() const {
   return Native ? Native->pool().capacity() : 0;
 }
 
-void TraceMonitorImpl::requestCacheFlush() {
+void TraceMonitor::requestCacheFlush() {
   if (Disabled)
     return;
   if (Ctx.OnTrace || Recorder) {
@@ -1002,7 +1047,7 @@ void TraceMonitorImpl::requestCacheFlush() {
   flushCacheNow();
 }
 
-void TraceMonitorImpl::flushCacheNow() {
+void TraceMonitor::flushCacheNow() {
   assert(!Recorder && !Ctx.OnTrace && "cache flush at an unsafe point");
   FlushPending = false;
 
@@ -1063,6 +1108,7 @@ void TraceMonitorImpl::flushCacheNow() {
   RecorderAnchorExit = nullptr;
   Ctx.LastNestedExit = nullptr;
   Fragments.clear(); // each fragment's LIR arena dies with it
+  MaxTarSlots = MinTarSlots;
 
   // Inline caches are speculation state too: the flush contract is "reset
   // everything at once". (Oracle poly/mega-site knowledge survives, like
@@ -1084,7 +1130,7 @@ void TraceMonitorImpl::flushCacheNow() {
     disableJit();
 }
 
-void TraceMonitorImpl::disableJit() {
+void TraceMonitor::disableJit() {
   if (Disabled)
     return;
   Disabled = true;
@@ -1098,7 +1144,7 @@ void TraceMonitorImpl::disableJit() {
   }
 }
 
-void TraceMonitorImpl::syncStats() {
+void TraceMonitor::syncStats() {
   // Figure 11: bytecodes "executed" natively = iterations through each
   // fragment times the bytecodes one pass covers.
   uint64_t Native64 = 0;
@@ -1109,9 +1155,8 @@ void TraceMonitorImpl::syncStats() {
 
 // --- Hooks -------------------------------------------------------------------------------------
 
-void TraceMonitorImpl::recordOp(Interpreter &I, uint32_t Pc) {
-  if (!Recorder)
-    return;
+void TraceMonitor::recordOp(uint32_t Pc) {
+  assert(Recorder && "recording hook without a recorder");
   Recorder->recordOp(Pc);
   if (Recorder->status() == TraceRecorder::Status::Aborted) {
     abortRecording(Recorder->abortReason(), true);
@@ -1122,8 +1167,7 @@ void TraceMonitorImpl::recordOp(Interpreter &I, uint32_t Pc) {
   }
 }
 
-uint32_t TraceMonitorImpl::handleInnerLoopHeader(uint32_t Pc,
-                                                 uint16_t LoopId) {
+uint32_t TraceMonitor::handleInnerLoopHeader(uint32_t Pc, uint16_t LoopId) {
   FunctionScript *S = Interp.currentFrame().Script;
   LoopState *InnerLS = loopState(S, LoopId);
 
@@ -1193,7 +1237,7 @@ uint32_t TraceMonitorImpl::handleInnerLoopHeader(uint32_t Pc,
   return E->Pc;
 }
 
-void TraceMonitorImpl::handleExit(ExitDescriptor *E) {
+void TraceMonitor::handleExit(ExitDescriptor *E) {
   if (E->Kind == ExitKind::Preempt) {
     // Re-entrant case (an outer method-tier fragment is suspended on the
     // native stack under a helper call): servicing now could flush or
@@ -1245,29 +1289,29 @@ void TraceMonitorImpl::handleExit(ExitDescriptor *E) {
                  E);
 }
 
-LoopState *TraceMonitorImpl::loopStateOfRoot(Fragment *Root) {
+LoopState *TraceMonitor::loopStateOfRoot(Fragment *Root) {
   return Root->Loop ? Root->Loop->State : nullptr;
 }
 
-uint8_t TraceMonitorImpl::tierOfLoop(uint32_t ScriptId,
-                                     uint16_t LoopId) const {
+Tier TraceMonitor::tierOfLoop(uint32_t ScriptId, uint16_t LoopId) const {
   for (const auto &LS : LoopStates)
     if (LS->Script && LS->Script->Id == ScriptId &&
         LoopId < LS->Script->Loops.size() &&
         LS->Loop == &LS->Script->Loops[LoopId])
-      return (uint8_t)LS->Tier.Current;
-  return (uint8_t)Policy.initialTier();
+      return LS->Tier.Current;
+  return Policy.initialTier();
 }
 
-uint32_t TraceMonitorImpl::onLoopEdge(Interpreter &I, uint32_t Pc,
-                                      uint16_t LoopId) {
+uint32_t TraceMonitor::onLoopEdge(uint32_t Pc, uint16_t LoopId) {
+  assert(Ctx.Recording == (Recorder != nullptr) &&
+         "recording flag out of sync with the recorder");
   if (Disabled)
     return Pc + 3; // kill switch: interpreter-only, one branch of overhead
   bool Stats = Ctx.Opts.CollectStats;
   if (Stats)
     Ctx.Stats.switchTo(Activity::Monitor);
   uint32_t NextPc = Pc + 3;
-  FunctionScript *S = I.currentFrame().Script;
+  FunctionScript *S = Interp.currentFrame().Script;
 
   // --- Active recording ------------------------------------------------------
   if (Recorder) {
@@ -1290,7 +1334,7 @@ uint32_t TraceMonitorImpl::onLoopEdge(Interpreter &I, uint32_t Pc,
         return NextPc;
       }
       NextPc = Pc + 3;
-      S = I.currentFrame().Script;
+      S = Interp.currentFrame().Script;
     }
   }
 
@@ -1316,25 +1360,14 @@ uint32_t TraceMonitorImpl::onLoopEdge(Interpreter &I, uint32_t Pc,
   // freeze the hit counter below the method-jit threshold. The peer
   // fragments stay alive for stitched branches and nested TreeCalls from
   // outer traces.
-  if (LS->Tier.Current == Tier::Trace && !LS->Peers.empty() && !Recorder) {
-    TypeMap Now = buildEntryTypeMap(I.stackTop());
-    auto FramesMatchLive = [&](Fragment *P) {
-      auto &Frames = I.frames();
-      if (P->EntryFrames.size() != Frames.size())
-        return false;
-      for (size_t D = 0; D < Frames.size(); ++D)
-        if (P->EntryFrames[D].Script != Frames[D].Script ||
-            P->EntryFrames[D].Base != Frames[D].Base)
-          return false;
-      return true;
-    };
+  if (LS->Tier.Current == Tier::Trace && !Recorder) {
     for (Fragment *P : LS->Peers) {
       // Entry-deopt backoff: a peer whose prologue keeps deopting is
       // skipped until the loop has hit the header a bit more (UINT32_MAX =
       // retired for good). Its body stays alive for stitched/nested links.
       if (LS->HitCount < P->EnterBlockedUntil)
         continue;
-      if (P->EntryTypes == Now && !P->Body.empty() && FramesMatchLive(P)) {
+      if (!P->Body.empty() && entryMatches(*P)) {
         ExitDescriptor *E = executeFragment(P);
         handleExit(E);
         if (Stats)
@@ -1353,16 +1386,10 @@ uint32_t TraceMonitorImpl::onLoopEdge(Interpreter &I, uint32_t Pc,
   // method code).
   if (LS->MethodFrag && !Recorder) {
     Fragment *M = LS->MethodFrag;
-    auto &Frames = I.frames();
-    bool Match =
-        !M->Body.empty() &&
-        I.stackTop() + M->EntryTypes.NumGlobals == M->EntryTypes.Types.size() &&
-        M->EntryFrames.size() == Frames.size();
-    for (size_t D = 0; Match && D < Frames.size(); ++D)
-      if (M->EntryFrames[D].Script != Frames[D].Script ||
-          M->EntryFrames[D].Base != Frames[D].Base)
-        Match = false;
-    if (Match) {
+    if (!M->Body.empty() &&
+        Interp.stackTop() + M->EntryTypes.NumGlobals ==
+            M->EntryTypes.Types.size() &&
+        framesMatchLive(M->EntryFrames)) {
       if (Ctx.EventListener && M->Enters == 0) {
         JitEvent Ev;
         Ev.Kind = JitEventKind::MethodEntered;
@@ -1422,13 +1449,6 @@ uint32_t TraceMonitorImpl::onLoopEdge(Interpreter &I, uint32_t Pc,
   RecorderAnchorExit = nullptr;
   startRecording(TraceRecorder::Mode::Root, LS, S, Pc, nullptr);
   return NextPc;
-}
-
-// --- Factory -------------------------------------------------------------------------------------
-
-std::unique_ptr<TraceMonitor> createTraceMonitor(VMContext &Ctx,
-                                                 Interpreter &I) {
-  return std::make_unique<TraceMonitorImpl>(Ctx, I);
 }
 
 } // namespace tracejit

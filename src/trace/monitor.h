@@ -1,4 +1,4 @@
-//===- monitor.h - The trace monitor -------------------------------------------===//
+//===- monitor.h - The trace monitor --------------------------------------===//
 //
 // The Figure 2 state machine. The monitor is invoked at every loop edge
 // (LoopHeader bytecode) and decides whether to interpret, record, execute
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "interp/interpreter.h"
-#include "interp/tracehooks.h"
 #include "jit/compile_queue.h"
 #include "jit/compiler_x64.h"
 #include "jit/fragment.h"
@@ -51,44 +50,115 @@ struct LoopState {
   uint32_t PendingCompiles = 0;
 };
 
-class TraceMonitorImpl : public TraceMonitor {
+/// The trace monitor. One concrete class: the interpreter calls it at loop
+/// edges (onLoopEdge) and, only while VMContext::Recording is set, before
+/// every bytecode (recordOp); the Engine calls the lifecycle, statistics,
+/// and code-cache entry points directly.
+class TraceMonitor {
 public:
-  TraceMonitorImpl(VMContext &Ctx, Interpreter &I);
-  ~TraceMonitorImpl() override;
+  TraceMonitor(VMContext &Ctx, Interpreter &I);
+  ~TraceMonitor();
 
-  // --- TraceMonitor interface -----------------------------------------------
-  uint32_t onLoopEdge(Interpreter &I, uint32_t Pc, uint16_t LoopId) override;
-  bool recording() const override { return Recorder != nullptr; }
-  void recordOp(Interpreter &I, uint32_t Pc) override;
-  void notePropSite(uint32_t ScriptId, uint32_t Pc, bool Megamorphic) override {
+  // --- Interpreter hooks -----------------------------------------------------
+
+  /// Called when the interpreter executes a LoopHeader bytecode at \p Pc
+  /// (interpreter state is synced). May count hotness, start or finish
+  /// recording, or execute a compiled trace (mutating the interpreter's
+  /// frames/stack). Returns the pc to continue interpreting at.
+  uint32_t onLoopEdge(uint32_t Pc, uint16_t LoopId);
+
+  /// Pre-execution recording hook for every bytecode while recording
+  /// ("the interpreter's dispatch table is swapped to call a recording
+  /// routine for every bytecode", §6.3). Interpreter state is synced; the
+  /// hook must not mutate it.
+  void recordOp(uint32_t Pc);
+
+  /// A property IC left the monomorphic state: the site at (ScriptId, Pc)
+  /// went polymorphic, or megamorphic when \p Megamorphic. Speculation
+  /// feedback for the oracle, like double-demotion failures (§5): the
+  /// recorder emits multi-shape guards at poly sites and refuses to record
+  /// through mega sites.
+  void notePropSite(uint32_t ScriptId, uint32_t Pc, bool Megamorphic) {
     uint64_t Key = Oracle::propSiteKey(ScriptId, Pc);
     if (Megamorphic)
       TheOracle.markMegamorphicSite(Key);
     else
       TheOracle.markPolymorphicSite(Key);
   }
-  void noteStaticDemotion(uint64_t Key) override { TheOracle.markDemote(Key); }
-  void flushRecorder() override;
-  void abortForInterrupt() override {
-    // Forgiven abort: the loop is fine, the script ran out of budget.
-    // Without blacklist pressure it re-records once the engine is reused.
+
+  /// Static-analysis seeding (analysis/analysis.h): a slot is proven
+  /// int-and-double at some loop header, so record the §3.2 demotion fact
+  /// in the oracle before the first recording ever specializes it as int.
+  /// \p Key is an Oracle slot key (globalKey/localKey).
+  void noteStaticDemotion(uint64_t Key) { TheOracle.markDemote(Key); }
+
+  /// Called when the dispatch loop is about to return from the outermost
+  /// frame or an error unwinds; any active recording must be aborted.
+  void flushRecorder();
+
+  /// A governor (deadline, host interrupt, heap quota) is terminating the
+  /// running script: abort any active recording without blacklisting the
+  /// loop (AbortReason::Interrupted) -- the loop did nothing untraceable,
+  /// the script just ran out of budget, so it re-records once the engine
+  /// is reused.
+  void abortForInterrupt() {
     if (Recorder)
       abortRecording(AbortReason::Interrupted, false);
   }
-  void syncStats() override;
-  void collectFragmentProfiles(std::vector<FragmentProfile> &Out) const override;
-  uint8_t tierOfLoop(uint32_t ScriptId, uint16_t LoopId) const override;
-  void onEvalStart() override { FlushesThisEval = 0; }
-  void requestCacheFlush() override;
-  uint32_t cacheGeneration() const override { return CacheGeneration; }
-  bool jitDisabled() const override { return Disabled; }
-  size_t codeCacheUsed() const override;
-  size_t codeCacheCapacity() const override;
-  uint32_t pendingCompileJobs() const override {
+
+  // --- Engine-facing statistics and introspection ----------------------------
+
+  /// Fold derived statistics (the Figure 11 native-bytecode estimate,
+  /// summed over fragments) into VMStats before it is read.
+  void syncStats();
+
+  /// Append one FragmentProfile per fragment in the current cache
+  /// generation, including aborted ones (enter counts, iterations,
+  /// per-guard side-exit histograms, LIR/native sizes).
+  void collectFragmentProfiles(std::vector<FragmentProfile> &Out) const;
+
+  /// Compilation tier of loop \p LoopId of the script with id \p ScriptId.
+  /// Loops the monitor has never seen report the engine's initial tier.
+  Tier tierOfLoop(uint32_t ScriptId, uint16_t LoopId) const;
+
+  // --- Code-cache lifecycle --------------------------------------------------
+
+  /// Called by the engine at the top of every eval; resets the per-eval
+  /// flush budget that feeds the jit-disable kill switch.
+  void onEvalStart() { FlushesThisEval = 0; }
+
+  /// Request a whole-cache flush: retire every fragment, reset the code
+  /// pool, bump the generation, and re-enter monitoring cold. Deferred
+  /// (not dropped) while a trace is on the native stack or a recording is
+  /// active; the flush then runs at the next safe loop edge.
+  void requestCacheFlush();
+
+  /// Monotonic generation counter; bumped by every completed flush.
+  uint32_t cacheGeneration() const { return CacheGeneration; }
+
+  /// True once the kill switch disabled the JIT for this engine.
+  bool jitDisabled() const { return Disabled; }
+
+  /// Executable-pool occupancy (0 for the executor backend).
+  size_t codeCacheUsed() const;
+  size_t codeCacheCapacity() const;
+
+  // --- Off-thread compilation (jit/compile_queue.h) --------------------------
+
+  /// Compile jobs submitted but not yet published or dropped (0 when
+  /// OffThreadCompile is off).
+  uint32_t pendingCompileJobs() const {
     return Queue ? Queue->pendingCount() : 0;
   }
-  void pumpCompileQueue() override { drainCompileJobs(); }
-  void waitCompileQueueIdle() override;
+
+  /// Publish/drop any finished compile jobs now (normally done at loop
+  /// edges; tests and the serving harness call this at request boundaries).
+  void pumpCompileQueue() { drainCompileJobs(); }
+
+  /// Block until the background compiler has finished every submitted job,
+  /// then publish/drop the results. Deterministic drains for tests,
+  /// benchmarks, and engine teardown.
+  void waitCompileQueueIdle();
 
   // --- Services for the recorder ----------------------------------------------
   Oracle &oracle() { return TheOracle; }
@@ -109,9 +179,33 @@ public:
   LoopState *loopState(FunctionScript *S, uint16_t LoopId);
 
 private:
-  /// Build the current entry type map from live interpreter state,
-  /// consulting the oracle for integer demotion (§3.2).
+  /// Every change of Recorder goes through these two, so
+  /// VMContext::Recording always equals "a recorder exists".
+  void setRecorder(std::unique_ptr<TraceRecorder> R) {
+    Recorder = std::move(R);
+    Ctx.Recording = Recorder != nullptr;
+  }
+  std::unique_ptr<TraceRecorder> takeRecorder() {
+    Ctx.Recording = false;
+    return std::move(Recorder);
+  }
+
+  /// The oracle entry typing must consult (§3.2 demotion), or null when it
+  /// is disabled or holds no demotion -- then no slot needs a lookup.
+  const Oracle *entryOracle() const;
+
+  /// Build the current entry type map from live interpreter state.
+  /// Recording start only; peer matching compares in place (entryMatches).
   TypeMap buildEntryTypeMap(uint32_t Sp);
+
+  /// True when the live interpreter frame chain has exactly the scripts
+  /// and bases of \p Entry.
+  bool framesMatchLive(const std::vector<FrameEntry> &Entry) const;
+
+  /// True when \p P can be entered from the live interpreter state: same
+  /// frame chain, and buildEntryTypeMap(stackTop()) would equal
+  /// P.EntryTypes. Computed in place: no TypeMap, no frame copy.
+  bool entryMatches(const Fragment &P) const;
 
   /// Unbox interpreter state into the TAR at \p Tar per \p Types.
   void fillTar(const TypeMap &Types, uint32_t Sp, uint64_t *Tar);
@@ -204,7 +298,7 @@ private:
   /// Off-thread compilation (null pair when OffThreadCompile is off).
   /// Declaration order matters: Queue (the client) must be destroyed
   /// before OwnService joins its worker, and both before Native/Fragments
-  /// die -- ~TraceMonitorImpl resets them explicitly.
+  /// die -- ~TraceMonitor resets them explicitly.
   std::unique_ptr<CompileService> OwnService; ///< Engine-private worker.
   std::unique_ptr<CompileClient> Queue; ///< Portal (own or shared service).
   std::vector<std::unique_ptr<Fragment>> Fragments;
@@ -222,6 +316,11 @@ private:
   /// stack-local buffer instead: resizing this one would move it out from
   /// under the suspended outer fragment.
   std::vector<uint8_t> TarBuffer;
+  /// Largest RequiredTarSlots of any fragment installed in this cache
+  /// generation (traces and method bodies): every fragment a TAR can reach
+  /// fits below it. Raised at install, reset by a flush.
+  uint32_t MaxTarSlots = MinTarSlots;
+  static constexpr uint32_t MinTarSlots = 64;
   uint32_t NextFragmentId = 0;
   uint32_t MaxPeersPerLoop = 8;
 

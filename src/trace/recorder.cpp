@@ -4,6 +4,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "interp/natives.h"
 #include "trace/helpers.h"
@@ -13,9 +15,9 @@
 
 namespace tracejit {
 
-TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I,
-                             TraceMonitorImpl &M, Fragment *Frag, Mode Md,
-                             LoopRecord *L, ExitDescriptor *AExit)
+TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I, TraceMonitor &M,
+                             Fragment *Frag, Mode Md, LoopRecord *L,
+                             ExitDescriptor *AExit)
     : Ctx(C), Interp(I), Monitor(M), F(Frag), RecMode(Md), Loop(L),
       AnchorExit(AExit) {
   // Mirror the live interpreter state.
@@ -110,6 +112,14 @@ bool TraceRecorder::atAnchor(uint32_t Pc) const {
 
 // --- Slot tracking -------------------------------------------------------------------
 
+/// TraceType::Boxed belongs to method-tier bodies (jit/method_builder.h);
+/// a recorded trace only ever holds unboxed types, so reaching a Boxed
+/// case here is a recorder bug, not a recording to abort.
+[[noreturn]] static void boxedTypeInTrace(const char *Where) {
+  fprintf(stderr, "tracejit: TraceType::Boxed reached %s\n", Where);
+  std::abort();
+}
+
 TraceType TraceRecorder::fallbackTypeOf(uint32_t Slot) {
   assert(Slot < FallbackTypes.size() && "read of a never-written slot");
   return FallbackTypes[Slot];
@@ -126,6 +136,8 @@ LIns *TraceRecorder::ldSlot(TraceType T, uint32_t Slot) {
   case TraceType::Object:
   case TraceType::String:
     return W->insLoad(LOp::LdQ, ParamTar, Disp);
+  case TraceType::Boxed:
+    boxedTypeInTrace("ldSlot");
   case TraceType::Null:
   case TraceType::Undefined:
     return nullptr;
@@ -147,6 +159,8 @@ void TraceRecorder::stSlot(uint32_t Slot, LIns *V, TraceType T) {
   case TraceType::String:
     W->insStore(LOp::StQ, V, ParamTar, Disp);
     return;
+  case TraceType::Boxed:
+    boxedTypeInTrace("stSlot");
   case TraceType::Null:
   case TraceType::Undefined:
     return; // the type carries the whole value
@@ -238,6 +252,8 @@ LIns *TraceRecorder::unboxGuarded(LIns *Word, TraceType Expect, uint32_t Pc) {
     W->insGuard(LOp::GuardT, W->ins2(LOp::LtUI, Payload, immI(2)), E);
     return Payload;
   }
+  case TraceType::Boxed:
+    boxedTypeInTrace("unboxGuarded");
   case TraceType::Null:
     W->insGuard(LOp::GuardT,
                 W->ins2(LOp::EqQ, Word, immQ((int64_t)Value::null().bits())),
@@ -271,6 +287,8 @@ LIns *TraceRecorder::boxValue(LIns *V, TraceType T) {
     return W->ins2(LOp::OrQ, W->ins2(LOp::ShlQ, Wide, immI(3)),
                    immQ(TagSpecial));
   }
+  case TraceType::Boxed:
+    boxedTypeInTrace("boxValue");
   case TraceType::Null:
     return immQ((int64_t)Value::null().bits());
   case TraceType::Undefined:
@@ -308,6 +326,8 @@ LIns *TraceRecorder::truthyIns(const Tracked &V) {
   }
   case TraceType::Object:
     return immI(1);
+  case TraceType::Boxed:
+    boxedTypeInTrace("truthyIns");
   case TraceType::Null:
   case TraceType::Undefined:
     return immI(0);

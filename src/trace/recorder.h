@@ -35,7 +35,7 @@
 
 namespace tracejit {
 
-class TraceMonitorImpl;
+class TraceMonitor;
 
 class TraceRecorder {
 public:
@@ -45,9 +45,8 @@ public:
     Branch, ///< Branch trace from a hot side exit of an existing tree.
   };
 
-  TraceRecorder(VMContext &Ctx, Interpreter &I, TraceMonitorImpl &M,
-                Fragment *F, Mode Mode, LoopRecord *Loop,
-                ExitDescriptor *AnchorExit);
+  TraceRecorder(VMContext &Ctx, Interpreter &I, TraceMonitor &M, Fragment *F,
+                Mode Mode, LoopRecord *Loop, ExitDescriptor *AnchorExit);
   ~TraceRecorder();
 
   enum class Status : uint8_t { Recording, Finished, Aborted };
@@ -198,7 +197,7 @@ private:
 
   VMContext &Ctx;
   Interpreter &Interp;
-  TraceMonitorImpl &Monitor;
+  TraceMonitor &Monitor;
   Fragment *F;
   Mode RecMode;
   LoopRecord *Loop; ///< Extent of the loop being traced (root tree's loop).

@@ -93,9 +93,10 @@ TEST(Parser, BackwardJumpsTargetLoopHeaders) {
     uint32_t Len = 1 + opInfo(Op_).OperandBytes;
     if (Op_ == Op::Jump || Op_ == Op::JumpIfTrue) {
       uint32_t Target = S->u32At(Pc + 1);
-      if (Target < Pc && Op_ == Op::JumpIfTrue)
+      if (Target < Pc && Op_ == Op::JumpIfTrue) {
         EXPECT_EQ(S->opAt(Target), Op::LoopHeader)
             << "backward conditional jump at " << Pc;
+      }
     }
     Pc += Len;
   }

@@ -93,7 +93,8 @@ std::string genStatement(Rng &R, int Depth) {
       // A small nested loop exercising tree nesting under fuzz. Each gets
       // a unique counter so nested instances cannot interfere.
       static int LoopVar = 0;
-      std::string K = "k" + std::to_string(LoopVar++);
+      std::string K = "k";
+      K += std::to_string(LoopVar++);
       std::string Body = genStatement(R, Depth - 1);
       return "for (var " + K + " = 0; " + K + " < " +
              std::to_string(2 + R.below(6)) + "; ++" + K + ") {\n" + Body +
@@ -189,8 +190,9 @@ TEST_P(FuzzDifferential, StaticFactsNeverContradictRuntime) {
     ASSERT_TRUE(R.ok()) << "seed " << Seed << ": " << R.Err.describe();
     EXPECT_EQ(E.stats().StaticFactContradictions, 0u)
         << "seed " << Seed << " jit=" << Jit << "\nprogram:\n" << Src;
-    if (Jit)
+    if (Jit) {
       EXPECT_EQ(E.stats().VerifyFailures, 0u) << "program:\n" << Src;
+    }
   }
   EXPECT_EQ(Outs[0], Outs[1]) << "seed " << Seed << "\nprogram:\n" << Src;
 }

@@ -278,43 +278,45 @@ TEST(InlineCaches, RecorderAbortsAtMegamorphicSite) {
          "always-exiting guard ladder";
 }
 
-TEST(ThreadedDispatch, SwitchAndThreadedAgree) {
-  // Whatever harness the build selected, the runtime toggle must not
-  // change observable behavior. (In builds without computed-goto support
-  // both runs use the switch loop and this degenerates to determinism.)
-  const char *Corpus[] = {
-      "var s = 0; for (var i = 0; i < 1000; ++i) s += i; print(s);",
-      "var o = {}; o.a = 1; var t = 0;\n"
-      "for (var i = 0; i < 500; ++i) { t = t + o.a; o.a = t % 7; }\n"
-      "print(t);",
-      "function f(n) { if (n < 2) return n; return f(n - 1) + f(n - 2); }\n"
-      "print(f(15));",
-      "var a = Array(64); for (var i = 0; i < 64; ++i) a[i] = i * i;\n"
-      "var s = 0; for (var j = 0; j < 64; ++j) s = s + a[j];\n"
-      "print(s); print(a.length);",
+TEST(Dispatch, HarnessMatchesReferenceOutputs) {
+  // Whichever harness the build selected (threaded when TRACEJIT_COMPUTED_GOTO
+  // is defined, the switch loop otherwise -- the CI fallback leg), the corpus
+  // prints the reference output with the JIT off and on. Calls, returns, and
+  // loop edges that run a trace are where the harness refreshes its cached
+  // frame, so the corpus crosses each of them.
+  struct Case {
+    const char *Src;
+    const char *Out;
+  } Corpus[] = {
+      {"var s = 0; for (var i = 0; i < 1000; ++i) s += i; print(s);",
+       "499500\n"},
+      {"var o = {}; o.a = 1; var t = 0;\n"
+       "for (var i = 0; i < 500; ++i) { t = t + o.a; o.a = t % 7; }\n"
+       "print(t);",
+       "1164\n"},
+      {"function f(n) { if (n < 2) return n; return f(n - 1) + f(n - 2); }\n"
+       "print(f(15));",
+       "610\n"},
+      {"var a = Array(64); for (var i = 0; i < 64; ++i) a[i] = i * i;\n"
+       "var s = 0; for (var j = 0; j < 64; ++j) s = s + a[j];\n"
+       "print(s); print(a.length);",
+       "85344\n64\n"},
   };
-  for (const char *Src : Corpus) {
+  for (const Case &K : Corpus) {
     for (bool Jit : {false, true}) {
-      EngineOptions T;
-      T.EnableJit = Jit;
-      T.ThreadedDispatch = true;
-      EngineOptions S = T;
-      S.ThreadedDispatch = false;
-      RunInfo A = runWith(Src, T);
-      RunInfo B = runWith(Src, S);
-      ASSERT_TRUE(A.Ok) << A.Error;
-      ASSERT_TRUE(B.Ok) << B.Error;
-      EXPECT_EQ(A.Out, B.Out) << Src;
+      EngineOptions O;
+      O.EnableJit = Jit;
+      RunInfo R = runWith(K.Src, O);
+      ASSERT_TRUE(R.Ok) << R.Error;
+      EXPECT_EQ(R.Out, K.Out) << K.Src << " jit=" << Jit;
     }
   }
-  // Runtime errors unwind identically through both harnesses.
-  EngineOptions T;
-  T.EnableJit = false;
-  T.ThreadedDispatch = true;
-  EngineOptions S = T;
-  S.ThreadedDispatch = false;
-  RunInfo A = runWith("var u; u.x;", T);
-  RunInfo B = runWith("var u; u.x;", S);
+  // Runtime errors unwind the same way with the JIT off and on.
+  EngineOptions Off;
+  Off.EnableJit = false;
+  EngineOptions On;
+  RunInfo A = runWith("var u; u.x;", Off);
+  RunInfo B = runWith("var u; u.x;", On);
   EXPECT_FALSE(A.Ok);
   EXPECT_FALSE(B.Ok);
   EXPECT_EQ(A.Error, B.Error);

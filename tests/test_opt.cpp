@@ -407,8 +407,9 @@ TEST_F(HoistTest, PrologueSurvivesFinalDceAndPrints) {
   ASSERT_LT(F.PrologueEnd, F.Body.size());
   for (uint32_t P = 0; P < F.PrologueEnd; ++P) {
     EXPECT_FALSE(F.Body[P]->isStore());
-    if (F.Body[P]->isGuard())
+    if (F.Body[P]->isGuard()) {
       EXPECT_EQ(F.Body[P]->Exit, Entry);
+    }
   }
   EXPECT_EQ(F.Body.back()->Op, LOp::Loop);
   EXPECT_TRUE(inPrologue(G));
@@ -610,7 +611,8 @@ TEST(OptEndToEnd, EntryDeoptRecoversWhenInvariantBreaks) {
   RunInfo R = runWith(Src, O);
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(R.Out, "1600\n");
-  if (R.Stats.GuardsHoisted > 0)
+  if (R.Stats.GuardsHoisted > 0) {
     EXPECT_GE(R.Stats.EntryDeopts, 1u)
         << "a hoisted shape guard must fail at entry after the shape change";
+  }
 }

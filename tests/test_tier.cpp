@@ -126,6 +126,9 @@ TierRun runTier(const std::string &Src, TierMode T, bool Jit = true) {
   EngineOptions O;
   O.EnableJit = Jit;
   O.Tier = T;
+  // Megamorphic verdicts come from IC feedback; opt in even where the
+  // build defaults ICs off (the CI fallback leg).
+  O.EnableIC = true;
   O.CollectStats = true;
   Engine E(O);
   TierRun R;
@@ -247,6 +250,7 @@ TEST(Tier, MegamorphicLoopPromotesCompilesAndEnters) {
 
   EngineOptions O;
   O.EnableJit = true;
+  O.EnableIC = true; // the promotion is fed by the megamorphic IC site
   O.Tier = TierMode::Hybrid;
   O.CollectStats = true;
   Engine E(O);
