@@ -282,92 +282,14 @@ Value Interpreter::run(FunctionScript *Top) {
   return R;
 }
 
-// --- Shared op bodies (multi-label cases in the seed switch) --------------------
+// --- Frames ---------------------------------------------------------------------
 
-void Interpreter::execBitop(Op O) {
-  Value B = Stack[Sp - 1];
-  Value A = Stack[Sp - 2];
-  --Sp;
-  int32_t X = A.isInt() ? A.toInt() : valueToInt32(A);
-  int32_t Y = B.isInt() ? B.toInt() : valueToInt32(B);
-  int32_t R;
-  switch (O) {
-  case Op::BitAnd:
-    R = X & Y;
-    break;
-  case Op::BitOr:
-    R = X | Y;
-    break;
-  case Op::BitXor:
-    R = X ^ Y;
-    break;
-  case Op::Shl:
-    R = (int32_t)((uint32_t)X << (Y & 31));
-    break;
-  default:
-    R = X >> (Y & 31);
-    break;
-  }
-  Stack[Sp - 1] = Value::makeInt(R);
-  ++Pc;
-}
-
-void Interpreter::execCompare(Op O) {
-  Value B = Stack[Sp - 1];
-  Value A = Stack[Sp - 2];
-  --Sp;
-  bool R;
-  if (A.isInt() && B.isInt()) {
-    int32_t X = A.toInt(), Y = B.toInt();
-    R = O == Op::Lt   ? X < Y
-        : O == Op::Le ? X <= Y
-        : O == Op::Gt ? X > Y
-                      : X >= Y;
-  } else {
-    int Cv = compareValues(A, B);
-    if (Cv == 2)
-      R = false;
-    else
-      R = O == Op::Lt   ? Cv < 0
-          : O == Op::Le ? Cv <= 0
-          : O == Op::Gt ? Cv > 0
-                        : Cv >= 0;
-  }
-  Stack[Sp - 1] = Value::makeBoolean(R);
-  ++Pc;
-}
-
-void Interpreter::execEquality(bool Negate) {
-  Value B = Stack[Sp - 1];
-  Value A = Stack[Sp - 2];
-  --Sp;
-  bool R = looseEquals(A, B);
-  Stack[Sp - 1] = Value::makeBoolean(Negate ? !R : R);
-  ++Pc;
-}
-
-void Interpreter::execStrictEquality(bool Negate) {
-  Value B = Stack[Sp - 1];
-  Value A = Stack[Sp - 2];
-  --Sp;
-  bool R = strictEquals(A, B);
-  Stack[Sp - 1] = Value::makeBoolean(Negate ? !R : R);
-  ++Pc;
-}
-
-bool Interpreter::popReturnFrame(size_t StopDepth, Value R) {
-  Frame Done = Frames.back();
+void Interpreter::popReturnFrame() {
+  uint32_t Base = Frames.back().Base;
   Frames.pop_back();
-  if (Frames.size() == StopDepth) {
-    Sp = Done.Base;
-    if (Done.Base > 0)
-      --Sp; // drop the callee slot pushed by callValue
-    return true;
-  }
-  Sp = Done.Base - 1; // drop args, locals, and the callee slot
-  Stack[Sp++] = R;
-  Pc = Done.ReturnPc;
-  return false;
+  Sp = Base;
+  if (Base > 0)
+    --Sp; // drop the callee slot pushed by callValue
 }
 
 // --- Property inline caches -----------------------------------------------------
@@ -538,22 +460,54 @@ static_assert(0 TJ_FOR_EACH_OP(TJ_COUNT) == (int)Op::NumOps,
               "TJ_FOR_EACH_OP out of sync with enum Op");
 #undef TJ_COUNT
 
+/// Little-endian bytecode operands at \p P (FunctionScript::u16At/u32At
+/// over a raw code pointer).
+static inline uint16_t readU16(const uint8_t *P) {
+  return (uint16_t)(P[0] | (P[1] << 8));
+}
+static inline uint32_t readU32(const uint8_t *P) {
+  return (uint32_t)P[0] | ((uint32_t)P[1] << 8) | ((uint32_t)P[2] << 16) |
+         ((uint32_t)P[3] << 24);
+}
+
+/// ToBoolean with the Boolean case (every comparison result) inline.
+static inline bool isTruthy(const Value &V) {
+  return V.isSpecial() ? V.specialPayload() == SpecialTrue : V.truthy();
+}
+
 /// Op bodies that can change the frame chain refresh the cached frame.
 #define TJ_RELOAD_FRAME()                                                      \
   do {                                                                         \
     F = &Frames.back();                                                        \
     Script = F->Script;                                                        \
+    Code = Script->Code.data();                                                \
   } while (0)
 
 #if defined(TRACEJIT_COMPUTED_GOTO)
-// Threaded harness: every op ends in its own copy of the dispatch tail.
+// Threaded harness: pc and sp live in locals (Pc/Sp are their spill copy),
+// and every op ends in its own copy of the dispatch tail.
 Value Interpreter::dispatchUntil(size_t StopDepth) {
   VMContext &C = Ctx;
   const bool Stats = C.Opts.CollectStats;
   const bool IcOn = C.Opts.EnableIC;
+  Value *const Stk = Stack.data();
+  uint32_t pc = Pc;
+  uint32_t sp = Sp;
   Frame *F = &Frames.back();
   FunctionScript *Script = F->Script;
+  const uint8_t *Code = Script->Code.data();
   Op O;
+
+#define TJ_SPILL()                                                             \
+  do {                                                                         \
+    Pc = pc;                                                                   \
+    Sp = sp;                                                                   \
+  } while (0)
+#define TJ_RELOAD()                                                            \
+  do {                                                                         \
+    pc = Pc;                                                                   \
+    sp = Sp;                                                                   \
+  } while (0)
 
   // One label per opcode, indexed by the opcode byte.
   static const void *const Table[] = {
@@ -570,7 +524,7 @@ Value Interpreter::dispatchUntil(size_t StopDepth) {
   do {                                                                         \
     if (C.HasError)                                                            \
       goto TjUnwind;                                                           \
-    O = (Op)Script->Code[Pc];                                                  \
+    O = (Op)Code[pc];                                                          \
     if (C.Recording)                                                           \
       goto TjHooks;                                                            \
     if (Stats)                                                                 \
@@ -584,7 +538,8 @@ Value Interpreter::dispatchUntil(size_t StopDepth) {
 
 TjHooks:
   if (O != Op::LoopHeader) {
-    C.Monitor->recordOp(Pc);
+    TJ_SPILL(); // the recorder reads the live pc and stack
+    C.Monitor->recordOp(pc);
     if (Stats)
       ++C.Stats.BytecodesRecorded;
   } else if (Stats) {
@@ -601,24 +556,40 @@ TjHooks:
 #undef TJ_NEXT
 
 L_Corrupt:
+  TJ_SPILL();
   rtError("corrupt bytecode");
   TJ_DISPATCH();
 
 TjUnwind:
+  TJ_SPILL();
   while (Frames.size() > StopDepth)
     Frames.pop_back();
   return Value::undefined();
 #undef TJ_DISPATCH
+#undef TJ_SPILL
+#undef TJ_RELOAD
 }
 #else
-// Portable fallback harness: one switch, one shared dispatch point.
+// Portable fallback harness: one switch, one shared dispatch point. pc and
+// sp are the members themselves, so spilling and reloading are no-ops.
 Value Interpreter::dispatchUntil(size_t StopDepth) {
   VMContext &C = Ctx;
   const bool Stats = C.Opts.CollectStats;
   const bool IcOn = C.Opts.EnableIC;
+  Value *const Stk = Stack.data();
+  uint32_t &pc = Pc;
+  uint32_t &sp = Sp;
   Frame *F = &Frames.back();
   FunctionScript *Script = F->Script;
+  const uint8_t *Code = Script->Code.data();
   Op O;
+
+#define TJ_SPILL()                                                             \
+  do {                                                                         \
+  } while (0)
+#define TJ_RELOAD()                                                            \
+  do {                                                                         \
+  } while (0)
 
   while (true) {
     if (C.HasError) {
@@ -627,10 +598,10 @@ Value Interpreter::dispatchUntil(size_t StopDepth) {
         Frames.pop_back();
       return Value::undefined();
     }
-    O = (Op)Script->Code[Pc];
+    O = (Op)Code[pc];
 
     if (C.Recording && O != Op::LoopHeader) {
-      C.Monitor->recordOp(Pc);
+      C.Monitor->recordOp(pc);
       if (Stats)
         ++C.Stats.BytecodesRecorded;
     } else if (Stats) {
@@ -648,6 +619,8 @@ Value Interpreter::dispatchUntil(size_t StopDepth) {
       break;
     }
   }
+#undef TJ_SPILL
+#undef TJ_RELOAD
 }
 #endif // TRACEJIT_COMPUTED_GOTO
 

@@ -80,19 +80,16 @@ private:
   friend struct MethodOps; ///< Method-tier helper bodies (trace/helpers.cpp).
 
   /// Dispatch until the frame stack shrinks back to \p StopDepth. The
-  /// build picks one harness: threaded (computed goto) when the compiler
-  /// supports it (TRACEJIT_COMPUTED_GOTO), else a switch loop. Both stamp
-  /// out the same op bodies from interp/dispatch.inc.
+  /// build picks one harness: threaded (computed goto, pc/sp in locals)
+  /// when the compiler supports it (TRACEJIT_COMPUTED_GOTO), else a switch
+  /// loop over the members. Both stamp out the same op bodies from
+  /// interp/dispatch.inc.
   Value dispatchUntil(size_t StopDepth);
 
-  // Op bodies the seed interpreter shared between several case labels,
-  // factored out so each opcode keeps its own dispatch label (dispatch.inc).
-  void execBitop(Op O);
-  void execCompare(Op O);
-  void execEquality(bool Negate);
-  void execStrictEquality(bool Negate);
-  /// Pop the returning frame; true means dispatchUntil should return \p R.
-  bool popReturnFrame(size_t StopDepth, Value R);
+  /// Pop the frame dispatchUntil(StopDepth) was entered for, leaving Sp
+  /// at the caller's stack top (the callee slot dropped). Returns from
+  /// deeper frames are inline in the dispatch loop.
+  void popReturnFrame();
 
   // Property inline caches (vm/ic.h). icGetProp/icSetProp are the probe
   // fast paths; the fill helpers run after a generic-path miss succeeded.
@@ -120,10 +117,15 @@ private:
   void rtError(const char *Msg);
   void rtError(ErrorKind Kind, const char *Msg);
 
+  // The dispatch loop keeps pc and sp in locals; Pc and Sp are their spill
+  // copies, current whenever the loop calls out (interp/dispatch.inc lists
+  // the spill/reload points) and whenever no dispatch is running. They are
+  // not adjacent on purpose: GCC's SLP vectorizer would otherwise pack every
+  // spill pair into one vector store, shuffling both through an XMM register.
   VMContext &Ctx;
+  uint32_t Sp = 0; ///< Next free value-stack slot.
   std::vector<Value> Stack;
   std::vector<Frame> Frames;
-  uint32_t Sp = 0; ///< Next free value-stack slot.
   uint32_t Pc = 0; ///< Current pc within Frames.back().
 
   static constexpr uint32_t StackSlots = 1 << 16;

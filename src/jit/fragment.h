@@ -154,6 +154,13 @@ public:
   /// TAR slots this fragment may touch (monitor sizes the TAR buffer).
   uint32_t RequiredTarSlots = 0;
 
+  /// Global slots the recording wrote (sorted, unique), whatever the type:
+  /// an exit rewrites exactly these globals, because every other global
+  /// still holds the value the trace imported. CallsTree means a nested
+  /// tree may have written any global (trace/monitor.h, exit write-back).
+  std::vector<uint32_t> StoredGlobals;
+  bool CallsTree = false;
+
   /// Bytecodes covered by one pass through this fragment (Figure 11).
   uint32_t BytecodesCovered = 0;
 

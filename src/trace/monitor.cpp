@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <iterator>
 
 #include "api/engine.h"
 #include "interp/natives.h"
@@ -217,28 +218,6 @@ bool TraceMonitor::framesMatchLive(const std::vector<FrameEntry> &Entry) const {
   return true;
 }
 
-bool TraceMonitor::entryMatches(const Fragment &P) const {
-  const TypeMap &Want = P.EntryTypes;
-  uint32_t NG = Ctx.Globals.size();
-  uint32_t Sp = Interp.stackTop();
-  if (Want.NumGlobals != NG || Want.size() != NG + Sp ||
-      !framesMatchLive(P.EntryFrames))
-    return false;
-  // buildEntryTypeMap(Sp) == Want, slot by slot, without building it.
-  const Oracle *Probe = entryOracle();
-  const std::vector<Frame> &Frames = Interp.frames();
-  for (uint32_t G = 0; G < NG; ++G)
-    if (entryTypeOf(Ctx.Globals.Values[G], Probe,
-                    [G] { return Oracle::globalKey(G); }) != Want.Types[G])
-      return false;
-  const Value *Stack = Interp.stackData();
-  for (uint32_t I = 0; I < Sp; ++I)
-    if (entryTypeOf(Stack[I], Probe, [&] { return stackSlotKey(I, Frames); }) !=
-        Want.Types[NG + I])
-      return false;
-  return true;
-}
-
 static uint64_t unboxForTar(const Value &V, TraceType T) {
   switch (T) {
   case TraceType::Boxed:
@@ -289,16 +268,96 @@ static Value boxFromTar(VMContext &Ctx, uint64_t W, TraceType T) {
   return Value::undefined();
 }
 
-void TraceMonitor::fillTar(const TypeMap &Types, uint32_t Sp, uint64_t *Tar) {
-  uint32_t NG = Types.NumGlobals;
-  for (uint32_t G = 0; G < NG; ++G)
-    Tar[G] = unboxForTar(Ctx.Globals.Values[G], Types.Types[G]);
-  Value *Stack = Interp.stackData();
-  for (uint32_t I = 0; I < Sp; ++I)
-    Tar[NG + I] = unboxForTar(Stack[I], Types.Types[NG + I]);
+/// One slot of the fused match-and-import: true when \p V has entry type
+/// \p T under entryTypeOf's rule, with its unboxed TAR word in \p Out.
+/// Int, Double and Object -- nearly every slot -- take one tag test against
+/// the expected type instead of classifying \p V first.
+template <typename KeyFn>
+static bool importSlot(const Value &V, TraceType T, const Oracle *Probe,
+                       KeyFn KeyOf, uint64_t &Out) {
+  auto Demoted = [&] {
+    uint64_t Key = KeyOf();
+    return Key && Probe->isDemoted(Key);
+  };
+  switch (T) {
+  case TraceType::Int:
+    if (!V.isInt() || (Probe && Demoted()))
+      return false;
+    Out = (uint64_t)(uint32_t)V.toInt();
+    return true;
+  case TraceType::Double: {
+    double D;
+    if (V.isDoubleCell())
+      D = V.toDoubleCell()->Val;
+    else if (V.isInt() && Probe && Demoted())
+      D = V.toInt();
+    else
+      return false;
+    __builtin_memcpy(&Out, &D, 8);
+    return true;
+  }
+  case TraceType::Object:
+    if (!V.isObject())
+      return false;
+    Out = (uint64_t)(uintptr_t)V.toObject();
+    return true;
+  default:
+    if (entryTypeOf(V, Probe, KeyOf) != T)
+      return false;
+    Out = unboxForTar(V, T);
+    return true;
+  }
 }
 
-void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar) {
+bool TraceMonitor::importTar(const TypeMap &Types, uint64_t *Tar,
+                             bool Match) const {
+  const Oracle *Probe = Match ? entryOracle() : nullptr;
+  uint32_t NG = Types.NumGlobals;
+  for (uint32_t G = 0; G < NG; ++G) {
+    const Value &V = Ctx.Globals.Values[G];
+    TraceType T = Types.Types[G];
+    if (!Match)
+      Tar[G] = unboxForTar(V, T);
+    else if (!importSlot(V, T, Probe, [G] { return Oracle::globalKey(G); },
+                         Tar[G]))
+      return false;
+  }
+  const Value *Stack = Interp.stackData();
+  const std::vector<Frame> &Frames = Interp.frames();
+  uint32_t Sp = Types.size() - NG;
+  for (uint32_t I = 0; I < Sp; ++I) {
+    TraceType T = Types.Types[NG + I];
+    if (!Match)
+      Tar[NG + I] = unboxForTar(Stack[I], T);
+    else if (!importSlot(Stack[I], T, Probe,
+                         [&] { return stackSlotKey(I, Frames); },
+                         Tar[NG + I]))
+      return false;
+  }
+  return true;
+}
+
+bool TraceMonitor::matchAndImport(const Fragment &P, uint64_t *Tar) const {
+  const TypeMap &Want = P.EntryTypes;
+  uint32_t NG = Ctx.Globals.size();
+  if (Want.NumGlobals != NG || Want.size() != NG + Interp.stackTop() ||
+      !framesMatchLive(P.EntryFrames))
+    return false;
+  return importTar(Want, Tar, /*Match=*/true);
+}
+
+uint64_t *TraceMonitor::entryTar(std::vector<uint8_t> &Local) {
+  // Any fragment reachable from the one entered (branches, peers, nested
+  // trees) is installed, so every TAR slot it touches is below MaxTarSlots.
+  std::vector<uint8_t> &TarVec = Ctx.OnTrace ? Local : TarBuffer;
+  size_t Bytes = (size_t)(MaxTarSlots + 64) * 8;
+  if (TarVec.size() < Bytes)
+    TarVec.resize(Bytes);
+  return reinterpret_cast<uint64_t *>(TarVec.data());
+}
+
+void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar,
+                                   const LoopState *LS) {
   uint32_t NG = E->Types.NumGlobals;
 
   // "It pops or synthesizes interpreter JavaScript call stack frames as
@@ -317,32 +376,28 @@ void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar) {
   Interp.setStackTop(E->Sp);
   Interp.setCurrentPc(E->Pc);
 
-  for (uint32_t G = 0; G < NG; ++G)
-    Ctx.Globals.Values[G] = boxFromTar(Ctx, Tar[G], E->Types.Types[G]);
+  if (LS && !LS->StoresAllGlobals) {
+    // Only the globals some trace of the loop can store to: each other
+    // global still holds exactly the value the trace imported (an unchanged
+    // double keeps its cell, a demoted int stays an int).
+    for (uint32_t G : LS->StoredGlobals) {
+      if (G >= NG)
+        break; // recorded by a fragment that saw more globals
+      Ctx.Globals.Values[G] = boxFromTar(Ctx, Tar[G], E->Types.Types[G]);
+    }
+  } else {
+    for (uint32_t G = 0; G < NG; ++G)
+      Ctx.Globals.Values[G] = boxFromTar(Ctx, Tar[G], E->Types.Types[G]);
+  }
   Value *Stack = Interp.stackData();
   for (uint32_t I = 0; I < E->Sp; ++I)
     Stack[I] = boxFromTar(Ctx, Tar[NG + I], E->Types.Types[NG + I]);
 }
 
-ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag) {
+ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,
+                                              uint64_t *Tar) {
   bool Stats = Ctx.Opts.CollectStats;
-  // Size the TAR generously: any fragment reachable from Frag (branches,
-  // peers, nested trees) is installed, so it fits below MaxTarSlots.
-  uint32_t Slots = MaxTarSlots;
-
-  // Re-entrant entry (a method-tier helper ran a nested call whose
-  // dispatch reached another compiled loop): the outer fragment's native
-  // frame still points into TarBuffer, so growing it would dangle that
-  // pointer. Give the inner execution its own stack-local TAR instead.
   bool Reentrant = Ctx.OnTrace;
-  std::vector<uint8_t> LocalTar;
-  std::vector<uint8_t> &TarVec = Reentrant ? LocalTar : TarBuffer;
-  if (TarVec.size() < (size_t)(Slots + 64) * 8)
-    TarVec.resize((size_t)(Slots + 64) * 8);
-  uint64_t *Tar = reinterpret_cast<uint64_t *>(TarVec.data());
-
-  uint32_t Sp = Interp.stackTop();
-  fillTar(Frag->EntryTypes, Sp, Tar);
 
   // Seed the dynamic call-stack area with the live frames' return pcs.
   {
@@ -358,15 +413,15 @@ ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag) {
   ExitDescriptor *E;
   if (Frag->NativeEntry && Native) {
     if (Native->ensureExecutable()) {
-      E = Native->enter(TarVec.data(), Frag);
+      E = Native->enter(reinterpret_cast<uint8_t *>(Tar), Frag);
     } else {
       // W^X flip to RX failed: the native code exists but cannot legally
       // run. The LIR body is the reference semantics -- use it.
       ++Ctx.Stats.ProtectFaults;
-      E = LirExecutor::run(Frag, TarVec.data(), &Ctx);
+      E = LirExecutor::run(Frag, reinterpret_cast<uint8_t *>(Tar), &Ctx);
     }
   } else {
-    E = LirExecutor::run(Frag, TarVec.data(), &Ctx);
+    E = LirExecutor::run(Frag, reinterpret_cast<uint8_t *>(Tar), &Ctx);
   }
   Ctx.OnTrace = Reentrant; // restore: an outer fragment may still be live
   if (Stats)
@@ -410,7 +465,13 @@ ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag) {
     emitEvent(Ev);
   }
 
-  restoreFromExit(E, Tar);
+  // Trees that call nested trees, and method bodies, export every global;
+  // so does an exit that did not come from a fragment of Frag's loop.
+  const LoopState *LS = Frag->Kind != FragmentKind::Method && Frag->Loop &&
+                                E->Parent && E->Parent->Loop == Frag->Loop
+                            ? Frag->Loop->State
+                            : nullptr;
+  restoreFromExit(E, Tar, LS);
   if (Stats)
     Ctx.Stats.switchTo(Activity::Monitor);
   return E;
@@ -743,6 +804,15 @@ void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
 void TraceMonitor::installCompiledFragment(Fragment *F, LoopState *LS,
                                            ExitDescriptor *Anchor) {
   MaxTarSlots = std::max(MaxTarSlots, F->RequiredTarSlots);
+  if (F->CallsTree) {
+    LS->StoresAllGlobals = true;
+  } else if (!LS->StoresAllGlobals && !F->StoredGlobals.empty()) {
+    std::vector<uint32_t> Union;
+    std::set_union(LS->StoredGlobals.begin(), LS->StoredGlobals.end(),
+                   F->StoredGlobals.begin(), F->StoredGlobals.end(),
+                   std::back_inserter(Union));
+    LS->StoredGlobals = std::move(Union);
+  }
   ++Ctx.Stats.TracesCompleted;
   if (Ctx.EventListener) {
     JitEvent E;
@@ -1095,6 +1165,8 @@ void TraceMonitor::flushCacheNow() {
   for (auto &LS : LoopStates) {
     LS->Peers.clear();
     LS->UnstableExits.clear();
+    LS->StoredGlobals.clear();
+    LS->StoresAllGlobals = false;
     LS->HitCount = 0;
     LS->Tier.BackoffUntil = 0;
     LS->Tier.Failures = 0;
@@ -1210,7 +1282,10 @@ uint32_t TraceMonitor::handleInnerLoopHeader(uint32_t Pc, uint16_t LoopId) {
   Recorder->coerceTo(Inner->EntryTypes);
 
   size_t DepthBefore = Interp.frames().size();
-  ExitDescriptor *E = executeFragment(Inner);
+  std::vector<uint8_t> LocalTar;
+  uint64_t *Tar = entryTar(LocalTar);
+  importTar(Inner->EntryTypes, Tar, /*Match=*/false);
+  ExitDescriptor *E = executeFragment(Inner, Tar);
 
   bool LeftInnerLoop =
       E->Frames.size() == DepthBefore &&
@@ -1360,15 +1435,17 @@ uint32_t TraceMonitor::onLoopEdge(uint32_t Pc, uint16_t LoopId) {
   // freeze the hit counter below the method-jit threshold. The peer
   // fragments stay alive for stitched branches and nested TreeCalls from
   // outer traces.
-  if (LS->Tier.Current == Tier::Trace && !Recorder) {
+  if (LS->Tier.Current == Tier::Trace && !Recorder && !LS->Peers.empty()) {
+    std::vector<uint8_t> LocalTar;
+    uint64_t *Tar = entryTar(LocalTar);
     for (Fragment *P : LS->Peers) {
       // Entry-deopt backoff: a peer whose prologue keeps deopting is
       // skipped until the loop has hit the header a bit more (UINT32_MAX =
       // retired for good). Its body stays alive for stitched/nested links.
       if (LS->HitCount < P->EnterBlockedUntil)
         continue;
-      if (!P->Body.empty() && entryMatches(*P)) {
-        ExitDescriptor *E = executeFragment(P);
+      if (!P->Body.empty() && matchAndImport(*P, Tar)) {
+        ExitDescriptor *E = executeFragment(P, Tar);
         handleExit(E);
         if (Stats)
           Ctx.Stats.switchTo(Recorder ? Activity::RecordInterpret
@@ -1400,7 +1477,10 @@ uint32_t TraceMonitor::onLoopEdge(uint32_t Pc, uint16_t LoopId) {
         emitEvent(Ev);
       }
       ++Ctx.Stats.MethodEnters;
-      ExitDescriptor *E = executeFragment(M);
+      std::vector<uint8_t> LocalTar;
+      uint64_t *Tar = entryTar(LocalTar);
+      importTar(M->EntryTypes, Tar, /*Match=*/false);
+      ExitDescriptor *E = executeFragment(M, Tar);
       handleExit(E);
       if (Stats)
         Ctx.Stats.switchTo(Activity::Interpret);

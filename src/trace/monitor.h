@@ -44,6 +44,12 @@ struct LoopState {
   std::vector<Fragment *> Peers; ///< Compiled root fragments (trees).
   /// Type-unstable loop tails waiting for a complementary peer (Fig. 6).
   std::vector<ExitDescriptor *> UnstableExits;
+  /// The globals an exit from this loop's trees writes back: the union of
+  /// Fragment::StoredGlobals over every root and branch installed here
+  /// (sorted, unique), or every global once a fragment calls a nested tree
+  /// (StoresAllGlobals). Grown at install, reset by a cache flush.
+  std::vector<uint32_t> StoredGlobals;
+  bool StoresAllGlobals = false;
   /// Compile jobs in flight for this header (OffThreadCompile): blocks
   /// duplicate root recordings and counts toward the peer cap until the
   /// job publishes or drops.
@@ -195,26 +201,39 @@ private:
   const Oracle *entryOracle() const;
 
   /// Build the current entry type map from live interpreter state.
-  /// Recording start only; peer matching compares in place (entryMatches).
+  /// Recording start only; peer matching compares in place (matchAndImport).
   TypeMap buildEntryTypeMap(uint32_t Sp);
 
   /// True when the live interpreter frame chain has exactly the scripts
   /// and bases of \p Entry.
   bool framesMatchLive(const std::vector<FrameEntry> &Entry) const;
 
-  /// True when \p P can be entered from the live interpreter state: same
-  /// frame chain, and buildEntryTypeMap(stackTop()) would equal
-  /// P.EntryTypes. Computed in place: no TypeMap, no frame copy.
-  bool entryMatches(const Fragment &P) const;
+  /// Peer matching and TAR import in one pass over the slots: true when
+  /// \p P can be entered from the live interpreter state (same frame chain,
+  /// and buildEntryTypeMap(stackTop()) would equal P.EntryTypes), with each
+  /// slot unboxed into \p Tar as it is compared. A peer that fails to match
+  /// leaves the TAR partly written; the next candidate overwrites it.
+  bool matchAndImport(const Fragment &P, uint64_t *Tar) const;
 
-  /// Unbox interpreter state into the TAR at \p Tar per \p Types.
-  void fillTar(const TypeMap &Types, uint32_t Sp, uint64_t *Tar);
-  /// Rebox the TAR at \p Tar into interpreter state per the descriptor.
-  void restoreFromExit(ExitDescriptor *E, const uint64_t *Tar);
+  /// Unbox the live globals and stack into \p Tar per \p Types. With
+  /// \p Match, stop at the first slot whose entry type differs (false).
+  bool importTar(const TypeMap &Types, uint64_t *Tar, bool Match) const;
 
-  /// Execute a compiled fragment against the current interpreter state;
-  /// returns the exit taken (never null). Handles Nested unwrapping.
-  ExitDescriptor *executeFragment(Fragment *Frag);
+  /// The TAR for the next fragment execution, sized for every installed
+  /// fragment: TarBuffer, or \p Local on a re-entrant execution (see
+  /// TarBuffer).
+  uint64_t *entryTar(std::vector<uint8_t> &Local);
+
+  /// Rebox the TAR at \p Tar into interpreter state per the descriptor:
+  /// the whole stack, and the globals \p LS stores to (every global when
+  /// \p LS is null).
+  void restoreFromExit(ExitDescriptor *E, const uint64_t *Tar,
+                       const LoopState *LS);
+
+  /// Execute a compiled fragment whose entry state is already imported into
+  /// \p Tar (entryTar); returns the exit taken (never null). Handles Nested
+  /// unwrapping.
+  ExitDescriptor *executeFragment(Fragment *Frag, uint64_t *Tar);
 
   /// Post-exit policy: stitch-recording, unstable linking, preemption.
   void handleExit(ExitDescriptor *E);

@@ -2,6 +2,7 @@
 
 #include "trace/recorder.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -189,6 +190,14 @@ void TraceRecorder::writeSlot(uint32_t Slot, LIns *V, TraceType T) {
   noteSlot(Slot + 1);
   stSlot(Slot, V, T);
   Tracker[Slot] = Tracked{V, T};
+  if (Slot < numGlobals()) {
+    // Null/Undefined writes emit no store but still change the exit's type
+    // map, so they count as stores for the monitor's exit write-back.
+    std::vector<uint32_t> &Stored = F->StoredGlobals;
+    auto It = std::lower_bound(Stored.begin(), Stored.end(), Slot);
+    if (It == Stored.end() || *It != Slot)
+      Stored.insert(It, Slot);
+  }
 }
 
 TypeMap TraceRecorder::currentTypeMap() {
@@ -1177,6 +1186,7 @@ void TraceRecorder::recordReturn(Op O, uint32_t Pc) {
 void TraceRecorder::recordTreeCall(Fragment *Inner, ExitDescriptor *Taken) {
   ExitDescriptor *Mismatch = snapshot(ExitKind::Nested, Inner->AnchorPc);
   W->insTreeCall(Inner, Taken, Mismatch);
+  F->CallsTree = true;
   ++Ctx.Stats.TreeCalls;
   if (Ctx.EventListener) {
     JitEvent E;

@@ -136,6 +136,28 @@ TEST(InlineCaches, PolyThenMegaLadder) {
   }
 }
 
+TEST(InlineCaches, EveryGenericFallCountsAsAMiss) {
+  // One IC site (object literals initialize through InitProp, which has
+  // none), read 4000 times over eight shapes. The site goes megamorphic;
+  // its frozen entries keep hitting for four shapes and every other read
+  // takes the dictionary path, which is a miss whatever the site's state.
+  EngineOptions O = interpIc();
+  O.CollectStats = true;
+  Engine E(O);
+  E.setPrintHook([](const std::string &) {});
+  ASSERT_TRUE(E.eval("var os = [{x: 1}, {a: 0, x: 2}, {b: 0, x: 3},\n"
+                     "  {c: 0, x: 4}, {d: 0, x: 5}, {e: 0, x: 6},\n"
+                     "  {f: 0, x: 7}, {g: 0, x: 8}];\n"
+                     "var s = 0;\n"
+                     "for (var i = 0; i < 4000; ++i) s = s + os[i % 8].x;\n"
+                     "print(s);")
+                  .ok());
+  VMStats S = E.stats();
+  EXPECT_EQ(S.IcMegamorphicSites, 1u);
+  EXPECT_EQ(S.IcHits + S.IcMisses, 4000u) << "one count per read";
+  EXPECT_GE(S.IcMisses, 2000u) << "four of eight shapes miss every time";
+}
+
 TEST(InlineCaches, ShapeTransitionSelfInvalidates) {
   // Train p.a on shape {a}, then transition p to {a, b}: the stale entry
   // keys on the old Shape pointer, fails to match, and the site refills --
