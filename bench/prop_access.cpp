@@ -175,9 +175,9 @@ int main(int argc, char **argv) {
   printf("acceptance bar (mono >= 1.50x interpreter-only): %s\n",
          MonoBarMet ? "MET" : "MISSED");
 
-  // JIT on: mono/poly sites feed the recorder (IcRecorderHits), the mega
-  // site aborts recording at the megamorphic access instead of compiling a
-  // shape-guard ladder that would always exit.
+  // JIT on: mono/poly sites feed the recorder (IcRecorderHits); the mega
+  // site is recorded as a call to the generic lookup (IcRecorderGeneric)
+  // instead of a shape-guard ladder that would always exit.
   printf("tracing tier (JIT on, IC on):\n");
   for (const Variant &V : Variants) {
     EngineOptions Jit = Base;
@@ -189,9 +189,10 @@ int main(int argc, char **argv) {
     double T = bestRun(V.Src, Jit, &Out, &S);
     if (T < 0)
       return 1;
-    printf("  %-6s %9.2f ms  recorder-hits=%llu megamorphic-sites=%llu "
-           "traces=%llu\n",
+    printf("  %-6s %9.2f ms  recorder-hits=%llu recorder-generic=%llu "
+           "megamorphic-sites=%llu traces=%llu\n",
            V.Name, T, (unsigned long long)S.IcRecorderHits,
+           (unsigned long long)S.IcRecorderGeneric,
            (unsigned long long)S.IcMegamorphicSites,
            (unsigned long long)S.TracesCompleted);
   }

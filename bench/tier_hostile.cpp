@@ -1,19 +1,21 @@
 //===- tier_hostile.cpp - Trace-hostile kernels across compilation tiers --------===//
 //
-// The hybrid method tier exists for loops the trace pipeline cannot hold:
-// megamorphic dispatch (recordings abort at the property site), unbiased
-// branching over polymorphic state (side exits overflow their recording
-// budget), and call chains past the inline depth limit. This bench runs
-// each kernel on three configurations --
+// Three kernels that were built to defeat the trace pipeline: megamorphic
+// dispatch, unbiased branching over megamorphic state, and call chains past
+// the inline depth limit. The recorder now traces through megamorphic
+// sites with a generic lookup, so only deep-call still aborts; under
+// --tier=hybrid the first two stay on the trace tier and deep-call is
+// promoted to the method tier. This bench runs each kernel on three
+// configurations --
 //
 //   interp  -- JIT off (the floor);
 //   trace   -- --tier=trace, the paper's pipeline with terminal
-//              blacklisting/exit-blocking (what these kernels defeat);
-//   hybrid  -- --tier=hybrid, promotion to the method tier;
+//              blacklisting/exit-blocking;
+//   hybrid  -- --tier=hybrid, promotion to the method tier on aborts;
 //
 // and reports per-kernel times plus the hybrid speedup over the
-// interpreter. The acceptance bar from the PR issue: hybrid >= 2x the
-// interpreter on the megamorphic and unbiased-branch kernels.
+// interpreter. The acceptance bar: hybrid >= 2x the interpreter on the
+// megamorphic and unbiased-branch kernels.
 //
 // --json=FILE writes the canonical snapshot (BENCH_tier_hostile.json);
 // scripts/check_bench_regression.py gates the hybrid speedups against it.
@@ -53,10 +55,9 @@ for (var j = 0; j < 400000; ++j) {
 print(t);
 )js";
 
-// Unbiased branches whose arms read polymorphic property sites: branch
-// recordings abort, the exits overflow, hybrid promotes. The xorshift
-// state machine stays in shift/mask arithmetic so the method body never
-// overflow-deopts.
+// Unbiased branches whose arms read megamorphic property sites (five
+// shapes): each arm records the generic lookup, so the tree covers all
+// four arms. The xorshift state machine stays in shift/mask arithmetic.
 static const char *UnbiasedBranch = R"js(
 var pool = [];
 for (var i = 0; i < 8; ++i) {
@@ -208,11 +209,6 @@ int main(int argc, char **argv) {
       fprintf(stderr, "%s: hybrid speedup %.2fx is below the 2x bar\n",
               K.Name, Speedup);
       BarMet = false;
-    }
-    if (Promoted == 0 && Stats[2].MethodCompiles == 0) {
-      fprintf(stderr, "%s: hybrid never promoted -- kernel is not "
-                      "trace-hostile anymore?\n",
-              K.Name);
     }
   }
 

@@ -31,9 +31,9 @@ enum class TierMode : uint8_t {
   Trace,  ///< Tracing JIT only -- bit-for-bit the paper's pipeline,
           ///< including terminal blacklisting (§3.3).
   Method, ///< Whole-loop-body method compiler only; no tracing.
-  Hybrid, ///< Trace first; trace-hostile loops (megamorphic sites, branch
-          ///< overflow, repeated aborts) promote to the method tier
-          ///< instead of blacklisting.
+  Hybrid, ///< Trace first; trace-hostile loops (branch overflow,
+          ///< repeated aborts) promote to the method tier instead of
+          ///< blacklisting.
 };
 
 const char *tierModeName(TierMode M);

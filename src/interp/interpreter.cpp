@@ -144,10 +144,7 @@ Value Interpreter::getPropValue(const Value &Base, String *Name) {
     rtError("cannot read property of non-object");
     return Value::undefined();
   }
-  Object *O = Base.toObject();
-  if (O->isArray() && Name->view() == "length")
-    return Value::makeInt((int32_t)O->arrayLength());
-  return O->getProperty(Name);
+  return Base.toObject()->readProperty(Name);
 }
 
 Value Interpreter::getElemValue(const Value &Base, const Value &Index) {

@@ -2,6 +2,7 @@
 
 #include "jit/assembler_x64.h"
 
+#include <cassert>
 #include <cstring>
 
 namespace tracejit {
@@ -106,6 +107,15 @@ void Assembler::movzxByteRM(Gpr Dst, Gpr Base, int32_t Disp) {
   emit8(0x0F);
   emit8(0xB6);
   modRMMem(Dst, Base, Disp);
+}
+
+void Assembler::movRMIndex64(Gpr Dst, Gpr Base, Gpr Index) {
+  assert((Base & 7) != 5 && Index != RSP);
+  emit8((uint8_t)(0x48 | ((Dst & 8) ? 4 : 0) | ((Index & 8) ? 2 : 0) |
+                  ((Base & 8) ? 1 : 0)));
+  emit8(0x8B);
+  emit8((uint8_t)(((Dst & 7) << 3) | 4));                    // mod=00, SIB
+  emit8((uint8_t)(0xC0 | ((Index & 7) << 3) | (Base & 7))); // scale=8
 }
 
 // --- ALU ------------------------------------------------------------------------
@@ -340,6 +350,13 @@ void Assembler::jmp(uint8_t *Target) {
   emit8(0xE9);
   int64_t Rel = Target - (Cur + 4);
   emit32((uint32_t)(int32_t)Rel);
+}
+
+void Assembler::jmp8(uint8_t *Target) {
+  emit8(0xEB);
+  int64_t Rel = Target - (Cur + 1);
+  assert(Overflow || (Rel >= -128 && Rel <= 127));
+  emit8((uint8_t)(int8_t)Rel);
 }
 
 void Assembler::jmpReg(Gpr R) {

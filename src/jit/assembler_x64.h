@@ -94,6 +94,8 @@ public:
   void movRM32(Gpr Dst, Gpr Base, int32_t Disp);
   void movMR32(Gpr Base, int32_t Disp, Gpr Src);
   void movzxByteRM(Gpr Dst, Gpr Base, int32_t Disp);
+  /// dst = [base + index*8]; \p Base must not be rbp/r13, \p Index not rsp.
+  void movRMIndex64(Gpr Dst, Gpr Base, Gpr Index);
 
   // --- 32-bit ALU ---------------------------------------------------------------
   void aluRR32(uint8_t OpcodeRM, Gpr Dst, Gpr Src); ///< e.g. 0x03 = add r,rm
@@ -150,6 +152,8 @@ public:
   void jcc(Cond C, uint8_t *Target);
   uint8_t *jmpFwd();
   void jmp(uint8_t *Target);
+  /// jmp rel8; \p Target must be within rel8 range of the next instruction.
+  void jmp8(uint8_t *Target);
   void jmpReg(Gpr R);
   void callReg(Gpr R);
   void push(Gpr R);

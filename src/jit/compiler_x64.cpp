@@ -67,7 +67,7 @@ void NativeBackend::emitRuntimeStubs() {
 void NativeBackend::patchExitTo(ExitDescriptor *E, Fragment *Target) {
   E->Target = Target;
   if (E->PatchAddr && Target->NativeEntry && Pool.makeWritable()) {
-    // Overwrite the stub's `mov rax, imm64` with `jmp rel32`. If the W^X
+    // Overwrite the stub's `mov eax, <index>` with `jmp rel32`. If the W^X
     // flip fails, Target alone still routes the transfer: the stub keeps
     // returning to the monitor, which sees E->Target and resumes there.
     uint8_t *P = E->PatchAddr;
@@ -102,6 +102,13 @@ constexpr bool isCallerSavedGpr(Gpr R) {
 constexpr Gpr IntArgRegs[] = {RDI, RSI, RDX, RCX, R8, R9};
 
 constexpr int NumXmmPool = 15; // XMM1..XMM15; XMM0 is scratch/return
+
+/// `mov eax, imm32` + `jmp rel8`: an exit stub within rel8 range of the tail.
+constexpr uint32_t CompactStubBytes = 7;
+/// `mov eax, imm32` + `jmp rel32`: an exit stub too far from the tail.
+constexpr uint32_t FarStubBytes = 10;
+/// How many stubs can precede the tail and still reach it with a rel8.
+constexpr uint32_t MaxCompactStubs = 127 / CompactStubBytes + 1;
 
 class FragmentCompiler {
 public:
@@ -1079,19 +1086,37 @@ bool FragmentCompiler::run() {
   }
 
   // Exit stubs: one per descriptor so stitching can retarget every jump to
-  // that exit by patching a single site.
-  std::unordered_map<ExitDescriptor *, uint8_t *> StubAt;
-  for (PendingStub &S : Stubs) {
-    auto It = StubAt.find(S.Exit);
-    if (It != StubAt.end()) {
-      Assembler::patchRel32(S.Fixup, It->second);
-      continue;
-    }
-    uint8_t *Stub = A.pc();
-    StubAt.emplace(S.Exit, Stub);
-    Assembler::patchRel32(S.Fixup, Stub);
-    S.Exit->PatchAddr = Stub;
-    A.movRI64(RAX, (uint64_t)(uintptr_t)S.Exit);
+  // that exit by patching a single site. A stub is `mov eax, <index>`
+  // (exactly the 5 bytes patchExitTo overwrites with `jmp rel32`) plus a
+  // jump to the fragment's one exit tail, which maps the index to its
+  // ExitDescriptor* through F->ExitTable and leaves by the shared epilogue.
+  std::unordered_map<ExitDescriptor *, uint32_t> IndexOf;
+  F->ExitTable.clear();
+  for (PendingStub &S : Stubs)
+    if (IndexOf.emplace(S.Exit, (uint32_t)F->ExitTable.size()).second)
+      F->ExitTable.push_back(S.Exit);
+  // The last MaxCompactStubs stubs reach the tail with a rel8; any before
+  // them take a rel32, so the tail's address is known up front.
+  const uint32_t N = (uint32_t)F->ExitTable.size();
+  const uint32_t NumFar = N > MaxCompactStubs ? N - MaxCompactStubs : 0;
+  uint8_t *Tail =
+      A.pc() + NumFar * FarStubBytes + (N - NumFar) * CompactStubBytes;
+  std::vector<uint8_t *> StubAt(N);
+  for (uint32_t I = 0; I < N; ++I) {
+    StubAt[I] = A.pc();
+    F->ExitTable[I]->PatchAddr = StubAt[I];
+    A.movRI32(RAX, (int32_t)I);
+    if (I < NumFar)
+      A.jmp(Tail);
+    else
+      A.jmp8(Tail);
+  }
+  for (PendingStub &S : Stubs)
+    Assembler::patchRel32(S.Fixup, StubAt[IndexOf[S.Exit]]);
+  if (N) {
+    assert(A.overflowed() || A.pc() == Tail);
+    A.movRI64(RCX, (uint64_t)(uintptr_t)F->ExitTable.data());
+    A.movRMIndex64(RAX, RCX, RAX);
     A.jmp(BE.sharedEpilogue());
   }
 

@@ -13,10 +13,13 @@
 //    value whose next reference is furthest away, which "frees up a
 //    register for as long as possible given a single spill".
 //
-//  * Each guard compiles to a test + jcc to a per-exit stub
-//    (mov rax, exit; jmp shared_epilogue). Trace stitching overwrites the
-//    stub with a direct jump to the branch fragment (§6.2); because all
-//    code lives in one pool, rel32 always reaches.
+//  * Each guard compiles to a test + jcc to a per-exit 7-byte stub
+//    (mov eax, index; jmp rel8 tail). The fragment's one tail loads the
+//    ExitDescriptor* from Fragment::ExitTable and jumps to the shared
+//    epilogue; stubs too far from the tail use jmp rel32 instead. Trace
+//    stitching overwrites the stub's 5-byte mov with a direct jump to the
+//    branch fragment (§6.2); because all code lives in one pool, rel32
+//    always reaches.
 //
 //===----------------------------------------------------------------------===//
 

@@ -141,6 +141,11 @@ public:
   /// so the GC cannot collect objects compiled traces point at.
   std::vector<Value> EmbeddedRoots;
 
+  /// Exit stub index -> descriptor, read by the native exit tail (each
+  /// stub loads its index into eax). Filled by the native compile and
+  /// never resized afterwards: compiled code embeds data().
+  std::vector<ExitDescriptor *> ExitTable;
+
   /// Native entry point (native backend) or nullptr (executor backend).
   /// Write-view address; translate through ExecMemPool::execAddr() to run.
   uint8_t *NativeEntry = nullptr;

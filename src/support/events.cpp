@@ -33,7 +33,6 @@ namespace tracejit {
   M(UnknownStringProp, "unknown-string-prop")                                  \
   M(ElemOnNonArray, "elem-on-non-array")                                       \
   M(InitPropOnNonObject, "initprop-on-non-object")                             \
-  M(MegamorphicSite, "megamorphic-site")                                       \
   M(RecursiveCall, "recursive-call")                                           \
   M(InlineDepthLimit, "inline-depth-limit")                                    \
   M(CallOfNonFunction, "call-of-non-function")                                 \

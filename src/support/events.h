@@ -50,8 +50,6 @@ enum class AbortReason : uint8_t {
   UnknownStringProp,  ///< Unsupported property of a string.
   ElemOnNonArray,     ///< Element read/store on a non-array object.
   InitPropOnNonObject,
-  MegamorphicSite,    ///< Property site's IC went megamorphic; a shape
-                      ///< guard here would fail on most iterations.
 
   // --- Recorder: call failures ----------------------------------------------
   RecursiveCall,        ///< Callee already on the virtual frame chain.

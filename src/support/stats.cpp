@@ -62,14 +62,16 @@ std::string VMStats::report() const {
     Out += Buf;
   }
   if (IcHits || IcMisses || IcInvalidations || IcMegamorphicSites ||
-      IcRecorderHits) {
+      IcRecorderHits || IcRecorderGeneric) {
     snprintf(Buf, sizeof(Buf),
              "inline caches: hits=%llu misses=%llu invalidated=%llu "
-             "megamorphic-sites=%llu recorder-hits=%llu\n",
+             "megamorphic-sites=%llu recorder-hits=%llu "
+             "recorder-generic=%llu\n",
              (unsigned long long)IcHits, (unsigned long long)IcMisses,
              (unsigned long long)IcInvalidations,
              (unsigned long long)IcMegamorphicSites,
-             (unsigned long long)IcRecorderHits);
+             (unsigned long long)IcRecorderHits,
+             (unsigned long long)IcRecorderGeneric);
     Out += Buf;
   }
   if (CacheFlushes || FragmentsRetired || BackendFallbacks || ProtectFaults ||

@@ -73,6 +73,7 @@ struct VMStats {
   uint64_t IcInvalidations = 0;    ///< ICs reset by invalidateAllICs().
   uint64_t IcMegamorphicSites = 0; ///< Sites that overflowed to Mega.
   uint64_t IcRecorderHits = 0;     ///< Recorder guards taken from IC state.
+  uint64_t IcRecorderGeneric = 0;  ///< Megamorphic accesses recorded as calls.
 
   // --- Code-cache lifecycle counters ----------------------------------------
   uint64_t CacheFlushes = 0;        ///< Whole-cache flushes.
@@ -186,6 +187,7 @@ struct VMStats {
     IcInvalidations += O.IcInvalidations;
     IcMegamorphicSites += O.IcMegamorphicSites;
     IcRecorderHits += O.IcRecorderHits;
+    IcRecorderGeneric += O.IcRecorderGeneric;
     CacheFlushes += O.CacheFlushes;
     CacheBytesReclaimed += O.CacheBytesReclaimed;
     FragmentsRetired += O.FragmentsRetired;

@@ -94,6 +94,10 @@ void tj_InitProp(VMContext *Ctx, Object *O, String *Name, uint64_t Bits) {
   O->setProperty(Ctx->Shapes, Name, Value::fromBits(Bits));
 }
 
+uint64_t tj_GetPropGeneric(Object *O, String *Name) {
+  return O->readProperty(Name).bits();
+}
+
 int32_t tj_ArrayPushV(VMContext *Ctx, Object *A, uint64_t Bits) {
   A->setElement(Ctx->TheHeap, A->arrayLength(), Value::fromBits(Bits));
   return (int32_t)A->arrayLength();
@@ -570,6 +574,9 @@ const HelperCalls &helperCalls() {
     C.NewArray = makeCI(tj_NewArray, "js_NewArray", /*Pure=*/false);
     C.NewObject = makeCI(tj_NewObject, "js_NewObject", /*Pure=*/false);
     C.InitProp = makeCI(tj_InitProp, "js_InitProp", /*Pure=*/false);
+    // Not pure: the result depends on the object's current contents.
+    C.GetPropGeneric =
+        makeCI(tj_GetPropGeneric, "js_GetPropGeneric", /*Pure=*/false);
     C.ArrayPushV = makeCI(tj_ArrayPushV, "js_Array_push", /*Pure=*/false);
     C.TruthyD = makeCI(tj_TruthyD, "js_TruthyD", /*Pure=*/true);
     C.MethodBinop = makeCI(tj_MethodBinop, "js_MethodBinop", /*Pure=*/false);

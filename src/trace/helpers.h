@@ -39,6 +39,10 @@ uint64_t tj_FromCharCode1(VMContext *Ctx, int32_t C);
 uint64_t tj_NewArray(VMContext *Ctx, int32_t Len);
 uint64_t tj_NewObject(VMContext *Ctx);
 void tj_InitProp(VMContext *Ctx, Object *O, String *Name, uint64_t Bits);
+/// Object::readProperty as a boxed word: what Interpreter::getPropValue
+/// yields for an object receiver. Reads only; never allocates or errors
+/// (megamorphic GetProp sites, trace/recorder.cpp).
+uint64_t tj_GetPropGeneric(Object *O, String *Name);
 int32_t tj_ArrayPushV(VMContext *Ctx, Object *A, uint64_t Bits);
 int32_t tj_TruthyD(double D);
 
@@ -83,8 +87,8 @@ constexpr uint64_t MethodErrorSentinel = ~0ULL;
 /// CallInfo table for the helpers above plus the typed math natives.
 struct HelperCalls {
   CallInfo ToInt32D, ModI, ModD, BoxDouble, ArraySetV, ArraySetD, ConcatSS,
-      EqSS, CharAt, FromCharCode1, NewArray, NewObject, InitProp, ArrayPushV,
-      TruthyD;
+      EqSS, CharAt, FromCharCode1, NewArray, NewObject, InitProp,
+      GetPropGeneric, ArrayPushV, TruthyD;
   // Method-tier helpers (boxed-word semantics; jit/method_builder.cpp).
   CallInfo MethodBinop, MethodUnop, MethodTruthy, MethodGetProp,
       MethodSetProp, MethodInitProp, MethodGetElem, MethodSetElem,

@@ -553,16 +553,12 @@ void TraceMonitor::abortRecording(AbortReason Why, bool CountsTowardBlacklist) {
     // The policy mutates the failure/backoff counters (identically to the
     // historical blacklist path, including §4.2 forgiveness) and answers
     // whether the loop changes tier: trace mode demotes at the failure
-    // cap, hybrid mode promotes to the method compiler instead -- and
-    // promotes immediately on a megamorphic-site abort, which no amount
-    // of re-recording will fix.
+    // cap, hybrid mode promotes to the method compiler instead.
     TierAction A =
-        Policy.onRootAbort(LS->Tier, Why, CountsTowardBlacklist, LS->HitCount);
+        Policy.onRootAbort(LS->Tier, CountsTowardBlacklist, LS->HitCount);
     applyTierAction(LS, A,
                     A == TierAction::Demote ? TierChangeReason::Blacklisted
-                    : Why == AbortReason::MegamorphicSite
-                        ? TierChangeReason::MegamorphicAbort
-                        : TierChangeReason::RepeatedAborts);
+                                            : TierChangeReason::RepeatedAborts);
   }
   if (Ctx.Opts.CollectStats)
     Ctx.Stats.switchTo(Activity::Interpret);
@@ -1047,7 +1043,7 @@ void TraceMonitor::publishJob(CompileJob &J) {
       if (J.AnchorExit)
         ++J.AnchorExit->FailedRecordings;
     } else {
-      TierAction A = Policy.onRootAbort(LS->Tier, Why, true, LS->HitCount);
+      TierAction A = Policy.onRootAbort(LS->Tier, true, LS->HitCount);
       applyTierAction(LS, A,
                       A == TierAction::Demote
                           ? TierChangeReason::Blacklisted

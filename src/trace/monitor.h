@@ -82,8 +82,9 @@ public:
   /// A property IC left the monomorphic state: the site at (ScriptId, Pc)
   /// went polymorphic, or megamorphic when \p Megamorphic. Speculation
   /// feedback for the oracle, like double-demotion failures (§5): the
-  /// recorder emits multi-shape guards at poly sites and refuses to record
-  /// through mega sites.
+  /// recorder emits multi-shape guards at poly sites and records mega sites
+  /// as a generic-lookup call (tj_GetPropGeneric / tj_InitProp) with only a
+  /// type guard on the result.
   void notePropSite(uint32_t ScriptId, uint32_t Pc, bool Megamorphic) {
     uint64_t Key = Oracle::propSiteKey(ScriptId, Pc);
     if (Megamorphic)

@@ -744,11 +744,6 @@ void TraceRecorder::recordGetProp(uint32_t Pc) {
   String *Name = script()->Atoms[script()->u16At(Pc + 1)];
   const PropertyIC *IC =
       Ctx.Opts.EnableIC ? &script()->ICs[script()->u16At(Pc + 3)] : nullptr;
-  if (IC && icSiteMegamorphic(*IC, Pc)) {
-    // A shape guard here would fail on most iterations; don't record one.
-    abort(AbortReason::MegamorphicSite);
-    return;
-  }
   Tracked Recv = top();
   Value RecvV = peekStack(0);
 
@@ -776,6 +771,20 @@ void TraceRecorder::recordGetProp(uint32_t Pc) {
     return;
   }
 
+  if (IC && icSiteMegamorphic(*IC, Pc)) {
+    // A shape guard here would fail on most iterations. Call the generic
+    // lookup instead and guard only the type of what it returns, so the
+    // loop stays on trace whatever shape arrives.
+    ++Ctx.Stats.IcRecorderGeneric;
+    LIns *Args[2] = {Recv.Ins, immQ((int64_t)(intptr_t)Name)};
+    LIns *Word = W->insCall(&helperCalls().GetPropGeneric, Args, 2);
+    TraceType RTy = traceTypeOf(RO->readProperty(Name));
+    LIns *V = unboxGuarded(Word, RTy, Pc);
+    --VSp;
+    push(V, RTy);
+    return;
+  }
+
   // "The recorder can generate LIR that reads o.x with just two or three
   // loads" (§3.1): guard the shape, then load the slot directly.
   int Slot = RO->slotOf(Name);
@@ -798,15 +807,23 @@ void TraceRecorder::recordSetProp(uint32_t Pc) {
   String *Name = script()->Atoms[script()->u16At(Pc + 1)];
   const PropertyIC *IC =
       Ctx.Opts.EnableIC ? &script()->ICs[script()->u16At(Pc + 3)] : nullptr;
-  if (IC && icSiteMegamorphic(*IC, Pc)) {
-    abort(AbortReason::MegamorphicSite);
-    return;
-  }
   Tracked Val = top(0);
   Tracked Recv = top(1);
   Value RecvV = peekStack(1);
   if (Recv.Ty != TraceType::Object) {
     abort(AbortReason::PropOnPrimitive);
+    return;
+  }
+  if (IC && icSiteMegamorphic(*IC, Pc)) {
+    // The generic store: Object::setProperty, which also transitions the
+    // shape when the property is new. The call kills load CSE, so a later
+    // shape guard on this object re-reads the shape.
+    ++Ctx.Stats.IcRecorderGeneric;
+    LIns *Args[4] = {immQ((int64_t)(intptr_t)&Ctx), Recv.Ins,
+                     immQ((int64_t)(intptr_t)Name), boxValue(Val.Ins, Val.Ty)};
+    W->insCall(&helperCalls().InitProp, Args, 4);
+    VSp -= 2;
+    push(Val.Ins, Val.Ty);
     return;
   }
   Object *RO = RecvV.toObject();

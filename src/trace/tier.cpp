@@ -20,8 +20,6 @@ const char *tierChangeReasonName(TierChangeReason R) {
   switch (R) {
   case TierChangeReason::None:
     return "none";
-  case TierChangeReason::MegamorphicAbort:
-    return "megamorphic-abort";
   case TierChangeReason::BranchOverflow:
     return "branch-overflow";
   case TierChangeReason::RepeatedAborts:

@@ -4,8 +4,8 @@
 // loop is in exactly one tier:
 //
 //   Interpreter <------ Trace ------> Method
-//        ^  (demote:      |  (promote: megamorphic abort,
-//        |   blacklist)   |   branch overflow, repeated aborts
+//        ^  (demote:      |  (promote: branch overflow,
+//        |   blacklist)   |   repeated aborts
 //        |                v   under --tier=hybrid)
 //        +---------- Method (demote: method compile failed)
 //
@@ -23,7 +23,6 @@
 #include <cstdint>
 
 #include "api/options.h"
-#include "support/events.h"
 
 namespace tracejit {
 
@@ -40,7 +39,6 @@ const char *tierName(Tier T);
 /// equivalent AbortReason where one exists).
 enum class TierChangeReason : uint8_t {
   None,                ///< Still in its initial tier.
-  MegamorphicAbort,    ///< Recording aborted at a megamorphic site.
   BranchOverflow,      ///< A side exit exhausted its recording attempts.
   RepeatedAborts,      ///< The root loop exhausted its recording attempts.
   MethodByPolicy,      ///< --tier=method starts every loop here.
@@ -93,18 +91,12 @@ public:
 
   /// A root-anchored recording aborted. Mutates the failure/backoff
   /// bookkeeping exactly like the historical blacklist path and answers
-  /// what the monitor should do. \p Counts is abortCounts(Why) (forgiven
-  /// aborts back off briefly but never accumulate failures); \p HitCount
+  /// what the monitor should do. \p Counts is false for a forgiven abort
+  /// (it backs off briefly but never accumulates failures); \p HitCount
   /// is the loop's current hit counter.
-  TierAction onRootAbort(TierState &S, AbortReason Why, bool Counts,
-                         uint32_t HitCount) const {
+  TierAction onRootAbort(TierState &S, bool Counts, uint32_t HitCount) const {
     if (S.Current != Tier::Trace)
       return TierAction::Stay;
-    // Megamorphic sites never trace well: in hybrid mode promote on first
-    // sight instead of burning MaxRecordingFailures attempts.
-    if (Mode == TierMode::Hybrid && Counts &&
-        Why == AbortReason::MegamorphicSite)
-      return TierAction::Promote;
     if (!BlacklistingEnabled)
       return TierAction::Stay;
     if (!Counts) {

@@ -15,8 +15,10 @@
 //   Mega:   more receivers than entries. The site stops learning (misses
 //           no longer refill) but keeps serving its frozen entries --
 //           they stay valid forever, see below -- and the oracle remembers
-//           the megamorphism so the recorder aborts instead of recording
-//           an always-failing guard.
+//           the megamorphism so the recorder records the access as a
+//           generic-lookup call (tj_GetPropGeneric / tj_InitProp) with
+//           only a type guard on the result, not an always-failing shape
+//           guard.
 //
 // Entries key on the Shape pointer. Shapes are immutable and engine-
 // lifetime (vm/shape.h), so adding a property moves the object to a

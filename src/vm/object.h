@@ -68,6 +68,14 @@ public:
 
   bool hasProperty(String *Name) const { return TheShape->lookup(Name) >= 0; }
 
+  /// What `o.Name` reads: an array's `length` (which shadows any named
+  /// slot of that name), else getProperty(Name). Never allocates.
+  Value readProperty(String *Name) const {
+    if (isArray() && Name->view() == "length")
+      return Value::makeInt((int32_t)ArrayLen);
+    return getProperty(Name);
+  }
+
   /// Create or update property \p Name. Creating transitions the shape.
   void setProperty(ShapeTree &Shapes, String *Name, Value V);
 

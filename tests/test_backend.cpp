@@ -326,3 +326,89 @@ TEST_F(BackendFixture, StitchedExitTransfersToBranchFragment) {
   EXPECT_EQ(Got2, FB.Exits[0].get());
   EXPECT_EQ((int32_t)Tar2[1], 777);
 }
+
+TEST_F(BackendFixture, ExitStubsAreSevenBytesWithOneTailPerFragment) {
+  // 30 guards with their own exits, then an unconditional exit: 31 stubs.
+  // Each stub is `mov eax, <index>` plus a jump to the fragment's one exit
+  // tail; the last 19 reach it with jmp rel8, the earlier ones need jmp
+  // rel32. Both forms must return the right descriptor, natively and when
+  // stitched.
+  constexpr int NGuards = 30;
+  Fragment FB;
+  LirBuffer BufB(A);
+  {
+    LIns *Tar = BufB.ins0(LOp::ParamTar);
+    BufB.insStore(LOp::StI, BufB.insImmI(777), Tar, 8);
+    ExitDescriptor *EB = FB.makeExit();
+    BufB.insExit(EB);
+    FB.Body = BufB.instructions();
+  }
+  ASSERT_EQ(BE.compile(&FB, &Ctx), CompileResult::Ok);
+
+  Fragment F;
+  LirBuffer Buf(A);
+  LIns *Tar = Buf.ins0(LOp::ParamTar);
+  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+  for (int K = 0; K < NGuards; ++K)
+    Buf.insGuard(LOp::GuardF, Buf.ins2(LOp::EqI, X, Buf.insImmI(K)),
+                 F.makeExit());
+  ExitDescriptor *EEnd = F.makeExit();
+  Buf.insExit(EEnd);
+  F.Body = Buf.instructions();
+  ASSERT_EQ(BE.compile(&F, &Ctx), CompileResult::Ok);
+
+  ASSERT_EQ(F.ExitTable.size(), (size_t)NGuards + 1);
+  int Rel8 = 0, Rel32 = 0;
+  for (uint32_t I = 0; I < F.ExitTable.size(); ++I) {
+    ExitDescriptor *E = F.ExitTable[I];
+    EXPECT_EQ(E, F.Exits[I].get());
+    const uint8_t *P = E->PatchAddr;
+    ASSERT_NE(P, nullptr);
+    EXPECT_EQ(P[0], 0xB8) << "stub " << I << " starts with mov eax, imm32";
+    uint32_t Imm;
+    memcpy(&Imm, P + 1, 4);
+    EXPECT_EQ(Imm, I);
+    if (P[5] == 0xEB) {
+      ++Rel8;
+      if (I + 1 < F.ExitTable.size()) {
+        EXPECT_EQ(F.ExitTable[I + 1]->PatchAddr, P + 7) << "7-byte stub";
+      }
+    } else {
+      EXPECT_EQ(P[5], 0xE9) << "stub " << I;
+      ++Rel32;
+    }
+  }
+  EXPECT_EQ(Rel8, 19);
+  EXPECT_EQ(Rel32, NGuards + 1 - 19);
+  // Stubs plus the 19-byte tail end the fragment.
+  EXPECT_EQ(F.NativeEntry + F.NativeSize, EEnd->PatchAddr + 7 + 19);
+
+  ASSERT_TRUE(BE.ensureExecutable());
+  for (int K : {0, 5, 11, 12, 13, 29}) {
+    std::vector<uint64_t> TarN(8, 0), TarX(8, 0);
+    TarN[0] = TarX[0] = (uint64_t)K;
+    EXPECT_EQ(BE.enter(TarN.data(), &F), F.Exits[K].get()) << K;
+    EXPECT_EQ(LirExecutor::run(&F, (uint8_t *)TarX.data(), &Ctx),
+              F.Exits[K].get())
+        << K;
+  }
+  std::vector<uint64_t> TarEnd(8, 0);
+  TarEnd[0] = 1000;
+  EXPECT_EQ(BE.enter(TarEnd.data(), &F), EEnd);
+
+  // Stitch one rel32-form stub and one rel8-form stub: the 5-byte patch
+  // replaces only the mov, and control reaches FB through either.
+  for (int K : {0, NGuards - 1}) {
+    BE.patchExitTo(F.Exits[K].get(), &FB);
+    EXPECT_EQ(F.Exits[K]->PatchAddr[0], 0xE9);
+    ASSERT_TRUE(BE.ensureExecutable());
+    std::vector<uint64_t> T(8, 0);
+    T[0] = (uint64_t)K;
+    EXPECT_EQ(BE.enter(T.data(), &F), FB.Exits[0].get()) << K;
+    EXPECT_EQ((int32_t)T[1], 777);
+  }
+  // An unstitched neighbour still exits through the tail.
+  std::vector<uint64_t> T(8, 0);
+  T[0] = 1;
+  EXPECT_EQ(BE.enter(T.data(), &F), F.Exits[1].get());
+}
