@@ -1,24 +1,17 @@
-//===- tier_hostile.cpp - Trace-hostile kernels across compilation tiers --------===//
+//===- tier_hostile.cpp - Trace-hostile kernels: interpreter vs trace ----------===//
 //
 // Three kernels that were built to defeat the trace pipeline: megamorphic
 // dispatch, unbiased branching over megamorphic state, and call chains past
-// the inline depth limit. The recorder now traces through megamorphic
-// sites with a generic lookup, so only deep-call still aborts; under
-// --tier=hybrid the first two stay on the trace tier and deep-call is
-// promoted to the method tier. This bench runs each kernel on three
-// configurations --
-//
-//   interp  -- JIT off (the floor);
-//   trace   -- --tier=trace, the paper's pipeline with terminal
-//              blacklisting/exit-blocking;
-//   hybrid  -- --tier=hybrid, promotion to the method tier on aborts;
-//
-// and reports per-kernel times plus the hybrid speedup over the
-// interpreter. The acceptance bar: hybrid >= 2x the interpreter on the
+// the inline depth limit. The recorder traces through megamorphic sites
+// with a generic lookup, so the first two compile; deep-call aborts at the
+// inline limit and falls back to the interpreter through §3.3 backoff and
+// blacklisting. This bench runs each kernel with the JIT off (interp) and
+// on (trace), and reports per-kernel times plus the trace speedup over the
+// interpreter. The acceptance bar: trace >= 2x the interpreter on the
 // megamorphic and unbiased-branch kernels.
 //
 // --json=FILE writes the canonical snapshot (BENCH_tier_hostile.json);
-// scripts/check_bench_regression.py gates the hybrid speedups against it.
+// scripts/check_bench_regression.py gates the trace rows against it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -86,10 +79,8 @@ print(t);
 )js";
 
 // A call chain deeper than MaxInlineDepth: the recorder aborts at the
-// inline limit, hybrid promotes the loop shell. Calls run through the
-// method tier's boxed call helper, so the win here is modest by design --
-// the column documents that the method tier does not regress below the
-// interpreter on call-heavy code.
+// inline limit and the loop is blacklisted. The row documents that the
+// fallback does not run slower than the interpreter on call-heavy code.
 static const char *DeepCall = R"js(
 function fA(x) { return x + 1; }
 function fB(x) { return fA(x) + 1; }
@@ -108,14 +99,7 @@ print(t);
 
 namespace {
 
-struct Config {
-  const char *Name;
-  bool Jit;
-  TierMode Tier;
-};
-
-double timeOnce(const char *Src, const EngineOptions &O, std::string *Out,
-                VMStats *Stats) {
+double timeOnce(const char *Src, const EngineOptions &O, std::string *Out) {
   Engine E(O);
   std::string Captured;
   E.setPrintHook([&](const std::string &S) { Captured += S; });
@@ -128,8 +112,6 @@ double timeOnce(const char *Src, const EngineOptions &O, std::string *Out,
   }
   if (Out)
     *Out = Captured;
-  if (Stats)
-    *Stats = E.stats();
   return std::chrono::duration<double, std::milli>(T1 - T0).count();
 }
 
@@ -151,14 +133,14 @@ int main(int argc, char **argv) {
     tracejit_bench::applyBenchArgs(Base, (int)Args.size(), Args.data());
   }
 
-  printf("=== Trace-hostile kernels across compilation tiers ===\n");
-  printf("%-16s %12s %12s %12s %9s %9s\n", "kernel", "interp(ms)",
-         "trace(ms)", "hybrid(ms)", "hyb-spd", "promoted");
+  printf("=== Trace-hostile kernels: interpreter vs trace ===\n");
+  printf("%-16s %12s %12s %10s\n", "kernel", "interp(ms)", "trace(ms)",
+         "speedup");
 
   struct Kernel {
     const char *Name;
     const char *Src;
-    bool MustDouble; ///< Acceptance bar: hybrid >= 2x interpreter.
+    bool MustDouble; ///< Acceptance bar: trace >= 2x interpreter.
   } Kernels[] = {
       {"megamorphic", Megamorphic, true},
       {"unbiased-branch", UnbiasedBranch, true},
@@ -167,46 +149,38 @@ int main(int argc, char **argv) {
 
   struct Row {
     const char *Name;
-    double InterpMs, TraceMs, HybridMs, Speedup;
-    uint64_t Promoted;
+    double InterpMs, TraceMs, Speedup;
   };
   std::vector<Row> Rows;
   bool Ok = true;
   bool BarMet = true;
   for (const Kernel &K : Kernels) {
-    Config Configs[] = {
-        {"interp", false, TierMode::Trace},
-        {"trace", true, TierMode::Trace},
-        {"hybrid", true, TierMode::Hybrid},
-    };
-    double Best[3] = {1e300, 1e300, 1e300};
-    std::string Outs[3];
-    VMStats Stats[3];
-    // Interleave the reps so frequency drift hits every configuration
+    double Best[2] = {1e300, 1e300}; // [0] JIT off, [1] JIT on
+    std::string Outs[2];
+    // Interleave the reps so frequency drift hits both configurations
     // evenly instead of whichever happened to run last.
     for (int Rep = 0; Rep < 5; ++Rep)
-      for (int C = 0; C < 3; ++C) {
+      for (int C = 0; C < 2; ++C) {
         EngineOptions O = Base;
-        O.EnableJit = Configs[C].Jit;
-        O.Tier = Configs[C].Tier;
+        O.EnableJit = C == 1;
         O.CollectStats = true;
-        double Ms = timeOnce(K.Src, O, &Outs[C], &Stats[C]);
+        double Ms = timeOnce(K.Src, O, &Outs[C]);
         if (Ms < 0)
           return 1;
         Best[C] = std::min(Best[C], Ms);
       }
-    if (Outs[1] != Outs[0] || Outs[2] != Outs[0]) {
-      fprintf(stderr, "%s: outputs diverge across tiers\n", K.Name);
+    if (Outs[1] != Outs[0]) {
+      fprintf(stderr, "%s: JIT output diverges from the interpreter\n",
+              K.Name);
       Ok = false;
       continue;
     }
-    double Speedup = Best[0] / Best[2];
-    uint64_t Promoted = Stats[2].LoopsPromoted;
-    Rows.push_back({K.Name, Best[0], Best[1], Best[2], Speedup, Promoted});
-    printf("%-16s %12.2f %12.2f %12.2f %8.2fx %9llu\n", K.Name, Best[0],
-           Best[1], Best[2], Speedup, (unsigned long long)Promoted);
+    double Speedup = Best[0] / Best[1];
+    Rows.push_back({K.Name, Best[0], Best[1], Speedup});
+    printf("%-16s %12.2f %12.2f %9.2fx\n", K.Name, Best[0], Best[1],
+           Speedup);
     if (K.MustDouble && Speedup < 2.0) {
-      fprintf(stderr, "%s: hybrid speedup %.2fx is below the 2x bar\n",
+      fprintf(stderr, "%s: trace speedup %.2fx is below the 2x bar\n",
               K.Name, Speedup);
       BarMet = false;
     }
@@ -227,12 +201,9 @@ int main(int argc, char **argv) {
     for (size_t I = 0; I < Rows.size(); ++I)
       fprintf(F,
               "    {\"name\": \"%s\", \"interp_ms\": %.2f, \"trace_ms\": "
-              "%.2f, \"hybrid_ms\": %.2f, \"hybrid_speedup\": %.2f, "
-              "\"loops_promoted\": %llu}%s\n",
+              "%.2f, \"trace_speedup\": %.2f}%s\n",
               Rows[I].Name, Rows[I].InterpMs, Rows[I].TraceMs,
-              Rows[I].HybridMs, Rows[I].Speedup,
-              (unsigned long long)Rows[I].Promoted,
-              I + 1 < Rows.size() ? "," : "");
+              Rows[I].Speedup, I + 1 < Rows.size() ? "," : "");
     fprintf(F, "  ]\n}\n");
     fclose(F);
     printf("wrote %s\n", JsonPath.c_str());

@@ -12,8 +12,9 @@
 //
 // Positional arguments are script files: each is run to completion (with
 // file:line:col diagnostics on error) and the process exits instead of
-// entering the loop. Flags are EngineOptions::applyFlag spellings
-// ("--no-jit", "--ic", "--stats", "-O0".."-O2", "--jit-opt=[+|-]pass,...").
+// entering the loop. Flags are EngineOptions::applyFlag spellings, e.g.
+// "--no-jit", "--native" / "--executor", "--no-stats", "--no-blacklisting",
+// "-O0".."-O2", "--jit-opt=[+|-]pass,...", "--deadline-ms=N".
 //
 //===----------------------------------------------------------------------===//
 

@@ -101,15 +101,13 @@ public:
 
   /// Per-fragment telemetry snapshot for every fragment in the trace
   /// cache: enters, iterations, per-guard side-exit histogram, LIR sizes
-  /// before/after filters, native code bytes. Each profile carries its
-  /// tier attribution (IsMethod/TierName). Empty when the JIT is off.
+  /// before/after filters, native code bytes. Empty when the JIT is off.
   std::vector<FragmentProfile> fragmentProfiles() const;
 
   /// Current compilation tier (trace/tier.h) of loop \p LoopId of the
-  /// script with id \p ScriptId -- Interpreter after demotion (the old
-  /// "blacklisted"), Method after promotion or under --tier=method.
-  /// Loops the monitor has never seen report the configured initial tier;
-  /// with the JIT disabled everything reports Tier::Interpreter.
+  /// script with id \p ScriptId -- Interpreter once blacklisted (§3.3),
+  /// else Trace (also for loops the monitor has never seen). With the JIT
+  /// disabled everything reports Tier::Interpreter.
   Tier tierOf(uint32_t ScriptId, uint16_t LoopId) const;
 
   /// Write the event stream recorded so far as Chrome trace-event JSON

@@ -2,8 +2,6 @@
 
 #include "api/options.h"
 
-#include <cstdlib>
-
 namespace tracejit {
 
 namespace {
@@ -110,38 +108,8 @@ const char *tierModeName(TierMode M) {
   switch (M) {
   case TierMode::Trace:
     return "trace";
-  case TierMode::Method:
-    return "method";
-  case TierMode::Hybrid:
-    return "hybrid";
   }
   return "?";
-}
-
-bool parseTierMode(std::string_view Name, TierMode &Out) {
-  if (Name == "trace") {
-    Out = TierMode::Trace;
-    return true;
-  }
-  if (Name == "method") {
-    Out = TierMode::Method;
-    return true;
-  }
-  if (Name == "hybrid") {
-    Out = TierMode::Hybrid;
-    return true;
-  }
-  return false;
-}
-
-TierMode defaultTierMode() {
-  static TierMode Cached = [] {
-    TierMode M = TierMode::Trace;
-    if (const char *Env = std::getenv("TRACEJIT_TIER"))
-      parseTierMode(Env, M); // unknown values keep the Trace default
-    return M;
-  }();
-  return Cached;
 }
 
 bool EngineOptions::applyFlag(std::string_view Flag) {
@@ -233,18 +201,6 @@ bool EngineOptions::applyFlag(std::string_view Flag) {
     if (!parseU32(Flag.substr(FramesPrefix.size()), Frames) || Frames == 0)
       return false;
     MaxFrames = Frames;
-    return true;
-  }
-  // Compilation tiers (trace/tier.h).
-  constexpr std::string_view TierPrefix = "--tier=";
-  if (Flag.substr(0, TierPrefix.size()) == TierPrefix)
-    return parseTierMode(Flag.substr(TierPrefix.size()), Tier);
-  constexpr std::string_view MethodThreshPrefix = "--method-jit-threshold=";
-  if (Flag.substr(0, MethodThreshPrefix.size()) == MethodThreshPrefix) {
-    uint32_t N = 0;
-    if (!parseU32(Flag.substr(MethodThreshPrefix.size()), N) || N == 0)
-      return false;
-    MethodJitThreshold = N;
     return true;
   }
   return false;

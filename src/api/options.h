@@ -25,24 +25,11 @@ enum class Backend : uint8_t {
   Executor, ///< Portable LIR interpreter; reference semantics.
 };
 
-/// Which compilation tiers the engine may use (see trace/tier.h for the
-/// per-loop state machine and DESIGN.md "Compilation tiers").
-enum class TierMode : uint8_t {
-  Trace,  ///< Tracing JIT only -- bit-for-bit the paper's pipeline,
-          ///< including terminal blacklisting (§3.3).
-  Method, ///< Whole-loop-body method compiler only; no tracing.
-  Hybrid, ///< Trace first; trace-hostile loops (branch overflow,
-          ///< repeated aborts) promote to the method tier instead of
-          ///< blacklisting.
-};
+/// The engine's one compiled tier. perfbench's host fingerprint reads
+/// tierModeName(EngineOptions::Tier), so both stay.
+enum class TierMode : uint8_t { Trace };
 
 const char *tierModeName(TierMode M);
-/// Parse a tier mode name ("trace", "method", "hybrid"); false if unknown.
-bool parseTierMode(std::string_view Name, TierMode &Out);
-/// Default tier mode for new EngineOptions: TierMode::Trace unless the
-/// TRACEJIT_TIER environment variable (trace|method|hybrid) overrides it.
-/// The CI method-forced leg runs the whole test suite this way.
-TierMode defaultTierMode();
 
 /// Failure sites the deterministic fault injector can trigger. Each site
 /// corresponds to one real-world failure mode of the code-cache lifecycle
@@ -190,27 +177,15 @@ struct EngineOptions {
   /// Off = every transfer goes through the monitor.
   bool EnableStitching = true;
 
-  /// §3.3: blacklisting. Off reproduces the pathological re-record loop.
-  /// (Deprecated spelling kept for compatibility: under TierMode::Trace
-  /// this is the terminal blacklist; under Hybrid it gates whether
-  /// trace-hostile loops may leave the trace tier at all.)
+  /// §3.3: blacklisting (trace/tier.h). A loop whose root recording fails
+  /// MaxRecordingFailures times goes back to the interpreter for good.
+  /// Off keeps re-recording after each backoff -- the pathological
+  /// re-record loop bench/ablation_blacklist measures.
   bool EnableBlacklisting = true;
 
-  // --- Compilation tiers (trace/tier.h) ---------------------------------------
-
-  /// Which tiers the engine may use. Trace (the default) is bit-for-bit
-  /// today's pipeline. Hybrid promotes trace-hostile loops to the method
-  /// tier where Trace would have blacklisted them; Method skips tracing
-  /// entirely. Overridable with the TRACEJIT_TIER environment variable
-  /// (trace|method|hybrid), which seeds the default for every engine --
-  /// the CI method-forced leg uses this.
-  TierMode Tier = defaultTierMode();
-
-  /// Loop-header hits before a Method-mode loop is compiled (TierMode::
-  /// Method), and the extra hits a Hybrid promotion waits after promoting
-  /// before compiling. Low like HotLoopThreshold, but slightly above it:
-  /// method compiles are bigger than trace recordings.
-  uint32_t MethodJitThreshold = 8;
+  /// Tracing is the engine's only compiled tier. perfbench's host
+  /// fingerprint reads this, so it stays as a constant.
+  static constexpr TierMode Tier = TierMode::Trace;
 
   /// §6.4: guard the preempt/GC flag at every loop edge.
   bool EnablePreemptGuard = true;

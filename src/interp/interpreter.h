@@ -41,8 +41,8 @@ public:
   /// Run a top-level script to completion. Errors land in Ctx.
   Value run(FunctionScript *Top);
 
-  /// Call a callable value with boxed arguments (used by natives and by the
-  /// trace engine when it needs to run script re-entrantly).
+  /// Call a callable value with boxed arguments (used by host natives that
+  /// call back into script; never while a trace is live).
   Value callValue(Value Callee, Value ThisV, const Value *Args, uint32_t N);
 
   VMContext &context() { return Ctx; }
@@ -77,7 +77,6 @@ public:
 private:
   friend class TraceMonitor;
   friend class TraceRecorder;
-  friend struct MethodOps; ///< Method-tier helper bodies (trace/helpers.cpp).
 
   /// Dispatch until the frame stack shrinks back to \p StopDepth. The
   /// build picks one harness: threaded (computed goto, pc/sp in locals)

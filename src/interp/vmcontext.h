@@ -161,9 +161,10 @@ struct VMContext {
     PreemptFlag.fetch_or(Bits, std::memory_order_release);
   }
 
-  /// Set while a compiled trace is running; external functions that reenter
-  /// the interpreter check it (§6.5). Also used as the "no GC on trace"
-  /// latch.
+  /// Set while a compiled trace is running. Traces call only whitelisted
+  /// natives, so the interpreter never runs while it is set; the monitor
+  /// asserts that at every fragment entry, and a host code-cache flush
+  /// requested while it is set is deferred to the next loop edge.
   bool OnTrace = false;
 
   /// When a nested tree call returns through an unexpected exit, generated

@@ -332,13 +332,6 @@ uint8_t *Assembler::jccFwd(Cond C) {
   return Fix;
 }
 
-void Assembler::jcc(Cond C, uint8_t *Target) {
-  emit8(0x0F);
-  emit8((uint8_t)(0x80 | C));
-  int64_t Rel = Target - (Cur + 4);
-  emit32((uint32_t)(int32_t)Rel);
-}
-
 uint8_t *Assembler::jmpFwd() {
   emit8(0xE9);
   uint8_t *Fix = Cur;

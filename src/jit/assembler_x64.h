@@ -149,7 +149,6 @@ public:
   void movzxByteRR(Gpr Dst, Gpr Src);
   /// jcc rel32 with a target known later; returns the fixup position.
   uint8_t *jccFwd(Cond C);
-  void jcc(Cond C, uint8_t *Target);
   uint8_t *jmpFwd();
   void jmp(uint8_t *Target);
   /// jmp rel8; \p Target must be within rel8 range of the next instruction.

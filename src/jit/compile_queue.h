@@ -71,7 +71,6 @@ struct CompileJob {
   LoopState *LS = nullptr;          ///< Owning loop header state.
   ExitDescriptor *AnchorExit = nullptr; ///< Branch jobs: the exit to stitch.
   bool IsRoot = true;
-  bool IsMethod = false; ///< Method-tier body (trace/tier.h), not a trace.
 
   // --- Drop-path-safe copies (valid even when Frag is gone) -----------------
   uint32_t FragmentId = 0;

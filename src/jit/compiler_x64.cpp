@@ -362,18 +362,6 @@ private:
   }
   void jmpToExit(ExitDescriptor *E) { Stubs.push_back({A.jmpFwd(), E}); }
 
-  // --- Intra-body branches (method-tier bodies) -------------------------------
-  // The register model must be identical on every edge into a label, so
-  // every label bind and every branch site runs flushPrologue() first:
-  // the model is "nothing held, every live value in its never-recycled
-  // spill slot" -- the same invariant the Loop back edge relies on.
-  struct PendingBranch {
-    uint8_t *Fixup;
-    LIns *Label;
-  };
-  std::vector<PendingBranch> BranchFixups;
-  std::unordered_map<LIns *, uint8_t *> LabelPc;
-
   // --- Instruction emission ------------------------------------------------------
   void emitIns(uint32_t Pos, LIns *I);
   void emitBinGpr32(LIns *I, void (Assembler::*Op)(Gpr, Gpr));
@@ -1009,37 +997,6 @@ void FragmentCompiler::emitIns(uint32_t Pos, LIns *I) {
     A.jmp(I->Target->NativeEntry);
     return;
 
-  case LOp::Label:
-    // Join point: park everything so every incoming edge (fallthrough and
-    // branches) sees the same empty register model.
-    flushPrologue();
-    LabelPc[I] = A.pc();
-    return;
-
-  case LOp::Jmp:
-    flushPrologue();
-    if (auto It = LabelPc.find(I->A); It != LabelPc.end())
-      A.jmp(It->second);
-    else
-      BranchFixups.push_back({A.jmpFwd(), I->A});
-    return;
-
-  case LOp::JmpIfT:
-  case LOp::JmpIfF: {
-    // Park live values first (both edges must see the empty model), then
-    // reload the condition from its slot -- slots survive flushPrologue.
-    flushPrologue();
-    loadArgGpr(RAX, I->A);
-    A.testRR32(RAX, RAX);
-    Cond C = I->Op == LOp::JmpIfT ? CondNE : CondE;
-    if (auto It = LabelPc.find(I->B); It != LabelPc.end())
-      A.jcc(C, It->second);
-    else
-      BranchFixups.push_back({A.jccFwd(C), I->B});
-    consume(I->A);
-    return;
-  }
-
   case LOp::NumOps:
     Failed = true;
     return;
@@ -1073,16 +1030,6 @@ bool FragmentCompiler::run() {
       LoopEntryPc = A.pc();
     }
     emitIns(P, Body[P]);
-  }
-
-  // Resolve forward intra-body branches now that every label is placed.
-  for (PendingBranch &B : BranchFixups) {
-    auto It = LabelPc.find(B.Label);
-    if (It == LabelPc.end()) {
-      Failed = true;
-      break;
-    }
-    Assembler::patchRel32(B.Fixup, It->second);
   }
 
   // Exit stubs: one per descriptor so stitching can retarget every jump to
@@ -1133,10 +1080,7 @@ CompileResult NativeBackend::compile(Fragment *F, VMContext *Ctx) {
     return CompileResult::Fault;
   if (!Pool.makeWritable())
     return CompileResult::Fault; // W^X flip failed; cannot emit
-  // Method bodies spill-all at every label/branch, so budget more bytes
-  // per instruction than straight-line traces need.
-  size_t PerIns = F->Kind == FragmentKind::Method ? 96 : 48;
-  size_t Estimate = F->Body.size() * PerIns + F->Exits.size() * 24 + 512;
+  size_t Estimate = F->Body.size() * 48 + F->Exits.size() * 24 + 512;
   uint8_t *Mem = Pool.reserve(Estimate);
   if (!Mem)
     return CompileResult::PoolExhausted;

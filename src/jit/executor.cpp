@@ -279,39 +279,9 @@ restart_body:
       goto restart_body;
 
     case LOp::JmpFrag:
-      // Method-tier targets have no per-entry typemap prologue, so there
-      // is nothing to re-run: enter directly at PrologueEnd (always 0 for
-      // method bodies -- asserted at compile time). Trace-tier targets
-      // keep re-entering at 0 so hoisted entry guards re-validate state.
+      // Enter the target at 0 so its hoisted entry guards re-validate state.
       F = I->Target;
-      if (F->Kind == FragmentKind::Method) {
-        uint32_t MaxId = 0;
-        for (LIns *X : F->Body)
-          if (X->Id > MaxId)
-            MaxId = X->Id;
-        Vals.assign((size_t)MaxId + 1, 0);
-        P = F->PrologueEnd;
-        goto restart_body;
-      }
       goto restart_fragment;
-
-    case LOp::Label:
-      // Join-point marker; no effect at runtime.
-      break;
-
-    case LOp::Jmp:
-      P = (size_t)(uint32_t)I->A->Imm.ImmI32;
-      goto restart_body;
-
-    case LOp::JmpIfT:
-    case LOp::JmpIfF: {
-      bool C = asI(V(I->A)) != 0;
-      if (I->Op == LOp::JmpIfT ? C : !C) {
-        P = (size_t)(uint32_t)I->B->Imm.ImmI32;
-        goto restart_body;
-      }
-      break;
-    }
 
     case LOp::NumOps:
       return nullptr;

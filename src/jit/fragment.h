@@ -72,9 +72,6 @@ struct ExitDescriptor {
 enum class FragmentKind : uint8_t {
   Root,   ///< Tree trunk, anchored at a loop header.
   Branch, ///< Attached to a side exit of the same tree.
-  Method, ///< Whole-loop-body method-tier code: unspecialized (all-Boxed
-          ///< entry map), inline type dispatch instead of guards, real
-          ///< control flow (Label/Jmp*). Never stitched or peer-linked.
 };
 
 /// A compiled trace.

@@ -128,14 +128,6 @@ const char *lopName(LOp Op) {
     return "loop";
   case LOp::JmpFrag:
     return "jmpfrag";
-  case LOp::Label:
-    return "label";
-  case LOp::Jmp:
-    return "jmp";
-  case LOp::JmpIfT:
-    return "jt";
-  case LOp::JmpIfF:
-    return "jf";
   case LOp::NumOps:
     break;
   }
@@ -174,10 +166,6 @@ LTy resultType(LOp Op) {
   case LOp::Loop:
   case LOp::JmpFrag:
   case LOp::TreeCall:
-  case LOp::Label:
-  case LOp::Jmp:
-  case LOp::JmpIfT:
-  case LOp::JmpIfF:
     return LTy::Void;
   case LOp::Call:
     return LTy::Void; // actual type comes from CallInfo
@@ -217,12 +205,6 @@ LIns *LirWriter::insTreeCall(Fragment *Inner, ExitDescriptor *Expected,
 LIns *LirWriter::insLoop() { return Out->insLoop(); }
 LIns *LirWriter::insJmpFrag(Fragment *Target) {
   return Out->insJmpFrag(Target);
-}
-LIns *LirWriter::makeLabel() { return Out->makeLabel(); }
-LIns *LirWriter::bindLabel(LIns *Label) { return Out->bindLabel(Label); }
-LIns *LirWriter::insJmp(LIns *Label) { return Out->insJmp(Label); }
-LIns *LirWriter::insJmpIf(LOp Op, LIns *Cond, LIns *Label) {
-  return Out->insJmpIf(Op, Cond, Label);
 }
 
 // --- Buffer -----------------------------------------------------------------------
@@ -357,41 +339,6 @@ LIns *LirBuffer::insJmpFrag(Fragment *Target) {
   I->Op = LOp::JmpFrag;
   I->Ty = LTy::Void;
   I->Target = Target;
-  return append(I);
-}
-
-LIns *LirBuffer::makeLabel() {
-  // Allocated but NOT appended: forward branches may reference the label
-  // before bindLabel() places it in the body and stamps its index.
-  LIns *I = fresh();
-  I->Op = LOp::Label;
-  I->Ty = LTy::Void;
-  I->Imm.ImmI32 = -1; // unbound
-  return I;
-}
-
-LIns *LirBuffer::bindLabel(LIns *Label) {
-  assert(Label->Op == LOp::Label && Label->Imm.ImmI32 < 0 &&
-         "label already bound");
-  Label->Imm.ImmI32 = (int32_t)Body.size();
-  return append(Label);
-}
-
-LIns *LirBuffer::insJmp(LIns *Label) {
-  LIns *I = fresh();
-  I->Op = LOp::Jmp;
-  I->Ty = LTy::Void;
-  I->A = Label;
-  return append(I);
-}
-
-LIns *LirBuffer::insJmpIf(LOp Op, LIns *Cond, LIns *Label) {
-  assert((Op == LOp::JmpIfT || Op == LOp::JmpIfF) && "not a conditional jump");
-  LIns *I = fresh();
-  I->Op = Op;
-  I->Ty = LTy::Void;
-  I->A = Cond;
-  I->B = Label;
   return append(I);
 }
 

@@ -131,15 +131,6 @@ enum class LOp : uint8_t {
   // type-unstable peers).
   JmpFrag,
 
-  // Intra-body control flow (method-tier bodies only; trace bodies stay
-  // straight-line). Label marks a join point: Imm.ImmI32 holds its own
-  // body index once bound. Jmp: A = target label. JmpIfT/JmpIfF:
-  // A = I32 condition, B = target label (taken when true / false).
-  Label,
-  Jmp,
-  JmpIfT,
-  JmpIfF,
-
   NumOps
 };
 
@@ -226,14 +217,6 @@ public:
                             ExitDescriptor *MismatchExit);
   virtual LIns *insLoop();
   virtual LIns *insJmpFrag(Fragment *Target);
-  // Method-tier control flow. makeLabel allocates a label without
-  // appending it (forward references); bindLabel appends it at the
-  // current position and records its body index; insJmp/insJmpIf emit
-  // transfers to a (possibly still unbound) label.
-  virtual LIns *makeLabel();
-  virtual LIns *bindLabel(LIns *Label);
-  virtual LIns *insJmp(LIns *Label);
-  virtual LIns *insJmpIf(LOp Op, LIns *Cond, LIns *Label);
 
 protected:
   LirWriter *Out;
@@ -260,10 +243,6 @@ public:
                     ExitDescriptor *MismatchExit) override;
   LIns *insLoop() override;
   LIns *insJmpFrag(Fragment *Target) override;
-  LIns *makeLabel() override;
-  LIns *bindLabel(LIns *Label) override;
-  LIns *insJmp(LIns *Label) override;
-  LIns *insJmpIf(LOp Op, LIns *Cond, LIns *Label) override;
 
   std::vector<LIns *> &instructions() { return Body; }
   uint32_t size() const { return (uint32_t)Body.size(); }

@@ -58,9 +58,6 @@ static std::string typeMapSummary(const TypeMap &M) {
     case TraceType::Undefined:
       Out += "u";
       break;
-    case TraceType::Boxed:
-      Out += "x";
-      break;
     }
   }
   Out += "]";
@@ -158,19 +155,6 @@ std::string formatIns(const LIns *I) {
     snprintf(Buf, sizeof(Buf), " -> frag%u", I->Target ? I->Target->Id : 0);
     Out += Buf;
     break;
-  case LOp::Label:
-    snprintf(Buf, sizeof(Buf), " L%u", I->Id);
-    Out += Buf;
-    break;
-  case LOp::Jmp:
-    snprintf(Buf, sizeof(Buf), " -> L%u", I->A ? I->A->Id : 0);
-    Out += Buf;
-    break;
-  case LOp::JmpIfT:
-  case LOp::JmpIfF:
-    snprintf(Buf, sizeof(Buf), " %s -> L%u", Ref(I->A), I->B ? I->B->Id : 0);
-    Out += Buf;
-    break;
   case LOp::ParamTar:
   case LOp::Loop:
     break;
@@ -252,8 +236,6 @@ const char *traceTypeName(TraceType T) {
     return "null";
   case TraceType::Undefined:
     return "undef";
-  case TraceType::Boxed:
-    return "boxed";
   }
   return "?";
 }
@@ -289,9 +271,7 @@ std::string typecheckBody(const std::vector<LIns *> &Body) {
   for (const LIns *I : Body) {
     // SSA ordering: every operand must be defined earlier in the body.
     auto CheckDef = [&](const LIns *O) -> std::string {
-      // Labels are control-flow markers, not data: forward jumps may
-      // reference a label bound later in the body.
-      if (O && O->Op != LOp::Label && !Defined.count(O))
+      if (O && !Defined.count(O))
         return "use before def in " + formatIns(I);
       return "";
     };
@@ -398,10 +378,6 @@ std::string typecheckBody(const std::vector<LIns *> &Body) {
     case LOp::Call:
       for (uint32_t K = 0; K < I->NCallArgs && Err.empty(); ++K)
         Err = checkOperand(I, I->CallArgs[K], I->CI->Args[K], "arg");
-      break;
-    case LOp::JmpIfT:
-    case LOp::JmpIfF:
-      Err = checkOperand(I, I->A, LTy::I32, "cond");
       break;
     default:
       break;

@@ -568,154 +568,4 @@ bool verifyTrace(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
   return true;
 }
 
-// --- Whole-method-body entry point ----------------------------------------------
-
-bool verifyMethodBody(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
-                      VMStats *Stats) {
-  Err = VerifyError();
-  if (Stats) {
-    ++Stats->TracesVerified;
-    Stats->LirInsVerified += F.Body.size();
-  }
-
-  auto Fail = [&](VerifyRule R, const LIns *I, std::string Msg) {
-    Err.Rule = R;
-    Err.InsId = I ? I->Id : ~0u;
-    Err.Message = std::move(Msg);
-    if (I) {
-      Err.Message += ": ";
-      Err.Message += formatIns(I);
-    }
-    if (Stats) {
-      ++Stats->VerifyFailures;
-      ++Stats->VerifyFailuresByRule[(size_t)R];
-    }
-    return false;
-  };
-
-  if (F.Body.empty())
-    return Fail(VerifyRule::Terminator, nullptr,
-                "empty method body (no terminator)");
-  if (F.PrologueEnd != 0 || F.EntryExit != nullptr)
-    return Fail(VerifyRule::PrologueShape, nullptr,
-                "method bodies must not carry a -O2 prologue or entry exit");
-
-  std::unordered_set<const LIns *> InBody(F.Body.begin(), F.Body.end());
-  std::unordered_set<const LIns *> Defined;
-  Defined.reserve(F.Body.size());
-
-  auto CheckLabel = [&](const LIns *I, const LIns *L) {
-    if (!L || L->Op != LOp::Label)
-      return Fail(VerifyRule::TransferTarget, I,
-                  "branch target is not a label");
-    if (!InBody.count(L))
-      return Fail(VerifyRule::TransferTarget, I,
-                  "branch target label is not in the body");
-    if (L->Imm.ImmI32 < 0 || (size_t)L->Imm.ImmI32 >= F.Body.size() ||
-        F.Body[(size_t)L->Imm.ImmI32] != L)
-      return Fail(VerifyRule::TransferTarget, I,
-                  "branch target label is unbound or mis-indexed");
-    return true;
-  };
-
-  for (size_t Idx = 0; Idx < F.Body.size(); ++Idx) {
-    const LIns *I = F.Body[Idx];
-    if (!I)
-      return Fail(VerifyRule::MissingOperand, nullptr,
-                  "null instruction at index " + std::to_string(Idx));
-
-    // Trace-only transfers never belong in a method body: there is no tree
-    // to close, call, or stitch into.
-    if (I->Op == LOp::Loop || I->Op == LOp::JmpFrag || I->Op == LOp::TreeCall)
-      return Fail(VerifyRule::TransferTarget, I,
-                  "trace-only transfer inside a method body");
-
-    // Def-before-use in linear order (the builder keeps all cross-branch
-    // state in the TAR); label operands are control-flow markers and may be
-    // bound later in the body.
-    auto CheckUse = [&](const LIns *O, const char *Which) {
-      if (!O || O->Op == LOp::Label)
-        return true;
-      if (!InBody.count(O)) {
-        Fail(VerifyRule::DanglingOperand, I,
-             std::string(Which) + " operand v" + std::to_string(O->Id) +
-                 " is not in the method body");
-        return false;
-      }
-      if (!Defined.count(O)) {
-        Fail(VerifyRule::UseBeforeDef, I,
-             std::string(Which) + " operand v" + std::to_string(O->Id) +
-                 " is used before it is defined");
-        return false;
-      }
-      return true;
-    };
-    if (!CheckUse(I->A, "first") || !CheckUse(I->B, "second"))
-      return false;
-    for (uint32_t K = 0; K < I->NCallArgs; ++K)
-      if (!CheckUse(I->CallArgs ? I->CallArgs[K] : nullptr, "call"))
-        return false;
-
-    switch (I->Op) {
-    case LOp::Label:
-      if (!CheckLabel(I, I))
-        return false;
-      if ((size_t)I->Imm.ImmI32 != Idx)
-        return Fail(VerifyRule::TransferTarget, I,
-                    "label index does not match its position");
-      break;
-    case LOp::Jmp:
-      if (!CheckLabel(I, I->A))
-        return false;
-      break;
-    case LOp::JmpIfT:
-    case LOp::JmpIfF:
-      if (!I->A || I->A->Ty != LTy::I32)
-        return Fail(VerifyRule::OperandType, I,
-                    "conditional jump condition is not i32");
-      if (!CheckLabel(I, I->B))
-        return false;
-      break;
-    default:
-      if (RuleHit H = checkOperandTypes(I->Op, I->A, I->B))
-        return Fail(H.Rule, I, H.Msg);
-      break;
-    }
-
-    LTy WantTy = I->Op == LOp::Call ? (I->CI ? I->CI->Ret : LTy::Void)
-                                    : resultType(I->Op);
-    if (I->Ty != WantTy)
-      return Fail(VerifyRule::ResultType, I,
-                  std::string("result typed ") + tyn(I->Ty) +
-                      ", opcode yields " + tyn(WantTy));
-
-    if (I->Op == LOp::Call)
-      if (RuleHit H = checkCall(I->CI, I->CallArgs, I->NCallArgs))
-        return Fail(H.Rule, I, H.Msg);
-
-    if (I->isLoad() || I->isStore()) {
-      const LIns *Base = I->isLoad() ? I->A : I->B;
-      if (RuleHit H = checkTarDisp(I->Op, Base, I->Disp, F.RequiredTarSlots))
-        return Fail(H.Rule, I, H.Msg);
-    }
-
-    if (I->isGuard() || I->Op == LOp::Exit) {
-      if (RuleHit H = checkExitMap(I->Op, I->Exit, NumGlobals))
-        return Fail(H.Rule, I, H.Msg);
-      if (RuleHit H = checkExitFrames(I->Exit))
-        return Fail(H.Rule, I, H.Msg);
-    }
-
-    Defined.insert(I);
-  }
-
-  // Control must never fall off the end: the last instruction is an
-  // unconditional transfer (back edge or exit).
-  const LIns *Last = F.Body.back();
-  if (Last->Op != LOp::Exit && Last->Op != LOp::Jmp)
-    return Fail(VerifyRule::Terminator, Last,
-                "method body does not end in an exit or jmp");
-  return true;
-}
-
 } // namespace tracejit

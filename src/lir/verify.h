@@ -110,17 +110,6 @@ private:
 bool verifyTrace(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
                  VMStats *Stats = nullptr);
 
-/// Whole-body pass for method-tier fragments (FragmentKind::Method). The
-/// straight-line trace rules don't apply -- method bodies have real control
-/// flow -- so this variant allows Label/Jmp/JmpIfT/JmpIfF and multiple
-/// terminators, requires every branch target to be a bound in-body Label,
-/// and forbids the trace-only transfers (Loop/JmpFrag/TreeCall). Per-
-/// instruction typing, call-signature, TAR-addressing, and exit-map rules
-/// are shared with verifyTrace. Def-before-use stays linear: the method
-/// builder never flows SSA values across branches (state lives in the TAR).
-bool verifyMethodBody(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
-                      VMStats *Stats = nullptr);
-
 } // namespace tracejit
 
 #endif // TRACEJIT_LIR_VERIFY_H

@@ -7,7 +7,6 @@
 
 #include "api/options.h"
 #include "jit/fragment.h"
-#include "trace/tier.h"
 #include "vm/ic.h"
 
 namespace tracejit {
@@ -96,10 +95,7 @@ namespace tracejit {
   M(CompileJobDropped, "CompileJobDropped")                                    \
   M(ScriptInterrupted, "ScriptInterrupted")                                    \
   M(EngineRecycled, "EngineRecycled")                                          \
-  M(AnalysisRan, "AnalysisRan")                                                \
-  M(TierPromoted, "TierPromoted")                                              \
-  M(MethodCompiled, "MethodCompiled")                                          \
-  M(MethodEntered, "MethodEntered")
+  M(AnalysisRan, "AnalysisRan")
 
 namespace {
 
@@ -305,20 +301,6 @@ std::string LogJitEventListener::format(const JitEvent &E) {
              E.Arg0, E.Arg1);
     Out += Buf;
     break;
-  case JitEventKind::TierPromoted:
-    snprintf(Buf, sizeof(Buf), " reason=%s failures=%" PRIu64,
-             tierChangeReasonName((TierChangeReason)E.Arg0), E.Arg1);
-    Out += Buf;
-    break;
-  case JitEventKind::MethodCompiled:
-    snprintf(Buf, sizeof(Buf), " lir=%" PRIu64 " native-bytes=%" PRIu64,
-             E.Arg0, E.Arg1);
-    Out += Buf;
-    break;
-  case JitEventKind::MethodEntered:
-    snprintf(Buf, sizeof(Buf), " hits=%" PRIu64, E.Arg0);
-    Out += Buf;
-    break;
   default:
     break;
   }
@@ -456,16 +438,6 @@ std::string ChromeTraceCollector::renderJson() const {
     case JitEventKind::AnalysisRan:
       Args += numArg("facts", E.Arg0, Args.empty());
       Args += numArg("diagnostics", E.Arg1);
-      break;
-    case JitEventKind::TierPromoted:
-      Args += strArg("reason", abortReasonName(E.Reason), Args.empty());
-      break;
-    case JitEventKind::MethodCompiled:
-      Args += numArg("lir", E.Arg0, Args.empty());
-      Args += numArg("nativeBytes", E.Arg1);
-      break;
-    case JitEventKind::MethodEntered:
-      Args += numArg("hits", E.Arg0, Args.empty());
       break;
     default:
       break;

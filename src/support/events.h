@@ -166,14 +166,6 @@ enum class JitEventKind : uint8_t {
   AnalysisRan,      ///< The static analyzer processed a parsed script
                     ///< (analysis/analysis.h). Arg0 = published fact count,
                     ///< Arg1 = diagnostic count.
-  TierPromoted,     ///< A loop left the trace tier for the method tier
-                    ///< (trace/tier.h). Reason = the abort that triggered
-                    ///< it (None for Method-mode compiles); Arg0 = the
-                    ///< TierChangeReason raw value.
-  MethodCompiled,   ///< A method-tier body finished compiling. Arg0 = LIR
-                    ///< size, Arg1 = native code bytes (0 for executor).
-  MethodEntered,    ///< First entry into a method-tier body after its
-                    ///< publication. Arg0 = loop hit count at entry.
   NumKinds
 };
 
@@ -279,8 +271,6 @@ struct FragmentProfile {
   uint32_t Id = 0;
   uint32_t Generation = 0;      ///< Code-cache generation it was born in.
   bool IsRoot = true;           ///< Root tree trunk vs. branch trace.
-  bool IsMethod = false;        ///< Method-tier body (tier attribution).
-  const char *TierName = "trace"; ///< "trace" or "method"; static string.
   uint32_t ScriptId = ~0u;      ///< Anchor script.
   uint32_t AnchorPc = 0;        ///< Loop header pc (root) / exit pc (branch).
   uint64_t Enters = 0;          ///< Monitor-mediated entries (trampoline).

@@ -51,16 +51,6 @@ std::string VMStats::report() const {
            (unsigned long long)TreeCalls, (unsigned long long)UnstableLinks,
            (unsigned long long)LoopsBlacklisted);
   Out += Buf;
-  if (LoopsPromoted || LoopsDemoted || MethodCompiles || MethodEnters) {
-    snprintf(Buf, sizeof(Buf),
-             "tiers: promoted=%llu demoted=%llu method-compiles=%llu "
-             "method-enters=%llu\n",
-             (unsigned long long)LoopsPromoted,
-             (unsigned long long)LoopsDemoted,
-             (unsigned long long)MethodCompiles,
-             (unsigned long long)MethodEnters);
-    Out += Buf;
-  }
   if (IcHits || IcMisses || IcInvalidations || IcMegamorphicSites ||
       IcRecorderHits || IcRecorderGeneric) {
     snprintf(Buf, sizeof(Buf),

@@ -61,12 +61,6 @@ struct VMStats {
   uint64_t OracleDemotions = 0;
   uint64_t GCs = 0;
 
-  // --- Compilation-tier counters (trace/tier.h) -----------------------------
-  uint64_t LoopsPromoted = 0;  ///< Loops promoted to the method tier.
-  uint64_t LoopsDemoted = 0;   ///< Loops demoted to interpreter-only.
-  uint64_t MethodCompiles = 0; ///< Method-tier bodies published.
-  uint64_t MethodEnters = 0;   ///< Entries into method-tier code.
-
   // --- Property inline caches (vm/ic.h) -------------------------------------
   uint64_t IcHits = 0;             ///< Fast-path hits (CollectStats builds).
   uint64_t IcMisses = 0;           ///< Generic-path falls (CollectStats).
@@ -178,10 +172,6 @@ struct VMStats {
     UnstableLinks += O.UnstableLinks;
     OracleDemotions += O.OracleDemotions;
     GCs += O.GCs;
-    LoopsPromoted += O.LoopsPromoted;
-    LoopsDemoted += O.LoopsDemoted;
-    MethodCompiles += O.MethodCompiles;
-    MethodEnters += O.MethodEnters;
     IcHits += O.IcHits;
     IcMisses += O.IcMisses;
     IcInvalidations += O.IcInvalidations;

@@ -21,7 +21,6 @@
 namespace tracejit {
 
 struct VMContext;
-class Interpreter;
 class Object;
 class String;
 
@@ -45,54 +44,13 @@ void tj_InitProp(VMContext *Ctx, Object *O, String *Name, uint64_t Bits);
 uint64_t tj_GetPropGeneric(Object *O, String *Name);
 int32_t tj_ArrayPushV(VMContext *Ctx, Object *A, uint64_t Bits);
 int32_t tj_TruthyD(double D);
-
-// --- Method-tier helpers (trace/tier.h) -------------------------------------
-//
-// The whole-method compiler lowers every bytecode it cannot inline to one
-// of these. They operate on boxed value words (the method tier keeps
-// everything boxed), mirror the interpreter op bodies bit-for-bit via the
-// MethodOps friend, and follow a uniform error protocol: the helper sets
-// the interpreter pc first (so error positions are exact), and returns
-// ~0ULL -- unproducible as a real Value -- when VMContext::HasError is set.
-// Method code guards the sentinel and deopts at the faulting pc; the
-// dispatch harness checks HasError before executing any op, so the op is
-// never re-run.
-uint64_t tj_MethodBinop(Interpreter *I, uint32_t Pc, int32_t Op, uint64_t A,
-                        uint64_t B);
-uint64_t tj_MethodUnop(Interpreter *I, uint32_t Pc, int32_t Op, uint64_t V);
-int32_t tj_MethodTruthy(uint64_t V);
-uint64_t tj_MethodGetProp(Interpreter *I, uint32_t Pc, int32_t AtomIdx,
-                          uint64_t Base);
-uint64_t tj_MethodSetProp(Interpreter *I, uint32_t Pc, int32_t AtomIdx,
-                          uint64_t Base, uint64_t V);
-uint64_t tj_MethodInitProp(Interpreter *I, uint32_t Pc, int32_t AtomIdx,
-                           uint64_t Base, uint64_t V);
-uint64_t tj_MethodGetElem(Interpreter *I, uint32_t Pc, uint64_t Base,
-                          uint64_t Idx);
-uint64_t tj_MethodSetElem(Interpreter *I, uint32_t Pc, uint64_t Base,
-                          uint64_t Idx, uint64_t V);
-uint64_t tj_MethodNewArray(Interpreter *I, uint32_t Pc, int32_t N,
-                           uint64_t *Elems);
-uint64_t tj_MethodNewObject(Interpreter *I, uint32_t Pc);
-uint64_t tj_MethodCall(Interpreter *I, uint32_t Pc, int32_t ArgC,
-                       uint64_t *Tar, int32_t Sp);
-uint64_t tj_MethodCallProp(Interpreter *I, uint32_t Pc, int32_t AtomIdx,
-                           int32_t ArgC, uint64_t *Tar, int32_t Sp);
 }
-
-/// The sentinel tj_Method* helpers return when an error is pending. The
-/// word has every tag bit set at once, so no boxed Value can equal it.
-constexpr uint64_t MethodErrorSentinel = ~0ULL;
 
 /// CallInfo table for the helpers above plus the typed math natives.
 struct HelperCalls {
   CallInfo ToInt32D, ModI, ModD, BoxDouble, ArraySetV, ArraySetD, ConcatSS,
       EqSS, CharAt, FromCharCode1, NewArray, NewObject, InitProp,
       GetPropGeneric, ArrayPushV, TruthyD;
-  // Method-tier helpers (boxed-word semantics; jit/method_builder.cpp).
-  CallInfo MethodBinop, MethodUnop, MethodTruthy, MethodGetProp,
-      MethodSetProp, MethodInitProp, MethodGetElem, MethodSetElem,
-      MethodNewArray, MethodNewObject, MethodCall, MethodCallProp;
   // Typed math natives (built from the natives.cpp registry signatures).
   CallInfo MathD_D;   ///< prototype for double(double); Addr filled per use
   CallInfo MathD_DD;  ///< prototype for double(double,double)

@@ -10,7 +10,6 @@
 #include "api/engine.h"
 #include "interp/natives.h"
 #include "jit/executor.h"
-#include "jit/method_builder.h"
 #include "lir/opt.h"
 #include "lir/verify.h"
 #include "trace/helpers.h"
@@ -81,8 +80,6 @@ void TraceMonitor::collectFragmentProfiles(
     P.Id = F->Id;
     P.Generation = F->Generation;
     P.IsRoot = F->Kind == FragmentKind::Root;
-    P.IsMethod = F->Kind == FragmentKind::Method;
-    P.TierName = P.IsMethod ? tierName(Tier::Method) : tierName(Tier::Trace);
     P.ScriptId = F->AnchorScript ? F->AnchorScript->Id : ~0u;
     P.AnchorPc = F->AnchorPc;
     P.Enters = F->Enters;
@@ -143,9 +140,6 @@ LoopState *TraceMonitor::loopState(FunctionScript *S, uint16_t LoopId) {
     auto LS = std::make_unique<LoopState>();
     LS->Script = S;
     LS->Loop = &L;
-    LS->Tier.Current = Policy.initialTier();
-    if (LS->Tier.Current == Tier::Method)
-      LS->Tier.LastChange = TierChangeReason::MethodByPolicy;
     L.State = LS.get();
     LoopStates.push_back(std::move(LS));
   }
@@ -220,8 +214,6 @@ bool TraceMonitor::framesMatchLive(const std::vector<FrameEntry> &Entry) const {
 
 static uint64_t unboxForTar(const Value &V, TraceType T) {
   switch (T) {
-  case TraceType::Boxed:
-    return V.bits(); // method tier: the raw tagged word travels as-is
   case TraceType::Int:
     return (uint64_t)(uint32_t)V.toInt();
   case TraceType::Double: {
@@ -245,8 +237,6 @@ static uint64_t unboxForTar(const Value &V, TraceType T) {
 
 static Value boxFromTar(VMContext &Ctx, uint64_t W, TraceType T) {
   switch (T) {
-  case TraceType::Boxed:
-    return Value::fromBits(W);
   case TraceType::Int:
     return Value::makeInt((int32_t)(uint32_t)W);
   case TraceType::Double: {
@@ -346,14 +336,13 @@ bool TraceMonitor::matchAndImport(const Fragment &P, uint64_t *Tar) const {
   return importTar(Want, Tar, /*Match=*/true);
 }
 
-uint64_t *TraceMonitor::entryTar(std::vector<uint8_t> &Local) {
+uint64_t *TraceMonitor::entryTar() {
   // Any fragment reachable from the one entered (branches, peers, nested
   // trees) is installed, so every TAR slot it touches is below MaxTarSlots.
-  std::vector<uint8_t> &TarVec = Ctx.OnTrace ? Local : TarBuffer;
   size_t Bytes = (size_t)(MaxTarSlots + 64) * 8;
-  if (TarVec.size() < Bytes)
-    TarVec.resize(Bytes);
-  return reinterpret_cast<uint64_t *>(TarVec.data());
+  if (TarBuffer.size() < Bytes)
+    TarBuffer.resize(Bytes);
+  return reinterpret_cast<uint64_t *>(TarBuffer.data());
 }
 
 void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar,
@@ -397,7 +386,9 @@ void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar,
 ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,
                                               uint64_t *Tar) {
   bool Stats = Ctx.Opts.CollectStats;
-  bool Reentrant = Ctx.OnTrace;
+  // Traces call only whitelisted natives, never back into the interpreter,
+  // so no fragment can be live here: TarBuffer and the exit state are ours.
+  assert(!Ctx.OnTrace && "fragment entered while another is live");
 
   // Seed the dynamic call-stack area with the live frames' return pcs.
   {
@@ -423,7 +414,7 @@ ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,
   } else {
     E = LirExecutor::run(Frag, reinterpret_cast<uint8_t *>(Tar), &Ctx);
   }
-  Ctx.OnTrace = Reentrant; // restore: an outer fragment may still be live
+  Ctx.OnTrace = false;
   if (Stats)
     Ctx.Stats.switchTo(Activity::ExitOverhead);
 
@@ -465,10 +456,9 @@ ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,
     emitEvent(Ev);
   }
 
-  // Trees that call nested trees, and method bodies, export every global;
-  // so does an exit that did not come from a fragment of Frag's loop.
-  const LoopState *LS = Frag->Kind != FragmentKind::Method && Frag->Loop &&
-                                E->Parent && E->Parent->Loop == Frag->Loop
+  // Trees that call nested trees export every global; so does an exit that
+  // did not come from a fragment of Frag's loop.
+  const LoopState *LS = Frag->Loop && E->Parent && E->Parent->Loop == Frag->Loop
                             ? Frag->Loop->State
                             : nullptr;
   restoreFromExit(E, Tar, LS);
@@ -549,55 +539,17 @@ void TraceMonitor::abortRecording(AbortReason Why, bool CountsTowardBlacklist) {
     return;
   }
 
-  if (LS) {
-    // The policy mutates the failure/backoff counters (identically to the
-    // historical blacklist path, including §4.2 forgiveness) and answers
-    // whether the loop changes tier: trace mode demotes at the failure
-    // cap, hybrid mode promotes to the method compiler instead.
-    TierAction A =
-        Policy.onRootAbort(LS->Tier, CountsTowardBlacklist, LS->HitCount);
-    applyTierAction(LS, A,
-                    A == TierAction::Demote ? TierChangeReason::Blacklisted
-                                            : TierChangeReason::RepeatedAborts);
-  }
+  // The policy updates the failure/backoff counters and answers whether
+  // the loop has hit the §3.3 failure cap.
+  if (LS && Policy.onRootAbort(LS->Tier, CountsTowardBlacklist, LS->HitCount))
+    blacklist(LS);
   if (Ctx.Opts.CollectStats)
     Ctx.Stats.switchTo(Activity::Interpret);
 }
 
-void TraceMonitor::applyTierAction(LoopState *LS, TierAction A,
-                                   TierChangeReason Why) {
-  if (A == TierAction::Promote)
-    promoteToMethod(LS, Why);
-  else if (A == TierAction::Demote)
-    demoteToInterpreter(LS, Why);
-}
-
-void TraceMonitor::promoteToMethod(LoopState *LS, TierChangeReason Why) {
-  if (LS->Tier.Current != Tier::Trace)
-    return;
-  LS->Tier.Current = Tier::Method;
-  LS->Tier.LastChange = Why;
-  ++Ctx.Stats.LoopsPromoted;
-  if (Ctx.EventListener) {
-    JitEvent E;
-    E.Kind = JitEventKind::TierPromoted;
-    E.ScriptId = LS->Script ? LS->Script->Id : ~0u;
-    E.Pc = LS->Loop->HeaderPc;
-    E.Arg0 = (uint32_t)Why;
-    E.Arg1 = LS->Tier.Failures;
-    emitEvent(E);
-  }
-  // Unlike demotion, the header keeps its LoopHeader op: the monitor must
-  // keep seeing this loop to compile and enter the method body.
-}
-
-void TraceMonitor::demoteToInterpreter(LoopState *LS, TierChangeReason Why) {
-  if (LS->Tier.Current == Tier::Interpreter)
-    return;
+void TraceMonitor::blacklist(LoopState *LS) {
   LS->Tier.Current = Tier::Interpreter;
-  LS->Tier.LastChange = Why;
   ++Ctx.Stats.LoopsBlacklisted;
-  ++Ctx.Stats.LoopsDemoted;
   if (Ctx.EventListener) {
     JitEvent E;
     E.Kind = JitEventKind::Blacklisted;
@@ -855,120 +807,6 @@ void TraceMonitor::installCompiledFragment(Fragment *F, LoopState *LS,
     linkUnstableExits(LS, P);
 }
 
-// --- Method tier (trace/tier.h, jit/method_builder.h) ------------------------
-
-void TraceMonitor::requestMethodCompile(LoopState *LS) {
-  bool Stats = Ctx.Opts.CollectStats;
-  if (Stats)
-    Ctx.Stats.switchTo(Activity::Compile);
-  FunctionScript *S = LS->Script;
-  Fragment *F = newFragment(FragmentKind::Method);
-  F->AnchorScript = S;
-  F->AnchorPc = LS->Loop->HeaderPc;
-  F->Loop = LS->Loop;
-  F->Root = F;
-
-  auto Fail = [&]() {
-    F->Body.clear();
-    applyTierAction(LS, Policy.onMethodCompileFailed(LS->Tier),
-                    TierChangeReason::MethodCompileFailed);
-    if (Stats)
-      Ctx.Stats.switchTo(Activity::Interpret);
-  };
-
-  if (!buildMethodBody(Ctx, Interp, S, LS->Loop, F)) {
-    Fail();
-    return;
-  }
-  Ctx.Stats.LirEmitted += F->Body.size();
-
-  if (Ctx.Opts.DumpLIR)
-    fprintf(stderr, "--- fragment %u (method) entry %s\n%s", F->Id,
-            F->EntryTypes.describe().c_str(), formatBody(F->Body).c_str());
-
-  if (Ctx.Opts.VerifyLir) {
-    VerifyError VErr;
-    if (!verifyMethodBody(*F, F->EntryTypes.NumGlobals, VErr, &Ctx.Stats)) {
-      fprintf(stderr, "tracejit: method LIR verification failed: %s\n",
-              VErr.describe().c_str());
-      Fail();
-      return;
-    }
-  }
-
-  if (Native && Queue) {
-    CompileJob J;
-    J.Frag = F;
-    J.Backend = Native.get();
-    J.Ctx = &Ctx;
-    J.Generation = CacheGeneration;
-    J.LS = LS;
-    J.IsRoot = false;
-    J.IsMethod = true;
-    J.AnchorExit = nullptr;
-    J.FragmentId = F->Id;
-    J.ScriptId = S->Id;
-    J.AnchorPc = F->AnchorPc;
-    if (!Queue->trySubmit(J)) {
-      // Backpressure: drop the body, keep the tier. The loop stays in the
-      // method tier and retries at a later edge once the queue drains.
-      F->Body.clear();
-      if (Stats)
-        Ctx.Stats.switchTo(Activity::Interpret);
-      return;
-    }
-    F->CompilePending = true;
-    LS->Tier.MethodCompilePending = true;
-    ++LS->PendingCompiles;
-    ++Ctx.Stats.CompileJobsQueued;
-    if (Ctx.EventListener) {
-      JitEvent E;
-      E.Kind = JitEventKind::CompileJobQueued;
-      E.FragmentId = F->Id;
-      E.ScriptId = S->Id;
-      E.Pc = F->AnchorPc;
-      E.Arg0 = Queue->pendingCount();
-      emitEvent(E);
-    }
-    if (Stats)
-      Ctx.Stats.switchTo(Activity::Interpret);
-    return;
-  }
-
-  if (Native) {
-    CompileResult CR = Native->compile(F, &Ctx);
-    if (CR != CompileResult::Ok) {
-      if (CR == CompileResult::PoolExhausted)
-        FlushPending = true;
-      Fail();
-      return;
-    }
-    if (Ctx.Opts.DumpAssembly)
-      fprintf(stderr, "--- fragment %u native: %u bytes at %p\n", F->Id,
-              F->NativeSize, (void *)F->NativeEntry);
-  }
-
-  installMethodFragment(LS, F);
-  if (Stats)
-    Ctx.Stats.switchTo(Activity::Interpret);
-}
-
-void TraceMonitor::installMethodFragment(LoopState *LS, Fragment *F) {
-  MaxTarSlots = std::max(MaxTarSlots, F->RequiredTarSlots);
-  LS->MethodFrag = F;
-  ++Ctx.Stats.MethodCompiles;
-  if (Ctx.EventListener) {
-    JitEvent E;
-    E.Kind = JitEventKind::MethodCompiled;
-    E.FragmentId = F->Id;
-    E.ScriptId = F->AnchorScript ? F->AnchorScript->Id : ~0u;
-    E.Pc = F->AnchorPc;
-    E.Arg0 = F->LirRecorded;
-    E.Arg1 = F->NativeSize;
-    emitEvent(E);
-  }
-}
-
 // --- Off-thread compile publication ------------------------------------------
 
 void TraceMonitor::drainCompileJobs() {
@@ -976,8 +814,8 @@ void TraceMonitor::drainCompileJobs() {
     return;
   // Safe-point discipline: publication mutates LoopStates, patches code,
   // and may blacklist a loop (rewriting its header bytecode) -- none of
-  // which may happen under an active recorder or a trace on the stack.
-  if (Recorder || Ctx.OnTrace)
+  // which may happen under an active recorder.
+  if (Recorder)
     return;
   std::vector<CompileJob> Done;
   Queue->drainCompleted(Done);
@@ -1012,8 +850,6 @@ void TraceMonitor::publishJob(CompileJob &J) {
     J.AnchorExit->CompilePending = false;
   if (LS->PendingCompiles > 0)
     --LS->PendingCompiles;
-  if (J.IsMethod)
-    LS->Tier.MethodCompilePending = false;
 
   if (J.Result != CompileResult::Ok) {
     // The worker-side compile failed. Replicate the bookkeeping the inline
@@ -1036,18 +872,11 @@ void TraceMonitor::publishJob(CompileJob &J) {
     }
     if (J.Result == CompileResult::PoolExhausted)
       FlushPending = true;
-    if (J.IsMethod) {
-      applyTierAction(LS, Policy.onMethodCompileFailed(LS->Tier),
-                      TierChangeReason::MethodCompileFailed);
-    } else if (!J.IsRoot) {
+    if (!J.IsRoot) {
       if (J.AnchorExit)
         ++J.AnchorExit->FailedRecordings;
-    } else {
-      TierAction A = Policy.onRootAbort(LS->Tier, true, LS->HitCount);
-      applyTierAction(LS, A,
-                      A == TierAction::Demote
-                          ? TierChangeReason::Blacklisted
-                          : TierChangeReason::RepeatedAborts);
+    } else if (Policy.onRootAbort(LS->Tier, true, LS->HitCount)) {
+      blacklist(LS);
     }
     return;
   }
@@ -1056,10 +885,7 @@ void TraceMonitor::publishJob(CompileJob &J) {
   if (Ctx.Opts.DumpAssembly)
     fprintf(stderr, "--- fragment %u native: %u bytes at %p\n", F->Id,
             F->NativeSize, (void *)F->NativeEntry);
-  if (J.IsMethod)
-    installMethodFragment(LS, F);
-  else
-    installCompiledFragment(F, LS, J.IsRoot ? nullptr : J.AnchorExit);
+  installCompiledFragment(F, LS, J.IsRoot ? nullptr : J.AnchorExit);
 }
 
 void TraceMonitor::waitCompileQueueIdle() {
@@ -1166,11 +992,6 @@ void TraceMonitor::flushCacheNow() {
     LS->HitCount = 0;
     LS->Tier.BackoffUntil = 0;
     LS->Tier.Failures = 0;
-    // Method bodies die with their generation like every fragment; the
-    // loop stays in its tier (mirroring how demotion survives flushes)
-    // and recompiles once it re-heats past MethodJitThreshold.
-    LS->MethodFrag = nullptr;
-    LS->Tier.MethodCompilePending = false;
     LS->PendingCompiles = 0; // in-flight jobs are stale as of this flush
   }
   RecorderAnchorExit = nullptr;
@@ -1263,23 +1084,13 @@ uint32_t TraceMonitor::handleInnerLoopHeader(uint32_t Pc, uint16_t LoopId) {
     }
   }
   if (!Inner) {
-    // Hybrid: an inner loop that already lives in the method tier will
-    // never grow a trace tree, so the outer recording would abort here at
-    // every iteration forever. Promote the outer loop too -- the method
-    // compiler handles the nesting by construction (calls and inner loops
-    // are just bytecode in the body).
-    LoopState *Outer = RecorderLoopState;
     abortRecording(AbortReason::InnerTreeNotReady, false);
-    if (Outer && InnerLS->Tier.Current == Tier::Method)
-      applyTierAction(Outer, Policy.onBranchOverflow(Outer->Tier),
-                      TierChangeReason::MethodByPolicy);
     return Pc;
   }
   Recorder->coerceTo(Inner->EntryTypes);
 
   size_t DepthBefore = Interp.frames().size();
-  std::vector<uint8_t> LocalTar;
-  uint64_t *Tar = entryTar(LocalTar);
+  uint64_t *Tar = entryTar();
   importTar(Inner->EntryTypes, Tar, /*Match=*/false);
   ExitDescriptor *E = executeFragment(Inner, Tar);
 
@@ -1290,8 +1101,7 @@ uint32_t TraceMonitor::handleInnerLoopHeader(uint32_t Pc, uint16_t LoopId) {
 
   if (E->Kind == ExitKind::Preempt) {
     abortRecording(AbortReason::PreemptedInInnerCall, false);
-    if (!Ctx.OnTrace) // see handleExit: never service under a live trace
-      Ctx.serviceInterrupts();
+    Ctx.serviceInterrupts();
     return E->Pc;
   }
   if (!LeftInnerLoop) {
@@ -1310,12 +1120,7 @@ uint32_t TraceMonitor::handleInnerLoopHeader(uint32_t Pc, uint16_t LoopId) {
 
 void TraceMonitor::handleExit(ExitDescriptor *E) {
   if (E->Kind == ExitKind::Preempt) {
-    // Re-entrant case (an outer method-tier fragment is suspended on the
-    // native stack under a helper call): servicing now could flush or
-    // collect under it. Leave the flag raised; the outer fragment's own
-    // preempt guard delivers the interrupt at its next loop edge.
-    if (!Ctx.OnTrace)
-      Ctx.serviceInterrupts();
+    Ctx.serviceInterrupts();
     return;
   }
   // Grow the tree at hot side exits (§3.2 "Extending a tree"): only
@@ -1341,12 +1146,8 @@ void TraceMonitor::handleExit(ExitDescriptor *E) {
     return;
   if (E->FailedRecordings >= Ctx.Opts.MaxRecordingFailures) {
     // Branch overflow: this exit will never get a compiled continuation.
-    // Trace mode blocks just the exit and keeps the tree; hybrid mode
-    // treats it as evidence the loop is trace-hostile and promotes.
+    // Block just the exit and keep the tree.
     E->RecordingBlocked = true;
-    if (LoopState *LS = loopStateOfRoot(Root))
-      applyTierAction(LS, Policy.onBranchOverflow(LS->Tier),
-                      TierChangeReason::BranchOverflow);
     return;
   }
   if (Recorder)
@@ -1370,7 +1171,7 @@ Tier TraceMonitor::tierOfLoop(uint32_t ScriptId, uint16_t LoopId) const {
         LoopId < LS->Script->Loops.size() &&
         LS->Loop == &LS->Script->Loops[LoopId])
       return LS->Tier.Current;
-  return Policy.initialTier();
+  return Tier::Trace;
 }
 
 uint32_t TraceMonitor::onLoopEdge(uint32_t Pc, uint16_t LoopId) {
@@ -1412,7 +1213,7 @@ uint32_t TraceMonitor::onLoopEdge(uint32_t Pc, uint16_t LoopId) {
   // A flush requested at an unsafe point (trace on the native stack,
   // recorder active, or mid-compile pool exhaustion) runs here, before any
   // retired fragment could be re-entered.
-  if (FlushPending && !Recorder && !Ctx.OnTrace)
+  if (FlushPending && !Recorder)
     flushCacheNow();
   // Publish finished off-thread compiles before peer matching so a tree
   // that just left the compiler can be entered this very iteration.
@@ -1426,14 +1227,11 @@ uint32_t TraceMonitor::onLoopEdge(uint32_t Pc, uint16_t LoopId) {
   LoopState *LS = loopState(S, LoopId);
 
   // --- Execute a matching compiled tree -------------------------------------------
-  // Trace tier only: a promoted loop abandons its trees -- they are the
-  // trace-hostile code the promotion is escaping, and entering them would
-  // freeze the hit counter below the method-jit threshold. The peer
-  // fragments stay alive for stitched branches and nested TreeCalls from
-  // outer traces.
+  // A loop blacklisted just now (an abort above hit the §3.3 cap) keeps its
+  // trees alive for stitched branches and nested TreeCalls, but is not
+  // entered from here again.
   if (LS->Tier.Current == Tier::Trace && !Recorder && !LS->Peers.empty()) {
-    std::vector<uint8_t> LocalTar;
-    uint64_t *Tar = entryTar(LocalTar);
+    uint64_t *Tar = entryTar();
     for (Fragment *P : LS->Peers) {
       // Entry-deopt backoff: a peer whose prologue keeps deopting is
       // skipped until the loop has hit the header a bit more (UINT32_MAX =
@@ -1448,39 +1246,6 @@ uint32_t TraceMonitor::onLoopEdge(uint32_t Pc, uint16_t LoopId) {
                                       : Activity::Interpret);
         return Interp.currentPc();
       }
-    }
-  }
-
-  // --- Execute the method-tier body ----------------------------------------------
-  // Mutually exclusive with the peer block above (Tier::Method there,
-  // MethodFrag only under Tier::Method here). No type map to match --
-  // everything is boxed -- but the frame chain and operand depth must
-  // equal the entry shape (only the first frame-chain shape seen gets
-  // method code).
-  if (LS->MethodFrag && !Recorder) {
-    Fragment *M = LS->MethodFrag;
-    if (!M->Body.empty() &&
-        Interp.stackTop() + M->EntryTypes.NumGlobals ==
-            M->EntryTypes.Types.size() &&
-        framesMatchLive(M->EntryFrames)) {
-      if (Ctx.EventListener && M->Enters == 0) {
-        JitEvent Ev;
-        Ev.Kind = JitEventKind::MethodEntered;
-        Ev.FragmentId = M->Id;
-        Ev.ScriptId = S->Id;
-        Ev.Pc = Pc;
-        Ev.Arg0 = LS->HitCount;
-        emitEvent(Ev);
-      }
-      ++Ctx.Stats.MethodEnters;
-      std::vector<uint8_t> LocalTar;
-      uint64_t *Tar = entryTar(LocalTar);
-      importTar(M->EntryTypes, Tar, /*Match=*/false);
-      ExitDescriptor *E = executeFragment(M, Tar);
-      handleExit(E);
-      if (Stats)
-        Ctx.Stats.switchTo(Activity::Interpret);
-      return Interp.currentPc();
     }
   }
 
@@ -1502,15 +1267,6 @@ uint32_t TraceMonitor::onLoopEdge(uint32_t Pc, uint16_t LoopId) {
     E.Pc = Pc;
     E.Arg0 = LS->HitCount;
     emitEvent(E);
-  }
-
-  // Method-tier loop without a compiled body yet: build one once it is
-  // hot enough. (Compilation may be asynchronous; the loop interprets
-  // until the job publishes.)
-  if (Policy.shouldMethodCompile(LS->Tier, LS->HitCount,
-                                 LS->MethodFrag != nullptr)) {
-    requestMethodCompile(LS);
-    return NextPc;
   }
 
   if (LS->Tier.Current != Tier::Trace ||

@@ -27,8 +27,8 @@
 
 namespace tracejit {
 
-/// Per-loop-header monitor state: hotness counter, tier state (trace/
-/// tier.h; subsumes the old §3.3 blacklist), and the compiled trees for
+/// Per-loop-header monitor state: hotness counter, §3.3 blacklist state
+/// (trace/tier.h), and the compiled trees for
 /// this header (one per entry type map -- "there may be several trees for
 /// a given loop header", §3.2).
 struct LoopState {
@@ -36,11 +36,8 @@ struct LoopState {
   LoopRecord *Loop = nullptr;
   uint32_t HitCount = 0;
   /// Which tier this loop runs in plus the recording failure/backoff
-  /// counters (Tier::Interpreter is the old Blacklisted).
+  /// counters (Tier::Interpreter = blacklisted).
   TierState Tier;
-  /// Compiled method-tier body (Tier::Method only; survives as long as
-  /// its cache generation).
-  Fragment *MethodFrag = nullptr;
   std::vector<Fragment *> Peers; ///< Compiled root fragments (trees).
   /// Type-unstable loop tails waiting for a complementary peer (Fig. 6).
   std::vector<ExitDescriptor *> UnstableExits;
@@ -125,7 +122,7 @@ public:
   void collectFragmentProfiles(std::vector<FragmentProfile> &Out) const;
 
   /// Compilation tier of loop \p LoopId of the script with id \p ScriptId.
-  /// Loops the monitor has never seen report the engine's initial tier.
+  /// Loops the monitor has never seen report Tier::Trace.
   Tier tierOfLoop(uint32_t ScriptId, uint16_t LoopId) const;
 
   // --- Code-cache lifecycle --------------------------------------------------
@@ -220,10 +217,9 @@ private:
   /// \p Match, stop at the first slot whose entry type differs (false).
   bool importTar(const TypeMap &Types, uint64_t *Tar, bool Match) const;
 
-  /// The TAR for the next fragment execution, sized for every installed
-  /// fragment: TarBuffer, or \p Local on a re-entrant execution (see
-  /// TarBuffer).
-  uint64_t *entryTar(std::vector<uint8_t> &Local);
+  /// The TAR for the next fragment execution (TarBuffer), sized for every
+  /// installed fragment.
+  uint64_t *entryTar();
 
   /// Rebox the TAR at \p Tar into interpreter state per the descriptor:
   /// the whole stack, and the globals \p LS stores to (every global when
@@ -280,20 +276,9 @@ private:
   /// Nested trees (§4.1): recorder hit an inner loop header.
   uint32_t handleInnerLoopHeader(uint32_t Pc, uint16_t LoopId);
 
-  // --- Tier transitions (trace/tier.h) --------------------------------------
-
-  /// Apply a TierPolicy verdict: Promote moves the loop to the method
-  /// tier (TierPromoted event), Demote retires it to the interpreter --
-  /// the classic blacklist: Blacklisted event plus the §3.3 Nop3 patch.
-  void applyTierAction(LoopState *LS, TierAction A, TierChangeReason Why);
-  void promoteToMethod(LoopState *LS, TierChangeReason Why);
-  void demoteToInterpreter(LoopState *LS, TierChangeReason Why);
-
-  /// Build, verify, and compile a method-tier body for \p LS (inline or
-  /// via an IsMethod compile job). Failures demote the loop.
-  void requestMethodCompile(LoopState *LS);
-  /// Publication side: wire a compiled method body into its loop.
-  void installMethodFragment(LoopState *LS, Fragment *F);
+  /// §3.3: retire \p LS to the interpreter for good -- Blacklisted event
+  /// plus the Nop3 patch of its loop header.
+  void blacklist(LoopState *LS);
 
   LoopState *loopStateOfRoot(Fragment *Root);
 
@@ -328,16 +313,13 @@ private:
   /// Branch recordings: the side exit being extended (stitched on finish).
   ExitDescriptor *RecorderAnchorExit = nullptr;
   Oracle TheOracle;
-  /// The tier decision function (pure; built once from EngineOptions).
+  /// The §3.3 backoff/blacklist rule (pure; built once from EngineOptions).
   TierPolicy Policy;
   std::unordered_map<NativeFn, std::unique_ptr<CallInfo>> MathCIs;
-  /// Top-level TAR. Re-entrant fragment executions (a method-tier helper
-  /// ran a nested call whose dispatch hit another compiled loop) use a
-  /// stack-local buffer instead: resizing this one would move it out from
-  /// under the suspended outer fragment.
+  /// The TAR every fragment execution uses (one fragment is live at a time).
   std::vector<uint8_t> TarBuffer;
   /// Largest RequiredTarSlots of any fragment installed in this cache
-  /// generation (traces and method bodies): every fragment a TAR can reach
+  /// generation: every fragment a TAR can reach
   /// fits below it. Raised at install, reset by a flush.
   uint32_t MaxTarSlots = MinTarSlots;
   static constexpr uint32_t MinTarSlots = 64;

@@ -41,10 +41,6 @@ enum class TraceType : uint8_t {
   Boolean,   ///< int32 0/1
   Null,      ///< no payload
   Undefined, ///< no payload
-  /// Method-tier slots: the raw boxed Value word, untouched. A map of all
-  /// Boxed slots never equals any trace-recorded map, so method fragments
-  /// can never be linked or peer-matched against typed traces.
-  Boxed,
 };
 
 const char *traceTypeName(TraceType T);

@@ -26,9 +26,6 @@ EngineOptions jitOpts() {
   O.EnableJit = true;
   O.CollectStats = true;
   O.VerifyLir = true;
-  // Guard-elision counters are a trace-recording stat; keep these tests
-  // on the trace tier under a TRACEJIT_TIER=method CI run.
-  O.Tier = TierMode::Trace;
   return O;
 }
 

@@ -54,7 +54,6 @@ std::string churnWorkload(int Loops, int Iters) {
 /// Ground truth for a workload: what the pure interpreter computes.
 double interpretedResult(const std::string &Src) {
   EngineOptions O;
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = false;
   Engine E(O);
   auto R = E.eval(Src);
@@ -162,7 +161,6 @@ TEST(CacheLifecycle, TinyCacheFlushesAndMatchesInterpreter) {
 
   EngineOptions O;
 
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   O.CollectStats = true;
   O.CodeCacheBytes = 4096;   // one page: a handful of fragments at most
@@ -199,7 +197,6 @@ TEST(CacheLifecycle, TinyCacheFlushesAndMatchesInterpreter) {
 
 TEST(CacheLifecycle, CommittedBytesMatchFragmentSizes) {
   EngineOptions O;
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   Engine E(O);
   size_t StubBytes = E.codeCacheUsed(); // floor: the runtime stubs
@@ -225,7 +222,6 @@ TEST(CacheLifecycle, CommittedBytesMatchFragmentSizes) {
 
 TEST(CacheLifecycle, HostFlushRetiresAndRecompiles) {
   EngineOptions O;
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   O.CollectStats = true;
   Engine E(O);
@@ -249,7 +245,6 @@ TEST(CacheLifecycle, HostFlushRetiresAndRecompiles) {
 
 TEST(CacheLifecycle, FlushDefersWhileTraceOnNativeStack) {
   EngineOptions O;
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   Engine E(O);
   ASSERT_TRUE(E.eval(churnWorkload(2, 60)).ok());
@@ -277,7 +272,6 @@ TEST(FaultInjection, ExecMapFailFallsBackToExecutor) {
 
   EngineOptions O;
 
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   O.CollectStats = true;
   O.CaptureTraceEvents = true; // built-in listener sees construction events
@@ -321,7 +315,6 @@ TEST(FaultInjection, AllocFailFlushesThenTripsKillSwitch) {
   // exhaustion forces a flush, and MaxCacheFlushes=2 trips the kill switch.
   auto Allocs = std::make_shared<int>(0);
   EngineOptions O;
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   O.CollectStats = true;
   O.MaxCacheFlushes = 2;
@@ -360,7 +353,6 @@ TEST(FaultInjection, ProtectFailFallsBackToExecutorPerRun) {
 
   EngineOptions O;
 
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   O.CollectStats = true;
   // The pool starts RW, so compiles succeed; only the RX flip before
@@ -385,7 +377,6 @@ TEST(FaultInjection, CompileFailAbortsIntoBlacklistBackoff) {
 
   EngineOptions O;
 
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   O.CollectStats = true;
   O.FaultInjector = [](FaultSite S) { return S == FaultSite::CompileFail; };

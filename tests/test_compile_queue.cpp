@@ -56,7 +56,6 @@ std::string churnWorkload(int Loops, int Iters) {
 
 double interpretedResult(const std::string &Src) {
   EngineOptions O;
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = false;
   Engine E(O);
   auto R = E.eval(Src);
@@ -184,7 +183,6 @@ TEST(OffThreadCompile, CompilesOffThreadAndMatchesInterpreter) {
 
   EngineOptions O;
 
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   O.CollectStats = true;
   O.OffThreadCompile = true;
@@ -224,7 +222,6 @@ TEST(OffThreadCompile, BackpressureDegradesToInterpreterWithBackoff) {
 
   EngineOptions O;
 
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   O.CollectStats = true;
   O.OffThreadCompile = true;
@@ -260,7 +257,6 @@ TEST(OffThreadCompile, PublishAfterFlushIsDroppedByGeneration) {
 
   EngineOptions O;
 
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.EnableJit = true;
   O.CollectStats = true;
   O.OffThreadCompile = true;
@@ -309,7 +305,6 @@ TEST(OffThreadCompile, EngineDestructionWithJobsInFlightIsClean) {
   Svc.setPausedForTest(true);
   {
     EngineOptions O;
-    O.Tier = TierMode::Trace; // asserts trace-pipeline internals
     O.EnableJit = true;
     O.OffThreadCompile = true;
     O.SharedCompileService = &Svc;
@@ -322,7 +317,6 @@ TEST(OffThreadCompile, EngineDestructionWithJobsInFlightIsClean) {
   // Engine-owned service: destruction joins the worker thread.
   {
     EngineOptions O;
-    O.Tier = TierMode::Trace; // asserts trace-pipeline internals
     O.EnableJit = true;
     O.OffThreadCompile = true;
     Engine E(O);
@@ -380,7 +374,6 @@ TEST(OffThreadCompile, OffByDefaultKeepsPipelineInert) {
 
 TEST(OffThreadCompile, FlagsParseThroughApplyFlag) {
   EngineOptions O;
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   EXPECT_TRUE(O.applyFlag("--off-thread-compile"));
   EXPECT_TRUE(O.OffThreadCompile);
   EXPECT_TRUE(O.applyFlag("--no-off-thread-compile"));

@@ -31,7 +31,6 @@ namespace {
 EngineOptions opts(bool Jit) {
   EngineOptions O;
   O.EnableJit = Jit;
-  O.Tier = TierMode::Trace; // the export tests assert trace-tier behavior
   O.CollectStats = true;
   return O;
 }

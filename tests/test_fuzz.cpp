@@ -124,12 +124,10 @@ std::string generateProgram(uint64_t Seed) {
   return P;
 }
 
-std::string runOn(const std::string &Src, bool Jit, Backend B,
-                  TierMode T = TierMode::Trace) {
+std::string runOn(const std::string &Src, bool Jit, Backend B) {
   EngineOptions O;
   O.EnableJit = Jit;
   O.JitBackend = B;
-  O.Tier = T;
   // The fuzzer is exactly where malformed LIR would surface: run every
   // JIT configuration with the verifier on and require silence.
   O.VerifyLir = true;
@@ -156,15 +154,6 @@ TEST_P(FuzzDifferential, InterpreterAndJitAgree) {
   std::string X = runOn(Src, true, Backend::Executor);
   EXPECT_EQ(I, N) << "seed " << Seed << "\nprogram:\n" << Src;
   EXPECT_EQ(I, X) << "seed " << Seed << "\nprogram:\n" << Src;
-  // Tier legs: the same program must survive promotion (hybrid) and a
-  // method-only pipeline, on both backends.
-  std::string H = runOn(Src, true, Backend::Native, TierMode::Hybrid);
-  std::string M = runOn(Src, true, Backend::Native, TierMode::Method);
-  std::string XM = runOn(Src, true, Backend::Executor, TierMode::Method);
-  EXPECT_EQ(I, H) << "hybrid, seed " << Seed << "\nprogram:\n" << Src;
-  EXPECT_EQ(I, M) << "method, seed " << Seed << "\nprogram:\n" << Src;
-  EXPECT_EQ(I, XM) << "method/executor, seed " << Seed << "\nprogram:\n"
-                   << Src;
 }
 
 // The abstract interpreter's published facts must never contradict what

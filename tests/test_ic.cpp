@@ -51,7 +51,6 @@ EngineOptions jitIc() {
   EngineOptions O;
   O.EnableJit = true;
   O.EnableIC = true;
-  O.Tier = TierMode::Trace; // IC/trace interplay assertions
   return O;
 }
 

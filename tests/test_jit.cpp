@@ -41,9 +41,6 @@ EngineOptions nativeOpts() {
   O.EnableJit = true;
   O.JitBackend = Backend::Native;
   O.CollectStats = true;
-  // diff3Traced asserts TracesCompleted/TraceEnters: pin the tier so a
-  // TRACEJIT_TIER=method CI run cannot reroute the loops to method code.
-  O.Tier = TierMode::Trace;
   return O;
 }
 
@@ -52,7 +49,6 @@ EngineOptions executorOpts() {
   O.EnableJit = true;
   O.JitBackend = Backend::Executor;
   O.CollectStats = true;
-  O.Tier = TierMode::Trace;
   return O;
 }
 

@@ -41,7 +41,6 @@ struct CollectingListener final : JitEventListener {
 EngineOptions jitOpts() {
   EngineOptions O;
   O.EnableJit = true;
-  O.Tier = TierMode::Trace; // event assertions pin the trace pipeline
   return O;
 }
 

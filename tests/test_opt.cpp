@@ -576,7 +576,6 @@ TEST(OptEndToEnd, LoopPassesFireOnLoopCode) {
                     "for (var i = 0; i < 5000; ++i) s += o.scale * i + o.bias;\n"
                     "print(s);";
   EngineOptions O;
-  O.Tier = TierMode::Trace; // the loop optimizer runs on trace bodies only
   RunInfo R = runWith(Src, O);
   ASSERT_TRUE(R.Ok);
   EXPECT_GT(R.Stats.GuardsEliminated, 0u);

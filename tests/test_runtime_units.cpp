@@ -156,7 +156,6 @@ TEST(Stats, ReportContainsFigureCounters) {
   EngineOptions O;
   O.EnableJit = true;
   O.CollectStats = true;
-  O.Tier = TierMode::Trace; // asserts the Figure 11 trace counters
   Engine E(O);
   E.setPrintHook([](const std::string &) {});
   ASSERT_TRUE(E.eval("var s = 0; for (var i = 0; i < 500; ++i) s += i;").ok());

@@ -1,10 +1,10 @@
-//===- test_tier.cpp - Compilation-tier policy and method-tier pipeline --------===//
+//===- test_tier.cpp - §3.3 blacklisting and the trace tier end to end -------===//
 //
-// The TierPolicy state machine (trace/tier.h) and the hybrid method-
-// compilation tier end to end: promotion of trace-hostile loops, the
-// method-only pipeline, bit-for-bit preservation of the trace-only
-// pipeline, cache-flush survival, interrupt delivery inside method code,
-// and the stitched re-entry behavior of optimized trace roots.
+// The TierPolicy backoff/blacklist rule (trace/tier.h) and the trace tier
+// end to end: blacklisting of trace-hostile loops, branch overflow that
+// blocks one exit but keeps the tree, a blacklist surviving a cache flush,
+// run-to-run determinism, a performance floor on the trace-hostile
+// kernels, and the stitched re-entry behavior of optimized trace roots.
 //
 // Every suite here is named `Tier` so the TSan CI leg can sweep it with
 // --gtest_filter='Tier.*'.
@@ -29,12 +29,6 @@ struct CollectingListener final : JitEventListener {
   std::vector<JitEvent> Events;
   void onEvent(const JitEvent &E) override { Events.push_back(E); }
 
-  int64_t firstIndexOf(JitEventKind K) const {
-    for (size_t I = 0; I < Events.size(); ++I)
-      if (Events[I].Kind == K)
-        return (int64_t)I;
-    return -1;
-  }
   uint64_t count(JitEventKind K) const {
     uint64_t N = 0;
     for (const JitEvent &E : Events)
@@ -45,7 +39,7 @@ struct CollectingListener final : JitEventListener {
 
 // Megamorphic dispatch: eight shapes flow through one property site inside
 // the hot loop. The recorder calls the generic lookup at the megamorphic
-// site, so the loop stays on trace in every mode.
+// site, so the loop stays on trace.
 std::string megamorphicKernel(int Iters) {
   return R"js(
 var objs = [];
@@ -104,8 +98,7 @@ print(t);
 }
 
 // A call chain deeper than MaxInlineDepth: every root recording aborts at
-// the inline limit, so hybrid mode promotes the loop after
-// MaxRecordingFailures (repeated-aborts path).
+// the inline limit, so the loop is blacklisted after MaxRecordingFailures.
 std::string deepCallKernel(int Iters) {
   return R"js(
 function fA(x) { return x + 1; }
@@ -128,7 +121,7 @@ print(t);
 // One arm of a branch calls a recursive function. The root trace records
 // the common arm; every recording from the rare arm's side exit aborts
 // with RecursiveCall until the exit overflows its recording budget, and
-// hybrid mode then promotes the loop (branch-overflow path).
+// then only that exit stops recording (branch-overflow path).
 std::string recursiveArmKernel(int Iters) {
   return R"js(
 function depth(n) { if (n == 0) return 0; return 1 + depth(n - 1); }
@@ -141,17 +134,6 @@ print(t);
 )js";
 }
 
-/// Effectively infinite: only a governor can end it.
-const char *InfiniteLoop = "var t = 0; for (var i = 0; i < 1e18; ++i) t += 1;";
-
-/// Allocates strings without bound (same bomb as test_governance.cpp).
-const char *AllocBomb = "function bomb() {\n"
-                        "  var a = [];\n"
-                        "  for (var i = 0; i < 100000000; ++i) a[i] = \"x\" + i;\n"
-                        "  return a;\n"
-                        "}\n"
-                        "bomb();";
-
 struct TierRun {
   std::string Out;
   VMStats Stats;
@@ -159,10 +141,9 @@ struct TierRun {
   std::string Err;
 };
 
-TierRun runTier(const std::string &Src, TierMode T, bool Jit = true) {
+TierRun runTier(const std::string &Src, bool Jit = true) {
   EngineOptions O;
   O.EnableJit = Jit;
-  O.Tier = T;
   // Megamorphic verdicts come from IC feedback; opt in even where the
   // build defaults ICs off (the CI fallback leg).
   O.EnableIC = true;
@@ -179,7 +160,7 @@ TierRun runTier(const std::string &Src, TierMode T, bool Jit = true) {
 }
 
 std::string interpOutput(const std::string &Src) {
-  return runTier(Src, TierMode::Trace, /*Jit=*/false).Out;
+  return runTier(Src, /*Jit=*/false).Out;
 }
 
 /// Count loops across every script of \p E currently in \p T.
@@ -196,87 +177,45 @@ uint32_t loopsInTier(Engine &E, Tier T) {
 
 // --- TierPolicy unit tests -----------------------------------------------------
 
-TEST(Tier, PolicyInitialTierFollowsMode) {
+TEST(Tier, PolicyRepeatedAbortsBackOffThenBlacklist) {
   EngineOptions O;
-  O.Tier = TierMode::Trace;
-  EXPECT_EQ(TierPolicy(O).initialTier(), Tier::Trace);
-  O.Tier = TierMode::Hybrid;
-  EXPECT_EQ(TierPolicy(O).initialTier(), Tier::Trace);
-  O.Tier = TierMode::Method;
-  EXPECT_EQ(TierPolicy(O).initialTier(), Tier::Method);
-  EXPECT_FALSE(TierPolicy(O).tracingEnabled());
-}
-
-TEST(Tier, PolicyRepeatedAbortsPromoteInHybridDemoteInTrace) {
-  EngineOptions O;
-  O.Tier = TierMode::Hybrid;
+  ASSERT_EQ(O.MaxRecordingFailures, 2u);
   TierPolicy P(O);
   TierState S;
-  TierAction Last = TierAction::Stay;
-  for (uint32_t K = 0; K < O.MaxRecordingFailures; ++K)
-    Last = P.onRootAbort(S, /*Counts=*/true, 10 + K);
-  EXPECT_EQ(Last, TierAction::Promote);
-
-  // Trace mode never promotes; it backs off and demotes at the cap.
-  ASSERT_EQ(O.MaxRecordingFailures, 2u);
-  O.Tier = TierMode::Trace;
-  TierPolicy PT(O);
-  TierState ST;
-  EXPECT_EQ(PT.onRootAbort(ST, /*Counts=*/true, 10), TierAction::Stay);
-  EXPECT_EQ(ST.Failures, 1u);
-  EXPECT_EQ(ST.BackoffUntil, 10u + O.BlacklistBackoff);
-  EXPECT_EQ(PT.onRootAbort(ST, /*Counts=*/true, 50), TierAction::Demote);
+  EXPECT_FALSE(P.onRootAbort(S, /*Counts=*/true, 10));
+  EXPECT_EQ(S.Failures, 1u);
+  EXPECT_EQ(S.BackoffUntil, 10u + O.BlacklistBackoff);
+  EXPECT_TRUE(P.onRootAbort(S, /*Counts=*/true, 50)) << "the failure cap";
 
   // Forgiven aborts back off briefly but never accumulate failures.
   TierState SF;
-  EXPECT_EQ(P.onRootAbort(SF, /*Counts=*/false, 7), TierAction::Stay);
+  EXPECT_FALSE(P.onRootAbort(SF, /*Counts=*/false, 7));
   EXPECT_EQ(SF.Failures, 0u);
   EXPECT_EQ(SF.BackoffUntil, 11u);
+
+  // A blacklisted loop is out of the policy's hands.
+  TierState SB;
+  SB.Current = Tier::Interpreter;
+  EXPECT_FALSE(P.onRootAbort(SB, /*Counts=*/true, 10));
+  EXPECT_EQ(SB.Failures, 0u);
+
+  // The §3.3 ablation: with blacklisting off the loop never leaves the
+  // trace tier.
+  O.EnableBlacklisting = false;
+  TierPolicy PO(O);
+  TierState SO;
+  for (uint32_t K = 0; K < 2 * O.MaxRecordingFailures; ++K)
+    EXPECT_FALSE(PO.onRootAbort(SO, /*Counts=*/true, 10 + K));
 }
 
-TEST(Tier, PolicyBranchOverflowAndCompileFailure) {
-  EngineOptions O;
-  O.Tier = TierMode::Hybrid;
-  TierPolicy P(O);
-  TierState S;
-  EXPECT_EQ(P.onBranchOverflow(S), TierAction::Promote);
-  S.Current = Tier::Method;
-  EXPECT_EQ(P.onBranchOverflow(S), TierAction::Stay);
-  EXPECT_EQ(P.onMethodCompileFailed(S), TierAction::Demote);
+// --- Blacklisting end to end ---------------------------------------------------
 
-  O.Tier = TierMode::Trace;
-  TierPolicy PT(O);
-  TierState ST;
-  EXPECT_EQ(PT.onBranchOverflow(ST), TierAction::Stay)
-      << "trace mode keeps the historical block-the-exit behavior";
-}
-
-TEST(Tier, PolicyMethodCompileGate) {
-  EngineOptions O;
-  O.Tier = TierMode::Method;
-  O.MethodJitThreshold = 8;
-  TierPolicy P(O);
-  TierState S;
-  S.Current = Tier::Method;
-  EXPECT_FALSE(P.shouldMethodCompile(S, 7, false));
-  EXPECT_TRUE(P.shouldMethodCompile(S, 8, false));
-  EXPECT_FALSE(P.shouldMethodCompile(S, 8, true)) << "already has a body";
-  S.MethodCompilePending = true;
-  EXPECT_FALSE(P.shouldMethodCompile(S, 8, false)) << "job in flight";
-  S.MethodCompilePending = false;
-  S.Current = Tier::Trace;
-  EXPECT_FALSE(P.shouldMethodCompile(S, 100, false));
-}
-
-// --- Hybrid promotion end to end -----------------------------------------------
-
-TEST(Tier, DeepCallLoopPromotesCompilesAndEnters) {
+TEST(Tier, DeepCallLoopIsBlacklisted) {
   std::string Src = deepCallKernel(50000);
   std::string Want = interpOutput(Src);
 
   EngineOptions O;
   O.EnableJit = true;
-  O.Tier = TierMode::Hybrid;
   O.CollectStats = true;
   Engine E(O);
   CollectingListener L;
@@ -284,104 +223,56 @@ TEST(Tier, DeepCallLoopPromotesCompilesAndEnters) {
   std::string Out;
   E.setPrintHook([&](const std::string &S) { Out += S; });
   ASSERT_TRUE(E.eval(Src).ok());
+  E.removeEventListener(&L);
   EXPECT_EQ(Out, Want);
 
   VMStats S = E.stats();
-  EXPECT_GE(S.LoopsPromoted, 1u);
-  EXPECT_GE(S.MethodCompiles, 1u);
-  EXPECT_GE(S.MethodEnters, 1u);
-  EXPECT_EQ(S.LoopsDemoted, 0u) << "hybrid promotes instead of blacklisting";
-
-  // Event ordering: the promotion precedes the compile which precedes the
-  // first entry.
-  int64_t IP = L.firstIndexOf(JitEventKind::TierPromoted);
-  int64_t IC = L.firstIndexOf(JitEventKind::MethodCompiled);
-  int64_t IE = L.firstIndexOf(JitEventKind::MethodEntered);
-  ASSERT_GE(IP, 0);
-  ASSERT_GE(IC, 0);
-  ASSERT_GE(IE, 0);
-  EXPECT_LT(IP, IC);
-  EXPECT_LT(IC, IE);
-  EXPECT_EQ(L.count(JitEventKind::MethodEntered), 1u)
-      << "MethodEntered fires only on the first entry";
-
-  // The public tier probe agrees, and the profile snapshot attributes the
-  // method body to its tier.
-  EXPECT_GE(loopsInTier(E, Tier::Method), 1u);
-  bool SawMethodProfile = false;
-  for (const FragmentProfile &P : E.fragmentProfiles())
-    if (P.IsMethod) {
-      SawMethodProfile = true;
-      EXPECT_STREQ(P.TierName, "method");
-      EXPECT_GE(P.Enters, 1u);
-    }
-  EXPECT_TRUE(SawMethodProfile);
-  E.removeEventListener(&L);
+  EXPECT_GE(S.AbortsByReason[(size_t)AbortReason::InlineDepthLimit],
+            (uint64_t)O.MaxRecordingFailures);
+  EXPECT_EQ(S.LoopsBlacklisted, 1u);
+  EXPECT_EQ(L.count(JitEventKind::Blacklisted), 1u);
+  EXPECT_EQ(S.TracesCompleted, 0u);
+  EXPECT_EQ(loopsInTier(E, Tier::Interpreter), 1u);
 }
 
-TEST(Tier, BranchOverflowPromotesInHybrid) {
+TEST(Tier, BranchOverflowBlocksTheExitAndKeepsTheTree) {
   std::string Src = recursiveArmKernel(50000);
+  TierRun R = runTier(Src);
+  ASSERT_TRUE(R.Ok) << R.Err;
+  EXPECT_EQ(R.Out, interpOutput(Src));
+  EXPECT_GE(R.Stats.AbortsByReason[(size_t)AbortReason::RecursiveCall], 1u);
+  EXPECT_GE(R.Stats.TreesCompiled, 1u) << "the root traced the common arm";
+  EXPECT_EQ(R.Stats.LoopsBlacklisted, 0u)
+      << "a failing branch blocks its exit, not the whole loop";
+}
+
+TEST(Tier, TierOfReportsTraceUntilBlacklisted) {
   EngineOptions O;
   O.EnableJit = true;
-  O.Tier = TierMode::Hybrid;
-  O.CollectStats = true;
   Engine E(O);
-  CollectingListener L;
-  E.addEventListener(&L);
-  std::string Out;
-  E.setPrintHook([&](const std::string &S) { Out += S; });
-  ASSERT_TRUE(E.eval(Src).ok());
-  E.removeEventListener(&L);
-  EXPECT_EQ(Out, interpOutput(Src));
-  VMStats S = E.stats();
-  EXPECT_GE(S.AbortsByReason[(size_t)AbortReason::RecursiveCall], 1u);
-  EXPECT_GE(S.LoopsPromoted, 1u);
-  EXPECT_GE(S.MethodEnters, 1u);
-  int64_t IP = L.firstIndexOf(JitEventKind::TierPromoted);
-  ASSERT_GE(IP, 0);
-  EXPECT_EQ(L.Events[IP].Arg0, (uint32_t)TierChangeReason::BranchOverflow)
-      << "the root traced; the rare arm's exit overflowed";
-}
+  ASSERT_TRUE(
+      E.eval("var t = 0; for (var i = 0; i < 20000; ++i) t = t + i;").ok());
+  EXPECT_GE(loopsInTier(E, Tier::Trace), 1u);
+  EXPECT_EQ(loopsInTier(E, Tier::Interpreter), 0u);
+  // An unseen loop id reports the trace tier every loop starts in.
+  EXPECT_EQ(E.tierOf(9999, 0), Tier::Trace);
+  ASSERT_TRUE(E.eval(deepCallKernel(20000)).ok());
+  EXPECT_EQ(loopsInTier(E, Tier::Interpreter), 1u);
 
-// --- Method-only pipeline -------------------------------------------------------
-
-TEST(Tier, MethodModeCompilesWithoutTracing) {
-  std::string Src = "var t = 0; for (var i = 0; i < 20000; ++i) t = t + i;"
-                    "print(t);";
-  TierRun M = runTier(Src, TierMode::Method);
-  ASSERT_TRUE(M.Ok) << M.Err;
-  EXPECT_EQ(M.Out, interpOutput(Src));
-  EXPECT_EQ(M.Stats.TracesStarted, 0u) << "--tier=method never records";
-  EXPECT_GE(M.Stats.MethodCompiles, 1u);
-  EXPECT_GE(M.Stats.MethodEnters, 1u);
-}
-
-TEST(Tier, TierOfReportsInitialTierPerMode) {
-  std::string Src = "var t = 0; for (var i = 0; i < 20000; ++i) t = t + i;";
-  for (TierMode Mode : {TierMode::Trace, TierMode::Method}) {
-    EngineOptions O;
-    O.EnableJit = true;
-    O.Tier = Mode;
-    Engine E(O);
-    ASSERT_TRUE(E.eval(Src).ok());
-    Tier Want = Mode == TierMode::Method ? Tier::Method : Tier::Trace;
-    EXPECT_GE(loopsInTier(E, Want), 1u) << tierModeName(Mode);
-    // An unseen loop id reports the configured initial tier.
-    EXPECT_EQ(E.tierOf(9999, 0), Want);
-  }
   EngineOptions Off;
   Off.EnableJit = false;
-  Engine E(Off);
-  ASSERT_TRUE(E.eval(Src).ok());
-  EXPECT_EQ(E.tierOf(0, 0), Tier::Interpreter) << "JIT off: everything interprets";
+  Engine EOff(Off);
+  ASSERT_TRUE(EOff.eval("var t = 0; for (var i = 0; i < 100; ++i) t = t + i;")
+                  .ok());
+  EXPECT_EQ(EOff.tierOf(0, 0), Tier::Interpreter)
+      << "JIT off: everything interprets";
 }
 
-// --- Trace mode is bit-for-bit the historical pipeline --------------------------
+// --- The trace pipeline is deterministic ---------------------------------------
 
-TEST(Tier, TraceModeNeverTouchesTheMethodTier) {
+TEST(Tier, TracePipelineIsDeterministic) {
   // A corpus that exercises compile success, megamorphic sites, and
-  // branchy trees. In trace mode the method tier must be completely inert
-  // and two identical runs must produce identical pipelines.
+  // branchy trees: two identical runs must produce identical pipelines.
   std::vector<std::string> Corpus = {
       "var t = 0; for (var i = 0; i < 5000; ++i) t = t + i; print(t);",
       megamorphicKernel(20000),
@@ -390,16 +281,12 @@ TEST(Tier, TraceModeNeverTouchesTheMethodTier) {
   };
   for (const std::string &Src : Corpus) {
     std::string Want = interpOutput(Src);
-    TierRun A = runTier(Src, TierMode::Trace);
-    TierRun B = runTier(Src, TierMode::Trace);
+    TierRun A = runTier(Src);
+    TierRun B = runTier(Src);
     ASSERT_TRUE(A.Ok && B.Ok) << A.Err << B.Err;
     EXPECT_EQ(A.Out, Want);
     EXPECT_EQ(B.Out, Want);
-    EXPECT_EQ(A.Stats.MethodCompiles, 0u);
-    EXPECT_EQ(A.Stats.MethodEnters, 0u);
-    EXPECT_EQ(A.Stats.LoopsPromoted, 0u);
-    // Deterministic pipeline: same recordings, same aborts, same
-    // blacklist verdicts on every run.
+    // Same recordings, same aborts, same blacklist verdicts on every run.
     EXPECT_EQ(A.Stats.TracesStarted, B.Stats.TracesStarted);
     EXPECT_EQ(A.Stats.TracesCompleted, B.Stats.TracesCompleted);
     EXPECT_EQ(A.Stats.TracesAborted, B.Stats.TracesAborted);
@@ -408,122 +295,89 @@ TEST(Tier, TraceModeNeverTouchesTheMethodTier) {
   }
   // The megamorphic kernel stays on trace: the site is recorded as a
   // generic lookup, so the tree takes only a handful of side exits.
-  TierRun M = runTier(megamorphicKernel(20000), TierMode::Trace);
+  TierRun M = runTier(megamorphicKernel(20000));
   EXPECT_GE(M.Stats.IcRecorderGeneric, 1u);
   EXPECT_LE(M.Stats.SideExits, 10u);
 }
 
 // --- Cache lifecycle ------------------------------------------------------------
 
-TEST(Tier, MethodCodeSurvivesCacheFlushViaGenerationDrop) {
-  std::string Src = "var t = 0; for (var i = 0; i < 20000; ++i) t = t + i;"
-                    "print(t);";
+TEST(Tier, BlacklistSurvivesCacheFlush) {
+  // The loop lives in a function, so the second eval reaches the same
+  // loop header after the flush.
+  std::string Src = deepCallKernel(0) + R"js(
+function spin(n) {
+  var s = 0;
+  for (var i = 0; i < n; ++i) s = s + fJ(i & 1023);
+  return s;
+}
+print(spin(20000));
+)js";
   std::string Want = interpOutput(Src);
 
   EngineOptions O;
   O.EnableJit = true;
-  O.Tier = TierMode::Method;
   O.CollectStats = true;
   Engine E(O);
   std::string Out;
   E.setPrintHook([&](const std::string &S) { Out += S; });
   ASSERT_TRUE(E.eval(Src).ok());
   EXPECT_EQ(Out, Want);
-  uint64_t FirstCompiles = E.stats().MethodCompiles;
-  ASSERT_GE(FirstCompiles, 1u);
+  ASSERT_EQ(E.stats().LoopsBlacklisted, 1u);
   uint32_t Gen = E.cacheGeneration();
 
-  // Flush: the method body dies with its generation, but the loop keeps
-  // its tier and recompiles -- a flush must not act like a demotion.
+  // Flush: fragments die with their generation, but the blacklisted
+  // header stays patched -- a flush must not resurrect the loop.
   E.flushCodeCache();
+  uint64_t Started = E.stats().TracesStarted;
   Out.clear();
-  ASSERT_TRUE(E.eval(Src).ok());
-  EXPECT_EQ(Out, Want);
+  ASSERT_TRUE(E.eval("print(spin(20000));").ok());
+  EXPECT_EQ(Out, "10299440\n");
   EXPECT_GT(E.cacheGeneration(), Gen);
-  EXPECT_GT(E.stats().MethodCompiles, FirstCompiles)
-      << "the loop must recompile after the flush";
-  EXPECT_GE(loopsInTier(E, Tier::Method), 1u) << "tier survives the flush";
-  EXPECT_EQ(E.stats().LoopsDemoted, 0u);
-}
-
-// --- Governance inside method code ----------------------------------------------
-
-TEST(Tier, DeadlineFiresInsideMethodCode) {
-  EngineOptions O;
-  O.EnableJit = true;
-  O.Tier = TierMode::Method;
-  O.CollectStats = true;
-  O.EvalDeadlineMs = 100;
-  Engine E(O);
-  auto T0 = std::chrono::steady_clock::now();
-  auto R = E.eval(InfiniteLoop);
-  double Wall = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - T0)
-                    .count();
-  ASSERT_FALSE(R.ok());
-  EXPECT_EQ(R.Err.Kind, ErrorKind::Timeout);
-  EXPECT_LT(Wall, 5000.0);
-  VMStats S = E.stats();
-  EXPECT_GE(S.Timeouts, 1u);
-  EXPECT_GE(S.MethodEnters, 1u)
-      << "the loop must have been in method code when the timer fired";
-}
-
-TEST(Tier, HeapQuotaFiresUnderMethodCode) {
-  EngineOptions O;
-  O.EnableJit = true;
-  O.Tier = TierMode::Method;
-  O.CollectStats = true;
-  O.MaxHeapBytes = 6u << 20;
-  Engine E(O);
-  auto R = E.eval(AllocBomb);
-  ASSERT_FALSE(R.ok());
-  EXPECT_EQ(R.Err.Kind, ErrorKind::OutOfMemory);
-  EXPECT_GE(E.stats().HeapQuotaHits, 1u);
-  EXPECT_GE(E.stats().MethodEnters, 1u);
+  EXPECT_EQ(E.stats().TracesStarted, Started) << "the loop re-recorded";
+  EXPECT_EQ(E.stats().LoopsBlacklisted, 1u);
+  EXPECT_GE(loopsInTier(E, Tier::Interpreter), 1u);
 }
 
 // --- Performance floor ----------------------------------------------------------
 
-TEST(Tier, HybridBeatsInterpreterOnHostileKernels) {
+TEST(Tier, TraceBeatsInterpreterOnHostileKernels) {
   // The acceptance bar lives in bench/tier_hostile (>= 2x); this test
-  // keeps a conservative floor so a catastrophic regression of whatever
-  // tier hybrid mode picks (the trace tier, for these two kernels) fails
-  // fast in the unit suite. Interleaved best-of-3 per config.
+  // keeps a conservative floor so a catastrophic regression of the trace
+  // tier on these kernels fails fast in the unit suite. Interleaved
+  // best-of-3 per config.
   for (const std::string &Src :
        {megamorphicKernel(200000), branchyKernel(200000)}) {
-    double BestI = 1e300, BestH = 1e300;
-    std::string OutI, OutH;
+    double BestI = 1e300, BestT = 1e300;
+    std::string OutI, OutT;
     for (int K = 0; K < 3; ++K) {
       auto T0 = std::chrono::steady_clock::now();
-      TierRun I = runTier(Src, TierMode::Trace, /*Jit=*/false);
+      TierRun I = runTier(Src, /*Jit=*/false);
       auto T1 = std::chrono::steady_clock::now();
-      TierRun H = runTier(Src, TierMode::Hybrid);
+      TierRun T = runTier(Src);
       auto T2 = std::chrono::steady_clock::now();
-      ASSERT_TRUE(I.Ok && H.Ok);
+      ASSERT_TRUE(I.Ok && T.Ok);
       OutI = I.Out;
-      OutH = H.Out;
+      OutT = T.Out;
       double MsI = std::chrono::duration<double, std::milli>(T1 - T0).count();
-      double MsH = std::chrono::duration<double, std::milli>(T2 - T1).count();
+      double MsT = std::chrono::duration<double, std::milli>(T2 - T1).count();
       BestI = std::min(BestI, MsI);
-      BestH = std::min(BestH, MsH);
+      BestT = std::min(BestT, MsT);
     }
-    EXPECT_EQ(OutI, OutH);
-    EXPECT_LT(BestH, BestI)
-        << "hybrid slower than the interpreter on a trace-hostile kernel ("
-        << BestH << "ms vs " << BestI << "ms)";
+    EXPECT_EQ(OutI, OutT);
+    EXPECT_LT(BestT, BestI)
+        << "trace slower than the interpreter on a trace-hostile kernel ("
+        << BestT << "ms vs " << BestI << "ms)";
   }
 }
 
-// --- Stitched re-entry (trace tier pin) -----------------------------------------
+// --- Stitched re-entry ----------------------------------------------------------
 
 TEST(Tier, StitchedReentryReRunsOptimizedTracePrologue) {
   // A branchy loop over an invariant object: -O2 hoists the shape guard
   // and invariant loads into an entry prologue, and the untraced arm
-  // stitches back into the tree via JmpFrag. Trace-tier JmpFrag re-entry
-  // must re-run that prologue (re-validating the hoisted guards) -- the
-  // method tier skips prologues precisely because its bodies never have
-  // one, and this pins the trace side of that asymmetry.
+  // stitches back into the tree via JmpFrag. JmpFrag re-entry must re-run
+  // that prologue, re-validating the hoisted guards.
   std::string Src = R"js(
 var o = {scale: 3, bias: 7};
 var t = 0;
@@ -533,7 +387,7 @@ for (var i = 0; i < 30000; ++i) {
 }
 print(t);
 )js";
-  TierRun T = runTier(Src, TierMode::Trace);
+  TierRun T = runTier(Src);
   ASSERT_TRUE(T.Ok) << T.Err;
   EXPECT_EQ(T.Out, interpOutput(Src));
   EXPECT_GE(T.Stats.LoopsWithPrologue, 1u)
@@ -541,5 +395,4 @@ print(t);
   EXPECT_GE(T.Stats.BranchesCompiled, 1u);
   EXPECT_GE(T.Stats.StitchedTransfers, 1u)
       << "the cold arm must re-enter the tree through a stitched JmpFrag";
-  EXPECT_EQ(T.Stats.MethodCompiles, 0u);
 }

@@ -31,10 +31,6 @@ RunInfo runWith(const std::string &Src, EngineOptions O) {
 EngineOptions jit() {
   EngineOptions O;
   O.EnableJit = true;
-  // This file asserts trace-pipeline internals (recordings, trees,
-  // side exits); pin the tier so a TRACEJIT_TIER=method CI run cannot
-  // reroute the loops it observes.
-  O.Tier = TierMode::Trace;
   return O;
 }
 

@@ -29,7 +29,6 @@ namespace {
 EngineOptions traceOpts() {
   EngineOptions O;
   O.EnableJit = true;
-  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
   O.CollectStats = true;
   return O;
 }
