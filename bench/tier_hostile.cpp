@@ -1,14 +1,13 @@
 //===- tier_hostile.cpp - Trace-hostile kernels: interpreter vs trace ----------===//
 //
 // Three kernels that were built to defeat the trace pipeline: megamorphic
-// dispatch, unbiased branching over megamorphic state, and call chains past
-// the inline depth limit. The recorder traces through megamorphic sites
-// with a generic lookup, so the first two compile; deep-call aborts at the
-// inline limit and falls back to the interpreter through §3.3 backoff and
-// blacklisting. This bench runs each kernel with the JIT off (interp) and
-// on (trace), and reports per-kernel times plus the trace speedup over the
-// interpreter. The acceptance bar: trace >= 2x the interpreter on the
-// megamorphic and unbiased-branch kernels.
+// dispatch, unbiased branching over megamorphic state, and a ten-deep call
+// chain. The recorder traces through megamorphic sites with a generic
+// lookup, and inlines call chains of any non-recursive depth, so all three
+// compile. This bench runs each kernel with the JIT off (interp) and on
+// (trace), and reports per-kernel times plus the trace speedup over the
+// interpreter. The acceptance bar: trace >= 2x the interpreter on every
+// kernel.
 //
 // --json=FILE writes the canonical snapshot (BENCH_tier_hostile.json);
 // scripts/check_bench_regression.py gates the trace rows against it.
@@ -78,9 +77,9 @@ for (var j = 0; j < 400000; ++j) {
 print(t);
 )js";
 
-// A call chain deeper than MaxInlineDepth: the recorder aborts at the
-// inline limit and the loop is blacklisted. The row documents that the
-// fallback does not run slower than the interpreter on call-heavy code.
+// A ten-deep call chain: the recorder inlines every frame, and each costs
+// the trace only its body (the return pcs and the pinned callees live in
+// the exit descriptors, not in per-iteration stores).
 static const char *DeepCall = R"js(
 function fA(x) { return x + 1; }
 function fB(x) { return fA(x) + 1; }
@@ -144,7 +143,7 @@ int main(int argc, char **argv) {
   } Kernels[] = {
       {"megamorphic", Megamorphic, true},
       {"unbiased-branch", UnbiasedBranch, true},
-      {"deep-call", DeepCall, false},
+      {"deep-call", DeepCall, true},
   };
 
   struct Row {
@@ -186,7 +185,8 @@ int main(int argc, char **argv) {
     }
   }
 
-  printf("\nacceptance bar (megamorphic, unbiased-branch >= 2x): %s\n",
+  printf("\nacceptance bar (megamorphic, unbiased-branch, deep-call >= 2x): "
+         "%s\n",
          BarMet ? "MET" : "NOT MET");
 
   if (!JsonPath.empty()) {

@@ -205,11 +205,10 @@ struct EngineOptions {
   /// §3.2: consult/maintain the oracle for int->double demotion.
   bool EnableOracle = true;
 
-  /// Abort recording beyond this many LIR instructions.
+  /// Abort recording beyond this many LIR instructions. Together with
+  /// MaxFrames (the recorder only inlines frames the interpreter pushed)
+  /// this is also what bounds how deep a trace inlines calls.
   uint32_t MaxTraceLength = 16384;
-
-  /// Abort recording beyond this scripted-call inline depth.
-  uint32_t MaxInlineDepth = 8;
 
   /// Collect Figure 11 counters (adds a counter increment per fragment
   /// entry and per interpreted bytecode).

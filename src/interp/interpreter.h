@@ -56,12 +56,6 @@ public:
   void setCurrentPc(uint32_t P) { Pc = P; }
   Frame &currentFrame() { return Frames.back(); }
 
-  /// Value-stack slot index of operand-stack depth \p D in the top frame.
-  uint32_t operandBase() const {
-    const Frame &F = Frames.back();
-    return F.Base + F.Script->NumLocals;
-  }
-
   // --- Semantic helpers shared with the trace runtime ----------------------
   static double toNumber(const Value &V);
   static int32_t toInt32(double D);

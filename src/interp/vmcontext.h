@@ -76,7 +76,7 @@ enum : uint32_t {
 struct VMContext {
   explicit VMContext(const EngineOptions &O)
       : Opts(O), Atoms(TheHeap),
-        FrameReturnPcs((size_t)O.MaxFrames + O.MaxInlineDepth + 1, 0),
+        FrameReturnPcs((size_t)O.MaxFrames + 1, 0),
         RandomState(0x2545F4914F6CDD1DULL) {
     TheHeap.addRootProvider([this](Marker &M) {
       for (Value &V : Globals.Values)
@@ -174,13 +174,14 @@ struct VMContext {
 
   /// The trace-time call-stack area (the paper's "frame entry and exit LIR
   /// saves just enough information to allow the interpreter call stack to
-  /// be restored later", §3.1). Exit descriptors record the static shape
-  /// of the frame chain (scripts, bases), but return pcs depend on the
-  /// call site a trace was entered from, so they travel dynamically: the
-  /// monitor writes the live frames' return pcs here on trace entry, and
-  /// traces store the (static) return pc of each call they inline at the
-  /// frame's depth. Restores read return pcs from here. Sized in the ctor:
-  /// MaxFrames interpreter frames plus MaxInlineDepth trace-inlined frames.
+  /// be restored later", §3.1). Return pcs of frames a tree inlined are
+  /// static: the exit descriptor's FrameEntry carries them. Frames below a
+  /// tree's entry depth depend on the call site the tree was entered from,
+  /// so restores read those from here instead: the monitor writes the live
+  /// frames' return pcs here on trace entry, and an outer trace writes its
+  /// inlined frames' return pcs just before calling a nested tree, whose
+  /// entry depth is deeper than the outer's. Sized in the ctor: a trace
+  /// inlines only frames the interpreter pushed, so MaxFrames bounds depth.
   std::vector<uint32_t> FrameReturnPcs;
 
   /// Runtime error state (we compile with -fno-exceptions style error

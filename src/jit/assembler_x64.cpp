@@ -67,14 +67,30 @@ void Assembler::movRR32(Gpr Dst, Gpr Src) {
 }
 
 void Assembler::movRI64(Gpr Dst, uint64_t Imm) {
-  rex(true, 0, Dst);
-  emit8((uint8_t)(0xB8 | (Dst & 7)));
-  emit64(Imm);
+  if (Imm <= 0xFFFFFFFFu) {
+    movRI32(Dst, (int32_t)(uint32_t)Imm);
+  } else if (fitsSImm32((int64_t)Imm)) {
+    rex(true, 0, Dst);
+    emit8(0xC7);
+    modRMReg(0, Dst);
+    emit32((uint32_t)Imm);
+  } else {
+    rex(true, 0, Dst);
+    emit8((uint8_t)(0xB8 | (Dst & 7)));
+    emit64(Imm);
+  }
 }
 
 void Assembler::movRI32(Gpr Dst, int32_t Imm) {
   rex(false, 0, Dst);
   emit8((uint8_t)(0xB8 | (Dst & 7)));
+  emit32((uint32_t)Imm);
+}
+
+void Assembler::movMI(bool W, Gpr Base, int32_t Disp, int32_t Imm) {
+  rex(W, 0, Base);
+  emit8(0xC7);
+  modRMMem(0, Base, Disp);
   emit32((uint32_t)Imm);
 }
 
@@ -120,14 +136,8 @@ void Assembler::movRMIndex64(Gpr Dst, Gpr Base, Gpr Index) {
 
 // --- ALU ------------------------------------------------------------------------
 
-void Assembler::aluRR32(uint8_t OpcodeRM, Gpr Dst, Gpr Src) {
-  rex(false, Dst, Src);
-  emit8(OpcodeRM);
-  modRMReg(Dst, Src);
-}
-
-void Assembler::aluRR64(uint8_t OpcodeRM, Gpr Dst, Gpr Src) {
-  rex(true, Dst, Src);
+void Assembler::aluRR(bool W, uint8_t OpcodeRM, Gpr Dst, Gpr Src) {
+  rex(W, Dst, Src);
   emit8(OpcodeRM);
   modRMReg(Dst, Src);
 }
@@ -139,24 +149,32 @@ void Assembler::imulRR32(Gpr Dst, Gpr Src) {
   modRMReg(Dst, Src);
 }
 
-void Assembler::testRR32(Gpr A, Gpr B) {
-  rex(false, B, A);
+void Assembler::imulRRI32(Gpr Dst, Gpr Src, int32_t Imm) {
+  bool Imm8 = Imm >= -128 && Imm <= 127;
+  rex(false, Dst, Src);
+  emit8(Imm8 ? 0x6B : 0x69);
+  modRMReg(Dst, Src);
+  if (Imm8)
+    emit8((uint8_t)Imm);
+  else
+    emit32((uint32_t)Imm);
+}
+
+void Assembler::testRR(bool W, Gpr A, Gpr B) {
+  rex(W, B, A);
   emit8(0x85);
   modRMReg(B, A);
 }
 
-void Assembler::addRI32(Gpr Dst, int32_t Imm) {
-  rex(false, 0, Dst);
-  emit8(0x81);
-  modRMReg(0, Dst);
-  emit32((uint32_t)Imm);
-}
-
-void Assembler::cmpRI32(Gpr Reg, int32_t Imm) {
-  rex(false, 7, Reg);
-  emit8(0x81);
-  modRMReg(7, Reg);
-  emit32((uint32_t)Imm);
+void Assembler::aluRI(bool W, uint8_t Ext, Gpr Dst, int32_t Imm) {
+  bool Imm8 = Imm >= -128 && Imm <= 127;
+  rex(W, Ext, Dst);
+  emit8(Imm8 ? 0x83 : 0x81);
+  modRMReg(Ext, Dst);
+  if (Imm8)
+    emit8((uint8_t)Imm);
+  else
+    emit32((uint32_t)Imm);
 }
 
 void Assembler::shlCl32(Gpr Dst) {
@@ -210,13 +228,6 @@ void Assembler::sarI64(Gpr Dst, uint8_t N) {
   emit8(0xC1);
   modRMReg(7, Dst);
   emit8(N);
-}
-
-void Assembler::addRI64(Gpr Dst, int32_t Imm) {
-  rex(true, 0, Dst);
-  emit8(0x81);
-  modRMReg(0, Dst);
-  emit32((uint32_t)Imm);
 }
 
 void Assembler::movsxdRR(Gpr Dst, Gpr Src) {

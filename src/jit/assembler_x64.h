@@ -72,6 +72,19 @@ enum Cond : uint8_t {
   CondG = 0xF,
 };
 
+/// ModRM reg-field extensions of the group-1 ALU immediate ops (0x81/0x83).
+enum : uint8_t {
+  AluAdd = 0,
+  AluOr = 1,
+  AluAnd = 4,
+  AluSub = 5,
+  AluXor = 6,
+  AluCmp = 7,
+};
+
+/// True when \p V survives a round trip through a sign-extended imm32.
+constexpr bool fitsSImm32(int64_t V) { return V == (int64_t)(int32_t)V; }
+
 /// Emits into caller-provided memory. The caller sizes the region; emit
 /// never writes past Limit (overflow sets a flag checked at the end).
 class Assembler {
@@ -87,8 +100,13 @@ public:
   // --- Moves -----------------------------------------------------------------
   void movRR64(Gpr Dst, Gpr Src);
   void movRR32(Gpr Dst, Gpr Src); ///< Zero-extends to 64 bits.
+  /// Shortest encoding of \p Imm: `mov r32, imm32` (zero-extends) when it
+  /// fits in 32 unsigned bits, `mov r64, simm32` when it sign-extends from
+  /// 32 bits, `movabs` otherwise. Variable length: never patch its bytes.
   void movRI64(Gpr Dst, uint64_t Imm);
   void movRI32(Gpr Dst, int32_t Imm);
+  /// [base+disp] = imm: a dword, or (\p W) a qword sign-extended from it.
+  void movMI(bool W, Gpr Base, int32_t Disp, int32_t Imm);
   void movRM64(Gpr Dst, Gpr Base, int32_t Disp); ///< dst = [base+disp]
   void movMR64(Gpr Base, int32_t Disp, Gpr Src); ///< [base+disp] = src
   void movRM32(Gpr Dst, Gpr Base, int32_t Disp);
@@ -98,17 +116,24 @@ public:
   void movRMIndex64(Gpr Dst, Gpr Base, Gpr Index);
 
   // --- 32-bit ALU ---------------------------------------------------------------
-  void aluRR32(uint8_t OpcodeRM, Gpr Dst, Gpr Src); ///< e.g. 0x03 = add r,rm
+  /// `op r, r/m` (e.g. 0x03 = add), 64-bit when \p W.
+  void aluRR(bool W, uint8_t OpcodeRM, Gpr Dst, Gpr Src);
+  void aluRR32(uint8_t OpcodeRM, Gpr Dst, Gpr Src) {
+    aluRR(false, OpcodeRM, Dst, Src);
+  }
   void addRR32(Gpr D, Gpr S) { aluRR32(0x03, D, S); }
   void subRR32(Gpr D, Gpr S) { aluRR32(0x2B, D, S); }
   void andRR32(Gpr D, Gpr S) { aluRR32(0x23, D, S); }
   void orRR32(Gpr D, Gpr S) { aluRR32(0x0B, D, S); }
-  void xorRR32(Gpr D, Gpr S) { aluRR32(0x33, D, S); }
   void cmpRR32(Gpr A, Gpr B) { aluRR32(0x3B, A, B); }
   void imulRR32(Gpr Dst, Gpr Src);
-  void testRR32(Gpr A, Gpr B);
-  void addRI32(Gpr Dst, int32_t Imm);
-  void cmpRI32(Gpr Reg, int32_t Imm);
+  void imulRRI32(Gpr Dst, Gpr Src, int32_t Imm); ///< dst = src * imm
+  void testRR(bool W, Gpr A, Gpr B);
+  void testRR32(Gpr A, Gpr B) { testRR(false, A, B); }
+  /// Group-1 ALU op with an immediate, the imm8 form when it fits; 64-bit
+  /// (immediate sign-extended) when \p W. \p Ext is the ModRM reg field:
+  /// one of the Alu* constants.
+  void aluRI(bool W, uint8_t Ext, Gpr Dst, int32_t Imm);
   void shlCl32(Gpr Dst);
   void sarCl32(Gpr Dst);
   void shrCl32(Gpr Dst);
@@ -117,15 +142,11 @@ public:
   void shrI32(Gpr Dst, uint8_t N);
 
   // --- 64-bit ALU ---------------------------------------------------------------
-  void aluRR64(uint8_t OpcodeRM, Gpr Dst, Gpr Src);
-  void addRR64(Gpr D, Gpr S) { aluRR64(0x03, D, S); }
-  void andRR64(Gpr D, Gpr S) { aluRR64(0x23, D, S); }
-  void orRR64(Gpr D, Gpr S) { aluRR64(0x0B, D, S); }
-  void cmpRR64(Gpr A, Gpr B) { aluRR64(0x3B, A, B); }
+  void cmpRR64(Gpr A, Gpr B) { aluRR(true, 0x3B, A, B); }
   void shlI64(Gpr Dst, uint8_t N);
   void shrI64(Gpr Dst, uint8_t N);
   void sarI64(Gpr Dst, uint8_t N);
-  void addRI64(Gpr Dst, int32_t Imm);
+  void addRI64(Gpr Dst, int32_t Imm) { aluRI(true, AluAdd, Dst, Imm); }
   void movsxdRR(Gpr Dst, Gpr Src); ///< sign-extend 32 -> 64
 
   // --- SSE2 ------------------------------------------------------------------------

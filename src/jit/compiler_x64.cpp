@@ -281,15 +281,38 @@ private:
     if (S.Loc == LocKind::Spill) {
       A.movsdRM(R, RSP, S.Slot * 8);
     } else if (V->Op == LOp::ImmD) {
-      uint64_t Bits;
-      std::memcpy(&Bits, &V->Imm.ImmDbl, 8);
-      A.movRI64(RAX, Bits);
-      A.movqXmmGpr(R, RAX);
+      materializeD(R, V);
     } else {
       Failed = true;
     }
     bindXmm(V, R);
     return R;
+  }
+
+  /// Load immediate double \p V into \p Dst (+0.0 by zeroing it).
+  void materializeD(Xmm Dst, const LIns *V) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &V->Imm.ImmDbl, 8);
+    if (Bits == 0) {
+      A.xorpd(Dst, Dst);
+      return;
+    }
+    A.movRI64(RAX, Bits);
+    A.movqXmmGpr(Dst, RAX);
+  }
+
+  /// \p V as an instruction immediate: an ImmI, or an ImmQ that
+  /// sign-extends from 32 bits. A folded immediate never takes a register.
+  static bool asImm32(const LIns *V, int32_t &Out) {
+    if (V->Op == LOp::ImmI) {
+      Out = V->Imm.ImmI32;
+      return true;
+    }
+    if (V->Op == LOp::ImmQ && fitsSImm32(V->Imm.ImmQ64)) {
+      Out = (int32_t)V->Imm.ImmQ64;
+      return true;
+    }
+    return false;
   }
 
   /// Release operand registers whose last use this was.
@@ -364,7 +387,7 @@ private:
 
   // --- Instruction emission ------------------------------------------------------
   void emitIns(uint32_t Pos, LIns *I);
-  void emitBinGpr32(LIns *I, void (Assembler::*Op)(Gpr, Gpr));
+  void emitIntBin(LIns *I);
   void emitBinXmm(LIns *I, uint8_t SseOp);
   void emitCmpSet(LIns *I);
   void emitGuard(LIns *I);
@@ -376,7 +399,10 @@ private:
   /// guard; returns true when handled at the guard site instead.
   bool fuseWithNextGuard(uint32_t Pos, LIns *I);
   void emitFusedGuard(LIns *Guard, LIns *Cmp);
-  Cond intCondFor(LOp Op, bool *SwapOperands);
+  /// Emit the flags-setting half of an integer/pointer compare (folding an
+  /// immediate operand, `test` against zero) and return the condition
+  /// that holds when \p Cmp is true.
+  Cond emitIntCompare(LIns *Cmp);
 
   NativeBackend &BE;
   Fragment *F;
@@ -415,17 +441,13 @@ void FragmentCompiler::loadArgXmm(Xmm Dst, LIns *V) {
   } else if (S.Loc == LocKind::Spill) {
     A.movsdRM(Dst, RSP, S.Slot * 8);
   } else if (V->Op == LOp::ImmD) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &V->Imm.ImmDbl, 8);
-    A.movRI64(RAX, Bits);
-    A.movqXmmGpr(Dst, RAX);
+    materializeD(Dst, V);
   } else {
     Failed = true;
   }
 }
 
-Cond FragmentCompiler::intCondFor(LOp Op, bool *Swap) {
-  *Swap = false;
+static Cond intCondFor(LOp Op) {
   switch (Op) {
   case LOp::EqI:
   case LOp::EqQ:
@@ -448,6 +470,30 @@ Cond FragmentCompiler::intCondFor(LOp Op, bool *Swap) {
   }
 }
 
+/// The condition that holds for (b, a) when \p C holds for (a, b).
+static Cond swapOperands(Cond C) {
+  switch (C) {
+  case CondL:
+    return CondG;
+  case CondG:
+    return CondL;
+  case CondLE:
+    return CondGE;
+  case CondGE:
+    return CondLE;
+  case CondB:
+    return CondA;
+  case CondA:
+    return CondB;
+  case CondAE:
+    return CondBE;
+  case CondBE:
+    return CondAE;
+  default:
+    return C; // E, NE
+  }
+}
+
 static Cond invert(Cond C) { return (Cond)(C ^ 1); }
 
 bool FragmentCompiler::fuseWithNextGuard(uint32_t Pos, LIns *I) {
@@ -461,6 +507,34 @@ bool FragmentCompiler::fuseWithNextGuard(uint32_t Pos, LIns *I) {
   return true;
 }
 
+Cond FragmentCompiler::emitIntCompare(LIns *C) {
+  bool Is64 = C->Op == LOp::EqQ;
+  Cond CC = intCondFor(C->Op);
+  LIns *L = C->A, *R = C->B;
+  int32_t Imm = 0;
+  if (!asImm32(R, Imm) && asImm32(L, Imm)) {
+    std::swap(L, R);
+    CC = swapOperands(CC);
+  }
+  Gpr Rl = ensureGpr(L);
+  if (asImm32(R, Imm)) {
+    // `test r, r` leaves exactly the flags `cmp r, 0` would.
+    if (Imm == 0)
+      A.testRR(Is64, Rl, Rl);
+    else
+      A.aluRI(Is64, AluCmp, Rl, Imm);
+  } else {
+    Gpr Rr = ensureGpr(R, maskOf(Rl));
+    if (Is64)
+      A.cmpRR64(Rl, Rr);
+    else
+      A.cmpRR32(Rl, Rr);
+  }
+  consume(C->A);
+  consume(C->B);
+  return CC;
+}
+
 void FragmentCompiler::emitFusedGuard(LIns *G, LIns *C) {
   bool ExitIfTrue = G->Op == LOp::GuardF;
   switch (C->Op) {
@@ -470,24 +544,10 @@ void FragmentCompiler::emitFusedGuard(LIns *G, LIns *C) {
   case LOp::LeI:
   case LOp::GtI:
   case LOp::GeI:
-  case LOp::LtUI: {
-    Gpr Ra = ensureGpr(C->A);
-    Gpr Rb = ensureGpr(C->B, maskOf(Ra));
-    A.cmpRR32(Ra, Rb);
-    consume(C->A);
-    consume(C->B);
-    bool Swap;
-    Cond CC = intCondFor(C->Op, &Swap);
-    jccToExit(ExitIfTrue ? CC : invert(CC), G->Exit);
-    return;
-  }
+  case LOp::LtUI:
   case LOp::EqQ: {
-    Gpr Ra = ensureGpr(C->A);
-    Gpr Rb = ensureGpr(C->B, maskOf(Ra));
-    A.cmpRR64(Ra, Rb);
-    consume(C->A);
-    consume(C->B);
-    jccToExit(ExitIfTrue ? CondE : CondNE, G->Exit);
+    Cond CC = emitIntCompare(C);
+    jccToExit(ExitIfTrue ? CC : invert(CC), G->Exit);
     return;
   }
   case LOp::LtD:
@@ -544,26 +604,11 @@ void FragmentCompiler::emitCmpSet(LIns *I) {
   case LOp::LeI:
   case LOp::GtI:
   case LOp::GeI:
-  case LOp::LtUI: {
-    Gpr Ra = ensureGpr(I->A);
-    Gpr Rb = ensureGpr(I->B, maskOf(Ra));
-    A.cmpRR32(Ra, Rb);
-    consume(I->A);
-    consume(I->B);
-    Gpr Rd = defGpr(I);
-    bool Swap;
-    A.setcc(intCondFor(I->Op, &Swap), Rd);
-    A.movzxByteRR(Rd, Rd);
-    return;
-  }
+  case LOp::LtUI:
   case LOp::EqQ: {
-    Gpr Ra = ensureGpr(I->A);
-    Gpr Rb = ensureGpr(I->B, maskOf(Ra));
-    A.cmpRR64(Ra, Rb);
-    consume(I->A);
-    consume(I->B);
+    Cond CC = emitIntCompare(I);
     Gpr Rd = defGpr(I);
-    A.setcc(CondE, Rd);
+    A.setcc(CC, Rd);
     A.movzxByteRR(Rd, Rd);
     return;
   }
@@ -612,15 +657,72 @@ void FragmentCompiler::emitCmpSet(LIns *I) {
   }
 }
 
-void FragmentCompiler::emitBinGpr32(LIns *I, void (Assembler::*Op)(Gpr, Gpr)) {
-  Gpr Ra = ensureGpr(I->A);
-  Gpr Rb = ensureGpr(I->B, maskOf(Ra));
+void FragmentCompiler::emitIntBin(LIns *I) {
+  bool Is64 = false, Mul = false, Commutes = true;
+  uint8_t Ext = AluAdd;
+  switch (I->Op) {
+  case LOp::AddQ:
+    Is64 = true;
+    break;
+  case LOp::AddI:
+  case LOp::AddOvI:
+    break;
+  case LOp::SubI:
+  case LOp::SubOvI:
+    Ext = AluSub;
+    Commutes = false;
+    break;
+  case LOp::MulI:
+  case LOp::MulOvI:
+    Mul = true;
+    break;
+  case LOp::AndQ:
+    Is64 = true;
+    Ext = AluAnd;
+    break;
+  case LOp::AndI:
+    Ext = AluAnd;
+    break;
+  case LOp::OrQ:
+    Is64 = true;
+    Ext = AluOr;
+    break;
+  case LOp::OrI:
+    Ext = AluOr;
+    break;
+  case LOp::XorI:
+    Ext = AluXor;
+    break;
+  default:
+    assert(false && "not an integer binary op");
+  }
+  LIns *L = I->A, *R = I->B;
+  int32_t Imm = 0;
+  if (Commutes && !asImm32(R, Imm) && asImm32(L, Imm))
+    std::swap(L, R);
+  Gpr Ra = ensureGpr(L);
+  bool Folded = asImm32(R, Imm);
+  Gpr Rb = Folded ? Ra : ensureGpr(R, maskOf(Ra));
   Gpr Rd = defGpr(I, maskOf(Ra) | maskOf(Rb));
-  if (Rd != Ra)
-    A.movRR32(Rd, Ra);
-  (A.*Op)(Rd, Rb);
+  if (Mul && Folded) {
+    A.imulRRI32(Rd, Ra, Imm);
+  } else {
+    if (Rd != Ra && Is64)
+      A.movRR64(Rd, Ra);
+    else if (Rd != Ra)
+      A.movRR32(Rd, Ra);
+    // The register form of a group-1 op, `op r, r/m`, is (Ext << 3) | 3.
+    if (Mul)
+      A.imulRR32(Rd, Rb);
+    else if (Folded)
+      A.aluRI(Is64, Ext, Rd, Imm);
+    else
+      A.aluRR(Is64, (uint8_t)((Ext << 3) | 3), Rd, Rb);
+  }
   consume(I->A);
   consume(I->B);
+  if (I->Op == LOp::AddOvI || I->Op == LOp::SubOvI || I->Op == LOp::MulOvI)
+    jccToExit(CondO, I->Exit);
 }
 
 void FragmentCompiler::emitBinXmm(LIns *I, uint8_t SseOp) {
@@ -791,18 +893,20 @@ void FragmentCompiler::emitIns(uint32_t Pos, LIns *I) {
     return;
   }
 
-  case LOp::StI: {
-    Gpr Rv = ensureGpr(I->A);
-    Gpr Rb = ensureGpr(I->B, maskOf(Rv));
-    A.movMR32(Rb, I->Disp, Rv);
-    consume(I->A);
-    consume(I->B);
-    return;
-  }
+  case LOp::StI:
   case LOp::StQ: {
-    Gpr Rv = ensureGpr(I->A);
-    Gpr Rb = ensureGpr(I->B, maskOf(Rv));
-    A.movMR64(Rb, I->Disp, Rv);
+    bool Is64 = I->Op == LOp::StQ;
+    int32_t Imm = 0;
+    Gpr Rb = ensureGpr(I->B);
+    if (asImm32(I->A, Imm)) {
+      A.movMI(Is64, Rb, I->Disp, Imm);
+    } else {
+      Gpr Rv = ensureGpr(I->A, maskOf(Rb));
+      if (Is64)
+        A.movMR64(Rb, I->Disp, Rv);
+      else
+        A.movMR32(Rb, I->Disp, Rv);
+    }
     consume(I->A);
     consume(I->B);
     return;
@@ -817,22 +921,18 @@ void FragmentCompiler::emitIns(uint32_t Pos, LIns *I) {
   }
 
   case LOp::AddI:
-    emitBinGpr32(I, &Assembler::addRR32);
-    return;
   case LOp::SubI:
-    emitBinGpr32(I, &Assembler::subRR32);
-    return;
   case LOp::MulI:
-    emitBinGpr32(I, &Assembler::imulRR32);
-    return;
   case LOp::AndI:
-    emitBinGpr32(I, &Assembler::andRR32);
-    return;
   case LOp::OrI:
-    emitBinGpr32(I, &Assembler::orRR32);
-    return;
   case LOp::XorI:
-    emitBinGpr32(I, &Assembler::xorRR32);
+  case LOp::AddOvI:
+  case LOp::SubOvI:
+  case LOp::MulOvI:
+  case LOp::AddQ:
+  case LOp::AndQ:
+  case LOp::OrQ:
+    emitIntBin(I);
     return;
   case LOp::ShlI:
   case LOp::ShrI:
@@ -843,54 +943,6 @@ void FragmentCompiler::emitIns(uint32_t Pos, LIns *I) {
     emitShift(I);
     return;
 
-  case LOp::AddOvI:
-  case LOp::SubOvI:
-  case LOp::MulOvI: {
-    Gpr Ra = ensureGpr(I->A);
-    Gpr Rb = ensureGpr(I->B, maskOf(Ra));
-    Gpr Rd = defGpr(I, maskOf(Ra) | maskOf(Rb));
-    if (Rd != Ra)
-      A.movRR32(Rd, Ra);
-    if (I->Op == LOp::AddOvI)
-      A.addRR32(Rd, Rb);
-    else if (I->Op == LOp::SubOvI)
-      A.subRR32(Rd, Rb);
-    else
-      A.imulRR32(Rd, Rb);
-    consume(I->A);
-    consume(I->B);
-    jccToExit(CondO, I->Exit);
-    return;
-  }
-
-  case LOp::AddQ:
-    // 64-bit add (address arithmetic).
-    {
-      Gpr Ra = ensureGpr(I->A);
-      Gpr Rb = ensureGpr(I->B, maskOf(Ra));
-      Gpr Rd = defGpr(I, maskOf(Ra) | maskOf(Rb));
-      if (Rd != Ra)
-        A.movRR64(Rd, Ra);
-      A.addRR64(Rd, Rb);
-      consume(I->A);
-      consume(I->B);
-      return;
-    }
-  case LOp::AndQ:
-  case LOp::OrQ: {
-    Gpr Ra = ensureGpr(I->A);
-    Gpr Rb = ensureGpr(I->B, maskOf(Ra));
-    Gpr Rd = defGpr(I, maskOf(Ra) | maskOf(Rb));
-    if (Rd != Ra)
-      A.movRR64(Rd, Ra);
-    if (I->Op == LOp::AndQ)
-      A.andRR64(Rd, Rb);
-    else
-      A.orRR64(Rd, Rb);
-    consume(I->A);
-    consume(I->B);
-    return;
-  }
   case LOp::Q2I:
   case LOp::UI2Q: {
     Gpr Ra = ensureGpr(I->A);

@@ -70,9 +70,15 @@ restart_body:
       R = fromD(I->Imm.ImmDbl);
       break;
 
-    case LOp::LdI:
-      R = fromI(*(int32_t *)((uint8_t *)(uintptr_t)V(I->A) + I->Disp));
+    case LOp::LdI: {
+      int32_t *P = (int32_t *)((uint8_t *)(uintptr_t)V(I->A) + I->Disp);
+      // An absolute address is a VM channel, such as the preempt flag that
+      // deadline and host threads raise atomically: read it as the native
+      // load does, a relaxed atomic load, not a racy plain one.
+      R = fromI(I->A->Op == LOp::ImmQ ? __atomic_load_n(P, __ATOMIC_RELAXED)
+                                      : *P);
       break;
+    }
     case LOp::LdQ:
       R = *(uint64_t *)((uint8_t *)(uintptr_t)V(I->A) + I->Disp);
       break;
@@ -90,11 +96,12 @@ restart_body:
       *(uint64_t *)((uint8_t *)(uintptr_t)V(I->B) + I->Disp) = V(I->A);
       break;
 
+    // Unchecked int32 arithmetic wraps, as the native add/sub do.
     case LOp::AddI:
-      R = fromI(asI(V(I->A)) + asI(V(I->B)));
+      R = fromI((int32_t)((uint32_t)asI(V(I->A)) + (uint32_t)asI(V(I->B))));
       break;
     case LOp::SubI:
-      R = fromI(asI(V(I->A)) - asI(V(I->B)));
+      R = fromI((int32_t)((uint32_t)asI(V(I->A)) - (uint32_t)asI(V(I->B))));
       break;
     case LOp::MulI:
       R = fromI((int32_t)((int64_t)asI(V(I->A)) * asI(V(I->B))));

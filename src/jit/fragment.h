@@ -47,6 +47,15 @@ struct FrameEntry {
   uint32_t ReturnPc; ///< Caller resume pc (0 for the bottom frame).
 };
 
+/// A stack slot whose value at an exit is known when the trace is
+/// recorded: an immediate, or a value a guard pinned to one (the callee
+/// after its identity guard). The exit restores it from here, so the trace
+/// need not keep it in the TAR.
+struct ExitConstSlot {
+  uint32_t Slot; ///< TAR slot index (NumGlobals + value-stack index).
+  uint64_t Word; ///< Unboxed TAR word, typed by the exit's type map.
+};
+
 /// Everything the monitor needs to resume the interpreter at a side exit.
 struct ExitDescriptor {
   uint32_t Id = 0;
@@ -55,6 +64,12 @@ struct ExitDescriptor {
   uint32_t Sp = 0; ///< Interpreter value-stack top at the exit.
   std::vector<FrameEntry> Frames; ///< Bottom-to-top frame chain.
   TypeMap Types; ///< Types of slots [0, NumGlobals + Sp): how to rebox.
+  /// Exit-constant slots, sorted by slot; only stack slots above the
+  /// tree's entry Sp, which nothing but exits can observe. Restores take
+  /// these words instead of the TAR's, the dead-store filter drops the
+  /// stores that only fed them, and a branch trace grown here imports them
+  /// as immediates.
+  std::vector<ExitConstSlot> ConstSlots;
 
   // --- Runtime state ---------------------------------------------------------
   Fragment *Parent = nullptr;  ///< Fragment this exit belongs to.
@@ -87,7 +102,8 @@ public:
   uint32_t AnchorPc = 0; ///< Loop header pc (roots) / exit pc (branches).
   TypeMap EntryTypes;
   /// The static shape of the frame chain at entry (scripts and bases;
-  /// return pcs are dynamic -- see VMContext::FrameReturnPcs). Entry
+  /// return pcs below the entry depth are dynamic -- see
+  /// VMContext::FrameReturnPcs). Entry
   /// matching compares this along with the type map: two call chains with
   /// identical slot types but different scripts must not share a trace.
   std::vector<FrameEntry> EntryFrames;

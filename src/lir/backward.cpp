@@ -2,6 +2,7 @@
 
 #include "lir/backward.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "jit/fragment.h"
@@ -49,6 +50,19 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
     for (uint32_t S = 0; S < End; ++S)
       Live[S] = true;
   };
+  // An exit writes back [0, NumGlobals + Sp) from the TAR, except its
+  // exit-constant slots, which it restores from the descriptor.
+  auto ExitLive = [&](const ExitDescriptor *E) {
+    uint32_t End = std::min(NumGlobals + E->Sp, (uint32_t)Live.size());
+    const ExitConstSlot *C = E->ConstSlots.data();
+    const ExitConstSlot *CEnd = C + E->ConstSlots.size();
+    for (uint32_t S = 0; S < End; ++S) {
+      if (C != CEnd && C->Slot == S)
+        ++C;
+      else
+        Live[S] = true;
+    }
+  };
 
   uint32_t Removed = 0;
   for (size_t K = Body.size(); K-- > 0;) {
@@ -71,8 +85,9 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
       LiveRange(I->Target->EntryTypes.size());
       break;
     case LOp::TreeCall:
-      // The inner tree reads its entry slots; it may also write slots, but
-      // treating those as live is conservative and safe.
+      // The inner tree reads its entry slots, and its exits restore from
+      // the TAR; it may also write slots, but treating those as live is
+      // conservative and safe.
       LiveRange(I->Target->EntryTypes.size());
       if (I->Exit)
         LiveRange(NumGlobals + I->Exit->Sp);
@@ -84,7 +99,7 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
     case LOp::MulOvI:
     case LOp::Exit:
       if (I->Exit)
-        LiveRange(NumGlobals + I->Exit->Sp);
+        ExitLive(I->Exit);
       break;
     case LOp::StI:
     case LOp::StQ:

@@ -7,7 +7,9 @@
 //     exits are also dead."
 //   * Dead call-stack store elimination -- the same analysis applied to the
 //     slots of inlined call frames (in our unified TAR layout these are
-//     simply higher slot indices, so one analysis covers both).
+//     simply higher slot indices, so one analysis covers both). An exit
+//     that restores a slot from its descriptor's constants does not read
+//     the TAR there, so a store feeding only such exits is dead too.
 //   * Dead code elimination -- removes operations whose values are never
 //     used.
 //
@@ -33,7 +35,9 @@ struct BackwardFilterResult {
 };
 
 /// Remove dead TAR stores. \p NumGlobals sizes the globals area of the
-/// type-map slot domain (exit liveness is [0, NumGlobals + exit->Sp)).
+/// type-map slot domain (exit liveness is [0, NumGlobals + exit->Sp),
+/// minus the exit's ExitDescriptor::ConstSlots, which it restores from the
+/// descriptor).
 /// \p EntrySlots is the loop-header state size (the fragment's entry
 /// typemap length): those slots stay live across the backedge because a
 /// next-iteration side exit writes them back straight from the TAR. Pass

@@ -706,6 +706,12 @@ OptResult optimizeTrace(Fragment &F, const OptPipeline &Passes,
     R.InsHoisted = H.Ins;
     R.GuardsHoisted = H.Guards;
     RanLoopOpt = true;
+    // A hoisted guard now fails through the entry snapshot, which sees no
+    // slot above the entry Sp: stores kept only for its old exit (a pushed
+    // callee before its identity guard) are dead now.
+    if (H.Guards && Passes.has(OptPass::DeadStore))
+      eliminateDeadStores(F.Body, NumGlobals,
+                          (uint32_t)F.EntryTypes.size());
   }
 
   // The loop passes orphan values (dropped guards' conditions, bypassed

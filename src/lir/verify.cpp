@@ -204,6 +204,44 @@ RuleHit checkExitMap(LOp Op, const ExitDescriptor *E, uint32_t NumGlobals) {
   return {};
 }
 
+/// Exit-constant slots (ExitDescriptor::ConstSlots): strictly increasing,
+/// stack slots at or above \p Floor (the tree's entry slot count; exits see
+/// nothing else that only they observe) and below the exit's Sp, each typed
+/// as a value with a TAR word that fits its type.
+RuleHit checkExitConstSlots(const ExitDescriptor *E, uint32_t Floor) {
+  if (!E)
+    return {};
+  auto Hit = [&](const ExitConstSlot &C, const std::string &What) {
+    return RuleHit{VerifyRule::ExitConstSlots,
+                   std::string("exit") + std::to_string(E->Id) +
+                       " constant slot " + std::to_string(C.Slot) + " " +
+                       What};
+  };
+  uint32_t Next = Floor;
+  for (const ExitConstSlot &C : E->ConstSlots) {
+    if (C.Slot < Next || C.Slot >= E->Types.size())
+      return Hit(C, "is unsorted or outside [" + std::to_string(Floor) +
+                        ", " + std::to_string(E->Types.size()) + ")");
+    Next = C.Slot + 1;
+    switch (E->Types.Types[C.Slot]) {
+    case TraceType::Null:
+    case TraceType::Undefined:
+      return Hit(C, "has a valueless type");
+    case TraceType::Boolean:
+      if (C.Word > 1)
+        return Hit(C, "is not a boolean word");
+      break;
+    case TraceType::Int:
+      if (C.Word >> 32)
+        return Hit(C, "is not an int32 word");
+      break;
+    default:
+      break;
+    }
+  }
+  return {};
+}
+
 /// Frame-chain sanity at an exit: bases grow bottom-to-top, the top frame
 /// sits at or below the exit Sp, and the resume pc lands inside the top
 /// frame's script. Hand-built fragments without frame chains skip this.
@@ -328,7 +366,10 @@ bool VerifyWriter::checkOperands(LOp Op, LIns *A, LIns *B) {
 }
 
 bool VerifyWriter::checkExit(LOp Op, const ExitDescriptor *Exit) {
-  if (RuleHit H = checkExitMap(Op, Exit, NumGlobals)) {
+  RuleHit H = checkExitMap(Op, Exit, NumGlobals);
+  if (!H)
+    H = checkExitConstSlots(Exit, NumGlobals);
+  if (H) {
     fail(H.Rule, H.Msg);
     return false;
   }
@@ -479,6 +520,8 @@ bool verifyTrace(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
   // "not in the body at all" (a value the backward filters removed while a
   // survivor still uses it).
   std::unordered_set<const LIns *> InBody(F.Body.begin(), F.Body.end());
+  uint32_t ConstFloor =
+      F.Root ? (uint32_t)F.Root->EntryTypes.size() : NumGlobals;
   std::unordered_set<const LIns *> Defined;
   Defined.reserve(F.Body.size());
 
@@ -549,6 +592,8 @@ bool verifyTrace(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
       if (RuleHit H = checkExitMap(I->Op, I->Exit, NumGlobals))
         return Fail(H.Rule, I, H.Msg);
       if (RuleHit H = checkExitFrames(I->Exit))
+        return Fail(H.Rule, I, H.Msg);
+      if (RuleHit H = checkExitConstSlots(I->Exit, ConstFloor))
         return Fail(H.Rule, I, H.Msg);
     }
 

@@ -33,7 +33,6 @@ namespace tracejit {
   M(ElemOnNonArray, "elem-on-non-array")                                       \
   M(InitPropOnNonObject, "initprop-on-non-object")                             \
   M(RecursiveCall, "recursive-call")                                           \
-  M(InlineDepthLimit, "inline-depth-limit")                                    \
   M(CallOfNonFunction, "call-of-non-function")                                 \
   M(UntraceableNative, "untraceable-native")                                   \
   M(UnsupportedReceiver, "unsupported-receiver")                               \
@@ -67,6 +66,7 @@ namespace tracejit {
   M(TarAddressing, "tar-addressing")                                           \
   M(ExitTypeMapLength, "exit-type-map-length")                                 \
   M(ExitFrameBounds, "exit-frame-bounds")                                      \
+  M(ExitConstSlots, "exit-const-slots")                                        \
   M(TransferTarget, "transfer-target")                                         \
   M(TreeCallTypeMaps, "tree-call-type-maps")                                   \
   M(Terminator, "terminator")                                                  \

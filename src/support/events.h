@@ -39,7 +39,7 @@ enum class AbortReason : uint8_t {
   // --- Recorder: type-speculation failures ---------------------------------
   UntrackedSlot,      ///< Read of a slot the trace never imported.
   NonNumericArith,    ///< Arithmetic (incl. negation) on non-numbers.
-  MixedConcat,        ///< String/number mix reaching `+`.
+  MixedConcat,        ///< `+` of a string and a non-number, non-string.
   UntraceableCompare, ///< Comparison operand types unsupported.
   NonNumericBitop,    ///< Bitwise op on non-numbers.
   NonNumericIndex,    ///< Element index is not a number.
@@ -53,7 +53,6 @@ enum class AbortReason : uint8_t {
 
   // --- Recorder: call failures ----------------------------------------------
   RecursiveCall,        ///< Callee already on the virtual frame chain.
-  InlineDepthLimit,     ///< MaxInlineDepth exceeded.
   CallOfNonFunction,    ///< Callee is not callable.
   UntraceableNative,    ///< Native/method with no traceable fast path.
   UnsupportedReceiver,  ///< Method call on an unsupported receiver.
@@ -112,6 +111,8 @@ enum class VerifyRule : uint8_t {
                      ///< the fragment's slot domain.
   ExitTypeMapLength, ///< Exit type map length != NumGlobals + Sp.
   ExitFrameBounds,   ///< Exit Sp/frame chain inconsistent (bases, pcs).
+  ExitConstSlots,    ///< Exit-constant slot unsorted, outside the stack
+                     ///< above the tree's entry Sp, or not a typed word.
   TransferTarget,    ///< TreeCall/JmpFrag target linkage broken.
   TreeCallTypeMaps,  ///< Call-site and inner-entry type maps disagree.
   Terminator,        ///< Trace does not end in exactly one terminator.

@@ -54,6 +54,22 @@ uint64_t tj_ConcatSS(VMContext *Ctx, String *A, String *B) {
   return (uint64_t)(uintptr_t)R;
 }
 
+uint64_t tj_ConcatSN(VMContext *Ctx, String *S, double N, int32_t NumFirst) {
+  std::string Num = numberToString(N);
+  std::string R;
+  R.reserve(S->length() + Num.size());
+  if (NumFirst) {
+    R.append(Num);
+    R.append(S->view());
+  } else {
+    R.append(S->view());
+    R.append(Num);
+  }
+  String *Str = String::create(Ctx->TheHeap, R);
+  Ctx->maybeScheduleGC();
+  return (uint64_t)(uintptr_t)Str;
+}
+
 int32_t tj_EqSS(String *A, String *B) { return A->view() == B->view(); }
 
 uint64_t tj_CharAt(VMContext *Ctx, String *S, int32_t I) {
@@ -186,6 +202,7 @@ const HelperCalls &helperCalls() {
     C.ArraySetV = makeCI(tj_ArraySetV, "js_Array_set", /*Pure=*/false);
     C.ArraySetD = makeCI(tj_ArraySetD, "js_Array_setd", /*Pure=*/false);
     C.ConcatSS = makeCI(tj_ConcatSS, "js_ConcatStrings", /*Pure=*/false);
+    C.ConcatSN = makeCI(tj_ConcatSN, "js_ConcatStrNum", /*Pure=*/false);
     C.EqSS = makeCI(tj_EqSS, "js_EqualStrings", /*Pure=*/true);
     C.CharAt = makeCI(tj_CharAt, "js_String_charAt", /*Pure=*/false);
     C.FromCharCode1 =

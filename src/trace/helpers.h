@@ -32,6 +32,10 @@ uint64_t tj_BoxDouble(VMContext *Ctx, double D);
 int32_t tj_ArraySetV(VMContext *Ctx, Object *A, int32_t Idx, uint64_t Bits);
 int32_t tj_ArraySetD(VMContext *Ctx, Object *A, int32_t Idx, double D);
 uint64_t tj_ConcatSS(VMContext *Ctx, String *A, String *B);
+/// String + number in either order (\p NumFirst), the number formatted as
+/// numberToString does: what Interpreter::concatValues yields for an int or
+/// double operand (ints format identically through the double).
+uint64_t tj_ConcatSN(VMContext *Ctx, String *S, double N, int32_t NumFirst);
 int32_t tj_EqSS(String *A, String *B);
 uint64_t tj_CharAt(VMContext *Ctx, String *S, int32_t I);
 uint64_t tj_FromCharCode1(VMContext *Ctx, int32_t C);
@@ -49,7 +53,7 @@ int32_t tj_TruthyD(double D);
 /// CallInfo table for the helpers above plus the typed math natives.
 struct HelperCalls {
   CallInfo ToInt32D, ModI, ModD, BoxDouble, ArraySetV, ArraySetD, ConcatSS,
-      EqSS, CharAt, FromCharCode1, NewArray, NewObject, InitProp,
+      ConcatSN, EqSS, CharAt, FromCharCode1, NewArray, NewObject, InitProp,
       GetPropGeneric, ArrayPushV, TruthyD;
   // Typed math natives (built from the natives.cpp registry signatures).
   CallInfo MathD_D;   ///< prototype for double(double); Addr filled per use

@@ -352,14 +352,18 @@ void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar,
   // "It pops or synthesizes interpreter JavaScript call stack frames as
   // needed. Finally, it copies the imported variables back from the trace
   // activation record to the interpreter state." (§6.1)
-  // Scripts and bases are static per descriptor; return pcs come from the
-  // dynamic call-stack area so traces entered from different call sites
-  // resume at the right place.
+  // Scripts and bases are static per descriptor, and so are the return pcs
+  // of frames the tree inlined. Frames below the tree's entry depth come
+  // from whatever call site the tree was entered from, so their return pcs
+  // come from the dynamic call-stack area.
+  const Fragment *Tree = E->Parent ? E->Parent->Root : nullptr;
+  size_t DynamicBelow = Tree ? Tree->EntryFrameCount : E->Frames.size();
   auto &Frames = Interp.frames();
   Frames.clear();
   for (size_t D = 0; D < E->Frames.size(); ++D) {
     const FrameEntry &F = E->Frames[D];
-    uint32_t Rp = D == 0 ? F.ReturnPc : Ctx.FrameReturnPcs[D];
+    uint32_t Rp =
+        D == 0 || D >= DynamicBelow ? F.ReturnPc : Ctx.FrameReturnPcs[D];
     Frames.push_back({F.Script, F.Base, Rp});
   }
   Interp.setStackTop(E->Sp);
@@ -379,8 +383,14 @@ void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar,
       Ctx.Globals.Values[G] = boxFromTar(Ctx, Tar[G], E->Types.Types[G]);
   }
   Value *Stack = Interp.stackData();
-  for (uint32_t I = 0; I < E->Sp; ++I)
-    Stack[I] = boxFromTar(Ctx, Tar[NG + I], E->Types.Types[NG + I]);
+  const ExitConstSlot *C = E->ConstSlots.data();
+  const ExitConstSlot *CEnd = C + E->ConstSlots.size();
+  for (uint32_t I = 0; I < E->Sp; ++I) {
+    uint64_t W = Tar[NG + I];
+    if (C != CEnd && C->Slot == NG + I)
+      W = (C++)->Word;
+    Stack[I] = boxFromTar(Ctx, W, E->Types.Types[NG + I]);
+  }
 }
 
 ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,

@@ -55,6 +55,8 @@ TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I, TraceMonitor &M,
   }
   W = Head;
   ParamTar = W->ins0(LOp::ParamTar);
+  if (AnchorExit)
+    importExitConsts(AnchorExit);
 
   // Entry-state snapshot for hoisted guards (lir/opt.h): taken before any
   // other LIR exists, so a guard moved into the prologue can fail through
@@ -204,6 +206,21 @@ TypeMap TraceRecorder::currentTypeMap() {
 
 // --- Exits ------------------------------------------------------------------------------
 
+/// The unboxed TAR word of immediate \p I (the layout unboxForTar uses).
+static uint64_t tarWordOfImm(const LIns *I) {
+  switch (I->Op) {
+  case LOp::ImmI:
+    return (uint64_t)(uint32_t)I->Imm.ImmI32;
+  case LOp::ImmQ:
+    return (uint64_t)I->Imm.ImmQ64;
+  default: {
+    uint64_t W;
+    __builtin_memcpy(&W, &I->Imm.ImmDbl, 8);
+    return W;
+  }
+  }
+}
+
 ExitDescriptor *TraceRecorder::snapshot(ExitKind Kind, uint32_t Pc) {
   ExitDescriptor *E = F->makeExit();
   E->Kind = Kind;
@@ -212,7 +229,43 @@ ExitDescriptor *TraceRecorder::snapshot(ExitKind Kind, uint32_t Pc) {
   for (const RecFrame &Fr : VFrames)
     E->Frames.push_back({Fr.Script, Fr.Base, Fr.ReturnPc});
   E->Types = currentTypeMap();
+  // Slots above the tree's entry Sp are observable only through exits, so
+  // a constant there lives in the descriptor instead of a TAR store.
+  uint32_t Floor = (uint32_t)F->Root->EntryTypes.size();
+  for (uint32_t S = Floor; S < numGlobals() + VSp; ++S) {
+    auto It = Tracker.find(S);
+    if (It != Tracker.end() && It->second.Ins && It->second.Ins->isImm())
+      E->ConstSlots.push_back({S, tarWordOfImm(It->second.Ins)});
+  }
   return E;
+}
+
+void TraceRecorder::importExitConsts(const ExitDescriptor *E) {
+  for (const ExitConstSlot &C : E->ConstSlots) {
+    TraceType T = E->Types.Types[C.Slot];
+    LIns *V;
+    switch (T) {
+    case TraceType::Int:
+    case TraceType::Boolean:
+      V = immI((int32_t)(uint32_t)C.Word);
+      break;
+    case TraceType::Double: {
+      double D;
+      __builtin_memcpy(&D, &C.Word, 8);
+      V = immD(D);
+      break;
+    }
+    default:
+      // An object or string: the fragment that recorded the constant roots
+      // it, and fragments are only freed together, by a cache flush.
+      V = immQ((int64_t)C.Word);
+      break;
+    }
+    // Stored like any other write: an exit restores the slot from its own
+    // constants (so the filters drop the store), but a nested tree called
+    // later reads its entry slots from the TAR.
+    writeSlot(C.Slot, V, T);
+  }
 }
 
 // --- Boxing / unboxing ----------------------------------------------------------------------
@@ -415,12 +468,22 @@ void TraceRecorder::recordArith(Op O, uint32_t Pc) {
   Tracked A = top(1);
 
   if (O == Op::Add && (A.Ty == TraceType::String || B.Ty == TraceType::String)) {
-    if (A.Ty != TraceType::String || B.Ty != TraceType::String) {
-      abort(AbortReason::MixedConcat);
-      return;
+    LIns *R;
+    if (A.Ty == TraceType::String && B.Ty == TraceType::String) {
+      LIns *Args[3] = {immQ((int64_t)(intptr_t)&Ctx), A.Ins, B.Ins};
+      R = W->insCall(&helperCalls().ConcatSS, Args, 3);
+    } else {
+      bool NumFirst = B.Ty == TraceType::String;
+      const Tracked &Str = NumFirst ? B : A;
+      const Tracked &Num = NumFirst ? A : B;
+      if (Num.Ty != TraceType::Int && Num.Ty != TraceType::Double) {
+        abort(AbortReason::MixedConcat);
+        return;
+      }
+      LIns *Args[4] = {immQ((int64_t)(intptr_t)&Ctx), Str.Ins, promoteToD(Num),
+                       immI(NumFirst)};
+      R = W->insCall(&helperCalls().ConcatSN, Args, 4);
     }
-    LIns *Args[3] = {immQ((int64_t)(intptr_t)&Ctx), A.Ins, B.Ins};
-    LIns *R = W->insCall(&helperCalls().ConcatSS, Args, 3);
     VSp -= 2;
     push(R, TraceType::String);
     return;
@@ -1004,10 +1067,6 @@ void TraceRecorder::recordScriptedCall(Object *Callee, uint32_t ArgC,
       return;
     }
   }
-  if (VFrames.size() - EntryFrameDepth >= Ctx.Opts.MaxInlineDepth) {
-    abort(AbortReason::InlineDepthLimit);
-    return;
-  }
 
   // Mirror Interpreter::pushFrameForCall exactly.
   while (ArgC < S->Arity) {
@@ -1021,12 +1080,8 @@ void TraceRecorder::recordScriptedCall(Object *Callee, uint32_t ArgC,
   uint32_t Base = VSp - ArgC;
   for (uint32_t K = S->Arity; K < S->NumLocals; ++K)
     writeSlot(slotOfStack(Base + K), nullptr, TraceType::Undefined);
-  // Record this call site's return pc into the call-stack area: the same
-  // tree may later be entered from a different call site, so return pcs
-  // must be dynamic, not baked into exit descriptors.
-  uint32_t Depth = (uint32_t)VFrames.size();
-  W->insStore(LOp::StI, immI((int32_t)ReturnPc),
-              immQ((int64_t)(intptr_t)&Ctx.FrameReturnPcs[Depth]), 0);
+  // The return pc is static on this trace: exits carry it in their frame
+  // chain, so nothing is stored at run time (see recordTreeCall).
   VFrames.push_back({S, Base, ReturnPc});
   VSp = Base + S->NumLocals;
   noteSlot(numGlobals() + VSp);
@@ -1049,10 +1104,8 @@ void TraceRecorder::recordCall(uint32_t Pc) {
   // the target ("the recorder must also emit LIR to guard that the
   // function is the same", §3.1).
   ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
-  W->insGuard(LOp::GuardT,
-              W->ins2(LOp::EqQ, Callee.Ins,
-                      immQ((int64_t)CalleeV.bits())),
-              E);
+  LIns *Pinned = immQ((int64_t)CalleeV.bits());
+  W->insGuard(LOp::GuardT, W->ins2(LOp::EqQ, Callee.Ins, Pinned), E);
   F->EmbeddedRoots.push_back(CalleeV);
 
   if (FO->native()) {
@@ -1060,6 +1113,9 @@ void TraceRecorder::recordCall(uint32_t Pc) {
       abort(AbortReason::UntraceableNative);
     return;
   }
+  // Past the guard the callee is a constant: later exits restore it from
+  // their descriptors, so its slot needs no store on their behalf.
+  writeSlot(slotOfStack(VSp - ArgC - 1), Pinned, TraceType::Object);
   recordScriptedCall(FO, ArgC, Pc + 2, Pc);
 }
 
@@ -1144,8 +1200,8 @@ void TraceRecorder::recordCallProp(uint32_t Pc) {
     LIns *Slots = W->insLoad(LOp::LdQ, Recv.Ins, Object::namedSlotsOffset());
     LIns *Word = W->insLoad(LOp::LdQ, Slots, Slot * 8);
     ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
-    W->insGuard(LOp::GuardT,
-                W->ins2(LOp::EqQ, Word, immQ((int64_t)Method.bits())), E);
+    LIns *Pinned = immQ((int64_t)Method.bits());
+    W->insGuard(LOp::GuardT, W->ins2(LOp::EqQ, Word, Pinned), E);
     F->EmbeddedRoots.push_back(Method);
 
     if (FO->native()) {
@@ -1153,8 +1209,9 @@ void TraceRecorder::recordCallProp(uint32_t Pc) {
         abort(AbortReason::UntraceableNative);
       return;
     }
-    // The interpreter overwrites the receiver slot with the callee.
-    writeSlot(slotOfStack(VSp - ArgC - 1), Word, TraceType::Object);
+    // The interpreter overwrites the receiver slot with the callee, which
+    // the guard pinned to a constant.
+    writeSlot(slotOfStack(VSp - ArgC - 1), Pinned, TraceType::Object);
     recordScriptedCall(FO, ArgC, Pc + 4, Pc);
     return;
   }
@@ -1183,6 +1240,12 @@ void TraceRecorder::recordReturn(Op O, uint32_t Pc) {
 
 void TraceRecorder::recordTreeCall(Fragment *Inner, ExitDescriptor *Taken) {
   ExitDescriptor *Mismatch = snapshot(ExitKind::Nested, Inner->AnchorPc);
+  // The inner tree's entry depth is this trace's current depth, so its
+  // exits read the return pcs of every frame this trace inlined from the
+  // call-stack area: publish them, the only place a trace stores them.
+  for (size_t D = EntryFrameDepth; D < VFrames.size(); ++D)
+    W->insStore(LOp::StI, immI((int32_t)VFrames[D].ReturnPc),
+                immQ((int64_t)(intptr_t)&Ctx.FrameReturnPcs[D]), 0);
   W->insTreeCall(Inner, Taken, Mismatch);
   F->CallsTree = true;
   ++Ctx.Stats.TreeCalls;
@@ -1198,12 +1261,18 @@ void TraceRecorder::recordTreeCall(Fragment *Inner, ExitDescriptor *Taken) {
 
   // The inner tree rewrote the TAR; drop all cached knowledge and adopt
   // the exit state it returned through.
+  // Frames live before the call keep this trace's return pcs: the inner
+  // tree recorded its lower frames from whatever call site it was built
+  // at, and only restores those from the call-stack area.
   Tracker.clear();
-  VFrames.clear();
-  for (const FrameEntry &Fr : Taken->Frames)
+  VFrames.resize(std::min(VFrames.size(), Taken->Frames.size()));
+  for (size_t D = VFrames.size(); D < Taken->Frames.size(); ++D) {
+    const FrameEntry &Fr = Taken->Frames[D];
     VFrames.push_back({Fr.Script, Fr.Base, Fr.ReturnPc});
+  }
   VSp = Taken->Sp;
   FallbackTypes = Taken->Types.Types;
+  importExitConsts(Taken);
   if (Inner->RequiredTarSlots > MaxSlot)
     MaxSlot = Inner->RequiredTarSlots;
   noteSlot(numGlobals() + VSp);

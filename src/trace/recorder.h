@@ -14,7 +14,8 @@
 //  * inlines scripted calls by mirroring the interpreter's frame layout
 //    (function inlining, §3.1), and calls typed natives directly (§6.5);
 //  * snapshots an ExitDescriptor per guard: resume pc, stack depth, frame
-//    chain, and the type map needed to rebox the TAR into the interpreter.
+//    chain, the type map needed to rebox the TAR into the interpreter, and
+//    the stack slots whose value there is a recording-time constant.
 //
 //===----------------------------------------------------------------------===//
 
@@ -129,6 +130,10 @@ private:
 
   // --- Exits ---------------------------------------------------------------------
   ExitDescriptor *snapshot(ExitKind Kind, uint32_t Pc);
+  /// Rewrite \p E's exit-constant slots as immediates: the TAR does not
+  /// hold them when control arrives from that exit (branch traces, tree
+  /// calls).
+  void importExitConsts(const ExitDescriptor *E);
 
   // --- Emission helpers -------------------------------------------------------------
   LIns *tarBase() { return ParamTar; }

@@ -224,14 +224,41 @@ TEST(Governance, DeadlineAlsoCoversTheInterpreter) {
   EXPECT_TRUE(E.eval("42;").ok());
 }
 
+TEST(Governance, DeadlineAndHeapQuotaReachABlacklistedLoop) {
+  // Blacklisting patches the loop header to Nop3, which must stay a safe
+  // point: a blacklisted hot loop still services deadlines and the heap
+  // quota. Recursion is not traced, so this loop is blacklisted.
+  const char *Src = "function d(n) { if (n == 0) return 'x'; return d(n - 1); }\n"
+                    "var a = [];\n"
+                    "for (var i = 0; i < 100000000; ++i) a[i & 1048575] = d(2) + i;\n";
+  EngineOptions O;
+  O.EnableJit = true;
+  O.CollectStats = true;
+  O.EvalDeadlineMs = 100;
+  Engine E(O);
+  auto R = E.eval(Src);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Err.Kind, ErrorKind::Timeout);
+  EXPECT_EQ(E.stats().LoopsBlacklisted, 1u);
+
+  EngineOptions Q = O;
+  Q.EvalDeadlineMs = 0;
+  Q.MaxHeapBytes = 6u << 20;
+  Engine EQ(Q);
+  auto RQ = EQ.eval(Src);
+  ASSERT_FALSE(RQ.ok());
+  EXPECT_EQ(RQ.Err.Kind, ErrorKind::OutOfMemory);
+  EXPECT_EQ(EQ.stats().LoopsBlacklisted, 1u);
+}
+
 // --- A callee loop under GC pressure, called from a hot megamorphic loop -----
 //
 // The callee has its own loop and allocates strings, so collections are
 // requested at loop edges of both loops while the caller's loop is hot.
-// Whatever the JIT does with the two loops (today both record, abort on
-// the mixed string/number concat and are blacklisted), every collection
-// must be serviced and the script must make progress; a deadline must end
-// the unbounded variant at whatever loop depth it lands.
+// Both loops trace: the callee's `s += number` records a string/number
+// concat call, and the caller calls the callee's loop as a nested tree.
+// Every collection must be serviced and the script must make progress; a
+// deadline must end the unbounded variant at whatever loop depth it lands.
 
 std::string calleeLoopScript(const std::string &OuterIters) {
   return "var objs = [{a: 1}, {b: 1, a: 2}, {c: 1, a: 3}, {d: 1, a: 4},"
@@ -269,7 +296,9 @@ TEST_P(CalleeLoopUnderGc, FinishesWithTheInterpretersOutput) {
   ASSERT_TRUE(R.ok()) << R.Err.describe();
   EXPECT_EQ(Out, "1090000\n");
   EXPECT_GE(E.stats().GCs, 1u) << "the script must collect while it runs";
-  EXPECT_GE(E.stats().TracesStarted, 1u);
+  EXPECT_GE(E.stats().TracesCompleted, 2u) << "both loops compile";
+  EXPECT_EQ(E.stats().AbortsByReason[(size_t)AbortReason::MixedConcat], 0u);
+  EXPECT_EQ(E.stats().LoopsBlacklisted, 0u);
 }
 
 TEST_P(CalleeLoopUnderGc, DeadlineEndsItAndTheEngineIsReusable) {

@@ -97,8 +97,8 @@ print(t);
 )js";
 }
 
-// A call chain deeper than MaxInlineDepth: every root recording aborts at
-// the inline limit, so the loop is blacklisted after MaxRecordingFailures.
+// A call chain ten frames deep: the recorder inlines all of it, so the
+// loop becomes one tree.
 std::string deepCallKernel(int Iters) {
   return R"js(
 function fA(x) { return x + 1; }
@@ -114,6 +114,19 @@ function fJ(x) { return fI(x) + 1; }
 var t = 0;
 for (var i = 0; i < )js" +
          std::to_string(Iters) + R"js(; ++i) t = t + fJ(i & 1023);
+print(t);
+)js";
+}
+
+// Every iteration calls a recursive function. Recursion is not traced, so
+// every root recording aborts and the loop is blacklisted after
+// MaxRecordingFailures.
+std::string recursiveCallKernel(int Iters) {
+  return R"js(
+function depth(n) { if (n == 0) return 0; return 1 + depth(n - 1); }
+var t = 0;
+for (var i = 0; i < )js" +
+         std::to_string(Iters) + R"js(; ++i) t = t + depth(i & 3);
 print(t);
 )js";
 }
@@ -210,8 +223,21 @@ TEST(Tier, PolicyRepeatedAbortsBackOffThenBlacklist) {
 
 // --- Blacklisting end to end ---------------------------------------------------
 
-TEST(Tier, DeepCallLoopIsBlacklisted) {
+TEST(Tier, DeepCallLoopTracesAndEnters) {
   std::string Src = deepCallKernel(50000);
+  TierRun R = runTier(Src);
+  ASSERT_TRUE(R.Ok) << R.Err;
+  EXPECT_EQ(R.Out, interpOutput(Src));
+  EXPECT_EQ(R.Stats.TracesAborted, 0u) << "the whole chain inlines";
+  EXPECT_EQ(R.Stats.LoopsBlacklisted, 0u);
+  EXPECT_EQ(R.Stats.TreesCompiled, 1u);
+  EXPECT_GE(R.Stats.TraceEnters, 1u);
+  EXPECT_GT(R.Stats.BytecodesNative, 10 * R.Stats.BytecodesInterpreted)
+      << "the loop must run on trace, not in the interpreter";
+}
+
+TEST(Tier, RecursiveCallLoopIsBlacklisted) {
+  std::string Src = recursiveCallKernel(50000);
   std::string Want = interpOutput(Src);
 
   EngineOptions O;
@@ -227,7 +253,7 @@ TEST(Tier, DeepCallLoopIsBlacklisted) {
   EXPECT_EQ(Out, Want);
 
   VMStats S = E.stats();
-  EXPECT_GE(S.AbortsByReason[(size_t)AbortReason::InlineDepthLimit],
+  EXPECT_GE(S.AbortsByReason[(size_t)AbortReason::RecursiveCall],
             (uint64_t)O.MaxRecordingFailures);
   EXPECT_EQ(S.LoopsBlacklisted, 1u);
   EXPECT_EQ(L.count(JitEventKind::Blacklisted), 1u);
@@ -256,7 +282,7 @@ TEST(Tier, TierOfReportsTraceUntilBlacklisted) {
   EXPECT_EQ(loopsInTier(E, Tier::Interpreter), 0u);
   // An unseen loop id reports the trace tier every loop starts in.
   EXPECT_EQ(E.tierOf(9999, 0), Tier::Trace);
-  ASSERT_TRUE(E.eval(deepCallKernel(20000)).ok());
+  ASSERT_TRUE(E.eval(recursiveCallKernel(20000)).ok());
   EXPECT_EQ(loopsInTier(E, Tier::Interpreter), 1u);
 
   EngineOptions Off;
@@ -305,10 +331,10 @@ TEST(Tier, TracePipelineIsDeterministic) {
 TEST(Tier, BlacklistSurvivesCacheFlush) {
   // The loop lives in a function, so the second eval reaches the same
   // loop header after the flush.
-  std::string Src = deepCallKernel(0) + R"js(
+  std::string Src = recursiveCallKernel(0) + R"js(
 function spin(n) {
   var s = 0;
-  for (var i = 0; i < n; ++i) s = s + fJ(i & 1023);
+  for (var i = 0; i < n; ++i) s = s + depth(i & 3);
   return s;
 }
 print(spin(20000));
@@ -332,7 +358,7 @@ print(spin(20000));
   uint64_t Started = E.stats().TracesStarted;
   Out.clear();
   ASSERT_TRUE(E.eval("print(spin(20000));").ok());
-  EXPECT_EQ(Out, "10299440\n");
+  EXPECT_EQ(Out, Want.substr(Want.find('\n') + 1)) << "spin's line again";
   EXPECT_GT(E.cacheGeneration(), Gen);
   EXPECT_EQ(E.stats().TracesStarted, Started) << "the loop re-recorded";
   EXPECT_EQ(E.stats().LoopsBlacklisted, 1u);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "api/engine.h"
 #include "trace/monitor.h"
 
@@ -339,3 +342,190 @@ TEST(TraceCache, EmbeddedRootsSurviveGC) {
   ASSERT_TRUE(R.ok()) << R.Err.describe();
   EXPECT_EQ(Out, "400\n");
 }
+
+// --- Deep inlined frames -------------------------------------------------------
+//
+// A trace inlines call chains of any depth and stores no per-frame return
+// pc: exits read the return pcs of inlined frames from their descriptors,
+// and restore callees and literal operands from exit-constant slots. Each
+// program runs on both backends and must agree with the interpreter on the
+// printed output and on every global's final value.
+
+namespace {
+
+struct Observed {
+  bool Ok = false;
+  std::string Error;
+  std::string Out;
+  std::vector<std::string> Globals; ///< "name=value", in slot order.
+  VMStats Stats;
+};
+
+Observed observe(const std::string &Src, EngineOptions O) {
+  O.CollectStats = true;
+  Engine E(O);
+  Observed R;
+  E.setPrintHook([&](const std::string &S) { R.Out += S; });
+  auto Res = E.eval(Src);
+  R.Ok = Res.ok();
+  R.Error = Res.Err.describe();
+  const GlobalTable &G = E.context().Globals;
+  for (uint32_t I = 0; I < G.size(); ++I)
+    R.Globals.push_back(std::string(G.Names[I]->view()) + "=" +
+                        valueToString(G.Values[I]));
+  R.Stats = E.stats();
+  return R;
+}
+
+/// f0 .. f{N-1}: f0 is \p Innermost, each f{k} counts its call in the
+/// global `calls` and returns f{k-1}(x) + 1. The count makes a frame that
+/// resumes at a wrong return pc visible even where the result is not.
+std::string callChain(int N, const std::string &Innermost) {
+  std::string S = "var calls = 0;\nfunction f0(x) { " + Innermost + " }\n";
+  for (int K = 1; K < N; ++K)
+    S += "function f" + std::to_string(K) + "(x) { calls = calls + 1; " +
+         "return f" + std::to_string(K - 1) + "(x) + 1; }\n";
+  return S;
+}
+
+class DeepFrames : public ::testing::TestWithParam<Backend> {
+protected:
+  /// Run \p Src traced on this backend; it must match the interpreter.
+  Observed runAgainstInterpreter(const std::string &Src) {
+    EngineOptions Interp;
+    Interp.EnableJit = false;
+    Observed Want = observe(Src, Interp);
+    EXPECT_TRUE(Want.Ok) << Want.Error;
+    EngineOptions O = jit();
+    O.JitBackend = GetParam();
+    Observed Got = observe(Src, O);
+    EXPECT_TRUE(Got.Ok) << Got.Error;
+    EXPECT_EQ(Got.Out, Want.Out);
+    EXPECT_EQ(Got.Globals, Want.Globals);
+    return Got;
+  }
+};
+
+} // namespace
+
+TEST_P(DeepFrames, TwentyDeepChainExitsFromEveryDepth) {
+  // Past i == 1000 the arguments sit at the top of the int32 range, so the
+  // `+ 1` of the innermost frames overflows on some iterations and the
+  // outer ones on others; past i == 2000 the innermost callee returns
+  // doubles. Exits fire from deep frames and their branches grow there.
+  std::string Src = "var flip = 0;\n" +
+                    callChain(20, "if (flip) return x + 0.5; return x + 1;") +
+                    "var t = 0, base = 0;\n"
+                    "for (var i = 0; i < 3000; ++i) {\n"
+                    "  if (i == 1000) base = 2147483630;\n"
+                    "  if (i == 2000) flip = 1;\n"
+                    "  t = t + f19(base + (i & 31));\n"
+                    "  if ((i & 255) == 0) print(i, t, calls);\n"
+                    "}\n"
+                    "print(t);\n";
+  Observed R = runAgainstInterpreter(Src);
+  EXPECT_GE(R.Stats.TracesCompleted, 1u);
+  EXPECT_GE(R.Stats.SideExits, 3u);
+  EXPECT_EQ(R.Stats.LoopsBlacklisted, 0u);
+}
+
+TEST_P(DeepFrames, CalleeLoopReachedFromTwoCallSites) {
+  // The outer loop reaches inner()'s loop from two call sites at the same
+  // frame depth, so both share one inner tree, recorded at one of them.
+  // The outer trace calls it as a nested tree; the tree's exits (a type
+  // change inside the loop, a call inlined below it) take the return pc of
+  // inner()'s own frame from the call-stack area, which the outer trace
+  // fills in before the call. The guards after the loop exit from the
+  // outer trace with inner()'s frame in their chain.
+  std::string Src = "var calls = 0;\n"
+                    "function g(k) {\n"
+                    "  calls = calls + 1;\n"
+                    "  if (k == 9) return 0.5;\n"
+                    "  return k;\n"
+                    "}\n"
+                    "function inner(n) {\n"
+                    "  var s = 0;\n"
+                    "  for (var k = 0; k < n; ++k) s = s + g(k);\n"
+                    "  if (n == 6) s = s * 2;\n"
+                    "  if (n == 13) s = s * 3;\n"
+                    "  return s;\n"
+                    "}\n"
+                    "var t = 0, u = 0;\n"
+                    "for (var i = 0; i < 2000; ++i) {\n"
+                    "  if (i & 1) t = t + inner(i & 15);\n"
+                    "  else u = u - inner(i & 7) * 2;\n"
+                    "}\n"
+                    "print(t, u);\n";
+  Observed R = runAgainstInterpreter(Src);
+  EXPECT_GE(R.Stats.TreeCalls, 1u) << "the outer trace calls inner's tree";
+}
+
+TEST_P(DeepFrames, OuterTraceKeepsItsOwnReturnPcsAcrossATreeCall) {
+  // inner()'s tree is recorded while the first call site runs; the branch
+  // for the second call site then calls it as a nested tree. The exit the
+  // branch takes after the call (the s > 40 guard, still inside inner())
+  // must resume at the second call site, not at the one the inner tree's
+  // exit descriptor was recorded under.
+  std::string Src = "function inner(n) {\n"
+                    "  var s = 0;\n"
+                    "  for (var k = 0; k < n; ++k) s = s + k;\n"
+                    "  if (s > 40) s = s - 1;\n"
+                    "  return s;\n"
+                    "}\n"
+                    "var t = 0, u = 0;\n"
+                    "for (var i = 0; i < 3000; ++i) {\n"
+                    "  if (i < 1500) t = t + inner(i & 15);\n"
+                    "  else u = u - inner(i & 15) * 2;\n"
+                    "}\n"
+                    "print(t, u);\n";
+  Observed R = runAgainstInterpreter(Src);
+  EXPECT_GE(R.Stats.TreeCalls, 2u) << "both call sites call inner's tree";
+}
+
+TEST_P(DeepFrames, BranchAnchoredAtAnExitWithConstantSlots) {
+  // The guard inside pick() exits with the literal 7 and pick's callee
+  // (pinned by its identity guard) in exit-constant slots. The branch grown
+  // there imports them as immediates, then calls inner()'s tree, whose
+  // entry map covers both slots: when that tree side-exits (k == 11), the
+  // restore reads them from the TAR, so the branch must have stored them;
+  // the interpreter then goes on to multiply by the 7.
+  std::string Src = "function inner(n) {\n"
+                    "  var s = '';\n"
+                    "  for (var k = 0; k < n; ++k) {\n"
+                    "    if (k == 11) s = s + 'x';\n"
+                    "    s = s + k;\n"
+                    "  }\n"
+                    "  return s.length;\n"
+                    "}\n"
+                    "function pick(x) {\n"
+                    "  if ((x & 3) == 0) return inner(x & 15) + 1;\n"
+                    "  return x + 1;\n"
+                    "}\n"
+                    "var t = 0;\n"
+                    "for (var i = 0; i < 4000; ++i) t = t + 7 * pick(i);\n"
+                    "print(t);\n";
+  Observed R = runAgainstInterpreter(Src);
+  EXPECT_GE(R.Stats.BranchesCompiled, 1u);
+  EXPECT_GE(R.Stats.TreeCalls, 1u);
+
+  // The stitched exit the branch grew from has constant slots.
+  EngineOptions O = jit();
+  O.JitBackend = GetParam();
+  Engine E(O);
+  E.setPrintHook([](const std::string &) {});
+  ASSERT_TRUE(E.eval(Src).ok());
+  bool StitchedConstExit = false;
+  for (const auto &F : E.context().Monitor->fragments())
+    for (const auto &X : F->Exits)
+      StitchedConstExit |= X->Target && !X->ConstSlots.empty();
+  EXPECT_TRUE(StitchedConstExit)
+      << "no branch trace was anchored at an exit with constant slots";
+}
+
+INSTANTIATE_TEST_SUITE_P(TraceTrees, DeepFrames,
+                         ::testing::Values(Backend::Native, Backend::Executor),
+                         [](const ::testing::TestParamInfo<Backend> &I) {
+                           return std::string(I.param == Backend::Native
+                                                  ? "Native"
+                                                  : "Executor");
+                         });

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "api/engine.h"
 #include "frontend/bytecode.h"
 #include "jit/fragment.h"
@@ -124,6 +126,36 @@ TEST(VerifyWriter, ExitGlobalsMismatch) {
   F.W.insExit(E);
   ASSERT_TRUE(F.W.failed());
   EXPECT_EQ(F.W.error().Rule, VerifyRule::ExitTypeMapLength);
+}
+
+TEST(VerifyWriter, ExitConstSlots) {
+  // Exit-constant slots must be sorted stack slots below the exit's Sp,
+  // with a word that fits their type.
+  struct Case {
+    std::vector<ExitConstSlot> Slots;
+    TraceType Ty;
+    bool Ok;
+  } Cases[] = {
+      {{{1, 5}, {2, 7}}, TraceType::Int, true},
+      {{{2, 7}, {1, 5}}, TraceType::Int, false},  // unsorted
+      {{{1, 5}, {1, 5}}, TraceType::Int, false},  // duplicate
+      {{{0, 5}}, TraceType::Int, false},          // a global
+      {{{3, 5}}, TraceType::Int, false},          // above the exit's Sp
+      {{{1, 1ull << 32}}, TraceType::Int, false}, // not an int32 word
+      {{{1, 2}}, TraceType::Boolean, false},
+      {{{1, 0}}, TraceType::Undefined, false},
+  };
+  for (const Case &C : Cases) {
+    StreamFixture F;
+    ExitDescriptor *E = F.exit(2);
+    E->Types.Types[1] = E->Types.Types[2] = C.Ty;
+    E->ConstSlots = C.Slots;
+    F.W.insExit(E);
+    EXPECT_EQ(F.W.failed(), !C.Ok) << C.Slots.size() << " slots";
+    if (!C.Ok) {
+      EXPECT_EQ(F.W.error().Rule, VerifyRule::ExitConstSlots);
+    }
+  }
 }
 
 TEST(VerifyWriter, TarAddressingUnaligned) {
