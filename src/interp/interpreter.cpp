@@ -56,7 +56,7 @@ double Interpreter::toNumber(const Value &V) {
   return std::nan(""); // objects (no valueOf in the subset)
 }
 
-int32_t Interpreter::toInt32(double D) {
+int32_t Interpreter::toInt32Slow(double D) {
   // ECMA-262 ToInt32: modular reduction into the int32 range.
   if (std::isnan(D) || std::isinf(D))
     return 0;
@@ -107,8 +107,11 @@ int Interpreter::compareValues(const Value &A, const Value &B) {
 }
 
 Value Interpreter::concatValues(const Value &A, const Value &B) {
-  std::string S = valueToString(A) + valueToString(B);
-  Value R = Value::makeString(String::create(Ctx.TheHeap, S));
+  char BufA[NumberBufSize], BufB[NumberBufSize];
+  std::string SlowA, SlowB;
+  Value R = Value::makeString(
+      String::concat(Ctx.TheHeap, valueToStringView(A, BufA, SlowA),
+                     valueToStringView(B, BufB, SlowB)));
   Ctx.maybeScheduleGC();
   return R;
 }
@@ -168,9 +171,8 @@ Value Interpreter::getElemValue(const Value &Base, const Value &Index) {
     int64_t I = (int64_t)D;
     if ((double)I != D || I < 0 || I >= (int64_t)S->length())
       return Value::undefined();
-    Value R = Value::makeString(
-        String::create(Ctx.TheHeap, std::string_view(S->data() + I, 1)));
-    Ctx.maybeScheduleGC();
+    Value R = Value::makeString(Ctx.Atoms.unitString(S->charAt((uint32_t)I)));
+    Ctx.maybeScheduleGC(); // the first use of a unit string allocates it
     return R;
   }
   rtError("indexing a non-object");

@@ -58,7 +58,15 @@ public:
 
   // --- Semantic helpers shared with the trace runtime ----------------------
   static double toNumber(const Value &V);
-  static int32_t toInt32(double D);
+  /// ECMA-262 ToInt32. Below 2^63 in magnitude, truncating through int64_t
+  /// and keeping the low 32 bits is exact; NaN, the infinities and larger
+  /// magnitudes take the trunc/fmod reduction.
+  static int32_t toInt32(double D) {
+    if (D > -9223372036854775808.0 && D < 9223372036854775808.0)
+      return (int32_t)(uint32_t)(uint64_t)(int64_t)D;
+    return toInt32Slow(D);
+  }
+  static int32_t toInt32Slow(double D);
   static int32_t valueToInt32(const Value &V) { return toInt32(toNumber(V)); }
   static bool looseEquals(const Value &A, const Value &B);
   static bool strictEquals(const Value &A, const Value &B);

@@ -91,6 +91,9 @@ static Value nativeArrayCtor(Interpreter &I, Value, const Value *Args,
 
 static Value nativeFromCharCode(Interpreter &I, Value, const Value *Args,
                                 uint32_t N) {
+  if (N == 1)
+    return Value::makeString(I.context().Atoms.unitString(
+        (unsigned char)Interpreter::valueToInt32(Args[0])));
   std::string S;
   for (uint32_t K = 0; K < N; ++K)
     S.push_back((char)(Interpreter::valueToInt32(Args[K]) & 0xff));
@@ -98,8 +101,12 @@ static Value nativeFromCharCode(Interpreter &I, Value, const Value *Args,
 }
 
 static Value nativeGcNow(Interpreter &I, Value, const Value *, uint32_t) {
-  I.context().TheHeap.collect();
-  ++I.context().Stats.GCs;
+  VMContext &C = I.context();
+  {
+    ActivityScope T(C.Stats, Activity::Gc, C.Opts.CollectStats);
+    C.TheHeap.collect();
+  }
+  ++C.Stats.GCs;
   return Value::undefined();
 }
 
@@ -184,9 +191,8 @@ Value Interpreter::callPropValue(Value Recv, String *Name, const Value *Args,
     if (M == "charAt") {
       int64_t I = (int64_t)argNum(Args, N, 0);
       if (I < 0 || I >= (int64_t)S->length())
-        return Value::makeString(String::create(C.TheHeap, ""));
-      return Value::makeString(
-          String::create(C.TheHeap, std::string_view(S->data() + I, 1)));
+        return Value::makeString(C.Atoms.emptyString());
+      return Value::makeString(C.Atoms.unitString(S->charAt((uint32_t)I)));
     }
     if (M == "indexOf") {
       if (N < 1 || !Args[0].isString())

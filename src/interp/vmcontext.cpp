@@ -23,7 +23,10 @@ void VMContext::serviceInterrupts() {
   // over-quota heap the chance to get back under before we call it OOM.
   bool OverQuota = overHeapQuota();
   if ((Bits & InterruptGC) || TheHeap.wantsGC() || OverQuota) {
-    TheHeap.collect();
+    {
+      ActivityScope T(Stats, Activity::Gc, Opts.CollectStats);
+      TheHeap.collect();
+    }
     ++Stats.GCs;
     if (EventListener) {
       JitEvent E;

@@ -20,6 +20,8 @@ const char *activityName(Activity A) {
     return "native";
   case Activity::ExitOverhead:
     return "exit-overhead";
+  case Activity::Gc:
+    return "gc";
   case Activity::NumActivities:
     break;
   }

@@ -29,6 +29,7 @@ enum class Activity : uint8_t {
   Compile,         ///< LIR filtering + native code generation.
   Native,          ///< Executing compiled traces.
   ExitOverhead,    ///< Boxing values and rebuilding interpreter state on exit.
+  Gc,              ///< Heap::collect(), at a safe point or from gc().
   NumActivities
 };
 

@@ -45,48 +45,32 @@ int32_t tj_ArraySetD(VMContext *Ctx, Object *A, int32_t Idx, double D) {
 }
 
 uint64_t tj_ConcatSS(VMContext *Ctx, String *A, String *B) {
-  std::string S;
-  S.reserve(A->length() + B->length());
-  S.append(A->view());
-  S.append(B->view());
-  String *R = String::create(Ctx->TheHeap, S);
+  String *R = String::concat(Ctx->TheHeap, A->view(), B->view());
   Ctx->maybeScheduleGC();
   return (uint64_t)(uintptr_t)R;
 }
 
 uint64_t tj_ConcatSN(VMContext *Ctx, String *S, double N, int32_t NumFirst) {
-  std::string Num = numberToString(N);
-  std::string R;
-  R.reserve(S->length() + Num.size());
-  if (NumFirst) {
-    R.append(Num);
-    R.append(S->view());
-  } else {
-    R.append(S->view());
-    R.append(Num);
-  }
-  String *Str = String::create(Ctx->TheHeap, R);
+  char Buf[NumberBufSize];
+  std::string_view Num(Buf, formatNumber(N, Buf));
+  String *R = NumFirst ? String::concat(Ctx->TheHeap, Num, S->view())
+                       : String::concat(Ctx->TheHeap, S->view(), Num);
   Ctx->maybeScheduleGC();
-  return (uint64_t)(uintptr_t)Str;
+  return (uint64_t)(uintptr_t)R;
 }
 
 int32_t tj_EqSS(String *A, String *B) { return A->view() == B->view(); }
 
 uint64_t tj_CharAt(VMContext *Ctx, String *S, int32_t I) {
-  if (I < 0 || (uint32_t)I >= S->length()) {
-    String *R = String::create(Ctx->TheHeap, "");
-    Ctx->maybeScheduleGC();
-    return (uint64_t)(uintptr_t)R;
-  }
-  String *R =
-      String::create(Ctx->TheHeap, std::string_view(S->data() + I, 1));
-  Ctx->maybeScheduleGC();
+  String *R = I < 0 || (uint32_t)I >= S->length()
+                  ? Ctx->Atoms.emptyString()
+                  : Ctx->Atoms.unitString(S->charAt((uint32_t)I));
+  Ctx->maybeScheduleGC(); // the first use of a unit string allocates it
   return (uint64_t)(uintptr_t)R;
 }
 
 uint64_t tj_FromCharCode1(VMContext *Ctx, int32_t C) {
-  char Ch = (char)(C & 0xff);
-  String *R = String::create(Ctx->TheHeap, std::string_view(&Ch, 1));
+  String *R = Ctx->Atoms.unitString((unsigned char)C);
   Ctx->maybeScheduleGC();
   return (uint64_t)(uintptr_t)R;
 }

@@ -2,6 +2,7 @@
 
 #include "vm/gc.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 
@@ -10,30 +11,96 @@
 
 namespace tracejit {
 
-Heap::Heap() = default;
+namespace {
+std::atomic<size_t> BlocksInProcess{0};
+} // namespace
+
+Heap::Heap() {
+  for (size_t I = 0; I < NumClasses; ++I)
+    Classes[I].CellSize = (uint32_t)((I + 1) * CellGranule);
+}
 
 Heap::~Heap() {
-  for (GCCell *C : Cells) {
-    switch (C->Kind) {
-    case CellKind::Object:
-      static_cast<Object *>(C)->~Object();
-      break;
-    case CellKind::String:
-      static_cast<String *>(C)->~String();
-      break;
-    case CellKind::Double:
-      static_cast<DoubleCell *>(C)->~DoubleCell();
-      break;
+  for (SizeClass &C : Classes) {
+    for (char *Mem : C.Blocks) {
+      char *End = carvedEnd(C, Mem);
+      for (char *P = Mem; P < End; P += C.CellSize) {
+        unpoison(P, C.CellSize);
+        finalize(reinterpret_cast<GCCell *>(P));
+      }
+      releaseBlock(Mem);
     }
+  }
+  for (GCCell *C : LargeCells) {
+    finalize(C);
     std::free(C);
   }
 }
 
-DoubleCell *Heap::allocDouble(double D) {
-  void *Mem = std::malloc(sizeof(DoubleCell));
-  auto *Cell = new (Mem) DoubleCell(D);
-  registerCell(Cell, sizeof(DoubleCell));
-  return Cell;
+size_t Heap::blockCount() const {
+  size_t N = 0;
+  for (const SizeClass &C : Classes)
+    N += C.Blocks.size();
+  return N;
+}
+
+size_t Heap::blocksInProcess() { return BlocksInProcess.load(); }
+
+char *Heap::blockEnd(const SizeClass &C, char *Mem) {
+  return Mem + (BlockBytes / C.CellSize) * C.CellSize;
+}
+
+char *Heap::carvedEnd(const SizeClass &C, char *Mem) {
+  // Only the current block is partly carved; every other one is full.
+  char *Full = blockEnd(C, Mem);
+  return C.BumpEnd == Full ? C.Bump : Full;
+}
+
+void Heap::releaseBlock(char *Mem) {
+  unpoison(Mem, BlockBytes);
+  std::free(Mem);
+  BlocksInProcess.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void *Heap::allocInNewBlock(SizeClass &C) {
+  auto *Mem = static_cast<char *>(std::malloc(BlockBytes));
+  if (!Mem)
+    throw std::bad_alloc();
+  BlocksInProcess.fetch_add(1, std::memory_order_relaxed);
+  poison(Mem, BlockBytes);
+  C.Blocks.push_back(Mem);
+  C.Bump = Mem + C.CellSize;
+  C.BumpEnd = blockEnd(C, Mem);
+  unpoison(Mem, C.CellSize);
+  return Mem;
+}
+
+void *Heap::allocLarge(size_t Bytes) {
+  void *Mem = std::malloc(Bytes);
+  if (!Mem)
+    throw std::bad_alloc();
+  LargeCells.push_back(static_cast<GCCell *>(Mem));
+  return Mem;
+}
+
+void Heap::finalize(GCCell *C) {
+  // Strings and double handles hold nothing outside their cell.
+  if (C->Kind == CellKind::Object)
+    static_cast<Object *>(C)->~Object();
+}
+
+size_t Heap::liveBytes(const GCCell *C) {
+  switch (C->Kind) {
+  case CellKind::Object:
+    return sizeof(Object);
+  case CellKind::String:
+    return sizeof(String) + static_cast<const String *>(C)->length();
+  case CellKind::Double:
+    return sizeof(DoubleCell);
+  case CellKind::Free:
+    break;
+  }
+  return 0;
 }
 
 Value Heap::boxNumber(double D) {
@@ -45,11 +112,6 @@ Value Heap::boxNumber(double D) {
       return Value::makeInt(I);
   }
   return boxDouble(D);
-}
-
-void Heap::registerCell(GCCell *C, size_t Bytes) {
-  Cells.push_back(C);
-  BytesAllocated += Bytes;
 }
 
 void Marker::markValue(const Value &V) {
@@ -82,40 +144,67 @@ void Heap::collect() {
   sweep();
 }
 
-void Heap::sweep() {
-  size_t Live = 0;
+size_t Heap::sweepClass(SizeClass &C) {
   size_t LiveBytes = 0;
-  for (GCCell *C : Cells) {
+  bool KeptSpare = false;
+  size_t Kept = 0;
+  C.FreeList = nullptr;
+  for (char *Mem : C.Blocks) {
+    bool Current = C.BumpEnd == blockEnd(C, Mem);
+    char *End = carvedEnd(C, Mem);
+    // Walk the block backwards and push its free cells onto the class's
+    // list, so that allocation walks the block forwards.
+    FreeCell *Before = C.FreeList;
+    size_t Live = 0;
+    for (char *P = End; P != Mem;) {
+      P -= C.CellSize;
+      unpoison(P, C.CellSize);
+      auto *Cell = reinterpret_cast<GCCell *>(P);
+      if (Cell->Marked) { // never set on a free cell
+        Cell->Marked = false;
+        LiveBytes += liveBytes(Cell);
+        ++Live;
+        continue;
+      }
+      finalize(Cell);
+      C.FreeList = new (P) FreeCell(C.FreeList);
+      poison(P, C.CellSize);
+    }
+    if (Live == 0 && (Current || KeptSpare)) {
+      // A wholly empty block gives its cells back: the current block by
+      // restarting its carving from the top, any other one beyond the
+      // class's one spare by being released.
+      C.FreeList = Before;
+      if (!Current) {
+        releaseBlock(Mem);
+        continue;
+      }
+      C.Bump = Mem;
+      poison(Mem, BlockBytes);
+    }
+    KeptSpare |= Live == 0;
+    C.Blocks[Kept++] = Mem;
+  }
+  C.Blocks.resize(Kept);
+  return LiveBytes;
+}
+
+void Heap::sweep() {
+  size_t LiveBytes = 0;
+  for (SizeClass &C : Classes)
+    LiveBytes += sweepClass(C);
+  size_t Live = 0;
+  for (GCCell *C : LargeCells) {
     if (C->Marked) {
       C->Marked = false;
-      Cells[Live++] = C;
-      switch (C->Kind) {
-      case CellKind::Object:
-        LiveBytes += sizeof(Object);
-        break;
-      case CellKind::String:
-        LiveBytes += sizeof(String) + static_cast<String *>(C)->length();
-        break;
-      case CellKind::Double:
-        LiveBytes += sizeof(DoubleCell);
-        break;
-      }
+      LiveBytes += liveBytes(C);
+      LargeCells[Live++] = C;
       continue;
     }
-    switch (C->Kind) {
-    case CellKind::Object:
-      static_cast<Object *>(C)->~Object();
-      break;
-    case CellKind::String:
-      static_cast<String *>(C)->~String();
-      break;
-    case CellKind::Double:
-      static_cast<DoubleCell *>(C)->~DoubleCell();
-      break;
-    }
+    finalize(C);
     std::free(C);
   }
-  Cells.resize(Live);
+  LargeCells.resize(Live);
   BytesAllocated = LiveBytes;
   // Grow the trigger so steady-state heaps do not thrash.
   size_t MinTrigger = 4 * 1024 * 1024;

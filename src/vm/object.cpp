@@ -8,10 +8,7 @@
 namespace tracejit {
 
 Object *Object::alloc(Heap &H, ObjectKind K, Shape *S) {
-  void *Mem = std::malloc(sizeof(Object));
-  auto *O = new (Mem) Object(K, S);
-  H.registerCell(O, sizeof(Object));
-  return O;
+  return new (H.allocCell(sizeof(Object))) Object(K, S);
 }
 
 Object::~Object() {

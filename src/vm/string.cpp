@@ -2,7 +2,6 @@
 
 #include "vm/string.h"
 
-#include <cstdlib>
 #include <cstring>
 
 namespace tracejit {
@@ -12,13 +11,15 @@ namespace tracejit {
 int32_t String::lengthOffset() { return (int32_t)offsetof(String, Len); }
 #pragma GCC diagnostic pop
 
-String *String::create(Heap &H, std::string_view Data) {
-  void *Mem = std::malloc(sizeof(String) + Data.size() + 1);
-  auto *S = new (Mem) String((uint32_t)Data.size());
+String *String::concat(Heap &H, std::string_view A, std::string_view B) {
+  size_t Len = A.size() + B.size();
+  auto *S = new (H.allocCell(sizeof(String) + Len + 1)) String((uint32_t)Len);
   char *Chars = reinterpret_cast<char *>(S + 1);
-  std::memcpy(Chars, Data.data(), Data.size());
-  Chars[Data.size()] = 0;
-  H.registerCell(S, sizeof(String) + Data.size() + 1);
+  if (!A.empty())
+    std::memcpy(Chars, A.data(), A.size());
+  if (!B.empty())
+    std::memcpy(Chars + A.size(), B.data(), B.size());
+  Chars[Len] = 0;
   return S;
 }
 

@@ -9,6 +9,7 @@
 #ifndef TRACEJIT_VM_STRING_H
 #define TRACEJIT_VM_STRING_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -23,7 +24,12 @@ namespace tracejit {
 class String : public GCCell {
 public:
   /// Allocate a new string in \p H copying \p Data.
-  static String *create(Heap &H, std::string_view Data);
+  static String *create(Heap &H, std::string_view Data) {
+    return concat(H, Data, {});
+  }
+  /// Allocate a new string in \p H holding \p A followed by \p B: one
+  /// allocation, and each part copied once, straight into the cell.
+  static String *concat(Heap &H, std::string_view A, std::string_view B);
 
   uint32_t length() const { return Len; }
   const char *data() const {
@@ -57,9 +63,27 @@ public:
   /// Get or create the unique atom for \p Name.
   String *intern(std::string_view Name);
 
+  /// The interned one-character string for byte \p C: what charAt, s[i]
+  /// and one-argument String.fromCharCode return, so they never allocate.
+  /// Made on first use.
+  String *unitString(unsigned char C) {
+    String *&S = Units[C];
+    if (!S)
+      S = intern(std::string_view(reinterpret_cast<const char *>(&C), 1));
+    return S;
+  }
+  /// The interned "" (charAt out of range).
+  String *emptyString() {
+    if (!Empty)
+      Empty = intern("");
+    return Empty;
+  }
+
 private:
   Heap &TheHeap;
   std::unordered_map<std::string, String *> Map;
+  std::array<String *, 256> Units{};
+  String *Empty = nullptr;
 };
 
 } // namespace tracejit

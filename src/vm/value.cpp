@@ -4,7 +4,7 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 
 #include "vm/gc.h"
 #include "vm/object.h"
@@ -26,42 +26,37 @@ bool Value::truthy() const {
   return true; // objects
 }
 
-std::string numberToString(double D) {
+size_t formatNumber(double D, char *Buf) {
+  auto Put = [Buf](std::string_view S) {
+    std::memcpy(Buf, S.data(), S.size());
+    return S.size();
+  };
   if (std::isnan(D))
-    return "NaN";
+    return Put("NaN");
   if (std::isinf(D))
-    return D > 0 ? "Infinity" : "-Infinity";
-  // Integral values in the safe range print without a fraction, as in JS.
+    return Put(D > 0 ? "Infinity" : "-Infinity");
+  // Integral values in the safe range print without a fraction, as in JS
+  // (and -0 as "-0", as printf's "%.0f" does).
   if (D == std::floor(D) && std::fabs(D) < 1e15) {
-    char Buf[32];
-    snprintf(Buf, sizeof(Buf), "%.0f", D);
-    return Buf;
+    if (D == 0 && std::signbit(D))
+      return Put("-0");
+    return (size_t)(std::to_chars(Buf, Buf + NumberBufSize, (int64_t)D).ptr -
+                    Buf);
   }
   // Shortest round-trip representation.
-  char Buf[64];
-  auto [P, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), D);
-  (void)Ec;
-  return std::string(Buf, P);
+  return (size_t)(std::to_chars(Buf, Buf + NumberBufSize, D).ptr - Buf);
+}
+
+std::string numberToString(double D) {
+  char Buf[NumberBufSize];
+  return std::string(Buf, formatNumber(D, Buf));
 }
 
 std::string valueToString(const Value &V) {
-  if (V.isInt())
-    return std::to_string(V.toInt());
-  if (V.isDoubleCell())
-    return numberToString(V.toDoubleCell()->Val);
-  if (V.isString())
-    return std::string(V.toString()->view());
-  if (V.isSpecial()) {
-    switch (V.specialPayload()) {
-    case SpecialFalse:
-      return "false";
-    case SpecialTrue:
-      return "true";
-    case SpecialNull:
-      return "null";
-    default:
-      return "undefined";
-    }
+  if (!V.isObject()) {
+    char Buf[NumberBufSize];
+    std::string Unused;
+    return std::string(valueToStringView(V, Buf, Unused));
   }
   Object *O = V.toObject();
   if (O->isFunction())
@@ -78,6 +73,30 @@ std::string valueToString(const Value &V) {
     return S;
   }
   return "[object Object]";
+}
+
+std::string_view valueToStringView(const Value &V, char *Buf,
+                                   std::string &Slow) {
+  if (V.isString())
+    return V.toString()->view();
+  if (V.isNumber())
+    return {Buf, formatNumber(V.numberValue(), Buf)};
+  if (V.isSpecial()) {
+    switch (V.specialPayload()) {
+    case SpecialFalse:
+      return "false";
+    case SpecialTrue:
+      return "true";
+    case SpecialNull:
+      return "null";
+    default:
+      return "undefined";
+    }
+  }
+  if (!V.isObject())
+    return {};
+  Slow = valueToString(V);
+  return Slow;
 }
 
 } // namespace tracejit

@@ -23,6 +23,7 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace tracejit {
 
@@ -158,8 +159,20 @@ static_assert(sizeof(Value) == 8, "Value must be one machine word");
 /// representation otherwise).
 std::string numberToString(double D);
 
+/// Room for any numberToString result.
+constexpr size_t NumberBufSize = 32;
+/// Write numberToString(D) into \p Buf (NumberBufSize bytes); return its
+/// length.
+size_t formatNumber(double D, char *Buf);
+
 /// Render any value for `print` and string concatenation.
 std::string valueToString(const Value &V);
+
+/// valueToString(V) without building a std::string where it can: a string's
+/// own characters, a number formatted into \p Buf (NumberBufSize bytes), a
+/// literal for the specials. Only objects are rendered, into \p Slow.
+std::string_view valueToStringView(const Value &V, char *Buf,
+                                   std::string &Slow);
 
 } // namespace tracejit
 

@@ -254,3 +254,43 @@ TEST(Observability, LogListenerFormat) {
   EXPECT_NE(Line.find("pc=42"), std::string::npos);
   EXPECT_NE(Line.find("reason=trace-too-long"), std::string::npos);
 }
+
+// --- The GC line of the activity ledger -------------------------------------
+
+class GcLedger : public ::testing::TestWithParam<Backend> {
+protected:
+  VMStats run(const char *Src) {
+    EngineOptions O = jitOpts();
+    O.JitBackend = GetParam();
+    O.CollectStats = true;
+    Engine E(O);
+    E.setPrintHook([](const std::string &) {});
+    EXPECT_TRUE(E.eval(Src).ok());
+    return E.stats();
+  }
+};
+
+TEST_P(GcLedger, CollectionsAreChargedToGc) {
+  // ~72 bytes per object against a 4 MB trigger: three or more
+  // collections at safe points, on trace and off, plus one from gc().
+  VMStats S = run("var o; for (var i = 0; i < 250000; ++i) o = {a: i};"
+                  "gc();");
+  EXPECT_GE(S.GCs, 3u);
+  EXPECT_GT(S.ActivitySeconds[(size_t)Activity::Gc], 0.0);
+  EXPECT_GE(S.TraceEnters, 1u);
+}
+
+TEST_P(GcLedger, NoCollectionChargesNothing) {
+  VMStats S = run(HotLoopSrc);
+  EXPECT_EQ(S.GCs, 0u);
+  EXPECT_EQ(S.ActivitySeconds[(size_t)Activity::Gc], 0.0);
+  EXPECT_GT(S.totalSeconds(), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Observability, GcLedger,
+                         ::testing::Values(Backend::Native, Backend::Executor),
+                         [](const ::testing::TestParamInfo<Backend> &I) {
+                           return std::string(I.param == Backend::Native
+                                                  ? "Native"
+                                                  : "Executor");
+                         });
