@@ -63,13 +63,20 @@ struct ExitDescriptor {
   uint32_t Pc = 0; ///< Resume pc within the top frame.
   uint32_t Sp = 0; ///< Interpreter value-stack top at the exit.
   std::vector<FrameEntry> Frames; ///< Bottom-to-top frame chain.
-  TypeMap Types; ///< Types of slots [0, NumGlobals + Sp): how to rebox.
+  /// Types of slots [0, NumGlobals + Sp): how to rebox. A Boxed slot is
+  /// the interpreter's already and is not written back.
+  TypeMap Types;
   /// Exit-constant slots, sorted by slot; only stack slots above the
   /// tree's entry Sp, which nothing but exits can observe. Restores take
   /// these words instead of the TAR's, the dead-store filter drops the
   /// stores that only fed them, and a branch trace grown here imports them
   /// as immediates.
   std::vector<ExitConstSlot> ConstSlots;
+  /// Nested exits: the tree the call site called. A slot the call-site map
+  /// types but the callee's entry map leaves Boxed stayed in the TAR, out
+  /// of the callee's reach; the monitor writes it back when the callee
+  /// leaves through another exit.
+  const Fragment *Callee = nullptr;
 
   // --- Runtime state ---------------------------------------------------------
   Fragment *Parent = nullptr;  ///< Fragment this exit belongs to.
@@ -100,6 +107,10 @@ public:
   FragmentKind Kind = FragmentKind::Root;
   FunctionScript *AnchorScript = nullptr;
   uint32_t AnchorPc = 0; ///< Loop header pc (roots) / exit pc (branches).
+  /// Types the fragment expects in the TAR at entry (§3.1); Boxed for the
+  /// slots it does not specialize on. A root's map types the slots its
+  /// loop's code names and the ones its recording used; a branch's is its
+  /// anchor exit's map.
   TypeMap EntryTypes;
   /// The static shape of the frame chain at entry (scripts and bases;
   /// return pcs below the entry depth are dynamic -- see
@@ -171,13 +182,6 @@ public:
 
   /// TAR slots this fragment may touch (monitor sizes the TAR buffer).
   uint32_t RequiredTarSlots = 0;
-
-  /// Global slots the recording wrote (sorted, unique), whatever the type:
-  /// an exit rewrites exactly these globals, because every other global
-  /// still holds the value the trace imported. CallsTree means a nested
-  /// tree may have written any global (trace/monitor.h, exit write-back).
-  std::vector<uint32_t> StoredGlobals;
-  bool CallsTree = false;
 
   /// Bytecodes covered by one pass through this fragment (Figure 11).
   uint32_t BytecodesCovered = 0;

@@ -12,7 +12,7 @@ namespace tracejit {
 static bool isTarBase(const LIns *Base) { return Base->Op == LOp::ParamTar; }
 
 uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
-                             uint32_t EntrySlots) {
+                             const TypeMap *Entry) {
   // Determine the slot-domain size.
   uint32_t MaxSlot = 0;
   auto NoteSlot = [&](uint32_t S) {
@@ -21,9 +21,9 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
   };
   std::vector<uint32_t> TarLoadSlots;
   // Slots the next iteration can observe without an explicit load: any
-  // exit's writeback reads [0, NumGlobals + Sp) straight from the TAR, so
-  // a store feeding an exit across the backedge is live even though no
-  // load in the body mentions it.
+  // exit's writeback reads its typed slots straight from the TAR, so a
+  // store feeding an exit across the backedge is live even though no load
+  // in the body mentions it.
   uint32_t BackedgeExitSlots = 0;
   for (LIns *I : Body) {
     if (I->isLoad() && isTarBase(I->A)) {
@@ -50,7 +50,14 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
     for (uint32_t S = 0; S < End; ++S)
       Live[S] = true;
   };
-  // An exit writes back [0, NumGlobals + Sp) from the TAR, except its
+  // A fragment entered with map \p M reads exactly the slots it types.
+  auto LiveTyped = [&](const TypeMap &M) {
+    uint32_t End = std::min(M.size(), (uint32_t)Live.size());
+    for (uint32_t S = 0; S < End; ++S)
+      if (M.typed(S))
+        Live[S] = true;
+  };
+  // An exit writes back the slots its map types from the TAR, except its
   // exit-constant slots, which it restores from the descriptor.
   auto ExitLive = [&](const ExitDescriptor *E) {
     uint32_t End = std::min(NumGlobals + E->Sp, (uint32_t)Live.size());
@@ -59,7 +66,7 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
     for (uint32_t S = 0; S < End; ++S) {
       if (C != CEnd && C->Slot == S)
         ++C;
-      else
+      else if (S >= E->Types.size() || E->Types.typed(S))
         Live[S] = true;
     }
   };
@@ -71,26 +78,30 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
     case LOp::Loop:
       // The next iteration re-imports everything the trace loads from the
       // TAR anywhere in its body, and every exit it can take writes back
-      // from the TAR directly -- so the loop-header state (the entry
-      // typemap) must be intact across the backedge. Stack slots above the
-      // header depth are exempt: any exit deep enough to read one is
-      // preceded, in its own iteration, by the pushes that store it.
+      // from the TAR directly -- so the loop-header state (the slots the
+      // entry typemap types) must be intact across the backedge. Stack
+      // slots above the header depth are exempt: any exit deep enough to
+      // read one is preceded, in its own iteration, by the pushes that
+      // store it.
       for (uint32_t S : TarLoadSlots)
         if (S < Live.size())
           Live[S] = true;
-      LiveRange(EntrySlots != UINT32_MAX ? EntrySlots : BackedgeExitSlots);
+      if (Entry)
+        LiveTyped(*Entry);
+      else
+        LiveRange(BackedgeExitSlots);
       break;
     case LOp::JmpFrag:
-      // The target fragment imports from its whole entry type map.
-      LiveRange(I->Target->EntryTypes.size());
+      // The target fragment reads the slots its entry map types.
+      LiveTyped(I->Target->EntryTypes);
       break;
     case LOp::TreeCall:
-      // The inner tree reads its entry slots, and its exits restore from
-      // the TAR; it may also write slots, but treating those as live is
-      // conservative and safe.
-      LiveRange(I->Target->EntryTypes.size());
+      // The inner tree reads its typed entry slots, and its exits restore
+      // from the TAR; it may also write slots, but treating those as live
+      // is conservative and safe.
+      LiveTyped(I->Target->EntryTypes);
       if (I->Exit)
-        LiveRange(NumGlobals + I->Exit->Sp);
+        ExitLive(I->Exit);
       break;
     case LOp::GuardT:
     case LOp::GuardF:

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "lir/lir.h"
+#include "trace/typemap.h"
 
 namespace tracejit {
 
@@ -35,16 +36,16 @@ struct BackwardFilterResult {
 };
 
 /// Remove dead TAR stores. \p NumGlobals sizes the globals area of the
-/// type-map slot domain (exit liveness is [0, NumGlobals + exit->Sp),
-/// minus the exit's ExitDescriptor::ConstSlots, which it restores from the
-/// descriptor).
-/// \p EntrySlots is the loop-header state size (the fragment's entry
-/// typemap length): those slots stay live across the backedge because a
-/// next-iteration side exit writes them back straight from the TAR. Pass
-/// UINT32_MAX when unknown; the filter then keeps the widest exit range
-/// live at the backedge instead.
+/// type-map slot domain (an exit reads the slots of [0, NumGlobals +
+/// exit->Sp) its map types, minus its ExitDescriptor::ConstSlots, which it
+/// restores from the descriptor; a JmpFrag or TreeCall target reads the
+/// slots its entry map types).
+/// \p Entry is the fragment's entry type map: the slots it types stay live
+/// across the backedge because a next-iteration side exit writes them back
+/// straight from the TAR. Pass null when unknown; the filter then keeps
+/// the widest exit range live at the backedge instead.
 uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
-                             uint32_t EntrySlots = UINT32_MAX);
+                             const TypeMap *Entry = nullptr);
 
 /// Remove instructions whose results are unused and that have no side
 /// effects.

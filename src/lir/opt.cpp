@@ -682,8 +682,7 @@ OptResult optimizeTrace(Fragment &F, const OptPipeline &Passes,
 
   // The paper's §5.1 backward filters, unchanged (the -O0 pipeline).
   if (Passes.has(OptPass::DeadStore))
-    eliminateDeadStores(F.Body, NumGlobals,
-                        (uint32_t)F.EntryTypes.size());
+    eliminateDeadStores(F.Body, NumGlobals, &F.EntryTypes);
   if (Stats)
     Stats->LirAfterForwardFilters += F.Body.size();
   if (Passes.has(OptPass::Dce))
@@ -710,8 +709,7 @@ OptResult optimizeTrace(Fragment &F, const OptPipeline &Passes,
     // slot above the entry Sp: stores kept only for its old exit (a pushed
     // callee before its identity guard) are dead now.
     if (H.Guards && Passes.has(OptPass::DeadStore))
-      eliminateDeadStores(F.Body, NumGlobals,
-                          (uint32_t)F.EntryTypes.size());
+      eliminateDeadStores(F.Body, NumGlobals, &F.EntryTypes);
   }
 
   // The loop passes orphan values (dropped guards' conditions, bypassed

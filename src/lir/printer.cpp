@@ -23,8 +23,9 @@ static const char *tyName(LTy T) {
 }
 
 /// Compact one-char-per-slot rendering of an exit type map, globals and
-/// stack separated by '|': "[ii|dis]". Long maps are truncated with the
-/// count of the elided tail, keeping guard lines one line.
+/// stack separated by '|', '-' for a Boxed slot: "[i-|dis]". Long maps are
+/// truncated with the count of the elided tail, keeping guard lines one
+/// line.
 static std::string typeMapSummary(const TypeMap &M) {
   std::string Out = "[";
   const uint32_t Limit = 32;
@@ -57,6 +58,9 @@ static std::string typeMapSummary(const TypeMap &M) {
       break;
     case TraceType::Undefined:
       Out += "u";
+      break;
+    case TraceType::Boxed:
+      Out += "-";
       break;
     }
   }
@@ -236,6 +240,8 @@ const char *traceTypeName(TraceType T) {
     return "null";
   case TraceType::Undefined:
     return "undef";
+  case TraceType::Boxed:
+    return "boxed";
   }
   return "?";
 }
@@ -247,7 +253,7 @@ std::string TypeMap::describe() const {
       Out += " ";
     if (I == NumGlobals)
       Out += "| ";
-    Out += traceTypeName(Types[I]);
+    Out += Types[I] == TraceType::Boxed ? "-" : traceTypeName(Types[I]);
   }
   Out += "]";
   return Out;

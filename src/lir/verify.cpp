@@ -226,6 +226,7 @@ RuleHit checkExitConstSlots(const ExitDescriptor *E, uint32_t Floor) {
     switch (E->Types.Types[C.Slot]) {
     case TraceType::Null:
     case TraceType::Undefined:
+    case TraceType::Boxed:
       return Hit(C, "has a valueless type");
     case TraceType::Boolean:
       if (C.Word > 1)
@@ -298,18 +299,24 @@ RuleHit checkTreeCallLinkage(const Fragment *Inner,
 }
 
 /// The call-site type map (the mismatch exit snapshot, taken right after
-/// coerceTo) must agree with the inner tree's entry map: "identical type
-/// maps yield identical activation record layouts" (§6.2), which is what
-/// lets the outer trace pass its own TAR to the inner tree.
+/// coerceTo) must agree with the inner tree's entry map on every slot the
+/// inner tree types: "identical type maps yield identical activation
+/// record layouts" (§6.2), which is what lets the outer trace pass its own
+/// TAR to the inner tree. A slot the inner map leaves Boxed may be typed at
+/// the call site (kept in the TAR, out of the inner tree's reach).
 RuleHit checkTreeCallTypes(const Fragment *Inner,
                            const ExitDescriptor *Mismatch) {
   if (!Inner || !Mismatch)
     return {}; // linkage/exit rules already reported
-  if (Mismatch->Types != Inner->EntryTypes)
+  const TypeMap &Site = Mismatch->Types;
+  const TypeMap &In = Inner->EntryTypes;
+  bool Agree = Site.NumGlobals == In.NumGlobals && Site.size() == In.size();
+  for (uint32_t S = 0; Agree && S < In.size(); ++S)
+    Agree = !In.typed(S) || Site.Types[S] == In.Types[S];
+  if (!Agree)
     return {VerifyRule::TreeCallTypeMaps,
-            "call-site map " + Mismatch->Types.describe() +
-                " does not match inner entry map " +
-                Inner->EntryTypes.describe()};
+            "call-site map " + Site.describe() +
+                " does not match inner entry map " + In.describe()};
   return {};
 }
 
@@ -525,6 +532,39 @@ bool verifyTrace(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
   std::unordered_set<const LIns *> Defined;
   Defined.reserve(F.Body.size());
 
+  // Which TAR slots hold a typed value at each point of the trace: at
+  // entry the slots the entry map types (a slot above the map is one the
+  // recorder pushes before reading, so it is not tracked), after a store
+  // its slot, after a TreeCall the slots its expected exit types and those
+  // the call site kept out of the inner tree's reach. Every
+  // TAR read -- a load, an exit's write-back, the entry of a JmpFrag or
+  // TreeCall target, the back edge -- must find one there. Null and
+  // Undefined carry no TAR word, so only the other types read one.
+  std::vector<uint8_t> TarTyped(F.EntryTypes.Types.size());
+  for (uint32_t S = 0; S < F.EntryTypes.size(); ++S)
+    TarTyped[S] = F.EntryTypes.typed(S);
+  auto SlotTyped = [&](uint32_t S) {
+    return S >= TarTyped.size() || TarTyped[S];
+  };
+  auto RequireTyped = [&](const TypeMap &M, const ExitDescriptor *Consts,
+                          const char *What) {
+    const ExitConstSlot *C = Consts ? Consts->ConstSlots.data() : nullptr;
+    const ExitConstSlot *CEnd = C ? C + Consts->ConstSlots.size() : nullptr;
+    for (uint32_t S = 0; S < M.size(); ++S) {
+      if (C != CEnd && C->Slot == S) {
+        ++C;
+        continue;
+      }
+      TraceType T = M.Types[S];
+      bool HasWord = T != TraceType::Boxed && T != TraceType::Null &&
+                     T != TraceType::Undefined;
+      if (HasWord && !SlotTyped(S))
+        return std::string(What) + " reads TAR slot " + std::to_string(S) +
+               ", which holds no typed value here";
+    }
+    return std::string();
+  };
+
   for (size_t Idx = 0; Idx < F.Body.size(); ++Idx) {
     const LIns *I = F.Body[Idx];
     if (!I)
@@ -586,6 +626,17 @@ bool verifyTrace(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
       const LIns *Base = I->isLoad() ? I->A : I->B;
       if (RuleHit H = checkTarDisp(I->Op, Base, I->Disp, F.RequiredTarSlots))
         return Fail(H.Rule, I, H.Msg);
+      if (Base && Base->Op == LOp::ParamTar) {
+        uint32_t S = (uint32_t)(I->Disp / 8);
+        if (I->isStore()) {
+          if (S < TarTyped.size())
+            TarTyped[S] = 1;
+        } else if (!SlotTyped(S)) {
+          return Fail(VerifyRule::UntypedTarSlot, I,
+                      "load of TAR slot " + std::to_string(S) +
+                          ", which holds no typed value here");
+        }
+      }
     }
 
     if (I->isGuard() || I->Op == LOp::Exit) {
@@ -597,16 +648,49 @@ bool verifyTrace(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
         return Fail(H.Rule, I, H.Msg);
     }
 
+    if (I->Exit) {
+      std::string Msg = RequireTyped(I->Exit->Types, I->Exit, "exit");
+      if (!Msg.empty())
+        return Fail(VerifyRule::UntypedTarSlot, I, Msg);
+    }
+
     if (I->Op == LOp::TreeCall) {
       if (RuleHit H = checkTreeCallLinkage(I->Target, I->ExpectedExit))
         return Fail(H.Rule, I, H.Msg);
       if (RuleHit H = checkTreeCallTypes(I->Target, I->Exit))
         return Fail(H.Rule, I, H.Msg);
+      std::string Msg =
+          RequireTyped(I->Target->EntryTypes, nullptr, "inner tree");
+      if (!Msg.empty())
+        return Fail(VerifyRule::UntypedTarSlot, I, Msg);
+      // The inner tree returns through ExpectedExit: the TAR now holds what
+      // that exit types, less the constants it keeps in its descriptor,
+      // plus what the call site kept out of the inner tree's reach.
+      const ExitDescriptor *Ret = I->ExpectedExit;
+      const TypeMap &In = I->Target->EntryTypes;
+      std::vector<uint8_t> After(Ret->Types.size(), 0);
+      for (uint32_t S = 0; S < Ret->Types.size(); ++S)
+        After[S] = Ret->Types.typed(S) ||
+                   (I->Exit && S < I->Exit->Types.size() && S < In.size() &&
+                    I->Exit->Types.typed(S) && !In.typed(S) && SlotTyped(S));
+      for (const ExitConstSlot &C : Ret->ConstSlots)
+        After[C.Slot] = 0;
+      TarTyped = std::move(After);
     }
-    if (I->Op == LOp::JmpFrag)
+    if (I->Op == LOp::JmpFrag) {
       if (!I->Target || I->Target->Root != I->Target)
         return Fail(VerifyRule::TransferTarget, I,
                     "jmpfrag target is missing or not a root fragment");
+      std::string Msg =
+          RequireTyped(I->Target->EntryTypes, nullptr, "jmpfrag target");
+      if (!Msg.empty())
+        return Fail(VerifyRule::UntypedTarSlot, I, Msg);
+    }
+    if (I->Op == LOp::Loop) {
+      std::string Msg = RequireTyped(F.EntryTypes, nullptr, "back edge");
+      if (!Msg.empty())
+        return Fail(VerifyRule::UntypedTarSlot, I, Msg);
+    }
 
     Defined.insert(I);
   }

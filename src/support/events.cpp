@@ -72,7 +72,8 @@ namespace tracejit {
   M(Terminator, "terminator")                                                  \
   M(PrologueShape, "prologue-shape")                                           \
   M(PrologueEffect, "prologue-effect")                                         \
-  M(PrologueExit, "prologue-exit")
+  M(PrologueExit, "prologue-exit")                                             \
+  M(UntypedTarSlot, "untyped-tar-slot")
 
 #define TJ_FOR_EACH_JIT_EVENT_KIND(M)                                          \
   M(LoopHot, "LoopHot")                                                        \

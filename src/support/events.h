@@ -123,6 +123,9 @@ enum class VerifyRule : uint8_t {
                      ///< would not be transparent.
   PrologueExit,      ///< A hoisted guard's exit is not the fragment's
                      ///< entry-state Deopt exit.
+  UntypedTarSlot,    ///< A TAR read (load, exit write-back, fragment
+                     ///< transfer) of a slot holding no typed value there:
+                     ///< Boxed at entry and not stored since.
   NumRules
 };
 
@@ -280,6 +283,10 @@ struct FragmentProfile {
   uint32_t LirRecorded = 0;     ///< LIR instructions as recorded.
   uint32_t LirAfterFilters = 0; ///< After the backward filter pipeline.
   uint32_t NativeBytes = 0;     ///< 0 for the executor backend.
+  /// Typed (non-Boxed) slots of the entry type map: how many slots the
+  /// fragment specializes on (0 for an aborted recording). Two roots at one
+  /// anchor that agree on every slot both type would be one tree.
+  uint32_t EntrySlots = 0;
   std::vector<GuardProfile> Guards; ///< Per-guard side-exit histogram.
 };
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <iterator>
 
 #include "api/engine.h"
 #include "interp/natives.h"
@@ -88,6 +87,8 @@ void TraceMonitor::collectFragmentProfiles(
     P.LirRecorded = F->LirRecorded;
     P.LirAfterFilters = F->LirAfterFilters;
     P.NativeBytes = F->NativeSize;
+    // An aborted recording never settled its entry map.
+    P.EntrySlots = F->Body.empty() ? 0 : F->EntryTypes.typedSlots();
     P.Guards.reserve(F->Exits.size());
     for (const auto &E : F->Exits) {
       GuardProfile G;
@@ -230,6 +231,7 @@ static uint64_t unboxForTar(const Value &V, TraceType T) {
     return V.toBoolean() ? 1 : 0;
   case TraceType::Null:
   case TraceType::Undefined:
+  case TraceType::Boxed: // never imported
     return 0;
   }
   return 0;
@@ -253,9 +255,25 @@ static Value boxFromTar(VMContext &Ctx, uint64_t W, TraceType T) {
   case TraceType::Null:
     return Value::null();
   case TraceType::Undefined:
+  case TraceType::Boxed: // never written back
     return Value::undefined();
   }
   return Value::undefined();
+}
+
+/// Write TAR word \p W of type \p T back into interpreter slot \p Slot.
+/// When \p Live (the slot held a value of the interpreter's at entry), a
+/// double it already holds with the same bits keeps its cell: the trace
+/// only read it, and reboxing would allocate on every exit.
+static void writeBack(VMContext &Ctx, Value &Slot, bool Live, uint64_t W,
+                      TraceType T) {
+  if (Live && T == TraceType::Double && Slot.isDoubleCell()) {
+    uint64_t Cur;
+    __builtin_memcpy(&Cur, &Slot.toDoubleCell()->Val, 8);
+    if (Cur == W)
+      return;
+  }
+  Slot = boxFromTar(Ctx, W, T);
 }
 
 /// One slot of the fused match-and-import: true when \p V has entry type
@@ -304,8 +322,10 @@ bool TraceMonitor::importTar(const TypeMap &Types, uint64_t *Tar,
   const Oracle *Probe = Match ? entryOracle() : nullptr;
   uint32_t NG = Types.NumGlobals;
   for (uint32_t G = 0; G < NG; ++G) {
-    const Value &V = Ctx.Globals.Values[G];
     TraceType T = Types.Types[G];
+    if (T == TraceType::Boxed)
+      continue;
+    const Value &V = Ctx.Globals.Values[G];
     if (!Match)
       Tar[G] = unboxForTar(V, T);
     else if (!importSlot(V, T, Probe, [G] { return Oracle::globalKey(G); },
@@ -317,6 +337,8 @@ bool TraceMonitor::importTar(const TypeMap &Types, uint64_t *Tar,
   uint32_t Sp = Types.size() - NG;
   for (uint32_t I = 0; I < Sp; ++I) {
     TraceType T = Types.Types[NG + I];
+    if (T == TraceType::Boxed)
+      continue;
     if (!Match)
       Tar[NG + I] = unboxForTar(Stack[I], T);
     else if (!importSlot(Stack[I], T, Probe,
@@ -345,9 +367,9 @@ uint64_t *TraceMonitor::entryTar() {
   return reinterpret_cast<uint64_t *>(TarBuffer.data());
 }
 
-void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar,
-                                   const LoopState *LS) {
+void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar) {
   uint32_t NG = E->Types.NumGlobals;
+  const TraceType *Types = E->Types.Types.data();
 
   // "It pops or synthesizes interpreter JavaScript call stack frames as
   // needed. Finally, it copies the imported variables back from the trace
@@ -366,30 +388,46 @@ void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar,
         D == 0 || D >= DynamicBelow ? F.ReturnPc : Ctx.FrameReturnPcs[D];
     Frames.push_back({F.Script, F.Base, Rp});
   }
+  // Stack slots below the entry's stack top hold the interpreter's values;
+  // the ones above are stale.
+  uint32_t LiveSp = Interp.stackTop();
   Interp.setStackTop(E->Sp);
   Interp.setCurrentPc(E->Pc);
 
-  if (LS && !LS->StoresAllGlobals) {
-    // Only the globals some trace of the loop can store to: each other
-    // global still holds exactly the value the trace imported (an unchanged
-    // double keeps its cell, a demoted int stays an int).
-    for (uint32_t G : LS->StoredGlobals) {
-      if (G >= NG)
-        break; // recorded by a fragment that saw more globals
-      Ctx.Globals.Values[G] = boxFromTar(Ctx, Tar[G], E->Types.Types[G]);
-    }
-  } else {
-    for (uint32_t G = 0; G < NG; ++G)
-      Ctx.Globals.Values[G] = boxFromTar(Ctx, Tar[G], E->Types.Types[G]);
-  }
+  // Only the slots the exit types: a Boxed slot is one no trace since the
+  // entry has changed (or one boxed back into the interpreter), so the
+  // interpreter already holds its value.
+  for (uint32_t G = 0; G < NG; ++G)
+    if (Types[G] != TraceType::Boxed)
+      writeBack(Ctx, Ctx.Globals.Values[G], true, Tar[G], Types[G]);
   Value *Stack = Interp.stackData();
   const ExitConstSlot *C = E->ConstSlots.data();
   const ExitConstSlot *CEnd = C + E->ConstSlots.size();
   for (uint32_t I = 0; I < E->Sp; ++I) {
+    TraceType T = Types[NG + I];
+    if (T == TraceType::Boxed)
+      continue;
     uint64_t W = Tar[NG + I];
     if (C != CEnd && C->Slot == NG + I)
       W = (C++)->Word;
-    Stack[I] = boxFromTar(Ctx, W, E->Types.Types[NG + I]);
+    writeBack(Ctx, Stack[I], I < LiveSp, W, T);
+  }
+}
+
+void TraceMonitor::restoreCallSite(const ExitDescriptor *Site,
+                                   const uint64_t *Tar) {
+  assert(Site->Callee && "nested exit without the tree its site called");
+  const TypeMap &In = Site->Callee->EntryTypes;
+  uint32_t NG = Site->Types.NumGlobals;
+  Value *Stack = Interp.stackData();
+  const ExitConstSlot *C = Site->ConstSlots.data();
+  const ExitConstSlot *CEnd = C + Site->ConstSlots.size();
+  for (uint32_t S = 0; S < Site->Types.size(); ++S) {
+    uint64_t W = C != CEnd && C->Slot == S ? (C++)->Word : Tar[S];
+    TraceType T = Site->Types.Types[S];
+    if (T != TraceType::Boxed && !In.typed(S))
+      writeBack(Ctx, S < NG ? Ctx.Globals.Values[S] : Stack[S - NG],
+                S < NG + Interp.stackTop(), W, T);
   }
 }
 
@@ -431,8 +469,13 @@ ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,
   ++Ctx.Stats.TraceEnters;
   ++Ctx.Stats.SideExits;
   ++Frag->Enters;
+  // A nested tree left through an exit its call site did not expect: the
+  // state is the inner exit's, plus what the call site kept out of the
+  // inner tree's reach.
+  const ExitDescriptor *Site = nullptr;
   if (E && E->Kind == ExitKind::Nested) {
     assert(Ctx.LastNestedExit && "nested exit without inner descriptor");
+    Site = E;
     E = Ctx.LastNestedExit;
     Ctx.LastNestedExit = nullptr;
   }
@@ -466,12 +509,9 @@ ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,
     emitEvent(Ev);
   }
 
-  // Trees that call nested trees export every global; so does an exit that
-  // did not come from a fragment of Frag's loop.
-  const LoopState *LS = Frag->Loop && E->Parent && E->Parent->Loop == Frag->Loop
-                            ? Frag->Loop->State
-                            : nullptr;
-  restoreFromExit(E, Tar, LS);
+  if (Site)
+    restoreCallSite(Site, Tar);
+  restoreFromExit(E, Tar);
   if (Stats)
     Ctx.Stats.switchTo(Activity::Monitor);
   return E;
@@ -635,8 +675,15 @@ void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
   F->LirAfterFilters = (uint32_t)F->Body.size();
 
   if (Ctx.Opts.DumpLIR) {
-    fprintf(stderr, "--- fragment %u (%s) entry %s\n%s", F->Id,
-            F->Kind == FragmentKind::Root ? "root" : "branch",
+    // The header names the tree and its anchor, and how many slots the
+    // fragment specializes on: two roots at one anchor differ in a slot
+    // both type (compare their entry maps).
+    fprintf(stderr,
+            "--- fragment %u (%s of root %u, anchor %u:%u, %u entry slots) "
+            "entry %s\n%s",
+            F->Id, F->Kind == FragmentKind::Root ? "root" : "branch",
+            F->Root->Id, F->AnchorScript ? F->AnchorScript->Id : ~0u,
+            F->Root->AnchorPc, F->EntryTypes.typedSlots(),
             F->EntryTypes.describe().c_str(),
             formatBody(F->Body, F->PrologueEnd).c_str());
   }
@@ -762,15 +809,6 @@ void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
 void TraceMonitor::installCompiledFragment(Fragment *F, LoopState *LS,
                                            ExitDescriptor *Anchor) {
   MaxTarSlots = std::max(MaxTarSlots, F->RequiredTarSlots);
-  if (F->CallsTree) {
-    LS->StoresAllGlobals = true;
-  } else if (!LS->StoresAllGlobals && !F->StoredGlobals.empty()) {
-    std::vector<uint32_t> Union;
-    std::set_union(LS->StoredGlobals.begin(), LS->StoredGlobals.end(),
-                   F->StoredGlobals.begin(), F->StoredGlobals.end(),
-                   std::back_inserter(Union));
-    LS->StoredGlobals = std::move(Union);
-  }
   ++Ctx.Stats.TracesCompleted;
   if (Ctx.EventListener) {
     JitEvent E;
@@ -997,8 +1035,6 @@ void TraceMonitor::flushCacheNow() {
   for (auto &LS : LoopStates) {
     LS->Peers.clear();
     LS->UnstableExits.clear();
-    LS->StoredGlobals.clear();
-    LS->StoresAllGlobals = false;
     LS->HitCount = 0;
     LS->Tier.BackoffUntil = 0;
     LS->Tier.Failures = 0;
@@ -1097,7 +1133,7 @@ uint32_t TraceMonitor::handleInnerLoopHeader(uint32_t Pc, uint16_t LoopId) {
     abortRecording(AbortReason::InnerTreeNotReady, false);
     return Pc;
   }
-  Recorder->coerceTo(Inner->EntryTypes);
+  Recorder->coerceTo(Inner->EntryTypes, Pc, Inner);
 
   size_t DepthBefore = Interp.frames().size();
   uint64_t *Tar = entryTar();
@@ -1197,7 +1233,7 @@ uint32_t TraceMonitor::onLoopEdge(uint32_t Pc, uint16_t LoopId) {
 
   // --- Active recording ------------------------------------------------------
   if (Recorder) {
-    if (Recorder->atAnchor(Pc)) {
+    if (Recorder->atAnchor(Pc) || Recorder->endIfLeftLoop(Pc)) {
       LoopState *LS = RecorderLoopState;
       finishRecording(LS->Peers);
       // Fall through: the freshly compiled trace may be entered right now.

@@ -41,12 +41,6 @@ struct LoopState {
   std::vector<Fragment *> Peers; ///< Compiled root fragments (trees).
   /// Type-unstable loop tails waiting for a complementary peer (Fig. 6).
   std::vector<ExitDescriptor *> UnstableExits;
-  /// The globals an exit from this loop's trees writes back: the union of
-  /// Fragment::StoredGlobals over every root and branch installed here
-  /// (sorted, unique), or every global once a fragment calls a nested tree
-  /// (StoresAllGlobals). Grown at install, reset by a cache flush.
-  std::vector<uint32_t> StoredGlobals;
-  bool StoresAllGlobals = false;
   /// Compile jobs in flight for this header (OffThreadCompile): blocks
   /// duplicate root recordings and counts toward the peer cap until the
   /// job publishes or drops.
@@ -208,24 +202,31 @@ private:
 
   /// Peer matching and TAR import in one pass over the slots: true when
   /// \p P can be entered from the live interpreter state (same frame chain,
-  /// and buildEntryTypeMap(stackTop()) would equal P.EntryTypes), with each
-  /// slot unboxed into \p Tar as it is compared. A peer that fails to match
-  /// leaves the TAR partly written; the next candidate overwrites it.
+  /// and buildEntryTypeMap(stackTop()) agrees with P.EntryTypes on every
+  /// slot P types), with each typed slot unboxed into \p Tar as it is
+  /// compared. A peer that fails to match leaves the TAR partly written;
+  /// the next candidate overwrites it.
   bool matchAndImport(const Fragment &P, uint64_t *Tar) const;
 
-  /// Unbox the live globals and stack into \p Tar per \p Types. With
-  /// \p Match, stop at the first slot whose entry type differs (false).
+  /// Unbox the live globals and stack into \p Tar per \p Types, skipping
+  /// Boxed slots. With \p Match, stop at the first slot whose entry type
+  /// differs (false).
   bool importTar(const TypeMap &Types, uint64_t *Tar, bool Match) const;
 
   /// The TAR for the next fragment execution (TarBuffer), sized for every
   /// installed fragment.
   uint64_t *entryTar();
 
-  /// Rebox the TAR at \p Tar into interpreter state per the descriptor:
-  /// the whole stack, and the globals \p LS stores to (every global when
-  /// \p LS is null).
-  void restoreFromExit(ExitDescriptor *E, const uint64_t *Tar,
-                       const LoopState *LS);
+  /// Rebuild the interpreter frames per the descriptor and rebox the TAR
+  /// into exactly the slots its type map types; a Boxed slot keeps the
+  /// value the interpreter holds.
+  void restoreFromExit(ExitDescriptor *E, const uint64_t *Tar);
+
+  /// A nested tree left through an exit its call site did not expect:
+  /// rebox the slots the call site kept in the TAR because the inner tree
+  /// cannot reach them (typed in \p Site's map, Boxed in the callee's entry
+  /// map). The inner exit's own map leaves them Boxed.
+  void restoreCallSite(const ExitDescriptor *Site, const uint64_t *Tar);
 
   /// Execute a compiled fragment whose entry state is already imported into
   /// \p Tar (entryTar); returns the exit taken (never null). Handles Nested

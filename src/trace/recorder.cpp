@@ -15,6 +15,40 @@
 
 namespace tracejit {
 
+/// Mark in \p Slots (indexed by slot) every slot the bytecode of loop \p L
+/// of \p S names: its frame's locals (frame base \p Base) through
+/// GetLocal/SetLocal, globals through GetGlobal/SetGlobal. Returns whether
+/// the loop body calls a function, which may name any global.
+static bool markLoopSlots(const FunctionScript *S, const LoopRecord *L,
+                          uint32_t NumGlobals, uint32_t Base,
+                          std::vector<uint8_t> &Slots) {
+  bool Calls = false;
+  auto Mark = [&](uint32_t Slot) {
+    if (Slot < Slots.size())
+      Slots[Slot] = 1;
+  };
+  for (uint32_t Pc = L->HeaderPc; Pc < L->EndPc;
+       Pc += 1 + opInfo(S->opAt(Pc)).OperandBytes) {
+    switch (S->opAt(Pc)) {
+    case Op::GetLocal:
+    case Op::SetLocal:
+      Mark(NumGlobals + Base + S->u16At(Pc + 1));
+      break;
+    case Op::GetGlobal:
+    case Op::SetGlobal:
+      Mark(S->u16At(Pc + 1));
+      break;
+    case Op::Call:
+    case Op::CallProp:
+      Calls = true;
+      break;
+    default:
+      break;
+    }
+  }
+  return Calls;
+}
+
 TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I, TraceMonitor &M,
                              Fragment *Frag, Mode Md, LoopRecord *L,
                              ExitDescriptor *AExit)
@@ -30,6 +64,23 @@ TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I, TraceMonitor &M,
   EntryFrameDepth = RecMode == Mode::Branch ? Frag->Root->EntryFrameCount
                                             : VFrames.size();
   FallbackTypes = F->EntryTypes.Types;
+  ExitPc = F->AnchorPc;
+  if (RecMode == Mode::Root) {
+    // The tree specializes on every slot its loop's code names, whether or
+    // not this recording's path reaches it: the branches grown later run
+    // the other paths, and find those slots typed in the TAR. Every other
+    // slot starts open.
+    uint32_t N = F->EntryTypes.size();
+    EntryRead.assign(N, 0);
+    if (L)
+      markLoopSlots(F->AnchorScript, L, numGlobals(), VFrames.back().Base,
+                    EntryRead);
+    Open.resize(N);
+    for (uint32_t S = 0; S < N; ++S)
+      Open[S] = !EntryRead[S];
+    EntryBoxed.assign(N, 0);
+    OpenUntil.assign(N, UINT32_MAX);
+  }
   noteSlot(numGlobals() + VSp);
 
   // Build the filter pipeline (§5.1): recorder -> ExprFilter -> CseFilter
@@ -114,11 +165,6 @@ bool TraceRecorder::atAnchor(uint32_t Pc) const {
 
 // --- Slot tracking -------------------------------------------------------------------
 
-TraceType TraceRecorder::fallbackTypeOf(uint32_t Slot) {
-  assert(Slot < FallbackTypes.size() && "read of a never-written slot");
-  return FallbackTypes[Slot];
-}
-
 LIns *TraceRecorder::ldSlot(TraceType T, uint32_t Slot) {
   int32_t Disp = tarOffsetOfSlot(Slot);
   switch (T) {
@@ -133,7 +179,10 @@ LIns *TraceRecorder::ldSlot(TraceType T, uint32_t Slot) {
   case TraceType::Null:
   case TraceType::Undefined:
     return nullptr;
+  case TraceType::Boxed:
+    break; // a map type only: no value is ever Boxed on trace
   }
+  assert(false && "TAR load of a Boxed slot");
   return nullptr;
 }
 
@@ -154,7 +203,29 @@ void TraceRecorder::stSlot(uint32_t Slot, LIns *V, TraceType T) {
   case TraceType::Null:
   case TraceType::Undefined:
     return; // the type carries the whole value
+  case TraceType::Boxed:
+    break;
   }
+  assert(false && "TAR store of a Boxed value");
+}
+
+Value *TraceRecorder::interpSlot(uint32_t Slot) {
+  if (Slot < numGlobals())
+    return &Ctx.Globals.Values[Slot];
+  return Interp.stackData() + (Slot - numGlobals());
+}
+
+void TraceRecorder::track(uint32_t Slot, const Tracked &V) {
+  if (isOpen(Slot))
+    closeOpen(Slot);
+  Tracker[Slot] = V;
+}
+
+TraceRecorder::Tracked TraceRecorder::importBoxed(uint32_t Slot) {
+  TraceType T = traceTypeOf(*interpSlot(Slot));
+  LIns *Word = W->insLoad(LOp::LdQ, immQ((int64_t)(intptr_t)interpSlot(Slot)),
+                          0);
+  return {unboxGuarded(Word, T, ExitPc), T, /*InTar=*/false};
 }
 
 TraceRecorder::Tracked TraceRecorder::readSlot(uint32_t Slot) {
@@ -166,27 +237,63 @@ TraceRecorder::Tracked TraceRecorder::readSlot(uint32_t Slot) {
     abort(AbortReason::UntrackedSlot);
     return {};
   }
-  // Lazy import: "the trace imports local and global variables by unboxing
-  // them and copying them to its activation record" (§3.1) -- the unboxed
-  // copy was made by the monitor on entry; here we just load it typed.
   TraceType T = FallbackTypes[Slot];
-  Tracked V{ldSlot(T, Slot), T};
-  Tracker.emplace(Slot, V);
+  Tracked V;
+  if (T == TraceType::Boxed) {
+    V = importBoxed(Slot);
+  } else {
+    // Lazy import: "the trace imports local and global variables by
+    // unboxing them and copying them to its activation record" (§3.1) --
+    // the unboxed copy was made by the monitor on entry; here we just load
+    // it typed.
+    V = {ldSlot(T, Slot), T};
+    if (isOpen(Slot))
+      EntryRead[Slot] = 1;
+  }
+  track(Slot, V);
   return V;
 }
 
 void TraceRecorder::writeSlot(uint32_t Slot, LIns *V, TraceType T) {
   noteSlot(Slot + 1);
   stSlot(Slot, V, T);
-  Tracker[Slot] = Tracked{V, T};
-  if (Slot < numGlobals()) {
-    // Null/Undefined writes emit no store but still change the exit's type
-    // map, so they count as stores for the monitor's exit write-back.
-    std::vector<uint32_t> &Stored = F->StoredGlobals;
-    auto It = std::lower_bound(Stored.begin(), Stored.end(), Slot);
-    if (It == Stored.end() || *It != Slot)
-      Stored.insert(It, Slot);
+  track(Slot, Tracked{V, T});
+}
+
+TraceType TraceRecorder::valueTypeOf(uint32_t Slot) {
+  auto It = Tracker.find(Slot);
+  if (It != Tracker.end())
+    return It->second.Ty;
+  TraceType T =
+      Slot < FallbackTypes.size() ? FallbackTypes[Slot] : TraceType::Undefined;
+  return T == TraceType::Boxed ? traceTypeOf(*interpSlot(Slot)) : T;
+}
+
+void TraceRecorder::flushSlot(uint32_t Slot) {
+  Tracked V;
+  auto It = Tracker.find(Slot);
+  if (It != Tracker.end()) {
+    if (!It->second.InTar)
+      return; // the interpreter holds it already
+    V = It->second;
+  } else {
+    TraceType T = FallbackTypes[Slot];
+    if (T == TraceType::Boxed)
+      return;
+    if (isOpen(Slot)) {
+      // Still at its entry value, which the tree need not specialize on:
+      // leave the slot Boxed in the entry map, and the interpreter holds it.
+      EntryBoxed[Slot] = 1;
+      FallbackTypes[Slot] = TraceType::Boxed;
+      closeOpen(Slot);
+      return;
+    }
+    V = {ldSlot(T, Slot), T};
   }
+  W->insStore(LOp::StQ, boxValue(V.Ins, V.Ty),
+              immQ((int64_t)(intptr_t)interpSlot(Slot)), 0);
+  V.InTar = false;
+  track(Slot, V);
 }
 
 TypeMap TraceRecorder::currentTypeMap() {
@@ -197,11 +304,49 @@ TypeMap TraceRecorder::currentTypeMap() {
   for (uint32_t S = 0; S < N; ++S) {
     auto It = Tracker.find(S);
     if (It != Tracker.end())
-      M.Types[S] = It->second.Ty;
+      M.Types[S] = It->second.InTar ? It->second.Ty : TraceType::Boxed;
     else if (S < FallbackTypes.size())
       M.Types[S] = FallbackTypes[S];
   }
   return M;
+}
+
+TypeMap TraceRecorder::rootEntryMap() {
+  // The live map from recording start, with Boxed for every slot the tree
+  // need not specialize on. A slot is typed when the recording read its
+  // entry value from the TAR, or holds it typed in the TAR at the loop
+  // edge (so the back edge leaves it there instead of boxing it every
+  // iteration); a tree call may have left an unread slot Boxed.
+  TypeMap E = F->EntryTypes;
+  for (uint32_t S = 0; S < E.size(); ++S) {
+    if (EntryRead[S])
+      continue;
+    bool Typed = false;
+    if (!EntryBoxed[S] && !Open[S]) {
+      auto It = Tracker.find(S);
+      if (It != Tracker.end())
+        Typed = It->second.InTar;
+      else
+        Typed = FallbackTypes[S] != TraceType::Boxed;
+    }
+    if (!Typed)
+      E.Types[S] = TraceType::Boxed;
+  }
+  return E;
+}
+
+void TraceRecorder::finishRootEntry() {
+  TypeMap E = rootEntryMap();
+  // An exit snapshotted while a slot was open typed it by its entry
+  // value; where the tree leaves that slot Boxed, the interpreter still
+  // holds the value, so the exit leaves it there too.
+  for (uint32_t K = 0; K < F->Exits.size(); ++K) {
+    TypeMap &M = F->Exits[K]->Types;
+    for (uint32_t S = 0; S < E.size() && S < M.size(); ++S)
+      if (!E.typed(S) && OpenUntil[S] > K)
+        M.Types[S] = TraceType::Boxed;
+  }
+  F->EntryTypes = std::move(E);
 }
 
 // --- Exits ------------------------------------------------------------------------------
@@ -234,38 +379,41 @@ ExitDescriptor *TraceRecorder::snapshot(ExitKind Kind, uint32_t Pc) {
   uint32_t Floor = (uint32_t)F->Root->EntryTypes.size();
   for (uint32_t S = Floor; S < numGlobals() + VSp; ++S) {
     auto It = Tracker.find(S);
-    if (It != Tracker.end() && It->second.Ins && It->second.Ins->isImm())
+    if (It != Tracker.end() && It->second.InTar && It->second.Ins &&
+        It->second.Ins->isImm())
       E->ConstSlots.push_back({S, tarWordOfImm(It->second.Ins)});
   }
   return E;
 }
 
-void TraceRecorder::importExitConsts(const ExitDescriptor *E) {
-  for (const ExitConstSlot &C : E->ConstSlots) {
-    TraceType T = E->Types.Types[C.Slot];
-    LIns *V;
-    switch (T) {
-    case TraceType::Int:
-    case TraceType::Boolean:
-      V = immI((int32_t)(uint32_t)C.Word);
-      break;
-    case TraceType::Double: {
-      double D;
-      __builtin_memcpy(&D, &C.Word, 8);
-      V = immD(D);
-      break;
-    }
-    default:
-      // An object or string: the fragment that recorded the constant roots
-      // it, and fragments are only freed together, by a cache flush.
-      V = immQ((int64_t)C.Word);
-      break;
-    }
-    // Stored like any other write: an exit restores the slot from its own
-    // constants (so the filters drop the store), but a nested tree called
-    // later reads its entry slots from the TAR.
-    writeSlot(C.Slot, V, T);
+void TraceRecorder::importConst(const ExitConstSlot &C, TraceType T) {
+  LIns *V;
+  switch (T) {
+  case TraceType::Int:
+  case TraceType::Boolean:
+    V = immI((int32_t)(uint32_t)C.Word);
+    break;
+  case TraceType::Double: {
+    double D;
+    __builtin_memcpy(&D, &C.Word, 8);
+    V = immD(D);
+    break;
   }
+  default:
+    // An object or string: the fragment that recorded the constant roots
+    // it, and fragments are only freed together, by a cache flush.
+    V = immQ((int64_t)C.Word);
+    break;
+  }
+  // Stored like any other write: an exit restores the slot from its own
+  // constants (so the filters drop the store), but a nested tree called
+  // later reads its entry slots from the TAR.
+  writeSlot(C.Slot, V, T);
+}
+
+void TraceRecorder::importExitConsts(const ExitDescriptor *E) {
+  for (const ExitConstSlot &C : E->ConstSlots)
+    importConst(C, E->Types.Types[C.Slot]);
 }
 
 // --- Boxing / unboxing ----------------------------------------------------------------------
@@ -311,7 +459,10 @@ LIns *TraceRecorder::unboxGuarded(LIns *Word, TraceType Expect, uint32_t Pc) {
         LOp::GuardT,
         W->ins2(LOp::EqQ, Word, immQ((int64_t)Value::undefined().bits())), E);
     return nullptr;
+  case TraceType::Boxed:
+    break; // traceTypeOf never yields it
   }
+  assert(false && "unbox to Boxed");
   return nullptr;
 }
 
@@ -338,7 +489,10 @@ LIns *TraceRecorder::boxValue(LIns *V, TraceType T) {
     return immQ((int64_t)Value::null().bits());
   case TraceType::Undefined:
     return immQ((int64_t)Value::undefined().bits());
+  case TraceType::Boxed:
+    break;
   }
+  assert(false && "box of a Boxed value");
   return nullptr;
 }
 
@@ -374,7 +528,10 @@ LIns *TraceRecorder::truthyIns(const Tracked &V) {
   case TraceType::Null:
   case TraceType::Undefined:
     return immI(0);
+  case TraceType::Boxed:
+    break;
   }
+  assert(false && "truthiness of a Boxed value");
   return immI(0);
 }
 
@@ -1246,8 +1403,8 @@ void TraceRecorder::recordTreeCall(Fragment *Inner, ExitDescriptor *Taken) {
   for (size_t D = EntryFrameDepth; D < VFrames.size(); ++D)
     W->insStore(LOp::StI, immI((int32_t)VFrames[D].ReturnPc),
                 immQ((int64_t)(intptr_t)&Ctx.FrameReturnPcs[D]), 0);
+  Mismatch->Callee = Inner;
   W->insTreeCall(Inner, Taken, Mismatch);
-  F->CallsTree = true;
   ++Ctx.Stats.TreeCalls;
   if (Ctx.EventListener) {
     JitEvent E;
@@ -1272,6 +1429,16 @@ void TraceRecorder::recordTreeCall(Fragment *Inner, ExitDescriptor *Taken) {
   }
   VSp = Taken->Sp;
   FallbackTypes = Taken->Types.Types;
+  // A slot the inner tree leaves Boxed but cannot reach kept its call-site
+  // state (coerceTo): its TAR word, its constant, or its entry value.
+  const TypeMap &Site = Mismatch->Types;
+  const TypeMap &In = Inner->EntryTypes;
+  for (uint32_t S = 0; S < Site.size() && S < FallbackTypes.size(); ++S)
+    if (!In.typed(S) && Site.typed(S))
+      FallbackTypes[S] = Site.Types[S];
+  for (const ExitConstSlot &C : Mismatch->ConstSlots)
+    if (!In.typed(C.Slot))
+      importConst(C, Site.Types[C.Slot]);
   importExitConsts(Taken);
   if (Inner->RequiredTarSlots > MaxSlot)
     MaxSlot = Inner->RequiredTarSlots;
@@ -1290,29 +1457,64 @@ bool TraceRecorder::framesMatch(const std::vector<FrameEntry> &Entry) const {
 }
 
 bool TraceRecorder::canCoerceTo(const TypeMap &Entry) {
-  TypeMap Now = currentTypeMap();
-  if (Now.size() != Entry.size() || Now.NumGlobals != Entry.NumGlobals)
+  uint32_t N = numGlobals() + VSp;
+  if (Entry.size() != N || Entry.NumGlobals != numGlobals())
     return false;
-  for (uint32_t S = 0; S < Now.size(); ++S) {
-    if (Now.Types[S] == Entry.Types[S])
-      continue;
-    if (Now.Types[S] == TraceType::Int &&
-        Entry.Types[S] == TraceType::Double)
-      continue; // promotable
-    return false;
+  for (uint32_t S = 0; S < N; ++S) {
+    TraceType Want = Entry.Types[S];
+    if (Want == TraceType::Boxed)
+      continue; // any value boxes
+    TraceType Have = valueTypeOf(S);
+    if (Have != Want &&
+        !(Have == TraceType::Int && Want == TraceType::Double))
+      return false;
   }
   return true;
 }
 
-void TraceRecorder::coerceTo(const TypeMap &Entry) {
-  TypeMap Now = currentTypeMap();
-  for (uint32_t S = 0; S < Now.size(); ++S) {
-    if (Now.Types[S] == TraceType::Int &&
-        Entry.Types[S] == TraceType::Double) {
-      Tracked V = readSlot(S);
-      writeSlot(S, W->ins1(LOp::I2D, V.Ins), TraceType::Double);
+void TraceRecorder::coerceTo(const TypeMap &Entry, uint32_t Pc,
+                             const Fragment *Callee) {
+  ExitPc = Pc;
+  std::vector<uint8_t> Reach;
+  if (Callee)
+    Reach = reachableSlots(Callee);
+  for (uint32_t S = 0; S < Entry.size(); ++S) {
+    TraceType Want = Entry.Types[S];
+    if (Want == TraceType::Boxed) {
+      if (!Callee || Reach[S])
+        flushSlot(S);
+      continue;
     }
+    if (!Tracker.count(S) && S < FallbackTypes.size() &&
+        FallbackTypes[S] == Want) {
+      // Already in the TAR with the wanted type.
+      if (isOpen(S)) {
+        EntryRead[S] = 1;
+        closeOpen(S);
+      }
+      continue;
+    }
+    Tracked V = readSlot(S);
+    if (V.Ty == TraceType::Int && Want == TraceType::Double)
+      writeSlot(S, W->ins1(LOp::I2D, V.Ins), TraceType::Double);
+    else if (!V.InTar)
+      writeSlot(S, V.Ins, V.Ty);
   }
+}
+
+std::vector<uint8_t>
+TraceRecorder::reachableSlots(const Fragment *Tree) const {
+  // The tree is anchored in the top frame: a trace never returns below its
+  // entry frame, so slots of the frames under it are out of reach, and so
+  // are the top frame's locals its loop never names.
+  uint32_t NG = numGlobals(), Base = VFrames.back().Base;
+  std::vector<uint8_t> Reach(NG + VSp, 0);
+  if (markLoopSlots(Tree->AnchorScript, Tree->Loop, NG, Base, Reach))
+    std::fill(Reach.begin(), Reach.begin() + NG, 1); // a callee names any
+  // An operand below the loop's stack: stay conservative.
+  for (uint32_t I = Base + Tree->AnchorScript->NumLocals; I < VSp; ++I)
+    Reach[NG + I] = 1;
+  return Reach;
 }
 
 // --- Loop closing -----------------------------------------------------------------------------------
@@ -1333,16 +1535,30 @@ bool TraceRecorder::closeLoop(const std::vector<Fragment *> &Peers) {
 
   TypeMap Now = currentTypeMap();
   Fragment *Root = RecMode == Mode::Root ? F : F->Root;
+  uint32_t Pc = Root->AnchorPc;
+  TypeMap Entry;
+  if (RecMode == Mode::Root) {
+    Entry = rootEntryMap();
+    // A slot still open at its entry value is Boxed: it stays with the
+    // interpreter across the back edge.
+    for (uint32_t S = 0; S < Entry.size(); ++S)
+      if (isOpen(S))
+        Now.Types[S] = TraceType::Boxed;
+  }
 
-  if (RecMode == Mode::Root && Now == F->EntryTypes) {
+  bool SelfLoop = RecMode == Mode::Root;
+  if (SelfLoop && Now == Entry) {
     // Type-stable: close the loop onto ourselves.
     W->insLoop();
-  } else if (RecMode == Mode::Root && canCoerceTo(F->EntryTypes)) {
+  } else if (SelfLoop && canCoerceTo(Entry)) {
     // Close onto ourselves by promoting Int slots to the Double our own
-    // entry map (typically oracle-demoted) expects.
-    coerceTo(F->EntryTypes);
+    // entry map (typically oracle-demoted) expects, re-importing slots a
+    // tree call left with the interpreter, and boxing back slots the entry
+    // map leaves Boxed.
+    coerceTo(Entry, Pc);
     W->insLoop();
   } else {
+    SelfLoop = false;
     // Look for a peer whose entry types match ours (Fig. 6: connect the
     // loop edges of complementary type-unstable traces). Int slots may be
     // promoted to Double to reach a peer.
@@ -1365,7 +1581,7 @@ bool TraceRecorder::closeLoop(const std::vector<Fragment *> &Peers) {
         }
       }
       if (Match)
-        coerceTo(Match->EntryTypes);
+        coerceTo(Match->EntryTypes, Pc);
     }
     if (Match) {
       W->insJmpFrag(Match);
@@ -1386,19 +1602,40 @@ bool TraceRecorder::closeLoop(const std::vector<Fragment *> &Peers) {
           }
         }
       }
-      ExitDescriptor *E =
-          snapshot(ExitKind::Unstable,
-                   RecMode == Mode::Root ? F->AnchorPc : Root->AnchorPc);
-      W->insExit(E);
+      W->insExit(snapshot(ExitKind::Unstable, Pc));
     }
   }
 
   if (verifyFailed())
     return false;
+  finish();
+  assert((!SelfLoop || F->EntryTypes == Entry) &&
+         "a self-loop closes onto the entry map it was checked against");
+  return true;
+}
+
+void TraceRecorder::finish() {
+  if (RecMode == Mode::Root)
+    finishRootEntry();
   F->Body = std::move(Buffer->instructions());
   F->LirRecorded = (uint32_t)F->Body.size();
   F->RequiredTarSlots = MaxSlot + 8;
   St = Status::Finished;
+}
+
+bool TraceRecorder::endIfLeftLoop(uint32_t Pc) {
+  // Leaving the traced loop at the entry frame level ends the trace with a
+  // plain exit to the monitor ("the VM simply ends the trace with an exit
+  // to the trace monitor", §3.2) -- also when the next op is another
+  // loop's header, so a tree's fragments run only its own loop's code (and
+  // callees in deeper frames).
+  Fragment *Root = RecMode == Mode::Root ? F : F->Root;
+  if (VFrames.size() != EntryFrameDepth || script() != Root->AnchorScript ||
+      !Loop || (Pc >= Loop->HeaderPc && Pc < Loop->EndPc))
+    return false;
+  W->insExit(snapshot(ExitKind::LoopExit, Pc));
+  if (!verifyFailed())
+    finish();
   return true;
 }
 
@@ -1416,6 +1653,7 @@ void TraceRecorder::recordOp(uint32_t Pc) {
 
   assert(VSp == Interp.stackTop() && "recorder out of sync with interpreter");
   assert(VFrames.size() == Interp.frames().size());
+  ExitPc = Pc;
 
   if (++OpsRecorded > Ctx.Opts.MaxTraceLength ||
       Buffer->size() > Ctx.Opts.MaxTraceLength * 4) {
@@ -1426,22 +1664,8 @@ void TraceRecorder::recordOp(uint32_t Pc) {
   FunctionScript *S = script();
   Op O = S->opAt(Pc);
 
-  // Leaving the traced loop at the entry frame level ends the trace with a
-  // plain exit to the monitor ("the VM simply ends the trace with an exit
-  // to the trace monitor", §3.2).
-  Fragment *Root = RecMode == Mode::Root ? F : F->Root;
-  if (VFrames.size() == EntryFrameDepth && S == Root->AnchorScript && Loop &&
-      (Pc < Loop->HeaderPc || Pc >= Loop->EndPc)) {
-    ExitDescriptor *E = snapshot(ExitKind::LoopExit, Pc);
-    W->insExit(E);
-    if (verifyFailed())
-      return;
-    F->Body = std::move(Buffer->instructions());
-    F->LirRecorded = (uint32_t)F->Body.size();
-    F->RequiredTarSlots = MaxSlot + 8;
-    St = Status::Finished;
+  if (endIfLeftLoop(Pc))
     return;
-  }
 
   ++F->BytecodesCovered;
 

@@ -5,9 +5,14 @@
 // The recorder:
 //
 //  * tracks interpreter slots (globals + the whole value stack) as LIR
-//    values with trace types, importing lazily with typed loads from the
-//    TAR and materializing every write as a TAR store (the backward
-//    dead-store filters remove the unobservable ones, §5.1);
+//    values with trace types, importing lazily -- typed loads from the TAR
+//    for typed slots, guarded unboxing from the interpreter for Boxed ones
+//    (trace/typemap.h) -- and materializing every write as a TAR store
+//    (the backward dead-store filters remove the unobservable ones, §5.1);
+//  * for a root, builds the entry type map from the slots its loop's code
+//    names and the slots the recording used (what it read from the TAR,
+//    what it holds typed at the loop edge). Every other slot is Boxed, so
+//    the tree does not specialize on it;
 //  * peeks at the live interpreter state (which has not yet executed the
 //    bytecode) to specialize on observed types, shapes, callee identity,
 //    bounds, and branch directions, emitting a guard for each speculation;
@@ -65,6 +70,11 @@ public:
   /// header the trace must close at (same pc and frame depth).
   bool atAnchor(uint32_t Pc) const;
 
+  /// End the trace with a LoopExit if \p Pc, about to run in the entry
+  /// frame, lies outside the traced loop. True when recording stopped
+  /// (finished, or aborted by the verifier).
+  bool endIfLeftLoop(uint32_t Pc);
+
   /// Close the loop at the anchor header: emit the preempt guard and
   /// either the Loop back edge (type-stable), a JmpFrag to a matching peer
   /// (branch traces / linked peers), or an unstable Exit. Moves the LIR
@@ -79,14 +89,22 @@ public:
   /// entry chain? Required in addition to type-map equality.
   bool framesMatch(const std::vector<FrameEntry> &Entry) const;
 
-  /// Can the current state be adapted to \p Entry by promoting Int slots
-  /// to Double (the only legal coercion)? Exact matches return true too.
+  /// Can the current state be adapted to \p Entry? Each slot \p Entry
+  /// types must hold that type, or Int where it wants Double (the only
+  /// legal promotion); a Boxed slot reads under a guard on its live type.
+  /// Slots \p Entry leaves Boxed always adapt. Exact matches return true.
   bool canCoerceTo(const TypeMap &Entry);
-  /// Emit the promotions so the current state matches \p Entry exactly.
-  void coerceTo(const TypeMap &Entry);
+  /// Emit the code that makes the current state match \p Entry exactly:
+  /// import and promote the slots it types into the TAR, and box every
+  /// slot it leaves Boxed back into the interpreter. Guards the imports
+  /// emit resume at \p Pc. For a call to nested tree \p Callee, a slot it
+  /// leaves Boxed but can never reach stays in the TAR (the monitor writes
+  /// it back if the inner tree exits elsewhere).
+  void coerceTo(const TypeMap &Entry, uint32_t Pc,
+                const Fragment *Callee = nullptr);
 
   /// The recorder's current view of slot types, as a full type map over
-  /// [0, NumGlobals + vSp) -- used to select nested trees.
+  /// [0, NumGlobals + vSp): Boxed where the interpreter holds the value.
   TypeMap currentTypeMap();
 
   /// Current virtual frame depth (for anchor identification).
@@ -99,6 +117,10 @@ private:
   struct Tracked {
     LIns *Ins = nullptr; ///< Null for Null/Undefined (type carries all).
     TraceType Ty = TraceType::Undefined;
+    /// False for a value unboxed from the interpreter (a Boxed slot) and
+    /// not written since: the TAR does not hold it, so type maps keep the
+    /// slot Boxed.
+    bool InTar = true;
   };
 
   uint32_t numGlobals() const { return F->EntryTypes.NumGlobals; }
@@ -107,9 +129,31 @@ private:
     return numGlobals() + StackIdx;
   }
 
-  TraceType fallbackTypeOf(uint32_t Slot);
   Tracked readSlot(uint32_t Slot);
   void writeSlot(uint32_t Slot, LIns *V, TraceType T);
+  void track(uint32_t Slot, const Tracked &V);
+  /// The interpreter's own cell for \p Slot: where a Boxed slot's value
+  /// lives while the trace runs. The value stack never moves, and the
+  /// global table only moves when it grows, which changes NumGlobals and
+  /// so retires every fragment recorded before.
+  Value *interpSlot(uint32_t Slot);
+  /// Import Boxed slot \p Slot: load its word from the interpreter and
+  /// unbox it under a guard on the type it holds now.
+  Tracked importBoxed(uint32_t Slot);
+  /// The type slot \p Slot holds now, peeking at the interpreter for an
+  /// unimported Boxed slot.
+  TraceType valueTypeOf(uint32_t Slot);
+  /// Make the interpreter hold slot \p Slot's value (box it there), for a
+  /// fragment that expects the slot Boxed.
+  void flushSlot(uint32_t Slot);
+  /// Root recordings: the entry map the tree specializes on (see
+  /// EntryRead / EntryBoxed), and the rewrite of every exit snapshotted
+  /// before it was known.
+  TypeMap rootEntryMap();
+  void finishRootEntry();
+  /// The terminator is emitted: settle a root's entry map and move the
+  /// body into the fragment.
+  void finish();
   void noteSlot(uint32_t Slot) {
     if (Slot + 1 > MaxSlot)
       MaxSlot = Slot + 1;
@@ -134,6 +178,7 @@ private:
   /// hold them when control arrives from that exit (branch traces, tree
   /// calls).
   void importExitConsts(const ExitDescriptor *E);
+  void importConst(const ExitConstSlot &C, TraceType T);
 
   // --- Emission helpers -------------------------------------------------------------
   LIns *tarBase() { return ParamTar; }
@@ -220,8 +265,37 @@ private:
 
   std::unordered_map<uint32_t, Tracked> Tracker;
   /// Fallback types for unimported slots (entry map, updated after tree
-  /// calls).
+  /// calls). Boxed: the interpreter holds the value.
   std::vector<TraceType> FallbackTypes;
+
+  // Root entry-map construction. A root's slot is open while it still
+  // holds its entry value untouched: typed by the live map in
+  // FallbackTypes, and whether the tree specializes on it is undecided.
+  // Reading it types it in the entry map; a tree call whose callee may
+  // reach it but leaves it Boxed pins it Boxed; untouched to the end, it
+  // is Boxed.
+  std::vector<uint8_t> Open;
+  /// Slots whose entry value the recording read (typed in the entry map).
+  std::vector<uint8_t> EntryRead;
+  /// Open slots a tree call left Boxed (the inner tree reads them from the
+  /// interpreter).
+  std::vector<uint8_t> EntryBoxed;
+  /// Exits existing when each slot stopped being open: an exit with a
+  /// lower id saw the slot at its entry value.
+  std::vector<uint32_t> OpenUntil;
+  bool isOpen(uint32_t Slot) const { return Slot < Open.size() && Open[Slot]; }
+  void closeOpen(uint32_t Slot) {
+    Open[Slot] = 0;
+    OpenUntil[Slot] = (uint32_t)F->Exits.size();
+  }
+  /// The slots of [0, NumGlobals + vSp) that a fragment of nested tree
+  /// \p Tree, now or grown later, may read or write, decided from its
+  /// loop's bytecode: a caller frame's slot is out of reach, a local is
+  /// reached only through GetLocal/SetLocal in the loop body, a global
+  /// through GetGlobal/SetGlobal there or any call the body makes.
+  std::vector<uint8_t> reachableSlots(const Fragment *Tree) const;
+
+  uint32_t ExitPc = 0; ///< Resume pc for guards emitted by a slot import.
 
   // LIR pipeline.
   std::unique_ptr<LirBuffer> Buffer;

@@ -13,11 +13,23 @@
 //                                     stacks, exactly as laid out by the
 //                                     interpreter)
 //
+// but type only the slots the trace uses. Every other slot is Boxed: the
+// interpreter keeps its value while the trace runs. Entry matching ignores
+// a Boxed slot and entry does not copy it; exits do not write it back. A
+// root tree's entry map types the slots its loop's code names, plus those
+// its recording read from the TAR or held typed at its loop edge, so a
+// type change in a slot no trace of the tree touches (a caller frame's
+// operand, an unrelated global) never splits the tree. A branch or a
+// nested tree that does use a Boxed slot reads it from the interpreter
+// under a type guard, and boxes it back there before control reaches a
+// fragment that expects it Boxed.
+//
 // The trace activation record (TAR) uses the same indexing with 8-byte
 // slots, so identical type maps imply identical activation-record layouts
 // ("identical type maps yield identical activation record layouts, so the
 // trace activation record can be reused immediately by the branch trace",
 // §6.2) and an outer tree can call an inner tree by passing its own TAR.
+// A Boxed slot's TAR word is meaningless.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +53,7 @@ enum class TraceType : uint8_t {
   Boolean,   ///< int32 0/1
   Null,      ///< no payload
   Undefined, ///< no payload
+  Boxed,     ///< untyped: the value lives in the interpreter, not the TAR
 };
 
 const char *traceTypeName(TraceType T);
@@ -64,11 +77,20 @@ inline TraceType traceTypeOf(const Value &V) {
 
 struct TypeMap {
   uint32_t NumGlobals = 0;
-  /// Types for slots [0, NumGlobals + StackSlots).
+  /// Types for slots [0, NumGlobals + StackSlots); Boxed for slots the
+  /// trace does not specialize on.
   std::vector<TraceType> Types;
 
   uint32_t size() const { return (uint32_t)Types.size(); }
   uint32_t stackSlots() const { return size() - NumGlobals; }
+  bool typed(uint32_t Slot) const { return Types[Slot] != TraceType::Boxed; }
+  /// Slots with a type (not Boxed): what an entry checks and imports.
+  uint32_t typedSlots() const {
+    uint32_t N = 0;
+    for (TraceType T : Types)
+      N += T != TraceType::Boxed;
+    return N;
+  }
 
   bool operator==(const TypeMap &O) const {
     return NumGlobals == O.NumGlobals && Types == O.Types;

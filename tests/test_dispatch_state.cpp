@@ -10,9 +10,9 @@
 //  - a deadline expires deep in a recursion;
 // and the engine stays reusable after each error.
 //
-// A trace exit writes back the stack plus only the globals some trace of
-// the entered loop stores to (trace/monitor.h, LoopState::StoredGlobals).
-// The last tests pin that set: a store only a later branch makes, a store
+// A trace exit writes back exactly the slots its type map types; every
+// Boxed slot keeps the value the interpreter holds (trace/typemap.h). The
+// last tests pin that rule: a store only a later branch makes, a store
 // only a nested tree makes, a null store (which emits no TAR store), and
 // an unchanged double global that must keep its cell across many exits.
 //

@@ -7,9 +7,11 @@
 // of type-unstable loops and heavily branching code." (§6.6)
 //
 // This generator does the same: random loop-heavy programs with branchy
-// bodies, type-unstable accumulators, arrays, and function calls. Every
-// seed runs on the interpreter and on both JIT backends; outputs must
-// match. TEST_P sweeps seeds as a property-based suite.
+// bodies, type-unstable accumulators, arrays, and function calls, whose hot
+// loop is entered repeatedly while slots it never touches (a global, a
+// caller's local) and one it does touch change type. Every seed runs on the
+// interpreter and on both JIT backends; printed output and every global's
+// final value must match. TEST_P sweeps seeds as a property-based suite.
 //
 //===----------------------------------------------------------------------===//
 
@@ -114,16 +116,32 @@ std::string generateProgram(uint64_t Seed) {
   // Sometimes make an accumulator start out type-unstable.
   if (R.below(2))
     P += "b = 0.5;\n";
-  int Iters = 50 + (int)R.below(500);
-  P += "for (var i = 0; i < " + std::to_string(Iters) + "; ++i) {\n";
+  // The hot loop lives in run(), called from caller() once per entry. Between
+  // entries, global quiet and caller()'s local mine change type although
+  // the loop never touches them (its trees must not depend on them), while
+  // global loud, which the loop reads and writes, changes type too.
+  P += "var quiet = 0, loud = 0, sink = '';\n";
+  P += "var kinds = [0, 1.5, 's', 2, 0.25, 't'];\n";
+  int Iters = 20 + (int)R.below(200);
+  P += "function run(n) {\n";
+  P += "  for (var i = 0; i < n; ++i) {\n";
   int Stmts = 1 + R.below(5);
   for (int K = 0; K < Stmts; ++K)
     P += genStatement(R, 1);
+  P += "    loud = loud + 1;\n";
+  P += "  }\n";
   P += "}\n";
-  P += "print(a | 0, b | 0, c | 0, arr[3] | 0);\n";
+  P += "function caller(n, e) { var mine = kinds[(e + 3) % 6]; run(n);"
+       " return mine; }\n";
+  P += "for (var e = 0; e < 6; ++e) {\n";
+  P += "  quiet = kinds[e]; loud = kinds[(e + 1) % 6];\n";
+  P += "  sink = sink + caller(" + std::to_string(Iters) + ", e);\n";
+  P += "}\n";
+  P += "print(a | 0, b | 0, c | 0, arr[3] | 0, loud, sink);\n";
   return P;
 }
 
+/// Printed output, then every global's final value in slot order.
 std::string runOn(const std::string &Src, bool Jit, Backend B) {
   EngineOptions O;
   O.EnableJit = Jit;
@@ -139,6 +157,10 @@ std::string runOn(const std::string &Src, bool Jit, Backend B) {
   if (!R.ok())
     return "<error: " + R.Err.describe() + ">";
   EXPECT_EQ(E.stats().VerifyFailures, 0u) << "program:\n" << Src;
+  const GlobalTable &G = E.context().Globals;
+  for (uint32_t I = 0; I < G.size(); ++I)
+    Out += std::string(G.Names[I]->view()) + "=" +
+           valueToString(G.Values[I]) + "\n";
   return Out;
 }
 

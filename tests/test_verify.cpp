@@ -408,6 +408,58 @@ TEST(VerifyTrace, CleanTracePasses) {
   EXPECT_GT(F.Stats.LirInsVerified, 0u);
 }
 
+// A Boxed entry slot has no typed word in the TAR: loading it, or an exit
+// that writes it back before anything stored it, reads garbage.
+TEST(VerifyTrace, LoadOfABoxedEntrySlot) {
+  TraceFixture F;
+  F.Frag.EntryTypes.NumGlobals = 1;
+  F.Frag.EntryTypes.Types = {TraceType::Boxed, TraceType::Int};
+  LIns *Tar = F.Buf.ins0(LOp::ParamTar);
+  F.Buf.insLoad(LOp::LdI, Tar, 0);
+  F.Buf.insLoop();
+  EXPECT_EQ(F.run(), VerifyRule::UntypedTarSlot);
+}
+
+TEST(VerifyTrace, ExitWritesBackABoxedEntrySlot) {
+  TraceFixture F;
+  F.Frag.EntryTypes.NumGlobals = 1;
+  F.Frag.EntryTypes.Types = {TraceType::Boxed, TraceType::Int};
+  F.Buf.ins0(LOp::ParamTar);
+  F.Buf.insExit(F.exit(1)); // types global 0
+  EXPECT_EQ(F.run(), VerifyRule::UntypedTarSlot);
+}
+
+TEST(VerifyTrace, StoreTypesABoxedEntrySlot) {
+  TraceFixture F;
+  F.Frag.EntryTypes.NumGlobals = 1;
+  F.Frag.EntryTypes.Types = {TraceType::Boxed, TraceType::Int};
+  LIns *Tar = F.Buf.ins0(LOp::ParamTar);
+  F.Buf.insStore(LOp::StI, F.Buf.insImmI(3), Tar, 0);
+  F.Buf.insExit(F.exit(1));
+  EXPECT_EQ(F.run(), VerifyRule::None);
+}
+
+// After a tree call the TAR holds what the expected exit types; a slot
+// the inner tree types but returns Boxed is not there for the back edge.
+TEST(VerifyTrace, BackEdgeNeedsWhatTheTreeCallLeftBoxed) {
+  TraceFixture F;
+  F.Frag.EntryTypes.NumGlobals = 1;
+  F.Frag.EntryTypes.Types = {TraceType::Int, TraceType::Int};
+  LoopRecord Loop;
+  Fragment Inner;
+  Inner.Root = &Inner;
+  Inner.Loop = &Loop;
+  Inner.EntryTypes = F.Frag.EntryTypes;
+  ExitDescriptor *Expected = Inner.makeExit();
+  Expected->Sp = 1;
+  Expected->Types.NumGlobals = 1;
+  Expected->Types.Types = {TraceType::Int, TraceType::Boxed};
+  F.Buf.ins0(LOp::ParamTar);
+  F.Buf.insTreeCall(&Inner, Expected, F.exit(1));
+  F.Buf.insLoop();
+  EXPECT_EQ(F.run(), VerifyRule::UntypedTarSlot);
+}
+
 // --- Positive path: the verifier stays silent on real traces ---------------------
 
 const char *kPrograms[] = {
