@@ -427,35 +427,15 @@ private:
 };
 
 void Analyzer::buildCfg() {
-  std::set<uint32_t> Starts;
-  Starts.insert(0);
-  uint32_t Size = (uint32_t)S.Code.size();
-  for (uint32_t Pc = 0; Pc < Size; Pc += opLen(Pc)) {
-    Op O = S.opAt(Pc);
-    if (opIsJump(O)) {
-      Starts.insert(S.u32At(Pc + 1));
-      Starts.insert(Pc + opLen(Pc));
-      continue;
-    }
-    switch (O) {
-    case Op::Return:
-    case Op::ReturnUndefined:
-      if (Pc + opLen(Pc) < Size)
-        Starts.insert(Pc + opLen(Pc));
-      break;
-    case Op::LoopHeader:
-    case Op::Nop3:
-      Starts.insert(Pc); // widening point: always its own block
-      break;
-    default:
-      break;
-    }
+  std::vector<uint32_t> Starts;
+  if (!blockStarts(S, Starts)) {
+    Failed = true;
+    return;
   }
-  std::vector<uint32_t> Sorted(Starts.begin(), Starts.end());
-  for (size_t I = 0; I < Sorted.size(); ++I) {
+  for (size_t I = 0; I < Starts.size(); ++I) {
     Block B;
-    B.Start = Sorted[I];
-    B.End = I + 1 < Sorted.size() ? Sorted[I + 1] : Size;
+    B.Start = Starts[I];
+    B.End = I + 1 < Starts.size() ? Starts[I + 1] : (uint32_t)S.Code.size();
     BlockAt[B.Start] = (uint32_t)Blocks.size();
     Blocks.push_back(B);
   }
@@ -1100,6 +1080,14 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
 }
 
 void Analyzer::collectHeaderFacts() {
+  // A trace drops a local that is dead at a header instead of writing it
+  // back, so there the interpreter may hold a stale value of any type: the
+  // header publishes no fact for it (MaskTop), and it seeds no demotion.
+  std::vector<std::vector<uint8_t>> Live;
+  computeLoopLiveness(S, Live);
+  std::map<uint32_t, const std::vector<uint8_t> *> LiveAt;
+  for (size_t I = 0; I < S.Loops.size(); ++I)
+    LiveAt[S.Loops[I].HeaderPc] = &Live[I];
   std::set<uint32_t> DemoteG, DemoteL;
   for (uint32_t BI = 0; BI < Blocks.size(); ++BI) {
     if (!In[BI] || !isHeaderBlock(Blocks[BI]))
@@ -1124,7 +1112,12 @@ void Analyzer::collectHeaderFacts() {
           RecursDouble(G))
         DemoteG.insert(G);
     }
+    auto LiveIt = LiveAt.find(Blocks[BI].Start);
     for (uint32_t L = 0; L < S.NumLocals; ++L) {
+      if (LiveIt != LiveAt.end() && !(*LiveIt->second)[L]) {
+        HF.Locals[L] = MaskTop;
+        continue;
+      }
       HF.Locals[L] = St.Slots[LocalBase + L].Mask;
       if (St.Slots[LocalBase + L].Mask == MaskNumber &&
           !St.Slots[LocalBase + L].OvfD && RecursDouble(LocalBase + L))
@@ -1176,8 +1169,10 @@ std::unique_ptr<ScriptAnalysis> Analyzer::run() {
 
   // Fixpoint.
   std::deque<uint32_t> Work;
-  In[0] = entryState();
-  Work.push_back(0);
+  if (!Failed) {
+    In[0] = entryState();
+    Work.push_back(0);
+  }
   const uint32_t VisitBudget = (uint32_t)Blocks.size() * 96 + 256;
   uint32_t Visits = 0;
   while (!Work.empty() && !Failed) {
@@ -1250,6 +1245,39 @@ std::unique_ptr<ScriptAnalysis> Analyzer::run() {
 }
 
 } // namespace
+
+bool blockStarts(const FunctionScript &S, std::vector<uint32_t> &Starts) {
+  Starts.clear();
+  const uint32_t Size = (uint32_t)S.Code.size();
+  std::vector<uint8_t> Leader(Size + 1, 0), IsOp(Size, 0);
+  std::vector<uint32_t> Targets;
+  Leader[0] = 1;
+  for (uint32_t Pc = 0; Pc < Size;) {
+    if (S.Code[Pc] >= (uint8_t)Op::NumOps)
+      return false;
+    Op O = S.opAt(Pc);
+    uint32_t Next = Pc + 1 + opInfo(O).OperandBytes;
+    if (Next > Size)
+      return false;
+    IsOp[Pc] = 1;
+    if (opIsJump(O))
+      Targets.push_back(S.u32At(Pc + 1));
+    if (opIsJump(O) || opIsTerminator(O))
+      Leader[Next] = 1;
+    if (O == Op::LoopHeader || O == Op::Nop3)
+      Leader[Pc] = 1; // widening point: always its own block
+    Pc = Next;
+  }
+  for (uint32_t T : Targets) {
+    if (T >= Size || !IsOp[T])
+      return false;
+    Leader[T] = 1;
+  }
+  for (uint32_t Pc = 0; Pc < Size; ++Pc)
+    if (Leader[Pc])
+      Starts.push_back(Pc);
+  return true;
+}
 
 std::unique_ptr<ScriptAnalysis> analyzeScript(const FunctionScript &S,
                                               uint32_t NumGlobals) {

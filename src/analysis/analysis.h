@@ -18,6 +18,17 @@
 //  * the repl gains a `--analyze` lint mode reporting unreachable code,
 //    use-before-def, constant conditions, and guaranteed type errors.
 //
+// Its second job is independent of the lattice and of
+// EngineOptions::StaticAnalysis: a backward liveness pass over the same
+// basic blocks (blockStarts, computeLoopLiveness) finds the locals live at
+// each loop header. A root tree leaves a local that is dead there Boxed in
+// its entry map, and its back edge drops the local instead of boxing it
+// into the interpreter, so a local the loop writes before reading --
+// `undefined` on the first entry, a number after -- no longer splits the
+// tree (trace/recorder.h). The dropped local keeps a stale value in the
+// interpreter, which nothing reads before overwriting it; so the abstract
+// interpreter publishes no header fact for a dead local (MaskTop).
+//
 // Soundness contract with the recorder: a fact recorded for (script, pc)
 // is an invariant over *every* interpreter execution reaching that pc --
 // function entry states are worst-case (parameters unknown, globals
@@ -151,6 +162,31 @@ void validateHeaderFacts(const ScriptAnalysis &A, const Value *Globals,
                          uint32_t NumGlobals, const Value *Locals,
                          uint32_t NumLocals, uint32_t Pc, uint64_t &Checks,
                          uint64_t &Contradictions);
+
+// --- Control-flow graph and loop-header liveness ----------------------------
+
+/// The basic blocks of \p S's bytecode, as their sorted start pcs: pc 0,
+/// every jump target, the pc after every jump or return, and every loop
+/// header (its own block). Block I spans [Starts[I], Starts[I + 1]), the
+/// last one to the end of the code. Returns false on bytecode no CFG can be
+/// built from: an unknown opcode, a truncated operand, or a jump target
+/// outside the code or inside an instruction.
+bool blockStarts(const FunctionScript &S, std::vector<uint32_t> &Starts);
+
+/// Which locals of \p S are live at each of its loop headers: Live[I][K] is
+/// 1 when some path from the header of S.Loops[I] reads local K before
+/// writing it, including the paths that leave the loop. A parameter is a
+/// local like any other. One fixpoint serves every loop. Returns false,
+/// with every local of every loop live, when the pass cannot run
+/// (malformed bytecode): a dead local is one a trace may forget, so the
+/// pass fails closed.
+bool computeLoopLiveness(const FunctionScript &S,
+                         std::vector<std::vector<uint8_t>> &Live);
+
+/// The live-at-header locals of loop \p L, one of \p S's loops. The first
+/// call for any loop of \p S runs computeLoopLiveness and caches every
+/// loop's result in its LoopRecord::LiveLocals.
+const std::vector<uint8_t> &loopLiveLocals(FunctionScript &S, LoopRecord &L);
 
 } // namespace tracejit
 

@@ -134,6 +134,10 @@ struct LoopRecord {
   uint32_t HeaderPc = 0;
   uint32_t EndPc = 0; ///< First pc after the loop (exclusive).
   LoopState *State = nullptr;
+  /// One byte per local of the script: live at the header (some path from
+  /// it reads the local before writing it). Filled on first use by
+  /// loopLiveLocals (analysis/analysis.h); empty until then.
+  std::vector<uint8_t> LiveLocals;
 };
 
 /// Sparse pc -> source position note. The parser records one note per

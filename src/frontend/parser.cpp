@@ -795,7 +795,8 @@ void Parser::whileStatement() {
   advance();
   uint32_t Header = here();
   uint32_t LoopIndex = (uint32_t)Script->Loops.size();
-  Script->Loops.push_back({Header, 0, nullptr});
+  Script->Loops.emplace_back();
+  Script->Loops.back().HeaderPc = Header;
   emitOp(Op::LoopHeader, 0);
   emitU16((uint16_t)LoopIndex);
 
@@ -821,7 +822,8 @@ void Parser::doWhileStatement() {
   advance();
   uint32_t Header = here();
   uint32_t LoopIndex = (uint32_t)Script->Loops.size();
-  Script->Loops.push_back({Header, 0, nullptr});
+  Script->Loops.emplace_back();
+  Script->Loops.back().HeaderPc = Header;
   emitOp(Op::LoopHeader, 0);
   emitU16((uint16_t)LoopIndex);
 
@@ -861,7 +863,8 @@ void Parser::forStatement() {
 
   uint32_t Header = here();
   uint32_t LoopIndex = (uint32_t)Script->Loops.size();
-  Script->Loops.push_back({Header, 0, nullptr});
+  Script->Loops.emplace_back();
+  Script->Loops.back().HeaderPc = Header;
   emitOp(Op::LoopHeader, 0);
   emitU16((uint16_t)LoopIndex);
 

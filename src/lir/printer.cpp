@@ -1,6 +1,7 @@
 //===- printer.cpp - LIR printing and type checking --------------------------===//
 
 #include <cstdio>
+#include <cstdlib>
 #include <unordered_set>
 
 #include "jit/fragment.h"
@@ -111,7 +112,13 @@ std::string formatIns(const LIns *I) {
     Out += Buf;
     break;
   case LOp::ImmD:
-    snprintf(Buf, sizeof(Buf), " %g", I->Imm.ImmDbl);
+    // The shortest %g that reads back as the same double, so 1.0000001
+    // does not print as 1.
+    for (int Prec = 1; Prec <= 17; ++Prec) {
+      snprintf(Buf, sizeof(Buf), " %.*g", Prec, I->Imm.ImmDbl);
+      if (std::strtod(Buf, nullptr) == I->Imm.ImmDbl)
+        break;
+    }
     Out += Buf;
     break;
   case LOp::LdI:

@@ -39,6 +39,7 @@ namespace tracejit {
   M(ReturnBelowEntryFrame, "return-below-entry-frame")                         \
   M(TraceTooLong, "trace-too-long")                                            \
   M(UnsupportedBytecode, "unsupported-bytecode")                               \
+  M(ExitOnlyCrossing, "exit-only-crossing")                                    \
   M(NestingDisabled, "nesting-disabled")                                       \
   M(InnerTreeNotReady, "inner-tree-not-ready")                                 \
   M(InnerTreeSideExit, "inner-tree-side-exit")                                 \

@@ -61,6 +61,9 @@ enum class AbortReason : uint8_t {
   // --- Recorder: structural limits ------------------------------------------
   TraceTooLong,        ///< MaxTraceLength exceeded.
   UnsupportedBytecode, ///< Opcode with no recording routine / corrupt code.
+  ExitOnlyCrossing,    ///< A root left its loop at the loop's test: the
+                       ///< trunk would only exit. Never a failure, and
+                       ///< bounded (TierPolicy::discardsExitOnly).
 
   // --- Monitor-level aborts ---------------------------------------------------
   NestingDisabled,     ///< Hit an inner loop header with nesting off.

@@ -591,7 +591,10 @@ void TraceMonitor::abortRecording(AbortReason Why, bool CountsTowardBlacklist) {
 
   // The policy updates the failure/backoff counters and answers whether
   // the loop has hit the §3.3 failure cap.
-  if (LS && Policy.onRootAbort(LS->Tier, CountsTowardBlacklist, LS->HitCount))
+  if (LS && Why == AbortReason::ExitOnlyCrossing)
+    Policy.onExitOnlyAbort(LS->Tier);
+  else if (LS &&
+           Policy.onRootAbort(LS->Tier, CountsTowardBlacklist, LS->HitCount))
     blacklist(LS);
   if (Ctx.Opts.CollectStats)
     Ctx.Stats.switchTo(Activity::Interpret);
@@ -826,6 +829,7 @@ void TraceMonitor::installCompiledFragment(Fragment *F, LoopState *LS,
     LS->Peers.push_back(F);
     linkUnstableExits(LS, F);
     LS->Tier.Failures = 0; // forgiveness: the tree is making progress
+    LS->Tier.ExitOnlyDiscards = 0;
   } else {
     ++Ctx.Stats.BranchesCompiled;
     // Stitch: patch the parent guard's exit to jump into this branch (§6.2).
@@ -1038,6 +1042,7 @@ void TraceMonitor::flushCacheNow() {
     LS->HitCount = 0;
     LS->Tier.BackoffUntil = 0;
     LS->Tier.Failures = 0;
+    LS->Tier.ExitOnlyDiscards = 0;
     LS->PendingCompiles = 0; // in-flight jobs are stale as of this flush
   }
   RecorderAnchorExit = nullptr;

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "analysis/analysis.h"
 #include "interp/natives.h"
 #include "trace/helpers.h"
 #include "trace/monitor.h"
@@ -17,11 +18,13 @@ namespace tracejit {
 
 /// Mark in \p Slots (indexed by slot) every slot the bytecode of loop \p L
 /// of \p S names: its frame's locals (frame base \p Base) through
-/// GetLocal/SetLocal, globals through GetGlobal/SetGlobal. Returns whether
-/// the loop body calls a function, which may name any global.
+/// GetLocal/SetLocal -- only those \p Live marks, when given -- and globals
+/// through GetGlobal/SetGlobal. Returns whether the loop body calls a
+/// function, which may name any global.
 static bool markLoopSlots(const FunctionScript *S, const LoopRecord *L,
                           uint32_t NumGlobals, uint32_t Base,
-                          std::vector<uint8_t> &Slots) {
+                          std::vector<uint8_t> &Slots,
+                          const std::vector<uint8_t> *Live = nullptr) {
   bool Calls = false;
   auto Mark = [&](uint32_t Slot) {
     if (Slot < Slots.size())
@@ -31,9 +34,12 @@ static bool markLoopSlots(const FunctionScript *S, const LoopRecord *L,
        Pc += 1 + opInfo(S->opAt(Pc)).OperandBytes) {
     switch (S->opAt(Pc)) {
     case Op::GetLocal:
-    case Op::SetLocal:
-      Mark(NumGlobals + Base + S->u16At(Pc + 1));
+    case Op::SetLocal: {
+      uint32_t K = S->u16At(Pc + 1);
+      if (!Live || (*Live)[K])
+        Mark(NumGlobals + Base + K);
       break;
+    }
     case Op::GetGlobal:
     case Op::SetGlobal:
       Mark(S->u16At(Pc + 1));
@@ -68,13 +74,21 @@ TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I, TraceMonitor &M,
   if (RecMode == Mode::Root) {
     // The tree specializes on every slot its loop's code names, whether or
     // not this recording's path reaches it: the branches grown later run
-    // the other paths, and find those slots typed in the TAR. Every other
-    // slot starts open.
+    // the other paths, and find those slots typed in the TAR. A local dead
+    // at the header is the exception: no path reads its entry value, so
+    // the tree never specializes on it (rootEntryMap). Every other slot
+    // starts open.
     uint32_t N = F->EntryTypes.size();
     EntryRead.assign(N, 0);
-    if (L)
+    Dead.assign(N, 0);
+    if (L) {
+      const std::vector<uint8_t> &Live = loopLiveLocals(*F->AnchorScript, *L);
+      uint32_t Base = numGlobals() + VFrames.back().Base;
       markLoopSlots(F->AnchorScript, L, numGlobals(), VFrames.back().Base,
-                    EntryRead);
+                    EntryRead, &Live);
+      for (uint32_t K = 0; K < Live.size(); ++K)
+        Dead[Base + K] = !Live[K];
+    }
     Open.resize(N);
     for (uint32_t S = 0; S < N; ++S)
       Open[S] = !EntryRead[S];
@@ -269,6 +283,32 @@ TraceType TraceRecorder::valueTypeOf(uint32_t Slot) {
   return T == TraceType::Boxed ? traceTypeOf(*interpSlot(Slot)) : T;
 }
 
+void TraceRecorder::dropSlot(uint32_t Slot) {
+  auto It = Tracker.find(Slot);
+  if (It != Tracker.end()) {
+    It->second.InTar = false;
+    return;
+  }
+  if (Slot >= FallbackTypes.size() || FallbackTypes[Slot] == TraceType::Boxed)
+    return;
+  if (isOpen(Slot)) {
+    EntryBoxed[Slot] = 1;
+    closeOpen(Slot);
+  }
+  FallbackTypes[Slot] = TraceType::Boxed;
+}
+
+void TraceRecorder::dropDeadLocals(const Fragment &Tree) {
+  if (!Tree.Loop)
+    return;
+  const std::vector<uint8_t> &Live =
+      loopLiveLocals(*Tree.AnchorScript, *Tree.Loop);
+  uint32_t Base = numGlobals() + VFrames.back().Base;
+  for (uint32_t K = 0; K < Live.size(); ++K)
+    if (!Live[K])
+      dropSlot(Base + K);
+}
+
 void TraceRecorder::flushSlot(uint32_t Slot) {
   Tracked V;
   auto It = Tracker.find(Slot);
@@ -316,9 +356,16 @@ TypeMap TraceRecorder::rootEntryMap() {
   // need not specialize on. A slot is typed when the recording read its
   // entry value from the TAR, or holds it typed in the TAR at the loop
   // edge (so the back edge leaves it there instead of boxing it every
-  // iteration); a tree call may have left an unread slot Boxed.
+  // iteration); a tree call may have left an unread slot Boxed. A local
+  // dead at the header is Boxed even if read: the TAR never holds its
+  // entry value, so a read of it (a liveness bug) fails the verifier's
+  // untyped-tar-slot rule instead of computing with a stale value.
   TypeMap E = F->EntryTypes;
   for (uint32_t S = 0; S < E.size(); ++S) {
+    if (Dead[S]) {
+      E.Types[S] = TraceType::Boxed;
+      continue;
+    }
     if (EntryRead[S])
       continue;
     bool Typed = false;
@@ -911,6 +958,18 @@ void TraceRecorder::recordBranch(Op O, uint32_t Pc) {
   LIns *T = truthyIns(C);
   bool ActualTruthy = peekStack(0).truthy();
   --VSp;
+  if (RecMode == Mode::Root && Loop && VFrames.size() == EntryFrameDepth &&
+      script() == F->AnchorScript) {
+    // A while or for loop's test is the only conditional jump in the loop's
+    // code that targets past the loop (an if, a && or a do-while test jumps
+    // within it; break is a plain Jump), and a root recording passes it
+    // once, before any body op. Taking it leaves the loop with no body
+    // recorded (endIfLeftLoop).
+    uint32_t Target = script()->u32At(Pc + 1);
+    if (ActualTruthy == (O == Op::JumpIfTrue) &&
+        (Target < Loop->HeaderPc || Target >= Loop->EndPc))
+      LeftAtLoopTest = true;
+  }
   if (T->Op == LOp::ImmI)
     return; // statically known: no divergence possible
   if (Ctx.Opts.StaticAnalysis) {
@@ -1476,8 +1535,12 @@ void TraceRecorder::coerceTo(const TypeMap &Entry, uint32_t Pc,
                              const Fragment *Callee) {
   ExitPc = Pc;
   std::vector<uint8_t> Reach;
-  if (Callee)
+  if (Callee) {
+    // closeLoop dropped the locals dead at its own header; a tree call
+    // drops those dead at the inner tree's.
+    dropDeadLocals(*Callee);
     Reach = reachableSlots(Callee);
+  }
   for (uint32_t S = 0; S < Entry.size(); ++S) {
     TraceType Want = Entry.Types[S];
     if (Want == TraceType::Boxed) {
@@ -1522,6 +1585,14 @@ TraceRecorder::reachableSlots(const Fragment *Tree) const {
 bool TraceRecorder::closeLoop(const std::vector<Fragment *> &Peers) {
   if (St != Status::Recording)
     return false;
+  Fragment *Root = RecMode == Mode::Root ? F : F->Root;
+  // Locals dead at the header are dropped, not boxed: no path from there
+  // reads them before writing them, so the interpreter's stale copies are
+  // never observed, and a dead double costs no BoxDouble call. The drop
+  // comes before the preempt guard, whose exit resumes at the header too:
+  // then no exit there and no back edge or JmpFrag reads them, and the
+  // dead-store filter deletes the stores only those kept alive.
+  dropDeadLocals(*Root);
 
   // Preempt/GC guard at the loop edge (§6.4).
   if (Ctx.Opts.EnablePreemptGuard) {
@@ -1534,7 +1605,6 @@ bool TraceRecorder::closeLoop(const std::vector<Fragment *> &Peers) {
   }
 
   TypeMap Now = currentTypeMap();
-  Fragment *Root = RecMode == Mode::Root ? F : F->Root;
   uint32_t Pc = Root->AnchorPc;
   TypeMap Entry;
   if (RecMode == Mode::Root) {
@@ -1633,6 +1703,14 @@ bool TraceRecorder::endIfLeftLoop(uint32_t Pc) {
   if (VFrames.size() != EntryFrameDepth || script() != Root->AnchorScript ||
       !Loop || (Pc >= Loop->HeaderPc && Pc < Loop->EndPc))
     return false;
+  if (LeftAtLoopTest && Loop->State &&
+      TierPolicy::discardsExitOnly(Loop->State->Tier)) {
+    // Recording began at the crossing where the loop ends. Such a trunk
+    // only exits, and the body would grow as a branch off it, so the next
+    // crossing records again; the policy bounds how often.
+    abort(AbortReason::ExitOnlyCrossing);
+    return true;
+  }
   W->insExit(snapshot(ExitKind::LoopExit, Pc));
   if (!verifyFailed())
     finish();

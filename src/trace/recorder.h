@@ -12,7 +12,8 @@
 //  * for a root, builds the entry type map from the slots its loop's code
 //    names and the slots the recording used (what it read from the TAR,
 //    what it holds typed at the loop edge). Every other slot is Boxed, so
-//    the tree does not specialize on it;
+//    the tree does not specialize on it -- and so is every local dead at
+//    the loop header, which the loop edge drops rather than boxes;
 //  * peeks at the live interpreter state (which has not yet executed the
 //    bytecode) to specialize on observed types, shapes, callee identity,
 //    bounds, and branch directions, emitting a guard for each speculation;
@@ -97,9 +98,11 @@ public:
   /// Emit the code that makes the current state match \p Entry exactly:
   /// import and promote the slots it types into the TAR, and box every
   /// slot it leaves Boxed back into the interpreter. Guards the imports
-  /// emit resume at \p Pc. For a call to nested tree \p Callee, a slot it
+  /// emit resume at \p Pc. For a call to nested tree \p Callee, the locals
+  /// dead at its header are dropped instead (dropDeadLocals), and a slot it
   /// leaves Boxed but can never reach stays in the TAR (the monitor writes
-  /// it back if the inner tree exits elsewhere).
+  /// it back if the inner tree exits elsewhere). At a loop edge, closeLoop
+  /// has dropped the locals dead at the root's header before this runs.
   void coerceTo(const TypeMap &Entry, uint32_t Pc,
                 const Fragment *Callee = nullptr);
 
@@ -146,6 +149,14 @@ private:
   /// Make the interpreter hold slot \p Slot's value (box it there), for a
   /// fragment that expects the slot Boxed.
   void flushSlot(uint32_t Slot);
+  /// Forget slot \p Slot's value without boxing it: the slot reads as
+  /// Boxed from here on, and the interpreter keeps whatever stale value it
+  /// had. Only for a local dead at the header control is about to reach.
+  void dropSlot(uint32_t Slot);
+  /// dropSlot every local of the top frame that is dead at \p Tree's loop
+  /// header (analysis/analysis.h, loopLiveLocals). \p Tree is anchored in
+  /// the top frame.
+  void dropDeadLocals(const Fragment &Tree);
   /// Root recordings: the entry map the tree specializes on (see
   /// EntryRead / EntryBoxed), and the rewrite of every exit snapshotted
   /// before it was known.
@@ -277,6 +288,9 @@ private:
   std::vector<uint8_t> Open;
   /// Slots whose entry value the recording read (typed in the entry map).
   std::vector<uint8_t> EntryRead;
+  /// Locals dead at the loop header: Boxed in the entry map, whatever the
+  /// recording did with them.
+  std::vector<uint8_t> Dead;
   /// Open slots a tree call left Boxed (the inner tree reads them from the
   /// interpreter).
   std::vector<uint8_t> EntryBoxed;
@@ -313,6 +327,9 @@ private:
   AbortReason AbortCause = AbortReason::None;
   uint32_t MaxSlot = 0;
   uint32_t OpsRecorded = 0;
+  /// Root recordings: the recording took the exit of its loop's test
+  /// (recordBranch), so it leaves the loop with no body op recorded.
+  bool LeftAtLoopTest = false;
 };
 
 } // namespace tracejit

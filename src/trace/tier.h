@@ -9,6 +9,9 @@
 // failure cap the monitor blacklists it by patching its LoopHeader to Nop3,
 // so the interpreter never calls the monitor for it again (§3.3). A
 // successfully installed tree resets the failure count (§4.2 forgiveness).
+// A root recording that leaves its loop at the loop's test, before any
+// body op, is discarded once and then kept (discardsExitOnly); that is
+// never a failure.
 //
 // TierPolicy is the pure decision function; all mutation of LoopState stays
 // in the monitor, so the policy is unit-testable on its own.
@@ -37,6 +40,9 @@ struct TierState {
   uint32_t Failures = 0;
   /// Do not retry recording until the loop's hit counter passes this.
   uint32_t BackoffUntil = 0;
+  /// Exit-only root recordings discarded since the loop last installed a
+  /// tree (onExitOnlyAbort).
+  uint32_t ExitOnlyDiscards = 0;
 };
 
 /// The §3.3 backoff/blacklist rule. Constructed once per monitor from
@@ -64,6 +70,24 @@ public:
     S.BackoffUntil = HitCount + BlacklistBackoff;
     return S.Failures >= MaxRecordingFailures;
   }
+
+  /// Exit-only root recordings a loop discards before it keeps one.
+  static constexpr uint32_t MaxExitOnlyDiscards = 1;
+
+  /// A root recording is leaving its loop at the loop's test with no body
+  /// op recorded: whether to discard it (AbortReason::ExitOnlyCrossing),
+  /// so that the next crossing, which enters the body, records the trunk.
+  /// Past the allowance the exit-only trunk is kept, so a hot loop that
+  /// never iterates is recorded a bounded number of times and then runs
+  /// its trunk, with or without blacklisting.
+  static bool discardsExitOnly(const TierState &S) {
+    return S.Current == Tier::Trace &&
+           S.ExitOnlyDiscards < MaxExitOnlyDiscards;
+  }
+
+  /// The recording was discarded. Neither a failure nor a backoff: the
+  /// next crossing records again.
+  void onExitOnlyAbort(TierState &S) const { ++S.ExitOnlyDiscards; }
 
 private:
   uint32_t MaxRecordingFailures;

@@ -19,7 +19,9 @@
 // root tree's entry map types the slots its loop's code names, plus those
 // its recording read from the TAR or held typed at its loop edge, so a
 // type change in a slot no trace of the tree touches (a caller frame's
-// operand, an unrelated global) never splits the tree. A branch or a
+// operand, an unrelated global) never splits the tree. A local dead at the
+// loop header (analysis/analysis.h, loopLiveLocals) is Boxed too, even
+// though the loop writes it. A branch or a
 // nested tree that does use a Boxed slot reads it from the interpreter
 // under a type guard, and boxes it back there before control reaches a
 // fragment that expects it Boxed.

@@ -5,7 +5,8 @@
 // performs from published facts, the §3.2 demotion and megamorphic seeds
 // handed to the oracle, the ValidateStaticFacts runtime cross-check, and
 // the contract that switching the analysis off reproduces the baseline
-// pipeline behavior exactly.
+// pipeline behavior exactly. The last section covers the loop-header
+// liveness pass (computeLoopLiveness).
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 
 #include "analysis/analysis.h"
 #include "api/engine.h"
+#include "frontend/parser.h"
 
 using namespace tracejit;
 
@@ -231,6 +233,58 @@ TEST(Analysis, ValidatedFactsNeverContradictExecution) {
   EXPECT_EQ(R.Stats.StaticFactContradictions, 0u);
 }
 
+// A trace drops t at the inner header, where it is dead, so the
+// interpreter keeps the undefined it started each call with. When the
+// inner tree side-exits before the body writes t and the interpreter runs
+// on to the inner header without writing it either, t is still undefined
+// there. The analysis publishes no fact for a local dead at a header, so
+// every published fact still holds at every interpreted header crossing.
+TEST(Analysis, HeaderFactsHoldWhereATraceDroppedADeadLocal) {
+  const char *Src =
+      "function f(n) { var s = 0; var t;\n"
+      "  for (var o = 0; o < n; ++o) {\n"
+      "    t = 'xy'; s = s + t.length;\n"
+      "    for (var j = 0; j < 4; ++j) {\n"
+      "      if (o % 9 == 8 && j == 1) s = s + 100;\n"
+      "      if (j % 2 == 0) { t = j; s = s + t; }\n"
+      "    }\n"
+      "  }\n"
+      "  return s; }\n"
+      "var r = 0;\n"
+      "for (var k = 0; k < 4; ++k) r = r + f(40);\n"
+      "print(r);\n";
+  EngineOptions O = jitOpts();
+  O.ValidateStaticFacts = true;
+  EngineOptions I;
+  I.EnableJit = false;
+  EvalRun Want = runWith(Src, I);
+  EvalRun R = runWith(Src, O);
+  EXPECT_EQ(R.Out, Want.Out);
+  EXPECT_GT(R.Stats.StaticFactChecks, 0u);
+  EXPECT_EQ(R.Stats.StaticFactContradictions, 0u);
+  EXPECT_EQ(R.Stats.VerifyFailures, 0u);
+
+  // f's locals: n 0, s 1, t 2, o 3, j 4. t is dead at the inner header
+  // and gets the lattice top there; s, live, keeps its proven mask.
+  EngineOptions P;
+  VMContext Ctx(P);
+  std::string Err;
+  ASSERT_NE(compileSource(Ctx, Src, &Err), nullptr) << Err;
+  for (auto &S : Ctx.Scripts) {
+    if (S->Name != "f")
+      continue;
+    auto A = analyzeScript(*S, 0);
+    ASSERT_TRUE(A->Converged);
+    ASSERT_EQ(S->Loops.size(), 2u);
+    auto It = A->Headers.find(S->Loops[1].HeaderPc);
+    ASSERT_NE(It, A->Headers.end());
+    EXPECT_EQ(It->second.Locals[2], MaskTop) << "t";
+    EXPECT_NE(It->second.Locals[1], MaskTop) << "s";
+    return;
+  }
+  ADD_FAILURE() << "no function f";
+}
+
 // --- The off switch ----------------------------------------------------------
 
 TEST(Analysis, DisabledAnalysisReproducesBaselinePipeline) {
@@ -272,4 +326,151 @@ TEST(Analysis, FactsSurviveAcrossEvalAndAnalyze) {
   ASSERT_TRUE(R.ok());
   EXPECT_EQ(Out, "1000\n");
   EXPECT_GT(E.stats().StaticGuardsElided, 0u);
+}
+
+// --- Loop-header liveness ----------------------------------------------------
+//
+// Locals are numbered in declaration order, parameters first: in
+// `function f(n) { var s; ... var i; ... var t; }` n is 0, s 1, i 2, t 3.
+
+namespace {
+
+/// Liveness at the header of loop \p LoopIdx of function \p Fn in \p Src.
+std::vector<uint8_t> liveAt(const char *Src, const char *Fn,
+                            uint32_t LoopIdx = 0) {
+  EngineOptions O;
+  VMContext Ctx(O);
+  std::string Err;
+  EXPECT_NE(compileSource(Ctx, Src, &Err), nullptr) << Err;
+  for (auto &S : Ctx.Scripts) {
+    if (S->Name != Fn)
+      continue;
+    EXPECT_LT(LoopIdx, S->Loops.size());
+    std::vector<std::vector<uint8_t>> Live;
+    EXPECT_TRUE(computeLoopLiveness(*S, Live));
+    EXPECT_EQ(Live[LoopIdx].size(), S->NumLocals);
+    EXPECT_EQ(loopLiveLocals(*S, S->Loops[LoopIdx]), Live[LoopIdx]);
+    return Live[LoopIdx];
+  }
+  ADD_FAILURE() << "no function " << Fn;
+  return {};
+}
+
+} // namespace
+
+TEST(Liveness, LocalWrittenBeforeReadIsDead) {
+  auto L = liveAt("function f(n) { var s = 0;\n"
+                  "  for (var i = 0; i < n; ++i) {\n"
+                  "    var t = i * 2; s = s + t; }\n"
+                  "  return s; }\n",
+                  "f");
+  ASSERT_EQ(L.size(), 4u);
+  EXPECT_EQ(L[3], 0) << "t is written before every read";
+  EXPECT_EQ(L[1], 1) << "s is read before it is written";
+  EXPECT_EQ(L[2], 1) << "i is read by the condition";
+}
+
+TEST(Liveness, LocalReadAfterTheLoopIsLive) {
+  // The body writes x before reading it, but the path that leaves the loop
+  // reads the value of the last iteration.
+  auto L = liveAt("function f(n) { var x = 0;\n"
+                  "  for (var i = 0; i < n; ++i) { x = i * 3; }\n"
+                  "  return x; }\n",
+                  "f");
+  ASSERT_EQ(L.size(), 3u);
+  EXPECT_EQ(L[1], 1);
+}
+
+TEST(Liveness, LocalReadOnOnlyOneBranchIsLive) {
+  auto L = liveAt("function f(n) { var s = 0; var t = 0;\n"
+                  "  for (var i = 0; i < n; ++i) {\n"
+                  "    if (i % 3 == 0) s = s + t;\n"
+                  "    t = i;\n"
+                  "  }\n"
+                  "  return s; }\n",
+                  "f");
+  ASSERT_EQ(L.size(), 4u);
+  EXPECT_EQ(L[2], 1) << "t is read on the then-path before the write";
+}
+
+TEST(Liveness, LocalReadInTheLoopConditionIsLive) {
+  auto L = liveAt("function f(n) { var lim = n * 2; var c = 0;\n"
+                  "  for (var i = 0; i < lim; ++i) c = i;\n"
+                  "  return 0; }\n",
+                  "f");
+  ASSERT_EQ(L.size(), 4u);
+  EXPECT_EQ(L[1], 1) << "lim";
+  EXPECT_EQ(L[3], 1) << "i";
+  EXPECT_EQ(L[2], 0) << "c is only written";
+  EXPECT_EQ(L[0], 0) << "n is not read from the header on";
+}
+
+TEST(Liveness, ParameterReadInTheLoopIsLive) {
+  auto L = liveAt("function f(n, step) { var s = 0;\n"
+                  "  for (var i = 0; i < n; i = i + step) s = s + i;\n"
+                  "  return s; }\n",
+                  "f");
+  ASSERT_EQ(L.size(), 4u);
+  EXPECT_EQ(L[0], 1) << "n";
+  EXPECT_EQ(L[1], 1) << "step";
+}
+
+TEST(Liveness, InnerLoopCounterIsDeadAtTheOuterHeader) {
+  // access-nsieve's shape: k is set by the inner loop's initializer before
+  // the inner loop reads it, on every path from the outer header.
+  const char *Src = "function nsieve(m, isPrime) {\n"
+                    "  var i, k, count;\n"
+                    "  for (i = 2; i <= m; i++) isPrime[i] = true;\n"
+                    "  count = 0;\n"
+                    "  for (i = 2; i <= m; i++) {\n"
+                    "    if (isPrime[i]) {\n"
+                    "      for (k = i + i; k <= m; k += i)\n"
+                    "        isPrime[k] = false;\n"
+                    "      count++;\n"
+                    "    }\n"
+                    "  }\n"
+                    "  return count;\n"
+                    "}\n";
+  auto Outer = liveAt(Src, "nsieve", 1);
+  ASSERT_EQ(Outer.size(), 5u);
+  EXPECT_EQ(Outer[3], 0) << "k";
+  EXPECT_EQ(Outer[2], 1) << "i";
+  EXPECT_EQ(Outer[4], 1) << "count";
+  auto Inner = liveAt(Src, "nsieve", 2);
+  EXPECT_EQ(Inner[3], 1) << "k is read by the inner condition";
+  auto First = liveAt(Src, "nsieve", 0);
+  EXPECT_EQ(First[4], 0) << "count is written after the first loop";
+  EXPECT_EQ(First[3], 0) << "k";
+}
+
+TEST(Liveness, MalformedScriptLeavesEveryLocalLive) {
+  // header; local 1 = undefined; jump 0xFFFFFF: the back jump lands outside
+  // the code, so the pass cannot build the CFG and gives up.
+  FunctionScript S;
+  S.NumLocals = 3;
+  auto B = [](Op O) { return (uint8_t)O; };
+  S.Code = {B(Op::LoopHeader), 0, 0, B(Op::PushUndefined), B(Op::SetLocal), 1,
+            0, B(Op::Pop), B(Op::Jump), 0xFF, 0xFF, 0xFF, 0};
+  S.Loops.emplace_back();
+  S.Loops[0].EndPc = (uint32_t)S.Code.size();
+  const std::vector<uint8_t> AllLive(3, 1);
+  std::vector<std::vector<uint8_t>> Live;
+  EXPECT_FALSE(computeLoopLiveness(S, Live));
+  EXPECT_EQ(Live, std::vector<std::vector<uint8_t>>{AllLive});
+  EXPECT_EQ(loopLiveLocals(S, S.Loops[0]), AllLive);
+
+  // The same loop with a sound back jump: local 1 is written before any
+  // read, so it is dead.
+  S.Code[9] = S.Code[10] = S.Code[11] = 0;
+  EXPECT_TRUE(computeLoopLiveness(S, Live));
+  EXPECT_EQ(Live[0], (std::vector<uint8_t>{0, 0, 0}));
+  // A header pc inside an instruction is malformed too, and so is a local
+  // the frame does not have.
+  S.Loops[0].HeaderPc = 1;
+  EXPECT_FALSE(computeLoopLiveness(S, Live));
+  EXPECT_EQ(Live[0], AllLive);
+  S.Loops[0].HeaderPc = 0;
+  S.Code[5] = 7;
+  EXPECT_FALSE(computeLoopLiveness(S, Live));
+  EXPECT_EQ(Live[0], AllLive);
 }

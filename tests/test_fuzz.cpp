@@ -9,9 +9,12 @@
 // This generator does the same: random loop-heavy programs with branchy
 // bodies, type-unstable accumulators, arrays, and function calls, whose hot
 // loop is entered repeatedly while slots it never touches (a global, a
-// caller's local) and one it does touch change type. Every seed runs on the
-// interpreter and on both JIT backends; printed output and every global's
-// final value must match. TEST_P sweeps seeds as a property-based suite.
+// caller's local) and one it does touch change type. The loop also has
+// locals in each liveness class a tree treats differently: one written
+// before it is read (dead at the header), one read after the loop, and one
+// read on only one branch. Every seed runs on the interpreter and on both
+// JIT backends; printed output and every global's final value must match.
+// TEST_P sweeps seeds as a property-based suite.
 //
 //===----------------------------------------------------------------------===//
 
@@ -121,15 +124,31 @@ std::string generateProgram(uint64_t Seed) {
   // the loop never touches them (its trees must not depend on them), while
   // global loud, which the loop reads and writes, changes type too.
   P += "var quiet = 0, loud = 0, sink = '';\n";
+  P += "var wlast = 0, keptOut = 0, oneOut = 0;\n";
   P += "var kinds = [0, 1.5, 's', 2, 0.25, 't'];\n";
   int Iters = 20 + (int)R.below(200);
+  // The liveness locals draw from their own stream, so each seed's
+  // statements stay what they were before these locals existed.
+  Rng L(Seed ^ 0x5bd1e995u);
   P += "function run(n) {\n";
+  P += "  var kept = 0, one = 0;\n";
   P += "  for (var i = 0; i < n; ++i) {\n";
+  // w is undefined at the first crossing of every call and written before
+  // any read: dead at the header. Reading it after the loop would make it
+  // live, so the body copies it into a global instead.
+  P += "    var w = " + genExpr(L, 2) + ";\n";
   int Stmts = 1 + R.below(5);
   for (int K = 0; K < Stmts; ++K)
     P += genStatement(R, 1);
+  // one is read on one branch only, before the write below.
+  P += "    if (" + genCond(L) + ") { c = c + one; }\n";
+  P += "    one = " + genExpr(L, 1) + " + w;\n";
+  // kept is written before any read in the body, but read after the loop.
+  P += "    kept = w - " + genExpr(L, 1) + ";\n";
+  P += "    wlast = w;\n";
   P += "    loud = loud + 1;\n";
   P += "  }\n";
+  P += "  keptOut = kept; oneOut = one;\n";
   P += "}\n";
   P += "function caller(n, e) { var mine = kinds[(e + 3) % 6]; run(n);"
        " return mine; }\n";

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "jit/fragment.h"
 #include "lir/backward.h"
 #include "lir/filters.h"
@@ -267,6 +270,22 @@ TEST(Printer, GuardExitMetadataGolden) {
   LIns *Tail = Buf.insExit(Plain);
   EXPECT_EQ(formatIns(Tail),
             "v5    v= exit     -> exit1(loopexit@7 sp=1 depth=0 types=[|s])");
+}
+
+TEST(Printer, DoubleImmediatesRoundTrip) {
+  Arena A;
+  LirBuffer Buf(A);
+  auto Printed = [&](double D) {
+    std::string S = formatIns(Buf.insImmD(D));
+    return S.substr(S.rfind(' ') + 1);
+  };
+  EXPECT_EQ(Printed(1.0000001), "1.0000001");
+  EXPECT_EQ(Printed(0.1), "0.1");
+  EXPECT_EQ(Printed(2.5), "2.5");
+  EXPECT_EQ(Printed(-3), "-3");
+  EXPECT_EQ(Printed(1e300), "1e+300");
+  for (double D : {1.0 / 3, 3.141592653589793, 6.02214076e23, 5e-324})
+    EXPECT_EQ(std::strtod(Printed(D).c_str(), nullptr), D) << Printed(D);
 }
 
 TEST(Printer, FormatsInstructionsReadably) {

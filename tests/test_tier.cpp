@@ -221,6 +221,24 @@ TEST(Tier, PolicyRepeatedAbortsBackOffThenBlacklist) {
     EXPECT_FALSE(PO.onRootAbort(SO, /*Counts=*/true, 10 + K));
 }
 
+TEST(Tier, PolicyDiscardsOneExitOnlyRecordingThenKeepsThem) {
+  EngineOptions O;
+  TierPolicy P(O);
+  TierState S;
+  // Discarded: no failure, and no backoff, so the next crossing records.
+  for (uint32_t K = 0; K < TierPolicy::MaxExitOnlyDiscards; ++K) {
+    EXPECT_TRUE(TierPolicy::discardsExitOnly(S));
+    P.onExitOnlyAbort(S);
+    EXPECT_EQ(S.Failures, 0u);
+    EXPECT_EQ(S.BackoffUntil, 0u);
+  }
+  // Past the allowance the exit-only trunk is kept.
+  EXPECT_FALSE(TierPolicy::discardsExitOnly(S));
+  TierState Blacklisted;
+  Blacklisted.Current = Tier::Interpreter;
+  EXPECT_FALSE(TierPolicy::discardsExitOnly(Blacklisted));
+}
+
 // --- Blacklisting end to end ---------------------------------------------------
 
 TEST(Tier, DeepCallLoopTracesAndEnters) {

@@ -7,9 +7,15 @@
 // interpreter on the printed output and on every global's final value; the
 // tree counts come from the engine's own statistics and fragment profiles.
 //
-// The corpus test checks the same property over every perfbench program:
+// A local dead at the loop header (written before it is read on every path)
+// is Boxed in every root's entry map and dropped at the back edge, and a
+// root recording that leaves the loop at its test before any body op is
+// discarded once, so the body becomes the trunk.
+//
+// The corpus test checks the same properties over every perfbench program:
 // no two roots at one anchor with the same frame chain agree on every slot
-// both type (such a pair would be one tree split on a slot it ignores).
+// both type and that is live at the header (such a pair would be one tree
+// split on a slot it ignores), and no root is an exit-only trunk.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +30,9 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/analysis.h"
 #include "api/engine.h"
+#include "trace/helpers.h"
 #include "trace/monitor.h"
 
 using namespace tracejit;
@@ -67,13 +75,39 @@ rootsPerAnchor(const std::vector<FragmentProfile> &Profiles) {
   return N;
 }
 
+/// A root whose trunk leaves its loop at the loop's test: its last
+/// control-flow guard is a conditional jump in the anchor frame whose
+/// target, past the loop, is where the trunk's LoopExit resumes. The
+/// recording saw the test fail before any body op.
+bool isExitOnlyTrunk(const Fragment &F) {
+  if (F.Kind != FragmentKind::Root || F.Body.empty() || !F.Loop)
+    return false;
+  const LIns *T = F.Body.back();
+  if (T->Op != LOp::Exit || T->Exit->Kind != ExitKind::LoopExit)
+    return false;
+  const ExitDescriptor *Test = nullptr;
+  for (const LIns *I : F.Body)
+    if (I->isGuard() && I->Exit && I->Exit->Kind == ExitKind::Branch)
+      Test = I->Exit;
+  if (!Test || Test->Frames.size() != T->Exit->Frames.size() ||
+      Test->Pc < F.Loop->HeaderPc || Test->Pc >= F.Loop->EndPc)
+    return false;
+  const FunctionScript &S = *F.AnchorScript;
+  return (S.opAt(Test->Pc) == Op::JumpIfFalse ||
+          S.opAt(Test->Pc) == Op::JumpIfTrue) &&
+         S.u32At(Test->Pc + 1) == T->Exit->Pc;
+}
+
 class TypeMaps : public ::testing::TestWithParam<Backend> {
 protected:
+  bool StaticAnalysis = true;
+
   EngineOptions traced() const {
     EngineOptions O;
     O.EnableJit = true;
     O.JitBackend = GetParam();
     O.VerifyLir = true;
+    O.StaticAnalysis = StaticAnalysis;
     return O;
   }
 
@@ -254,9 +288,194 @@ TEST_P(TypeMaps, FortyUnusedGlobalsChangeNothing) {
   EXPECT_EQ(Slots(Padded), Slots(Plain));
 }
 
-// Every perfbench program, traced: it prints its .expected, and no two
+// run() is called six times; its loop assigns t before reading it, so t is
+// undefined at the first crossing of each call and an int after. The root
+// is recorded in the first call with t an int, yet t is dead at the header:
+// no root types it, the back edge drops it, and that one root serves every
+// later call from its first crossing on -- with the static analysis on or
+// off.
+TEST_P(TypeMaps, WriteBeforeReadLocalDoesNotSplitTheTree) {
+  const char *Src =
+      "function run(n, k) { var s = 0;\n"
+      "  for (var i = 0; i < n; ++i) { var t = i * 3 + k; s = s + t; }\n"
+      "  return s; }\n"
+      "var r = 0;\n"
+      "r = r + run(60, 1); r = r + run(61, 2); r = r + run(62, 3);\n"
+      "r = r + run(63, 4); r = r + run(64, 5); r = r + run(65, 6);\n"
+      "print(r);\n";
+  for (bool Static : {true, false}) {
+    SCOPED_TRACE(Static ? "static analysis on" : "static analysis off");
+    StaticAnalysis = Static;
+    Observed R = runAgainstInterpreter(Src);
+    EXPECT_EQ(R.Out, "35950\n");
+    EXPECT_EQ(R.Stats.TreesCompiled, 1u);
+    for (const auto &A : rootsPerAnchor(R.Profiles))
+      EXPECT_EQ(A.second, 1u) << "anchor " << A.first.first << ":"
+                              << A.first.second;
+    EXPECT_GE(R.Stats.TraceEnters, 5u);
+    for (const FragmentProfile &P : R.Profiles) {
+      if (P.IsRoot && P.LirAfterFilters) {
+        EXPECT_EQ(P.EntrySlots, 4u) << "n, k, s and i; not t";
+      }
+    }
+  }
+}
+
+// t is a double written before it is read. The back edge drops it rather
+// than boxing it into the interpreter, so no fragment of the loop's tree
+// allocates a double cell per iteration.
+TEST_P(TypeMaps, DeadDoubleIsDroppedNotBoxed) {
+  EngineOptions O = traced();
+  Engine E(O);
+  std::string Out;
+  E.setPrintHook([&](const std::string &S) { Out += S; });
+  ASSERT_TRUE(
+      E.eval("function run(n) { var s = 0.1;\n"
+             "  for (var i = 0; i < n; ++i) {\n"
+             "    var t = i + 0.25; s = s + t * 2; }\n"
+             "  return s; }\n"
+             "var r = 0;\n"
+             "for (var e = 0; e < 6; ++e) r = r + run(50 + e);\n"
+             "print(r);\n")
+          .ok());
+  EXPECT_EQ(Out, "16398.1\n");
+  unsigned Fragments = 0;
+  for (const auto &F : E.context().Monitor->fragments()) {
+    if (F->Body.empty() || F->AnchorScript->Name != "run")
+      continue;
+    ++Fragments;
+    for (const LIns *I : F->Body)
+      EXPECT_FALSE(I->Op == LOp::Call && I->CI == &helperCalls().BoxDouble)
+          << "fragment " << F->Id << ": " << formatIns(I);
+  }
+  EXPECT_GE(Fragments, 1u);
+}
+
+// The loop writes x before reading it, but the code after the loop reads
+// it, so x is live at the header and every way out of the loop writes it
+// back: the loop condition failing (cut = -1) and the guard on i == cut
+// failing mid-iteration, after x was written.
+TEST_P(TypeMaps, LocalReadAfterTheLoopIsWrittenBack) {
+  Observed R = runAgainstInterpreter(
+      "function f(n, cut) { var x = 0; var s = 0;\n"
+      "  for (var i = 0; i < n; ++i) {\n"
+      "    x = i * 1.5;\n"
+      "    if (i == cut) break;\n"
+      "    s = s + 1;\n"
+      "  }\n"
+      "  return x * 1000 + s; }\n"
+      "var a = 0, b = 0;\n"
+      "for (var e = 0; e < 8; ++e) { a = a + f(40 + e, -1);"
+      " b = b + f(40 + e, 30 + e); }\n"
+      "print(a, b);\n");
+  EXPECT_EQ(R.Out, "510348 402268\n");
+  EXPECT_GE(R.Stats.TraceEnters, 8u);
+}
+
+// f's loop runs one iteration per call, so its second crossing in a call
+// is where the condition fails. Recording starts at the second crossing
+// overall: that trunk would only exit. It is discarded, and the next call
+// records the body as the trunk.
+TEST_P(TypeMaps, ExitOnlyCrossingIsNotARoot) {
+  EngineOptions O = traced();
+  O.CollectStats = true;
+  Engine E(O);
+  std::string Out;
+  E.setPrintHook([&](const std::string &S) { Out += S; });
+  ASSERT_TRUE(E.eval("function f(a) { var s = 0;\n"
+                     "  for (var i = 0; i < 1; ++i) s = s + a * 2;\n"
+                     "  return s; }\n"
+                     "var r = 0;\n"
+                     "for (var k = 0; k < 200; ++k) r = r + f(k);\n"
+                     "print(r);\n")
+                  .ok());
+  EXPECT_EQ(Out, "39800\n");
+  const VMStats &S = E.stats();
+  EXPECT_EQ(S.AbortsByReason[(size_t)AbortReason::ExitOnlyCrossing], 1u);
+  EXPECT_EQ(S.VerifyFailures, 0u);
+  EXPECT_EQ(S.LoopsBlacklisted, 0u);
+  unsigned Roots = 0;
+  for (const auto &F : E.context().Monitor->fragments()) {
+    EXPECT_FALSE(isExitOnlyTrunk(*F)) << "fragment " << F->Id;
+    Roots += F->Kind == FragmentKind::Root && !F->Body.empty();
+  }
+  EXPECT_GE(Roots, 1u);
+}
+
+// Loops that run one iteration per entry and leave it somewhere other
+// than a top test: a do-while whose body has no branch, and a while (true)
+// whose only way out is a break at the end of the body. Every recording
+// passes through the body before it leaves, so none is discarded, and the
+// body runs natively from the first recording on.
+TEST_P(TypeMaps, LoopsLeftAfterTheBodyAreNotExitOnly) {
+  for (const char *Loop :
+       {"do { s = s + a * 2; i = i + 1; } while (i < 1);",
+        "while (true) { s = s + a * 2; i = i + 1; if (i >= 1) break; }"}) {
+    SCOPED_TRACE(Loop);
+    std::string Src = std::string("function f(a) { var s = 0; var i = 0;\n") +
+                      Loop +
+                      "\n  return s; }\n"
+                      "var r = 0;\n"
+                      "for (var k = 0; k < 200; ++k) r = r + f(k);\n"
+                      "print(r);\n";
+    Observed R = runAgainstInterpreter(Src);
+    EXPECT_EQ(R.Out, "39800\n");
+    EXPECT_EQ(R.Stats.AbortsByReason[(size_t)AbortReason::ExitOnlyCrossing],
+              0u);
+    EXPECT_EQ(R.Stats.LoopsBlacklisted, 0u);
+    EngineOptions Interp;
+    Interp.EnableJit = false;
+    EXPECT_LT(R.Stats.BytecodesInterpreted * 4,
+              observe(Src, Interp).Stats.BytecodesInterpreted)
+        << "f's loop runs on trace";
+  }
+}
+
+// A loop that is hot but never iterates: every recording leaves it at its
+// test. The first one is discarded and the second kept as an exit-only
+// trunk, which every later call enters; the loop is recorded twice in
+// all, with or without blacklisting, and never blacklisted.
+TEST_P(TypeMaps, HotLoopThatNeverIteratesStopsRecording) {
+  const char *Src =
+      "function f(n) { var s = 7; for (var i = 0; i < n; ++i) s = s + i;"
+      " return s; }\n"
+      "var r = 0;\n"
+      "for (var k = 0; k < 300; ++k) r = r + f(0);\n"
+      "print(r);\n";
+  for (bool Blacklisting : {true, false}) {
+    SCOPED_TRACE(Blacklisting ? "blacklisting" : "no blacklisting");
+    EngineOptions O = traced();
+    O.EnableBlacklisting = Blacklisting;
+    O.CollectStats = true;
+    Engine E(O);
+    std::string Out;
+    E.setPrintHook([&](const std::string &S) { Out += S; });
+    ASSERT_TRUE(E.eval(Src).ok());
+    EXPECT_EQ(Out, "2100\n");
+    const VMStats &S = E.stats();
+    EXPECT_EQ(S.AbortsByReason[(size_t)AbortReason::ExitOnlyCrossing],
+              TierPolicy::MaxExitOnlyDiscards);
+    EXPECT_EQ(S.LoopsBlacklisted, 0u);
+    EXPECT_EQ(S.VerifyFailures, 0u);
+    unsigned ExitOnly = 0, Started = 0;
+    for (const auto &F : E.context().Monitor->fragments()) {
+      ExitOnly += isExitOnlyTrunk(*F);
+      Started += F->Kind == FragmentKind::Root && F->AnchorScript->Name == "f";
+    }
+    EXPECT_EQ(ExitOnly, 1u);
+    EXPECT_EQ(Started, TierPolicy::MaxExitOnlyDiscards + 1);
+    EngineOptions Interp;
+    Interp.EnableJit = false;
+    EXPECT_LT(S.BytecodesInterpreted * 4,
+              observe(Src, Interp).Stats.BytecodesInterpreted)
+        << "every call after the second recording runs on trace";
+  }
+}
+
+// Every perfbench program, traced: it prints its .expected, no two
 // compiled roots at one anchor with the same frame chain agree on every
-// slot typed in both.
+// slot typed in both and live at the header, and no root is an exit-only
+// trunk.
 TEST_P(TypeMaps, CorpusHasNoRootsSplitOnUntypedSlots) {
   namespace fs = std::filesystem;
   std::vector<fs::path> Programs;
@@ -282,9 +501,13 @@ TEST_P(TypeMaps, CorpusHasNoRootsSplitOnUntypedSlots) {
     EXPECT_EQ(Out, Slurp(Expected)) << P;
 
     std::vector<const Fragment *> Roots;
-    for (const auto &F : E.context().Monitor->fragments())
+    for (const auto &F : E.context().Monitor->fragments()) {
+      EXPECT_FALSE(isExitOnlyTrunk(*F))
+          << P.filename() << ": root " << F->Id << " at pc " << F->AnchorPc
+          << " only exits";
       if (F->Kind == FragmentKind::Root && !F->Body.empty())
         Roots.push_back(F.get());
+    }
     for (size_t A = 0; A < Roots.size(); ++A)
       for (size_t B = A + 1; B < Roots.size(); ++B) {
         const Fragment &X = *Roots[A], &Y = *Roots[B];
@@ -299,15 +522,24 @@ TEST_P(TypeMaps, CorpusHasNoRootsSplitOnUntypedSlots) {
                         X.EntryFrames[D].Base == Y.EntryFrames[D].Base;
         if (!SameFrames)
           continue;
+        // The anchor frame's locals that are dead at the header: a type
+        // there is one the tree must not specialize on.
+        std::vector<uint8_t> Dead(X.EntryTypes.size(), 0);
+        const std::vector<uint8_t> &Live =
+            loopLiveLocals(*X.AnchorScript, *X.Loop);
+        uint32_t Base = X.EntryTypes.NumGlobals + X.EntryFrames.back().Base;
+        for (uint32_t K = 0; K < Live.size(); ++K)
+          Dead[Base + K] = !Live[K];
         bool Differ = false;
         for (uint32_t S = 0; S < X.EntryTypes.size(); ++S)
-          Differ |= X.EntryTypes.typed(S) && Y.EntryTypes.typed(S) &&
+          Differ |= !Dead[S] && X.EntryTypes.typed(S) &&
+                    Y.EntryTypes.typed(S) &&
                     X.EntryTypes.Types[S] != Y.EntryTypes.Types[S];
         EXPECT_TRUE(Differ)
             << P.filename() << ": roots " << X.Id << " and " << Y.Id
             << " at pc " << X.AnchorPc << " differ only in slots one of them "
-            << "leaves Boxed: " << X.EntryTypes.describe() << " vs "
-            << Y.EntryTypes.describe();
+            << "leaves Boxed or that are dead at the header: "
+            << X.EntryTypes.describe() << " vs " << Y.EntryTypes.describe();
       }
   }
 }

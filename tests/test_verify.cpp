@@ -460,6 +460,58 @@ TEST(VerifyTrace, BackEdgeNeedsWhatTheTreeCallLeftBoxed) {
   EXPECT_EQ(F.run(), VerifyRule::UntypedTarSlot);
 }
 
+// A local dead at a loop header is dropped, not stored, on the way there:
+// the target's entry map must leave it Boxed. If a liveness bug dropped a
+// slot the target types, the target would read a TAR word nothing wrote --
+// the verifier rejects the trace instead of letting it compute with that.
+TEST(VerifyTrace, BackEdgeDropsASlotTheEntryMapTypes) {
+  // A root's back edge after a call to an inner tree that dropped slot 1
+  // (dead at the inner header): neither the inner tree nor the call site
+  // left it in the TAR.
+  TraceFixture F;
+  F.Frag.EntryTypes.NumGlobals = 1;
+  F.Frag.EntryTypes.Types = {TraceType::Int, TraceType::Int};
+  LoopRecord Loop;
+  Fragment Inner;
+  Inner.Root = &Inner;
+  Inner.Loop = &Loop;
+  Inner.EntryTypes.NumGlobals = 1;
+  Inner.EntryTypes.Types = {TraceType::Int, TraceType::Boxed};
+  ExitDescriptor *Expected = Inner.makeExit();
+  Expected->Sp = 1;
+  Expected->Types = Inner.EntryTypes;
+  ExitDescriptor *Site = F.exit(1);
+  Site->Types.Types[1] = TraceType::Boxed; // dropped, not kept
+  F.Buf.ins0(LOp::ParamTar);
+  F.Buf.insTreeCall(&Inner, Expected, Site);
+  F.Buf.insLoop();
+  EXPECT_EQ(F.run(), VerifyRule::UntypedTarSlot);
+
+  // A branch anchored before the body wrote slot 1 drops it at its back
+  // edge into a root that types it.
+  TraceFixture B;
+  Fragment Root;
+  Root.Root = &Root;
+  Root.EntryTypes.NumGlobals = 1;
+  Root.EntryTypes.Types = {TraceType::Int, TraceType::Int};
+  B.Frag.Root = &Root;
+  B.Frag.EntryTypes.NumGlobals = 1;
+  B.Frag.EntryTypes.Types = {TraceType::Int, TraceType::Boxed};
+  B.Buf.ins0(LOp::ParamTar);
+  B.Buf.insJmpFrag(&Root);
+  EXPECT_EQ(B.run(), VerifyRule::UntypedTarSlot);
+
+  // Storing the slot before the back edge satisfies the root.
+  TraceFixture C;
+  C.Frag.Root = &Root;
+  C.Frag.EntryTypes = B.Frag.EntryTypes;
+  LIns *Tar = C.Buf.ins0(LOp::ParamTar);
+  C.Buf.insStore(LOp::StI, C.Buf.insImmI(4), Tar, 8);
+  C.Buf.insJmpFrag(&Root);
+  C.Frag.RequiredTarSlots = 2;
+  EXPECT_EQ(C.run(), VerifyRule::None);
+}
+
 // --- Positive path: the verifier stays silent on real traces ---------------------
 
 const char *kPrograms[] = {
