@@ -16,8 +16,6 @@ struct BoolFlag {
 constexpr BoolFlag BoolFlags[] = {
     {"--jit", &EngineOptions::EnableJit, true},
     {"--no-jit", &EngineOptions::EnableJit, false},
-    {"--ic", &EngineOptions::EnableIC, true},
-    {"--no-ic", &EngineOptions::EnableIC, false},
     {"--verify-lir", &EngineOptions::VerifyLir, true},
     {"--no-verify-lir", &EngineOptions::VerifyLir, false},
     {"--stats", &EngineOptions::CollectStats, true},

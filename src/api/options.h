@@ -37,7 +37,6 @@ const char *tierModeName(TierMode M);
 enum class FaultSite : uint8_t {
   ExecMapFail,   ///< mmap of the executable pool fails (hardened kernels).
   ExecAllocFail, ///< A code-cache reservation cannot be satisfied.
-  ProtectFail,   ///< mprotect W^X flip fails.
   CompileFail,   ///< The backend fails to compile a fragment.
   HeapAllocFail, ///< An allocation site acts as if collection could not get
                  ///< the heap under quota: the HeapQuota interrupt is raised
@@ -68,13 +67,6 @@ using FaultHook = std::function<bool(FaultSite)>;
 #endif
 #else
 #define TRACEJIT_VERIFY_LIR_DEFAULT false
-#endif
-
-/// Default for EngineOptions::EnableIC. CMake exposes it as the cache
-/// variable TRACEJIT_IC_DEFAULT so the CI fallback leg can build a tree
-/// whose engines run IC-less unless a test opts back in.
-#if !defined(TRACEJIT_IC_DEFAULT)
-#define TRACEJIT_IC_DEFAULT 1
 #endif
 
 /// One named stage of the LIR optimization pipeline: the paper's §5.1
@@ -251,7 +243,7 @@ struct EngineOptions {
 
   /// Deterministic fault injection for the code-cache lifecycle; see
   /// FaultSite. Tests use this to force every failure path (map, alloc,
-  /// protect, compile) without real memory pressure.
+  /// compile) without real memory pressure.
   FaultHook FaultInjector;
 
   // --- Off-thread compilation (jit/compile_queue.h) ---------------------------
@@ -260,8 +252,9 @@ struct EngineOptions {
   /// the loop edge. The interpreter keeps running unjitted until the
   /// fragment is published back at a later loop edge; stale results
   /// (flush, shutdown) are dropped by cache generation. Off (the default)
-  /// is bit-for-bit the paper's single-threaded pipeline. Native backend
-  /// only; the executor backend ignores this.
+  /// compiles at the loop edge as the paper does: the same CompileJob runs
+  /// and publishes at once. Native backend only; the executor backend
+  /// ignores this.
   bool OffThreadCompile = false;
 
   /// Bound on unfinished compile jobs one engine may have in flight
@@ -275,14 +268,6 @@ struct EngineOptions {
   /// Borrowed; must outlive the engine. Null + OffThreadCompile = the
   /// engine owns a private service.
   CompileService *SharedCompileService = nullptr;
-
-  // --- Interpreter hot path ---------------------------------------------------
-
-  /// Per-site property inline caches (vm/ic.h): GetProp/SetProp probe a
-  /// mono/poly shape cache before the dictionary lookup, and the trace
-  /// recorder reuses the cached shape+slot when emitting guards. Off
-  /// reproduces the seed interpreter's lookup path bit-for-bit.
-  bool EnableIC = TRACEJIT_IC_DEFAULT != 0;
 
   // --- Resource governance ----------------------------------------------------
 

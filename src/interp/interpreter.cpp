@@ -488,7 +488,6 @@ static inline bool isTruthy(const Value &V) {
 Value Interpreter::dispatchUntil(size_t StopDepth) {
   VMContext &C = Ctx;
   const bool Stats = C.Opts.CollectStats;
-  const bool IcOn = C.Opts.EnableIC;
   Value *const Stk = Stack.data();
   uint32_t pc = Pc;
   uint32_t sp = Sp;
@@ -574,7 +573,6 @@ TjUnwind:
 Value Interpreter::dispatchUntil(size_t StopDepth) {
   VMContext &C = Ctx;
   const bool Stats = C.Opts.CollectStats;
-  const bool IcOn = C.Opts.EnableIC;
   Value *const Stk = Stack.data();
   uint32_t &pc = Pc;
   uint32_t &sp = Sp;

@@ -25,7 +25,15 @@ double tj_math_cos(double X) { return std::cos(X); }
 double tj_math_tan(double X) { return std::tan(X); }
 double tj_math_exp(double X) { return std::exp(X); }
 double tj_math_log(double X) { return std::log(X); }
-double tj_math_round(double X) { return std::floor(X + 0.5); }
+// Round half up without the floor(X + 0.5) rounding error (it gives 1 for
+// 0.49999999999999994), keeping the sign of a zero result (-0 for X in
+// [-0.5, -0]).
+double tj_math_round(double X) {
+  double R = std::floor(X);
+  if (X - R >= 0.5)
+    R += 1;
+  return std::copysign(R, X);
+}
 double tj_math_pow(double X, double Y) { return std::pow(X, Y); }
 double tj_math_atan2(double Y, double X) { return std::atan2(Y, X); }
 double tj_math_min(double X, double Y) {

@@ -7,6 +7,12 @@
 
 namespace tracejit {
 
+void runCompileJob(CompileJob &J) {
+  J.Result = J.Backend ? J.Backend->compile(J.Frag, J.Ctx)
+                       : CompileResult::BackendUnavailable;
+  J.Compiled = true;
+}
+
 CompileService::CompileService() : Worker([this] { workerMain(); }) {}
 
 CompileService::~CompileService() {
@@ -56,10 +62,7 @@ void CompileService::workerMain() {
     // fragment (NativeEntry/NativeSize/exit PatchAddrs) and allocates from
     // the backend's mutexed pool; the mutex reacquired below publishes
     // those writes to the engine thread that drains the job.
-    E.Job.Result = E.Job.Backend
-                       ? E.Job.Backend->compile(E.Job.Frag, E.Job.Ctx)
-                       : CompileResult::BackendUnavailable;
-    E.Job.Compiled = true;
+    runCompileJob(E.Job);
 
     L.lock();
     CompileClient *C = Active;

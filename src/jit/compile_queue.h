@@ -1,12 +1,13 @@
 //===- compile_queue.h - Background trace compilation ------------------------===//
 //
-// Off-thread compilation (EngineOptions::OffThreadCompile). The paper's
-// pipeline compiles a completed recording inline at the loop edge, stalling
-// the interpreter for the whole backend run. Here the monitor instead
-// packages the verified, backward-filtered LIR as a self-contained
-// CompileJob and hands it to a single background compiler thread through a
-// bounded queue; the interpreter keeps running unjitted until the finished
-// fragment is published back at a later loop edge.
+// Trace compilation as jobs. The monitor packages every verified,
+// backward-filtered recording as a self-contained CompileJob. By default it
+// runs the job (runCompileJob) and publishes it at once, at the loop edge,
+// as the paper does -- stalling the interpreter for the whole backend run.
+// With EngineOptions::OffThreadCompile it hands the job to a single
+// background compiler thread through a bounded queue instead; the
+// interpreter keeps running unjitted until the finished fragment is
+// published back at a later loop edge.
 //
 // Roles and ownership:
 //
@@ -77,10 +78,15 @@ struct CompileJob {
   uint32_t ScriptId = 0;
   uint32_t AnchorPc = 0;
 
-  // --- Filled in by the worker ----------------------------------------------
+  // --- Filled in by runCompileJob -------------------------------------------
   bool Compiled = false; ///< False on jobs dropped before reaching the worker.
   CompileResult Result = CompileResult::BackendUnavailable;
 };
+
+/// Compile \p J's fragment and record the outcome in the job. The one
+/// caller of NativeBackend::compile: the worker runs it off-thread, and the
+/// monitor runs it at the loop edge when there is no queue.
+void runCompileJob(CompileJob &J);
 
 class CompileClient;
 

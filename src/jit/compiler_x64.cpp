@@ -15,9 +15,8 @@ namespace tracejit {
 
 // --- Runtime stubs -------------------------------------------------------------
 
-NativeBackend::NativeBackend(size_t CacheBytes, const FaultHook *FI,
-                             bool DualMap)
-    : Pool(CacheBytes, FI, DualMap), Faults(FI) {
+NativeBackend::NativeBackend(size_t CacheBytes, const FaultHook *FI)
+    : Pool(CacheBytes, FI), Faults(FI) {
   if (!Pool.valid())
     return;
   emitRuntimeStubs();
@@ -59,17 +58,16 @@ void NativeBackend::emitRuntimeStubs() {
     return;
   }
   Pool.commit(A.size());
-  // The trampoline is called, so it must be an exec-view address (identity
-  // in single-map mode). Everything else in the pool stays write-view.
+  // The trampoline is called, so it must be an exec-view address.
+  // Everything else in the pool stays write-view.
   Trampoline = (EnterFn)Pool.execAddr(Entry);
 }
 
 void NativeBackend::patchExitTo(ExitDescriptor *E, Fragment *Target) {
   E->Target = Target;
-  if (E->PatchAddr && Target->NativeEntry && Pool.makeWritable()) {
-    // Overwrite the stub's `mov eax, <index>` with `jmp rel32`. If the W^X
-    // flip fails, Target alone still routes the transfer: the stub keeps
-    // returning to the monitor, which sees E->Target and resumes there.
+  if (E->PatchAddr && Target->NativeEntry) {
+    // Overwrite the stub's `mov eax, <index>` with `jmp rel32` through the
+    // write view; both views share offsets, so the rel32 is the same.
     uint8_t *P = E->PatchAddr;
     P[0] = 0xE9;
     Assembler::patchRel32(P + 1, Target->NativeEntry);
@@ -1130,8 +1128,6 @@ CompileResult NativeBackend::compile(Fragment *F, VMContext *Ctx) {
     return CompileResult::BackendUnavailable;
   if (inject(FaultSite::CompileFail))
     return CompileResult::Fault;
-  if (!Pool.makeWritable())
-    return CompileResult::Fault; // W^X flip failed; cannot emit
   size_t Estimate = F->Body.size() * 48 + F->Exits.size() * 24 + 512;
   uint8_t *Mem = Pool.reserve(Estimate);
   if (!Mem)

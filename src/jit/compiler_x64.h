@@ -46,19 +46,15 @@ enum class CompileResult : uint8_t {
   PoolExhausted,      ///< The code cache could not satisfy the reservation.
   AssemblerOverflow,  ///< Emitted code overflowed the size estimate.
   Unsupported,        ///< LIR the backend cannot compile (opcode/spills).
-  Fault,              ///< Injected CompileFail or a W^X protect failure.
+  Fault,              ///< Injected CompileFail.
 };
 
 class NativeBackend {
 public:
   /// \p CacheBytes bounds all generated code; \p Faults (borrowed,
-  /// nullable) is the engine's deterministic fault injector. \p DualMap
-  /// selects the write-view/exec-view code pool (execmem.h) so a
-  /// background compiler thread can emit while traces run; required for
-  /// OffThreadCompile, unnecessary (and unused) otherwise.
+  /// nullable) is the engine's deterministic fault injector.
   explicit NativeBackend(size_t CacheBytes = 32 * 1024 * 1024,
-                         const FaultHook *Faults = nullptr,
-                         bool DualMap = false);
+                         const FaultHook *Faults = nullptr);
 
   /// False when executable memory is unavailable (hardened kernels or an
   /// injected ExecMapFail); the engine then falls back to the
@@ -70,15 +66,10 @@ public:
   /// and the pool reservation is returned.
   CompileResult compile(Fragment *F, VMContext *Ctx);
 
-  /// Flip the code cache to RX so traces can run. Must be checked before
-  /// every enter(); returns false when the W^X flip fails (the caller
-  /// falls back to the LIR executor for this run).
-  bool ensureExecutable() { return Pool.makeExecutable(); }
-
-  /// Run a compiled fragment on \p Tar; returns the taken exit. The pool
-  /// must be executable (ensureExecutable()). NativeEntry is a write-view
-  /// address; this is one of the two places it is translated to the
-  /// executable view (the other is the nested-tree-call imm64 embed).
+  /// Run a compiled fragment on \p Tar; returns the taken exit.
+  /// NativeEntry is a write-view address; this is one of the two places it
+  /// is translated to the exec view (the other is the nested-tree-call
+  /// imm64 embed).
   ExitDescriptor *enter(void *Tar, Fragment *F) {
     return Trampoline(Tar, Pool.execAddr(F->NativeEntry));
   }

@@ -22,53 +22,39 @@ static int codeMemFd() {
 }
 #endif
 
-ExecMemPool::ExecMemPool(size_t Bytes, const FaultHook *FI, bool DualMap)
-    : Faults(FI) {
+ExecMemPool::ExecMemPool(size_t Bytes, const FaultHook *FI) : Faults(FI) {
   size_t Page = (size_t)sysconf(_SC_PAGESIZE);
   Bytes = (Bytes + Page - 1) & ~(Page - 1);
   if (inject(FaultSite::ExecMapFail))
     return; // simulated mmap failure: pool stays invalid
 
-  if (DualMap) {
 #if defined(__linux__)
-    // Same physical pages, two views: RW for the compiler thread, RX for
-    // execution. Protections never change, so emitting code can never race
-    // a running trace through an mprotect of the whole pool.
-    int Fd = codeMemFd();
-    if (Fd < 0)
-      return;
-    if (ftruncate(Fd, (off_t)Bytes) != 0) {
-      close(Fd);
-      return;
-    }
-    void *W =
-        mmap(nullptr, Bytes, PROT_READ | PROT_WRITE, MAP_SHARED, Fd, 0);
-    void *X = mmap(nullptr, Bytes, PROT_READ | PROT_EXEC, MAP_SHARED, Fd, 0);
-    close(Fd); // the mappings keep the memfd's pages alive
-    if (W == MAP_FAILED || X == MAP_FAILED) {
-      if (W != MAP_FAILED)
-        munmap(W, Bytes);
-      if (X != MAP_FAILED)
-        munmap(X, Bytes);
-      return;
-    }
-    Base = static_cast<uint8_t *>(W);
-    ExecView = static_cast<uint8_t *>(X);
-    Cap = Bytes;
-    Exec = true; // the exec view is born executable
-#endif
-    // Non-Linux: no dual mapping; the pool stays invalid and the engine
-    // falls back to the LIR executor (BackendFallback event).
+  // Same physical pages, two views: RW for the compiler, RX for execution.
+  // Protections never change, so emitting code can never race a running
+  // trace through an mprotect of the whole pool.
+  int Fd = codeMemFd();
+  if (Fd < 0)
+    return;
+  if (ftruncate(Fd, (off_t)Bytes) != 0) {
+    close(Fd);
     return;
   }
-
-  // W^X: map RW; makeExecutable() flips to RX before traces run.
-  void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (P == MAP_FAILED)
+  void *W = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE, MAP_SHARED, Fd, 0);
+  void *X = mmap(nullptr, Bytes, PROT_READ | PROT_EXEC, MAP_SHARED, Fd, 0);
+  close(Fd); // the mappings keep the memfd's pages alive
+  if (W == MAP_FAILED || X == MAP_FAILED) {
+    if (W != MAP_FAILED)
+      munmap(W, Bytes);
+    if (X != MAP_FAILED)
+      munmap(X, Bytes);
     return;
-  Base = static_cast<uint8_t *>(P);
+  }
+  Base = static_cast<uint8_t *>(W);
+  ExecView = static_cast<uint8_t *>(X);
   Cap = Bytes;
+#endif
+  // Non-Linux: no dual mapping; the pool stays invalid and the engine
+  // falls back to the LIR executor (BackendFallback event).
 }
 
 ExecMemPool::~ExecMemPool() {
@@ -108,50 +94,16 @@ void ExecMemPool::rewind() {
 }
 
 size_t ExecMemPool::reset() {
-  size_t Reclaimed;
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    assert(!HasReservation && "flush with a compile in flight");
-    Reclaimed = Used - Floor;
-    Used = Floor;
-  }
-  makeWritable(); // next generation starts emitting immediately
+  std::lock_guard<std::mutex> L(Mu);
+  assert(!HasReservation && "flush with a compile in flight");
+  size_t Reclaimed = Used - Floor;
+  Used = Floor;
   return Reclaimed;
 }
 
 size_t ExecMemPool::used() const {
   std::lock_guard<std::mutex> L(Mu);
   return Used;
-}
-
-bool ExecMemPool::makeExecutable() {
-  if (!Base)
-    return false;
-  if (ExecView)
-    return true; // dual-map: the exec view is always RX
-  if (Exec)
-    return true;
-  if (inject(FaultSite::ProtectFail))
-    return false;
-  if (mprotect(Base, Cap, PROT_READ | PROT_EXEC) != 0)
-    return false;
-  Exec = true;
-  return true;
-}
-
-bool ExecMemPool::makeWritable() {
-  if (!Base)
-    return false;
-  if (ExecView)
-    return true; // dual-map: the write view is always RW
-  if (!Exec)
-    return true;
-  if (inject(FaultSite::ProtectFail))
-    return false;
-  if (mprotect(Base, Cap, PROT_READ | PROT_WRITE) != 0)
-    return false;
-  Exec = false;
-  return true;
 }
 
 } // namespace tracejit

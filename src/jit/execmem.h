@@ -5,7 +5,7 @@
 // other, so trace stitching can patch a side-exit stub into a direct
 // 5-byte jump to the branch fragment (§6.2).
 //
-// The pool is a bounded, rewindable bump allocator with W^X hygiene:
+// The pool is a bounded, rewindable bump allocator:
 //
 //  * reserve()/commit()/rewind(): a compile reserves its worst-case
 //    estimate, then either commits the bytes actually emitted or rewinds
@@ -14,34 +14,24 @@
 //  * setFloor()/reset(): the backend marks the end of its permanent
 //    runtime stubs as the floor; a whole-cache flush resets the bump
 //    pointer to the floor, reclaiming every fragment at once.
-//  * makeWritable()/makeExecutable(): the mapping is RW while code is
-//    emitted or patched and RX while traces run; never both (W^X). The
-//    flip is lazy and idempotent -- one mprotect per phase change, a
-//    single branch when the pool is already in the right state.
 //
-// Two mapping modes:
-//
-//  * Single-map (default): one private anonymous mapping whose protection
-//    flips RW<->RX as above. Correct when one thread both emits and runs
-//    code (the inline-compile pipeline).
-//  * Dual-map (OffThreadCompile): the same physical pages mapped twice via
-//    a memfd -- a permanently-RW write view the compiler thread emits and
-//    patches through, and a permanently-RX exec view traces run from. W^X
-//    holds per view, and no mprotect ever races a running trace.
-//    execAddr() translates a write-view pointer to its exec-view twin
-//    (identity in single-map mode). All pointers stored in Fragment /
-//    ExitDescriptor / NativeBackend are write-view; translation happens
-//    only at the two places code is entered (the trampoline) or embedded
-//    as an absolute target in generated code (nested tree calls).
+// W^X without protection flips: the same physical pages (one memfd) are
+// mapped twice -- a permanently-RW write view the compiler emits and
+// patches through, and a permanently-RX exec view traces run from. No
+// mprotect ever runs, so emitting or patching code never races a running
+// trace, whichever thread compiles. execAddr() translates a write-view
+// pointer to its exec-view twin. All pointers stored in Fragment /
+// ExitDescriptor / NativeBackend are write-view; translation happens only
+// at the two places code is entered (the trampoline) or embedded as an
+// absolute target in generated code (nested tree calls).
 //
 // Bump-allocator state (reserve/commit/rewind/reset/used) is guarded by a
 // mutex so the compiler thread can allocate while the owning thread reads
 // occupancy. The reserve->commit protocol still assumes a single compiling
-// thread at a time, which both pipelines guarantee (one inline compiler or
-// one background worker per backend; a whole-cache flush quiesces the
-// worker before reset()).
+// thread at a time (the engine thread or one background worker per
+// backend; a whole-cache flush quiesces the worker before reset()).
 //
-// Every OS-facing failure path (map, reservation, protect) can be forced
+// Every OS-facing failure path (map, reservation) can be forced
 // through the EngineOptions::FaultInjector hook for deterministic tests.
 //
 //===----------------------------------------------------------------------===//
@@ -59,15 +49,13 @@ namespace tracejit {
 
 class ExecMemPool {
 public:
-  /// Map \p Bytes (rounded up to a page) of RW memory. Check valid()
-  /// before use. \p Faults, when non-null, points at the engine's fault
-  /// injector (borrowed; must outlive the pool). \p DualMap selects the
-  /// write-view/exec-view double mapping (see file comment); when the OS
-  /// cannot provide it the pool is left invalid and the engine falls back
-  /// to the LIR executor, loudly.
+  /// Map \p Bytes (rounded up to a page) twice, as the write and exec
+  /// views. Check valid() before use: when the OS cannot provide the dual
+  /// mapping the pool is left invalid and the engine falls back to the LIR
+  /// executor, loudly. \p Faults, when non-null, points at the engine's
+  /// fault injector (borrowed; must outlive the pool).
   explicit ExecMemPool(size_t Bytes = 32 * 1024 * 1024,
-                       const FaultHook *Faults = nullptr,
-                       bool DualMap = false);
+                       const FaultHook *Faults = nullptr);
   ~ExecMemPool();
   ExecMemPool(const ExecMemPool &) = delete;
   ExecMemPool &operator=(const ExecMemPool &) = delete;
@@ -99,33 +87,15 @@ public:
   /// stubs) as the floor reset() rewinds to.
   void setFloor() { Floor = Used; }
 
-  /// Whole-cache flush: rewind the bump pointer to the floor and make the
-  /// pool writable again. Returns the number of bytes reclaimed. With a
-  /// background compiler, the owner must quiesce it first (no reservation
-  /// may be outstanding).
+  /// Whole-cache flush: rewind the bump pointer to the floor. Returns the
+  /// number of bytes reclaimed. With a background compiler, the owner must
+  /// quiesce it first (no reservation may be outstanding).
   size_t reset();
 
-  /// Flip the mapping to RX (before running traces). Idempotent; returns
-  /// false when mprotect fails or a ProtectFail fault is injected, in
-  /// which case the mapping stays RW and nothing in it may be executed.
-  /// Dual-map mode: the exec view is always RX -- trivially true, and no
-  /// fault is injectable (there is no syscall to fail).
-  bool makeExecutable();
-
-  /// Flip the mapping to RW (before emitting or patching code).
-  /// Idempotent; returns false on mprotect failure / injected fault.
-  /// Dual-map mode: the write view is always RW -- trivially true.
-  bool makeWritable();
-
-  bool executable() const { return Exec; }
-  bool dualMapped() const { return ExecView != nullptr; }
-
-  /// Translate a write-view pointer into the executable view (identity in
-  /// single-map mode). Null passes through.
+  /// Translate a write-view pointer into the exec view. Null passes
+  /// through.
   uint8_t *execAddr(uint8_t *W) const {
-    if (!W || !ExecView)
-      return W;
-    return ExecView + (W - Base);
+    return W ? ExecView + (W - Base) : nullptr;
   }
 
   size_t used() const;
@@ -137,14 +107,13 @@ private:
     return Faults && *Faults && (*Faults)(S);
   }
 
-  uint8_t *Base = nullptr;     ///< Write view (the only view, single-map).
-  uint8_t *ExecView = nullptr; ///< RX twin of Base (dual-map mode only).
+  uint8_t *Base = nullptr;     ///< Write view (RW).
+  uint8_t *ExecView = nullptr; ///< Exec view (RX), same pages as Base.
   size_t Cap = 0;
   size_t Used = 0;
   size_t Floor = 0;
   size_t ResvStart = 0;
   bool HasReservation = false;
-  bool Exec = false; ///< Single-map protection: true = RX, false = RW.
   const FaultHook *Faults = nullptr;
   /// Guards Used/ResvStart/HasReservation: the background compiler
   /// allocates while the engine thread reads used().

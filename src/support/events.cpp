@@ -167,8 +167,6 @@ const char *faultSiteName(FaultSite S) {
     return "exec-map-fail";
   case FaultSite::ExecAllocFail:
     return "exec-alloc-fail";
-  case FaultSite::ProtectFail:
-    return "protect-fail";
   case FaultSite::CompileFail:
     return "compile-fail";
   case FaultSite::HeapAllocFail:

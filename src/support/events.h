@@ -77,7 +77,7 @@ enum class AbortReason : uint8_t {
   CompilePoolExhausted,///< The code cache could not satisfy the reservation.
   CompileOverflow,     ///< Emitted code overflowed the assembler estimate.
   CompileUnsupported,  ///< LIR the backend cannot compile (opcode/spills).
-  CompileFault,        ///< Injected CompileFail or a W^X protect failure.
+  CompileFault,        ///< Injected CompileFail.
   CompileQueueFull,    ///< Off-thread compile queue at capacity (backpressure);
                        ///< the recording is dropped with the usual backoff.
 

@@ -66,16 +66,14 @@ std::string VMStats::report() const {
              (unsigned long long)IcRecorderGeneric);
     Out += Buf;
   }
-  if (CacheFlushes || FragmentsRetired || BackendFallbacks || ProtectFaults ||
-      JitDisables) {
+  if (CacheFlushes || FragmentsRetired || BackendFallbacks || JitDisables) {
     snprintf(Buf, sizeof(Buf),
              "code cache: flushes=%llu retired=%llu reclaimed-bytes=%llu "
-             "backend-fallbacks=%llu protect-faults=%llu jit-disabled=%llu\n",
+             "backend-fallbacks=%llu jit-disabled=%llu\n",
              (unsigned long long)CacheFlushes,
              (unsigned long long)FragmentsRetired,
              (unsigned long long)CacheBytesReclaimed,
              (unsigned long long)BackendFallbacks,
-             (unsigned long long)ProtectFaults,
              (unsigned long long)JitDisables);
     Out += Buf;
   }

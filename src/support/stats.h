@@ -75,7 +75,6 @@ struct VMStats {
   uint64_t CacheBytesReclaimed = 0; ///< Native bytes returned by flushes.
   uint64_t FragmentsRetired = 0;    ///< Fragments discarded by flushes.
   uint64_t BackendFallbacks = 0;    ///< Native backend unavailable at start.
-  uint64_t ProtectFaults = 0;       ///< W^X flips that failed (enter/compile).
   uint64_t JitDisables = 0;         ///< Kill switch trips (0 or 1).
 
   // --- Off-thread compile pipeline counters ---------------------------------
@@ -183,7 +182,6 @@ struct VMStats {
     CacheBytesReclaimed += O.CacheBytesReclaimed;
     FragmentsRetired += O.FragmentsRetired;
     BackendFallbacks += O.BackendFallbacks;
-    ProtectFaults += O.ProtectFaults;
     JitDisables += O.JitDisables;
     CompileJobsQueued += O.CompileJobsQueued;
     CompileJobsPublished += O.CompileJobsPublished;

@@ -18,11 +18,8 @@ namespace tracejit {
 TraceMonitor::TraceMonitor(VMContext &C, Interpreter &I)
     : Ctx(C), Interp(I), Policy(C.Opts) {
   if (Ctx.Opts.JitBackend == Backend::Native) {
-    // Off-thread compilation needs the dual-mapped pool so the worker can
-    // emit (write view) while this thread runs traces (exec view).
-    bool OffThread = Ctx.Opts.OffThreadCompile;
-    Native = std::make_unique<NativeBackend>(
-        Ctx.Opts.CodeCacheBytes, &Ctx.Opts.FaultInjector, OffThread);
+    Native = std::make_unique<NativeBackend>(Ctx.Opts.CodeCacheBytes,
+                                             &Ctx.Opts.FaultInjector);
     if (!Native->valid()) {
       // Executable memory is unavailable (hardened kernel, no dual-map
       // support, or injected ExecMapFail): fall back to the LIR executor,
@@ -34,7 +31,7 @@ TraceMonitor::TraceMonitor(VMContext &C, Interpreter &I)
         E.Kind = JitEventKind::BackendFallback;
         emitEvent(E);
       }
-    } else if (OffThread) {
+    } else if (Ctx.Opts.OffThreadCompile) {
       uint32_t Depth = Ctx.Opts.CompileQueueDepth;
       if (Ctx.Opts.SharedCompileService) {
         Queue = Ctx.Opts.SharedCompileService->createClient(Depth);
@@ -450,18 +447,10 @@ ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,
     Ctx.Stats.switchTo(Activity::Native);
   Ctx.OnTrace = true;
   ExitDescriptor *E;
-  if (Frag->NativeEntry && Native) {
-    if (Native->ensureExecutable()) {
-      E = Native->enter(reinterpret_cast<uint8_t *>(Tar), Frag);
-    } else {
-      // W^X flip to RX failed: the native code exists but cannot legally
-      // run. The LIR body is the reference semantics -- use it.
-      ++Ctx.Stats.ProtectFaults;
-      E = LirExecutor::run(Frag, reinterpret_cast<uint8_t *>(Tar), &Ctx);
-    }
-  } else {
+  if (Frag->NativeEntry && Native)
+    E = Native->enter(reinterpret_cast<uint8_t *>(Tar), Frag);
+  else
     E = LirExecutor::run(Frag, reinterpret_cast<uint8_t *>(Tar), &Ctx);
-  }
   Ctx.OnTrace = false;
   if (Stats)
     Ctx.Stats.switchTo(Activity::ExitOverhead);
@@ -733,32 +722,35 @@ void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
     }
   }
 
-  if (Native && Queue) {
-    // Off-thread pipeline: package the verified recording as a job and get
-    // back to interpreting. The fragment (with its own LIR arena) stays in
-    // Fragments but is owned by the worker until publication; the
-    // CompilePending flags block duplicate recordings and profile reads.
-    CompileJob J;
-    J.Frag = F;
-    J.Backend = Native.get();
-    J.Ctx = &Ctx;
-    J.Generation = CacheGeneration;
-    J.LS = LS;
-    J.IsRoot = F->Kind == FragmentKind::Root;
-    J.AnchorExit = J.IsRoot ? nullptr : RecorderAnchorExit;
-    J.FragmentId = F->Id;
-    J.ScriptId = F->AnchorScript ? F->AnchorScript->Id : ~0u;
-    J.AnchorPc = F->AnchorPc;
-    if (!Queue->trySubmit(J)) {
-      // Backpressure: the queue is full (or shutting down). Drop the
-      // recording with the usual abort backoff rather than buffering
-      // unboundedly; the loop stays hot and will re-record once the
-      // backlog clears.
-      setRecorder(std::move(R)); // restore so abortRecording can bookkeep
-      RecorderLoopState = LS;
-      abortRecording(AbortReason::CompileQueueFull, true);
-      return;
-    }
+  // One compile path: package the verified recording as a job. With a
+  // queue the worker compiles it and a later loop edge publishes it;
+  // otherwise it runs and publishes right here. Either way publishJob alone
+  // turns the result into an install or an abort.
+  CompileJob J;
+  J.Frag = F;
+  J.Backend = Native.get();
+  J.Ctx = &Ctx;
+  J.Generation = CacheGeneration;
+  J.LS = LS;
+  J.IsRoot = F->Kind == FragmentKind::Root;
+  J.AnchorExit = J.IsRoot ? nullptr : RecorderAnchorExit;
+  J.FragmentId = F->Id;
+  J.ScriptId = F->AnchorScript ? F->AnchorScript->Id : ~0u;
+  J.AnchorPc = F->AnchorPc;
+  RecorderAnchorExit = nullptr;
+
+  if (!Queue) {
+    // The LIR executor backend has no code to emit: its fragments run
+    // from the body.
+    if (Native)
+      runCompileJob(J);
+    else
+      J.Result = CompileResult::Ok;
+    publishJob(J);
+  } else if (Queue->trySubmit(J)) {
+    // The fragment (with its own LIR arena) stays in Fragments but is
+    // owned by the worker until publication; the CompilePending flags
+    // block duplicate recordings and profile reads.
     F->CompilePending = true;
     if (J.AnchorExit)
       J.AnchorExit->CompilePending = true;
@@ -773,37 +765,17 @@ void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
       E.Arg0 = Queue->pendingCount();
       emitEvent(E);
     }
-    RecorderAnchorExit = nullptr;
-    if (Stats)
-      Ctx.Stats.switchTo(Activity::Interpret);
+  } else {
+    // Backpressure: the queue is full (or shutting down). Drop the
+    // recording with the usual abort backoff rather than buffering
+    // unboundedly; the loop stays hot and will re-record once the backlog
+    // clears.
+    setRecorder(std::move(R)); // restore so abortRecording can bookkeep
+    RecorderLoopState = LS;
+    RecorderAnchorExit = J.AnchorExit;
+    abortRecording(AbortReason::CompileQueueFull, true);
     return;
   }
-
-  if (Native) {
-    CompileResult CR = Native->compile(F, &Ctx);
-    if (CR == CompileResult::Ok) {
-      if (Ctx.Opts.DumpAssembly)
-        fprintf(stderr, "--- fragment %u native: %u bytes at %p\n", F->Id,
-                F->NativeSize, (void *)F->NativeEntry);
-    } else {
-      // Compile-failure governance: the failed compile already returned
-      // its pool reservation; treat the recording as aborted so the
-      // blacklist backoff stops a loop whose trace never fits from
-      // burning recorder time forever. Pool exhaustion additionally
-      // schedules a whole-cache flush, which runs at the next loop edge
-      // (never here -- this stack frame still holds the doomed fragment).
-      if (CR == CompileResult::PoolExhausted)
-        FlushPending = true;
-      setRecorder(std::move(R)); // restore so abortRecording can bookkeep
-      RecorderLoopState = LS;
-      abortRecording(compileAbortReason(CR), true);
-      return;
-    }
-  }
-
-  installCompiledFragment(
-      F, LS, F->Kind == FragmentKind::Root ? nullptr : RecorderAnchorExit);
-  RecorderAnchorExit = nullptr;
 
   if (Stats)
     Ctx.Stats.switchTo(Activity::Interpret);
@@ -871,17 +843,20 @@ void TraceMonitor::drainCompileJobs() {
     return;
   std::vector<CompileJob> Done;
   Queue->drainCompleted(Done);
-  for (CompileJob &J : Done)
-    publishJob(J);
+  for (CompileJob &J : Done) {
+    if (publishJob(J))
+      ++Ctx.Stats.CompileJobsPublished;
+    else
+      ++Ctx.Stats.CompileJobsDropped;
+  }
 }
 
-void TraceMonitor::publishJob(CompileJob &J) {
+bool TraceMonitor::publishJob(CompileJob &J) {
   // Stale job: its generation was flushed (the fragment is already freed)
   // or the engine gave up on jitting. Drop it using only the copied ids --
   // Frag/LS/AnchorExit must not be dereferenced on this path (LS itself
   // survives flushes, but its pending count was reset by the flush).
   if (Disabled || J.Generation != CacheGeneration) {
-    ++Ctx.Stats.CompileJobsDropped;
     if (Ctx.EventListener) {
       JitEvent E;
       E.Kind = JitEventKind::CompileJobDropped;
@@ -892,7 +867,7 @@ void TraceMonitor::publishJob(CompileJob &J) {
       E.Arg1 = CacheGeneration;
       emitEvent(E);
     }
-    return;
+    return false;
   }
 
   Fragment *F = J.Frag;
@@ -904,12 +879,13 @@ void TraceMonitor::publishJob(CompileJob &J) {
     --LS->PendingCompiles;
 
   if (J.Result != CompileResult::Ok) {
-    // The worker-side compile failed. Replicate the bookkeeping the inline
-    // pipeline's abortRecording would have done (minus the recorder, which
-    // is long gone): abort stats/event, branch-exit failure counting or
-    // root blacklist backoff, and the pool-exhaustion flush request.
+    // Compile-failure governance, the same bookkeeping abortRecording does
+    // (the recorder is already gone): abort stats/event, branch-exit
+    // failure counting or root blacklist backoff, so a loop whose trace
+    // never fits stops burning recorder time. The failed compile already
+    // returned its pool reservation; pool exhaustion also schedules a
+    // whole-cache flush for the next safe loop edge.
     AbortReason Why = compileAbortReason(J.Result);
-    ++Ctx.Stats.CompileJobsDropped;
     ++Ctx.Stats.TracesAborted;
     ++Ctx.Stats.AbortsByReason[(size_t)Why];
     F->Body.clear(); // fragment stays allocated (ids/roots) but is inert
@@ -930,14 +906,14 @@ void TraceMonitor::publishJob(CompileJob &J) {
     } else if (Policy.onRootAbort(LS->Tier, true, LS->HitCount)) {
       blacklist(LS);
     }
-    return;
+    return false;
   }
 
-  ++Ctx.Stats.CompileJobsPublished;
-  if (Ctx.Opts.DumpAssembly)
+  if (Ctx.Opts.DumpAssembly && F->NativeEntry)
     fprintf(stderr, "--- fragment %u native: %u bytes at %p\n", F->Id,
             F->NativeSize, (void *)F->NativeEntry);
-  installCompiledFragment(F, LS, J.IsRoot ? nullptr : J.AnchorExit);
+  installCompiledFragment(F, LS, J.AnchorExit);
+  return true;
 }
 
 void TraceMonitor::waitCompileQueueIdle() {

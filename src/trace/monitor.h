@@ -241,29 +241,31 @@ private:
                       FunctionScript *Script, uint32_t AnchorPc,
                       ExitDescriptor *AnchorExit);
 
-  /// Recording ended at its anchor: run backward filters, compile (inline
-  /// or by submitting a compile job), link.
+  /// Recording ended at its anchor: run backward filters, build the
+  /// CompileJob, and either submit it (OffThreadCompile) or run and
+  /// publish it at once.
   void finishRecording(const std::vector<Fragment *> &Peers);
   void abortRecording(AbortReason Why, bool CountsTowardBlacklist);
 
-  // --- Off-thread compile pipeline (jit/compile_queue.h) --------------------
-  // Submit happens in finishRecording; these run the publication side.
+  // --- Compile publication (jit/compile_queue.h) ----------------------------
 
-  /// Publish/drop every finished compile job. Safe-point only (no recorder
-  /// active, no trace on the native stack); called from loop edges and the
-  /// Engine-facing pump/wait entry points.
+  /// Publish/drop every finished queued compile job, counting each as
+  /// CompileJobsPublished or CompileJobsDropped. Safe-point only (no
+  /// recorder active, no trace on the native stack); called from loop
+  /// edges and the Engine-facing pump/wait entry points.
   void drainCompileJobs();
 
-  /// Wire one finished job into the trace cache -- or drop it (stale
-  /// generation, disabled engine) or turn a worker-side compile failure
-  /// into the abort/backoff bookkeeping the inline pipeline would have
-  /// done. Stale jobs must not dereference Frag/LS/AnchorExit: the
-  /// fragment died with its generation's flush.
-  void publishJob(CompileJob &J);
+  /// Wire one finished job into the trace cache and return true -- or
+  /// return false after dropping it (stale generation, disabled engine) or
+  /// turning a compile failure into an abort, a backoff, a blacklist or a
+  /// pending flush. The only place a CompileResult has consequences. Stale
+  /// jobs must not dereference Frag/LS/AnchorExit: the fragment died with
+  /// its generation's flush.
+  bool publishJob(CompileJob &J);
 
-  /// Success bookkeeping shared by the inline pipeline and publishJob:
-  /// stats/events, peer registration, unstable-exit linking, and the
-  /// anchor-exit stitch for branch fragments.
+  /// Success bookkeeping for publishJob: stats/events, peer registration,
+  /// unstable-exit linking, and the anchor-exit stitch for branch
+  /// fragments.
   void installCompiledFragment(Fragment *F, LoopState *LS,
                                ExitDescriptor *Anchor);
 

@@ -617,15 +617,15 @@ bool TraceRecorder::icSiteMegamorphic(const PropertyIC &IC, uint32_t Pc) const {
              Oracle::propSiteKey(script()->Id, Pc));
 }
 
-void TraceRecorder::icShapeGuard(const PropertyIC *IC, Object *RO, LIns *Obj,
+void TraceRecorder::icShapeGuard(const PropertyIC &IC, Object *RO, LIns *Obj,
                                  uint32_t Slot, uint32_t Pc) {
-  if (IC && (IC->State == ICState::Mono || IC->State == ICState::Poly)) {
+  if (IC.State == ICState::Mono || IC.State == ICState::Poly) {
     Shape *Shapes[PropertyIC::MaxEntries];
     size_t N = 0;
     bool LiveCached = false;
     uint8_t K = (uint8_t)RO->kind();
-    for (uint8_t I = 0; I < IC->N; ++I) {
-      const ICEntry &E = IC->Entries[I];
+    for (uint8_t I = 0; I < IC.N; ++I) {
+      const ICEntry &E = IC.Entries[I];
       // Only same-kind entries that resolve the name to the same slot can
       // share this trace's slot load.
       if (E.Kind != ICEntryKind::Slot || E.KindGuard != K || E.Slot != Slot)
@@ -1002,8 +1002,7 @@ void TraceRecorder::recordBranch(Op O, uint32_t Pc) {
 
 void TraceRecorder::recordGetProp(uint32_t Pc) {
   String *Name = script()->Atoms[script()->u16At(Pc + 1)];
-  const PropertyIC *IC =
-      Ctx.Opts.EnableIC ? &script()->ICs[script()->u16At(Pc + 3)] : nullptr;
+  const PropertyIC &IC = script()->ICs[script()->u16At(Pc + 3)];
   Tracked Recv = top();
   Value RecvV = peekStack(0);
 
@@ -1031,7 +1030,7 @@ void TraceRecorder::recordGetProp(uint32_t Pc) {
     return;
   }
 
-  if (IC && icSiteMegamorphic(*IC, Pc)) {
+  if (icSiteMegamorphic(IC, Pc)) {
     // A shape guard here would fail on most iterations. Call the generic
     // lookup instead and guard only the type of what it returns, so the
     // loop stays on trace whatever shape arrives.
@@ -1065,8 +1064,7 @@ void TraceRecorder::recordGetProp(uint32_t Pc) {
 
 void TraceRecorder::recordSetProp(uint32_t Pc) {
   String *Name = script()->Atoms[script()->u16At(Pc + 1)];
-  const PropertyIC *IC =
-      Ctx.Opts.EnableIC ? &script()->ICs[script()->u16At(Pc + 3)] : nullptr;
+  const PropertyIC &IC = script()->ICs[script()->u16At(Pc + 3)];
   Tracked Val = top(0);
   Tracked Recv = top(1);
   Value RecvV = peekStack(1);
@@ -1074,7 +1072,7 @@ void TraceRecorder::recordSetProp(uint32_t Pc) {
     abort(AbortReason::PropOnPrimitive);
     return;
   }
-  if (IC && icSiteMegamorphic(*IC, Pc)) {
+  if (icSiteMegamorphic(IC, Pc)) {
     // The generic store: Object::setProperty, which also transitions the
     // shape when the property is new. The call kills load CSE, so a later
     // shape guard on this object re-reads the shape.

@@ -229,7 +229,7 @@ private:
   /// site whose entries agree on \p Slot gets one multi-shape guard so a
   /// single trace serves every cached shape. Falls back to a plain
   /// guardShape on the live shape.
-  void icShapeGuard(const PropertyIC *IC, Object *RO, LIns *Obj, uint32_t Slot,
+  void icShapeGuard(const PropertyIC &IC, Object *RO, LIns *Obj, uint32_t Slot,
                     uint32_t Pc);
   /// True when the IC or the oracle says this property site is megamorphic
   /// (the oracle remembers across IC invalidation).

@@ -20,12 +20,11 @@ using namespace tracejit;
 
 namespace {
 
-/// Assemble a tiny function and call it directly. The pool is W^X: it maps
-/// RW for emission, so flip it to RX before handing out a callable.
+/// Assemble a tiny function and call it directly. The pool is W^X: code is
+/// emitted through the RW write view and called through its RX exec view.
 template <typename FnT> FnT assembleInto(ExecMemPool &Pool, Assembler &A) {
   EXPECT_FALSE(A.overflowed());
-  EXPECT_TRUE(Pool.makeExecutable());
-  return (FnT)A.begin();
+  return (FnT)Pool.execAddr(A.begin());
 }
 
 } // namespace
@@ -40,6 +39,23 @@ TEST(ExecMem, AllocatesAlignedExecutableMemory) {
   EXPECT_EQ((uintptr_t)A % 16, 0u);
   EXPECT_EQ((uintptr_t)B % 16, 0u);
   EXPECT_GE(B, A + 100);
+}
+
+TEST(ExecMem, ExecViewSharesPagesWithTheWriteView) {
+  ExecMemPool Pool(1 << 16);
+  ASSERT_TRUE(Pool.valid());
+  EXPECT_EQ(Pool.execAddr(nullptr), nullptr);
+  uint8_t *W = Pool.allocate(32);
+  ASSERT_NE(W, nullptr);
+  uint8_t *X = Pool.execAddr(W);
+  EXPECT_NE(X, W) << "a second mapping, not the write view";
+  EXPECT_EQ(Pool.execAddr(W + 7), X + 7);
+  // Bytes written after the views were mapped show through the exec view.
+  for (int K = 0; K < 32; ++K)
+    W[K] = (uint8_t)(K * 7 + 1);
+  EXPECT_EQ(memcmp(W, X, 32), 0);
+  W[3] = 0xCC;
+  EXPECT_EQ(X[3], 0xCC);
 }
 
 TEST(Assembler, ReturnConstant) {
@@ -174,7 +190,6 @@ TEST(Assembler, ImmediateFormsPickTheShortestEncoding) {
     A.ret();
     auto Fn = assembleInto<uint64_t (*)()>(Pool, A);
     EXPECT_EQ(Fn(), C.Imm);
-    EXPECT_TRUE(Pool.makeWritable());
   }
 
   // int64 f(int a, int64 *p): group-1 ALU and store immediates, imm8 and
@@ -227,7 +242,6 @@ struct BackendFixture : ::testing::Test {
     TarX.resize(TarInit.size() + 64);
 
     ASSERT_EQ(BE.compile(&F, &Ctx), CompileResult::Ok);
-    ASSERT_TRUE(BE.ensureExecutable());
     ExitDescriptor *EN = BE.enter(TarN.data(), &F);
     ExitDescriptor *EX =
         LirExecutor::run(&F, (uint8_t *)TarX.data(), &Ctx);
@@ -446,7 +460,6 @@ TEST_F(BackendFixture, StitchedExitTransfersToBranchFragment) {
   BE.patchExitTo(EA, &FB);
 
   // Native path.
-  ASSERT_TRUE(BE.ensureExecutable());
   std::vector<uint64_t> Tar(8, 0);
   Tar[0] = 5; // guard fails -> goes through the stitched exit into FB
   ExitDescriptor *Got = BE.enter(Tar.data(), &FA);
@@ -523,7 +536,6 @@ TEST_F(BackendFixture, ExitStubsAreSevenBytesWithOneTailPerFragment) {
                                                     : 19;
   EXPECT_EQ(F.NativeEntry + F.NativeSize, EEnd->PatchAddr + 7 + TailBytes);
 
-  ASSERT_TRUE(BE.ensureExecutable());
   for (int K : {0, 5, 11, 12, 13, 29}) {
     std::vector<uint64_t> TarN(8, 0), TarX(8, 0);
     TarN[0] = TarX[0] = (uint64_t)K;
@@ -541,7 +553,6 @@ TEST_F(BackendFixture, ExitStubsAreSevenBytesWithOneTailPerFragment) {
   for (int K : {0, NGuards - 1}) {
     BE.patchExitTo(F.Exits[K].get(), &FB);
     EXPECT_EQ(F.Exits[K]->PatchAddr[0], 0xE9);
-    ASSERT_TRUE(BE.ensureExecutable());
     std::vector<uint64_t> T(8, 0);
     T[0] = (uint64_t)K;
     EXPECT_EQ(BE.enter(T.data(), &F), FB.Exits[0].get()) << K;

@@ -1,13 +1,15 @@
 //===- test_cache_lifecycle.cpp - Code-cache lifecycle governance ----------===//
 //
-// Covers the bounded executable pool (reserve/commit/rewind, floor/reset,
-// W^X flips), whole-cache flush under a tiny CodeCacheBytes with results
-// identical to the pure interpreter, all four deterministic fault-injection
-// sites (map, alloc, protect, compile), flush deferral while a trace is on
-// the native stack, and the MaxCacheFlushes kill switch.
+// Covers the bounded executable pool (reserve/commit/rewind, floor/reset),
+// whole-cache flush under a tiny CodeCacheBytes with results identical to
+// the pure interpreter, the deterministic fault-injection sites of the code
+// cache (map, alloc, compile -- the last with and without
+// OffThreadCompile), flush deferral while a trace is on the native stack,
+// and the MaxCacheFlushes kill switch.
 //
 //===----------------------------------------------------------------------===//
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 
 #include "api/engine.h"
 #include "jit/execmem.h"
+#include "trace/monitor.h"
 
 using namespace tracejit;
 
@@ -63,7 +66,7 @@ double interpretedResult(const std::string &Src) {
 
 } // namespace
 
-// --- ExecMemPool: reservation protocol, floor, W^X ---------------------------
+// --- ExecMemPool: reservation protocol, floor, faults ------------------------
 
 TEST(ExecPool, ReserveCommitKeepsOnlyActualBytes) {
   ExecMemPool Pool(1 << 16);
@@ -106,19 +109,6 @@ TEST(ExecPool, ResetRewindsToFloor) {
   EXPECT_GE(Reclaimed, 1500u); // plus alignment padding
   EXPECT_EQ(Pool.used(), Pool.floorBytes());
   EXPECT_EQ(Pool.used(), 200u);
-  EXPECT_FALSE(Pool.executable()) << "reset leaves the pool writable";
-}
-
-TEST(ExecPool, WxFlipsAreIdempotent) {
-  ExecMemPool Pool(4096);
-  ASSERT_TRUE(Pool.valid());
-  EXPECT_FALSE(Pool.executable());
-  EXPECT_TRUE(Pool.makeWritable()); // already RW: no-op success
-  EXPECT_TRUE(Pool.makeExecutable());
-  EXPECT_TRUE(Pool.executable());
-  EXPECT_TRUE(Pool.makeExecutable()); // already RX: no-op success
-  EXPECT_TRUE(Pool.makeWritable());
-  EXPECT_FALSE(Pool.executable());
 }
 
 TEST(ExecPool, InjectedMapFailureLeavesPoolInvalid) {
@@ -126,31 +116,21 @@ TEST(ExecPool, InjectedMapFailureLeavesPoolInvalid) {
   ExecMemPool Pool(1 << 16, &Hook);
   EXPECT_FALSE(Pool.valid());
   EXPECT_EQ(Pool.reserve(64), nullptr);
-  EXPECT_FALSE(Pool.makeExecutable());
 }
 
-TEST(ExecPool, InjectedAllocAndProtectFailures) {
-  bool FailAlloc = false, FailProtect = false;
+TEST(ExecPool, InjectedAllocFailureLeavesPoolUsable) {
+  bool FailAlloc = false;
   FaultHook Hook = [&](FaultSite S) {
-    if (S == FaultSite::ExecAllocFail)
-      return FailAlloc;
-    if (S == FaultSite::ProtectFail)
-      return FailProtect;
-    return false;
+    return S == FaultSite::ExecAllocFail && FailAlloc;
   };
   ExecMemPool Pool(1 << 16, &Hook);
   ASSERT_TRUE(Pool.valid());
 
   FailAlloc = true;
   EXPECT_EQ(Pool.reserve(64), nullptr);
+  EXPECT_EQ(Pool.used(), 0u);
   FailAlloc = false;
   ASSERT_NE(Pool.allocate(64), nullptr);
-
-  FailProtect = true;
-  EXPECT_FALSE(Pool.makeExecutable());
-  EXPECT_FALSE(Pool.executable()) << "failed flip must not change state";
-  FailProtect = false;
-  EXPECT_TRUE(Pool.makeExecutable());
 }
 
 // --- Whole-cache flush under memory pressure ---------------------------------
@@ -264,7 +244,7 @@ TEST(CacheLifecycle, FlushDefersWhileTraceOnNativeStack) {
   EXPECT_EQ(E.cacheGeneration(), 1u) << "deferred flush never ran";
 }
 
-// --- Fault injection: the four sites -----------------------------------------
+// --- Fault injection --------------------------------------------------------
 
 TEST(FaultInjection, ExecMapFailFallsBackToExecutor) {
   std::string Src = churnWorkload(2, 60);
@@ -347,30 +327,6 @@ TEST(FaultInjection, AllocFailFlushesThenTripsKillSwitch) {
   EXPECT_TRUE(E.jitDisabled());
 }
 
-TEST(FaultInjection, ProtectFailFallsBackToExecutorPerRun) {
-  std::string Src = churnWorkload(2, 60);
-  double Want = interpretedResult(Src);
-
-  EngineOptions O;
-
-  O.EnableJit = true;
-  O.CollectStats = true;
-  // The pool starts RW, so compiles succeed; only the RX flip before
-  // entering a trace fails. Every native entry must degrade to the LIR
-  // executor and still produce the right answer.
-  O.FaultInjector = [](FaultSite S) { return S == FaultSite::ProtectFail; };
-  Engine E(O);
-
-  auto R = E.eval(Src);
-  ASSERT_TRUE(R.ok()) << R.Err.describe();
-  EXPECT_EQ(R.LastValue.numberValue(), Want);
-
-  VMStats S = E.stats();
-  EXPECT_GT(S.ProtectFaults, 0u);
-  EXPECT_GT(S.TraceEnters, 0u) << "traces still run, just not natively";
-  EXPECT_NE(S.report().find("protect-faults"), std::string::npos);
-}
-
 TEST(FaultInjection, CompileFailAbortsIntoBlacklistBackoff) {
   std::string Src = churnWorkload(2, 200);
   double Want = interpretedResult(Src);
@@ -398,3 +354,87 @@ TEST(FaultInjection, CompileFailAbortsIntoBlacklistBackoff) {
   EXPECT_GE(L.count(JitEventKind::Blacklisted), 1u);
   EXPECT_EQ(S.CacheFlushes, 0u) << "a compile fault is not memory pressure";
 }
+
+// --- One compile-failure path, queued or not ---------------------------------
+
+namespace {
+
+/// Every recording becomes a CompileJob; with OffThreadCompile the worker
+/// runs it and a later loop edge publishes it, without it the monitor runs
+/// and publishes it at once. Either way a failed compile must leave the
+/// same abort, backoff and blacklist state behind once the queue settles.
+/// The loops run long enough for the worker to finish every job while they
+/// still run, so the queued pipeline records as often as the inline one.
+struct CompileFailPath : ::testing::TestWithParam<bool> {
+  /// Fail every compile after the first \p Passing ones. The hook runs on
+  /// the compiler thread when the queue is on, hence the atomic.
+  VMStats run(const char *Src, double Want, int Passing) {
+    auto Compiles = std::make_shared<std::atomic<int>>(0);
+    EngineOptions O;
+    O.JitBackend = Backend::Native;
+    O.CollectStats = true;
+    O.OffThreadCompile = GetParam();
+    O.FaultInjector = [Compiles, Passing](FaultSite S) {
+      return S == FaultSite::CompileFail && Compiles->fetch_add(1) >= Passing;
+    };
+    Engine E(O);
+    auto R = E.eval(Src);
+    EXPECT_TRUE(R.ok()) << R.Err.describe();
+    EXPECT_EQ(R.LastValue.numberValue(), Want);
+    E.waitForCompileQueue();
+    for (const auto &F : E.context().Monitor->fragments())
+      for (const auto &X : F->Exits)
+        if (X->FailedRecordings) {
+          ExitFailures.push_back(X->FailedRecordings);
+          ExitsBlocked += X->RecordingBlocked;
+        }
+    return E.stats();
+  }
+
+  std::vector<uint32_t> ExitFailures;
+  uint32_t ExitsBlocked = 0;
+};
+
+} // namespace
+
+TEST_P(CompileFailPath, RootFailuresBlacklistTheLoop) {
+  VMStats S = run("var s = 0; for (var i = 0; i < 200000; ++i) s += 2; s;",
+                  400000, 0);
+  EXPECT_EQ(S.TracesAborted, 2u);
+  EXPECT_EQ(S.AbortsByReason[(size_t)AbortReason::CompileFault], 2u);
+  EXPECT_EQ(S.LoopsBlacklisted, 1u);
+  EXPECT_EQ(S.TreesCompiled, 0u);
+  EXPECT_EQ(S.CacheFlushes, 0u);
+  EXPECT_TRUE(ExitFailures.empty());
+  EXPECT_EQ(S.CompileJobsQueued, GetParam() ? 2u : 0u)
+      << "only jobs that went through the queue count as queued";
+  EXPECT_EQ(S.CompileJobsDropped, GetParam() ? 2u : 0u);
+  EXPECT_EQ(S.CompileJobsPublished, 0u);
+}
+
+TEST_P(CompileFailPath, BranchFailuresBlockTheExitAndKeepTheTree) {
+  // The root compiles; every branch compile fails.
+  VMStats S = run("var s = 0;\n"
+                  "for (var i = 0; i < 200000; ++i) {\n"
+                  "  if ((i & 7) == 0) s += 3; else s += 1;\n"
+                  "}\n"
+                  "s;",
+                  250000, 1);
+  EXPECT_EQ(S.TreesCompiled, 1u);
+  EXPECT_EQ(S.BranchesCompiled, 0u);
+  EXPECT_EQ(S.TracesAborted, 2u);
+  EXPECT_EQ(S.AbortsByReason[(size_t)AbortReason::CompileFault], 2u);
+  EXPECT_EQ(S.LoopsBlacklisted, 0u) << "branch failures never blacklist";
+  ASSERT_EQ(ExitFailures.size(), 1u) << "one hot side exit";
+  EXPECT_EQ(ExitFailures[0], 2u);
+  EXPECT_EQ(ExitsBlocked, 1u) << "blocked after MaxRecordingFailures";
+  EXPECT_EQ(S.CompileJobsQueued, GetParam() ? 3u : 0u);
+  EXPECT_EQ(S.CompileJobsPublished, GetParam() ? 1u : 0u);
+  EXPECT_EQ(S.CompileJobsDropped, GetParam() ? 2u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , CompileFailPath, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool> &I) {
+      return I.param ? "OffThread" : "Inline";
+    });

@@ -30,9 +30,6 @@ JsRun runOnce(const std::string &Src, bool Jit, Backend B) {
   EngineOptions O;
   O.EnableJit = Jit;
   O.JitBackend = B;
-  // Megamorphic verdicts come from IC feedback; opt in even where the
-  // build defaults ICs off.
-  O.EnableIC = true;
   O.CollectStats = true;
   Engine E(O);
   JsRun R;

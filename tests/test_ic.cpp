@@ -2,8 +2,7 @@
 //
 // Covers the IC ladder (mono -> poly -> mega), both invalidation paths
 // (shape-transition self-invalidation and the whole-table reset on a
-// code-cache flush), bit-for-bit equivalence with ICs off, the recorder's
-// consumption of IC state (mono replay, poly multi-shape guards, mega
+// code-cache flush), the recorder's consumption of IC state (mono replay, poly multi-shape guards, mega
 // sites recorded as generic-lookup calls), and switch-vs-threaded dispatch
 // equivalence.
 //
@@ -43,14 +42,12 @@ RunInfo runWith(const std::string &Src, EngineOptions O) {
 EngineOptions interpIc() {
   EngineOptions O;
   O.EnableJit = false;
-  O.EnableIC = true;
   return O;
 }
 
 EngineOptions jitIc() {
   EngineOptions O;
   O.EnableJit = true;
-  O.EnableIC = true;
   return O;
 }
 
@@ -203,40 +200,6 @@ TEST(InlineCaches, CacheFlushResetsEveryIC) {
                      "print(t);")
                   .ok());
   EXPECT_EQ(Out, "200\n");
-}
-
-TEST(InlineCaches, OffModeIsBitForBitEquivalent) {
-  // A corpus heavy on property traffic, including the special-case
-  // receivers (array.length, string.length, absent names, transitions).
-  const char *Corpus[] = {
-      "var o = {}; o.a = 1; o.b = 2; var s = 0;\n"
-      "for (var i = 0; i < 500; ++i) { s = s + o.a + o.b; o.a = s % 13; }\n"
-      "print(s); print(o.a);",
-
-      "var a = Array(10); for (var i = 0; i < 10; ++i) a[i] = i;\n"
-      "var n = 0; for (var j = 0; j < 300; ++j) n = n + a.length;\n"
-      "print(n); print('abc'.length);",
-
-      "var q = {}; q.x = 3;\n"
-      "print(q.missing); print(q.x);\n"
-      "q.y = 4; print(q.y);",
-
-      "function mk(i) { var o = {}; if (i % 2) o.pad = 0; o.v = i; return o; }\n"
-      "var s = 0;\n"
-      "for (var i = 0; i < 400; ++i) s = s + mk(i).v;\n"
-      "print(s);",
-  };
-  for (const char *Src : Corpus) {
-    EngineOptions On = interpIc();
-    EngineOptions Off = interpIc();
-    Off.EnableIC = false;
-    RunInfo A = runWith(Src, On);
-    RunInfo B = runWith(Src, Off);
-    ASSERT_TRUE(A.Ok) << A.Error;
-    ASSERT_TRUE(B.Ok) << B.Error;
-    EXPECT_EQ(A.Out, B.Out) << Src;
-    EXPECT_EQ(B.Stats.IcHits, 0u) << "IC-off engines never probe";
-  }
 }
 
 TEST(InlineCaches, RecorderReplaysMonoSite) {

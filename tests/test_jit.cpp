@@ -168,6 +168,21 @@ TEST(Jit, MathNativesOnTrace) {
               "print(Math.floor(s));");
 }
 
+TEST(Jit, MathRoundMatchesJs) {
+  // floor(x + 0.5) rounds 0.49999999999999994 up to 1 and loses the sign of
+  // a zero result; interpreter and traces share the one native.
+  const char *Src = "var xs = [-0.4, -2.5, 0.49999999999999994];\n"
+                    "var a = 0, b = 0, c = 0;\n"
+                    "for (var i = 0; i < 300; ++i) {\n"
+                    "  a = 1 / Math.round(xs[0]);\n"
+                    "  b = Math.round(xs[1]);\n"
+                    "  c = Math.round(xs[2]);\n"
+                    "}\n"
+                    "print(a, b, c);";
+  diff3Traced(Src);
+  EXPECT_EQ(runConfig(Src, interpOpts()), "-Infinity -2 0\n");
+}
+
 TEST(Jit, DoubleToIntIndexing) {
   diff3Traced("var a = Array(64);\n"
               "for (var i = 0; i < 64; ++i) a[i] = i;\n"

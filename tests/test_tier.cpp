@@ -157,9 +157,6 @@ struct TierRun {
 TierRun runTier(const std::string &Src, bool Jit = true) {
   EngineOptions O;
   O.EnableJit = Jit;
-  // Megamorphic verdicts come from IC feedback; opt in even where the
-  // build defaults ICs off (the CI fallback leg).
-  O.EnableIC = true;
   O.CollectStats = true;
   Engine E(O);
   TierRun R;
