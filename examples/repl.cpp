@@ -16,9 +16,15 @@
 // "--no-jit", "--native" / "--executor", "--no-stats", "--no-blacklisting",
 // "-O0".."-O2", "--jit-opt=[+|-]pass,...", "--deadline-ms=N".
 //
+// `--dump-native DIR` writes each compiled fragment's native code to
+// DIR/frag-<id>.bin when the scripts finish (or at :quit), for objdump and
+// scripts/native_breakdown.py. With `--no-stats` the code is what a
+// default-options engine compiles.
+//
 //===----------------------------------------------------------------------===//
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -27,16 +33,49 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "trace/monitor.h"
 
 using namespace tracejit;
+
+/// Write every compiled fragment's code to \p Dir/frag-<id>.bin.
+static bool dumpNative(Engine &E, const std::string &Dir) {
+  E.waitForCompileQueue();
+  std::error_code EC;
+  std::filesystem::create_directories(Dir, EC);
+  if (EC) {
+    std::cerr << "cannot create " << Dir << ": " << EC.message() << "\n";
+    return false;
+  }
+  if (!E.context().Monitor)
+    return true;
+  for (const auto &F : E.context().Monitor->fragments()) {
+    if (!F->NativeEntry || F->CompilePending)
+      continue;
+    std::string Path = Dir + "/frag-" + std::to_string(F->Id) + ".bin";
+    std::ofstream Out(Path, std::ios::binary);
+    Out.write((const char *)F->NativeEntry, F->NativeSize);
+    if (!Out) {
+      std::cerr << "cannot write " << Path << "\n";
+      return false;
+    }
+  }
+  return true;
+}
 
 int main(int argc, char **argv) {
   EngineOptions Opts;
   Opts.CollectStats = true;
   std::vector<std::string> Files;
+  std::string DumpNativeDir;
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    if (!A.empty() && A[0] == '-') {
+    if (A == "--dump-native") {
+      if (I + 1 == argc) {
+        std::cerr << "--dump-native requires a directory\n";
+        return 2;
+      }
+      DumpNativeDir = argv[++I];
+    } else if (!A.empty() && A[0] == '-') {
       if (!Opts.applyFlag(A)) {
         std::cerr << "unknown flag: " << A << "\n";
         return 2;
@@ -102,6 +141,8 @@ int main(int argc, char **argv) {
         return 1;
       }
     }
+    if (!DumpNativeDir.empty() && !dumpNative(*E, DumpNativeDir))
+      return 1;
     return 0;
   }
 
@@ -137,5 +178,7 @@ int main(int argc, char **argv) {
     if (!R.ok())
       std::cout << R.Err.describe() << "\n";
   }
+  if (!DumpNativeDir.empty() && !dumpNative(*E, DumpNativeDir))
+    return 1;
   return 0;
 }

@@ -182,6 +182,11 @@ const TraceableNative *lookupTraceableNative(NativeFn Fn) {
   return nullptr;
 }
 
+const TraceableNative *traceableNativeAt(size_t I) {
+  return I < sizeof(Registry) / sizeof(Registry[0]) ? &Registry[I].Info
+                                                     : nullptr;
+}
+
 // --- String / array method dispatch (CallProp fallback) -------------------------
 
 Value Interpreter::callPropValue(Value Recv, String *Name, const Value *Args,

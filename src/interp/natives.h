@@ -13,6 +13,7 @@
 #ifndef TRACEJIT_INTERP_NATIVES_H
 #define TRACEJIT_INTERP_NATIVES_H
 
+#include <cstddef>
 #include <cstdint>
 
 #include "vm/object.h"
@@ -43,6 +44,9 @@ struct TraceableNative {
 /// Typed-FFI annotation lookup: the traceable entry for a boxed native, or
 /// nullptr (in which case the recorder aborts the trace, §3.1 "Aborts").
 const TraceableNative *lookupTraceableNative(NativeFn Fn);
+
+/// The registry's \p I-th entry, or nullptr past the end.
+const TraceableNative *traceableNativeAt(size_t I);
 
 /// Deterministic xorshift64* random in [0,1); exposed for tests.
 double nextRandom(VMContext *Ctx);

@@ -88,6 +88,25 @@ struct VMContext {
     });
   }
 
+  // The two fields compiled traces touch come first, so each is a disp8
+  // from the context register (R15 in native code).
+
+  /// The interrupt-request bitmask (Interrupt* bits above), historically
+  /// the GC preempt flag. Every compiled loop edge guards on it being zero
+  /// (§6.4), so a raise from any thread drives hot traces back to the
+  /// monitor within one iteration. std::atomic<uint32_t> is
+  /// layout-compatible with the plain 4-byte compare traces compile in
+  /// (`cmp dword [r15+d8], 0`), and makes cross-thread
+  /// raises (the Engine deadline timer, the ScriptServer watchdog)
+  /// well-defined. This word is the one sanctioned cross-thread touch of
+  /// engine state.
+  std::atomic<uint32_t> PreemptFlag{0};
+
+  /// When a nested tree call returns through an unexpected exit, generated
+  /// code stashes the inner tree's actual exit descriptor here before
+  /// side-exiting the outer trace (§4.1).
+  ExitDescriptor *LastNestedExit = nullptr;
+
   EngineOptions Opts;
   Heap TheHeap;
   AtomTable Atoms;
@@ -144,17 +163,6 @@ struct VMContext {
   /// surfaced through EvalResult::LastValue. GC-rooted until overwritten.
   Value LastResult = Value::undefined();
 
-  /// The interrupt-request bitmask (Interrupt* bits above), historically
-  /// the GC preempt flag. Every compiled loop edge guards on it being zero
-  /// (§6.4), so a raise from any thread drives hot traces back to the
-  /// monitor within one iteration. Must have a stable address that
-  /// generated code can embed; std::atomic<uint32_t> is layout-compatible
-  /// with the plain 4-byte load traces compile in, and makes cross-thread
-  /// raises (the Engine deadline timer, the ScriptServer watchdog)
-  /// well-defined. This word is the one sanctioned cross-thread touch of
-  /// engine state.
-  std::atomic<uint32_t> PreemptFlag{0};
-
   /// OR interrupt-request bits into the flag. Safe from any thread; the
   /// owning thread services the request at its next safe point.
   void requestInterrupt(uint32_t Bits) {
@@ -166,11 +174,6 @@ struct VMContext {
   /// asserts that at every fragment entry, and a host code-cache flush
   /// requested while it is set is deferred to the next loop edge.
   bool OnTrace = false;
-
-  /// When a nested tree call returns through an unexpected exit, generated
-  /// code stashes the inner tree's actual exit descriptor here before
-  /// side-exiting the outer trace (§4.1).
-  ExitDescriptor *LastNestedExit = nullptr;
 
   /// The trace-time call-stack area (the paper's "frame entry and exit LIR
   /// saves just enough information to allow the interpreter call stack to

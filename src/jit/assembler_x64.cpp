@@ -52,6 +52,14 @@ void Assembler::modRMMem(uint8_t Reg, uint8_t Base, int32_t Disp) {
     emit32((uint32_t)Disp);
 }
 
+void Assembler::modRMRip(uint8_t Reg, const uint8_t *Target) {
+  // mod=00, rm=101: [rip+disp32], relative to the end of the instruction
+  // (no immediate follows in any form emitted here).
+  emit8((uint8_t)(((Reg & 7) << 3) | 5));
+  int64_t Rel = Target - (Cur + 4);
+  emit32((uint32_t)(int32_t)Rel);
+}
+
 // --- Moves ---------------------------------------------------------------------
 
 void Assembler::movRR64(Gpr Dst, Gpr Src) {
@@ -85,6 +93,13 @@ void Assembler::movRI32(Gpr Dst, int32_t Imm) {
   rex(false, 0, Dst);
   emit8((uint8_t)(0xB8 | (Dst & 7)));
   emit32((uint32_t)Imm);
+}
+
+void Assembler::movRI8(Gpr Dst, uint8_t Imm) {
+  // REX is required to address sil/dil/spl/bpl.
+  rex(false, 0, Dst, /*Force=*/Dst >= 4);
+  emit8((uint8_t)(0xB0 | (Dst & 7)));
+  emit8(Imm);
 }
 
 void Assembler::movMI(bool W, Gpr Base, int32_t Disp, int32_t Imm) {
@@ -134,6 +149,18 @@ void Assembler::movRMIndex64(Gpr Dst, Gpr Base, Gpr Index) {
   emit8((uint8_t)(0xC0 | ((Index & 7) << 3) | (Base & 7))); // scale=8
 }
 
+void Assembler::lea(Gpr Dst, Gpr Base, int32_t Disp) {
+  rex(true, Dst, Base);
+  emit8(0x8D);
+  modRMMem(Dst, Base, Disp);
+}
+
+void Assembler::leaRip(Gpr Dst, const uint8_t *Target) {
+  rex(true, Dst, 0);
+  emit8(0x8D);
+  modRMRip(Dst, Target);
+}
+
 // --- ALU ------------------------------------------------------------------------
 
 void Assembler::aluRR(bool W, uint8_t OpcodeRM, Gpr Dst, Gpr Src) {
@@ -175,6 +202,25 @@ void Assembler::aluRI(bool W, uint8_t Ext, Gpr Dst, int32_t Imm) {
     emit8((uint8_t)Imm);
   else
     emit32((uint32_t)Imm);
+}
+
+void Assembler::aluMI(bool W, uint8_t Ext, Gpr Base, int32_t Disp,
+                      int32_t Imm) {
+  bool Imm8 = Imm >= -128 && Imm <= 127;
+  rex(W, Ext, Base);
+  emit8(Imm8 ? 0x83 : 0x81);
+  modRMMem(Ext, Base, Disp);
+  if (Imm8)
+    emit8((uint8_t)Imm);
+  else
+    emit32((uint32_t)Imm);
+}
+
+void Assembler::cmpMI8(Gpr Base, int32_t Disp, uint8_t Imm) {
+  rex(false, AluCmp, Base);
+  emit8(0x80);
+  modRMMem(AluCmp, Base, Disp);
+  emit8(Imm);
 }
 
 void Assembler::shlCl32(Gpr Dst) {
@@ -343,6 +389,13 @@ uint8_t *Assembler::jccFwd(Cond C) {
   return Fix;
 }
 
+uint8_t *Assembler::jcc8Fwd(Cond C) {
+  emit8((uint8_t)(0x70 | C));
+  uint8_t *Fix = Cur;
+  emit8(0);
+  return Fix;
+}
+
 uint8_t *Assembler::jmpFwd() {
   emit8(0xE9);
   uint8_t *Fix = Cur;
@@ -375,6 +428,17 @@ void Assembler::callReg(Gpr R) {
   modRMReg(2, R);
 }
 
+void Assembler::callRel(const uint8_t *Target) {
+  emit8(0xE8);
+  int64_t Rel = Target - (Cur + 4);
+  emit32((uint32_t)(int32_t)Rel);
+}
+
+void Assembler::callRip(const uint8_t *Slot) {
+  emit8(0xFF);
+  modRMRip(2, Slot);
+}
+
 void Assembler::push(Gpr R) {
   rex(false, 0, R);
   emit8((uint8_t)(0x50 | (R & 7)));
@@ -392,6 +456,12 @@ void Assembler::patchRel32(uint8_t *FixupPos, uint8_t *Target) {
   int64_t Rel = Target - (FixupPos + 4);
   int32_t R32 = (int32_t)Rel;
   std::memcpy(FixupPos, &R32, 4);
+}
+
+void Assembler::patchRel8(uint8_t *FixupPos, uint8_t *Target) {
+  int64_t Rel = Target - (FixupPos + 1);
+  assert(Rel >= -128 && Rel <= 127);
+  *FixupPos = (uint8_t)(int8_t)Rel;
 }
 
 } // namespace tracejit

@@ -1,8 +1,14 @@
 //===- assembler_x64.h - Minimal x86-64 encoder --------------------------------===//
 //
 // A small hand-written x86-64 instruction encoder covering exactly what the
-// trace compiler emits. Addressing is register-direct or [base + disp32];
-// the compiler lowers indexed addressing to explicit address arithmetic.
+// trace compiler emits. Addressing is register-direct, [base + disp] (the
+// disp8 form whenever the displacement fits) or RIP-relative; the compiler
+// lowers indexed addressing to explicit address arithmetic.
+//
+// RIP-relative forms and rel32 branches take their target as a write-view
+// pointer into the code pool and are computed against the write-view pc:
+// both views of the pool share offsets, so the displacement is the same
+// in the exec view the code runs from.
 //
 //===----------------------------------------------------------------------===//
 
@@ -105,6 +111,7 @@ public:
   /// 32 bits, `movabs` otherwise. Variable length: never patch its bytes.
   void movRI64(Gpr Dst, uint64_t Imm);
   void movRI32(Gpr Dst, int32_t Imm);
+  void movRI8(Gpr Dst, uint8_t Imm); ///< Low byte only; the rest is kept.
   /// [base+disp] = imm: a dword, or (\p W) a qword sign-extended from it.
   void movMI(bool W, Gpr Base, int32_t Disp, int32_t Imm);
   void movRM64(Gpr Dst, Gpr Base, int32_t Disp); ///< dst = [base+disp]
@@ -114,6 +121,8 @@ public:
   void movzxByteRM(Gpr Dst, Gpr Base, int32_t Disp);
   /// dst = [base + index*8]; \p Base must not be rbp/r13, \p Index not rsp.
   void movRMIndex64(Gpr Dst, Gpr Base, Gpr Index);
+  void lea(Gpr Dst, Gpr Base, int32_t Disp); ///< dst = base + disp (64-bit)
+  void leaRip(Gpr Dst, const uint8_t *Target); ///< dst = exec address of Target
 
   // --- 32-bit ALU ---------------------------------------------------------------
   /// `op r, r/m` (e.g. 0x03 = add), 64-bit when \p W.
@@ -134,6 +143,9 @@ public:
   /// (immediate sign-extended) when \p W. \p Ext is the ModRM reg field:
   /// one of the Alu* constants.
   void aluRI(bool W, uint8_t Ext, Gpr Dst, int32_t Imm);
+  /// The same with a memory destination: `op dword/qword [base+disp], imm`.
+  void aluMI(bool W, uint8_t Ext, Gpr Base, int32_t Disp, int32_t Imm);
+  void cmpMI8(Gpr Base, int32_t Disp, uint8_t Imm); ///< cmp byte [m], imm8
   void shlCl32(Gpr Dst);
   void sarCl32(Gpr Dst);
   void shrCl32(Gpr Dst);
@@ -170,19 +182,26 @@ public:
   void movzxByteRR(Gpr Dst, Gpr Src);
   /// jcc rel32 with a target known later; returns the fixup position.
   uint8_t *jccFwd(Cond C);
+  /// jcc rel8 with a target known later (within 127 bytes); returns the
+  /// fixup position for patchRel8.
+  uint8_t *jcc8Fwd(Cond C);
   uint8_t *jmpFwd();
   void jmp(uint8_t *Target);
   /// jmp rel8; \p Target must be within rel8 range of the next instruction.
   void jmp8(uint8_t *Target);
   void jmpReg(Gpr R);
   void callReg(Gpr R);
+  void callRel(const uint8_t *Target);  ///< call rel32
+  void callRip(const uint8_t *Slot);    ///< call qword [rip+disp32]
   void push(Gpr R);
   void pop(Gpr R);
   void ret();
   void int3();
+  void data64(uint64_t V) { emit64(V); } ///< A raw 8-byte word (tables).
 
   /// Patch a previously emitted rel32 at \p FixupPos to jump to \p Target.
   static void patchRel32(uint8_t *FixupPos, uint8_t *Target);
+  static void patchRel8(uint8_t *FixupPos, uint8_t *Target);
 
 private:
   void emit8(uint8_t B) {
@@ -196,6 +215,7 @@ private:
   void rex(bool W, uint8_t Reg, uint8_t Rm, bool Force = false);
   void modRMReg(uint8_t Reg, uint8_t Rm);
   void modRMMem(uint8_t Reg, uint8_t Base, int32_t Disp);
+  void modRMRip(uint8_t Reg, const uint8_t *Target);
 
   uint8_t *Begin;
   uint8_t *Cur;

@@ -8,7 +8,7 @@
 namespace tracejit {
 
 void runCompileJob(CompileJob &J) {
-  J.Result = J.Backend ? J.Backend->compile(J.Frag, J.Ctx)
+  J.Result = J.Backend ? J.Backend->compile(J.Frag)
                        : CompileResult::BackendUnavailable;
   J.Compiled = true;
 }
@@ -59,7 +59,7 @@ void CompileService::workerMain() {
     L.unlock();
 
     // The only code that runs off the engine thread. It writes the job's
-    // fragment (NativeEntry/NativeSize/exit PatchAddrs) and allocates from
+    // fragment (NativeEntry/NativeSize/exit JumpSites) and allocates from
     // the backend's mutexed pool; the mutex reacquired below publishes
     // those writes to the engine thread that drains the job.
     runCompileJob(E.Job);

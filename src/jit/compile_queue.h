@@ -26,7 +26,7 @@
 // Threading contract (see DESIGN.md "Threading model"):
 //
 //  * The worker touches ONLY the job's fragment (NativeEntry / NativeSize /
-//    exit PatchAddrs), the backend's ExecMemPool (internally mutexed), and
+//    exit JumpSites), the backend's ExecMemPool (internally mutexed), and
 //    the job's Result. It never touches VMStats, JitEvents, LoopStates, or
 //    interpreter state -- those belong to the engine thread and are
 //    updated at publication.
@@ -57,7 +57,6 @@
 namespace tracejit {
 
 struct LoopState;
-struct VMContext;
 
 /// One trace compilation, self-contained enough to run on the worker and
 /// to be dropped without dereferencing anything (the Id/Pc copies exist so
@@ -65,7 +64,6 @@ struct VMContext;
 struct CompileJob {
   Fragment *Frag = nullptr;
   NativeBackend *Backend = nullptr;
-  VMContext *Ctx = nullptr; ///< Stable-address context (LastNestedExit embed).
 
   // --- Publication bookkeeping (engine thread only) -------------------------
   uint32_t Generation = 0;          ///< Cache generation at submit time.

@@ -2,6 +2,7 @@
 
 #include "jit/compiler_x64.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <unordered_map>
@@ -10,27 +11,38 @@
 #include "interp/vmcontext.h"
 #include "jit/assembler_x64.h"
 #include "lir/lir.h"
+#include "trace/helpers.h"
 
 namespace tracejit {
 
 // --- Runtime stubs -------------------------------------------------------------
 
-NativeBackend::NativeBackend(size_t CacheBytes, const FaultHook *FI)
-    : Pool(CacheBytes, FI), Faults(FI) {
+/// The register compiled code keeps the backend's VMContext* in.
+constexpr Gpr CtxReg = R15;
+
+NativeBackend::NativeBackend(VMContext *C, size_t CacheBytes,
+                             const FaultHook *FI)
+    : Ctx(C), Pool(CacheBytes, FI), Faults(FI) {
   if (!Pool.valid())
     return;
   emitRuntimeStubs();
-  Pool.setFloor(); // whole-cache flushes keep the stubs
+  Pool.setFloor(); // whole-cache flushes keep the stubs and the table
   Ready = Trampoline != nullptr;
 }
 
 void NativeBackend::emitRuntimeStubs() {
-  uint8_t *Mem = Pool.reserve(128);
+  CallTargets = traceCallTargets();
+  std::sort(CallTargets.begin(), CallTargets.end());
+  CallTargets.erase(std::unique(CallTargets.begin(), CallTargets.end()),
+                    CallTargets.end());
+  const size_t Bytes = 128 + 8 * CallTargets.size();
+  uint8_t *Mem = Pool.reserve(Bytes);
   if (!Mem)
     return;
-  Assembler A(Mem, 128);
+  Assembler A(Mem, Bytes);
 
-  // EnterFn(rdi = TAR, rsi = fragment code).
+  // EnterFn(rdi = TAR, rsi = fragment code). Nested tree calls enter here
+  // too, with the same TAR bias and context.
   uint8_t *Entry = A.pc();
   A.push(RBP);
   A.push(RBX);
@@ -38,7 +50,8 @@ void NativeBackend::emitRuntimeStubs() {
   A.push(R13);
   A.push(R14);
   A.push(R15);
-  A.movRR64(RBX, RDI);
+  A.lea(RBX, RDI, TarBias);
+  A.movRI64(CtxReg, (uint64_t)(uintptr_t)Ctx);
   A.addRI64(RSP, -SpillAreaBytes);
   A.jmpReg(RSI);
 
@@ -53,25 +66,41 @@ void NativeBackend::emitRuntimeStubs() {
   A.pop(RBP);
   A.ret();
 
+  // The call table: one 8-byte slot per address, read by
+  // `call [rip+disp32]` through the exec view.
+  while (A.size() % 8)
+    A.int3();
+  uint8_t *Table = A.pc();
+  for (const void *T : CallTargets)
+    A.data64((uint64_t)(uintptr_t)T);
+
   if (A.overflowed()) {
     Pool.rewind();
     return;
   }
   Pool.commit(A.size());
-  // The trampoline is called, so it must be an exec-view address.
+  // The trampoline is called from C++, so it must be an exec-view address.
   // Everything else in the pool stays write-view.
   Trampoline = (EnterFn)Pool.execAddr(Entry);
+  TrampolineCode = Entry;
+  CallTable = Table;
+}
+
+const uint8_t *NativeBackend::callSlot(const void *Fn) const {
+  auto It = std::lower_bound(CallTargets.begin(), CallTargets.end(), Fn);
+  if (!CallTable || It == CallTargets.end() || *It != Fn)
+    return nullptr;
+  return CallTable + 8 * (It - CallTargets.begin());
 }
 
 void NativeBackend::patchExitTo(ExitDescriptor *E, Fragment *Target) {
   E->Target = Target;
-  if (E->PatchAddr && Target->NativeEntry) {
-    // Overwrite the stub's `mov eax, <index>` with `jmp rel32` through the
-    // write view; both views share offsets, so the rel32 is the same.
-    uint8_t *P = E->PatchAddr;
-    P[0] = 0xE9;
-    Assembler::patchRel32(P + 1, Target->NativeEntry);
-  }
+  if (!Target->NativeEntry)
+    return;
+  // Retarget every jcc/jmp that leaves for this exit through the write
+  // view; both views share offsets, so the rel32 is the same.
+  for (uint8_t *Site : E->JumpSites)
+    Assembler::patchRel32(Site, Target->NativeEntry);
 }
 
 // --- Fragment compiler ------------------------------------------------------------
@@ -90,8 +119,9 @@ struct ValState {
   bool Fused = false;  ///< Compare folded into the following guard.
 };
 
-constexpr Gpr GprPool[] = {RCX, RDX, RSI, RDI, R8,  R9,  R10,
-                           R11, RBP, R12, R13, R14, R15};
+// RAX is scratch, RBX the biased TAR pointer, R15 the context.
+constexpr Gpr GprPool[] = {RCX, RDX, RSI, RDI, R8,  R9,
+                           R10, R11, RBP, R12, R13, R14};
 constexpr int NumGprPool = (int)(sizeof(GprPool) / sizeof(GprPool[0]));
 constexpr bool isCallerSavedGpr(Gpr R) {
   return R == RCX || R == RDX || R == RSI || R == RDI || R == R8 || R == R9 ||
@@ -101,18 +131,14 @@ constexpr Gpr IntArgRegs[] = {RDI, RSI, RDX, RCX, R8, R9};
 
 constexpr int NumXmmPool = 15; // XMM1..XMM15; XMM0 is scratch/return
 
-/// `mov eax, imm32` + `jmp rel8`: an exit stub within rel8 range of the tail.
-constexpr uint32_t CompactStubBytes = 7;
-/// `mov eax, imm32` + `jmp rel32`: an exit stub too far from the tail.
-constexpr uint32_t FarStubBytes = 10;
-/// How many stubs can precede the tail and still reach it with a rel8.
-constexpr uint32_t MaxCompactStubs = 127 / CompactStubBytes + 1;
+/// Exit stubs load their index with `mov al, imm8` when the fragment has
+/// at most this many exits, and with `mov eax, imm32` otherwise.
+constexpr uint32_t MaxByteIndexedExits = 256;
 
 class FragmentCompiler {
 public:
-  FragmentCompiler(NativeBackend &BE, Fragment *F, VMContext *Ctx,
-                   Assembler &A)
-      : BE(BE), F(F), Ctx(Ctx), A(A), Body(F->Body) {}
+  FragmentCompiler(NativeBackend &BE, Fragment *F, Assembler &A)
+      : BE(BE), F(F), Ctx(BE.context()), A(A), Body(F->Body) {}
 
   bool run();
 
@@ -175,7 +201,7 @@ private:
   }
 
   /// Paper §5.2: evict the value whose next reference is furthest away.
-  Gpr allocGpr(uint32_t Pos, uint32_t AvoidMask) {
+  Gpr allocGpr(uint32_t AvoidMask) {
     for (int K = 0; K < NumGprPool; ++K) {
       Gpr R = GprPool[K];
       if (!GprHeld[R] && !(AvoidMask & (1u << R)))
@@ -200,11 +226,10 @@ private:
       return RCX;
     }
     spill(GprHeld[Victim]);
-    (void)Pos;
     return Victim;
   }
 
-  Xmm allocXmm(uint32_t Pos, uint32_t AvoidMask) {
+  Xmm allocXmm(uint32_t AvoidMask) {
     for (int K = 1; K <= NumXmmPool; ++K) {
       if (!XmmHeld[K] && !(AvoidMask & (1u << K)))
         return (Xmm)K;
@@ -227,7 +252,6 @@ private:
       return XMM1;
     }
     spill(XmmHeld[Victim]);
-    (void)Pos;
     return (Xmm)Victim;
   }
 
@@ -246,36 +270,73 @@ private:
 
   /// Materialize/reload \p V into a register, avoiding AvoidMask.
   Gpr ensureGpr(LIns *V, uint32_t AvoidMask = 0) {
-    if (V->Op == LOp::ParamTar)
-      return RBX;
     ValState &S = st(V);
     if (S.Loc == LocKind::Reg)
       return (Gpr)S.Reg;
-    Gpr R = allocGpr(CurPos, AvoidMask);
-    if (S.Loc == LocKind::Spill) {
+    Gpr R = allocGpr(AvoidMask);
+    if (S.Loc == LocKind::Spill)
       A.movRM64(R, RSP, S.Slot * 8);
-    } else {
-      switch (V->Op) {
-      case LOp::ImmI:
-        A.movRI32(R, V->Imm.ImmI32);
-        break;
-      case LOp::ImmQ:
-        A.movRI64(R, (uint64_t)V->Imm.ImmQ64);
-        break;
-      default:
-        Failed = true; // value was never defined: compiler bug
-        break;
-      }
-    }
+    else
+      rematerialize(R, V);
     bindGpr(V, R);
     return R;
+  }
+
+  /// Offset of \p Addr within the VMContext, when it lies inside it.
+  bool ctxOffset(int64_t Addr, int32_t &Off) const {
+    uintptr_t P = (uintptr_t)Addr, C = (uintptr_t)Ctx;
+    if (P < C || P - C >= sizeof(VMContext))
+      return false;
+    Off = (int32_t)(P - C);
+    return true;
+  }
+
+  /// Load the value of an immediate or of ParamTar into \p Dst: ParamTar
+  /// and addresses inside the VMContext from RBX and R15.
+  void rematerialize(Gpr Dst, const LIns *V) {
+    int32_t Off = 0;
+    switch (V->Op) {
+    case LOp::ParamTar:
+      A.lea(Dst, RBX, -TarBias);
+      return;
+    case LOp::ImmI:
+      A.movRI32(Dst, V->Imm.ImmI32);
+      return;
+    case LOp::ImmQ:
+      if (!ctxOffset(V->Imm.ImmQ64, Off))
+        A.movRI64(Dst, (uint64_t)V->Imm.ImmQ64);
+      else if (Off == 0)
+        A.movRR64(Dst, CtxReg);
+      else
+        A.lea(Dst, CtxReg, Off);
+      return;
+    default:
+      Failed = true; // value was never defined: compiler bug
+      return;
+    }
+  }
+
+  /// The memory operand [\p Base + \p Disp]: TAR bytes off the biased
+  /// RBX, VMContext fields off R15, anything else off \p Base's register.
+  struct MemRef {
+    Gpr Reg;
+    int32_t Disp;
+  };
+  MemRef memRef(LIns *Base, int32_t Disp, uint32_t AvoidMask = 0) {
+    int32_t Off = 0;
+    if (Base->Op == LOp::ParamTar)
+      return {RBX, Disp - TarBias};
+    if (Base->Op == LOp::ImmQ && st(Base).Loc != LocKind::Reg &&
+        ctxOffset(Base->Imm.ImmQ64 + Disp, Off))
+      return {CtxReg, Off};
+    return {ensureGpr(Base, AvoidMask), Disp};
   }
 
   Xmm ensureXmm(LIns *V, uint32_t AvoidMask = 0) {
     ValState &S = st(V);
     if (S.Loc == LocKind::Reg)
       return (Xmm)S.Reg;
-    Xmm R = allocXmm(CurPos, AvoidMask);
+    Xmm R = allocXmm(AvoidMask);
     if (S.Loc == LocKind::Spill) {
       A.movsdRM(R, RSP, S.Slot * 8);
     } else if (V->Op == LOp::ImmD) {
@@ -315,7 +376,7 @@ private:
 
   /// Release operand registers whose last use this was.
   void consume(LIns *V) {
-    if (!V || V->Op == LOp::ParamTar)
+    if (!V)
       return;
     ValState &S = st(V);
     while (S.UseCursor < S.Uses.size() && S.Uses[S.UseCursor] <= CurPos)
@@ -325,12 +386,12 @@ private:
   }
 
   Gpr defGpr(LIns *I, uint32_t AvoidMask = 0) {
-    Gpr R = allocGpr(CurPos, AvoidMask);
+    Gpr R = allocGpr(AvoidMask);
     bindGpr(I, R);
     return R;
   }
   Xmm defXmm(LIns *I, uint32_t AvoidMask = 0) {
-    Xmm R = allocXmm(CurPos, AvoidMask);
+    Xmm R = allocXmm(AvoidMask);
     bindXmm(I, R);
     return R;
   }
@@ -396,6 +457,11 @@ private:
   /// Try to fuse a compare whose single use is the immediately following
   /// guard; returns true when handled at the guard site instead.
   bool fuseWithNextGuard(uint32_t Pos, LIns *I);
+  /// Try to fold a load into the next non-immediate instruction, a
+  /// compare against an immediate that fuses with its guard
+  /// (`cmp [m], imm; jcc`): the §6.4 preempt check and object-kind checks.
+  /// True when the load is left to the compare.
+  bool fuseLoadWithNextCompare(uint32_t Pos, LIns *Ld);
   void emitFusedGuard(LIns *Guard, LIns *Cmp);
   /// Emit the flags-setting half of an integer/pointer compare (folding an
   /// immediate operand, `test` against zero) and return the condition
@@ -414,22 +480,13 @@ private:
 };
 
 void FragmentCompiler::loadArgGpr(Gpr Dst, LIns *V) {
-  if (V->Op == LOp::ParamTar) {
-    A.movRR64(Dst, RBX);
-    return;
-  }
   ValState &S = st(V);
-  if (S.Loc == LocKind::Reg) {
+  if (S.Loc == LocKind::Reg)
     A.movRR64(Dst, (Gpr)S.Reg);
-  } else if (S.Loc == LocKind::Spill) {
+  else if (S.Loc == LocKind::Spill)
     A.movRM64(Dst, RSP, S.Slot * 8);
-  } else if (V->Op == LOp::ImmI) {
-    A.movRI32(Dst, V->Imm.ImmI32);
-  } else if (V->Op == LOp::ImmQ) {
-    A.movRI64(Dst, (uint64_t)V->Imm.ImmQ64);
-  } else {
-    Failed = true;
-  }
+  else
+    rematerialize(Dst, V);
 }
 
 void FragmentCompiler::loadArgXmm(Xmm Dst, LIns *V) {
@@ -494,12 +551,56 @@ static Cond swapOperands(Cond C) {
 
 static Cond invert(Cond C) { return (Cond)(C ^ 1); }
 
+/// True when \p I's only use is the instruction right after it, a guard
+/// on \p I.
+static bool onlyUseIsNextGuard(const std::vector<uint32_t> &Uses,
+                               const std::vector<LIns *> &Body, uint32_t Pos,
+                               const LIns *I) {
+  if (Uses.size() != 1 || Uses[0] != Pos + 1 || Pos + 1 >= Body.size())
+    return false;
+  const LIns *Next = Body[Pos + 1];
+  return (Next->Op == LOp::GuardT || Next->Op == LOp::GuardF) && Next->A == I;
+}
+
 bool FragmentCompiler::fuseWithNextGuard(uint32_t Pos, LIns *I) {
   ValState &S = st(I);
-  if (S.Uses.size() != 1 || S.Uses[0] != Pos + 1)
+  if (!onlyUseIsNextGuard(S.Uses, Body, Pos, I))
     return false;
-  LIns *Next = Body[Pos + 1];
-  if ((Next->Op != LOp::GuardT && Next->Op != LOp::GuardF) || Next->A != I)
+  S.Fused = true;
+  return true;
+}
+
+bool FragmentCompiler::fuseLoadWithNextCompare(uint32_t Pos, LIns *Ld) {
+  // Immediates in between emit nothing.
+  uint32_t CPos = Pos + 1;
+  while (CPos < Body.size() && Body[CPos]->isImm())
+    ++CPos;
+  ValState &S = st(Ld);
+  if (S.Uses.size() != 1 || S.Uses[0] != CPos)
+    return false;
+  LIns *C = Body[CPos];
+  LIns *Other = C->A == Ld ? C->B : C->A;
+  int32_t Imm = 0;
+  if (!Other || !asImm32(Other, Imm) ||
+      !onlyUseIsNextGuard(st(C).Uses, Body, CPos, C))
+    return false;
+  switch (C->Op) {
+  case LOp::EqI:
+  case LOp::NeI:
+    break;
+  case LOp::LtI:
+  case LOp::LeI:
+  case LOp::GtI:
+  case LOp::GeI:
+  case LOp::LtUI:
+    // A byte compare would read the zero-extended byte as signed.
+    if (Ld->Op != LOp::LdI)
+      return false;
+    break;
+  default:
+    return false;
+  }
+  if (Ld->Op == LOp::LdUB && (Imm < 0 || Imm > 255))
     return false;
   S.Fused = true;
   return true;
@@ -513,6 +614,18 @@ Cond FragmentCompiler::emitIntCompare(LIns *C) {
   if (!asImm32(R, Imm) && asImm32(L, Imm)) {
     std::swap(L, R);
     CC = swapOperands(CC);
+  }
+  if (st(L).Fused) {
+    // A load folded into this compare (fuseLoadWithNextCompare).
+    MemRef M = memRef(L->A, L->Disp);
+    if (L->Op == LOp::LdUB)
+      A.cmpMI8(M.Reg, M.Disp, (uint8_t)Imm);
+    else
+      A.aluMI(false, AluCmp, M.Reg, M.Disp, Imm);
+    consume(L->A);
+    consume(C->A);
+    consume(C->B);
+    return CC;
   }
   Gpr Rl = ensureGpr(L);
   if (asImm32(R, Imm)) {
@@ -579,9 +692,9 @@ void FragmentCompiler::emitFusedGuard(LIns *G, LIns *C) {
     bool ExitOnEqual = (CondIsEq == ExitIfTrue);
     if (ExitOnEqual) {
       // exit iff ZF && !PF: skip on parity, then exit on equal.
-      uint8_t *Skip = A.jccFwd(CondP);
+      uint8_t *Skip = A.jcc8Fwd(CondP);
       jccToExit(CondE, G->Exit);
-      Assembler::patchRel32(Skip, A.pc());
+      Assembler::patchRel8(Skip, A.pc());
     } else {
       // exit iff !ZF || PF.
       jccToExit(CondP, G->Exit);
@@ -772,7 +885,7 @@ void FragmentCompiler::emitShift(LIns *I) {
   // a plain spill would leave a stale register assignment for A.
   if (GprHeld[RCX] && GprHeld[RCX] != I->B) {
     LIns *V = GprHeld[RCX];
-    Gpr NR = allocGpr(CurPos, maskOf(RCX) | maskOf(Ra) | maskOf(Rb));
+    Gpr NR = allocGpr(maskOf(RCX) | maskOf(Ra) | maskOf(Rb));
     if (Failed)
       return;
     A.movRR64(NR, RCX);
@@ -822,8 +935,12 @@ void FragmentCompiler::emitCall(LIns *I) {
   }
   for (uint32_t K = 0; K < I->NCallArgs; ++K)
     consume(I->CallArgs[K]);
-  A.movRI64(RAX, (uint64_t)(uintptr_t)CI->Addr);
-  A.callReg(RAX);
+  if (const uint8_t *Slot = BE.callSlot(CI->Addr)) {
+    A.callRip(Slot);
+  } else {
+    A.movRI64(RAX, (uint64_t)(uintptr_t)CI->Addr);
+    A.callReg(RAX);
+  }
   if (CI->Ret == LTy::D) {
     Xmm Xd = defXmm(I);
     A.movsdRR(Xd, XMM0);
@@ -835,58 +952,61 @@ void FragmentCompiler::emitCall(LIns *I) {
 
 void FragmentCompiler::emitTreeCall(LIns *I) {
   flushForCall();
-  A.movRR64(RDI, RBX);
-  // imm64 code addresses must point into the executable view; rel32 jumps
-  // within the pool are view-agnostic, absolute embeds are not.
-  A.movRI64(RSI,
-            (uint64_t)(uintptr_t)BE.pool().execAddr(I->Target->NativeEntry));
-  A.movRI64(RAX, (uint64_t)(uintptr_t)BE.trampolineAddr());
-  A.callReg(RAX);
+  // Re-enter the trampoline with the inner tree's entry: both are in the
+  // pool, so the code address is RIP-relative and the call a rel32, and
+  // the view they resolve in is the exec view the caller runs from.
+  A.lea(RDI, RBX, -TarBias);
+  A.leaRip(RSI, I->Target->NativeEntry);
+  A.callRel(BE.trampolineCode());
   // Guard: did the inner tree return through the expected exit?
   A.movRI64(RCX, (uint64_t)(uintptr_t)I->ExpectedExit);
   A.cmpRR64(RAX, RCX);
-  uint8_t *Ok = A.jccFwd(CondE);
-  A.movRI64(RCX, (uint64_t)(uintptr_t)&Ctx->LastNestedExit);
-  A.movMR64(RCX, 0, RAX);
+  uint8_t *Ok = A.jcc8Fwd(CondE);
+  A.movMR64(CtxReg,
+            (int32_t)((uint8_t *)&Ctx->LastNestedExit - (uint8_t *)Ctx), RAX);
   jmpToExit(I->Exit);
-  Assembler::patchRel32(Ok, A.pc());
+  Assembler::patchRel8(Ok, A.pc());
 }
 
 void FragmentCompiler::emitIns(uint32_t Pos, LIns *I) {
   CurPos = Pos;
   switch (I->Op) {
   case LOp::ParamTar:
-    return; // pinned in RBX
+    return; // pinned in RBX (biased); rematerialized where used as a value
   case LOp::ImmI:
   case LOp::ImmQ:
   case LOp::ImmD:
     return; // rematerialized at use sites
 
   case LOp::LdI: {
-    Gpr Rb = ensureGpr(I->A);
-    Gpr Rd = defGpr(I, maskOf(Rb));
-    A.movRM32(Rd, Rb, I->Disp);
+    if (fuseLoadWithNextCompare(Pos, I))
+      return;
+    MemRef M = memRef(I->A, I->Disp);
+    Gpr Rd = defGpr(I, maskOf(M.Reg));
+    A.movRM32(Rd, M.Reg, M.Disp);
     consume(I->A);
     return;
   }
   case LOp::LdQ: {
-    Gpr Rb = ensureGpr(I->A);
-    Gpr Rd = defGpr(I, maskOf(Rb));
-    A.movRM64(Rd, Rb, I->Disp);
+    MemRef M = memRef(I->A, I->Disp);
+    Gpr Rd = defGpr(I, maskOf(M.Reg));
+    A.movRM64(Rd, M.Reg, M.Disp);
     consume(I->A);
     return;
   }
   case LOp::LdUB: {
-    Gpr Rb = ensureGpr(I->A);
-    Gpr Rd = defGpr(I, maskOf(Rb));
-    A.movzxByteRM(Rd, Rb, I->Disp);
+    if (fuseLoadWithNextCompare(Pos, I))
+      return;
+    MemRef M = memRef(I->A, I->Disp);
+    Gpr Rd = defGpr(I, maskOf(M.Reg));
+    A.movzxByteRM(Rd, M.Reg, M.Disp);
     consume(I->A);
     return;
   }
   case LOp::LdD: {
-    Gpr Rb = ensureGpr(I->A);
+    MemRef M = memRef(I->A, I->Disp);
     Xmm Xd = defXmm(I);
-    A.movsdRM(Xd, Rb, I->Disp);
+    A.movsdRM(Xd, M.Reg, M.Disp);
     consume(I->A);
     return;
   }
@@ -895,15 +1015,15 @@ void FragmentCompiler::emitIns(uint32_t Pos, LIns *I) {
   case LOp::StQ: {
     bool Is64 = I->Op == LOp::StQ;
     int32_t Imm = 0;
-    Gpr Rb = ensureGpr(I->B);
+    MemRef M = memRef(I->B, I->Disp);
     if (asImm32(I->A, Imm)) {
-      A.movMI(Is64, Rb, I->Disp, Imm);
+      A.movMI(Is64, M.Reg, M.Disp, Imm);
     } else {
-      Gpr Rv = ensureGpr(I->A, maskOf(Rb));
+      Gpr Rv = ensureGpr(I->A, maskOf(M.Reg));
       if (Is64)
-        A.movMR64(Rb, I->Disp, Rv);
+        A.movMR64(M.Reg, M.Disp, Rv);
       else
-        A.movMR32(Rb, I->Disp, Rv);
+        A.movMR32(M.Reg, M.Disp, Rv);
     }
     consume(I->A);
     consume(I->B);
@@ -911,8 +1031,8 @@ void FragmentCompiler::emitIns(uint32_t Pos, LIns *I) {
   }
   case LOp::StD: {
     Xmm Xv = ensureXmm(I->A);
-    Gpr Rb = ensureGpr(I->B);
-    A.movsdMR(Rb, I->Disp, Xv);
+    MemRef M = memRef(I->B, I->Disp);
+    A.movsdMR(M.Reg, M.Disp, Xv);
     consume(I->A);
     consume(I->B);
     return;
@@ -1082,36 +1202,47 @@ bool FragmentCompiler::run() {
     emitIns(P, Body[P]);
   }
 
-  // Exit stubs: one per descriptor so stitching can retarget every jump to
-  // that exit by patching a single site. A stub is `mov eax, <index>`
-  // (exactly the 5 bytes patchExitTo overwrites with `jmp rel32`) plus a
-  // jump to the fragment's one exit tail, which maps the index to its
-  // ExitDescriptor* through F->ExitTable and leaves by the shared epilogue.
+  // Exit stubs: one per descriptor. A stub loads the exit's index into al
+  // (eax past MaxByteIndexedExits) and jumps to the fragment's one exit
+  // tail, which maps the index to its ExitDescriptor* through
+  // F->ExitTable and leaves by the shared epilogue. Stitching never
+  // touches a stub: it rewrites the jump sites that lead to it.
   std::unordered_map<ExitDescriptor *, uint32_t> IndexOf;
   F->ExitTable.clear();
   for (PendingStub &S : Stubs)
-    if (IndexOf.emplace(S.Exit, (uint32_t)F->ExitTable.size()).second)
+    if (IndexOf.emplace(S.Exit, (uint32_t)F->ExitTable.size()).second) {
       F->ExitTable.push_back(S.Exit);
-  // The last MaxCompactStubs stubs reach the tail with a rel8; any before
-  // them take a rel32, so the tail's address is known up front.
+      S.Exit->JumpSites.clear();
+    }
+  // The last MaxCompact stubs reach the tail with a rel8; any before them
+  // take a rel32, so the tail's address is known up front.
   const uint32_t N = (uint32_t)F->ExitTable.size();
-  const uint32_t NumFar = N > MaxCompactStubs ? N - MaxCompactStubs : 0;
-  uint8_t *Tail =
-      A.pc() + NumFar * FarStubBytes + (N - NumFar) * CompactStubBytes;
+  const bool ByteIndex = N <= MaxByteIndexedExits;
+  const uint32_t MovBytes = ByteIndex ? 2 : 5;
+  const uint32_t CompactBytes = MovBytes + 2, FarBytes = MovBytes + 5;
+  const uint32_t MaxCompact = 127 / CompactBytes + 1;
+  const uint32_t NumFar = N > MaxCompact ? N - MaxCompact : 0;
+  uint8_t *Tail = A.pc() + NumFar * FarBytes + (N - NumFar) * CompactBytes;
   std::vector<uint8_t *> StubAt(N);
   for (uint32_t I = 0; I < N; ++I) {
     StubAt[I] = A.pc();
-    F->ExitTable[I]->PatchAddr = StubAt[I];
-    A.movRI32(RAX, (int32_t)I);
+    if (ByteIndex)
+      A.movRI8(RAX, (uint8_t)I);
+    else
+      A.movRI32(RAX, (int32_t)I);
     if (I < NumFar)
       A.jmp(Tail);
     else
       A.jmp8(Tail);
   }
-  for (PendingStub &S : Stubs)
+  for (PendingStub &S : Stubs) {
     Assembler::patchRel32(S.Fixup, StubAt[IndexOf[S.Exit]]);
+    S.Exit->JumpSites.push_back(S.Fixup);
+  }
   if (N) {
     assert(A.overflowed() || A.pc() == Tail);
+    if (ByteIndex)
+      A.movzxByteRR(RAX, RAX);
     A.movRI64(RCX, (uint64_t)(uintptr_t)F->ExitTable.data());
     A.movRMIndex64(RAX, RCX, RAX);
     A.jmp(BE.sharedEpilogue());
@@ -1123,7 +1254,7 @@ bool FragmentCompiler::run() {
 
 } // namespace
 
-CompileResult NativeBackend::compile(Fragment *F, VMContext *Ctx) {
+CompileResult NativeBackend::compile(Fragment *F) {
   if (!Ready)
     return CompileResult::BackendUnavailable;
   if (inject(FaultSite::CompileFail))
@@ -1133,11 +1264,13 @@ CompileResult NativeBackend::compile(Fragment *F, VMContext *Ctx) {
   if (!Mem)
     return CompileResult::PoolExhausted;
   Assembler A(Mem, Estimate);
-  FragmentCompiler FC(*this, F, Ctx, A);
+  FragmentCompiler FC(*this, F, A);
   if (!FC.run()) {
     bool Overflow = A.overflowed();
     F->NativeEntry = nullptr;
     F->NativeSize = 0;
+    for (ExitDescriptor *E : F->ExitTable)
+      E->JumpSites.clear();
     Pool.rewind(); // a failed compile returns its bytes
     return Overflow ? CompileResult::AssemblerOverflow
                     : CompileResult::Unsupported;

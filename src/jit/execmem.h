@@ -22,8 +22,9 @@
 // trace, whichever thread compiles. execAddr() translates a write-view
 // pointer to its exec-view twin. All pointers stored in Fragment /
 // ExitDescriptor / NativeBackend are write-view; translation happens only
-// at the two places code is entered (the trampoline) or embedded as an
-// absolute target in generated code (nested tree calls).
+// where C++ enters code (the trampoline). Generated code addresses other
+// pool code and data only by rel32 or RIP-relative displacements, which
+// are the same in both views.
 //
 // Bump-allocator state (reserve/commit/rewind/reset/used) is guarded by a
 // mutex so the compiler thread can allocate while the owning thread reads

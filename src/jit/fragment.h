@@ -84,7 +84,11 @@ struct ExitDescriptor {
   uint32_t FailedRecordings = 0;
   bool RecordingBlocked = false; ///< Stop trying to extend here.
   Fragment *Target = nullptr;  ///< Stitched branch fragment, if any.
-  uint8_t *PatchAddr = nullptr; ///< Native stub address for stitching.
+  /// Native code: the rel32 field of every jcc/jmp that leaves for this
+  /// exit (write-view addresses). Stitching (§6.2) rewrites each one to
+  /// jump straight into the branch fragment. Filled by the compile, on the
+  /// compiler thread when compiling off-thread.
+  std::vector<uint8_t *> JumpSites;
   /// A branch recording anchored at this exit is queued for off-thread
   /// compilation; blocks duplicate recordings until the job publishes.
   bool CompilePending = false;
@@ -176,7 +180,7 @@ public:
   uint32_t NativeSize = 0;
 
   /// Owned by a compile job in flight on the compiler thread. The engine
-  /// thread must not read NativeEntry/NativeSize/PatchAddrs or profile
+  /// thread must not read NativeEntry/NativeSize/JumpSites or profile
   /// this fragment until publication clears the flag.
   bool CompilePending = false;
 
@@ -188,7 +192,7 @@ public:
 
   /// Executor-backend link targets: exits linked to other fragments when
   /// stitching without native patching.
-  // (Exit->Target serves both backends; PatchAddr is native-only.)
+  // (Exit->Target serves both backends; JumpSites is native-only.)
 
   /// Iterations executed (entries via trampoline or internal loop edges).
   /// Counted by LIR instrumentation, so only in CollectStats builds.

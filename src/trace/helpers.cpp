@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "interp/interpreter.h"
+#include "interp/natives.h"
 #include "interp/vmcontext.h"
 #include "vm/object.h"
 #include "vm/string.h"
@@ -207,6 +208,23 @@ const HelperCalls &helperCalls() {
     return C;
   }();
   return H;
+}
+
+std::vector<const void *> traceCallTargets() {
+  const HelperCalls &H = helperCalls();
+  static_assert(sizeof(HelperCalls) == 20 * sizeof(CallInfo),
+                "list every new helper below");
+  std::vector<const void *> T;
+  for (const CallInfo *CI :
+       {&H.ToInt32D, &H.ModI, &H.ModD, &H.BoxDouble, &H.ArraySetV,
+        &H.ArraySetD, &H.ConcatSS, &H.ConcatSN, &H.EqSS, &H.CharAt,
+        &H.FromCharCode1, &H.NewArray, &H.NewObject, &H.InitProp,
+        &H.GetPropGeneric, &H.ArrayPushV, &H.TruthyD})
+    T.push_back(CI->Addr);
+  // MathD_* are prototypes without an address; the natives supply them.
+  for (size_t I = 0; const TraceableNative *N = traceableNativeAt(I); ++I)
+    T.push_back(N->RawFn);
+  return T;
 }
 
 CallInfo makeMathCallInfo(const CallInfo &Proto, void *Addr,

@@ -16,6 +16,8 @@
 #ifndef TRACEJIT_TRACE_HELPERS_H
 #define TRACEJIT_TRACE_HELPERS_H
 
+#include <vector>
+
 #include "lir/lir.h"
 
 namespace tracejit {
@@ -62,6 +64,11 @@ struct HelperCalls {
 };
 
 const HelperCalls &helperCalls();
+
+/// Every address a trace can call: each helper above and each traceable
+/// native's typed entry (interp/natives.h). The native backend keeps them
+/// in a table at its code pool's floor and calls through it.
+std::vector<const void *> traceCallTargets();
 
 /// Build a one-off CallInfo for a typed native with signature \p Proto but
 /// a different address; the result must be arena- or statically-owned by

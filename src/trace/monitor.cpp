@@ -18,7 +18,7 @@ namespace tracejit {
 TraceMonitor::TraceMonitor(VMContext &C, Interpreter &I)
     : Ctx(C), Interp(I), Policy(C.Opts) {
   if (Ctx.Opts.JitBackend == Backend::Native) {
-    Native = std::make_unique<NativeBackend>(Ctx.Opts.CodeCacheBytes,
+    Native = std::make_unique<NativeBackend>(&Ctx, Ctx.Opts.CodeCacheBytes,
                                              &Ctx.Opts.FaultInjector);
     if (!Native->valid()) {
       // Executable memory is unavailable (hardened kernel, no dual-map
@@ -71,7 +71,7 @@ void TraceMonitor::collectFragmentProfiles(
   Out.reserve(Out.size() + Fragments.size());
   for (const auto &F : Fragments) {
     if (F->CompilePending)
-      continue; // the worker owns NativeSize/PatchAddrs right now
+      continue; // the worker owns NativeSize/JumpSites right now
     FragmentProfile P;
     P.Id = F->Id;
     P.Generation = F->Generation;
@@ -729,7 +729,6 @@ void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
   CompileJob J;
   J.Frag = F;
   J.Backend = Native.get();
-  J.Ctx = &Ctx;
   J.Generation = CacheGeneration;
   J.LS = LS;
   J.IsRoot = F->Kind == FragmentKind::Root;

@@ -952,24 +952,36 @@ void TraceRecorder::recordBitop(Op O, uint32_t Pc) {
 // --- Control flow -----------------------------------------------------------------------------
 
 void TraceRecorder::recordBranch(Op O, uint32_t Pc) {
-  // Snapshot before the virtual pop so a failed guard re-executes the
-  // branch with the condition still on the interpreter stack.
+  // A Branch exit snapshots before the virtual pop, so a failed guard
+  // re-executes the branch with the condition still on the interpreter
+  // stack.
   Tracked C = top();
   LIns *T = truthyIns(C);
   bool ActualTruthy = peekStack(0).truthy();
   --VSp;
-  if (RecMode == Mode::Root && Loop && VFrames.size() == EntryFrameDepth &&
-      script() == F->AnchorScript) {
-    // A while or for loop's test is the only conditional jump in the loop's
-    // code that targets past the loop (an if, a && or a do-while test jumps
-    // within it; break is a plain Jump), and a root recording passes it
-    // once, before any body op. Taking it leaves the loop with no body
-    // recorded (endIfLeftLoop).
-    uint32_t Target = script()->u32At(Pc + 1);
-    if (ActualTruthy == (O == Op::JumpIfTrue) &&
-        (Target < Loop->HeaderPc || Target >= Loop->EndPc))
-      LeftAtLoopTest = true;
-  }
+  const bool Taken = ActualTruthy == (O == Op::JumpIfTrue);
+  const uint32_t Target = script()->u32At(Pc + 1);
+  auto OutsideLoop = [&](uint32_t P) {
+    return P < Loop->HeaderPc || P >= Loop->EndPc;
+  };
+  const bool InAnchorFrame =
+      Loop && VFrames.size() == EntryFrameDepth &&
+      script() == (RecMode == Mode::Root ? F : F->Root)->AnchorScript;
+  // A while or for loop's test is the only conditional jump in the loop's
+  // code that targets past the loop (an if, a && or a do-while test jumps
+  // within it; break is a plain Jump), and a root recording passes it
+  // once, before any body op. Taking it leaves the loop with no body
+  // recorded (endIfLeftLoop).
+  if (RecMode == Mode::Root && InAnchorFrame && Taken && OutsideLoop(Target))
+    LeftAtLoopTest = true;
+  // The direction not taken resumes at the jump target or past the jump.
+  // When that leaves the loop (a loop test, or a do-while's fall-through),
+  // the guard's exit is the loop's own end: a LoopExit at the resume pc,
+  // the condition popped. It grows no branch that would only leave the
+  // loop again, and an outer recording can nest this tree at once, since
+  // the tree leaves its loop through it (handleInnerLoopHeader).
+  const uint32_t Resume = Taken ? Pc + 5 : Target;
+  const bool GuardLeavesLoop = InAnchorFrame && OutsideLoop(Resume);
   if (T->Op == LOp::ImmI)
     return; // statically known: no divergence possible
   if (Ctx.Opts.StaticAnalysis) {
@@ -981,7 +993,6 @@ void TraceRecorder::recordBranch(Op O, uint32_t Pc) {
       if (It != A->BranchConst.end()) {
         if (It->second == ActualTruthy) {
           ++Ctx.Stats.StaticGuardsElided;
-          (void)O;
           return;
         }
         // Fact contradicts the live value: the fact is wrong. Record the
@@ -990,12 +1001,16 @@ void TraceRecorder::recordBranch(Op O, uint32_t Pc) {
       }
     }
   }
-  VSp++; // restore for the snapshot
-  ExitDescriptor *E = snapshot(ExitKind::Branch, Pc);
-  VSp--;
+  ExitDescriptor *E;
+  if (GuardLeavesLoop) {
+    E = snapshot(ExitKind::LoopExit, Resume);
+  } else {
+    VSp++; // restore for the snapshot
+    E = snapshot(ExitKind::Branch, Pc);
+    VSp--;
+  }
   // Stay on trace only along the recorded direction.
   W->insGuard(ActualTruthy ? LOp::GuardT : LOp::GuardF, T, E);
-  (void)O;
 }
 
 // --- Property / element access ------------------------------------------------------------------

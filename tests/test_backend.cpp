@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "jit/executor.h"
 #include "lir/lir.h"
 #include "support/arena.h"
+#include "trace/helpers.h"
 #include "trace/monitor.h"
 
 using namespace tracejit;
@@ -227,7 +230,7 @@ namespace {
 struct BackendFixture : ::testing::Test {
   EngineOptions Opts;
   VMContext Ctx{Opts};
-  NativeBackend BE;
+  NativeBackend BE{&Ctx};
   Arena A;
 
   /// Run a fragment under both backends against the same TAR contents and
@@ -241,7 +244,7 @@ struct BackendFixture : ::testing::Test {
     TarN.resize(TarInit.size() + 64);
     TarX.resize(TarInit.size() + 64);
 
-    ASSERT_EQ(BE.compile(&F, &Ctx), CompileResult::Ok);
+    ASSERT_EQ(BE.compile(&F), CompileResult::Ok);
     ExitDescriptor *EN = BE.enter(TarN.data(), &F);
     ExitDescriptor *EX =
         LirExecutor::run(&F, (uint8_t *)TarX.data(), &Ctx);
@@ -439,7 +442,7 @@ TEST_F(BackendFixture, StitchedExitTransfersToBranchFragment) {
     BufB.insExit(EB);
     FB.Body = BufB.instructions();
   }
-  ASSERT_EQ(BE.compile(&FB, &Ctx), CompileResult::Ok);
+  ASSERT_EQ(BE.compile(&FB), CompileResult::Ok);
 
   Fragment FA;
   LirBuffer BufA(A);
@@ -455,7 +458,7 @@ TEST_F(BackendFixture, StitchedExitTransfersToBranchFragment) {
     BufA.insExit(EEnd);
     FA.Body = BufA.instructions();
   }
-  ASSERT_EQ(BE.compile(&FA, &Ctx), CompileResult::Ok);
+  ASSERT_EQ(BE.compile(&FA), CompileResult::Ok);
 
   BE.patchExitTo(EA, &FB);
 
@@ -474,23 +477,53 @@ TEST_F(BackendFixture, StitchedExitTransfersToBranchFragment) {
   EXPECT_EQ((int32_t)Tar2[1], 777);
 }
 
-TEST_F(BackendFixture, ExitStubsAreSevenBytesWithOneTailPerFragment) {
-  // 30 guards with their own exits, then an unconditional exit: 31 stubs.
-  // Each stub is `mov eax, <index>` plus a jump to the fragment's one exit
-  // tail; the last 19 reach it with jmp rel8, the earlier ones need jmp
+namespace {
+
+/// Where the rel32 jump at \p Site lands (write view).
+const uint8_t *rel32Target(const uint8_t *Site) {
+  int32_t Rel;
+  memcpy(&Rel, Site, 4);
+  return Site + 4 + Rel;
+}
+
+/// The exit stub every jump site of \p E leads to.
+const uint8_t *stubOf(const ExitDescriptor *E) {
+  EXPECT_FALSE(E->JumpSites.empty());
+  const uint8_t *Stub = rel32Target(E->JumpSites[0]);
+  for (const uint8_t *Site : E->JumpSites)
+    EXPECT_EQ(rel32Target(Site), Stub) << "every site leads to one stub";
+  return Stub;
+}
+
+/// True when \p Bytes occurs in \p F's native code.
+bool codeContains(const Fragment &F, std::initializer_list<uint8_t> Bytes) {
+  std::vector<uint8_t> Needle(Bytes);
+  return std::search(F.NativeEntry, F.NativeEntry + F.NativeSize,
+                     Needle.begin(),
+                     Needle.end()) != F.NativeEntry + F.NativeSize;
+}
+
+/// A fragment that stores 777 to TAR word 1 and exits: a stitch target.
+void buildMarker(Arena &A, Fragment &FB) {
+  LirBuffer Buf(A);
+  LIns *Tar = Buf.ins0(LOp::ParamTar);
+  Buf.insStore(LOp::StI, Buf.insImmI(777), Tar, 8);
+  Buf.insExit(FB.makeExit());
+  FB.Body = Buf.instructions();
+}
+
+} // namespace
+
+TEST_F(BackendFixture, ExitStubsAreFourBytesWithOneTailPerFragment) {
+  // 40 guards with their own exits, then an unconditional exit: 41 stubs.
+  // Each stub is `mov al, <index>` plus a jump to the fragment's one exit
+  // tail; the last 32 reach it with jmp rel8, the earlier ones need jmp
   // rel32. Both forms must return the right descriptor, natively and when
   // stitched.
-  constexpr int NGuards = 30;
+  constexpr int NGuards = 40;
   Fragment FB;
-  LirBuffer BufB(A);
-  {
-    LIns *Tar = BufB.ins0(LOp::ParamTar);
-    BufB.insStore(LOp::StI, BufB.insImmI(777), Tar, 8);
-    ExitDescriptor *EB = FB.makeExit();
-    BufB.insExit(EB);
-    FB.Body = BufB.instructions();
-  }
-  ASSERT_EQ(BE.compile(&FB, &Ctx), CompileResult::Ok);
+  buildMarker(A, FB);
+  ASSERT_EQ(BE.compile(&FB), CompileResult::Ok);
 
   Fragment F;
   LirBuffer Buf(A);
@@ -502,41 +535,44 @@ TEST_F(BackendFixture, ExitStubsAreSevenBytesWithOneTailPerFragment) {
   ExitDescriptor *EEnd = F.makeExit();
   Buf.insExit(EEnd);
   F.Body = Buf.instructions();
-  ASSERT_EQ(BE.compile(&F, &Ctx), CompileResult::Ok);
+  ASSERT_EQ(BE.compile(&F), CompileResult::Ok);
 
   ASSERT_EQ(F.ExitTable.size(), (size_t)NGuards + 1);
   int Rel8 = 0, Rel32 = 0;
   for (uint32_t I = 0; I < F.ExitTable.size(); ++I) {
     ExitDescriptor *E = F.ExitTable[I];
     EXPECT_EQ(E, F.Exits[I].get());
-    const uint8_t *P = E->PatchAddr;
-    ASSERT_NE(P, nullptr);
-    EXPECT_EQ(P[0], 0xB8) << "stub " << I << " starts with mov eax, imm32";
-    uint32_t Imm;
-    memcpy(&Imm, P + 1, 4);
-    EXPECT_EQ(Imm, I);
-    if (P[5] == 0xEB) {
+    ASSERT_EQ(E->JumpSites.size(), 1u);
+    const uint8_t *P = stubOf(E);
+    EXPECT_EQ(P[0], 0xB0) << "stub " << I << " starts with mov al, imm8";
+    EXPECT_EQ(P[1], I);
+    if (P[2] == 0xEB) {
       ++Rel8;
       if (I + 1 < F.ExitTable.size()) {
-        EXPECT_EQ(F.ExitTable[I + 1]->PatchAddr, P + 7) << "7-byte stub";
+        EXPECT_EQ(stubOf(F.ExitTable[I + 1]), P + 4) << "4-byte stub";
       }
     } else {
-      EXPECT_EQ(P[5], 0xE9) << "stub " << I;
+      EXPECT_EQ(P[2], 0xE9) << "stub " << I;
       ++Rel32;
     }
   }
-  EXPECT_EQ(Rel8, 19);
-  EXPECT_EQ(Rel32, NGuards + 1 - 19);
-  // Stubs plus the tail end the fragment. The tail is 19 bytes when the
-  // exit table's address needs a movabs, as it does on 64-bit hosts with
-  // the heap above 4 GiB; a shorter mov takes 5 or 7.
+  EXPECT_EQ(Rel8, 32);
+  EXPECT_EQ(Rel32, NGuards + 1 - 32);
+  // Stubs plus the tail end the fragment. The tail is `movzx eax, al`
+  // (3 bytes) and then 19 bytes when the exit table's address needs a
+  // movabs, as it does on 64-bit hosts with the heap above 4 GiB; a
+  // shorter mov takes 5 or 7.
+  const uint8_t *Tail = stubOf(EEnd) + 4;
+  EXPECT_EQ(Tail[0], 0x0F);
+  EXPECT_EQ(Tail[1], 0xB6);
+  EXPECT_EQ(Tail[2], 0xC0);
   uint64_t Table = (uint64_t)(uintptr_t)F.ExitTable.data();
   uint32_t TailBytes = Table <= 0xffffffffu           ? 14
                        : fitsSImm32((int64_t)Table) ? 16
                                                     : 19;
-  EXPECT_EQ(F.NativeEntry + F.NativeSize, EEnd->PatchAddr + 7 + TailBytes);
+  EXPECT_EQ(F.NativeEntry + F.NativeSize, Tail + 3 + TailBytes);
 
-  for (int K : {0, 5, 11, 12, 13, 29}) {
+  for (int K : {0, 5, 8, 9, 20, 39}) {
     std::vector<uint64_t> TarN(8, 0), TarX(8, 0);
     TarN[0] = TarX[0] = (uint64_t)K;
     EXPECT_EQ(BE.enter(TarN.data(), &F), F.Exits[K].get()) << K;
@@ -548,11 +584,14 @@ TEST_F(BackendFixture, ExitStubsAreSevenBytesWithOneTailPerFragment) {
   TarEnd[0] = 1000;
   EXPECT_EQ(BE.enter(TarEnd.data(), &F), EEnd);
 
-  // Stitch one rel32-form stub and one rel8-form stub: the 5-byte patch
-  // replaces only the mov, and control reaches FB through either.
+  // Stitch the exit of one rel32-form stub and one rel8-form stub. The
+  // guard's own jcc is rewritten to enter FB; the stub stays as it was.
   for (int K : {0, NGuards - 1}) {
-    BE.patchExitTo(F.Exits[K].get(), &FB);
-    EXPECT_EQ(F.Exits[K]->PatchAddr[0], 0xE9);
+    ExitDescriptor *E = F.Exits[K].get();
+    const uint8_t *Stub = stubOf(E);
+    BE.patchExitTo(E, &FB);
+    EXPECT_EQ(rel32Target(E->JumpSites[0]), FB.NativeEntry);
+    EXPECT_EQ(Stub[0], 0xB0) << "the stub is not patched";
     std::vector<uint64_t> T(8, 0);
     T[0] = (uint64_t)K;
     EXPECT_EQ(BE.enter(T.data(), &F), FB.Exits[0].get()) << K;
@@ -562,6 +601,368 @@ TEST_F(BackendFixture, ExitStubsAreSevenBytesWithOneTailPerFragment) {
   std::vector<uint64_t> T(8, 0);
   T[0] = 1;
   EXPECT_EQ(BE.enter(T.data(), &F), F.Exits[1].get());
+}
+
+TEST_F(BackendFixture, MoreThan256ExitsIndexStubsWithAFullWord) {
+  // Past 256 exits a byte cannot index the exit table: every stub is
+  // `mov eax, imm32`, and the tail has no movzx.
+  constexpr int NGuards = 300;
+  Fragment F;
+  LirBuffer Buf(A);
+  LIns *Tar = Buf.ins0(LOp::ParamTar);
+  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+  for (int K = 0; K < NGuards; ++K)
+    Buf.insGuard(LOp::GuardF, Buf.ins2(LOp::EqI, X, Buf.insImmI(K)),
+                 F.makeExit());
+  ExitDescriptor *EEnd = F.makeExit();
+  Buf.insExit(EEnd);
+  F.Body = Buf.instructions();
+  ASSERT_EQ(BE.compile(&F), CompileResult::Ok);
+  for (int K : {0, 255, 256, 299}) {
+    const uint8_t *P = stubOf(F.Exits[K].get());
+    EXPECT_EQ(P[0], 0xB8) << K;
+    uint32_t Imm;
+    memcpy(&Imm, P + 1, 4);
+    EXPECT_EQ(Imm, (uint32_t)K);
+    std::vector<uint64_t> TarN(8, 0), TarX(8, 0);
+    TarN[0] = TarX[0] = (uint64_t)K;
+    EXPECT_EQ(BE.enter(TarN.data(), &F), F.Exits[K].get()) << K;
+    EXPECT_EQ(LirExecutor::run(&F, (uint8_t *)TarX.data(), &Ctx),
+              F.Exits[K].get());
+  }
+  EXPECT_EQ(stubOf(EEnd)[5], 0xEB) << "the last stub reaches the tail";
+  EXPECT_NE(stubOf(EEnd)[7], 0x0F) << "no movzx in a word-indexed tail";
+}
+
+TEST_F(BackendFixture, StitchedEqDExitPatchesBothJumpSites) {
+  // `GuardT(a == b)` on doubles exits when the operands are unordered
+  // (jp) or unequal (jne): two jump sites for one exit. Stitching must
+  // retarget both, so NaN and plain inequality both reach the branch.
+  Fragment FB;
+  buildMarker(A, FB);
+  ASSERT_EQ(BE.compile(&FB), CompileResult::Ok);
+
+  Fragment F;
+  LirBuffer Buf(A);
+  LIns *Tar = Buf.ins0(LOp::ParamTar);
+  LIns *X = Buf.insLoad(LOp::LdD, Tar, 16);
+  LIns *Y = Buf.insLoad(LOp::LdD, Tar, 24);
+  ExitDescriptor *E = F.makeExit();
+  Buf.insGuard(LOp::GuardT, Buf.ins2(LOp::EqD, X, Y), E);
+  ExitDescriptor *EEnd = F.makeExit();
+  Buf.insExit(EEnd);
+  F.Body = Buf.instructions();
+  ASSERT_EQ(BE.compile(&F), CompileResult::Ok);
+  ASSERT_EQ(E->JumpSites.size(), 2u);
+
+  auto Run = [&](double A0, double B0, bool Native) {
+    std::vector<uint64_t> T(8, 0);
+    memcpy(&T[2], &A0, 8);
+    memcpy(&T[3], &B0, 8);
+    ExitDescriptor *Got =
+        Native ? BE.enter(T.data(), &F)
+               : LirExecutor::run(&F, (uint8_t *)T.data(), &Ctx);
+    return std::make_pair(Got, (int32_t)T[1]);
+  };
+  const double NaN = std::nan("");
+  for (bool Native : {true, false}) {
+    EXPECT_EQ(Run(1.5, 1.5, Native).first, EEnd);
+    EXPECT_EQ(Run(1.5, 2.5, Native).first, E);
+    EXPECT_EQ(Run(NaN, 1.5, Native).first, E);
+  }
+  BE.patchExitTo(E, &FB);
+  for (uint8_t *Site : E->JumpSites)
+    EXPECT_EQ(rel32Target(Site), FB.NativeEntry);
+  for (bool Native : {true, false}) {
+    SCOPED_TRACE(Native ? "native" : "executor");
+    EXPECT_EQ(Run(1.5, 1.5, Native), std::make_pair(EEnd, 0));
+    EXPECT_EQ(Run(1.5, 2.5, Native), std::make_pair(FB.Exits[0].get(), 777));
+    EXPECT_EQ(Run(NaN, 1.5, Native), std::make_pair(FB.Exits[0].get(), 777));
+  }
+}
+
+TEST_F(BackendFixture, TreeCallMismatchStashesAndStitches) {
+  // An inner tree with two exits; the outer trace expects the first. A
+  // return through the second stashes it in LastNestedExit (through the
+  // context register) and leaves by the mismatch exit, which stitching
+  // can retarget like any other.
+  Fragment FB;
+  buildMarker(A, FB);
+  ASSERT_EQ(BE.compile(&FB), CompileResult::Ok);
+
+  Fragment FI;
+  ExitDescriptor *Want, *Other;
+  {
+    LirBuffer Buf(A);
+    LIns *Tar = Buf.ins0(LOp::ParamTar);
+    LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+    Other = FI.makeExit();
+    Buf.insGuard(LOp::GuardT, Buf.ins2(LOp::EqI, X, Buf.insImmI(0)), Other);
+    Buf.insStore(LOp::StI, Buf.insImmI(5), Tar, 16);
+    Want = FI.makeExit();
+    Buf.insExit(Want);
+    FI.Body = Buf.instructions();
+  }
+  ASSERT_EQ(BE.compile(&FI), CompileResult::Ok);
+
+  Fragment FO;
+  ExitDescriptor *Mismatch, *EEnd;
+  {
+    LirBuffer Buf(A);
+    LIns *Tar = Buf.ins0(LOp::ParamTar);
+    Mismatch = FO.makeExit();
+    Mismatch->Kind = ExitKind::Nested;
+    Buf.insTreeCall(&FI, Want, Mismatch);
+    Buf.insStore(LOp::StI, Buf.insImmI(9), Tar, 24);
+    EEnd = FO.makeExit();
+    Buf.insExit(EEnd);
+    FO.Body = Buf.instructions();
+  }
+  ASSERT_EQ(BE.compile(&FO), CompileResult::Ok);
+  // The stash is one `mov [r15+d8], rax`.
+  int32_t Off = (int32_t)((uint8_t *)&Ctx.LastNestedExit - (uint8_t *)&Ctx);
+  ASSERT_LT(Off, 128);
+  EXPECT_TRUE(codeContains(FO, {0x49, 0x89, 0x47, (uint8_t)Off}));
+
+  auto Run = [&](int32_t X, bool Native) {
+    std::vector<uint64_t> T(8, 0);
+    T[0] = (uint64_t)X;
+    Ctx.LastNestedExit = nullptr;
+    ExitDescriptor *Got =
+        Native ? BE.enter(T.data(), &FO)
+               : LirExecutor::run(&FO, (uint8_t *)T.data(), &Ctx);
+    return std::make_pair(Got, T);
+  };
+  for (bool Native : {true, false}) {
+    SCOPED_TRACE(Native ? "native" : "executor");
+    auto [Hit, THit] = Run(0, Native);
+    EXPECT_EQ(Hit, EEnd);
+    EXPECT_EQ(THit[2], 5u);
+    EXPECT_EQ(THit[3], 9u);
+    EXPECT_EQ(Ctx.LastNestedExit, nullptr);
+    auto [Miss, TMiss] = Run(1, Native);
+    EXPECT_EQ(Miss, Mismatch);
+    EXPECT_EQ(Ctx.LastNestedExit, Other);
+    EXPECT_EQ(TMiss[3], 0u);
+  }
+  BE.patchExitTo(Mismatch, &FB);
+  for (bool Native : {true, false}) {
+    SCOPED_TRACE(Native ? "native" : "executor");
+    auto [Got, T] = Run(1, Native);
+    EXPECT_EQ(Got, FB.Exits[0].get());
+    EXPECT_EQ(Ctx.LastNestedExit, Other);
+    EXPECT_EQ((int32_t)T[1], 777);
+  }
+}
+
+// --- Encodings: TAR bias, context register, call table ----------------------
+
+TEST_F(BackendFixture, TarAccessesAtEveryDisplacementWidth) {
+  // RBX points 128 bytes into the TAR: offsets 0-248 take a disp8, the
+  // rest a disp32. Load, change and store an I, Q and D word at each.
+  const int32_t Offsets[] = {0, 120, 128, 248, 256, 4096};
+  for (LOp Ld : {LOp::LdI, LOp::LdQ, LOp::LdD}) {
+    Fragment F;
+    LirBuffer Buf(A);
+    LIns *Tar = Buf.ins0(LOp::ParamTar);
+    for (int32_t Off : Offsets) {
+      LIns *V = Buf.insLoad(Ld, Tar, Off);
+      if (Ld == LOp::LdI)
+        Buf.insStore(LOp::StI, Buf.ins2(LOp::AddI, V, Buf.insImmI(Off + 1)),
+                     Tar, Off);
+      else if (Ld == LOp::LdQ)
+        Buf.insStore(LOp::StQ,
+                     Buf.ins2(LOp::AddQ, V, Buf.insImmQ((int64_t)1 << 40)),
+                     Tar, Off);
+      else
+        Buf.insStore(LOp::StD, Buf.ins2(LOp::MulD, V, Buf.insImmD(-2.5)),
+                     Tar, Off);
+    }
+    // An immediate store at a disp8 and a disp32 offset too.
+    Buf.insStore(LOp::StI, Buf.insImmI(-7), Tar, 8);
+    Buf.insStore(LOp::StQ, Buf.insImmQ(-9), Tar, 4104);
+    ExitDescriptor *E = F.makeExit();
+    Buf.insExit(E);
+    F.Body = Buf.instructions();
+    std::vector<uint64_t> Init(4112 / 8);
+    for (size_t K = 0; K < Init.size(); ++K) {
+      double D = (double)K * 0.75 + 1;
+      if (Ld == LOp::LdD)
+        memcpy(&Init[K], &D, 8);
+      else
+        Init[K] = 0x100000000ull * K + K * 3;
+    }
+    SCOPED_TRACE(lopName(Ld));
+    checkBoth(F, Init, E);
+    // The first access is `[rbx-0x80]`: modrm mod=01 base=rbx, disp8 0x80.
+    const uint8_t ModRmDisp8Rbx[] = {0x43, 0x4B, 0x53, 0x73, 0x7B};
+    bool Found = false;
+    for (uint32_t K = 0; K + 1 < F.NativeSize && !Found; ++K)
+      for (uint8_t M : ModRmDisp8Rbx)
+        Found |= F.NativeEntry[K] == M && F.NativeEntry[K + 1] == 0x80;
+    EXPECT_TRUE(Found) << "TAR byte 0 is not a disp8 of -128";
+  }
+}
+
+namespace {
+
+uint64_t tarWord1Plus(uint64_t *Tar, int64_t K) { return Tar[1] + K; }
+uint64_t tarWord1PlusShim(void *Addr, const uint64_t *A) {
+  return ((uint64_t(*)(uint64_t *, int64_t))Addr)((uint64_t *)A[0],
+                                                  (int64_t)A[1]);
+}
+
+const VMContext *ExpectedCtx = nullptr;
+int32_t isTheContext(VMContext *C, int32_t K) {
+  return C == ExpectedCtx ? K * 2 : -1;
+}
+uint64_t isTheContextShim(void *Addr, const uint64_t *A) {
+  return (uint64_t)(uint32_t)((int32_t(*)(VMContext *, int32_t))Addr)(
+      (VMContext *)A[0], (int32_t)A[1]);
+}
+
+} // namespace
+
+TEST_F(BackendFixture, TarAndContextPassedAsCallArguments) {
+  // A hand-built helper outside the call table, so `movabs rax; call rax`:
+  // it takes the TAR (`lea rdi, [rbx-128]`) and reads word 1 through it.
+  // A second one takes the context (`mov rdi, r15`).
+  CallInfo ReadTar;
+  ReadTar.Addr = (void *)tarWord1Plus;
+  ReadTar.Name = "tarWord1Plus";
+  ReadTar.Ret = LTy::Q;
+  ReadTar.NArgs = 2;
+  ReadTar.Args[0] = ReadTar.Args[1] = LTy::Q;
+  ReadTar.Shim = tarWord1PlusShim;
+  CallInfo Probe;
+  Probe.Addr = (void *)isTheContext;
+  Probe.Name = "isTheContext";
+  Probe.Ret = LTy::I32;
+  Probe.NArgs = 2;
+  Probe.Args[0] = LTy::Q;
+  Probe.Args[1] = LTy::I32;
+  Probe.Shim = isTheContextShim;
+  EXPECT_EQ(BE.callSlot(ReadTar.Addr), nullptr);
+  ExpectedCtx = &Ctx;
+
+  Fragment F;
+  LirBuffer Buf(A);
+  LIns *Tar = Buf.ins0(LOp::ParamTar);
+  LIns *Args[2] = {Tar, Buf.insImmQ(5)};
+  Buf.insStore(LOp::StQ, Buf.insCall(&ReadTar, Args, 2), Tar, 16);
+  LIns *CArgs[2] = {Buf.insImmQ((int64_t)(intptr_t)&Ctx), Buf.insImmI(21)};
+  Buf.insStore(LOp::StI, Buf.insCall(&Probe, CArgs, 2), Tar, 24);
+  ExitDescriptor *E = F.makeExit();
+  Buf.insExit(E);
+  F.Body = Buf.instructions();
+  checkBoth(F, {1, 1000, 0, 0}, E);
+  std::vector<uint64_t> T = {1, 1000, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(BE.enter(T.data(), &F), E);
+  EXPECT_EQ(T[2], 1005u);
+  EXPECT_EQ((int32_t)T[3], 42);
+  EXPECT_TRUE(codeContains(F, {0x48, 0x8D, 0x7B, 0x80})) << "lea rdi,[rbx-128]";
+  EXPECT_TRUE(codeContains(F, {0x4C, 0x89, 0xFF})) << "mov rdi, r15";
+  EXPECT_TRUE(codeContains(F, {0xFF, 0xD0})) << "call rax";
+}
+
+TEST_F(BackendFixture, TableHelperCallsThroughThePool) {
+  // Every helper and traceable native has a slot in the pool floor; a call
+  // to one is `call [rip+disp32]`. js_String_fromCharCode also takes the
+  // context, and returns an interned unit string, so both backends store
+  // the same word.
+  for (const void *T : traceCallTargets()) {
+    const uint8_t *Slot = BE.callSlot(T);
+    ASSERT_NE(Slot, nullptr);
+    uint64_t Word;
+    memcpy(&Word, Slot, 8);
+    EXPECT_EQ(Word, (uint64_t)(uintptr_t)T);
+    EXPECT_GT(Slot, BE.trampolineCode());
+    EXPECT_LT(Slot, BE.trampolineCode() + BE.pool().floorBytes());
+  }
+  const CallInfo &CI = helperCalls().FromCharCode1;
+  Fragment F;
+  LirBuffer Buf(A);
+  LIns *Tar = Buf.ins0(LOp::ParamTar);
+  LIns *Args[2] = {Buf.insImmQ((int64_t)(intptr_t)&Ctx),
+                   Buf.insLoad(LOp::LdI, Tar, 0)};
+  Buf.insStore(LOp::StQ, Buf.insCall(&CI, Args, 2), Tar, 8);
+  ExitDescriptor *E = F.makeExit();
+  Buf.insExit(E);
+  F.Body = Buf.instructions();
+  checkBoth(F, {65, 0}, E);
+  EXPECT_TRUE(codeContains(F, {0x4C, 0x89, 0xFF})) << "mov rdi, r15";
+  EXPECT_TRUE(codeContains(F, {0xFF, 0x15})) << "call [rip+disp32]";
+  EXPECT_FALSE(codeContains(F, {0xFF, 0xD0})) << "no call rax";
+}
+
+TEST_F(BackendFixture, LoadsFoldIntoGuardedCompares) {
+  // A dword or byte load whose only use is a compare against an immediate,
+  // fused with its guard, becomes `cmp [m], imm`. A byte load folds only
+  // into == and != with an immediate that fits a byte: its zero-extended
+  // value would compare wrongly as a signed byte.
+  const uint64_t Words[] = {0, 1, 7, 200, 255, 0x80000000u, 0xfffffffeu};
+  const int32_t Imms[] = {0, 1, 200, 255, 300, -1};
+  for (LOp Ld : {LOp::LdI, LOp::LdUB})
+    for (LOp Op : {LOp::EqI, LOp::NeI, LOp::LtI, LOp::GeI, LOp::LtUI})
+      for (int32_t Imm : Imms)
+        for (bool Left : {false, true})
+          for (uint64_t W : Words) {
+            Fragment F;
+            LirBuffer Buf(A);
+            LIns *Tar = Buf.ins0(LOp::ParamTar);
+            LIns *V = Buf.insLoad(Ld, Tar, 8);
+            LIns *K = Buf.insImmI(Imm);
+            ExitDescriptor *E0 = F.makeExit();
+            ExitDescriptor *E1 = F.makeExit();
+            Buf.insGuard(LOp::GuardT,
+                         Left ? Buf.ins2(Op, K, V) : Buf.ins2(Op, V, K), E0);
+            Buf.insExit(E1);
+            F.Body = Buf.instructions();
+            std::vector<uint64_t> Init = {0, W, 0};
+            std::vector<uint64_t> Probe = Init;
+            Probe.resize(Init.size() + 64);
+            ExitDescriptor *Want =
+                LirExecutor::run(&F, (uint8_t *)Probe.data(), &Ctx);
+            SCOPED_TRACE(std::string(lopName(Ld)) + " " + lopName(Op) +
+                         " imm=" + std::to_string(Imm) +
+                         (Left ? " left" : "") + " w=" + std::to_string(W));
+            checkBoth(F, Init, Want);
+            // `cmp byte [rbx-0x78], imm8` is 80 7B 88 ib.
+            bool ByteCmp = codeContains(F, {0x80, 0x7B, 0x88});
+            EXPECT_EQ(ByteCmp, Ld == LOp::LdUB &&
+                                   (Op == LOp::EqI || Op == LOp::NeI) &&
+                                   Imm >= 0 && Imm <= 255);
+          }
+}
+
+TEST_F(BackendFixture, PreemptGuardComparesTheFlagInPlace) {
+  // The §6.4 guard is `cmp dword [r15+d], 0; jne exit`: no register, no
+  // movabs. It must fire on InterruptGC on both backends.
+  Fragment F;
+  LirBuffer Buf(A);
+  LIns *Tar = Buf.ins0(LOp::ParamTar);
+  LIns *FlagAddr = Buf.insImmQ((int64_t)(intptr_t)&Ctx.PreemptFlag);
+  LIns *Flag = Buf.insLoad(LOp::LdI, FlagAddr, 0);
+  ExitDescriptor *Pre = F.makeExit();
+  Pre->Kind = ExitKind::Preempt;
+  Buf.insGuard(LOp::GuardT, Buf.ins2(LOp::EqI, Flag, Buf.insImmI(0)), Pre);
+  Buf.insStore(LOp::StI, Buf.insImmI(1), Tar, 0);
+  ExitDescriptor *E = F.makeExit();
+  Buf.insExit(E);
+  F.Body = Buf.instructions();
+  checkBoth(F, {0, 0}, E);
+  Ctx.requestInterrupt(InterruptGC);
+  checkBoth(F, {0, 0}, Pre);
+  Ctx.PreemptFlag.store(0);
+  checkBoth(F, {0, 0}, E);
+
+  int32_t Off = (int32_t)((uint8_t *)&Ctx.PreemptFlag - (uint8_t *)&Ctx);
+  ASSERT_LT(Off, 128);
+  if (Off == 0)
+    EXPECT_TRUE(codeContains(F, {0x41, 0x83, 0x3F, 0x00}));
+  else
+    EXPECT_TRUE(codeContains(F, {0x41, 0x83, 0x7F, (uint8_t)Off, 0x00}));
+  EXPECT_FALSE(codeContains(F, {0x48, 0xB8})) << "no movabs rax";
 }
 
 // --- Frame cost of an inlined call ------------------------------------------------

@@ -130,7 +130,9 @@ TEST_P(StringNumber, UnitStringsAndConcatenationMatchTheInterpreter) {
     print(acc.length, acc.charAt(100), hits, same, empties, found);
   )");
   EXPECT_NE(R.Out.find("660 6 311 300 50 300"), std::string::npos) << R.Out;
-  EXPECT_GE(R.Stats.TracesCompleted, 2u);
+  // The += loop compiles one tree; its loop test exits through its own
+  // LoopExit, so no branch is grown there.
+  EXPECT_GE(R.Stats.TracesCompleted, 1u);
   EXPECT_GE(R.Stats.GCs, 6u);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -523,6 +524,113 @@ TEST_P(DeepFrames, BranchAnchoredAtAnExitWithConstantSlots) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TraceTrees, DeepFrames,
+                         ::testing::Values(Backend::Native, Backend::Executor),
+                         [](const ::testing::TestParamInfo<Backend> &I) {
+                           return std::string(I.param == Backend::Native
+                                                  ? "Native"
+                                                  : "Executor");
+                         });
+
+// --- Loop tests exit through their own LoopExit ----------------------------
+//
+// A guard whose other direction leaves the tree's loop, in the anchor
+// frame, exits as a LoopExit at the pc it resumes at. No branch is grown
+// there (it would only re-test the condition and leave), and an outer loop
+// nests the tree on its first recording, since the tree leaves its loop
+// through that exit.
+
+namespace {
+
+class LoopTestExits : public ::testing::TestWithParam<Backend> {
+protected:
+  /// Run \p Src traced on this backend and interpreted; the outputs must
+  /// match. Leaves the traced engine in Traced.
+  void run(const std::string &Src) {
+    EngineOptions Off;
+    Off.EnableJit = false;
+    RunInfo Want = runWith(Src, Off);
+    ASSERT_TRUE(Want.Ok) << Want.Error;
+    EngineOptions O = jit();
+    O.JitBackend = GetParam();
+    O.CollectStats = true;
+    O.VerifyLir = true;
+    Traced = std::make_unique<Engine>(O);
+    std::string Out;
+    Traced->setPrintHook([&](const std::string &S) { Out += S; });
+    auto Res = Traced->eval(Src);
+    ASSERT_TRUE(Res.ok()) << Res.Err.describe();
+    EXPECT_EQ(Out, Want.Out);
+    EXPECT_EQ(Traced->stats().VerifyFailures, 0u);
+  }
+
+  unsigned countFragments(FragmentKind K) const {
+    unsigned N = 0;
+    for (const auto &F : Traced->context().Monitor->fragments())
+      N += F->Kind == K && !F->Body.empty();
+    return N;
+  }
+
+  std::unique_ptr<Engine> Traced;
+};
+
+} // namespace
+
+TEST_P(LoopTestExits, OneIterationLoopGrowsNoBranch) {
+  // Every call runs the loop once: the trunk's loop test fails at every
+  // second crossing. It used to grow a branch there holding nothing but
+  // the flipped test and a LoopExit.
+  run("function g(a) { var s = 0; for (var i = 0; i < 1; ++i)"
+      " s = s + a * 2; return s; }\n"
+      "var t = 0; for (var k = 0; k < 200; ++k) t = t + g(k);\n"
+      "print(t);");
+  EXPECT_EQ(countFragments(FragmentKind::Branch), 0u);
+  EXPECT_EQ(Traced->stats().BranchesCompiled, 0u);
+  // The caller's loop calls g's tree as a nested tree.
+  EXPECT_GE(Traced->stats().TreeCalls, 1u);
+}
+
+TEST_P(LoopTestExits, NestedLoopNestsOnTheFirstOuterRecording) {
+  run("var t = 0;\n"
+      "for (var j = 0; j < 40; ++j) {\n"
+      "  var d = 0;\n"
+      "  for (var i = 0; i < 30; ++i) d = d + i;\n"
+      "  t = t + d;\n"
+      "}\n"
+      "print(t);");
+  VMStats S = Traced->stats();
+  EXPECT_EQ(S.AbortsByReason[(size_t)AbortReason::InnerTreeSideExit], 0u);
+  EXPECT_EQ(S.TracesStarted, 2u) << "inner tree, then the outer one";
+  EXPECT_EQ(S.TreesCompiled, 2u);
+  EXPECT_GE(S.TreeCalls, 1u);
+  EXPECT_EQ(countFragments(FragmentKind::Branch), 0u);
+}
+
+TEST_P(LoopTestExits, DoWhileTestLeavesThroughItsFallThrough) {
+  // A do-while's test jumps back into the loop when true; its fall-through
+  // leaves. The guard on a true test is the LoopExit.
+  const char *Src =
+      "function f(n) { var s = 0; var i = 0;\n"
+      "  do { s = s + i; i = i + 1; } while (i < n);\n"
+      "  return s; }\n"
+      "var r = 0; for (var k = 0; k < 300; ++k) r = r + f(k % 7 + 3);\n"
+      "print(r);";
+  run(Src);
+  bool SawLoopExitGuard = false;
+  for (const auto &F : Traced->context().Monitor->fragments())
+    if (F->Kind == FragmentKind::Root && !F->Body.empty() &&
+        F->AnchorScript != nullptr && F->AnchorScript->Name == "f")
+      for (const LIns *I : F->Body)
+        if ((I->Op == LOp::GuardT || I->Op == LOp::GuardF) &&
+            I->Exit->Kind == ExitKind::LoopExit) {
+          SawLoopExitGuard = true;
+          EXPECT_GE(I->Exit->Pc, F->Loop->EndPc) << "resumes past the loop";
+        }
+  EXPECT_TRUE(SawLoopExitGuard);
+  VMStats S = Traced->stats();
+  EXPECT_EQ(S.AbortsByReason[(size_t)AbortReason::InnerTreeSideExit], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(TraceTrees, LoopTestExits,
                          ::testing::Values(Backend::Native, Backend::Executor),
                          [](const ::testing::TestParamInfo<Backend> &I) {
                            return std::string(I.param == Backend::Native

@@ -93,7 +93,9 @@ const PeerGolden PeerGoldens[] = {
      "print(s);",
      "44850\n", 3, 3, {3, 0, 0, 0}},
     // Global d is demoted by the oracle; every outer iteration resets it to
-    // the int 0, which must enter the Double peer.
+    // the int 0, which must enter the Double peer. The inner tree leaves
+    // its loop through the loop test's own LoopExit, so the outer loop
+    // nests it on its first recording.
     {"demoted-global",
      "var t = 0;\n"
      "for (var j = 0; j < 20; ++j) {\n"
@@ -102,7 +104,7 @@ const PeerGolden PeerGoldens[] = {
      "  t = t + d;\n"
      "}\n"
      "print(t);",
-     "500\n", 7, 7, {6, 0, 0, 1}},
+     "500\n", 3, 3, {2, 1}},
     // The same for local a of f: each call starts it at the int 0. f's
     // loop never touches global u, so u turning double does not split f's
     // tree; the top-level loop calls that one tree once u is a double.
@@ -112,7 +114,7 @@ const PeerGolden PeerGoldens[] = {
      "var u = 0;\n"
      "for (var k = 0; k < 30; ++k) u = u + f(40);\n"
      "print(u);",
-     "300\n", 8, 8, {7, 0, 0, 0, 1}},
+     "300\n", 4, 4, {3, 0, 1}},
     // g's loop is reached under two frame chains (top->g, top->h->g); a
     // peer for one shape must never be entered from the other.
     {"frame-shape",
@@ -122,7 +124,7 @@ const PeerGolden PeerGoldens[] = {
      "var r = 0;\n"
      "for (var k = 0; k < 10; ++k) { r = r + g(50); r = r + h(50); }\n"
      "print(r);",
-     "24500\n", 13, 13, {6, 6, 0, 0, 0, 1}},
+     "24500\n", 5, 5, {2, 2, 1}},
     // Same depth, same types, same bases -- only the caller script differs
     // (top->h1->g vs top->h2->g), so the frame check alone keeps a trace
     // exit from resuming in the wrong caller.
@@ -134,7 +136,7 @@ const PeerGolden PeerGoldens[] = {
      "var r = 0;\n"
      "for (var k = 0; k < 10; ++k) { r = r + h1(50); r = r + h2(50); }\n"
      "print(r);",
-     "24530\n", 13, 13, {6, 6, 0, 0, 0, 1}},
+     "24530\n", 5, 5, {2, 2, 1}},
 };
 
 void PrintTo(const PeerGolden &G, std::ostream *OS) { *OS << G.Name; }
@@ -284,8 +286,9 @@ TEST(RecordingFlag, PoolExhaustionFlush) {
   O.MaxCacheFlushes = 1000;
   O.StaticAnalysis = false;
   Engine E(O);
+  // Twenty loops: ten fit in the page with 4-byte exit stubs.
   std::string Src = "var t = 0;\n";
-  for (int L = 0; L < 10; ++L) {
+  for (int L = 0; L < 20; ++L) {
     std::string I = "i";
     I += std::to_string(L);
     std::string K = std::to_string(L + 1);
@@ -293,7 +296,7 @@ TEST(RecordingFlag, PoolExhaustionFlush) {
            I + " * " + K + " + " + K + ";\n";
   }
   Src += "print(t);";
-  EXPECT_EQ(evalOut(E, Src), "100650\n");
+  EXPECT_EQ(evalOut(E, Src), "384300\n");
   VMStats S = E.stats();
   EXPECT_GE(S.AbortsByReason[(size_t)AbortReason::CompilePoolExhausted], 1u);
   EXPECT_GE(S.CacheFlushes, 1u);
