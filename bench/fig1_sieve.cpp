@@ -144,34 +144,12 @@ int main(int argc, char **argv) {
            (unsigned long long)VS.VerifyFailures);
   }
 
-  // Static-analysis overhead/benefit: the abstract interpreter runs once
-  // per compile, so its cost must vanish against the loop runtime, and any
-  // guards it lets the recorder skip are pure profit. bench/static_elision
-  // has the focused kernels; this line keeps the paper's running example
-  // honest about the end-to-end delta.
-  {
-    EngineOptions AOff;
-    AOff.EnableJit = true;
-    AOff.StaticAnalysis = false;
-    EngineOptions AOn = AOff;
-    AOn.StaticAnalysis = true;
-    AOn.CollectStats = true;
-    double TOff = 1e300, TOn = 1e300;
-    VMStats AS;
-    for (int K = 0; K < 3; ++K) {
-      double T = timeRun(AOff, nullptr, nullptr);
-      if (T >= 0 && T < TOff)
-        TOff = T;
-      T = timeRun(AOn, nullptr, &AS);
-      if (T >= 0 && T < TOn)
-        TOn = T;
-    }
-    printf("static analysis: off %.2f ms, on %.2f ms (delta %+.2f%%, "
-           "%llu facts, %llu guards elided)\n",
-           TOff, TOn, (TOn / TOff - 1.0) * 100.0,
-           (unsigned long long)AS.AnalysisFacts,
-           (unsigned long long)AS.StaticGuardsElided);
-  }
+  // Static analysis: the abstract interpreter runs once per compiled
+  // script, and every guard it lets the recorder skip is pure profit.
+  // perfbench's analysis.us_per_script tracks its cost.
+  printf("static analysis: %llu facts, %llu guards elided\n",
+         (unsigned long long)S.AnalysisFacts,
+         (unsigned long long)S.StaticGuardsElided);
 
   // Per-iteration footprint of the hottest fragment: reconstruct by
   // recompiling with a fresh engine and inspecting its fragments.

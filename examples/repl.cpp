@@ -14,7 +14,10 @@
 // file:line:col diagnostics on error) and the process exits instead of
 // entering the loop. Flags are EngineOptions::applyFlag spellings, e.g.
 // "--no-jit", "--native" / "--executor", "--no-stats", "--no-blacklisting",
-// "-O0".."-O2", "--jit-opt=[+|-]pass,...", "--deadline-ms=N".
+// "-O0" / "-O2", "--jit-opt=[+|-]pass,...", "--deadline-ms=N".
+//
+// `--analyze` is lint mode: parse and statically analyze the script files,
+// print the findings, and run nothing.
 //
 // `--dump-native DIR` writes each compiled fragment's native code to
 // DIR/frag-<id>.bin when the scripts finish (or at :quit), for objdump and
@@ -67,9 +70,12 @@ int main(int argc, char **argv) {
   Opts.CollectStats = true;
   std::vector<std::string> Files;
   std::string DumpNativeDir;
+  bool LintOnly = false;
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    if (A == "--dump-native") {
+    if (A == "--analyze") {
+      LintOnly = true;
+    } else if (A == "--dump-native") {
       if (I + 1 == argc) {
         std::cerr << "--dump-native requires a directory\n";
         return 2;
@@ -91,7 +97,7 @@ int main(int argc, char **argv) {
   // Lint mode (--analyze): parse + static analysis only, no execution.
   // Exit 1 when any file fails to parse or produces findings, so CI can
   // gate on a clean report.
-  if (Opts.AnalyzeOnly) {
+  if (LintOnly) {
     if (Files.empty()) {
       std::cerr << "--analyze requires at least one script file\n";
       return 2;

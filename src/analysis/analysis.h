@@ -18,8 +18,8 @@
 //  * the repl gains a `--analyze` lint mode reporting unreachable code,
 //    use-before-def, constant conditions, and guaranteed type errors.
 //
-// Its second job is independent of the lattice and of
-// EngineOptions::StaticAnalysis: a backward liveness pass over the same
+// Its second job is independent of the lattice: a backward liveness pass
+// over the same
 // basic blocks (blockStarts, computeLoopLiveness) finds the locals live at
 // each loop header. A root tree leaves a local that is dead there Boxed in
 // its entry map, and its back edge drops the local instead of boxing it
@@ -34,8 +34,9 @@
 // function entry states are worst-case (parameters unknown, globals
 // unknown) and every Call/CallProp clobbers all global facts, so facts
 // remain valid for root traces, branch traces, and inlined frames alike.
-// The analysis is advisory: when it is disabled (or absent for a script)
-// the pipeline behaves bit-for-bit as before.
+// The analysis always runs, but is advisory: a script without a converged
+// analysis takes the dynamic-only path, paying a runtime guard for every
+// fact.
 //
 //===----------------------------------------------------------------------===//
 

@@ -113,8 +113,7 @@ EvalResult Engine::eval(std::string_view Source) {
   }
   // Static facts must exist before execution: with HotLoopThreshold=2 the
   // first recording can start within this very eval.
-  if (Ctx.Opts.StaticAnalysis)
-    analyzeNewScripts(FirstScript);
+  analyzeNewScripts(FirstScript);
 
   const bool Deadline = Ctx.Opts.EvalDeadlineMs > 0;
   if (Deadline) {

@@ -67,10 +67,8 @@ public:
 
   /// Lint mode (the repl's `--analyze`): compile \p Source and run the
   /// bytecode abstract interpreter over every script in it, returning the
-  /// diagnostics instead of executing. Runs even when
-  /// EngineOptions::StaticAnalysis is off (the flag gates the *pipeline*
-  /// consumers, not the explicit request). The compiled scripts stay in
-  /// the context, so a later eval of the same source reuses their facts.
+  /// diagnostics instead of executing. The compiled scripts stay in the
+  /// context, so a later eval of the same source reuses their facts.
   AnalysisReport analyze(std::string_view Source,
                          std::string_view FileName = {});
 

@@ -30,13 +30,8 @@ constexpr BoolFlag BoolFlags[] = {
     {"--no-stitching", &EngineOptions::EnableStitching, false},
     {"--blacklisting", &EngineOptions::EnableBlacklisting, true},
     {"--no-blacklisting", &EngineOptions::EnableBlacklisting, false},
-    {"--oracle", &EngineOptions::EnableOracle, true},
-    {"--no-oracle", &EngineOptions::EnableOracle, false},
     {"--off-thread-compile", &EngineOptions::OffThreadCompile, true},
     {"--no-off-thread-compile", &EngineOptions::OffThreadCompile, false},
-    {"--static-types", &EngineOptions::StaticAnalysis, true},
-    {"--no-static-types", &EngineOptions::StaticAnalysis, false},
-    {"--analyze", &EngineOptions::AnalyzeOnly, true},
     {"--validate-static-facts", &EngineOptions::ValidateStaticFacts, true},
 };
 
@@ -68,8 +63,6 @@ const char *optPassName(OptPass P) {
     return "deadstore";
   case OptPass::Dce:
     return "dce";
-  case OptPass::GuardElim:
-    return "guardelim";
   case OptPass::IndVar:
     return "indvar";
   case OptPass::Hoist:
@@ -127,7 +120,7 @@ bool EngineOptions::applyFlag(std::string_view Flag) {
     return true;
   }
   // Optimization levels and the named-pass surface over OptPipeline.
-  if (Flag == "-O0" || Flag == "-O1" || Flag == "-O2") {
+  if (Flag == "-O0" || Flag == "-O2") {
     Passes = OptPipeline::level((uint32_t)(Flag[2] - '0'));
     return true;
   }

@@ -73,14 +73,13 @@ using FaultHook = std::function<bool(FaultSite)>;
 /// forward/backward filters plus the loop-optimizer passes (lir/opt.h).
 /// The enum is a registry, not an order -- execution order is fixed by the
 /// pipeline (forward filters stream during recording; trace passes run in
-/// optimizeTrace(): DeadStore, Dce, GuardElim, IndVar, Hoist, Dce).
+/// optimizeTrace(): DeadStore, Dce, IndVar, Hoist, Dce).
 enum class OptPass : uint8_t {
   ExprSimp,  ///< Forward: constant folding + algebraic identities.
-  Cse,       ///< Forward: common subexpression elimination.
+  Cse,       ///< Forward: value numbering (CSE with memory generations)
+             ///< and dominated-guard elimination.
   DeadStore, ///< Backward: dead data-stack / call-stack store elim.
   Dce,       ///< Backward: dead code elimination.
-  GuardElim, ///< Trace: dominating-guard elimination (GVN with memory
-             ///< generations; drops re-checks of already-guarded facts).
   IndVar,    ///< Trace: induction-variable recognition; folds per-iteration
              ///< overflow checks under dominating range guards.
   Hoist,     ///< Trace: loop-invariant code + guard hoisting into a
@@ -89,14 +88,13 @@ enum class OptPass : uint8_t {
 };
 
 const char *optPassName(OptPass P);
-/// Parse a pass name ("cse", "guardelim", ...); false when unknown.
+/// Parse a pass name ("cse", "hoist", ...); false when unknown.
 bool parseOptPass(std::string_view Name, OptPass &Out);
 
 /// The set of enabled passes. Construct from an -O level and adjust with
 /// add/remove (the `--jit-opt=[+|-]pass,...` surface); the pipeline itself
-/// decides ordering. Level 0 is exactly the paper's §5.1 filter set (the
-/// pre-optimizer default, bit-for-bit); 1 adds guard elimination; 2 adds
-/// the loop passes.
+/// decides ordering. The levels are 0, exactly the paper's §5.1 filter
+/// set, and 2, which adds the loop passes.
 class OptPipeline {
 public:
   constexpr OptPipeline() = default; ///< Empty: no passes at all.
@@ -104,8 +102,6 @@ public:
   static constexpr OptPipeline level(uint32_t OLevel) {
     uint32_t B = bit(OptPass::ExprSimp) | bit(OptPass::Cse) |
                  bit(OptPass::DeadStore) | bit(OptPass::Dce);
-    if (OLevel >= 1)
-      B |= bit(OptPass::GuardElim);
     if (OLevel >= 2)
       B |= bit(OptPass::IndVar) | bit(OptPass::Hoist);
     return OptPipeline(B);
@@ -183,8 +179,8 @@ struct EngineOptions {
   bool EnablePreemptGuard = true;
 
   /// Enabled LIR optimization passes. Defaults to the full -O2 pipeline;
-  /// OptPipeline::level(0) restores the pre-optimizer §5.1 filter set
-  /// bit-for-bit. Adjust via "-O0/-O1/-O2" or "--jit-opt=[+|-]pass,...".
+  /// OptPipeline::level(0) is the §5.1 filter set alone. Adjust via
+  /// "-O0/-O2" or "--jit-opt=[+|-]pass,...".
   OptPipeline Passes = OptPipeline::level(2);
 
   /// Hoisted-guard failures at tree entry (ExitKind::Deopt through the
@@ -193,9 +189,6 @@ struct EngineOptions {
   /// shapes. Guards against enter/deopt thrash when an invariant the
   /// prologue checks (e.g. an object's shape) has changed for good.
   uint32_t EntryDeoptLimit = 8;
-
-  /// §3.2: consult/maintain the oracle for int->double demotion.
-  bool EnableOracle = true;
 
   /// Abort recording beyond this many LIR instructions. Together with
   /// MaxFrames (the recorder only inlines frames the interpreter pushed)
@@ -290,22 +283,13 @@ struct EngineOptions {
 
   // --- Static analysis (analysis/analysis.h) ----------------------------------
 
-  /// Run the bytecode abstract interpreter on every parsed script and let
-  /// its facts seed the oracle and elide recorder guards. Off restores the
-  /// dynamic-only pipeline bit-for-bit ("--no-static-types").
-  bool StaticAnalysis = true;
-
-  /// Lint mode ("--analyze"): parse + static analysis only, no execution.
-  /// Consumed by the repl; Engine::analyze() is the API surface.
-  bool AnalyzeOnly = false;
-
   /// Testing: at every interpreted loop header, cross-check live slot
   /// types against the static header facts (StaticFactChecks /
   /// StaticFactContradictions counters). The differential fuzz suite runs
   /// with this on and asserts zero contradictions.
   bool ValidateStaticFacts = false;
 
-  /// Apply one command-line style flag ("--ic", "--no-jit", ...) to this
+  /// Apply one command-line style flag ("--no-jit", "-O0", ...) to this
   /// options struct. The single source of truth for engine flags: the repl
   /// and the bench harness both parse through it. Returns false when the
   /// flag is not recognized.

@@ -2,8 +2,10 @@
 
 #include "frontend/parser.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace tracejit {
 
@@ -102,13 +104,14 @@ uint16_t Parser::addConst(Value V) {
 }
 
 uint16_t Parser::addNumberConst(double D) {
-  if (D == std::floor(D) && Value::fitsInt31((int64_t)D) && !std::isinf(D) &&
-      !(D == 0 && std::signbit(D)))
+  if (std::isfinite(D) && D == std::floor(D) &&
+      Value::fitsInt31((int64_t)D) && !(D == 0 && std::signbit(D)))
     return addConst(Value::makeInt((int32_t)D));
-  // Compare double constants by bits to dedupe.
+  // Compare double constants by bits to dedupe (NaN != NaN by value).
   for (size_t I = 0; I < Script->Consts.size(); ++I) {
     Value V = Script->Consts[I];
-    if (V.isDoubleCell() && V.toDoubleCell()->Val == D)
+    if (V.isDoubleCell() && std::bit_cast<uint64_t>(V.toDoubleCell()->Val) ==
+                                std::bit_cast<uint64_t>(D))
       return (uint16_t)I;
   }
   Script->Consts.push_back(Ctx.TheHeap.boxDouble(D));
@@ -520,6 +523,14 @@ void Parser::parsePrimaryInto(Ref &R) {
     if (InFunction && Locals.count(Name)) {
       R.Kind = RefKind::Local;
       R.Slot = Locals[Name];
+    } else if (Name == "NaN" || Name == "Infinity") {
+      // ES5 makes both read-only properties of the global object, so no
+      // script can rebind them: they are constants unless a local shadows
+      // them.
+      emitOp(Op::PushConst, +1);
+      emitU16(addNumberConst(Name == "NaN"
+                                 ? std::numeric_limits<double>::quiet_NaN()
+                                 : std::numeric_limits<double>::infinity()));
     } else {
       R.Kind = RefKind::Global;
       R.Slot = globalSlot(Name);

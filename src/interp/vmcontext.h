@@ -116,7 +116,7 @@ struct VMContext {
   VMStats Stats;
 
   /// Static analysis results, one per analyzed script (populated by the
-  /// Engine after each parse when Opts.StaticAnalysis is on). Keyed by the
+  /// Engine after each parse). Keyed by the
   /// script's address; entries live exactly as long as the script does.
   std::unordered_map<const FunctionScript *, std::unique_ptr<ScriptAnalysis>>
       Analyses;

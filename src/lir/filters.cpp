@@ -249,119 +249,84 @@ LIns *ExprFilter::insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) {
 
 // --- CseFilter -------------------------------------------------------------------
 
-LIns *CseFilter::lookupOrInsert(const Key &K, LIns *Candidate) {
-  auto [It, Inserted] = Exprs.emplace(K, Candidate);
-  if (!Inserted) {
-    ++Hits;
-    return It->second;
-  }
-  return Candidate;
-}
-
-void CseFilter::invalidateLoads() { Loads.clear(); }
-
-LIns *CseFilter::ins1(LOp Op, LIns *A) {
-  Key K{(uint32_t)Op, (uint64_t)(uintptr_t)A, 0, 0};
+template <typename EmitFn>
+LIns *CseFilter::numbered(const Key &K, EmitFn Emit) {
   auto It = Exprs.find(K);
-  if (It != Exprs.end()) {
-    ++Hits;
+  if (It != Exprs.end())
     return It->second;
-  }
-  LIns *I = Out->ins1(Op, A);
+  LIns *I = Emit();
   Exprs.emplace(K, I);
   return I;
+}
+
+static uint64_t operandKey(const LIns *I) { return (uint64_t)(uintptr_t)I; }
+
+LIns *CseFilter::ins1(LOp Op, LIns *A) {
+  return numbered({(uint32_t)Op, operandKey(A), 0, 0},
+                  [&] { return Out->ins1(Op, A); });
 }
 
 LIns *CseFilter::ins2(LOp Op, LIns *A, LIns *B) {
-  Key K{(uint32_t)Op, (uint64_t)(uintptr_t)A, (uint64_t)(uintptr_t)B, 0};
-  auto It = Exprs.find(K);
-  if (It != Exprs.end()) {
-    ++Hits;
-    return It->second;
-  }
-  LIns *I = Out->ins2(Op, A, B);
-  Exprs.emplace(K, I);
-  return I;
+  return numbered({(uint32_t)Op, operandKey(A), operandKey(B), 0},
+                  [&] { return Out->ins2(Op, A, B); });
 }
 
 LIns *CseFilter::insImmI(int32_t V) {
-  Key K{(uint32_t)LOp::ImmI, 0, 0, V};
-  auto It = Exprs.find(K);
-  if (It != Exprs.end())
-    return It->second;
-  LIns *I = Out->insImmI(V);
-  Exprs.emplace(K, I);
-  return I;
+  return numbered({(uint32_t)LOp::ImmI, 0, 0, V},
+                  [&] { return Out->insImmI(V); });
 }
 
 LIns *CseFilter::insImmQ(int64_t V) {
-  Key K{(uint32_t)LOp::ImmQ, 0, 0, V};
-  auto It = Exprs.find(K);
-  if (It != Exprs.end())
-    return It->second;
-  LIns *I = Out->insImmQ(V);
-  Exprs.emplace(K, I);
-  return I;
+  return numbered({(uint32_t)LOp::ImmQ, 0, 0, V},
+                  [&] { return Out->insImmQ(V); });
 }
 
 LIns *CseFilter::insImmD(double V) {
   int64_t Bits;
   static_assert(sizeof(Bits) == sizeof(V));
   __builtin_memcpy(&Bits, &V, 8);
-  Key K{(uint32_t)LOp::ImmD, 0, 0, Bits};
-  auto It = Exprs.find(K);
-  if (It != Exprs.end())
-    return It->second;
-  LIns *I = Out->insImmD(V);
-  Exprs.emplace(K, I);
-  return I;
+  return numbered({(uint32_t)LOp::ImmD, 0, 0, Bits},
+                  [&] { return Out->insImmD(V); });
 }
 
 LIns *CseFilter::insLoad(LOp Op, LIns *Base, int32_t Disp) {
-  Key K{(uint32_t)Op, (uint64_t)(uintptr_t)Base, 0, Disp};
-  auto It = Loads.find(K);
-  if (It != Loads.end()) {
-    ++Hits;
-    return It->second;
-  }
-  LIns *I = Out->insLoad(Op, Base, Disp);
-  Loads.emplace(K, I);
-  return I;
+  if (Base->Op == LOp::ImmQ)
+    return Out->insLoad(Op, Base, Disp); // volatile VM channel
+  uint64_t Gen = Base->Op == LOp::ParamTar
+                     ? (TarEpoch << 32) | TarGen[Disp / 8]
+                     : HeapGen;
+  return numbered({(uint32_t)Op, operandKey(Base), Gen, Disp},
+                  [&] { return Out->insLoad(Op, Base, Disp); });
 }
 
 LIns *CseFilter::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp) {
-  // Conservative aliasing: any store invalidates all cached loads.
-  invalidateLoads();
+  // An absolute (ImmQ) store writes a VM channel, which no load caches.
+  if (Base->Op == LOp::ParamTar)
+    ++TarGen[Disp / 8];
+  else if (Base->Op != LOp::ImmQ)
+    ++HeapGen;
   return Out->insStore(Op, Val, Base, Disp);
 }
 
 LIns *CseFilter::insCall(const CallInfo *CI, LIns **Args, uint32_t N) {
-  if (CI->Pure) {
-    Key K{(uint32_t)LOp::Call, (uint64_t)(uintptr_t)CI,
-          N >= 1 ? (uint64_t)(uintptr_t)Args[0] : 0,
-          N >= 2 ? (int64_t)(uintptr_t)Args[1] : 0};
-    if (N <= 2) {
-      auto It = Exprs.find(K);
-      if (It != Exprs.end()) {
-        ++Hits;
-        return It->second;
-      }
-      LIns *I = Out->insCall(CI, Args, N);
-      Exprs.emplace(K, I);
-      return I;
-    }
+  if (!CI->Pure) {
+    ++HeapGen;
     return Out->insCall(CI, Args, N);
   }
-  invalidateLoads();
-  return Out->insCall(CI, Args, N);
+  if (N > 2)
+    return Out->insCall(CI, Args, N);
+  return numbered({(uint32_t)LOp::Call, (uint64_t)(uintptr_t)CI,
+                   N >= 1 ? operandKey(Args[0]) : 0,
+                   N >= 2 ? (int64_t)operandKey(Args[1]) : 0},
+                  [&] { return Out->insCall(CI, Args, N); });
 }
 
 LIns *CseFilter::insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) {
   // A second guard on the same SSA condition with the same polarity is
   // redundant: the first guard already proved it.
-  uint64_t GK = ((uint64_t)(uintptr_t)Cond << 1) | (Op == LOp::GuardT ? 1 : 0);
+  uint64_t GK = (operandKey(Cond) << 1) | (Op == LOp::GuardT ? 1 : 0);
   if (GuardedConds.count(GK)) {
-    ++Hits;
+    ++GuardsEliminated;
     return nullptr;
   }
   LIns *I = Out->insGuard(Op, Cond, Exit);
@@ -370,16 +335,25 @@ LIns *CseFilter::insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) {
   return I;
 }
 
+LIns *CseFilter::insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) {
+  Key K{(uint32_t)Op, operandKey(A), operandKey(B), 0};
+  auto It = Exprs.find(K);
+  if (It != Exprs.end()) {
+    ++GuardsEliminated; // same result, and its check already passed
+    return It->second;
+  }
+  LIns *I = Out->insOvf(Op, A, B, Exit);
+  Exprs.emplace(K, I);
+  return I;
+}
+
 LIns *CseFilter::insTreeCall(Fragment *Inner, ExitDescriptor *Expected,
                              ExitDescriptor *MismatchExit) {
   // The inner tree can write any TAR slot and any heap location.
-  invalidateLoads();
+  ++HeapGen;
+  ++TarEpoch;
+  TarGen.clear();
   return Out->insTreeCall(Inner, Expected, MismatchExit);
-}
-
-LIns *CseFilter::insLoop() {
-  invalidateLoads();
-  return Out->insLoop();
 }
 
 } // namespace tracejit

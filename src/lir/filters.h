@@ -8,9 +8,10 @@
 // instruction before it reaches the buffer:
 //   * ExprFilter -- constant folding, algebraic identities, and the
 //     source-language-specific INT/DOUBLE narrowing (D2I(I2D(x)) => x).
-//   * CseFilter -- common subexpression elimination over pure ops, loads
-//     (invalidated by stores/calls), and redundant guards on
-//     already-guarded conditions.
+//   * CseFilter -- the trace's one value-numbering pass: common
+//     subexpression elimination over pure ops, overflow-checked ops and
+//     loads (keyed on a per-location-class memory generation), plus
+//     dropping guards on already-guarded conditions.
 //
 // Backward filters live in backward.h.
 //
@@ -37,10 +38,17 @@ public:
   LIns *insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) override;
 };
 
-/// Common subexpression elimination. Pure expressions are hashed on
-/// (op, operands, immediate); loads additionally participate until any
-/// store or impure call invalidates them; duplicate guards on a condition
-/// already guarded with the same polarity are dropped.
+/// Common subexpression elimination by value numbering. Immediates, pure
+/// ops, pure calls and overflow-checked ops are hashed on (op, operands,
+/// immediate); a repeated overflow-checked op reuses the earlier result,
+/// whose check already passed. Loads are hashed with the generation of
+/// their location class, and a write to the class starts a new one:
+///   * a TAR slot (base ParamTar): bumped by a store to that slot;
+///   * the heap (any other base): bumped by a heap store or impure call;
+///   * a tree call bumps both, since the inner tree runs over the same TAR.
+/// Absolute loads (base ImmQ: VM channels such as the preempt flag) are
+/// volatile and never merged. A guard on a condition already guarded with
+/// the same polarity is dropped: the first guard would have exited.
 class CseFilter : public LirWriter {
 public:
   explicit CseFilter(LirWriter *Out) : LirWriter(Out) {}
@@ -54,17 +62,19 @@ public:
   LIns *insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp) override;
   LIns *insCall(const CallInfo *CI, LIns **Args, uint32_t N) override;
   LIns *insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) override;
+  LIns *insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) override;
   LIns *insTreeCall(Fragment *Inner, ExitDescriptor *Expected,
                     ExitDescriptor *MismatchExit) override;
-  LIns *insLoop() override;
 
-  uint64_t hits() const { return Hits; }
+  /// Guards dropped plus overflow checks merged so far (the recording's
+  /// share of VMStats::GuardsEliminated).
+  uint64_t guardsEliminated() const { return GuardsEliminated; }
 
 private:
   struct Key {
     uint32_t Op;
     uint64_t A;
-    uint64_t B;
+    uint64_t B; ///< Second operand, or a load's memory generation.
     int64_t Extra;
     bool operator==(const Key &O) const {
       return Op == O.Op && A == O.A && B == O.B && Extra == O.Extra;
@@ -80,14 +90,18 @@ private:
     }
   };
 
-  LIns *lookupOrInsert(const Key &K, LIns *Candidate);
-  void invalidateLoads();
+  /// The instruction numbered \p K, or \p Emit()'s result numbered as \p K.
+  template <typename EmitFn> LIns *numbered(const Key &K, EmitFn Emit);
 
   std::unordered_map<Key, LIns *, KeyHash> Exprs;
-  std::unordered_map<Key, LIns *, KeyHash> Loads;
   /// (condition id, polarity) pairs already guarded.
   std::unordered_set<uint64_t> GuardedConds;
-  uint64_t Hits = 0;
+  /// Stores per TAR slot (Disp / 8) since the last tree call; TarEpoch
+  /// counts tree calls.
+  std::unordered_map<int32_t, uint32_t> TarGen;
+  uint64_t TarEpoch = 0;
+  uint64_t HeapGen = 0;
+  uint64_t GuardsEliminated = 0;
 };
 
 } // namespace tracejit

@@ -1,4 +1,4 @@
-//===- opt.cpp - LIR loop optimizer: guard elim, indvars, hoisting -----------===//
+//===- opt.cpp - LIR loop optimizer: indvars, hoisting ----------------------===//
 //
 // Soundness notes common to all passes. A trace is straight-line SSA, so:
 //  * "dominates" is simply "appears earlier in the body";
@@ -11,15 +11,15 @@
 //    same TAR), absolute addresses (base == ImmQ; VM communication channels
 //    such as the preempt flag and stats counters -- treated as volatile:
 //    never merged, never hoisted), and the heap (everything else; clobbered
-//    by heap stores, impure calls and TreeCall). The dead-store pass in
-//    backward.cpp already relies on calls not writing the TAR; we inherit
-//    that invariant.
+//    by heap stores, impure calls and TreeCall). The forward CseFilter
+//    (filters.h) value-numbers loads under the same model, and the
+//    dead-store pass in backward.cpp already relies on calls not writing
+//    the TAR; we inherit that invariant.
 //
 //===----------------------------------------------------------------------===//
 
 #include "lir/opt.h"
 
-#include <cstring>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -82,161 +82,6 @@ bool isPureValueOp(LOp Op) {
   default:
     return false;
   }
-}
-
-bool isOvf(LOp Op) {
-  return Op == LOp::AddOvI || Op == LOp::SubOvI || Op == LOp::MulOvI;
-}
-
-// --- Dominating-guard elimination (GVN) -------------------------------------
-//
-// One forward sweep value-numbers immediates, pure ops, loads (keyed with a
-// per-location-class generation so a clobber starts a new equivalence
-// class) and overflow-checked ops. Redundant value instructions are dropped
-// and later operands rewritten to the surviving representative; a
-// GuardT/GuardF whose (condition, polarity) was already guarded is dropped
-// outright -- if the condition were false the earlier guard would already
-// have exited, so the re-check can never fire.
-
-struct VNKey {
-  uint16_t Op = 0;
-  const LIns *A = nullptr;
-  const LIns *B = nullptr;
-  int64_t Extra = 0; ///< Immediate bits, or load displacement.
-  uint64_t Gen = 0;  ///< Load location-class generation.
-
-  bool operator==(const VNKey &O) const {
-    return Op == O.Op && A == O.A && B == O.B && Extra == O.Extra &&
-           Gen == O.Gen;
-  }
-};
-
-struct VNKeyHash {
-  size_t operator()(const VNKey &K) const {
-    uint64_t H = 0x9E3779B97F4A7C15ull * (K.Op + 1);
-    auto Mix = [&H](uint64_t V) { H = (H ^ V) * 0x100000001B3ull; };
-    Mix((uint64_t)(uintptr_t)K.A);
-    Mix((uint64_t)(uintptr_t)K.B);
-    Mix((uint64_t)K.Extra);
-    Mix(K.Gen);
-    return (size_t)H;
-  }
-};
-
-struct GuardElimResult {
-  uint32_t GuardsDropped = 0;
-  uint32_t ValuesMerged = 0;
-};
-
-GuardElimResult runGuardElim(std::vector<LIns *> &Body) {
-  GuardElimResult R;
-  std::unordered_map<VNKey, LIns *, VNKeyHash> VN;
-  std::unordered_map<const LIns *, LIns *> Replace;
-  std::unordered_set<const LIns *> GuardedT, GuardedF;
-  // TAR slot generations: (epoch << 32 | per-slot count). TreeCall bumps the
-  // epoch (the inner tree may write any slot); a TAR store bumps one slot.
-  std::unordered_map<int32_t, uint64_t> TarGen;
-  uint64_t TarEpoch = 0;
-  uint64_t HeapGen = 0;
-
-  auto Resolve = [&](LIns *V) -> LIns * {
-    if (!V)
-      return V;
-    auto It = Replace.find(V);
-    return It == Replace.end() ? V : It->second;
-  };
-
-  std::vector<LIns *> Out;
-  Out.reserve(Body.size());
-  for (LIns *I : Body) {
-    I->A = Resolve(I->A);
-    I->B = Resolve(I->B);
-    for (uint32_t K = 0; K < I->NCallArgs; ++K)
-      I->CallArgs[K] = Resolve(I->CallArgs[K]);
-
-    // Clobbers: advance the written class's generation.
-    if (I->isStore()) {
-      if (I->B->Op == LOp::ParamTar)
-        ++TarGen[I->Disp / 8];
-      else if (I->B->Op != LOp::ImmQ)
-        ++HeapGen;
-      Out.push_back(I);
-      continue;
-    }
-    if (I->Op == LOp::Call) {
-      if (!I->CI->Pure)
-        ++HeapGen;
-      Out.push_back(I);
-      continue;
-    }
-    if (I->Op == LOp::TreeCall) {
-      ++HeapGen;
-      ++TarEpoch;
-      TarGen.clear();
-      Out.push_back(I);
-      continue;
-    }
-
-    // Dominated guards: the same SSA condition already guarded with the
-    // same polarity can never fire again.
-    if (I->Op == LOp::GuardT || I->Op == LOp::GuardF) {
-      auto &Set = I->Op == LOp::GuardT ? GuardedT : GuardedF;
-      if (!Set.insert(I->A).second) {
-        ++R.GuardsDropped;
-        continue;
-      }
-      Out.push_back(I);
-      continue;
-    }
-
-    // Value numbering.
-    VNKey Key;
-    bool Numbered = false;
-    if (I->isImm()) {
-      int64_t Bits = 0;
-      if (I->Op == LOp::ImmI)
-        Bits = I->Imm.ImmI32;
-      else if (I->Op == LOp::ImmQ)
-        Bits = I->Imm.ImmQ64;
-      else
-        std::memcpy(&Bits, &I->Imm.ImmDbl, 8);
-      Key = {(uint16_t)I->Op, nullptr, nullptr, Bits, 0};
-      Numbered = true;
-    } else if (I->isLoad()) {
-      const LIns *Base = I->A;
-      if (Base->Op != LOp::ImmQ) { // absolute loads are volatile: never merged
-        uint64_t Gen = Base->Op == LOp::ParamTar
-                           ? (TarEpoch << 32) | TarGen[I->Disp / 8]
-                           : HeapGen;
-        Key = {(uint16_t)I->Op, Base, nullptr, I->Disp, Gen};
-        Numbered = true;
-      }
-    } else if (isPureValueOp(I->Op)) {
-      Key = {(uint16_t)I->Op, I->A, I->B, I->Disp, 0};
-      Numbered = true;
-    } else if (isOvf(I->Op)) {
-      // Same operands -> same result and the earlier check already passed;
-      // the duplicate's value folds and its guard disappears with it.
-      Key = {(uint16_t)I->Op, I->A, I->B, 0, 0};
-      Numbered = true;
-    }
-
-    if (Numbered) {
-      auto It = VN.find(Key);
-      if (It != VN.end()) {
-        Replace[I] = It->second;
-        if (isOvf(I->Op))
-          ++R.GuardsDropped;
-        else
-          ++R.ValuesMerged;
-        continue;
-      }
-      VN.emplace(Key, I);
-    }
-    Out.push_back(I);
-  }
-  Body.swap(Out);
-  return R;
 }
 
 // --- Induction-variable recognition -----------------------------------------
@@ -689,11 +534,6 @@ OptResult optimizeTrace(Fragment &F, const OptPipeline &Passes,
     eliminateDeadCode(F.Body);
 
   bool RanLoopOpt = false;
-  if (Passes.has(OptPass::GuardElim)) {
-    GuardElimResult G = runGuardElim(F.Body);
-    R.GuardsEliminated = G.GuardsDropped;
-    RanLoopOpt = true;
-  }
   if (Passes.has(OptPass::IndVar)) {
     IndVarResult IV = runIndVar(F, F.Body);
     R.OvfChecksFolded = IV.Folded;
@@ -712,8 +552,7 @@ OptResult optimizeTrace(Fragment &F, const OptPipeline &Passes,
       eliminateDeadStores(F.Body, NumGlobals, &F.EntryTypes);
   }
 
-  // The loop passes orphan values (dropped guards' conditions, bypassed
-  // address chains); clean up, keeping the prologue boundary consistent.
+  // The loop passes orphan values (bypassed address chains); clean up, keeping the prologue boundary consistent.
   if (RanLoopOpt && Passes.has(OptPass::Dce)) {
     if (F.PrologueEnd) {
       std::unordered_set<const LIns *> Pro(F.Body.begin(),
@@ -730,7 +569,6 @@ OptResult optimizeTrace(Fragment &F, const OptPipeline &Passes,
 
   if (Stats) {
     Stats->LirAfterBackwardFilters += F.Body.size();
-    Stats->GuardsEliminated += R.GuardsEliminated;
     Stats->OverflowChecksFolded += R.OvfChecksFolded;
     Stats->IdxStrengthReduced += R.IdxStrengthReduced;
     Stats->InsHoisted += R.InsHoisted;

@@ -1,16 +1,11 @@
 //===- opt.h - LIR loop optimizer ---------------------------------------------===//
 //
 // Trace-level optimization passes run over a finished recording, between
-// the paper's §5.1 backward filters and the backend. A trace is one
+// the paper's §5.1 backward filters and the backend. Value numbering and
+// dominated-guard elimination are not among them: the forward CseFilter
+// (filters.h) does both while the trace is recorded. A trace is one
 // straight line, so dominance is linear order and every pass is a single
 // forward or backward sweep:
-//
-//  * GuardElim -- dominating-guard elimination. A GVN sweep with memory
-//    generations (per-TAR-slot + heap) merges redundant pure ops, loads,
-//    and overflow checks, then drops any guard whose condition (by value
-//    number) was already guarded with the same polarity. This is the
-//    "one shape/type guard subsumes later ones" win of lazy basic block
-//    versioning, obtained from trace-local dominance.
 //
 //  * IndVar -- induction-variable recognition. An overflow-checked
 //    increment `AddOvI(i, c)` dominated by a range guard on `i`
@@ -27,9 +22,9 @@
 //    state: the prologue has no side effects, so a hoisted-guard failure
 //    soundly means "pretend we never entered".
 //
-// Pass order (optimizeTrace): DeadStore, Dce, GuardElim, IndVar, Hoist,
-// Dce. Selection comes from the EngineOptions::Passes pipeline; order is
-// fixed here.
+// Pass order (optimizeTrace): DeadStore, Dce, IndVar, Hoist, Dce.
+// Selection comes from the EngineOptions::Passes pipeline; order is fixed
+// here.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +43,6 @@ struct VMStats;
 
 /// What one optimizeTrace run did (also accumulated into VMStats).
 struct OptResult {
-  uint32_t GuardsEliminated = 0;  ///< Dominated guards + overflow checks dropped.
   uint32_t OvfChecksFolded = 0;   ///< AddOvI/SubOvI rewritten to AddI/SubI.
   uint32_t IdxStrengthReduced = 0;///< Indexing address chains simplified.
   uint32_t InsHoisted = 0;        ///< Instructions moved into the prologue.

@@ -180,8 +180,7 @@ static TraceType entryTypeOf(const Value &V, const Oracle *Probe,
 }
 
 const Oracle *TraceMonitor::entryOracle() const {
-  return Ctx.Opts.EnableOracle && TheOracle.size() != 0 ? &TheOracle
-                                                        : nullptr;
+  return TheOracle.size() != 0 ? &TheOracle : nullptr;
 }
 
 TypeMap TraceMonitor::buildEntryTypeMap(uint32_t Sp) {
@@ -659,6 +658,7 @@ void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
 
   Fragment *F = R->fragment();
   Ctx.Stats.LirEmitted += F->Body.size();
+  Ctx.Stats.GuardsEliminated += R->guardsEliminated();
 
   // Whole-trace optimizer (§5.1 backward filters + loop passes). Runs here,
   // before the compile job is built, so off-thread compilation and the LIR

@@ -127,7 +127,7 @@ TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I, TraceMonitor &M,
   // other LIR exists, so a guard moved into the prologue can fail through
   // it as "we never entered" and the interpreter re-runs the iteration.
   // Only root recordings can gain a prologue, and only when the Hoist pass
-  // is on -- keeping -O0/-O1 exit numbering bit-for-bit unchanged.
+  // is on: without it the snapshot would be an exit no guard takes.
   if (RecMode == Mode::Root && Ctx.Opts.Passes.has(OptPass::Hoist))
     F->EntryExit = snapshot(ExitKind::Deopt, F->AnchorPc);
 
@@ -714,15 +714,11 @@ void TraceRecorder::recordArith(Op O, uint32_t Pc) {
         IntPath = false;
     }
     if (IntPath) {
-      bool ProvedNoOverflow = false;
-      if (Ctx.Opts.StaticAnalysis) {
-        // Interval analysis may have proven the int32 result cannot
-        // overflow on any execution reaching this pc; then the checked
-        // form is pure overhead.
-        if (const ScriptAnalysis *SA = Ctx.analysisOf(script()))
-          ProvedNoOverflow = SA->NoOverflow.count(Pc) != 0;
-      }
-      if (ProvedNoOverflow) {
+      // Interval analysis may have proven the int32 result cannot overflow
+      // on any execution reaching this pc; then the checked form is pure
+      // overhead.
+      const ScriptAnalysis *SA = Ctx.analysisOf(script());
+      if (SA && SA->NoOverflow.count(Pc)) {
         LOp Plain = O == Op::Add   ? LOp::AddI
                     : O == Op::Sub ? LOp::SubI
                                    : LOp::MulI;
@@ -740,13 +736,11 @@ void TraceRecorder::recordArith(Op O, uint32_t Pc) {
       VSp -= 2;
       push(R, TraceType::Int);
     } else {
-      if (Ctx.Opts.StaticAnalysis) {
-        // A NoOverflow fact with a live overflowing execution means the
-        // analysis is wrong; surface it rather than silently diverge.
-        if (const ScriptAnalysis *SA = Ctx.analysisOf(script()))
-          if (isIntLike(A.Ty) && isIntLike(B.Ty) && SA->NoOverflow.count(Pc))
-            ++Ctx.Stats.StaticFactContradictions;
-      }
+      // A NoOverflow fact with a live overflowing execution means the
+      // analysis is wrong; surface it rather than silently diverge.
+      if (const ScriptAnalysis *SA = Ctx.analysisOf(script()))
+        if (isIntLike(A.Ty) && isIntLike(B.Ty) && SA->NoOverflow.count(Pc))
+          ++Ctx.Stats.StaticFactContradictions;
       LOp Dop = O == Op::Add   ? LOp::AddD
                 : O == Op::Sub ? LOp::SubD
                                : LOp::MulD;
@@ -984,21 +978,19 @@ void TraceRecorder::recordBranch(Op O, uint32_t Pc) {
   const bool GuardLeavesLoop = InAnchorFrame && OutsideLoop(Resume);
   if (T->Op == LOp::ImmI)
     return; // statically known: no divergence possible
-  if (Ctx.Opts.StaticAnalysis) {
-    // The abstract interpreter may have proven this branch single-sided
-    // over every execution; if so the guard can never fire and is dead
-    // weight on the trace.
-    if (const ScriptAnalysis *A = Ctx.analysisOf(script())) {
-      auto It = A->BranchConst.find(Pc);
-      if (It != A->BranchConst.end()) {
-        if (It->second == ActualTruthy) {
-          ++Ctx.Stats.StaticGuardsElided;
-          return;
-        }
-        // Fact contradicts the live value: the fact is wrong. Record the
-        // guard as usual; the validator counter makes the bug visible.
-        ++Ctx.Stats.StaticFactContradictions;
+  // The abstract interpreter may have proven this branch single-sided over
+  // every execution; if so the guard can never fire and is dead weight on
+  // the trace.
+  if (const ScriptAnalysis *A = Ctx.analysisOf(script())) {
+    auto It = A->BranchConst.find(Pc);
+    if (It != A->BranchConst.end()) {
+      if (It->second == ActualTruthy) {
+        ++Ctx.Stats.StaticGuardsElided;
+        return;
       }
+      // Fact contradicts the live value: the fact is wrong. Record the
+      // guard as usual; the validator counter makes the bug visible.
+      ++Ctx.Stats.StaticFactContradictions;
     }
   }
   ExitDescriptor *E;

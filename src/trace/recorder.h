@@ -61,6 +61,10 @@ public:
   /// Why the recording aborted (AbortReason::None while recording).
   AbortReason abortReason() const { return AbortCause; }
   Fragment *fragment() { return F; }
+  /// Guards and overflow checks the CSE filter dropped so far.
+  uint64_t guardsEliminated() const {
+    return Cse ? Cse->guardsEliminated() : 0;
+  }
   Mode mode() const { return RecMode; }
   LoopRecord *loop() { return Loop; }
 

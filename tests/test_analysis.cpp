@@ -285,32 +285,6 @@ TEST(Analysis, HeaderFactsHoldWhereATraceDroppedADeadLocal) {
   ADD_FAILURE() << "no function f";
 }
 
-// --- The off switch ----------------------------------------------------------
-
-TEST(Analysis, DisabledAnalysisReproducesBaselinePipeline) {
-  const std::string Src = "var primes = 0;\n"
-                          "for (var i = 2; i < 500; ++i) {\n"
-                          "  var composite = 0;\n"
-                          "  for (var k = 2; k * k <= i; ++k) {\n"
-                          "    if (i % k == 0) composite = 1;\n"
-                          "  }\n"
-                          "  if (composite == 0) primes = primes + 1;\n"
-                          "}\n"
-                          "print(primes);\n";
-  EngineOptions Off = jitOpts();
-  Off.StaticAnalysis = false;
-  EvalRun A = runWith(Src, Off);
-  EvalRun B = runWith(Src, jitOpts());
-  EXPECT_EQ(A.Out, B.Out);
-  // With the analysis off, none of its counters may move.
-  EXPECT_EQ(A.Stats.AnalysisRuns, 0u);
-  EXPECT_EQ(A.Stats.StaticGuardsElided, 0u);
-  EXPECT_EQ(A.Stats.StaticDemotionsSeeded, 0u);
-  EXPECT_EQ(A.Stats.StaticMegaSeeded, 0u);
-  // With it on, the run is observed by the stats.
-  EXPECT_GT(B.Stats.AnalysisRuns, 0u);
-}
-
 // --- Direct analyzeScript facts ----------------------------------------------
 
 TEST(Analysis, FactsSurviveAcrossEvalAndAnalyze) {

@@ -147,7 +147,6 @@ TEST(CacheLifecycle, TinyCacheFlushesAndMatchesInterpreter) {
   O.CollectStats = true;
   O.CodeCacheBytes = 4096;   // one page: a handful of fragments at most
   O.MaxCacheFlushes = 1000;  // keep the kill switch out of this test
-  O.StaticAnalysis = false;  // elided guards shrink traces enough to fit
   Engine E(O);
   CollectingListener L;
   E.addEventListener(&L);

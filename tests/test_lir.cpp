@@ -83,14 +83,52 @@ TEST_F(PipelineFixture, CseDeduplicatesPureExpressions) {
   EXPECT_EQ(W.insImmQ(0x1234), W.insImmQ(0x1234));
 }
 
-TEST_F(PipelineFixture, CseDeduplicatesLoadsUntilStore) {
+TEST_F(PipelineFixture, CseLoadsFollowLocationClassGenerations) {
   LIns *Tar = W.ins0(LOp::ParamTar);
   LIns *L1 = W.insLoad(LOp::LdI, Tar, 16);
+  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16), L1)
+      << "repeated load with no intervening store is CSE'd";
+  W.insStore(LOp::StI, W.insImmI(1), Tar, 24);
+  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16), L1)
+      << "a store to another TAR slot keeps the cached load";
+  W.insStore(LOp::StI, W.insImmI(1), Tar, 16);
   LIns *L2 = W.insLoad(LOp::LdI, Tar, 16);
-  EXPECT_EQ(L1, L2) << "repeated load with no intervening store is CSE'd";
-  W.insStore(LOp::StI, W.insImmI(1), Tar, 999);
-  LIns *L3 = W.insLoad(LOp::LdI, Tar, 16);
-  EXPECT_NE(L1, L3) << "stores conservatively invalidate cached loads";
+  EXPECT_NE(L2, L1) << "a store to the same slot starts a new generation";
+
+  LIns *Obj = W.insLoad(LOp::LdQ, Tar, 8);
+  LIns *H1 = W.insLoad(LOp::LdI, Obj, 0);
+  W.insStore(LOp::StI, W.insImmI(2), Tar, 32);
+  EXPECT_EQ(W.insLoad(LOp::LdI, Obj, 0), H1) << "TAR stores leave the heap";
+  W.insStore(LOp::StI, W.insImmI(2), Obj, 4);
+  LIns *H2 = W.insLoad(LOp::LdI, Obj, 0);
+  EXPECT_NE(H2, H1) << "a heap store starts a new heap generation";
+  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16), L2) << "... and leaves the TAR";
+
+  CallInfo Impure;
+  Impure.Name = "impure";
+  Impure.Ret = LTy::Void;
+  W.insCall(&Impure, nullptr, 0);
+  LIns *H3 = W.insLoad(LOp::LdI, Obj, 0);
+  EXPECT_NE(H3, H2) << "an impure call starts a new heap generation";
+  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16), L2) << "calls never write the TAR";
+
+  Fragment Inner;
+  W.insTreeCall(&Inner, exit(), exit());
+  EXPECT_NE(W.insLoad(LOp::LdI, Tar, 16), L2)
+      << "the inner tree may have written any slot";
+  EXPECT_NE(W.insLoad(LOp::LdI, Obj, 0), H3) << "... and the heap";
+
+  LIns *Flag = W.insImmQ(0x1000);
+  EXPECT_NE(W.insLoad(LOp::LdI, Flag, 0), W.insLoad(LOp::LdI, Flag, 0))
+      << "absolute (ImmQ-based) loads are volatile VM channels";
+
+  LIns *X = W.insLoad(LOp::LdI, Tar, 40);
+  LIns *Y = W.insLoad(LOp::LdI, Tar, 48);
+  LIns *O1 = W.insOvf(LOp::AddOvI, X, Y, exit());
+  EXPECT_EQ(Cse.guardsEliminated(), 0u);
+  EXPECT_EQ(W.insOvf(LOp::AddOvI, X, Y, exit()), O1)
+      << "a repeated overflow-checked op reuses the checked result";
+  EXPECT_EQ(Cse.guardsEliminated(), 1u);
 }
 
 TEST_F(PipelineFixture, RedundantGuardsDropped) {
@@ -103,6 +141,79 @@ TEST_F(PipelineFixture, RedundantGuardsDropped) {
   EXPECT_EQ(G2, nullptr) << "same condition, same polarity: proven already";
   LIns *G3 = W.insGuard(LOp::GuardF, C, exit());
   EXPECT_NE(G3, nullptr) << "opposite polarity is a different guard";
+}
+
+// --- Dominated-guard elimination in the CSE filter ----------------------------
+
+TEST_F(PipelineFixture, CseDropsDominatedGuard) {
+  LIns *Tar = W.ins0(LOp::ParamTar);
+  LIns *L = W.insLoad(LOp::LdI, Tar, 0);
+  LIns *C = W.ins2(LOp::LtI, L, W.insImmI(5));
+  LIns *G1 = W.insGuard(LOp::GuardT, C, exit());
+  LIns *G2 = W.insGuard(LOp::GuardT, C, exit());
+  EXPECT_NE(G1, nullptr);
+  EXPECT_EQ(G2, nullptr) << "re-check of a guarded condition can't fire";
+  EXPECT_EQ(Cse.guardsEliminated(), 1u);
+}
+
+TEST_F(PipelineFixture, CseKeepsOppositePolarityGuard) {
+  LIns *Tar = W.ins0(LOp::ParamTar);
+  LIns *L = W.insLoad(LOp::LdI, Tar, 0);
+  LIns *C = W.ins2(LOp::EqI, L, W.insImmI(0));
+  W.insGuard(LOp::GuardT, C, exit());
+  EXPECT_NE(W.insGuard(LOp::GuardF, C, exit()), nullptr)
+      << "GuardF(c) is not subsumed by GuardT(c)";
+  EXPECT_EQ(Cse.guardsEliminated(), 0u);
+}
+
+TEST_F(PipelineFixture, CseKeepsGuardAcrossHeapClobber) {
+  // load; guard; store to the same location; reload; same-shaped guard.
+  // The store starts a new generation: the reload and its guard must both
+  // be emitted.
+  LIns *Tar = W.ins0(LOp::ParamTar);
+  LIns *Base = W.insLoad(LOp::LdQ, Tar, 8);
+  LIns *Five = W.insImmI(5);
+  LIns *L1 = W.insLoad(LOp::LdI, Base, 0);
+  W.insGuard(LOp::GuardT, W.ins2(LOp::LtI, L1, Five), exit());
+  W.insStore(LOp::StI, Five, Base, 0);
+  LIns *L2 = W.insLoad(LOp::LdI, Base, 0);
+  LIns *G2 = W.insGuard(LOp::GuardT, W.ins2(LOp::LtI, L2, Five), exit());
+  EXPECT_NE(L2, L1) << "clobbered load must not merge";
+  EXPECT_NE(G2, nullptr);
+  EXPECT_EQ(Cse.guardsEliminated(), 0u);
+}
+
+TEST_F(PipelineFixture, CseMergesRedundantLoadAndGuardWithoutClobber) {
+  // Same stream as above minus the store, plus a store to an unrelated TAR
+  // slot: the reload merges into the first load, the condition into the
+  // first condition, and the second guard is dominated.
+  LIns *Tar = W.ins0(LOp::ParamTar);
+  LIns *Base = W.insLoad(LOp::LdQ, Tar, 8);
+  LIns *Five = W.insImmI(5);
+  LIns *L1 = W.insLoad(LOp::LdI, Base, 0);
+  LIns *C1 = W.ins2(LOp::LtI, L1, Five);
+  LIns *G1 = W.insGuard(LOp::GuardT, C1, exit());
+  W.insStore(LOp::StI, Five, Tar, 16);
+  LIns *L2 = W.insLoad(LOp::LdI, Base, 0);
+  LIns *C2 = W.ins2(LOp::LtI, L2, Five);
+  LIns *G2 = W.insGuard(LOp::GuardT, C2, exit());
+  EXPECT_EQ(L2, L1);
+  EXPECT_EQ(C2, C1);
+  EXPECT_NE(G1, nullptr);
+  EXPECT_EQ(G2, nullptr);
+  EXPECT_EQ(Cse.guardsEliminated(), 1u);
+}
+
+TEST_F(PipelineFixture, CseTreeCallInvalidatesTarSlots) {
+  // TAR loads must not merge across a TreeCall: the inner tree runs over
+  // the same activation record and may write any slot.
+  Fragment Inner;
+  LIns *Tar = W.ins0(LOp::ParamTar);
+  LIns *L1 = W.insLoad(LOp::LdI, Tar, 0);
+  W.insTreeCall(&Inner, exit(), exit());
+  LIns *L2 = W.insLoad(LOp::LdI, Tar, 0);
+  EXPECT_NE(L1, L2) << "inner tree may have written slot 0";
+  EXPECT_EQ(Buf.instructions().back(), L2);
 }
 
 TEST_F(PipelineFixture, GuardOnProvenConstantDisappears) {

@@ -255,6 +255,30 @@ TEST(Observability, LogListenerFormat) {
   EXPECT_NE(Line.find("reason=trace-too-long"), std::string::npos);
 }
 
+TEST(Observability, AccumulateSumsEveryCounter) {
+  // The serving harness keeps a worker's totals across engine recycles by
+  // accumulating snapshots: no counter may be left out of the sum.
+  VMStats Ones;
+#define SET_ONE(Name) Ones.Name = 1;
+  TRACEJIT_VMSTATS_COUNTERS(SET_ONE)
+#undef SET_ONE
+  Ones.AbortsByReason.fill(1);
+  Ones.VerifyFailuresByRule.fill(1);
+  Ones.ActivitySeconds.fill(1.0);
+
+  VMStats Sum;
+  Sum.accumulate(Ones);
+#define EXPECT_ONE(Name) EXPECT_EQ(Sum.Name, 1u) << #Name;
+  TRACEJIT_VMSTATS_COUNTERS(EXPECT_ONE)
+#undef EXPECT_ONE
+  for (uint64_t N : Sum.AbortsByReason)
+    EXPECT_EQ(N, 1u);
+  for (uint64_t N : Sum.VerifyFailuresByRule)
+    EXPECT_EQ(N, 1u);
+  for (double S : Sum.ActivitySeconds)
+    EXPECT_EQ(S, 1.0);
+}
+
 // --- The GC line of the activity ledger -------------------------------------
 
 class GcLedger : public ::testing::TestWithParam<Backend> {

@@ -163,6 +163,30 @@ TEST_P(StringNumber, ToInt32OnTraceMatchesTheInterpreter) {
   EXPECT_GE(R.Stats.TracesCompleted, 1u);
 }
 
+TEST_P(StringNumber, NaNAndInfinityAreNumberConstants) {
+  // NaN and Infinity are read-only globals in ES5: at top level, in a hot
+  // loop and inside a function they read as numbers, unless a parameter or
+  // local of that name shadows them.
+  Observed R = runAgainstInterpreter(R"(
+    print(NaN, Infinity, -Infinity, NaN + 1, NaN == NaN);
+    function shadow(NaN) { var Infinity = 2; return NaN + Infinity; }
+    function inner(x) { return x < Infinity && x == x ? x : NaN; }
+    var nans = 0, infs = 0, sum = 0, sh = 0;
+    for (var i = 0; i < 500; ++i) {
+      if (inner(i % 7 == 0 ? NaN : i) != inner(i % 7 == 0 ? NaN : i))
+        nans = nans + 1;
+      if (i / 0 == Infinity) infs = infs + 1;
+      if (-i / 0 == -Infinity) infs = infs + 1;
+      sum = sum + (i < Infinity ? 1 : 0);
+      sh = sh + shadow(i);
+    }
+    print(nans, infs, sum, sh, Infinity - Infinity, 1 / Infinity);
+  )");
+  EXPECT_EQ(R.Out, "NaN Infinity -Infinity NaN false\n"
+                   "72 998 500 125750 NaN 0\n");
+  EXPECT_GE(R.Stats.TracesCompleted, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Runtime, StringNumber,
                          ::testing::Values(Backend::Native, Backend::Executor),
                          [](const ::testing::TestParamInfo<Backend> &I) {

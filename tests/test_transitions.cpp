@@ -284,7 +284,6 @@ TEST(RecordingFlag, PoolExhaustionFlush) {
   EngineOptions O = traceOpts();
   O.CodeCacheBytes = 4096;
   O.MaxCacheFlushes = 1000;
-  O.StaticAnalysis = false;
   Engine E(O);
   // Twenty loops: ten fit in the page with 4-byte exit stubs.
   std::string Src = "var t = 0;\n";

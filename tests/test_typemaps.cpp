@@ -100,14 +100,11 @@ bool isExitOnlyTrunk(const Fragment &F) {
 
 class TypeMaps : public ::testing::TestWithParam<Backend> {
 protected:
-  bool StaticAnalysis = true;
-
   EngineOptions traced() const {
     EngineOptions O;
     O.EnableJit = true;
     O.JitBackend = GetParam();
     O.VerifyLir = true;
-    O.StaticAnalysis = StaticAnalysis;
     return O;
   }
 
@@ -292,8 +289,7 @@ TEST_P(TypeMaps, FortyUnusedGlobalsChangeNothing) {
 // undefined at the first crossing of each call and an int after. The root
 // is recorded in the first call with t an int, yet t is dead at the header:
 // no root types it, the back edge drops it, and that one root serves every
-// later call from its first crossing on -- with the static analysis on or
-// off.
+// later call from its first crossing on.
 TEST_P(TypeMaps, WriteBeforeReadLocalDoesNotSplitTheTree) {
   const char *Src =
       "function run(n, k) { var s = 0;\n"
@@ -303,20 +299,16 @@ TEST_P(TypeMaps, WriteBeforeReadLocalDoesNotSplitTheTree) {
       "r = r + run(60, 1); r = r + run(61, 2); r = r + run(62, 3);\n"
       "r = r + run(63, 4); r = r + run(64, 5); r = r + run(65, 6);\n"
       "print(r);\n";
-  for (bool Static : {true, false}) {
-    SCOPED_TRACE(Static ? "static analysis on" : "static analysis off");
-    StaticAnalysis = Static;
-    Observed R = runAgainstInterpreter(Src);
-    EXPECT_EQ(R.Out, "35950\n");
-    EXPECT_EQ(R.Stats.TreesCompiled, 1u);
-    for (const auto &A : rootsPerAnchor(R.Profiles))
-      EXPECT_EQ(A.second, 1u) << "anchor " << A.first.first << ":"
-                              << A.first.second;
-    EXPECT_GE(R.Stats.TraceEnters, 5u);
-    for (const FragmentProfile &P : R.Profiles) {
-      if (P.IsRoot && P.LirAfterFilters) {
-        EXPECT_EQ(P.EntrySlots, 4u) << "n, k, s and i; not t";
-      }
+  Observed R = runAgainstInterpreter(Src);
+  EXPECT_EQ(R.Out, "35950\n");
+  EXPECT_EQ(R.Stats.TreesCompiled, 1u);
+  for (const auto &A : rootsPerAnchor(R.Profiles))
+    EXPECT_EQ(A.second, 1u) << "anchor " << A.first.first << ":"
+                            << A.first.second;
+  EXPECT_GE(R.Stats.TraceEnters, 5u);
+  for (const FragmentProfile &P : R.Profiles) {
+    if (P.IsRoot && P.LirAfterFilters) {
+      EXPECT_EQ(P.EntrySlots, 4u) << "n, k, s and i; not t";
     }
   }
 }
