@@ -28,7 +28,7 @@ int main() {
       "var s = 0;\n"
       "for (var i = 0; i < 60000; ++i) s += fib(3) + (i & 7);\n"
       "print(s);",
-      "", false};
+      "330000\n", false};
 
   EngineOptions IO = interpreterOptions();
   EngineOptions BlOn = tracingOptions();

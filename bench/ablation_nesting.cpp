@@ -25,14 +25,14 @@ int main() {
        "  for (var j = 0; j < 200; ++j)\n"
        "    c = c + 1;\n"
        "print(c);",
-       "", true},
+       "400000\n", true},
       {"nest2-branchy-inner",
        "var a = 0, b = 0;\n"
        "for (var i = 0; i < 2000; ++i)\n"
        "  for (var j = 0; j < 200; ++j)\n"
        "    if ((i + j) % 3 == 0) a += 1; else b += 1;\n"
        "print(a, b);",
-       "", true},
+       "133333 266667\n", true},
       {"nest3-deep",
        "var c = 0;\n"
        "for (var i = 0; i < 64; ++i)\n"
@@ -40,7 +40,7 @@ int main() {
        "    for (var k = 0; k < 64; ++k)\n"
        "      c = c + 1;\n"
        "print(c);",
-       "", true},
+       "262144\n", true},
       {"nest2-short-outer-work",
        "var s = 0;\n"
        "for (var i = 0; i < 30000; ++i) {\n"
@@ -48,7 +48,7 @@ int main() {
        "  for (var j = 0; j < 8; ++j) s += 1;\n"
        "}\n"
        "print(s);",
-       "", true},
+       "345000\n", true},
   };
 
   printf("%-24s %12s %12s %9s %14s %14s\n", "workload", "nested(ms)",

@@ -25,7 +25,7 @@ int main() {
        "  if ((i & 1) == 0) a += i; else b += i;\n"
        "}\n"
        "print(a, b);",
-       "", true},
+       "39999800000 40000000000\n", true},
       {"three-way-mod",
        "var x = 0, y = 0, z = 0;\n"
        "for (var i = 0; i < 300000; ++i) {\n"
@@ -33,14 +33,14 @@ int main() {
        "  if (m == 0) x += 1; else if (m == 1) y += 2; else z += 3;\n"
        "}\n"
        "print(x, y, z);",
-       "", true},
+       "100000 200000 300000\n", true},
       {"rare-branch",
        "var s = 0;\n"
        "for (var i = 0; i < 400000; ++i) {\n"
        "  if ((i & 1023) == 0) s += 100; else s += 1;\n"
        "}\n"
        "print(s);",
-       "", true},
+       "438709\n", true},
   };
 
   printf("%-24s %12s %12s %9s %10s %10s\n", "workload", "stitch(ms)",

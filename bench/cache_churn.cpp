@@ -4,8 +4,9 @@
 // traces exceeds CodeCacheBytes. Workload: many distinct hot loops, each
 // compiling to its own fragment. Three configurations: interpreter,
 // tracing with an ample cache (no flushes), and tracing with a one-page
-// cache (constant flush churn). The checksum line must match across all
-// three -- a flush that corrupts state cannot masquerade as overhead.
+// cache (constant flush churn). Every run of all three must print the
+// interpreter's checksum -- a flush that corrupts state cannot masquerade
+// as overhead.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,8 +39,8 @@ static std::string churnSource(int Loops, int Iters) {
 int main() {
   printf("=== code-cache lifecycle: flush churn under a bounded cache ===\n");
 
-  std::string Src = churnSource(24, 20000);
-  const BenchProgram P{"cache-churn-24-loops", Src.c_str(), "", false};
+  const BenchProgram P{"cache-churn-24-loops", churnSource(24, 20000),
+                       "59997920000\n", false};
 
   EngineOptions IO = interpreterOptions();
 
@@ -57,21 +58,6 @@ int main() {
   if (!I.Ok || !A.Ok || !T.Ok) {
     printf("FAILED: %s%s%s\n", I.Error.c_str(), A.Error.c_str(),
            T.Error.c_str());
-    return 1;
-  }
-
-  // Cross-configuration checksum: the flush-churned run must print exactly
-  // what the interpreter prints.
-  auto checksum = [&](const EngineOptions &O) {
-    Engine E(O);
-    std::string Out;
-    E.setPrintHook([&](const std::string &S) { Out += S; });
-    E.eval(P.Source);
-    return Out;
-  };
-  std::string Want = checksum(IO);
-  if (checksum(Ample) != Want || checksum(Tiny) != Want) {
-    printf("FAILED: configurations disagree on the checksum\n");
     return 1;
   }
 

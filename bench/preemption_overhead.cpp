@@ -60,7 +60,7 @@ int main() {
                      "for (var r = 0; r < 4000; ++r)\n"
                      "  for (var i = 0; i < 100; ++i) s += 1;\n"
                      "print(s);",
-                     "", true};
+                     "400000\n", true};
   reportRow(Short);
 
   printf("\npaper shape check: overhead under ~1%% except for very short "

@@ -3,10 +3,13 @@
 // Ports of SunSpider programs to MiniJS (see DESIGN.md for the
 // substitution notes: `new` is replaced with factory functions, closures
 // with globals; sizes are scaled so interpreter runs take tens of
-// milliseconds, like the originals on 2008 hardware).
+// milliseconds, like the originals on 2008 hardware). The programs are
+// perfbench's: each is read in place from perfbench/programs/<name>.js,
+// with the interpreter's output from <name>.expected.
 //
-// Each program prints a checksum line; the harness validates it on every
-// configuration, so a miscompilation cannot masquerade as a speedup.
+// Each program prints a checksum line; the harness checks every run of
+// every configuration against the committed output, so a miscompilation
+// cannot masquerade as a speedup.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,13 +26,18 @@ namespace tracejit_bench {
 
 struct BenchProgram {
   const char *Name;
-  const char *Source;
-  /// Expected print output (checksum); empty = skip validation.
-  const char *Expected;
+  std::string Source;
+  /// The interpreter's print output; every run must print exactly this.
+  std::string Expected;
   /// Paper expectation: was this benchmark traced well by TraceMonkey?
   bool ExpectTraced;
 };
 
+/// Reads perfbench/programs/<Name>.js and <Name>.expected. A missing file
+/// prints its path and exits the process with status 1.
+BenchProgram loadProgram(const char *Name, bool ExpectTraced = true);
+
+/// The 16 SunSpider ports of Fig. 10, loaded on first use.
 const std::vector<BenchProgram> &suite();
 
 struct RunResult {
@@ -40,8 +48,14 @@ struct RunResult {
   tracejit::VMStats Stats;
 };
 
+/// One eval of \p P on a fresh engine under \p O. Returns its time in ms,
+/// or -1 with \p Error set when the eval fails or its output differs from
+/// P.Expected. Copies the engine's stats into \p Stats when given.
+double evalOnce(const BenchProgram &P, const tracejit::EngineOptions &O,
+                std::string &Error, tracejit::VMStats *Stats = nullptr);
+
 /// SunSpider driver protocol: one warmup run, then \p Runs timed runs,
-/// each on a fresh engine; report the mean.
+/// each on a fresh engine and each checked by evalOnce; report the mean.
 RunResult runProgram(const BenchProgram &P, const tracejit::EngineOptions &O,
                      int Runs = 10);
 

@@ -146,10 +146,6 @@ struct EngineOptions {
   /// implementation", §3.2).
   uint32_t HotLoopThreshold = 2;
 
-  /// Side-exit executions before a branch trace is recorded (§3.2
-  /// "Extending a tree").
-  uint32_t HotExitThreshold = 2;
-
   /// Passes skipped after a failed recording ("32 in our implementation").
   uint32_t BlacklistBackoff = 32;
 
@@ -182,18 +178,6 @@ struct EngineOptions {
   /// OptPipeline::level(0) is the §5.1 filter set alone. Adjust via
   /// "-O0/-O2" or "--jit-opt=[+|-]pass,...".
   OptPipeline Passes = OptPipeline::level(2);
-
-  /// Hoisted-guard failures at tree entry (ExitKind::Deopt through the
-  /// fragment's entry exit) tolerated before the monitor permanently stops
-  /// entering that fragment; the loop then re-records against the current
-  /// shapes. Guards against enter/deopt thrash when an invariant the
-  /// prologue checks (e.g. an object's shape) has changed for good.
-  uint32_t EntryDeoptLimit = 8;
-
-  /// Abort recording beyond this many LIR instructions. Together with
-  /// MaxFrames (the recorder only inlines frames the interpreter pushed)
-  /// this is also what bounds how deep a trace inlines calls.
-  uint32_t MaxTraceLength = 16384;
 
   /// Collect Figure 11 counters (adds a counter increment per fragment
   /// entry and per interpreted bytecode).

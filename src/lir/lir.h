@@ -271,11 +271,6 @@ std::string formatIns(const LIns *I);
 std::string formatBody(const std::vector<LIns *> &Body);
 std::string formatBody(const std::vector<LIns *> &Body, uint32_t PrologueEnd);
 
-/// Debug consistency check: operand types match opcode signatures, SSA
-/// ordering holds (operands defined before uses). Returns an empty string
-/// on success, else a description of the first problem.
-std::string typecheckBody(const std::vector<LIns *> &Body);
-
 } // namespace tracejit
 
 #endif // TRACEJIT_LIR_LIR_H

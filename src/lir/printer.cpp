@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "jit/fragment.h"
 #include "lir/lir.h"
@@ -264,142 +263,6 @@ std::string TypeMap::describe() const {
   }
   Out += "]";
   return Out;
-}
-
-// --- Type checker --------------------------------------------------------------
-
-static std::string checkOperand(const LIns *I, const LIns *Opnd, LTy Want,
-                                const char *Which) {
-  if (!Opnd)
-    return "missing " + std::string(Which) + " operand in " + formatIns(I);
-  if (Opnd->Ty != Want)
-    return std::string("operand type mismatch (") + Which + ") in " +
-           formatIns(I) + ": have " + tyName(Opnd->Ty) + ", want " +
-           tyName(Want);
-  return "";
-}
-
-std::string typecheckBody(const std::vector<LIns *> &Body) {
-  std::unordered_set<const LIns *> Defined;
-  for (const LIns *I : Body) {
-    // SSA ordering: every operand must be defined earlier in the body.
-    auto CheckDef = [&](const LIns *O) -> std::string {
-      if (O && !Defined.count(O))
-        return "use before def in " + formatIns(I);
-      return "";
-    };
-    for (const LIns *O : {I->A, I->B})
-      if (auto E = CheckDef(O); !E.empty())
-        return E;
-    for (uint32_t K = 0; K < I->NCallArgs; ++K)
-      if (auto E = CheckDef(I->CallArgs[K]); !E.empty())
-        return E;
-
-    std::string Err;
-    switch (I->Op) {
-    case LOp::AddI:
-    case LOp::SubI:
-    case LOp::MulI:
-    case LOp::AndI:
-    case LOp::OrI:
-    case LOp::XorI:
-    case LOp::ShlI:
-    case LOp::ShrI:
-    case LOp::UshrI:
-    case LOp::AddOvI:
-    case LOp::SubOvI:
-    case LOp::MulOvI:
-    case LOp::EqI:
-    case LOp::NeI:
-    case LOp::LtI:
-    case LOp::LeI:
-    case LOp::GtI:
-    case LOp::GeI:
-    case LOp::LtUI:
-      Err = checkOperand(I, I->A, LTy::I32, "lhs");
-      if (Err.empty())
-        Err = checkOperand(I, I->B, LTy::I32, "rhs");
-      break;
-    case LOp::AddD:
-    case LOp::SubD:
-    case LOp::MulD:
-    case LOp::DivD:
-    case LOp::EqD:
-    case LOp::NeD:
-    case LOp::LtD:
-    case LOp::LeD:
-    case LOp::GtD:
-    case LOp::GeD:
-      Err = checkOperand(I, I->A, LTy::D, "lhs");
-      if (Err.empty())
-        Err = checkOperand(I, I->B, LTy::D, "rhs");
-      break;
-    case LOp::NegD:
-    case LOp::D2I:
-      Err = checkOperand(I, I->A, LTy::D, "src");
-      break;
-    case LOp::I2D:
-    case LOp::UI2D:
-    case LOp::UI2Q:
-      Err = checkOperand(I, I->A, LTy::I32, "src");
-      break;
-    case LOp::Q2I:
-      Err = checkOperand(I, I->A, LTy::Q, "src");
-      break;
-    case LOp::AddQ:
-    case LOp::AndQ:
-    case LOp::OrQ:
-    case LOp::EqQ:
-      Err = checkOperand(I, I->A, LTy::Q, "lhs");
-      if (Err.empty())
-        Err = checkOperand(I, I->B, LTy::Q, "rhs");
-      break;
-    case LOp::ShlQ:
-    case LOp::ShrQ:
-    case LOp::SarQ:
-      Err = checkOperand(I, I->A, LTy::Q, "lhs");
-      if (Err.empty())
-        Err = checkOperand(I, I->B, LTy::I32, "count");
-      break;
-    case LOp::LdI:
-    case LOp::LdQ:
-    case LOp::LdD:
-    case LOp::LdUB:
-      Err = checkOperand(I, I->A, LTy::Q, "base");
-      break;
-    case LOp::StI:
-      Err = checkOperand(I, I->A, LTy::I32, "value");
-      if (Err.empty())
-        Err = checkOperand(I, I->B, LTy::Q, "base");
-      break;
-    case LOp::StQ:
-      Err = checkOperand(I, I->A, LTy::Q, "value");
-      if (Err.empty())
-        Err = checkOperand(I, I->B, LTy::Q, "base");
-      break;
-    case LOp::StD:
-      Err = checkOperand(I, I->A, LTy::D, "value");
-      if (Err.empty())
-        Err = checkOperand(I, I->B, LTy::Q, "base");
-      break;
-    case LOp::GuardT:
-    case LOp::GuardF:
-      Err = checkOperand(I, I->A, LTy::I32, "cond");
-      if (Err.empty() && !I->Exit)
-        Err = "guard without exit: " + formatIns(I);
-      break;
-    case LOp::Call:
-      for (uint32_t K = 0; K < I->NCallArgs && Err.empty(); ++K)
-        Err = checkOperand(I, I->CallArgs[K], I->CI->Args[K], "arg");
-      break;
-    default:
-      break;
-    }
-    if (!Err.empty())
-      return Err;
-    Defined.insert(I);
-  }
-  return "";
 }
 
 } // namespace tracejit

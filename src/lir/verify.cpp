@@ -62,9 +62,8 @@ RuleHit wantOperands(LOp Op, const LIns *A, LTy WantA, const LIns *B,
   return wantOperand(Op, B, WantB, "second");
 }
 
-/// Operand typing rules per opcode (the I/Q/D domains of §3.1; same table
-/// the legacy typecheckBody used, now shared by both verifier entry
-/// points). For stores, A is the value and B the base, matching both the
+/// Operand typing rules per opcode (the I/Q/D domains of §3.1), shared by
+/// both verifier entry points. For stores, A is the value and B the base, matching both the
 /// LIns layout and the insStore argument order.
 RuleHit checkOperandTypes(LOp Op, const LIns *A, const LIns *B) {
   switch (Op) {

@@ -45,7 +45,6 @@ namespace tracejit {
   M(InnerTreeSideExit, "inner-tree-side-exit")                                 \
   M(PreemptedInInnerCall, "preempted-in-inner-call")                           \
   M(DispatchUnwound, "dispatch-unwound")                                       \
-  M(TypecheckFailed, "typecheck-failed")                                       \
   M(CompilePoolExhausted, "compile-pool-exhausted")                            \
   M(CompileOverflow, "compile-overflow")                                       \
   M(CompileUnsupported, "compile-unsupported")                                 \

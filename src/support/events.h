@@ -59,7 +59,7 @@ enum class AbortReason : uint8_t {
   ReturnBelowEntryFrame,///< Return would pop below the trace entry frame.
 
   // --- Recorder: structural limits ------------------------------------------
-  TraceTooLong,        ///< MaxTraceLength exceeded.
+  TraceTooLong,        ///< MaxTraceLength (trace/recorder.cpp) exceeded.
   UnsupportedBytecode, ///< Opcode with no recording routine / corrupt code.
   ExitOnlyCrossing,    ///< A root left its loop at the loop's test: the
                        ///< trunk would only exit. Never a failure, and
@@ -71,7 +71,6 @@ enum class AbortReason : uint8_t {
   InnerTreeSideExit,   ///< Inner tree side-exited mid-call (forgiven).
   PreemptedInInnerCall,///< Preempt flag fired during a nested tree call.
   DispatchUnwound,     ///< Interpreter dispatch returned while recording.
-  TypecheckFailed,     ///< Post-filter LIR failed the typechecker.
 
   // --- Backend compile failures (code-cache lifecycle governance) -----------
   CompilePoolExhausted,///< The code cache could not satisfy the reservation.

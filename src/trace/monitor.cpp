@@ -427,6 +427,13 @@ void TraceMonitor::restoreCallSite(const ExitDescriptor *Site,
   }
 }
 
+/// Hoisted-guard failures at tree entry (ExitKind::Deopt through the
+/// fragment's entry exit) tolerated before the monitor permanently stops
+/// entering that fragment; the loop then re-records against the current
+/// shapes. Guards against enter/deopt thrash when an invariant the
+/// prologue checks (e.g. an object's shape) has changed for good.
+static constexpr uint32_t EntryDeoptLimit = 8;
+
 ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,
                                               uint64_t *Tar) {
   bool Stats = Ctx.Opts.CollectStats;
@@ -479,7 +486,7 @@ ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag,
     ++Ctx.Stats.EntryDeopts;
     LoopState *LS = Frag->Loop ? Frag->Loop->State : nullptr;
     Frag->EnterBlockedUntil =
-        Frag->EntryDeopts >= Ctx.Opts.EntryDeoptLimit
+        Frag->EntryDeopts >= EntryDeoptLimit
             ? UINT32_MAX
             : (LS ? LS->HitCount : 0) + 2;
   }
@@ -697,27 +704,6 @@ void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
       setRecorder(std::move(R)); // restore so abortRecording can bookkeep
       RecorderLoopState = LS;
       abortRecording(AbortReason::VerifyFailed, true);
-      return;
-    }
-  } else {
-    // Legacy debug typechecker (superseded by the verifier, kept for runs
-    // that explicitly turn VerifyLir off).
-    std::string TypeErr = typecheckBody(F->Body);
-    if (!TypeErr.empty()) {
-      fprintf(stderr, "tracejit: LIR typecheck failed: %s\n", TypeErr.c_str());
-      F->Body.clear();
-      ++Ctx.Stats.AbortsByReason[(size_t)AbortReason::TypecheckFailed];
-      if (Ctx.EventListener) {
-        JitEvent E;
-        E.Kind = JitEventKind::RecordAbort;
-        E.Reason = AbortReason::TypecheckFailed;
-        E.FragmentId = F->Id;
-        E.ScriptId = F->AnchorScript ? F->AnchorScript->Id : ~0u;
-        E.Pc = F->AnchorPc;
-        emitEvent(E);
-      }
-      if (Stats)
-        Ctx.Stats.switchTo(Activity::Interpret);
       return;
     }
   }
@@ -1144,6 +1130,10 @@ uint32_t TraceMonitor::handleInnerLoopHeader(uint32_t Pc, uint16_t LoopId) {
   return E->Pc;
 }
 
+/// Side-exit executions before a branch trace is recorded (§3.2
+/// "Extending a tree").
+static constexpr uint32_t HotExitThreshold = 2;
+
 void TraceMonitor::handleExit(ExitDescriptor *E) {
   if (E->Kind == ExitKind::Preempt) {
     Ctx.serviceInterrupts();
@@ -1168,7 +1158,7 @@ void TraceMonitor::handleExit(ExitDescriptor *E) {
       (E->Frames.back().Script != Root->AnchorScript ||
        E->Pc < Root->Loop->HeaderPc || E->Pc >= Root->Loop->EndPc))
     return;
-  if (E->Hits < Ctx.Opts.HotExitThreshold)
+  if (E->Hits < HotExitThreshold)
     return;
   if (E->FailedRecordings >= Ctx.Opts.MaxRecordingFailures) {
     // Branch overflow: this exit will never get a compiled continuation.

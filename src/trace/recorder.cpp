@@ -1724,6 +1724,12 @@ bool TraceRecorder::endIfLeftLoop(uint32_t Pc) {
 
 // --- Main dispatch ------------------------------------------------------------------------------------
 
+/// Abort recording beyond this many recorded bytecodes (or four times as
+/// many LIR instructions). Together with MaxFrames (the recorder only
+/// inlines frames the interpreter pushed) this is also what bounds how deep
+/// a trace inlines calls.
+static constexpr uint32_t MaxTraceLength = 16384;
+
 void TraceRecorder::recordOp(uint32_t Pc) {
   if (St != Status::Recording)
     return;
@@ -1738,8 +1744,8 @@ void TraceRecorder::recordOp(uint32_t Pc) {
   assert(VFrames.size() == Interp.frames().size());
   ExitPc = Pc;
 
-  if (++OpsRecorded > Ctx.Opts.MaxTraceLength ||
-      Buffer->size() > Ctx.Opts.MaxTraceLength * 4) {
+  if (++OpsRecorded > MaxTraceLength ||
+      Buffer->size() > MaxTraceLength * 4) {
     abort(AbortReason::TraceTooLong);
     return;
   }

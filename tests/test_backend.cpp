@@ -15,6 +15,7 @@
 #include "jit/execmem.h"
 #include "jit/executor.h"
 #include "lir/lir.h"
+#include "lir/verify.h"
 #include "support/arena.h"
 #include "trace/helpers.h"
 #include "trace/monitor.h"
@@ -238,7 +239,9 @@ struct BackendFixture : ::testing::Test {
   void checkBoth(Fragment &F, std::vector<uint64_t> TarInit,
                  ExitDescriptor *WantExit) {
     ASSERT_TRUE(BE.valid());
-    ASSERT_EQ(typecheckBody(F.Body), "");
+    VerifyError Err;
+    ASSERT_TRUE(verifyTrace(F, F.EntryTypes.NumGlobals, Err))
+        << Err.describe();
 
     std::vector<uint64_t> TarN = TarInit, TarX = TarInit;
     TarN.resize(TarInit.size() + 64);
@@ -252,6 +255,15 @@ struct BackendFixture : ::testing::Test {
     EXPECT_EQ(EX, WantExit);
     EXPECT_EQ(TarN, TarX) << "backends disagree on TAR effects";
   }
+
+  /// An exit whose map types \p Types as stack slots over no globals: the
+  /// exit-map shape verifyTrace requires.
+  static ExitDescriptor *stackExit(Fragment &F, std::vector<TraceType> Types) {
+    ExitDescriptor *E = F.makeExit();
+    E->Sp = (uint32_t)Types.size();
+    E->Types.Types = std::move(Types);
+    return E;
+  }
 };
 
 } // namespace
@@ -263,8 +275,7 @@ TEST_F(BackendFixture, CountingLoopFragment) {
   LIns *Tar = Buf.ins0(LOp::ParamTar);
   LIns *I = Buf.insLoad(LOp::LdI, Tar, 0);
   LIns *Done = Buf.ins2(LOp::EqI, I, Buf.insImmI(100));
-  ExitDescriptor *E = F.makeExit();
-  E->Sp = 1;
+  ExitDescriptor *E = stackExit(F, {TraceType::Int});
   Buf.insGuard(LOp::GuardF, Done, E);
   LIns *Next = Buf.ins2(LOp::AddI, I, Buf.insImmI(1));
   Buf.insStore(LOp::StI, Next, Tar, 0);
@@ -285,8 +296,7 @@ TEST_F(BackendFixture, DoubleAccumulationFragment) {
   Buf.insStore(LOp::StD, S2, Tar, 8);
   LIns *Next = Buf.ins2(LOp::AddI, I, Buf.insImmI(1));
   Buf.insStore(LOp::StI, Next, Tar, 0);
-  ExitDescriptor *E = F.makeExit();
-  E->Sp = 2;
+  ExitDescriptor *E = stackExit(F, {TraceType::Int, TraceType::Double});
   Buf.insGuard(LOp::GuardT, Buf.ins2(LOp::LtI, Next, Buf.insImmI(64)), E);
   Buf.insLoop();
   F.Body = Buf.instructions();
@@ -307,8 +317,7 @@ TEST_F(BackendFixture, OverflowGuardExits) {
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
   LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
-  ExitDescriptor *Ov = F.makeExit();
-  Ov->Sp = 1;
+  ExitDescriptor *Ov = stackExit(F, {TraceType::Int});
   LIns *Dbl = Buf.insOvf(LOp::AddOvI, X, X, Ov);
   Buf.insStore(LOp::StI, Dbl, Tar, 0);
   Buf.insLoop();
@@ -367,9 +376,9 @@ TEST_F(BackendFixture, FoldedImmediatesMatchTheExecutor) {
       bool Q = Ty == LTy::Q;
       LIns *V = Buf.insLoad(Q ? LOp::LdQ : LOp::LdI, Tar, 0);
       LIns *K = Q ? Buf.insImmQ(Imm) : Buf.insImmI((int32_t)Imm);
-      ExitDescriptor *E0 = F.makeExit();
-      ExitDescriptor *E1 = F.makeExit();
-      E0->Sp = E1->Sp = 2;
+      TraceType T = Q ? TraceType::Object : TraceType::Int;
+      ExitDescriptor *E0 = stackExit(F, {T, T});
+      ExitDescriptor *E1 = stackExit(F, {T, T});
       LIns *L = ImmLeft ? K : V, *R = ImmLeft ? V : K;
       LIns *Res = Op == LOp::AddOvI || Op == LOp::SubOvI || Op == LOp::MulOvI
                       ? Buf.insOvf(Op, L, R, E0)
@@ -421,8 +430,7 @@ TEST_F(BackendFixture, FoldedImmediatesMatchTheExecutor) {
     LIns *Tar = Buf.ins0(LOp::ParamTar);
     Buf.insStore(LOp::StI, Buf.insImmI((int32_t)Imm), Tar, 0);
     Buf.insStore(LOp::StQ, Buf.insImmQ(Imm), Tar, 8);
-    ExitDescriptor *E = F.makeExit();
-    E->Sp = 2;
+    ExitDescriptor *E = stackExit(F, {TraceType::Int, TraceType::Object});
     Buf.insExit(E);
     F.Body = Buf.instructions();
     checkBoth(F, {~0ull, ~0ull, 0, 0}, E);

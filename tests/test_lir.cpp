@@ -332,27 +332,6 @@ TEST(DeadCodeElim, KeepsGuardsAndTheirOperandChains) {
       << "the guard roots its whole condition chain";
 }
 
-TEST(Typecheck, AcceptsWellTypedBody) {
-  Arena A;
-  LirBuffer Buf(A);
-  LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
-  LIns *D = Buf.ins1(LOp::I2D, X);
-  LIns *S = Buf.ins2(LOp::AddD, D, Buf.insImmD(1.0));
-  Buf.insStore(LOp::StD, S, Tar, 8);
-  EXPECT_EQ(typecheckBody(Buf.instructions()), "");
-}
-
-TEST(Typecheck, RejectsTypeMismatch) {
-  Arena A;
-  LirBuffer Buf(A);
-  LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
-  LIns *D = Buf.insImmD(1.0);
-  Buf.ins2(LOp::AddI, X, D); // I32 + D: ill-typed
-  EXPECT_NE(typecheckBody(Buf.instructions()), "");
-}
-
 TEST(Printer, GuardExitMetadataGolden) {
   // Guards must print the exit metadata the verifier's diagnostics lean
   // on: resume point, stack depth, frame depth, and the type-map summary.
