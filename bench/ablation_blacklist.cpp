@@ -37,24 +37,22 @@ int main() {
   BlOff.EnableBlacklisting = false;
   BlOff.CollectStats = true;
 
-  RunResult I = runProgram(P, IO, 5);
-  RunResult A = runProgram(P, BlOn, 5);
-  RunResult B = runProgram(P, BlOff, 5);
-  if (!I.Ok || !A.Ok || !B.Ok) {
-    printf("FAILED: %s%s%s\n", I.Error.c_str(), A.Error.c_str(),
-           B.Error.c_str());
+  Timing T = timeConfigs(P, {IO, BlOn, BlOff}, 5);
+  if (!T.Ok) {
+    printf("FAILED: %s\n", T.Error.c_str());
     return 1;
   }
+  const double *Ms = T.MedianMs.data();
 
-  printf("%-32s %10.2f ms\n", "interpreter", I.MeanMs);
+  printf("%-32s %10.2f ms\n", "interpreter", Ms[0]);
   printf("%-32s %10.2f ms   (%.2fx of interpreter; aborts=%llu, "
          "blacklisted=%llu)\n",
-         "tracing + blacklisting", A.MeanMs, A.MeanMs / I.MeanMs,
-         (unsigned long long)A.Stats.TracesAborted,
-         (unsigned long long)A.Stats.LoopsBlacklisted);
+         "tracing + blacklisting", Ms[1], Ms[1] / Ms[0],
+         (unsigned long long)T.Stats[1].TracesAborted,
+         (unsigned long long)T.Stats[1].LoopsBlacklisted);
   printf("%-32s %10.2f ms   (%.2fx of interpreter; aborts=%llu)\n",
-         "tracing, blacklisting OFF", B.MeanMs, B.MeanMs / I.MeanMs,
-         (unsigned long long)B.Stats.TracesAborted);
+         "tracing, blacklisting OFF", Ms[2], Ms[2] / Ms[0],
+         (unsigned long long)T.Stats[2].TracesAborted);
 
   printf("\npaper shape check: with blacklisting the overhead over the "
          "interpreter is\nbounded (a few failed attempts, then the header "

@@ -37,12 +37,12 @@ int main() {
   const char *Names[] = {"bitops-3bit-bits-in-byte", "math-cordic",
                          "access-nsieve", "crypto-sha1", "3d-morph"};
 
-  // Process-level warmup (allocators, code-cache mmap, frequency ramp):
-  // without this the first config row pays it and reads as a fake
-  // regression.
-  if (!suite().empty())
-    runProgram(suite()[0], tracingOptions(), 2);
-
+  std::vector<EngineOptions> Options;
+  for (const Config &C : Configs) {
+    Options.push_back(tracingOptions());
+    Options.back().Passes = C.Passes;
+    Options.back().CollectStats = true;
+  }
   for (const char *N : Names) {
     const BenchProgram *P = nullptr;
     for (const BenchProgram &Q : suite())
@@ -51,21 +51,21 @@ int main() {
     if (!P)
       continue;
     printf("\n%s:\n", P->Name);
+    // The configurations interleave rep by rep, so the process warm-up and
+    // host drift do not land on whichever row runs first.
+    Timing T = timeConfigs(*P, Options, 5);
+    if (!T.Ok) {
+      printf("  FAILED: %s\n", T.Error.c_str());
+      continue;
+    }
     printf("  %-14s %10s %12s %12s %10s\n", "config", "time(ms)", "LIR-after",
            "guards-elim", "hoisted");
-    for (const Config &C : Configs) {
-      EngineOptions O = tracingOptions();
-      O.Passes = C.Passes;
-      O.CollectStats = true;
-      RunResult R = runProgram(*P, O, 5);
-      if (!R.Ok) {
-        printf("  %-14s FAILED: %s\n", C.Name.c_str(), R.Error.c_str());
-        continue;
-      }
-      printf("  %-14s %10.2f %12llu %12llu %10llu\n", C.Name.c_str(), R.MeanMs,
-             (unsigned long long)R.Stats.LirAfterBackwardFilters,
-             (unsigned long long)R.Stats.GuardsEliminated,
-             (unsigned long long)(R.Stats.InsHoisted + R.Stats.GuardsHoisted));
+    for (size_t C = 0; C < Configs.size(); ++C) {
+      const VMStats &S = T.Stats[C];
+      printf("  %-14s %10.2f %12llu %12llu %10llu\n", Configs[C].Name.c_str(),
+             T.MedianMs[C], (unsigned long long)S.LirAfterBackwardFilters,
+             (unsigned long long)S.GuardsEliminated,
+             (unsigned long long)(S.InsHoisted + S.GuardsHoisted));
     }
   }
   printf("\npaper shape check: the §5.1 filters shrink the LIR stream (dead "

@@ -59,17 +59,15 @@ int main() {
     EngineOptions Off = tracingOptions();
     Off.EnableNesting = false;
     Off.CollectStats = true;
-    RunResult A = runProgram(P, On, 5);
-    RunResult B = runProgram(P, Off, 5);
-    if (!A.Ok || !B.Ok) {
-      printf("%-24s FAILED: %s\n", P.Name,
-             (!A.Ok ? A.Error : B.Error).c_str());
+    Timing T = timeConfigs(P, {On, Off}, 5);
+    if (!T.Ok) {
+      printf("%-24s FAILED: %s\n", P.Name, T.Error.c_str());
       continue;
     }
-    printf("%-24s %12.2f %12.2f %8.2fx %14llu %14llu\n", P.Name, A.MeanMs,
-           B.MeanMs, B.MeanMs / A.MeanMs,
-           (unsigned long long)A.Stats.TracesCompleted,
-           (unsigned long long)B.Stats.TracesCompleted);
+    printf("%-24s %12.2f %12.2f %8.2fx %14llu %14llu\n", P.Name,
+           T.MedianMs[0], T.MedianMs[1], T.MedianMs[1] / T.MedianMs[0],
+           (unsigned long long)T.Stats[0].TracesCompleted,
+           (unsigned long long)T.Stats[1].TracesCompleted);
   }
   printf("\npaper shape check: nesting wins when the outer loop carries "
          "real work per\niteration (the inner tree is called as one unit); "

@@ -51,17 +51,15 @@ int main() {
     EngineOptions Off = tracingOptions();
     Off.EnableStitching = false;
     Off.CollectStats = true;
-    RunResult A = runProgram(P, On, 5);
-    RunResult B = runProgram(P, Off, 5);
-    if (!A.Ok || !B.Ok) {
-      printf("%-24s FAILED: %s\n", P.Name,
-             (!A.Ok ? A.Error : B.Error).c_str());
+    Timing T = timeConfigs(P, {On, Off}, 5);
+    if (!T.Ok) {
+      printf("%-24s FAILED: %s\n", P.Name, T.Error.c_str());
       continue;
     }
-    printf("%-24s %12.2f %12.2f %8.2fx %10llu %10llu\n", P.Name, A.MeanMs,
-           B.MeanMs, B.MeanMs / A.MeanMs,
-           (unsigned long long)A.Stats.BranchesCompiled,
-           (unsigned long long)B.Stats.SideExits);
+    printf("%-24s %12.2f %12.2f %8.2fx %10llu %10llu\n", P.Name,
+           T.MedianMs[0], T.MedianMs[1], T.MedianMs[1] / T.MedianMs[0],
+           (unsigned long long)T.Stats[0].BranchesCompiled,
+           (unsigned long long)T.Stats[1].SideExits);
   }
   printf("\npaper shape check: branchy loops degrade sharply without "
          "stitching because every\noff-trunk iteration pays a full "

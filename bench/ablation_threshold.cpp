@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include <cstdio>
+#include <vector>
 
 #include "suite.h"
 
@@ -21,19 +22,22 @@ int main() {
   printf("%-26s", "benchmark");
   for (uint32_t T : Thresholds)
     printf(" %7u", T);
-  printf("   (mean ms per threshold)\n");
+  printf("   (median ms per threshold)\n");
 
+  std::vector<EngineOptions> Configs;
+  for (uint32_t T : Thresholds) {
+    Configs.push_back(tracingOptions());
+    Configs.back().HotLoopThreshold = T;
+  }
   for (const BenchProgram &P : suite()) {
     printf("%-26s", P.Name);
-    for (uint32_t T : Thresholds) {
-      EngineOptions O = tracingOptions();
-      O.HotLoopThreshold = T;
-      RunResult R = runProgram(P, O, 3);
-      if (!R.Ok)
-        printf(" %7s", "FAIL");
-      else
-        printf(" %7.2f", R.MeanMs);
+    Timing T = timeConfigs(P, Configs, 3);
+    if (!T.Ok) {
+      printf(" FAILED: %s\n", T.Error.c_str());
+      continue;
     }
+    for (double Ms : T.MedianMs)
+      printf(" %7.2f", Ms);
     printf("\n");
   }
   printf("\npaper shape check: for short-running programs the low "

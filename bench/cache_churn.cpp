@@ -52,27 +52,26 @@ int main() {
   Tiny.CodeCacheBytes = 4096; // one page: a handful of fragments at most
   Tiny.MaxCacheFlushes = 1u << 20; // measure churn, not the kill switch
 
-  RunResult I = runProgram(P, IO, 5);
-  RunResult A = runProgram(P, Ample, 5);
-  RunResult T = runProgram(P, Tiny, 5);
-  if (!I.Ok || !A.Ok || !T.Ok) {
-    printf("FAILED: %s%s%s\n", I.Error.c_str(), A.Error.c_str(),
-           T.Error.c_str());
+  Timing T = timeConfigs(P, {IO, Ample, Tiny}, 5);
+  if (!T.Ok) {
+    printf("FAILED: %s\n", T.Error.c_str());
     return 1;
   }
+  const double *Ms = T.MedianMs.data();
+  const VMStats &A = T.Stats[1], &Churn = T.Stats[2];
 
-  printf("%-32s %10.2f ms\n", "interpreter", I.MeanMs);
+  printf("%-32s %10.2f ms\n", "interpreter", Ms[0]);
   printf("%-32s %10.2f ms   (%.2fx of interpreter; trees=%llu, flushes=%llu)\n",
-         "tracing, 32 MiB cache", A.MeanMs, A.MeanMs / I.MeanMs,
-         (unsigned long long)A.Stats.TreesCompiled,
-         (unsigned long long)A.Stats.CacheFlushes);
+         "tracing, 32 MiB cache", Ms[1], Ms[1] / Ms[0],
+         (unsigned long long)A.TreesCompiled,
+         (unsigned long long)A.CacheFlushes);
   printf("%-32s %10.2f ms   (%.2fx of interpreter; trees=%llu, flushes=%llu, "
          "retired=%llu, reclaimed=%llu KiB)\n",
-         "tracing, 4 KiB cache", T.MeanMs, T.MeanMs / I.MeanMs,
-         (unsigned long long)T.Stats.TreesCompiled,
-         (unsigned long long)T.Stats.CacheFlushes,
-         (unsigned long long)T.Stats.FragmentsRetired,
-         (unsigned long long)(T.Stats.CacheBytesReclaimed / 1024));
+         "tracing, 4 KiB cache", Ms[2], Ms[2] / Ms[0],
+         (unsigned long long)Churn.TreesCompiled,
+         (unsigned long long)Churn.CacheFlushes,
+         (unsigned long long)Churn.FragmentsRetired,
+         (unsigned long long)(Churn.CacheBytesReclaimed / 1024));
 
   printf("\nshape check: the ample cache compiles each loop once and never "
          "flushes; the\none-page cache flushes repeatedly yet stays correct "

@@ -30,17 +30,14 @@ void reportRow(const BenchProgram &P) {
   EngineOptions Deadline = tracingOptions();
   // Far enough out that it never fires; we pay only the poll.
   Deadline.EvalDeadlineMs = 24ull * 60 * 60 * 1000;
-  RunResult A = runProgram(P, On, /*Runs=*/5);
-  RunResult B = runProgram(P, Off, /*Runs=*/5);
-  RunResult D = runProgram(P, Deadline, /*Runs=*/5);
-  if (!A.Ok || !B.Ok || !D.Ok) {
-    printf("%-26s FAILED: %s\n", P.Name,
-           (!A.Ok ? A.Error : !B.Ok ? B.Error : D.Error).c_str());
+  Timing T = timeConfigs(P, {On, Off, Deadline}, /*Reps=*/5);
+  if (!T.Ok) {
+    printf("%-26s FAILED: %s\n", P.Name, T.Error.c_str());
     return;
   }
-  printf("%-26s %12.2f %12.2f %12.2f %+9.1f%% %+9.1f%%\n", P.Name, A.MeanMs,
-         B.MeanMs, D.MeanMs, 100.0 * (A.MeanMs - B.MeanMs) / B.MeanMs,
-         100.0 * (D.MeanMs - B.MeanMs) / B.MeanMs);
+  double A = T.MedianMs[0], B = T.MedianMs[1], D = T.MedianMs[2];
+  printf("%-26s %12.2f %12.2f %12.2f %+9.1f%% %+9.1f%%\n", P.Name, A, B, D,
+         100.0 * (A - B) / B, 100.0 * (D - B) / B);
 }
 
 } // namespace

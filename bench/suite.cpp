@@ -102,26 +102,34 @@ double evalOnce(const BenchProgram &P, const EngineOptions &O,
   return std::chrono::duration<double, std::milli>(T1 - T0).count();
 }
 
-RunResult runProgram(const BenchProgram &P, const EngineOptions &O,
-                     int Runs) {
-  RunResult R;
-  double Total = 0;
-  double Best = 1e300;
-  // Run 0 is the untimed warm-up; it is checked like every timed run.
-  for (int K = 0; K <= Runs; ++K) {
-    double Ms = evalOnce(P, O, R.Error, K == Runs ? &R.Stats : nullptr);
-    if (Ms < 0) {
-      R.Ok = false;
-      return R;
+Timing timeConfigs(const BenchProgram &P,
+                   const std::vector<EngineOptions> &Configs, int Reps) {
+  Timing T;
+  T.Stats.resize(Configs.size());
+  std::vector<std::vector<double>> Ms(Configs.size());
+  // Rep 0 is the untimed warm-up; it is checked like every timed rep.
+  for (int Rep = 0; Rep <= Reps; ++Rep)
+    for (size_t C = 0; C < Configs.size(); ++C) {
+      double Run = evalOnce(P, Configs[C], T.Error,
+                            Rep == Reps ? &T.Stats[C] : nullptr);
+      if (Run < 0) {
+        T.Ok = false;
+        return T;
+      }
+      if (Rep > 0)
+        Ms[C].push_back(Run);
     }
-    if (K == 0)
-      continue;
-    Total += Ms;
-    Best = std::min(Best, Ms);
-  }
-  R.MeanMs = Total / Runs;
-  R.BestMs = Best;
-  return R;
+  for (std::vector<double> &Runs : Ms)
+    T.MedianMs.push_back(median(std::move(Runs)));
+  return T;
+}
+
+double median(std::vector<double> V) {
+  if (V.empty())
+    return 0;
+  std::sort(V.begin(), V.end());
+  size_t Mid = V.size() / 2;
+  return V.size() % 2 ? V[Mid] : (V[Mid - 1] + V[Mid]) / 2;
 }
 
 std::string hostJson() {

@@ -40,24 +40,32 @@ BenchProgram loadProgram(const char *Name, bool ExpectTraced = true);
 /// The 16 SunSpider ports of Fig. 10, loaded on first use.
 const std::vector<BenchProgram> &suite();
 
-struct RunResult {
-  double MeanMs = 0;
-  double BestMs = 0;
-  bool Ok = true;
-  std::string Error;
-  tracejit::VMStats Stats;
-};
-
 /// One eval of \p P on a fresh engine under \p O. Returns its time in ms,
 /// or -1 with \p Error set when the eval fails or its output differs from
 /// P.Expected. Copies the engine's stats into \p Stats when given.
 double evalOnce(const BenchProgram &P, const tracejit::EngineOptions &O,
                 std::string &Error, tracejit::VMStats *Stats = nullptr);
 
-/// SunSpider driver protocol: one warmup run, then \p Runs timed runs,
-/// each on a fresh engine and each checked by evalOnce; report the mean.
-RunResult runProgram(const BenchProgram &P, const tracejit::EngineOptions &O,
-                     int Runs = 10);
+/// The timing of one program under several configurations.
+struct Timing {
+  bool Ok = true;
+  std::string Error;
+  /// Per configuration: the median time of its timed reps, in ms.
+  std::vector<double> MedianMs;
+  /// Per configuration: the engine stats of its last timed rep.
+  std::vector<tracejit::VMStats> Stats;
+};
+
+/// Times \p P under every configuration in \p Configs: one warm-up rep,
+/// then \p Reps timed reps. Each rep runs every configuration once, in
+/// order, so host drift hits them alike. Every run is a fresh engine checked
+/// by evalOnce, warm-up included; the first failure stops the timing.
+Timing timeConfigs(const BenchProgram &P,
+                   const std::vector<tracejit::EngineOptions> &Configs,
+                   int Reps = 10);
+
+/// The median of \p V (the mean of the middle two for an even count).
+double median(std::vector<double> V);
 
 tracejit::EngineOptions interpreterOptions();
 tracejit::EngineOptions tracingOptions();
@@ -68,7 +76,7 @@ tracejit::EngineOptions tracingOptions();
 bool applyBenchArgs(tracejit::EngineOptions &O, int argc, char **argv);
 
 /// The host a snapshot was taken on, as a JSON object ({"cores": N,
-/// "cpu": "model name"}) for the "host" field of BENCH_*.json.
+/// "cpu": "model name"}) for the "host" field of BENCH.json.
 std::string hostJson();
 
 } // namespace tracejit_bench

@@ -21,7 +21,6 @@ constexpr BoolFlag BoolFlags[] = {
     {"--stats", &EngineOptions::CollectStats, true},
     {"--no-stats", &EngineOptions::CollectStats, false},
     {"--dump-lir", &EngineOptions::DumpLIR, true},
-    {"--dump-asm", &EngineOptions::DumpAssembly, true},
     {"--log-jit-events", &EngineOptions::LogJitEvents, true},
     {"--trace-events", &EngineOptions::CaptureTraceEvents, true},
     {"--nesting", &EngineOptions::EnableNesting, true},

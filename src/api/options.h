@@ -183,9 +183,8 @@ struct EngineOptions {
   /// entry and per interpreted bytecode).
   bool CollectStats = false;
 
-  /// Diagnostics: dump recorded LIR / filtered LIR / native code sizes.
+  /// Diagnostics: dump recorded and filtered LIR to stderr.
   bool DumpLIR = false;
-  bool DumpAssembly = false;
 
   /// LIR verifier (lir/verify.h): a streaming VerifyWriter at the head of
   /// the forward filter pipeline plus a whole-trace pass after the backward

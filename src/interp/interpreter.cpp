@@ -482,8 +482,7 @@ static inline bool isTruthy(const Value &V) {
     Code = Script->Code.data();                                                \
   } while (0)
 
-#if defined(TRACEJIT_COMPUTED_GOTO)
-// Threaded harness: pc and sp live in locals (Pc/Sp are their spill copy),
+// Threaded dispatch: pc and sp live in locals (Pc/Sp are their spill copy),
 // and every op ends in its own copy of the dispatch tail.
 Value Interpreter::dispatchUntil(size_t StopDepth) {
   VMContext &C = Ctx;
@@ -567,59 +566,6 @@ TjUnwind:
 #undef TJ_SPILL
 #undef TJ_RELOAD
 }
-#else
-// Portable fallback harness: one switch, one shared dispatch point. pc and
-// sp are the members themselves, so spilling and reloading are no-ops.
-Value Interpreter::dispatchUntil(size_t StopDepth) {
-  VMContext &C = Ctx;
-  const bool Stats = C.Opts.CollectStats;
-  Value *const Stk = Stack.data();
-  uint32_t &pc = Pc;
-  uint32_t &sp = Sp;
-  Frame *F = &Frames.back();
-  FunctionScript *Script = F->Script;
-  const uint8_t *Code = Script->Code.data();
-  Op O;
-
-#define TJ_SPILL()                                                             \
-  do {                                                                         \
-  } while (0)
-#define TJ_RELOAD()                                                            \
-  do {                                                                         \
-  } while (0)
-
-  while (true) {
-    if (C.HasError) {
-      // Unwind everything this dispatch owns.
-      while (Frames.size() > StopDepth)
-        Frames.pop_back();
-      return Value::undefined();
-    }
-    O = (Op)Code[pc];
-
-    if (C.Recording && O != Op::LoopHeader) {
-      C.Monitor->recordOp(pc);
-      if (Stats)
-        ++C.Stats.BytecodesRecorded;
-    } else if (Stats) {
-      ++C.Stats.BytecodesInterpreted;
-    }
-
-    switch (O) {
-#define TJ_OP(name) case Op::name: {
-#define TJ_NEXT() } break;
-#include "interp/dispatch.inc"
-#undef TJ_OP
-#undef TJ_NEXT
-    case Op::NumOps:
-      rtError("corrupt bytecode");
-      break;
-    }
-  }
-#undef TJ_SPILL
-#undef TJ_RELOAD
-}
-#endif // TRACEJIT_COMPUTED_GOTO
 
 #undef TJ_RELOAD_FRAME
 

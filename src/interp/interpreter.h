@@ -80,10 +80,8 @@ private:
   friend class TraceMonitor;
   friend class TraceRecorder;
 
-  /// Dispatch until the frame stack shrinks back to \p StopDepth. The
-  /// build picks one harness: threaded (computed goto, pc/sp in locals)
-  /// when the compiler supports it (TRACEJIT_COMPUTED_GOTO), else a switch
-  /// loop over the members. Both stamp out the same op bodies from
+  /// Dispatch until the frame stack shrinks back to \p StopDepth. Threaded
+  /// (computed goto, pc/sp in locals) over the op bodies of
   /// interp/dispatch.inc.
   Value dispatchUntil(size_t StopDepth);
 

@@ -894,9 +894,6 @@ bool TraceMonitor::publishJob(CompileJob &J) {
     return false;
   }
 
-  if (Ctx.Opts.DumpAssembly && F->NativeEntry)
-    fprintf(stderr, "--- fragment %u native: %u bytes at %p\n", F->Id,
-            F->NativeSize, (void *)F->NativeEntry);
   installCompiledFragment(F, LS, J.AnchorExit);
   return true;
 }

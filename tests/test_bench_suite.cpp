@@ -30,21 +30,29 @@ TEST(BenchSuite, LoadsSixteenProgramsWithSourceAndExpectedOutput) {
   }
 }
 
-TEST(BenchSuite, RunProgramMatchesTheCommittedOutput) {
+TEST(BenchSuite, TimeConfigsMatchesTheCommittedOutput) {
   const BenchProgram P = loadProgram("bitops-bitwise-and");
-  for (const EngineOptions &O : {interpreterOptions(), tracingOptions()}) {
-    RunResult R = runProgram(P, O, /*Runs=*/1);
-    EXPECT_TRUE(R.Ok) << R.Error;
-    EXPECT_GT(R.MeanMs, 0);
-  }
+  Timing T = timeConfigs(P, {interpreterOptions(), tracingOptions()},
+                         /*Reps=*/3);
+  ASSERT_TRUE(T.Ok) << T.Error;
+  ASSERT_EQ(T.MedianMs.size(), 2u);
+  ASSERT_EQ(T.Stats.size(), 2u);
+  EXPECT_GT(T.MedianMs[0], 0);
+  EXPECT_GT(T.MedianMs[1], 0);
 }
 
-TEST(BenchSuite, RunProgramRejectsOutputThatDiffersFromExpected) {
+TEST(BenchSuite, TimeConfigsRejectsOutputThatDiffersFromExpected) {
   BenchProgram P = loadProgram("bitops-bitwise-and");
   P.Expected = "1" + P.Expected;
   for (const EngineOptions &O : {interpreterOptions(), tracingOptions()}) {
-    RunResult R = runProgram(P, O, /*Runs=*/1);
-    EXPECT_FALSE(R.Ok);
-    EXPECT_NE(R.Error.find("output mismatch"), std::string::npos) << R.Error;
+    Timing T = timeConfigs(P, {O}, /*Reps=*/1);
+    EXPECT_FALSE(T.Ok);
+    EXPECT_NE(T.Error.find("output mismatch"), std::string::npos) << T.Error;
   }
+}
+
+TEST(BenchSuite, MedianOfOddAndEvenCounts) {
+  EXPECT_EQ(median({3, 1, 2}), 2);
+  EXPECT_EQ(median({4, 1, 3, 2}), 2.5);
+  EXPECT_EQ(median({}), 0);
 }

@@ -270,11 +270,9 @@ TEST(InlineCaches, RecorderTracesThroughMegamorphicSite) {
 }
 
 TEST(Dispatch, HarnessMatchesReferenceOutputs) {
-  // Whichever harness the build selected (threaded when TRACEJIT_COMPUTED_GOTO
-  // is defined, the switch loop otherwise -- the CI fallback leg), the corpus
-  // prints the reference output with the JIT off and on. Calls, returns, and
-  // loop edges that run a trace are where the harness refreshes its cached
-  // frame, so the corpus crosses each of them.
+  // The corpus prints the reference output with the JIT off and on. Calls,
+  // returns, and loop edges that run a trace are where the dispatch loop
+  // refreshes its cached frame, so the corpus crosses each of them.
   struct Case {
     const char *Src;
     const char *Out;

@@ -383,10 +383,10 @@ print(spin(20000));
 // --- Performance floor ----------------------------------------------------------
 
 TEST(Tier, TraceBeatsInterpreterOnHostileKernels) {
-  // The acceptance bar lives in bench/tier_hostile (>= 2x); this test
-  // keeps a conservative floor so a catastrophic regression of the trace
-  // tier on these kernels fails fast in the unit suite. Interleaved
-  // best-of-3 per config.
+  // The acceptance bar (>= 2x) is the bench gate's, on bench/snapshot's
+  // trace-hostile rows; this test keeps a conservative floor so a
+  // catastrophic regression of the trace tier on these kernels fails fast
+  // in the unit suite. Interleaved best-of-3 per config.
   for (const std::string &Src :
        {megamorphicKernel(200000), branchyKernel(200000)}) {
     double BestI = 1e300, BestT = 1e300;
