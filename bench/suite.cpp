@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -70,17 +71,6 @@ tracejit::EngineOptions tracingOptions() {
   return O;
 }
 
-bool applyBenchArgs(tracejit::EngineOptions &O, int argc, char **argv) {
-  bool AllKnown = true;
-  for (int I = 1; I < argc; ++I) {
-    if (!O.applyFlag(argv[I])) {
-      fprintf(stderr, "unknown flag: %s\n", argv[I]);
-      AllKnown = false;
-    }
-  }
-  return AllKnown;
-}
-
 double evalOnce(const BenchProgram &P, const EngineOptions &O,
                 std::string &Error, VMStats *Stats) {
   Engine E(O);
@@ -130,6 +120,54 @@ double median(std::vector<double> V) {
   std::sort(V.begin(), V.end());
   size_t Mid = V.size() / 2;
   return V.size() % 2 ? V[Mid] : (V[Mid - 1] + V[Mid]) / 2;
+}
+
+// --- Ablation sections -------------------------------------------------------
+
+bool runSection(const Section &S) {
+  printf("=== %s ===\n%s\n\n", S.Title, S.Claim.c_str());
+  int ProgW = 7, ConfW = 6;
+  for (const BenchProgram &P : S.Programs)
+    ProgW = std::max(ProgW, (int)strlen(P.Name));
+  for (const NamedConfig &C : S.Configs)
+    ConfW = std::max(ConfW, (int)C.Name.size());
+  std::string Vs = "vs " + S.Configs.front().Name;
+  int VsW = std::max(9, (int)Vs.size());
+  printf("%-*s  %-*s %10s %*s", ProgW, "program", ConfW, "config", "time(ms)",
+         VsW, Vs.c_str());
+  for (const CounterColumn &Col : S.Counters)
+    printf(" %*s", std::max(9, (int)strlen(Col.Header)), Col.Header);
+  printf("\n");
+
+  std::vector<EngineOptions> Options;
+  for (const NamedConfig &C : S.Configs)
+    Options.push_back(C.Options);
+  bool AllOk = true;
+  for (const BenchProgram &P : S.Programs) {
+    Timing T = timeConfigs(P, Options, S.Reps);
+    if (!T.Ok) {
+      printf("%-*s  FAILED: %s\n", ProgW, P.Name, T.Error.c_str());
+      AllOk = false;
+      continue;
+    }
+    for (size_t C = 0; C < Options.size(); ++C) {
+      printf("%-*s  %-*s %10.2f %*.3fx", ProgW, C == 0 ? P.Name : "", ConfW,
+             S.Configs[C].Name.c_str(), T.MedianMs[C],
+             VsW - 1, T.MedianMs[0] / T.MedianMs[C]);
+      for (const CounterColumn &Col : S.Counters) {
+        int W = std::max(9, (int)strlen(Col.Header));
+        if (Options[C].CollectStats)
+          printf(" %*llu", W, (unsigned long long)(T.Stats[C].*Col.Field));
+        else
+          printf(" %*s", W, "-");
+      }
+      printf("\n");
+    }
+    if (S.Detail)
+      S.Detail(P);
+  }
+  printf("\n");
+  return AllOk;
 }
 
 std::string hostJson() {

@@ -9,7 +9,8 @@
 //
 // Each program prints a checksum line; the harness checks every run of
 // every configuration against the committed output, so a miscompilation
-// cannot masquerade as a speedup.
+// cannot masquerade as a speedup. The same harness runs the ablation
+// sections (Section, runSection), which bench/ablations prints.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,13 +68,43 @@ Timing timeConfigs(const BenchProgram &P,
 /// The median of \p V (the mean of the middle two for an even count).
 double median(std::vector<double> V);
 
+/// One named engine configuration of an ablation section.
+struct NamedConfig {
+  std::string Name;
+  tracejit::EngineOptions Options;
+};
+
+/// A VMStats counter printed as a table column.
+struct CounterColumn {
+  const char *Header;
+  uint64_t tracejit::VMStats::*Field;
+};
+
+/// One paper claim as data: its programs, timed under each configuration
+/// by timeConfigs, with a row per (program, configuration).
+struct Section {
+  const char *Name;  ///< Selects the section on the ablations command line.
+  const char *Title; ///< Table heading, with the paper section.
+  std::string Claim; ///< The paper's claim and the shape the table should show.
+  std::vector<BenchProgram> Programs;
+  /// The first configuration is the baseline of the speedup column.
+  std::vector<NamedConfig> Configs;
+  /// Read from a configuration's last timed rep; printed only for the
+  /// configurations that set CollectStats.
+  std::vector<CounterColumn> Counters;
+  int Reps = 5;
+  /// Extra lines after a program's rows, when set.
+  void (*Detail)(const BenchProgram &) = nullptr;
+};
+
+/// Prints \p S as one table: per program and configuration, the median
+/// time, the speedup over the first configuration and the counter
+/// columns. Returns false if any run failed its output check (the failed
+/// program's row says why; the other programs still run).
+bool runSection(const Section &S);
+
 tracejit::EngineOptions interpreterOptions();
 tracejit::EngineOptions tracingOptions();
-
-/// Apply command-line flags to \p O through EngineOptions::applyFlag (the
-/// same table the repl uses); warns on stderr and returns false if any
-/// flag is unrecognized.
-bool applyBenchArgs(tracejit::EngineOptions &O, int argc, char **argv);
 
 /// The host a snapshot was taken on, as a JSON object ({"cores": N,
 /// "cpu": "model name"}) for the "host" field of BENCH.json.

@@ -164,7 +164,7 @@ struct EngineOptions {
   /// §3.3: blacklisting (trace/tier.h). A loop whose root recording fails
   /// MaxRecordingFailures times goes back to the interpreter for good.
   /// Off keeps re-recording after each backoff -- the pathological
-  /// re-record loop bench/ablation_blacklist measures.
+  /// re-record loop `bench/ablations blacklist` measures.
   bool EnableBlacklisting = true;
 
   /// Tracing is the engine's only compiled tier. perfbench's host

@@ -45,7 +45,6 @@ void Parser::errorAt(const Token &T, const std::string &Msg) {
   Err.Message = Msg;
   if (!T.Text.empty())
     Err.Message += " (at '" + std::string(T.Text) + "')";
-  ErrorMsg = "line " + std::to_string(T.Line) + ": " + Err.Message;
 }
 
 // --- Emission ----------------------------------------------------------------
@@ -999,15 +998,6 @@ FunctionScript *compileSource(VMContext &Ctx, std::string_view Source,
   FunctionScript *S = P.parseProgram();
   if (!S && ErrorOut)
     *ErrorOut = P.error();
-  return S;
-}
-
-FunctionScript *compileSource(VMContext &Ctx, std::string_view Source,
-                              std::string *ErrorOut) {
-  Parser P(Ctx, Source);
-  FunctionScript *S = P.parseProgram();
-  if (!S && ErrorOut)
-    *ErrorOut = P.errorMessage();
   return S;
 }
 

@@ -33,7 +33,6 @@ public:
   FunctionScript *parseProgram();
 
   bool hadError() const { return HadError; }
-  const std::string &errorMessage() const { return ErrorMsg; }
   /// Structured form of the first error (Kind is Lex for bad characters /
   /// unterminated strings, Parse otherwise), with the token's line/column.
   const EngineError &error() const { return Err; }
@@ -142,7 +141,6 @@ private:
   Token Cur;
   Token Prev;
   bool HadError = false;
-  std::string ErrorMsg;
   EngineError Err;
 };
 
@@ -150,10 +148,6 @@ private:
 /// script or nullptr (structured error in the out-param).
 FunctionScript *compileSource(VMContext &Ctx, std::string_view Source,
                               EngineError *ErrorOut);
-
-/// Legacy convenience overload: error as a flat message string.
-FunctionScript *compileSource(VMContext &Ctx, std::string_view Source,
-                              std::string *ErrorOut);
 
 } // namespace tracejit
 

@@ -47,6 +47,24 @@ struct FrameEntry {
   uint32_t ReturnPc; ///< Caller resume pc (0 for the bottom frame).
 };
 
+/// The one frame-chain rule for entering a tree, calling it as a nested
+/// tree and linking an exit to a peer: the same depth, the same base at
+/// every depth, and the same script at every depth but the bottom one.
+/// The bottom frame is the calling eval's top-level script, always a live
+/// interpreter frame that no trace inlines, so a function's tree serves
+/// calls from later evals too. When it is the only frame the tree's loop
+/// is in it, and its script must match.
+template <typename FrameA, typename FrameB>
+bool framesMatch(const std::vector<FrameA> &A, const std::vector<FrameB> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t D = 0; D < A.size(); ++D)
+    if (A[D].Base != B[D].Base ||
+        ((D > 0 || A.size() == 1) && A[D].Script != B[D].Script))
+      return false;
+  return true;
+}
+
 /// A stack slot whose value at an exit is known when the trace is
 /// recorded: an immediate, or a value a guard pinned to one (the callee
 /// after its identity guard). The exit restores it from here, so the trace

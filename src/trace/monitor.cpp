@@ -199,16 +199,6 @@ TypeMap TraceMonitor::buildEntryTypeMap(uint32_t Sp) {
   return M;
 }
 
-bool TraceMonitor::framesMatchLive(const std::vector<FrameEntry> &Entry) const {
-  const std::vector<Frame> &Frames = Interp.frames();
-  if (Entry.size() != Frames.size())
-    return false;
-  for (size_t D = 0; D < Frames.size(); ++D)
-    if (Entry[D].Script != Frames[D].Script || Entry[D].Base != Frames[D].Base)
-      return false;
-  return true;
-}
-
 static uint64_t unboxForTar(const Value &V, TraceType T) {
   switch (T) {
   case TraceType::Int:
@@ -349,7 +339,7 @@ bool TraceMonitor::matchAndImport(const Fragment &P, uint64_t *Tar) const {
   const TypeMap &Want = P.EntryTypes;
   uint32_t NG = Ctx.Globals.size();
   if (Want.NumGlobals != NG || Want.size() != NG + Interp.stackTop() ||
-      !framesMatchLive(P.EntryFrames))
+      !framesMatch(P.EntryFrames, Interp.frames()))
     return false;
   return importTar(Want, Tar, /*Match=*/true);
 }
@@ -373,16 +363,20 @@ void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar) {
   // Scripts and bases are static per descriptor, and so are the return pcs
   // of frames the tree inlined. Frames below the tree's entry depth come
   // from whatever call site the tree was entered from, so their return pcs
-  // come from the dynamic call-stack area.
+  // come from the dynamic call-stack area. The bottom frame is the live
+  // eval's top-level script, which may not be the one the tree was
+  // recorded under (framesMatch), so its script stays the live one.
   const Fragment *Tree = E->Parent ? E->Parent->Root : nullptr;
   size_t DynamicBelow = Tree ? Tree->EntryFrameCount : E->Frames.size();
   auto &Frames = Interp.frames();
+  assert(!Frames.empty());
+  FunctionScript *Bottom = Frames.front().Script;
   Frames.clear();
   for (size_t D = 0; D < E->Frames.size(); ++D) {
     const FrameEntry &F = E->Frames[D];
     uint32_t Rp =
         D == 0 || D >= DynamicBelow ? F.ReturnPc : Ctx.FrameReturnPcs[D];
-    Frames.push_back({F.Script, F.Base, Rp});
+    Frames.push_back({D == 0 ? Bottom : F.Script, F.Base, Rp});
   }
   // Stack slots below the entry's stack top hold the interpreter's values;
   // the ones above are stale.
@@ -613,18 +607,10 @@ void TraceMonitor::blacklist(LoopState *LS) {
 }
 
 void TraceMonitor::linkUnstableExits(LoopState *LS, Fragment *NewPeer) {
-  auto FramesEqual = [&](const ExitDescriptor *E) {
-    if (E->Frames.size() != NewPeer->EntryFrames.size())
-      return false;
-    for (size_t D = 0; D < E->Frames.size(); ++D)
-      if (E->Frames[D].Script != NewPeer->EntryFrames[D].Script ||
-          E->Frames[D].Base != NewPeer->EntryFrames[D].Base)
-        return false;
-    return true;
-  };
   // Existing unstable tails that match the new peer's entry: link them.
   for (ExitDescriptor *E : LS->UnstableExits) {
-    if (!E->Target && E->Types == NewPeer->EntryTypes && FramesEqual(E)) {
+    if (!E->Target && E->Types == NewPeer->EntryTypes &&
+        framesMatch(E->Frames, NewPeer->EntryFrames)) {
       if (Native)
         Native->patchExitTo(E, NewPeer);
       else

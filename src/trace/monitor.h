@@ -196,10 +196,6 @@ private:
   /// Recording start only; peer matching compares in place (matchAndImport).
   TypeMap buildEntryTypeMap(uint32_t Sp);
 
-  /// True when the live interpreter frame chain has exactly the scripts
-  /// and bases of \p Entry.
-  bool framesMatchLive(const std::vector<FrameEntry> &Entry) const;
-
   /// Peer matching and TAR import in one pass over the slots: true when
   /// \p P can be entered from the live interpreter state (same frame chain,
   /// and buildEntryTypeMap(stackTop()) agrees with P.EntryTypes on every

@@ -1511,13 +1511,7 @@ void TraceRecorder::recordTreeCall(Fragment *Inner, ExitDescriptor *Taken) {
 }
 
 bool TraceRecorder::framesMatch(const std::vector<FrameEntry> &Entry) const {
-  if (Entry.size() != VFrames.size())
-    return false;
-  for (size_t D = 0; D < VFrames.size(); ++D)
-    if (Entry[D].Script != VFrames[D].Script ||
-        Entry[D].Base != VFrames[D].Base)
-      return false;
-  return true;
+  return tracejit::framesMatch(Entry, VFrames);
 }
 
 bool TraceRecorder::canCoerceTo(const TypeMap &Entry) {

@@ -90,8 +90,8 @@ public:
   /// successfully, then adopt the inner tree's exit state (§4.1).
   void recordTreeCall(Fragment *Inner, ExitDescriptor *TakenExit);
 
-  /// Do the recorder's current frames (scripts, bases) match a fragment's
-  /// entry chain? Required in addition to type-map equality.
+  /// Do the recorder's current frames match a fragment's entry chain
+  /// (tracejit::framesMatch)? Required in addition to type-map equality.
   bool framesMatch(const std::vector<FrameEntry> &Entry) const;
 
   /// Can the current state be adapted to \p Entry? Each slot \p Entry

@@ -268,8 +268,8 @@ TEST(Analysis, HeaderFactsHoldWhereATraceDroppedADeadLocal) {
   // and gets the lattice top there; s, live, keeps its proven mask.
   EngineOptions P;
   VMContext Ctx(P);
-  std::string Err;
-  ASSERT_NE(compileSource(Ctx, Src, &Err), nullptr) << Err;
+  EngineError Err;
+  ASSERT_NE(compileSource(Ctx, Src, &Err), nullptr) << Err.describe();
   for (auto &S : Ctx.Scripts) {
     if (S->Name != "f")
       continue;
@@ -314,8 +314,8 @@ std::vector<uint8_t> liveAt(const char *Src, const char *Fn,
                             uint32_t LoopIdx = 0) {
   EngineOptions O;
   VMContext Ctx(O);
-  std::string Err;
-  EXPECT_NE(compileSource(Ctx, Src, &Err), nullptr) << Err;
+  EngineError Err;
+  EXPECT_NE(compileSource(Ctx, Src, &Err), nullptr) << Err.describe();
   for (auto &S : Ctx.Scripts) {
     if (S->Name != Fn)
       continue;

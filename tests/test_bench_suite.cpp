@@ -1,9 +1,10 @@
 //===- test_bench_suite.cpp - The bench/ harness and its program loader ---===//
 //
 // bench/ times the perfbench programs, read in place with their committed
-// .expected output. These tests pin the suite's shape and show that the
-// harness checks every run against that output: a run that prints
-// something else fails instead of being timed.
+// .expected output, and the ablation sections' own programs with theirs.
+// These tests pin the suite's shape and show that the harness checks every
+// run against that output: a run that prints something else fails instead
+// of being timed, and fails its section.
 //
 //===----------------------------------------------------------------------===//
 
@@ -55,4 +56,19 @@ TEST(BenchSuite, MedianOfOddAndEvenCounts) {
   EXPECT_EQ(median({3, 1, 2}), 2);
   EXPECT_EQ(median({4, 1, 3, 2}), 2.5);
   EXPECT_EQ(median({}), 0);
+}
+
+TEST(BenchSuite, RunSectionFailsWhenAProgramMissesItsExpectedOutput) {
+  const BenchProgram Good{"count", "var s = 0;\n"
+                                   "for (var i = 0; i < 100; ++i) s += i;\n"
+                                   "print(s);",
+                          "4950\n", true};
+  BenchProgram Bad = Good;
+  Bad.Expected = "4951\n";
+  for (const EngineOptions &O : {interpreterOptions(), tracingOptions()}) {
+    Section S{"check", "output check", "", {Good}, {{"config", O}}, {}, 1};
+    EXPECT_TRUE(runSection(S));
+    S.Programs.push_back(Bad);
+    EXPECT_FALSE(runSection(S)) << "JIT " << O.EnableJit;
+  }
 }

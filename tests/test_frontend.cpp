@@ -48,9 +48,9 @@ TEST(Lexer, BlockComments) {
 
 namespace {
 FunctionScript *compileOk(VMContext &Ctx, const char *Src) {
-  std::string Err;
+  EngineError Err;
   FunctionScript *S = compileSource(Ctx, Src, &Err);
-  EXPECT_NE(S, nullptr) << Err;
+  EXPECT_NE(S, nullptr) << Err.describe();
   return S;
 }
 } // namespace
@@ -132,9 +132,9 @@ TEST(Parser, SyntaxErrors) {
   };
   for (const char *Src : Bad) {
     VMContext Ctx(O);
-    std::string Err;
+    EngineError Err;
     EXPECT_EQ(compileSource(Ctx, Src, &Err), nullptr) << Src;
-    EXPECT_FALSE(Err.empty()) << Src;
+    EXPECT_FALSE(Err.Message.empty()) << Src;
   }
 }
 

@@ -188,6 +188,24 @@ TEST(PeerMatchingOracle, DemotedSlotsAreTheOnesTheGoldensAssume) {
       Oracle::localKey(F->Id, /*LocalSlot (n, a, i)=*/1)));
 }
 
+// Every eval runs under a new top-level script, the bottom frame of each
+// call it makes. A function's tree must still match when later evals call
+// it: were the bottom script part of the frame check, each eval would
+// record one more peer until MaxPeersPerLoop, and from then on the loop
+// would run interpreted.
+TEST(PeerMatchingAcrossEvals, FunctionLoopKeepsItsTree) {
+  Engine E(traceOpts());
+  evalOut(E, "function g(n) { var s = 0; for (var i = 0; i < n; ++i)"
+             " s = s + i; return s; }");
+  uint64_t EntersBefore = 0;
+  for (int K = 0; K < 12; ++K) {
+    EntersBefore = E.stats().TraceEnters;
+    EXPECT_EQ(evalOut(E, "print(g(64));"), "2016\n") << "eval " << K;
+  }
+  EXPECT_EQ(E.stats().TreesCompiled, 1u);
+  EXPECT_GT(E.stats().TraceEnters, EntersBefore) << "last eval interpreted";
+}
+
 // --- Recording flag on every path that drops the recorder --------------------
 
 TEST(RecordingFlag, VerifyFailure) {
