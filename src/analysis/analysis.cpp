@@ -180,7 +180,8 @@ struct AbstractValue {
                          ///< part (survives +/- with int-valued operands, so
                          ///< boxNumber can never renormalize it to Int).
   bool OvfD = false;     ///< The Double bit of Mask is present only because
-                         ///< int arithmetic might overflow -- no genuine
+                         ///< int arithmetic might overflow (or multiply
+                         ///< to -0) -- no genuine
                          ///< double source reaches this value. Demotion
                          ///< facts ignore such slots: seeding them would
                          ///< pessimize loops that never overflow at runtime.
@@ -801,14 +802,22 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
           R0 = *std::min_element(Cands, Cands + 4);
           R1 = *std::max_element(Cands, Cands + 4);
         }
+        // A 0 product with a negative operand is -0, a double.
+        auto SpansZero = [](const AbstractValue &V) {
+          return V.Lo <= 0 && V.Hi >= 0;
+        };
+        bool MayNegZero = O == Op::Mul && ((Lhs.Lo < 0 && SpansZero(Rhs)) ||
+                                           (Rhs.Lo < 0 && SpansZero(Lhs)));
         if (R0 >= INT32_MIN && R1 <= INT32_MAX) {
           if (Collect)
             A->NoOverflow.insert(Pc);
-          push(St, AbstractValue::intRange((int32_t)R0, (int32_t)R1));
-          break;
+          if (!MayNegZero) {
+            push(St, AbstractValue::intRange((int32_t)R0, (int32_t)R1));
+            break;
+          }
         }
         AbstractValue V = AbstractValue::ofMask(MaskNumber);
-        V.OvfD = true; // the only double source here is int overflow
+        V.OvfD = true; // the only double source here is int overflow or -0
         push(St, std::move(V));
         break;
       }

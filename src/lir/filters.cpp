@@ -3,6 +3,7 @@
 #include "lir/filters.h"
 
 #include <cmath>
+#include <cstdint>
 
 namespace tracejit {
 
@@ -133,12 +134,12 @@ LIns *ExprFilter::ins2(LOp Op, LIns *A, LIns *B) {
       return insImmI(0); // a - a = 0 (§5.1)
     break;
   case LOp::MulI:
+    // No `x * 0 => 0`: JS gives -0 for a negative x, and the recorder's
+    // guard on that case (recordArith) must see the product.
     if (isImmI(B, 1))
       return A;
     if (isImmI(A, 1))
       return B;
-    if (isImmI(B, 0) || isImmI(A, 0))
-      return insImmI(0);
     break;
   case LOp::AndI:
     if (A == B)
@@ -215,6 +216,58 @@ LIns *ExprFilter::ins2(LOp Op, LIns *A, LIns *B) {
   return Out->ins2(Op, A, B);
 }
 
+/// Deepest AddD/SubD tree the ToInt32 fold rewrites. Each leaf is an int32
+/// or uint32 value, so |leaf| < 2^32, and a tree at most 8 deep has at most
+/// 2^8 leaves: every partial sum stays below 2^40 in magnitude, exact in a
+/// double's 53-bit significand. ToInt32 of an exact integer is that integer
+/// mod 2^32, and so is the wrapping int32 sum of the same leaves. MulD has
+/// no such bound (a product of two int32s needs 62 bits): it stays a call.
+static constexpr int MaxSumDepth = 8;
+
+static bool isInt32Valued(double V) {
+  return V >= INT32_MIN && V <= INT32_MAX && (double)(int32_t)V == V;
+}
+
+/// True when \p D is an AddD/SubD tree at most \p Depth deep whose every
+/// leaf is an I2D, a UI2D or an int32-valued ImmD (-0 counts as 0).
+static bool isIntSumTree(const LIns *D, int Depth) {
+  switch (D->Op) {
+  case LOp::I2D:
+  case LOp::UI2D:
+    return true;
+  case LOp::ImmD:
+    return isInt32Valued(D->Imm.ImmDbl);
+  case LOp::AddD:
+  case LOp::SubD:
+    return Depth > 0 && isIntSumTree(D->A, Depth - 1) &&
+           isIntSumTree(D->B, Depth - 1);
+  default:
+    return false;
+  }
+}
+
+LIns *ExprFilter::intSum(LIns *D) {
+  switch (D->Op) {
+  case LOp::I2D:
+  case LOp::UI2D: // a uint32 is its int32 bit pattern mod 2^32
+    return D->A;
+  case LOp::ImmD:
+    return insImmI((int32_t)D->Imm.ImmDbl);
+  default:
+    return ins2(D->Op == LOp::AddD ? LOp::AddI : LOp::SubI, intSum(D->A),
+                intSum(D->B));
+  }
+}
+
+LIns *ExprFilter::insCall(const CallInfo *CI, LIns **Args, uint32_t N) {
+  // `(a + b) | 0` where a + b once overflowed int32: the recorder emitted
+  // the sum as doubles and ToInt32 as a call. The double chain stays for
+  // any exit that reads it; DCE drops it otherwise.
+  if (CI == ToInt32 && N == 1 && isIntSumTree(Args[0], MaxSumDepth))
+    return intSum(Args[0]);
+  return Out->insCall(CI, Args, N);
+}
+
 LIns *ExprFilter::insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) {
   // A guard on a constant condition either always holds (drop it) or would
   // always exit. The recorder never emits an always-failing guard except
@@ -232,7 +285,8 @@ LIns *ExprFilter::insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) {
   if (A->Op == LOp::ImmI && B->Op == LOp::ImmI) {
     int64_t X = A->Imm.ImmI32, Y = B->Imm.ImmI32;
     int64_t R = Op == LOp::AddOvI ? X + Y : Op == LOp::SubOvI ? X - Y : X * Y;
-    if (R >= INT32_MIN && R <= INT32_MAX)
+    bool NegZero = Op == LOp::MulOvI && R == 0 && (X < 0 || Y < 0);
+    if (R >= INT32_MIN && R <= INT32_MAX && !NegZero)
       return insImmI((int32_t)R);
   }
   // x +/- 0 and x * 1 cannot overflow.
@@ -289,28 +343,38 @@ LIns *CseFilter::insImmD(double V) {
                   [&] { return Out->insImmD(V); });
 }
 
-LIns *CseFilter::insLoad(LOp Op, LIns *Base, int32_t Disp) {
-  if (Base->Op == LOp::ImmQ)
-    return Out->insLoad(Op, Base, Disp); // volatile VM channel
-  uint64_t Gen = Base->Op == LOp::ParamTar
-                     ? (TarEpoch << 32) | TarGen[Disp / 8]
-                     : HeapGen;
-  return numbered({(uint32_t)Op, operandKey(Base), Gen, Disp},
-                  [&] { return Out->insLoad(Op, Base, Disp); });
+void CseFilter::clobber(AccSet Writes) {
+  if (Writes & Acc::Tar) {
+    ++TarEpoch;
+    TarGen.clear();
+  }
+  for (uint32_t C = 0; C < NumClasses; ++C)
+    if (Writes & (1u << C))
+      ++ClassGen[C];
 }
 
-LIns *CseFilter::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp) {
-  // An absolute (ImmQ) store writes a VM channel, which no load caches.
-  if (Base->Op == LOp::ParamTar)
+LIns *CseFilter::insLoad(LOp Op, LIns *Base, int32_t Disp, AccSet Loc) {
+  if (Loc == Acc::Vm)
+    return Out->insLoad(Op, Base, Disp, Loc); // volatile VM channel
+  uint64_t Gen = Loc == Acc::Tar ? (TarEpoch << 32) | TarGen[Disp / 8]
+                                 : ClassGen[__builtin_ctz(Loc)];
+  return numbered({(uint32_t)Op, operandKey(Base), Gen | (uint64_t)Loc << 56,
+                   Disp},
+                  [&] { return Out->insLoad(Op, Base, Disp, Loc); });
+}
+
+LIns *CseFilter::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp,
+                          AccSet Loc) {
+  if (Loc == Acc::Tar)
     ++TarGen[Disp / 8];
-  else if (Base->Op != LOp::ImmQ)
-    ++HeapGen;
-  return Out->insStore(Op, Val, Base, Disp);
+  else
+    clobber(Loc); // a VM store's generation is one no load keys on
+  return Out->insStore(Op, Val, Base, Disp, Loc);
 }
 
 LIns *CseFilter::insCall(const CallInfo *CI, LIns **Args, uint32_t N) {
   if (!CI->Pure) {
-    ++HeapGen;
+    clobber(CI->Writes);
     return Out->insCall(CI, Args, N);
   }
   if (N > 2)
@@ -350,9 +414,7 @@ LIns *CseFilter::insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) {
 LIns *CseFilter::insTreeCall(Fragment *Inner, ExitDescriptor *Expected,
                              ExitDescriptor *MismatchExit) {
   // The inner tree can write any TAR slot and any heap location.
-  ++HeapGen;
-  ++TarEpoch;
-  TarGen.clear();
+  clobber(Acc::All);
   return Out->insTreeCall(Inner, Expected, MismatchExit);
 }
 

@@ -7,7 +7,8 @@
 // Forward filters (this file) run as the recorder emits; they see each
 // instruction before it reaches the buffer:
 //   * ExprFilter -- constant folding, algebraic identities, and the
-//     source-language-specific INT/DOUBLE narrowing (D2I(I2D(x)) => x).
+//     source-language-specific INT/DOUBLE narrowing (D2I(I2D(x)) => x,
+//     and ToInt32 of an exact double sum of ints => the int32 sum).
 //   * CseFilter -- the trace's one value-numbering pass: common
 //     subexpression elimination over pure ops, overflow-checked ops and
 //     loads (keyed on a per-location-class memory generation), plus
@@ -28,27 +29,44 @@
 namespace tracejit {
 
 /// Expression simplification: constant folding plus algebraic identities.
+/// Given the CallInfo of the runtime's ToInt32(double), it also folds a
+/// call of it on an exact int sum into int32 arithmetic (insCall).
 class ExprFilter : public LirWriter {
 public:
-  explicit ExprFilter(LirWriter *Out) : LirWriter(Out) {}
+  explicit ExprFilter(LirWriter *Out, const CallInfo *ToInt32 = nullptr)
+      : LirWriter(Out), ToInt32(ToInt32) {}
 
   LIns *ins1(LOp Op, LIns *A) override;
   LIns *ins2(LOp Op, LIns *A, LIns *B) override;
+  LIns *insCall(const CallInfo *CI, LIns **Args, uint32_t N) override;
   LIns *insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) override;
   LIns *insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) override;
+
+private:
+  /// The wrapping int32 sum of the leaves of int-sum tree \p D.
+  LIns *intSum(LIns *D);
+
+  const CallInfo *ToInt32;
 };
 
 /// Common subexpression elimination by value numbering. Immediates, pure
 /// ops, pure calls and overflow-checked ops are hashed on (op, operands,
 /// immediate); a repeated overflow-checked op reuses the earlier result,
 /// whose check already passed. Loads are hashed with the generation of
-/// their location class, and a write to the class starts a new one:
-///   * a TAR slot (base ParamTar): bumped by a store to that slot;
-///   * the heap (any other base): bumped by a heap store or impure call;
-///   * a tree call bumps both, since the inner tree runs over the same TAR.
-/// Absolute loads (base ImmQ: VM channels such as the preempt flag) are
-/// volatile and never merged. A guard on a condition already guarded with
-/// the same polarity is dropped: the first guard would have exited.
+/// their location class (lir.h, Acc), and only a write to that class
+/// starts a new one:
+///   * a TAR slot: a store to that slot;
+///   * a heap class (header, named slots, elements): a store of that class,
+///     or an impure call whose CallInfo::Writes names it. Named-slot and
+///     element stores leave the header, and so shape guards, alone; an
+///     allocating helper (js_BoxDouble, the string and object allocators)
+///     writes no class at all;
+///   * read-only cells: nothing;
+///   * a tree call writes every class, since the inner tree runs over the
+///     same TAR and heap.
+/// VM loads (absolute VM words such as the preempt flag) are volatile and
+/// never merged. A guard on a condition already guarded with the same
+/// polarity is dropped: the first guard would have exited.
 class CseFilter : public LirWriter {
 public:
   explicit CseFilter(LirWriter *Out) : LirWriter(Out) {}
@@ -58,8 +76,9 @@ public:
   LIns *insImmI(int32_t V) override;
   LIns *insImmQ(int64_t V) override;
   LIns *insImmD(double V) override;
-  LIns *insLoad(LOp Op, LIns *Base, int32_t Disp) override;
-  LIns *insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp) override;
+  LIns *insLoad(LOp Op, LIns *Base, int32_t Disp, AccSet Loc) override;
+  LIns *insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp,
+                 AccSet Loc) override;
   LIns *insCall(const CallInfo *CI, LIns **Args, uint32_t N) override;
   LIns *insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) override;
   LIns *insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) override;
@@ -92,6 +111,8 @@ private:
 
   /// The instruction numbered \p K, or \p Emit()'s result numbered as \p K.
   template <typename EmitFn> LIns *numbered(const Key &K, EmitFn Emit);
+  /// Start a new generation of every class in \p Writes.
+  void clobber(AccSet Writes);
 
   std::unordered_map<Key, LIns *, KeyHash> Exprs;
   /// (condition id, polarity) pairs already guarded.
@@ -100,7 +121,10 @@ private:
   /// counts tree calls.
   std::unordered_map<int32_t, uint32_t> TarGen;
   uint64_t TarEpoch = 0;
-  uint64_t HeapGen = 0;
+  /// Writes per location class, indexed by the class's bit.
+  static constexpr uint32_t NumClasses = 6;
+  uint32_t ClassGen[NumClasses] = {};
+  static_assert(Acc::All == (1u << NumClasses) - 1);
   uint64_t GuardsEliminated = 0;
 };
 

@@ -6,6 +6,25 @@
 
 namespace tracejit {
 
+const char *accName(AccSet A) {
+  switch (A) {
+  case Acc::Tar:
+    return "tar";
+  case Acc::Vm:
+    return "vm";
+  case Acc::Header:
+    return "hdr";
+  case Acc::Slots:
+    return "slots";
+  case Acc::Elems:
+    return "elems";
+  case Acc::ReadOnly:
+    return "ro";
+  default:
+    return "?";
+  }
+}
+
 const char *lopName(LOp Op) {
   switch (Op) {
   case LOp::ParamTar:
@@ -182,11 +201,12 @@ LIns *LirWriter::ins2(LOp Op, LIns *A, LIns *B) { return Out->ins2(Op, A, B); }
 LIns *LirWriter::insImmI(int32_t V) { return Out->insImmI(V); }
 LIns *LirWriter::insImmQ(int64_t V) { return Out->insImmQ(V); }
 LIns *LirWriter::insImmD(double V) { return Out->insImmD(V); }
-LIns *LirWriter::insLoad(LOp Op, LIns *Base, int32_t Disp) {
-  return Out->insLoad(Op, Base, Disp);
+LIns *LirWriter::insLoad(LOp Op, LIns *Base, int32_t Disp, AccSet Loc) {
+  return Out->insLoad(Op, Base, Disp, Loc);
 }
-LIns *LirWriter::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp) {
-  return Out->insStore(Op, Val, Base, Disp);
+LIns *LirWriter::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp,
+                          AccSet Loc) {
+  return Out->insStore(Op, Val, Base, Disp, Loc);
 }
 LIns *LirWriter::insCall(const CallInfo *CI, LIns **Args, uint32_t N) {
   return Out->insCall(CI, Args, N);
@@ -257,22 +277,25 @@ LIns *LirBuffer::insImmD(double V) {
   return append(I);
 }
 
-LIns *LirBuffer::insLoad(LOp Op, LIns *Base, int32_t Disp) {
+LIns *LirBuffer::insLoad(LOp Op, LIns *Base, int32_t Disp, AccSet Loc) {
   LIns *I = fresh();
   I->Op = Op;
   I->Ty = resultType(Op);
   I->A = Base;
   I->Disp = Disp;
+  I->Loc = Loc;
   return append(I);
 }
 
-LIns *LirBuffer::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp) {
+LIns *LirBuffer::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp,
+                          AccSet Loc) {
   LIns *I = fresh();
   I->Op = Op;
   I->Ty = LTy::Void;
   I->A = Val;
   I->B = Base;
   I->Disp = Disp;
+  I->Loc = Loc;
   return append(I);
 }
 

@@ -134,6 +134,35 @@ enum class LOp : uint8_t {
   NumOps
 };
 
+/// A set of memory location classes (nanojit's AccSet). Every load and
+/// store names the one class it touches; every CallInfo names the classes
+/// its helper may write. No two classes alias, so CseFilter keeps a load
+/// across any write whose set misses the load's class.
+using AccSet = uint8_t;
+namespace Acc {
+constexpr AccSet None = 0;
+/// The trace activation record (base ParamTar), tracked per slot.
+constexpr AccSet Tar = 1 << 0;
+/// Absolute VM words (base ImmQ): interpreter slots, the preempt flag,
+/// published return pcs, stats counters. Volatile: never merged.
+constexpr AccSet Vm = 1 << 1;
+/// Object header: shape, kind, named-slot and element pointers, element
+/// capacity, array length.
+constexpr AccSet Header = 1 << 2;
+/// Named-slot contents.
+constexpr AccSet Slots = 1 << 3;
+/// Array element contents.
+constexpr AccSet Elems = 1 << 4;
+/// Immutable cells: double-cell payloads, string length and bytes.
+constexpr AccSet ReadOnly = 1 << 5;
+/// What a helper that may change any object writes.
+constexpr AccSet Heap = Header | Slots | Elems;
+constexpr AccSet All = Tar | Vm | Heap | ReadOnly;
+} // namespace Acc
+
+/// Printable name of a one-class set ("tar", "hdr", ...), or "?".
+const char *accName(AccSet A);
+
 /// Signature and properties of a callable helper.
 struct CallInfo {
   void *Addr = nullptr;
@@ -142,6 +171,10 @@ struct CallInfo {
   uint8_t NArgs = 0;
   LTy Args[6] = {};
   bool Pure = false; ///< No side effects; CSE/DCE may touch it.
+  /// Location classes the helper may write; read for impure helpers only.
+  /// Allocation writes nothing a trace has loaded: a new cell has a new
+  /// address.
+  AccSet Writes = Acc::Heap;
   /// Portable entry for the LIR executor backend: dispatches to Addr with
   /// args as raw 64-bit words (doubles bit-cast); returns a raw word.
   uint64_t (*Shim)(void *Addr, const uint64_t *A) = nullptr;
@@ -153,6 +186,7 @@ struct LIns {
   LTy Ty = LTy::Void;
   uint32_t Id = 0;   ///< Dense numbering for printing / side tables.
   int32_t Disp = 0;  ///< Loads/stores: byte offset.
+  AccSet Loc = Acc::None; ///< Loads/stores: the location class touched.
   LIns *A = nullptr; ///< First operand.
   LIns *B = nullptr; ///< Second operand.
 
@@ -206,8 +240,9 @@ public:
   virtual LIns *insImmI(int32_t V);
   virtual LIns *insImmQ(int64_t V);
   virtual LIns *insImmD(double V);
-  virtual LIns *insLoad(LOp Op, LIns *Base, int32_t Disp);
-  virtual LIns *insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp);
+  virtual LIns *insLoad(LOp Op, LIns *Base, int32_t Disp, AccSet Loc);
+  virtual LIns *insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp,
+                         AccSet Loc);
   virtual LIns *insCall(const CallInfo *CI, LIns **Args, uint32_t N);
   virtual LIns *insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit);
   /// Overflow-checked arithmetic (guard fused into the op).
@@ -233,8 +268,9 @@ public:
   LIns *insImmI(int32_t V) override;
   LIns *insImmQ(int64_t V) override;
   LIns *insImmD(double V) override;
-  LIns *insLoad(LOp Op, LIns *Base, int32_t Disp) override;
-  LIns *insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp) override;
+  LIns *insLoad(LOp Op, LIns *Base, int32_t Disp, AccSet Loc) override;
+  LIns *insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp,
+                 AccSet Loc) override;
   LIns *insCall(const CallInfo *CI, LIns **Args, uint32_t N) override;
   LIns *insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) override;
   LIns *insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) override;

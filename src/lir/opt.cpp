@@ -5,16 +5,17 @@
 //  * an SSA value never changes, so a fact established by a passed guard
 //    (GuardT(c) implies c != 0 downstream) holds for the rest of the trace
 //    and is never invalidated;
-//  * memory is the only mutable state. Three disjoint location classes
-//    cover every LIR access: TAR slots (base == ParamTar; written only by
-//    explicit TAR stores and by TreeCall, which runs an inner tree over the
-//    same TAR), absolute addresses (base == ImmQ; VM communication channels
-//    such as the preempt flag and stats counters -- treated as volatile:
-//    never merged, never hoisted), and the heap (everything else; clobbered
-//    by heap stores, impure calls and TreeCall). The forward CseFilter
-//    (filters.h) value-numbers loads under the same model, and the
-//    dead-store pass in backward.cpp already relies on calls not writing
-//    the TAR; we inherit that invariant.
+//  * memory is the only mutable state. The passes here split it by base
+//    into three disjoint parts: TAR slots (base == ParamTar; written only
+//    by explicit TAR stores and by TreeCall, which runs an inner tree over
+//    the same TAR), absolute addresses (base == ImmQ; VM communication
+//    channels such as the preempt flag and stats counters -- treated as
+//    volatile: never merged, never hoisted), and the heap (everything
+//    else; clobbered by heap stores, impure calls and TreeCall). The
+//    forward CseFilter (filters.h) uses the finer location classes the
+//    recorder sets on each access (LIns::Loc, lir.h), which refine this
+//    split; the dead-store pass in backward.cpp already relies on calls
+//    not writing the TAR, and we inherit that invariant.
 //
 //===----------------------------------------------------------------------===//
 

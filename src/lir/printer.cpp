@@ -124,13 +124,15 @@ std::string formatIns(const LIns *I) {
   case LOp::LdQ:
   case LOp::LdD:
   case LOp::LdUB:
-    snprintf(Buf, sizeof(Buf), " %s[%d]", Ref(I->A), I->Disp);
+    snprintf(Buf, sizeof(Buf), " %s[%d] %s", Ref(I->A), I->Disp,
+             accName(I->Loc));
     Out += Buf;
     break;
   case LOp::StI:
   case LOp::StQ:
   case LOp::StD:
-    snprintf(Buf, sizeof(Buf), " %s -> %s[%d]", Ref(I->A), Ref(I->B), I->Disp);
+    snprintf(Buf, sizeof(Buf), " %s -> %s[%d] %s", Ref(I->A), Ref(I->B),
+             I->Disp, accName(I->Loc));
     Out += Buf;
     break;
   case LOp::Call: {

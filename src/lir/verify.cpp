@@ -162,6 +162,30 @@ RuleHit checkTarDisp(LOp Op, const LIns *Base, int32_t Disp,
   return {};
 }
 
+/// Location classes (lir.h, Acc): a load or store names exactly one class;
+/// the TAR class goes with base ParamTar, and only there; the VM class
+/// needs an absolute (ImmQ) base, which a pinned heap object may also be;
+/// nothing stores to a read-only cell.
+RuleHit checkAccessClass(LOp Op, const LIns *Base, AccSet Loc) {
+  auto Bad = [&](const char *Why) {
+    return RuleHit{VerifyRule::AccessClass, std::string(lopName(Op)) +
+                                                " class " + accName(Loc) +
+                                                ": " + Why};
+  };
+  if (Loc == Acc::None || (Loc & (Loc - 1)) != 0 || (Loc & ~Acc::All) != 0)
+    return Bad("not exactly one location class");
+  if (!Base)
+    return {};
+  if ((Base->Op == LOp::ParamTar) != (Loc == Acc::Tar))
+    return Bad("the TAR class goes with base param.tar, and only there");
+  if (Loc == Acc::Vm && Base->Op != LOp::ImmQ)
+    return Bad("the VM class needs an absolute base");
+  bool Store = Op == LOp::StI || Op == LOp::StQ || Op == LOp::StD;
+  if (Loc == Acc::ReadOnly && Store)
+    return Bad("a store to an immutable cell");
+  return {};
+}
+
 RuleHit checkCall(const CallInfo *CI, LIns *const *Args, uint32_t N) {
   if (!CI)
     return {VerifyRule::CallSignature, "call without a CallInfo"};
@@ -399,22 +423,27 @@ LIns *VerifyWriter::ins2(LOp Op, LIns *A, LIns *B) {
   return Out->ins2(Op, A, B);
 }
 
-LIns *VerifyWriter::insLoad(LOp Op, LIns *Base, int32_t Disp) {
+LIns *VerifyWriter::insLoad(LOp Op, LIns *Base, int32_t Disp, AccSet Loc) {
   countIns();
   checkOperands(Op, Base, nullptr);
   // The streaming pass cannot bound the slot yet (the recorder grows the
   // domain as it imports); verifyTrace applies RequiredTarSlots.
   if (RuleHit H = checkTarDisp(Op, Base, Disp, 0))
     fail(H.Rule, H.Msg);
-  return Out->insLoad(Op, Base, Disp);
+  if (RuleHit H = checkAccessClass(Op, Base, Loc))
+    fail(H.Rule, H.Msg);
+  return Out->insLoad(Op, Base, Disp, Loc);
 }
 
-LIns *VerifyWriter::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp) {
+LIns *VerifyWriter::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp,
+                             AccSet Loc) {
   countIns();
   checkOperands(Op, Val, Base);
   if (RuleHit H = checkTarDisp(Op, Base, Disp, 0))
     fail(H.Rule, H.Msg);
-  return Out->insStore(Op, Val, Base, Disp);
+  if (RuleHit H = checkAccessClass(Op, Base, Loc))
+    fail(H.Rule, H.Msg);
+  return Out->insStore(Op, Val, Base, Disp, Loc);
 }
 
 LIns *VerifyWriter::insCall(const CallInfo *CI, LIns **Args, uint32_t N) {
@@ -624,6 +653,8 @@ bool verifyTrace(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
     if (I->isLoad() || I->isStore()) {
       const LIns *Base = I->isLoad() ? I->A : I->B;
       if (RuleHit H = checkTarDisp(I->Op, Base, I->Disp, F.RequiredTarSlots))
+        return Fail(H.Rule, I, H.Msg);
+      if (RuleHit H = checkAccessClass(I->Op, Base, I->Loc))
         return Fail(H.Rule, I, H.Msg);
       if (Base && Base->Op == LOp::ParamTar) {
         uint32_t S = (uint32_t)(I->Disp / 8);

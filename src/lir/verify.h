@@ -14,8 +14,9 @@
 //    pipeline. It checks each instruction as the recorder emits it, before
 //    any filter sees it: operand types match the op signature, operands
 //    are defined before use, loads/stores use well-typed base+disp
-//    addressing, and guards/overflow ops carry a non-null ExitDescriptor
-//    whose type map covers NumGlobals + Sp slots.
+//    addressing and name one location class their base agrees with, and
+//    guards/overflow ops carry a non-null ExitDescriptor whose type map
+//    covers NumGlobals + Sp slots.
 //
 //  * verifyTrace() -- a whole-trace pass run after the backward filters
 //    and before the compiler. It re-checks the per-instruction rules on
@@ -77,8 +78,9 @@ public:
   LIns *ins0(LOp Op) override;
   LIns *ins1(LOp Op, LIns *A) override;
   LIns *ins2(LOp Op, LIns *A, LIns *B) override;
-  LIns *insLoad(LOp Op, LIns *Base, int32_t Disp) override;
-  LIns *insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp) override;
+  LIns *insLoad(LOp Op, LIns *Base, int32_t Disp, AccSet Loc) override;
+  LIns *insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp,
+                 AccSet Loc) override;
   LIns *insCall(const CallInfo *CI, LIns **Args, uint32_t N) override;
   LIns *insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) override;
   LIns *insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) override;

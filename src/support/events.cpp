@@ -73,7 +73,8 @@ namespace tracejit {
   M(PrologueShape, "prologue-shape")                                           \
   M(PrologueEffect, "prologue-effect")                                         \
   M(PrologueExit, "prologue-exit")                                             \
-  M(UntypedTarSlot, "untyped-tar-slot")
+  M(UntypedTarSlot, "untyped-tar-slot")                                       \
+  M(AccessClass, "access-class")
 
 #define TJ_FOR_EACH_JIT_EVENT_KIND(M)                                          \
   M(LoopHot, "LoopHot")                                                        \

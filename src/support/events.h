@@ -128,6 +128,8 @@ enum class VerifyRule : uint8_t {
   UntypedTarSlot,    ///< A TAR read (load, exit write-back, fragment
                      ///< transfer) of a slot holding no typed value there:
                      ///< Boxed at entry and not stored since.
+  AccessClass,       ///< A load/store names no single location class, or
+                     ///< one its base contradicts (lir.h, Acc).
   NumRules
 };
 

@@ -108,7 +108,7 @@ TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I, TraceMonitor &M,
     Head = Cse.get();
   }
   if (Ctx.Opts.Passes.has(OptPass::ExprSimp)) {
-    Expr = std::make_unique<ExprFilter>(Head);
+    Expr = std::make_unique<ExprFilter>(Head, &helperCalls().ToInt32D);
     Head = Expr.get();
   }
   if (Ctx.Opts.VerifyLir) {
@@ -135,9 +135,9 @@ TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I, TraceMonitor &M,
   // fragment entry.
   if (Ctx.Opts.CollectStats) {
     LIns *CtrBase = immQ((int64_t)(intptr_t)&F->Iterations);
-    LIns *Ctr = W->insLoad(LOp::LdQ, CtrBase, 0);
+    LIns *Ctr = W->insLoad(LOp::LdQ, CtrBase, 0, Acc::Vm);
     LIns *Inc = W->ins2(LOp::AddQ, Ctr, immQ(1));
-    W->insStore(LOp::StQ, Inc, CtrBase, 0);
+    W->insStore(LOp::StQ, Inc, CtrBase, 0, Acc::Vm);
   }
 }
 
@@ -184,12 +184,12 @@ LIns *TraceRecorder::ldSlot(TraceType T, uint32_t Slot) {
   switch (T) {
   case TraceType::Int:
   case TraceType::Boolean:
-    return W->insLoad(LOp::LdI, ParamTar, Disp);
+    return W->insLoad(LOp::LdI, ParamTar, Disp, Acc::Tar);
   case TraceType::Double:
-    return W->insLoad(LOp::LdD, ParamTar, Disp);
+    return W->insLoad(LOp::LdD, ParamTar, Disp, Acc::Tar);
   case TraceType::Object:
   case TraceType::String:
-    return W->insLoad(LOp::LdQ, ParamTar, Disp);
+    return W->insLoad(LOp::LdQ, ParamTar, Disp, Acc::Tar);
   case TraceType::Null:
   case TraceType::Undefined:
     return nullptr;
@@ -205,14 +205,14 @@ void TraceRecorder::stSlot(uint32_t Slot, LIns *V, TraceType T) {
   switch (T) {
   case TraceType::Int:
   case TraceType::Boolean:
-    W->insStore(LOp::StI, V, ParamTar, Disp);
+    W->insStore(LOp::StI, V, ParamTar, Disp, Acc::Tar);
     return;
   case TraceType::Double:
-    W->insStore(LOp::StD, V, ParamTar, Disp);
+    W->insStore(LOp::StD, V, ParamTar, Disp, Acc::Tar);
     return;
   case TraceType::Object:
   case TraceType::String:
-    W->insStore(LOp::StQ, V, ParamTar, Disp);
+    W->insStore(LOp::StQ, V, ParamTar, Disp, Acc::Tar);
     return;
   case TraceType::Null:
   case TraceType::Undefined:
@@ -238,7 +238,7 @@ void TraceRecorder::track(uint32_t Slot, const Tracked &V) {
 TraceRecorder::Tracked TraceRecorder::importBoxed(uint32_t Slot) {
   TraceType T = traceTypeOf(*interpSlot(Slot));
   LIns *Word = W->insLoad(LOp::LdQ, immQ((int64_t)(intptr_t)interpSlot(Slot)),
-                          0);
+                          0, Acc::Vm);
   return {unboxGuarded(Word, T, ExitPc), T, /*InTar=*/false};
 }
 
@@ -331,7 +331,7 @@ void TraceRecorder::flushSlot(uint32_t Slot) {
     V = {ldSlot(T, Slot), T};
   }
   W->insStore(LOp::StQ, boxValue(V.Ins, V.Ty),
-              immQ((int64_t)(intptr_t)interpSlot(Slot)), 0);
+              immQ((int64_t)(intptr_t)interpSlot(Slot)), 0, Acc::Vm);
   V.InTar = false;
   track(Slot, V);
 }
@@ -477,7 +477,7 @@ LIns *TraceRecorder::unboxGuarded(LIns *Word, TraceType Expect, uint32_t Pc) {
     LIns *Tag = W->ins2(LOp::AndQ, Word, immQ(7));
     W->insGuard(LOp::GuardT, W->ins2(LOp::EqQ, Tag, immQ(TagDouble)), E);
     LIns *Ptr = W->ins2(LOp::AndQ, Word, immQ(~(int64_t)7));
-    return W->insLoad(LOp::LdD, Ptr, DoubleCell::valueOffset());
+    return W->insLoad(LOp::LdD, Ptr, DoubleCell::valueOffset(), Acc::ReadOnly);
   }
   case TraceType::Object: {
     LIns *Tag = W->ins2(LOp::AndQ, Word, immQ(7));
@@ -567,7 +567,8 @@ LIns *TraceRecorder::truthyIns(const Tracked &V) {
     return W->insCall(&helperCalls().TruthyD, Args, 1);
   }
   case TraceType::String: {
-    LIns *Len = W->insLoad(LOp::LdI, V.Ins, String::lengthOffset());
+    LIns *Len = W->insLoad(LOp::LdI, V.Ins, String::lengthOffset(),
+                           Acc::ReadOnly);
     return W->ins2(LOp::NeI, Len, immI(0));
   }
   case TraceType::Object:
@@ -584,14 +585,14 @@ LIns *TraceRecorder::truthyIns(const Tracked &V) {
 
 void TraceRecorder::guardShape(LIns *Obj, Shape *S, uint32_t Pc) {
   ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
-  LIns *Ld = W->insLoad(LOp::LdQ, Obj, Object::shapeOffset());
+  LIns *Ld = W->insLoad(LOp::LdQ, Obj, Object::shapeOffset(), Acc::Header);
   W->insGuard(LOp::GuardT,
               W->ins2(LOp::EqQ, Ld, immQ((int64_t)(intptr_t)S)), E);
 }
 
 void TraceRecorder::guardIsArray(LIns *Obj, uint32_t Pc) {
   ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
-  LIns *K = W->insLoad(LOp::LdUB, Obj, Object::kindOffset());
+  LIns *K = W->insLoad(LOp::LdUB, Obj, Object::kindOffset(), Acc::Header);
   W->insGuard(LOp::GuardT,
               W->ins2(LOp::EqI, K, immI((int32_t)ObjectKind::Array)), E);
 }
@@ -603,7 +604,7 @@ void TraceRecorder::guardShapeMulti(LIns *Obj, Shape *const *Shapes, size_t N,
     return;
   }
   ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
-  LIns *Ld = W->insLoad(LOp::LdQ, Obj, Object::shapeOffset());
+  LIns *Ld = W->insLoad(LOp::LdQ, Obj, Object::shapeOffset(), Acc::Header);
   LIns *Match = W->ins2(LOp::EqQ, Ld, immQ((int64_t)(intptr_t)Shapes[0]));
   for (size_t I = 1; I < N; ++I)
     Match = W->ins2(LOp::OrI, Match,
@@ -643,6 +644,24 @@ void TraceRecorder::icShapeGuard(const PropertyIC &IC, Object *RO, LIns *Obj,
 }
 
 // --- Arithmetic / comparison / bit ops ------------------------------------------------------
+
+void TraceRecorder::guardNotNegZero(LIns *R, LIns *A, LIns *B,
+                                    ExitDescriptor *E, uint32_t Pc) {
+  // An int product is 0 with a negative operand exactly when JavaScript's
+  // product is -0, which the int cannot hold: exit there, and the
+  // interpreter computes the double. A positive constant operand rules
+  // the case out, and so does a square (x * x is 0 only for x = 0).
+  auto PositiveImm = [](const LIns *X) {
+    return X->Op == LOp::ImmI && X->Imm.ImmI32 > 0;
+  };
+  if (A == B || PositiveImm(A) || PositiveImm(B))
+    return;
+  // R <u ((A | B) >>> 31): the sign bit of A | B is 1 and R is 0. One
+  // compare, fused into the guard's branch.
+  LIns *NegOperand = W->ins2(LOp::UshrI, W->ins2(LOp::OrI, A, B), immI(31));
+  W->insGuard(LOp::GuardF, W->ins2(LOp::LtUI, R, NegOperand),
+              E ? E : snapshot(ExitKind::Overflow, Pc));
+}
 
 void TraceRecorder::recordArith(Op O, uint32_t Pc) {
   if (O == Op::Neg) {
@@ -703,6 +722,7 @@ void TraceRecorder::recordArith(Op O, uint32_t Pc) {
   case Op::Add:
   case Op::Sub:
   case Op::Mul: {
+    bool Overflows = false;
     if (IntPath) {
       // Peek the live operands: if this very execution overflows int32,
       // specialize to the double path instead of recording an
@@ -710,8 +730,10 @@ void TraceRecorder::recordArith(Op O, uint32_t Pc) {
       int64_t X = (int64_t)Interpreter::toNumber(peekStack(1));
       int64_t Y = (int64_t)Interpreter::toNumber(peekStack(0));
       int64_t R = O == Op::Add ? X + Y : O == Op::Sub ? X - Y : X * Y;
-      if (R < INT32_MIN || R > INT32_MAX)
-        IntPath = false;
+      Overflows = R < INT32_MIN || R > INT32_MAX;
+      // Likewise a product that is JavaScript's -0, which no int holds.
+      bool NegZero = O == Op::Mul && R == 0 && (X < 0 || Y < 0);
+      IntPath = !Overflows && !NegZero;
     }
     if (IntPath) {
       // Interval analysis may have proven the int32 result cannot overflow
@@ -724,6 +746,8 @@ void TraceRecorder::recordArith(Op O, uint32_t Pc) {
                                    : LOp::MulI;
         LIns *R = W->ins2(Plain, A.Ins, B.Ins);
         ++Ctx.Stats.StaticGuardsElided;
+        if (O == Op::Mul)
+          guardNotNegZero(R, A.Ins, B.Ins, nullptr, Pc);
         VSp -= 2;
         push(R, TraceType::Int);
         return;
@@ -733,13 +757,15 @@ void TraceRecorder::recordArith(Op O, uint32_t Pc) {
                               : LOp::MulOvI;
       ExitDescriptor *E = snapshot(ExitKind::Overflow, Pc);
       LIns *R = W->insOvf(Ov, A.Ins, B.Ins, E);
+      if (O == Op::Mul)
+        guardNotNegZero(R, A.Ins, B.Ins, E, Pc);
       VSp -= 2;
       push(R, TraceType::Int);
     } else {
       // A NoOverflow fact with a live overflowing execution means the
       // analysis is wrong; surface it rather than silently diverge.
       if (const ScriptAnalysis *SA = Ctx.analysisOf(script()))
-        if (isIntLike(A.Ty) && isIntLike(B.Ty) && SA->NoOverflow.count(Pc))
+        if (Overflows && SA->NoOverflow.count(Pc))
           ++Ctx.Stats.StaticFactContradictions;
       LOp Dop = O == Op::Add   ? LOp::AddD
                 : O == Op::Sub ? LOp::SubD
@@ -1015,7 +1041,8 @@ void TraceRecorder::recordGetProp(uint32_t Pc) {
 
   if (Recv.Ty == TraceType::String) {
     if (Name->view() == "length") {
-      LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, String::lengthOffset());
+      LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, String::lengthOffset(),
+                             Acc::ReadOnly);
       --VSp;
       push(Len, TraceType::Int);
       return;
@@ -1031,7 +1058,8 @@ void TraceRecorder::recordGetProp(uint32_t Pc) {
 
   if (RO->isArray() && Name->view() == "length") {
     guardIsArray(Recv.Ins, Pc);
-    LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, Object::arrayLenOffset());
+    LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, Object::arrayLenOffset(),
+                           Acc::Header);
     --VSp;
     push(Len, TraceType::Int);
     return;
@@ -1061,8 +1089,9 @@ void TraceRecorder::recordGetProp(uint32_t Pc) {
     return;
   }
   icShapeGuard(IC, RO, Recv.Ins, (uint32_t)Slot, Pc);
-  LIns *Slots = W->insLoad(LOp::LdQ, Recv.Ins, Object::namedSlotsOffset());
-  LIns *Word = W->insLoad(LOp::LdQ, Slots, Slot * 8);
+  LIns *Slots = W->insLoad(LOp::LdQ, Recv.Ins, Object::namedSlotsOffset(),
+                           Acc::Header);
+  LIns *Word = W->insLoad(LOp::LdQ, Slots, Slot * 8, Acc::Slots);
   TraceType RTy = traceTypeOf(RO->slotValue((uint32_t)Slot));
   LIns *V = unboxGuarded(Word, RTy, Pc);
   --VSp;
@@ -1100,9 +1129,10 @@ void TraceRecorder::recordSetProp(uint32_t Pc) {
     return;
   }
   icShapeGuard(IC, RO, Recv.Ins, (uint32_t)Slot, Pc);
-  LIns *Slots = W->insLoad(LOp::LdQ, Recv.Ins, Object::namedSlotsOffset());
+  LIns *Slots = W->insLoad(LOp::LdQ, Recv.Ins, Object::namedSlotsOffset(),
+                           Acc::Header);
   LIns *Boxed = boxValue(Val.Ins, Val.Ty);
-  W->insStore(LOp::StQ, Boxed, Slots, Slot * 8);
+  W->insStore(LOp::StQ, Boxed, Slots, Slot * 8, Acc::Slots);
   // obj value -> value
   VSp -= 2;
   push(Val.Ins, Val.Ty);
@@ -1132,7 +1162,8 @@ void TraceRecorder::recordGetElem(uint32_t Pc) {
     String *S = RecvV.toString();
     double D = Interpreter::toNumber(IdxV);
     bool InBounds = D >= 0 && D < S->length() && D == std::floor(D);
-    LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, String::lengthOffset());
+    LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, String::lengthOffset(),
+                           Acc::ReadOnly);
     LIns *InB = W->ins2(LOp::LtUI, IdxI, Len);
     ExitDescriptor *E = snapshot(ExitKind::Branch, Pc);
     if (!InBounds) {
@@ -1158,7 +1189,8 @@ void TraceRecorder::recordGetElem(uint32_t Pc) {
 
   double D = Interpreter::toNumber(IdxV);
   bool InCapacity = D >= 0 && D < RO->elementsCapacity() && D == std::floor(D);
-  LIns *Cap = W->insLoad(LOp::LdI, Recv.Ins, Object::elemCapacityOffset());
+  LIns *Cap = W->insLoad(LOp::LdI, Recv.Ins, Object::elemCapacityOffset(),
+                         Acc::Header);
   LIns *InB = W->ins2(LOp::LtUI, IdxI, Cap);
   ExitDescriptor *E = snapshot(ExitKind::Branch, Pc);
   if (!InCapacity) {
@@ -1169,10 +1201,11 @@ void TraceRecorder::recordGetElem(uint32_t Pc) {
     return;
   }
   W->insGuard(LOp::GuardT, InB, E);
-  LIns *Data = W->insLoad(LOp::LdQ, Recv.Ins, Object::elemDataOffset());
+  LIns *Data = W->insLoad(LOp::LdQ, Recv.Ins, Object::elemDataOffset(),
+                          Acc::Header);
   LIns *Addr = W->ins2(
       LOp::AddQ, Data, W->ins2(LOp::ShlQ, W->ins1(LOp::UI2Q, IdxI), immI(3)));
-  LIns *Word = W->insLoad(LOp::LdQ, Addr, 0);
+  LIns *Word = W->insLoad(LOp::LdQ, Addr, 0, Acc::Elems);
   TraceType ETy = traceTypeOf(RO->getElement((uint32_t)D));
   LIns *V = unboxGuarded(Word, ETy, Pc);
   VSp -= 2;
@@ -1220,14 +1253,16 @@ void TraceRecorder::recordSetElem(uint32_t Pc) {
   } else if (InLen) {
     // In-bounds store: "js_Array_set" fast path as direct stores (Fig. 3's
     // slow path is the call below).
-    LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, Object::arrayLenOffset());
+    LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, Object::arrayLenOffset(),
+                           Acc::Header);
     ExitDescriptor *E = snapshot(ExitKind::Branch, Pc);
     W->insGuard(LOp::GuardT, W->ins2(LOp::LtUI, IdxI, Len), E);
-    LIns *Data = W->insLoad(LOp::LdQ, Recv.Ins, Object::elemDataOffset());
+    LIns *Data = W->insLoad(LOp::LdQ, Recv.Ins, Object::elemDataOffset(),
+                            Acc::Header);
     LIns *Addr = W->ins2(
         LOp::AddQ, Data,
         W->ins2(LOp::ShlQ, W->ins1(LOp::UI2Q, IdxI), immI(3)));
-    W->insStore(LOp::StQ, boxValue(Val.Ins, Val.Ty), Addr, 0);
+    W->insStore(LOp::StQ, boxValue(Val.Ins, Val.Ty), Addr, 0, Acc::Elems);
   } else {
     // Appending/growing store: call the runtime (paper Fig. 3).
     LIns *Args[4] = {immQ((int64_t)(intptr_t)&Ctx), Recv.Ins, IdxI,
@@ -1368,11 +1403,13 @@ void TraceRecorder::recordCallProp(uint32_t Pc) {
         abort(AbortReason::UntraceableNative);
         return;
       }
-      LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, String::lengthOffset());
+      LIns *Len = W->insLoad(LOp::LdI, Recv.Ins, String::lengthOffset(),
+                             Acc::ReadOnly);
       ExitDescriptor *E = snapshot(ExitKind::Branch, Pc);
       W->insGuard(LOp::GuardT, W->ins2(LOp::LtUI, IdxI, Len), E);
       LIns *Addr = W->ins2(LOp::AddQ, Recv.Ins, W->ins1(LOp::UI2Q, IdxI));
-      LIns *Byte = W->insLoad(LOp::LdUB, Addr, String::dataOffset());
+      LIns *Byte = W->insLoad(LOp::LdUB, Addr, String::dataOffset(),
+                              Acc::ReadOnly);
       VSp -= 2;
       push(Byte, TraceType::Int);
       return;
@@ -1418,8 +1455,9 @@ void TraceRecorder::recordCallProp(uint32_t Pc) {
     // Shape guard + slot load + identity guard on the method value.
     int Slot = RO->slotOf(Name);
     guardShape(Recv.Ins, RO->shape(), Pc);
-    LIns *Slots = W->insLoad(LOp::LdQ, Recv.Ins, Object::namedSlotsOffset());
-    LIns *Word = W->insLoad(LOp::LdQ, Slots, Slot * 8);
+    LIns *Slots = W->insLoad(LOp::LdQ, Recv.Ins, Object::namedSlotsOffset(),
+                             Acc::Header);
+    LIns *Word = W->insLoad(LOp::LdQ, Slots, Slot * 8, Acc::Slots);
     ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
     LIns *Pinned = immQ((int64_t)Method.bits());
     W->insGuard(LOp::GuardT, W->ins2(LOp::EqQ, Word, Pinned), E);
@@ -1466,7 +1504,7 @@ void TraceRecorder::recordTreeCall(Fragment *Inner, ExitDescriptor *Taken) {
   // call-stack area: publish them, the only place a trace stores them.
   for (size_t D = EntryFrameDepth; D < VFrames.size(); ++D)
     W->insStore(LOp::StI, immI((int32_t)VFrames[D].ReturnPc),
-                immQ((int64_t)(intptr_t)&Ctx.FrameReturnPcs[D]), 0);
+                immQ((int64_t)(intptr_t)&Ctx.FrameReturnPcs[D]), 0, Acc::Vm);
   Mismatch->Callee = Inner;
   W->insTreeCall(Inner, Taken, Mismatch);
   ++Ctx.Stats.TreeCalls;
@@ -1596,7 +1634,7 @@ bool TraceRecorder::closeLoop(const std::vector<Fragment *> &Peers) {
   // Preempt/GC guard at the loop edge (§6.4).
   if (Ctx.Opts.EnablePreemptGuard) {
     LIns *Flag = W->insLoad(
-        LOp::LdI, immQ((int64_t)(intptr_t)&Ctx.PreemptFlag), 0);
+        LOp::LdI, immQ((int64_t)(intptr_t)&Ctx.PreemptFlag), 0, Acc::Vm);
     ExitDescriptor *E = snapshot(ExitKind::Preempt,
                                  RecMode == Mode::Root ? F->AnchorPc
                                                        : F->Root->AnchorPc);

@@ -220,6 +220,10 @@ private:
     return T == TraceType::Int || T == TraceType::Boolean;
   }
 
+  /// After int product \p R = \p A * \p B: exit through \p E (or a new
+  /// Overflow snapshot at \p Pc) when the product is JavaScript's -0.
+  void guardNotNegZero(LIns *R, LIns *A, LIns *B, ExitDescriptor *E,
+                       uint32_t Pc);
   /// Guard that object \p Obj (unboxed ptr) has shape \p S.
   void guardShape(LIns *Obj, class Shape *S, uint32_t Pc);
   void guardIsArray(LIns *Obj, uint32_t Pc);

@@ -273,12 +273,12 @@ TEST_F(BackendFixture, CountingLoopFragment) {
   Fragment F;
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *I = Buf.insLoad(LOp::LdI, Tar, 0);
+  LIns *I = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *Done = Buf.ins2(LOp::EqI, I, Buf.insImmI(100));
   ExitDescriptor *E = stackExit(F, {TraceType::Int});
   Buf.insGuard(LOp::GuardF, Done, E);
   LIns *Next = Buf.ins2(LOp::AddI, I, Buf.insImmI(1));
-  Buf.insStore(LOp::StI, Next, Tar, 0);
+  Buf.insStore(LOp::StI, Next, Tar, 0, Acc::Tar);
   Buf.insLoop();
   F.Body = Buf.instructions();
 
@@ -290,12 +290,12 @@ TEST_F(BackendFixture, DoubleAccumulationFragment) {
   Fragment F;
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *I = Buf.insLoad(LOp::LdI, Tar, 0);
-  LIns *S = Buf.insLoad(LOp::LdD, Tar, 8);
+  LIns *I = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  LIns *S = Buf.insLoad(LOp::LdD, Tar, 8, Acc::Tar);
   LIns *S2 = Buf.ins2(LOp::AddD, S, Buf.insImmD(0.125));
-  Buf.insStore(LOp::StD, S2, Tar, 8);
+  Buf.insStore(LOp::StD, S2, Tar, 8, Acc::Tar);
   LIns *Next = Buf.ins2(LOp::AddI, I, Buf.insImmI(1));
-  Buf.insStore(LOp::StI, Next, Tar, 0);
+  Buf.insStore(LOp::StI, Next, Tar, 0, Acc::Tar);
   ExitDescriptor *E = stackExit(F, {TraceType::Int, TraceType::Double});
   Buf.insGuard(LOp::GuardT, Buf.ins2(LOp::LtI, Next, Buf.insImmI(64)), E);
   Buf.insLoop();
@@ -316,10 +316,10 @@ TEST_F(BackendFixture, OverflowGuardExits) {
   Fragment F;
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   ExitDescriptor *Ov = stackExit(F, {TraceType::Int});
   LIns *Dbl = Buf.insOvf(LOp::AddOvI, X, X, Ov);
-  Buf.insStore(LOp::StI, Dbl, Tar, 0);
+  Buf.insStore(LOp::StI, Dbl, Tar, 0, Acc::Tar);
   Buf.insLoop();
   F.Body = Buf.instructions();
 
@@ -337,12 +337,12 @@ TEST_F(BackendFixture, ManyLiveValuesForceSpills) {
   constexpr int N = 40;
   LIns *Vals[N];
   for (int K = 0; K < N; ++K)
-    Vals[K] = Buf.insLoad(LOp::LdI, Tar, K * 8);
+    Vals[K] = Buf.insLoad(LOp::LdI, Tar, K * 8, Acc::Tar);
   // Consume in reverse so everything stays live a long time.
   LIns *Acc = Buf.insImmI(0);
   for (int K = N - 1; K >= 0; --K)
     Acc = Buf.ins2(LOp::AddI, Acc, Vals[K]);
-  Buf.insStore(LOp::StI, Acc, Tar, N * 8);
+  Buf.insStore(LOp::StI, Acc, Tar, N * 8, Acc::Tar);
   ExitDescriptor *E = F.makeExit();
   E->Sp = 0;
   Buf.insExit(E);
@@ -374,7 +374,7 @@ TEST_F(BackendFixture, FoldedImmediatesMatchTheExecutor) {
       LirBuffer Buf(A);
       LIns *Tar = Buf.ins0(LOp::ParamTar);
       bool Q = Ty == LTy::Q;
-      LIns *V = Buf.insLoad(Q ? LOp::LdQ : LOp::LdI, Tar, 0);
+      LIns *V = Buf.insLoad(Q ? LOp::LdQ : LOp::LdI, Tar, 0, Acc::Tar);
       LIns *K = Q ? Buf.insImmQ(Imm) : Buf.insImmI((int32_t)Imm);
       TraceType T = Q ? TraceType::Object : TraceType::Int;
       ExitDescriptor *E0 = stackExit(F, {T, T});
@@ -386,7 +386,8 @@ TEST_F(BackendFixture, FoldedImmediatesMatchTheExecutor) {
       if (Guard)
         Buf.insGuard(LOp::GuardT, Res, E0);
       else
-        Buf.insStore(Res->Ty == LTy::Q ? LOp::StQ : LOp::StI, Res, Tar, 8);
+        Buf.insStore(Res->Ty == LTy::Q ? LOp::StQ : LOp::StI, Res, Tar, 8,
+                     Acc::Tar);
       Buf.insExit(E1);
       F.Body = Buf.instructions();
       // The executor decides which exit is right; checkBoth then requires
@@ -428,8 +429,8 @@ TEST_F(BackendFixture, FoldedImmediatesMatchTheExecutor) {
     Fragment F;
     LirBuffer Buf(A);
     LIns *Tar = Buf.ins0(LOp::ParamTar);
-    Buf.insStore(LOp::StI, Buf.insImmI((int32_t)Imm), Tar, 0);
-    Buf.insStore(LOp::StQ, Buf.insImmQ(Imm), Tar, 8);
+    Buf.insStore(LOp::StI, Buf.insImmI((int32_t)Imm), Tar, 0, Acc::Tar);
+    Buf.insStore(LOp::StQ, Buf.insImmQ(Imm), Tar, 8, Acc::Tar);
     ExitDescriptor *E = stackExit(F, {TraceType::Int, TraceType::Object});
     Buf.insExit(E);
     F.Body = Buf.instructions();
@@ -444,7 +445,7 @@ TEST_F(BackendFixture, StitchedExitTransfersToBranchFragment) {
   LirBuffer BufB(A);
   {
     LIns *Tar = BufB.ins0(LOp::ParamTar);
-    BufB.insStore(LOp::StI, BufB.insImmI(777), Tar, 8);
+    BufB.insStore(LOp::StI, BufB.insImmI(777), Tar, 8, Acc::Tar);
     ExitDescriptor *EB = FB.makeExit();
     EB->Sp = 0;
     BufB.insExit(EB);
@@ -457,7 +458,7 @@ TEST_F(BackendFixture, StitchedExitTransfersToBranchFragment) {
   ExitDescriptor *EA;
   {
     LIns *Tar = BufA.ins0(LOp::ParamTar);
-    LIns *X = BufA.insLoad(LOp::LdI, Tar, 0);
+    LIns *X = BufA.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
     EA = FA.makeExit();
     EA->Sp = 0;
     BufA.insGuard(LOp::GuardT, BufA.ins2(LOp::EqI, X, BufA.insImmI(0)), EA);
@@ -515,7 +516,7 @@ bool codeContains(const Fragment &F, std::initializer_list<uint8_t> Bytes) {
 void buildMarker(Arena &A, Fragment &FB) {
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  Buf.insStore(LOp::StI, Buf.insImmI(777), Tar, 8);
+  Buf.insStore(LOp::StI, Buf.insImmI(777), Tar, 8, Acc::Tar);
   Buf.insExit(FB.makeExit());
   FB.Body = Buf.instructions();
 }
@@ -536,7 +537,7 @@ TEST_F(BackendFixture, ExitStubsAreFourBytesWithOneTailPerFragment) {
   Fragment F;
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   for (int K = 0; K < NGuards; ++K)
     Buf.insGuard(LOp::GuardF, Buf.ins2(LOp::EqI, X, Buf.insImmI(K)),
                  F.makeExit());
@@ -618,7 +619,7 @@ TEST_F(BackendFixture, MoreThan256ExitsIndexStubsWithAFullWord) {
   Fragment F;
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   for (int K = 0; K < NGuards; ++K)
     Buf.insGuard(LOp::GuardF, Buf.ins2(LOp::EqI, X, Buf.insImmI(K)),
                  F.makeExit());
@@ -653,8 +654,8 @@ TEST_F(BackendFixture, StitchedEqDExitPatchesBothJumpSites) {
   Fragment F;
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdD, Tar, 16);
-  LIns *Y = Buf.insLoad(LOp::LdD, Tar, 24);
+  LIns *X = Buf.insLoad(LOp::LdD, Tar, 16, Acc::Tar);
+  LIns *Y = Buf.insLoad(LOp::LdD, Tar, 24, Acc::Tar);
   ExitDescriptor *E = F.makeExit();
   Buf.insGuard(LOp::GuardT, Buf.ins2(LOp::EqD, X, Y), E);
   ExitDescriptor *EEnd = F.makeExit();
@@ -703,10 +704,10 @@ TEST_F(BackendFixture, TreeCallMismatchStashesAndStitches) {
   {
     LirBuffer Buf(A);
     LIns *Tar = Buf.ins0(LOp::ParamTar);
-    LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+    LIns *X = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
     Other = FI.makeExit();
     Buf.insGuard(LOp::GuardT, Buf.ins2(LOp::EqI, X, Buf.insImmI(0)), Other);
-    Buf.insStore(LOp::StI, Buf.insImmI(5), Tar, 16);
+    Buf.insStore(LOp::StI, Buf.insImmI(5), Tar, 16, Acc::Tar);
     Want = FI.makeExit();
     Buf.insExit(Want);
     FI.Body = Buf.instructions();
@@ -721,7 +722,7 @@ TEST_F(BackendFixture, TreeCallMismatchStashesAndStitches) {
     Mismatch = FO.makeExit();
     Mismatch->Kind = ExitKind::Nested;
     Buf.insTreeCall(&FI, Want, Mismatch);
-    Buf.insStore(LOp::StI, Buf.insImmI(9), Tar, 24);
+    Buf.insStore(LOp::StI, Buf.insImmI(9), Tar, 24, Acc::Tar);
     EEnd = FO.makeExit();
     Buf.insExit(EEnd);
     FO.Body = Buf.instructions();
@@ -774,21 +775,21 @@ TEST_F(BackendFixture, TarAccessesAtEveryDisplacementWidth) {
     LirBuffer Buf(A);
     LIns *Tar = Buf.ins0(LOp::ParamTar);
     for (int32_t Off : Offsets) {
-      LIns *V = Buf.insLoad(Ld, Tar, Off);
+      LIns *V = Buf.insLoad(Ld, Tar, Off, Acc::Tar);
       if (Ld == LOp::LdI)
         Buf.insStore(LOp::StI, Buf.ins2(LOp::AddI, V, Buf.insImmI(Off + 1)),
-                     Tar, Off);
+                     Tar, Off, Acc::Tar);
       else if (Ld == LOp::LdQ)
         Buf.insStore(LOp::StQ,
                      Buf.ins2(LOp::AddQ, V, Buf.insImmQ((int64_t)1 << 40)),
-                     Tar, Off);
+                     Tar, Off, Acc::Tar);
       else
         Buf.insStore(LOp::StD, Buf.ins2(LOp::MulD, V, Buf.insImmD(-2.5)),
-                     Tar, Off);
+                     Tar, Off, Acc::Tar);
     }
     // An immediate store at a disp8 and a disp32 offset too.
-    Buf.insStore(LOp::StI, Buf.insImmI(-7), Tar, 8);
-    Buf.insStore(LOp::StQ, Buf.insImmQ(-9), Tar, 4104);
+    Buf.insStore(LOp::StI, Buf.insImmI(-7), Tar, 8, Acc::Tar);
+    Buf.insStore(LOp::StQ, Buf.insImmQ(-9), Tar, 4104, Acc::Tar);
     ExitDescriptor *E = F.makeExit();
     Buf.insExit(E);
     F.Body = Buf.instructions();
@@ -857,9 +858,9 @@ TEST_F(BackendFixture, TarAndContextPassedAsCallArguments) {
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
   LIns *Args[2] = {Tar, Buf.insImmQ(5)};
-  Buf.insStore(LOp::StQ, Buf.insCall(&ReadTar, Args, 2), Tar, 16);
+  Buf.insStore(LOp::StQ, Buf.insCall(&ReadTar, Args, 2), Tar, 16, Acc::Tar);
   LIns *CArgs[2] = {Buf.insImmQ((int64_t)(intptr_t)&Ctx), Buf.insImmI(21)};
-  Buf.insStore(LOp::StI, Buf.insCall(&Probe, CArgs, 2), Tar, 24);
+  Buf.insStore(LOp::StI, Buf.insCall(&Probe, CArgs, 2), Tar, 24, Acc::Tar);
   ExitDescriptor *E = F.makeExit();
   Buf.insExit(E);
   F.Body = Buf.instructions();
@@ -892,8 +893,8 @@ TEST_F(BackendFixture, TableHelperCallsThroughThePool) {
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
   LIns *Args[2] = {Buf.insImmQ((int64_t)(intptr_t)&Ctx),
-                   Buf.insLoad(LOp::LdI, Tar, 0)};
-  Buf.insStore(LOp::StQ, Buf.insCall(&CI, Args, 2), Tar, 8);
+                   Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar)};
+  Buf.insStore(LOp::StQ, Buf.insCall(&CI, Args, 2), Tar, 8, Acc::Tar);
   ExitDescriptor *E = F.makeExit();
   Buf.insExit(E);
   F.Body = Buf.instructions();
@@ -918,7 +919,7 @@ TEST_F(BackendFixture, LoadsFoldIntoGuardedCompares) {
             Fragment F;
             LirBuffer Buf(A);
             LIns *Tar = Buf.ins0(LOp::ParamTar);
-            LIns *V = Buf.insLoad(Ld, Tar, 8);
+            LIns *V = Buf.insLoad(Ld, Tar, 8, Acc::Tar);
             LIns *K = Buf.insImmI(Imm);
             ExitDescriptor *E0 = F.makeExit();
             ExitDescriptor *E1 = F.makeExit();
@@ -950,11 +951,11 @@ TEST_F(BackendFixture, PreemptGuardComparesTheFlagInPlace) {
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
   LIns *FlagAddr = Buf.insImmQ((int64_t)(intptr_t)&Ctx.PreemptFlag);
-  LIns *Flag = Buf.insLoad(LOp::LdI, FlagAddr, 0);
+  LIns *Flag = Buf.insLoad(LOp::LdI, FlagAddr, 0, Acc::Vm);
   ExitDescriptor *Pre = F.makeExit();
   Pre->Kind = ExitKind::Preempt;
   Buf.insGuard(LOp::GuardT, Buf.ins2(LOp::EqI, Flag, Buf.insImmI(0)), Pre);
-  Buf.insStore(LOp::StI, Buf.insImmI(1), Tar, 0);
+  Buf.insStore(LOp::StI, Buf.insImmI(1), Tar, 0, Acc::Tar);
   ExitDescriptor *E = F.makeExit();
   Buf.insExit(E);
   F.Body = Buf.instructions();

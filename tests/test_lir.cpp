@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -10,6 +11,7 @@
 #include "lir/filters.h"
 #include "lir/lir.h"
 #include "support/arena.h"
+#include "trace/helpers.h"
 
 using namespace tracejit;
 
@@ -51,7 +53,7 @@ TEST_F(PipelineFixture, ConstantFoldingDouble) {
 
 TEST_F(PipelineFixture, AlgebraicIdentities) {
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *X = W.insLoad(LOp::LdI, Tar, 0);
+  LIns *X = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   EXPECT_EQ(W.ins2(LOp::AddI, X, W.insImmI(0)), X) << "x + 0 = x";
   EXPECT_EQ(W.ins2(LOp::MulI, X, W.insImmI(1)), X) << "x * 1 = x";
   // a - a = 0 is called out explicitly in §5.1.
@@ -66,15 +68,15 @@ TEST_F(PipelineFixture, IntDoubleNarrowing) {
   // "LIR that converts an INT to a DOUBLE and then back again would be
   // removed by this filter." (§5.1)
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *X = W.insLoad(LOp::LdI, Tar, 8);
+  LIns *X = W.insLoad(LOp::LdI, Tar, 8, Acc::Tar);
   LIns *RoundTrip = W.ins1(LOp::D2I, W.ins1(LOp::I2D, X));
   EXPECT_EQ(RoundTrip, X);
 }
 
 TEST_F(PipelineFixture, CseDeduplicatesPureExpressions) {
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *X = W.insLoad(LOp::LdI, Tar, 0);
-  LIns *Y = W.insLoad(LOp::LdI, Tar, 8);
+  LIns *X = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  LIns *Y = W.insLoad(LOp::LdI, Tar, 8, Acc::Tar);
   LIns *S1 = W.ins2(LOp::AddI, X, Y);
   LIns *S2 = W.ins2(LOp::AddI, X, Y);
   EXPECT_EQ(S1, S2);
@@ -85,45 +87,49 @@ TEST_F(PipelineFixture, CseDeduplicatesPureExpressions) {
 
 TEST_F(PipelineFixture, CseLoadsFollowLocationClassGenerations) {
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *L1 = W.insLoad(LOp::LdI, Tar, 16);
-  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16), L1)
+  LIns *L1 = W.insLoad(LOp::LdI, Tar, 16, Acc::Tar);
+  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16, Acc::Tar), L1)
       << "repeated load with no intervening store is CSE'd";
-  W.insStore(LOp::StI, W.insImmI(1), Tar, 24);
-  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16), L1)
+  W.insStore(LOp::StI, W.insImmI(1), Tar, 24, Acc::Tar);
+  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16, Acc::Tar), L1)
       << "a store to another TAR slot keeps the cached load";
-  W.insStore(LOp::StI, W.insImmI(1), Tar, 16);
-  LIns *L2 = W.insLoad(LOp::LdI, Tar, 16);
+  W.insStore(LOp::StI, W.insImmI(1), Tar, 16, Acc::Tar);
+  LIns *L2 = W.insLoad(LOp::LdI, Tar, 16, Acc::Tar);
   EXPECT_NE(L2, L1) << "a store to the same slot starts a new generation";
 
-  LIns *Obj = W.insLoad(LOp::LdQ, Tar, 8);
-  LIns *H1 = W.insLoad(LOp::LdI, Obj, 0);
-  W.insStore(LOp::StI, W.insImmI(2), Tar, 32);
-  EXPECT_EQ(W.insLoad(LOp::LdI, Obj, 0), H1) << "TAR stores leave the heap";
-  W.insStore(LOp::StI, W.insImmI(2), Obj, 4);
-  LIns *H2 = W.insLoad(LOp::LdI, Obj, 0);
-  EXPECT_NE(H2, H1) << "a heap store starts a new heap generation";
-  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16), L2) << "... and leaves the TAR";
+  LIns *Obj = W.insLoad(LOp::LdQ, Tar, 8, Acc::Tar);
+  LIns *H1 = W.insLoad(LOp::LdI, Obj, 0, Acc::Header);
+  W.insStore(LOp::StI, W.insImmI(2), Tar, 32, Acc::Tar);
+  EXPECT_EQ(W.insLoad(LOp::LdI, Obj, 0, Acc::Header), H1)
+      << "TAR stores leave the heap";
+  W.insStore(LOp::StI, W.insImmI(2), Obj, 4, Acc::Header);
+  LIns *H2 = W.insLoad(LOp::LdI, Obj, 0, Acc::Header);
+  EXPECT_NE(H2, H1) << "a header store starts a new header generation";
+  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16, Acc::Tar), L2)
+      << "... and leaves the TAR";
 
   CallInfo Impure;
   Impure.Name = "impure";
   Impure.Ret = LTy::Void;
   W.insCall(&Impure, nullptr, 0);
-  LIns *H3 = W.insLoad(LOp::LdI, Obj, 0);
-  EXPECT_NE(H3, H2) << "an impure call starts a new heap generation";
-  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16), L2) << "calls never write the TAR";
+  LIns *H3 = W.insLoad(LOp::LdI, Obj, 0, Acc::Header);
+  EXPECT_NE(H3, H2) << "an impure call writes every heap class by default";
+  EXPECT_EQ(W.insLoad(LOp::LdI, Tar, 16, Acc::Tar), L2)
+      << "calls never write the TAR";
 
   Fragment Inner;
   W.insTreeCall(&Inner, exit(), exit());
-  EXPECT_NE(W.insLoad(LOp::LdI, Tar, 16), L2)
+  EXPECT_NE(W.insLoad(LOp::LdI, Tar, 16, Acc::Tar), L2)
       << "the inner tree may have written any slot";
-  EXPECT_NE(W.insLoad(LOp::LdI, Obj, 0), H3) << "... and the heap";
+  EXPECT_NE(W.insLoad(LOp::LdI, Obj, 0, Acc::Header), H3) << "... and the heap";
 
   LIns *Flag = W.insImmQ(0x1000);
-  EXPECT_NE(W.insLoad(LOp::LdI, Flag, 0), W.insLoad(LOp::LdI, Flag, 0))
+  EXPECT_NE(W.insLoad(LOp::LdI, Flag, 0, Acc::Vm),
+            W.insLoad(LOp::LdI, Flag, 0, Acc::Vm))
       << "absolute (ImmQ-based) loads are volatile VM channels";
 
-  LIns *X = W.insLoad(LOp::LdI, Tar, 40);
-  LIns *Y = W.insLoad(LOp::LdI, Tar, 48);
+  LIns *X = W.insLoad(LOp::LdI, Tar, 40, Acc::Tar);
+  LIns *Y = W.insLoad(LOp::LdI, Tar, 48, Acc::Tar);
   LIns *O1 = W.insOvf(LOp::AddOvI, X, Y, exit());
   EXPECT_EQ(Cse.guardsEliminated(), 0u);
   EXPECT_EQ(W.insOvf(LOp::AddOvI, X, Y, exit()), O1)
@@ -133,7 +139,7 @@ TEST_F(PipelineFixture, CseLoadsFollowLocationClassGenerations) {
 
 TEST_F(PipelineFixture, RedundantGuardsDropped) {
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *X = W.insLoad(LOp::LdI, Tar, 0);
+  LIns *X = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *C = W.ins2(LOp::EqI, X, W.insImmI(3));
   LIns *G1 = W.insGuard(LOp::GuardT, C, exit());
   EXPECT_NE(G1, nullptr);
@@ -147,7 +153,7 @@ TEST_F(PipelineFixture, RedundantGuardsDropped) {
 
 TEST_F(PipelineFixture, CseDropsDominatedGuard) {
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *L = W.insLoad(LOp::LdI, Tar, 0);
+  LIns *L = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *C = W.ins2(LOp::LtI, L, W.insImmI(5));
   LIns *G1 = W.insGuard(LOp::GuardT, C, exit());
   LIns *G2 = W.insGuard(LOp::GuardT, C, exit());
@@ -158,7 +164,7 @@ TEST_F(PipelineFixture, CseDropsDominatedGuard) {
 
 TEST_F(PipelineFixture, CseKeepsOppositePolarityGuard) {
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *L = W.insLoad(LOp::LdI, Tar, 0);
+  LIns *L = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *C = W.ins2(LOp::EqI, L, W.insImmI(0));
   W.insGuard(LOp::GuardT, C, exit());
   EXPECT_NE(W.insGuard(LOp::GuardF, C, exit()), nullptr)
@@ -171,12 +177,12 @@ TEST_F(PipelineFixture, CseKeepsGuardAcrossHeapClobber) {
   // The store starts a new generation: the reload and its guard must both
   // be emitted.
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *Base = W.insLoad(LOp::LdQ, Tar, 8);
+  LIns *Base = W.insLoad(LOp::LdQ, Tar, 8, Acc::Tar);
   LIns *Five = W.insImmI(5);
-  LIns *L1 = W.insLoad(LOp::LdI, Base, 0);
+  LIns *L1 = W.insLoad(LOp::LdI, Base, 0, Acc::Slots);
   W.insGuard(LOp::GuardT, W.ins2(LOp::LtI, L1, Five), exit());
-  W.insStore(LOp::StI, Five, Base, 0);
-  LIns *L2 = W.insLoad(LOp::LdI, Base, 0);
+  W.insStore(LOp::StI, Five, Base, 0, Acc::Slots);
+  LIns *L2 = W.insLoad(LOp::LdI, Base, 0, Acc::Slots);
   LIns *G2 = W.insGuard(LOp::GuardT, W.ins2(LOp::LtI, L2, Five), exit());
   EXPECT_NE(L2, L1) << "clobbered load must not merge";
   EXPECT_NE(G2, nullptr);
@@ -188,13 +194,13 @@ TEST_F(PipelineFixture, CseMergesRedundantLoadAndGuardWithoutClobber) {
   // slot: the reload merges into the first load, the condition into the
   // first condition, and the second guard is dominated.
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *Base = W.insLoad(LOp::LdQ, Tar, 8);
+  LIns *Base = W.insLoad(LOp::LdQ, Tar, 8, Acc::Tar);
   LIns *Five = W.insImmI(5);
-  LIns *L1 = W.insLoad(LOp::LdI, Base, 0);
+  LIns *L1 = W.insLoad(LOp::LdI, Base, 0, Acc::Slots);
   LIns *C1 = W.ins2(LOp::LtI, L1, Five);
   LIns *G1 = W.insGuard(LOp::GuardT, C1, exit());
-  W.insStore(LOp::StI, Five, Tar, 16);
-  LIns *L2 = W.insLoad(LOp::LdI, Base, 0);
+  W.insStore(LOp::StI, Five, Tar, 16, Acc::Tar);
+  LIns *L2 = W.insLoad(LOp::LdI, Base, 0, Acc::Slots);
   LIns *C2 = W.ins2(LOp::LtI, L2, Five);
   LIns *G2 = W.insGuard(LOp::GuardT, C2, exit());
   EXPECT_EQ(L2, L1);
@@ -209,9 +215,9 @@ TEST_F(PipelineFixture, CseTreeCallInvalidatesTarSlots) {
   // the same activation record and may write any slot.
   Fragment Inner;
   LIns *Tar = W.ins0(LOp::ParamTar);
-  LIns *L1 = W.insLoad(LOp::LdI, Tar, 0);
+  LIns *L1 = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   W.insTreeCall(&Inner, exit(), exit());
-  LIns *L2 = W.insLoad(LOp::LdI, Tar, 0);
+  LIns *L2 = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   EXPECT_NE(L1, L2) << "inner tree may have written slot 0";
   EXPECT_EQ(Buf.instructions().back(), L2);
 }
@@ -231,6 +237,182 @@ TEST_F(PipelineFixture, OverflowOpsFoldWhenSafe) {
   EXPECT_EQ(Big->Op, LOp::MulOvI);
 }
 
+TEST_F(PipelineFixture, MulOfNegativeAndZeroIsNotFoldedToIntZero) {
+  // -2 * 0 is -0 in JavaScript: no int constant holds it, so neither the
+  // checked nor the plain multiply folds to 0 on that input.
+  LIns *R = W.insOvf(LOp::MulOvI, W.insImmI(-2), W.insImmI(0), exit());
+  EXPECT_EQ(R->Op, LOp::MulOvI);
+  LIns *Tar = W.ins0(LOp::ParamTar);
+  LIns *X = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  EXPECT_EQ(W.ins2(LOp::MulI, X, W.insImmI(0))->Op, LOp::MulI)
+      << "x * 0 is -0 for a negative x";
+  LIns *P = W.insOvf(LOp::MulOvI, W.insImmI(2), W.insImmI(0), exit());
+  ASSERT_EQ(P->Op, LOp::ImmI);
+  EXPECT_EQ(P->Imm.ImmI32, 0);
+}
+
+// --- Location classes: what a write leaves cached ----------------------------
+
+namespace {
+
+/// One object's shape guard, as the recorder emits it.
+struct ShapeGuardFixture : PipelineFixture {
+  LIns *Tar = W.ins0(LOp::ParamTar);
+  LIns *Obj = W.insLoad(LOp::LdQ, Tar, 8, Acc::Tar);
+  LIns *ShapeImm = W.insImmQ(0x5000);
+
+  /// Load the shape and guard it; the guard, or null when CSE dropped it.
+  LIns *guardShape() {
+    LIns *Shape = W.insLoad(LOp::LdQ, Obj, 0, Acc::Header);
+    return W.insGuard(LOp::GuardT, W.ins2(LOp::EqQ, Shape, ShapeImm), exit());
+  }
+  /// Call helper \p CI on the object (its second argument), with
+  /// placeholder constants of the right type elsewhere.
+  LIns *call(const CallInfo &CI) {
+    LIns *Args[6] = {};
+    for (uint32_t K = 0; K < CI.NArgs; ++K)
+      Args[K] = K == 1                    ? Obj
+                : CI.Args[K] == LTy::I32 ? W.insImmI(1)
+                : CI.Args[K] == LTy::D   ? W.insImmD(0.5)
+                                         : W.insImmQ(0x1000);
+    return W.insCall(&CI, Args, CI.NArgs);
+  }
+};
+
+} // namespace
+
+TEST_F(ShapeGuardFixture, SlotStoreAndBoxingLeaveTheShapeGuard) {
+  ASSERT_NE(guardShape(), nullptr);
+  LIns *Slots = W.insLoad(LOp::LdQ, Obj, 16, Acc::Header);
+  W.insStore(LOp::StQ, W.insImmQ(1), Slots, 8, Acc::Slots);
+  LIns *BoxArgs[2] = {W.insImmQ(0x1000), W.insImmD(0.5)};
+  W.insCall(&helperCalls().BoxDouble, BoxArgs, 2);
+  EXPECT_EQ(guardShape(), nullptr)
+      << "a named-slot store and js_BoxDouble write no header";
+  EXPECT_EQ(W.insLoad(LOp::LdQ, Obj, 16, Acc::Header), Slots)
+      << "... so the slots pointer stays cached too";
+  EXPECT_EQ(Cse.guardsEliminated(), 1u);
+}
+
+TEST_F(ShapeGuardFixture, HeaderWritersKeepBothShapeGuards) {
+  ASSERT_NE(guardShape(), nullptr);
+  call(helperCalls().InitProp);
+  EXPECT_NE(guardShape(), nullptr) << "js_InitProp may move the shape";
+  call(helperCalls().ArraySetV);
+  EXPECT_NE(guardShape(), nullptr) << "js_Array_set writes the header";
+  call(helperCalls().ArrayPushV);
+  EXPECT_NE(guardShape(), nullptr) << "js_Array_push writes the header";
+  Fragment Inner;
+  W.insTreeCall(&Inner, exit(), exit());
+  EXPECT_NE(guardShape(), nullptr) << "a tree call writes every class";
+  EXPECT_EQ(Cse.guardsEliminated(), 0u);
+}
+
+TEST_F(ShapeGuardFixture, SlotLoadAfterAStoreToItReloads) {
+  LIns *Slots = W.insLoad(LOp::LdQ, Obj, 16, Acc::Header);
+  LIns *V1 = W.insLoad(LOp::LdQ, Slots, 8, Acc::Slots);
+  EXPECT_EQ(W.insLoad(LOp::LdQ, Slots, 8, Acc::Slots), V1);
+  LIns *Elems = W.insLoad(LOp::LdQ, Obj, 24, Acc::Header);
+  W.insStore(LOp::StQ, W.insImmQ(1), Elems, 0, Acc::Elems);
+  EXPECT_EQ(W.insLoad(LOp::LdQ, Slots, 8, Acc::Slots), V1)
+      << "an element store leaves named slots";
+  W.insStore(LOp::StQ, W.insImmQ(3), Slots, 8, Acc::Slots);
+  EXPECT_NE(W.insLoad(LOp::LdQ, Slots, 8, Acc::Slots), V1)
+      << "a store to the slot starts a new generation";
+}
+
+TEST_F(ShapeGuardFixture, ReadOnlyCellsSurviveStoresAndHelpers) {
+  LIns *Str = W.insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
+  LIns *Len = W.insLoad(LOp::LdI, Str, 4, Acc::ReadOnly);
+  call(helperCalls().InitProp);
+  Fragment Inner;
+  W.insTreeCall(&Inner, exit(), exit());
+  EXPECT_NE(W.insLoad(LOp::LdI, Str, 4, Acc::ReadOnly), Len)
+      << "a tree call writes every class, read-only ones included";
+  LIns *Len2 = W.insLoad(LOp::LdI, Str, 4, Acc::ReadOnly);
+  call(helperCalls().InitProp);
+  W.insStore(LOp::StQ, W.insImmQ(3), Obj, 32, Acc::Slots);
+  EXPECT_EQ(W.insLoad(LOp::LdI, Str, 4, Acc::ReadOnly), Len2)
+      << "no store or helper writes an immutable cell";
+}
+
+// --- The ToInt32 sum fold ------------------------------------------------------
+
+namespace {
+
+/// The forward pipeline as the recorder builds it, with the fold keyed on
+/// the runtime's ToInt32 helper.
+struct FoldFixture : ::testing::Test {
+  Arena A;
+  LirBuffer Buf{A};
+  CseFilter Cse{&Buf};
+  ExprFilter Expr{&Cse, &helperCalls().ToInt32D};
+  LirWriter &W = Expr;
+  LIns *Tar = W.ins0(LOp::ParamTar);
+  LIns *X = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  LIns *Y = W.insLoad(LOp::LdI, Tar, 8, Acc::Tar);
+
+  LIns *toInt32(LIns *D) {
+    LIns *Args[1] = {D};
+    return W.insCall(&helperCalls().ToInt32D, Args, 1);
+  }
+  LIns *d(LIns *I) { return W.ins1(LOp::I2D, I); }
+};
+
+} // namespace
+
+TEST_F(FoldFixture, SumOfIntsBecomesIntArithmetic) {
+  LIns *Sum = W.ins2(LOp::AddD, d(X), d(Y));
+  LIns *R = toInt32(Sum);
+  ASSERT_EQ(R->Op, LOp::AddI);
+  EXPECT_EQ(R->A, X);
+  EXPECT_EQ(R->B, Y);
+  // (x - y) - 7 + u, u a uint32 (>>> result): still exact, still folds.
+  LIns *U = W.ins2(LOp::UshrI, X, W.insImmI(1));
+  LIns *Chain = W.ins2(
+      LOp::AddD,
+      W.ins2(LOp::SubD, W.ins2(LOp::SubD, d(X), d(Y)), W.insImmD(7)),
+      W.ins1(LOp::UI2D, U));
+  LIns *C = toInt32(Chain);
+  ASSERT_EQ(C->Op, LOp::AddI);
+  EXPECT_EQ(C->B, U);
+  ASSERT_EQ(C->A->Op, LOp::SubI);
+  EXPECT_EQ(C->A->B->Op, LOp::ImmI);
+  EXPECT_EQ(C->A->B->Imm.ImmI32, 7);
+  // -0 is an int32-valued leaf (as 0): ToInt32 of the sum is the same.
+  EXPECT_EQ(toInt32(W.ins2(LOp::AddD, d(X), W.insImmD(-0.0))), X);
+}
+
+TEST_F(FoldFixture, InexactOrNonIntTreesStayCalls) {
+  auto IsCall = [](const LIns *I) { return I->Op == LOp::Call; };
+  EXPECT_TRUE(IsCall(toInt32(W.ins2(LOp::AddD, d(X), W.insImmD(0.5)))))
+      << "a fractional leaf";
+  EXPECT_TRUE(IsCall(toInt32(W.ins2(LOp::AddD, d(X), W.insImmD(4294967296.0)))))
+      << "a leaf outside int32";
+  EXPECT_TRUE(IsCall(toInt32(W.ins2(LOp::AddD, d(X), W.insImmD(NAN)))))
+      << "a NaN leaf";
+  EXPECT_TRUE(IsCall(toInt32(W.ins2(LOp::MulD, d(X), d(Y)))))
+      << "a product of two int32s is not exact in a double";
+  LIns *Ld = W.insLoad(LOp::LdD, Tar, 16, Acc::Tar);
+  EXPECT_TRUE(IsCall(toInt32(W.ins2(LOp::AddD, d(X), Ld))))
+      << "a double of unknown value";
+  // Eight levels fold; nine could hold 2^9 leaves and do not.
+  LIns *Deep = d(X);
+  for (int K = 0; K < 8; ++K)
+    Deep = W.ins2(LOp::AddD, Deep, d(Y));
+  EXPECT_FALSE(IsCall(toInt32(Deep)));
+  EXPECT_TRUE(IsCall(toInt32(W.ins2(LOp::AddD, Deep, d(Y)))));
+}
+
+TEST_F(FoldFixture, OnlyTheToInt32HelperFolds) {
+  LIns *Sum = W.ins2(LOp::AddD, d(X), d(Y));
+  LIns *Args[1] = {Sum};
+  EXPECT_EQ(W.insCall(&helperCalls().TruthyD, Args, 1)->Op, LOp::Call);
+  ExprFilter Plain{&Cse};
+  EXPECT_EQ(Plain.insCall(&helperCalls().ToInt32D, Args, 1)->Op, LOp::Call)
+      << "without the helper's CallInfo the filter knows no ToInt32";
+}
+
 TEST(DeadStoreElim, RemovesStoresAboveExitStackDepth) {
   // "Stores to locations that are off the top of the interpreter stack at
   // future exits are also dead." (§5.1)
@@ -240,9 +422,9 @@ TEST(DeadStoreElim, RemovesStoresAboveExitStackDepth) {
   LIns *Tar = Buf.ins0(LOp::ParamTar);
   LIns *V = Buf.insImmI(7);
   // Slot 5 (stack depth 5 with 0 globals): dead if every exit has Sp <= 5.
-  Buf.insStore(LOp::StI, V, Tar, 5 * 8);
+  Buf.insStore(LOp::StI, V, Tar, 5 * 8, Acc::Tar);
   // Slot 0: live at the exit below.
-  Buf.insStore(LOp::StI, V, Tar, 0);
+  Buf.insStore(LOp::StI, V, Tar, 0, Acc::Tar);
   ExitDescriptor *E = Frag.makeExit();
   E->Sp = 2; // exit sees slots [0, 2)
   Buf.insGuard(LOp::GuardT, Buf.insImmI(0), E); // not folded: raw buffer
@@ -266,8 +448,8 @@ TEST(DeadStoreElim, OverwrittenStoreWithNoInterveningExitIsDead) {
   LirBuffer Buf(A);
   Fragment Frag;
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  Buf.insStore(LOp::StI, Buf.insImmI(1), Tar, 0); // dead: overwritten
-  Buf.insStore(LOp::StI, Buf.insImmI(2), Tar, 0); // live at exit
+  Buf.insStore(LOp::StI, Buf.insImmI(1), Tar, 0, Acc::Tar); // dead: overwritten
+  Buf.insStore(LOp::StI, Buf.insImmI(2), Tar, 0, Acc::Tar); // live at exit
   ExitDescriptor *E = Frag.makeExit();
   E->Sp = 1;
   Buf.insExit(E);
@@ -279,12 +461,12 @@ TEST(DeadStoreElim, ExitBetweenStoresKeepsBoth) {
   LirBuffer Buf(A);
   Fragment Frag;
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  Buf.insStore(LOp::StI, Buf.insImmI(1), Tar, 0);
+  Buf.insStore(LOp::StI, Buf.insImmI(1), Tar, 0, Acc::Tar);
   ExitDescriptor *E = Frag.makeExit();
   E->Sp = 1;
-  LIns *Cond = Buf.insLoad(LOp::LdI, Tar, 8);
+  LIns *Cond = Buf.insLoad(LOp::LdI, Tar, 8, Acc::Tar);
   Buf.insGuard(LOp::GuardT, Cond, E); // observes slot 0
-  Buf.insStore(LOp::StI, Buf.insImmI(2), Tar, 0);
+  Buf.insStore(LOp::StI, Buf.insImmI(2), Tar, 0, Acc::Tar);
   ExitDescriptor *E2 = Frag.makeExit();
   E2->Sp = 1;
   Buf.insExit(E2);
@@ -297,9 +479,9 @@ TEST(DeadStoreElim, LoopKeepsReimportedSlots) {
   Arena A;
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *V = Buf.insLoad(LOp::LdI, Tar, 0);
+  LIns *V = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *V2 = Buf.ins2(LOp::AddI, V, V);
-  Buf.insStore(LOp::StI, V2, Tar, 0);
+  Buf.insStore(LOp::StI, V2, Tar, 0, Acc::Tar);
   Buf.insLoop();
   EXPECT_EQ(eliminateDeadStores(Buf.instructions(), 0), 0u);
 }
@@ -309,10 +491,10 @@ TEST(DeadCodeElim, RemovesUnusedPureOps) {
   LirBuffer Buf(A);
   Fragment Frag;
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   Buf.ins2(LOp::AddI, X, X); // unused
   LIns *Used = Buf.ins2(LOp::MulI, X, X);
-  Buf.insStore(LOp::StI, Used, Tar, 8);
+  Buf.insStore(LOp::StI, Used, Tar, 8, Acc::Tar);
   size_t Before = Buf.instructions().size();
   uint32_t Removed = eliminateDeadCode(Buf.instructions());
   EXPECT_EQ(Removed, 1u);
@@ -324,7 +506,7 @@ TEST(DeadCodeElim, KeepsGuardsAndTheirOperandChains) {
   LirBuffer Buf(A);
   Fragment Frag;
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *C = Buf.ins2(LOp::EqI, X, Buf.insImmI(0));
   ExitDescriptor *E = Frag.makeExit();
   Buf.insGuard(LOp::GuardT, C, E);
@@ -339,7 +521,7 @@ TEST(Printer, GuardExitMetadataGolden) {
   LirBuffer Buf(A);
   Fragment Frag;
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0);
+  LIns *X = Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *C = Buf.ins2(LOp::EqI, X, Buf.insImmI(3));
   ExitDescriptor *E = Frag.makeExit();
   E->Kind = ExitKind::Type;
@@ -382,7 +564,7 @@ TEST(Printer, FormatsInstructionsReadably) {
   Arena A;
   LirBuffer Buf(A);
   LIns *Tar = Buf.ins0(LOp::ParamTar);
-  LIns *X = Buf.insLoad(LOp::LdI, Tar, 16);
+  LIns *X = Buf.insLoad(LOp::LdI, Tar, 16, Acc::Tar);
   Buf.ins2(LOp::AddI, X, Buf.insImmI(5));
   std::string S = formatBody(Buf.instructions());
   EXPECT_NE(S.find("param.tar"), std::string::npos);

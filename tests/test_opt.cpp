@@ -6,13 +6,18 @@
 // nothing else does. (Dominated-guard elimination lives in the forward
 // CseFilter; test_lir.cpp covers it.) End-to-end tests then run whole
 // programs at both -O levels on both backends and require identical output
-// -- the optimizer may only move time, never results.
+// -- the optimizer may only move time, never results -- and pin what the
+// forward filters' location classes and ToInt32 fold remove.
 //
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "api/engine.h"
@@ -20,6 +25,9 @@
 #include "lir/lir.h"
 #include "lir/opt.h"
 #include "support/stats.h"
+#include "trace/helpers.h"
+#include "trace/monitor.h"
+#include "vm/object.h"
 
 using namespace tracejit;
 
@@ -69,8 +77,8 @@ TEST_F(OptTest, OverflowCheckFoldsUnderRangeGuard) {
   // GuardT(i < n) dominates AddOvI(i, 1): i <= INT32_MAX - 1, the +1
   // cannot overflow, the check folds to AddI.
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *I = W().insLoad(LOp::LdI, Tar, 0);
-  LIns *N = W().insLoad(LOp::LdI, Tar, 8);
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  LIns *N = W().insLoad(LOp::LdI, Tar, 8, Acc::Tar);
   LIns *C = W().ins2(LOp::LtI, I, N);
   W().insGuard(LOp::GuardT, C, exit());
   LIns *Inc = W().insOvf(LOp::AddOvI, I, W().insImmI(1), exit(ExitKind::Overflow));
@@ -84,7 +92,7 @@ TEST_F(OptTest, OverflowCheckFoldsUnderRangeGuard) {
 
 TEST_F(OptTest, OverflowCheckKeptWithoutGuard) {
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *I = W().insLoad(LOp::LdI, Tar, 0);
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *Inc = W().insOvf(LOp::AddOvI, I, W().insImmI(1), exit(ExitKind::Overflow));
   seal();
 
@@ -97,9 +105,9 @@ TEST_F(OptTest, OverflowCheckFoldsUnderUnsignedBoundsCheck) {
   // i <u cap (cap a loaded capacity) proves 0 <= i < 2^31, so both the
   // increment and the decrement fold.
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *Base = W().insLoad(LOp::LdQ, Tar, 16);
-  LIns *I = W().insLoad(LOp::LdI, Tar, 0);
-  LIns *Cap = W().insLoad(LOp::LdI, Base, 0);
+  LIns *Base = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  LIns *Cap = W().insLoad(LOp::LdI, Base, 0, Acc::Header);
   LIns *C = W().ins2(LOp::LtUI, I, Cap);
   W().insGuard(LOp::GuardT, C, exit());
   LIns *Inc = W().insOvf(LOp::AddOvI, I, W().insImmI(1), exit(ExitKind::Overflow));
@@ -116,8 +124,8 @@ TEST_F(OptTest, FailedGuardDirectionGivesNoFact) {
   // A passed GuardF(i < n) establishes i >= n -- which bounds nothing for
   // an increment. The check must survive.
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *I = W().insLoad(LOp::LdI, Tar, 0);
-  LIns *N = W().insLoad(LOp::LdI, Tar, 8);
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  LIns *N = W().insLoad(LOp::LdI, Tar, 8, Acc::Tar);
   LIns *C = W().ins2(LOp::LtI, I, N);
   W().insGuard(LOp::GuardF, C, exit());
   LIns *Inc = W().insOvf(LOp::AddOvI, I, W().insImmI(1), exit(ExitKind::Overflow));
@@ -132,10 +140,10 @@ TEST_F(OptTest, IndexChainStrengthReduced) {
   // addr(i) = data + 8*i exists; addr(i+1) with both i and i+1 checked
   // against the same capacity becomes addr(i) + 8.
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *Obj = W().insLoad(LOp::LdQ, Tar, 16);
-  LIns *I = W().insLoad(LOp::LdI, Tar, 0);
-  LIns *Cap = W().insLoad(LOp::LdI, Obj, 0);
-  LIns *Data = W().insLoad(LOp::LdQ, Obj, 8);
+  LIns *Obj = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  LIns *Cap = W().insLoad(LOp::LdI, Obj, 0, Acc::Header);
+  LIns *Data = W().insLoad(LOp::LdQ, Obj, 8, Acc::Header);
   W().insGuard(LOp::GuardT, W().ins2(LOp::LtUI, I, Cap), exit());
   LIns *Three = W().insImmI(3);
   LIns *A0 =
@@ -162,12 +170,12 @@ TEST_F(OptTest, IndexChainNotReducedWithoutSharedBound) {
   // i+1 is bounds-checked against a *different* capacity: the wrap-around
   // proof fails and the full address chain must remain.
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *Obj = W().insLoad(LOp::LdQ, Tar, 16);
-  LIns *Obj2 = W().insLoad(LOp::LdQ, Tar, 24);
-  LIns *I = W().insLoad(LOp::LdI, Tar, 0);
-  LIns *Cap = W().insLoad(LOp::LdI, Obj, 0);
-  LIns *Cap2 = W().insLoad(LOp::LdI, Obj2, 0);
-  LIns *Data = W().insLoad(LOp::LdQ, Obj, 8);
+  LIns *Obj = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
+  LIns *Obj2 = W().insLoad(LOp::LdQ, Tar, 24, Acc::Tar);
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  LIns *Cap = W().insLoad(LOp::LdI, Obj, 0, Acc::Header);
+  LIns *Cap2 = W().insLoad(LOp::LdI, Obj2, 0, Acc::Header);
+  LIns *Data = W().insLoad(LOp::LdQ, Obj, 8, Acc::Header);
   W().insGuard(LOp::GuardT, W().ins2(LOp::LtUI, I, Cap), exit());
   LIns *Three = W().insImmI(3);
   LIns *A0 =
@@ -205,13 +213,13 @@ struct HoistTest : OptTest {
 TEST_F(HoistTest, InvariantCodeAndGuardMoveToPrologue) {
   makeLoopFragment();
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16); // slot 2: never stored
+  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar); // slot 2: never stored
   LIns *C = W().ins2(LOp::EqQ, Inv, Inv);
   LIns *G = W().insGuard(LOp::GuardT, C, exit());
-  LIns *I = W().insLoad(LOp::LdI, Tar, 0); // slot 0: stored below
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar); // slot 0: stored below
   LIns *One = W().insImmI(1);
   LIns *I2 = W().ins2(LOp::AddI, I, One);
-  W().insStore(LOp::StI, I2, Tar, 0);
+  W().insStore(LOp::StI, I2, Tar, 0, Acc::Tar);
   W().insLoop();
   seal();
 
@@ -231,8 +239,8 @@ TEST_F(HoistTest, InvariantCodeAndGuardMoveToPrologue) {
 TEST_F(HoistTest, StoredSlotBlocksHoisting) {
   makeLoopFragment();
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *V = W().insLoad(LOp::LdQ, Tar, 16);
-  W().insStore(LOp::StQ, V, Tar, 16); // the loop writes the same slot
+  LIns *V = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
+  W().insStore(LOp::StQ, V, Tar, 16, Acc::Tar); // the loop writes the same slot
   W().insLoop();
   seal();
 
@@ -246,12 +254,13 @@ TEST_F(HoistTest, LoadDoesNotHoistPastUnhoistedShapeGuard) {
   // after it must not move, even if their location is never stored.
   makeLoopFragment();
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16);
-  LIns *P = W().insLoad(LOp::LdQ, Tar, 0); // varies (stored below)
+  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
+  LIns *P = W().insLoad(LOp::LdQ, Tar, 0, Acc::Tar); // varies (stored below)
   LIns *C = W().ins2(LOp::EqQ, P, Inv);    // shape-style Q compare
   W().insGuard(LOp::GuardT, C, exit());
-  LIns *Late = W().insLoad(LOp::LdQ, Tar, 24); // never stored, but too late
-  W().insStore(LOp::StQ, Inv, Tar, 0);
+  // Never stored, but too late.
+  LIns *Late = W().insLoad(LOp::LdQ, Tar, 24, Acc::Tar);
+  W().insStore(LOp::StQ, Inv, Tar, 0, Acc::Tar);
   W().insLoop();
   seal();
 
@@ -266,12 +275,13 @@ TEST_F(HoistTest, LoopConditionGuardDoesNotBlockHoisting) {
   // hoist. (This is what makes hoisting fire on real traces at all.)
   makeLoopFragment();
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *I = W().insLoad(LOp::LdI, Tar, 0); // induction variable
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar); // induction variable
   LIns *C = W().ins2(LOp::LtI, I, W().insImmI(100));
   W().insGuard(LOp::GuardT, C, exit());
-  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16); // invariant, after the guard
+  // Invariant, after the guard.
+  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
   LIns *One = W().insImmI(1);
-  W().insStore(LOp::StI, W().ins2(LOp::AddI, I, One), Tar, 0);
+  W().insStore(LOp::StI, W().ins2(LOp::AddI, I, One), Tar, 0, Acc::Tar);
   W().insLoop();
   seal();
 
@@ -286,7 +296,7 @@ TEST_F(HoistTest, BranchFragmentNeverGetsPrologue) {
   makeLoopFragment();
   F.Kind = FragmentKind::Branch;
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16);
+  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
   W().ins2(LOp::EqQ, Inv, Inv);
   W().insLoop();
   seal();
@@ -301,13 +311,13 @@ TEST_F(HoistTest, PrologueSurvivesFinalDceAndPrints) {
   // must bracket the regions.
   makeLoopFragment();
   LIns *Tar = W().ins0(LOp::ParamTar);
-  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16);
+  LIns *Inv = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
   LIns *C = W().ins2(LOp::EqQ, Inv, Inv);
   LIns *G = W().insGuard(LOp::GuardT, C, exit());
   W().ins2(LOp::EqQ, Inv, Inv); // dead duplicate: GVN merges / DCE removes
-  LIns *I = W().insLoad(LOp::LdI, Tar, 0);
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *One = W().insImmI(1);
-  W().insStore(LOp::StI, W().ins2(LOp::AddI, I, One), Tar, 0);
+  W().insStore(LOp::StI, W().ins2(LOp::AddI, I, One), Tar, 0, Acc::Tar);
   W().insLoop();
   seal();
 
@@ -521,5 +531,177 @@ TEST(OptEndToEnd, EntryDeoptRecoversWhenInvariantBreaks) {
   if (R.Stats.GuardsHoisted > 0) {
     EXPECT_GE(R.Stats.EntryDeopts, 1u)
         << "a hoisted shape guard must fail at entry after the shape change";
+  }
+}
+
+// --- End-to-end: the forward filters' location classes and ToInt32 fold ------
+
+namespace {
+
+/// Shape loads of \p F that repeat one on the same object (same SSA base)
+/// with no write to the header class in between: loads CseFilter should
+/// have merged, and with them their shape guards.
+unsigned shapeReloads(const Fragment &F) {
+  std::set<const LIns *> Loaded;
+  unsigned N = 0;
+  for (const LIns *I : F.Body) {
+    bool CallWritesHeader =
+        I->Op == LOp::Call && !I->CI->Pure && (I->CI->Writes & Acc::Header);
+    if ((I->isStore() && (I->Loc & Acc::Header)) || CallWritesHeader ||
+        I->Op == LOp::TreeCall)
+      Loaded.clear();
+    if (I->isLoad() && I->Loc == Acc::Header &&
+        I->Disp == (int32_t)Object::shapeOffset())
+      N += !Loaded.insert(I->A).second;
+  }
+  return N;
+}
+
+struct Traced {
+  std::string Out;
+  unsigned ToInt32Calls = 0;
+  unsigned ShapeReloads = 0;
+  unsigned Fragments = 0;
+};
+
+Traced runTraced(const std::string &Src, Backend B) {
+  EngineOptions O;
+  O.JitBackend = B;
+  O.VerifyLir = true;
+  O.CollectStats = true;
+  Engine E(O);
+  Traced T;
+  E.setPrintHook([&](const std::string &S) { T.Out += S; });
+  EvalResult R = E.eval(Src);
+  EXPECT_TRUE(R.ok()) << R.Err.describe();
+  EXPECT_EQ(E.stats().VerifyFailures, 0u);
+  for (const auto &F : E.context().Monitor->fragments()) {
+    T.ShapeReloads += shapeReloads(*F);
+    T.Fragments += !F->Body.empty();
+    for (const LIns *I : F->Body)
+      T.ToInt32Calls +=
+          I->Op == LOp::Call && I->CI == &helperCalls().ToInt32D;
+  }
+  return T;
+}
+
+std::string interpret(const std::string &Src) {
+  EngineOptions O;
+  O.EnableJit = false;
+  return runWith(Src, O).Out;
+}
+
+const char *backendName(Backend B) {
+  return B == Backend::Native ? "native" : "executor";
+}
+
+} // namespace
+
+TEST(FilterEndToEnd, ToInt32OfAnExactIntSumIsIntArithmetic) {
+  struct Case {
+    const char *Src;
+    bool Folds; ///< No js_ToInt32 call is left.
+  };
+  const Case Cases[] = {
+      // Sums that wrap: int adds that overflowed while recording.
+      {"var a = 2147483647, s = 0;\n"
+       "for (var i = 1; i < 300; ++i) s = (s + ((a + i) | 0)) | 0;\n"
+       "print(s, (2147483647 + 1) | 0);",
+       true},
+      // A subtraction chain with a constant and a >>> leaf.
+      {"var m = -2147483647 - 1, t = 0;\n"
+       "for (var i = 1; i < 300; ++i) t = (m - i - 7 + (i >>> 1)) | 0;\n"
+       "print(t);",
+       true},
+      // A -0 leaf folds as 0.
+      {"var a = 2147483647, t = 0;\n"
+       "for (var i = 1; i < 300; ++i) t = (a + i + -0) | 0;\n"
+       "print(t);",
+       true},
+      // A NaN leaf and a non-int32 leaf keep the call.
+      {"var a = 2147483647, t = 0;\n"
+       "for (var i = 1; i < 300; ++i) t = (a + i + NaN) | 0;\n"
+       "print(t);",
+       false},
+      {"var a = 2147483647, t = 0;\n"
+       "for (var i = 1; i < 300; ++i) t = (a + i + 0.5) | 0;\n"
+       "print(t);",
+       false},
+      // A side exit between the add and the | 0: its snapshot reads the
+      // double, which must still be there.
+      {"var a = 2147483647, d = 0, t = 0, s = 0;\n"
+       "for (var i = 1; i < 300; ++i) {\n"
+       "  d = a + i;\n"
+       "  if (i == 200) t = d;\n"
+       "  s = d | 0;\n"
+       "}\n"
+       "print(s, t, d);",
+       true},
+  };
+  for (const Case &C : Cases) {
+    std::string Want = interpret(C.Src);
+    for (Backend B : {Backend::Native, Backend::Executor}) {
+      Traced T = runTraced(C.Src, B);
+      EXPECT_EQ(T.Out, Want) << backendName(B) << "\n" << C.Src;
+      EXPECT_GT(T.Fragments, 0u) << C.Src;
+      if (C.Folds) {
+        EXPECT_EQ(T.ToInt32Calls, 0u) << backendName(B) << "\n" << C.Src;
+      } else {
+        EXPECT_GT(T.ToInt32Calls, 0u) << backendName(B) << "\n" << C.Src;
+      }
+    }
+  }
+}
+
+TEST(FilterEndToEnd, PropertyGuardsSurviveSlotStoresAndBoxing) {
+  // Each iteration boxes doubles into named slots between property reads
+  // of one object: one shape guard per object per fragment.
+  const char *Src = "var o = {x: 1.5, y: 2, vx: 0.25, n: 0};\n"
+                    "for (var i = 0; i < 500; ++i) {\n"
+                    "  o.x = o.x + o.vx;\n"
+                    "  o.n = o.n + 1;\n"
+                    "  o.vx = o.vx * 0.5 + o.y;\n"
+                    "}\n"
+                    "print(o.x, o.n, o.vx);";
+  std::string Want = interpret(Src);
+  for (Backend B : {Backend::Native, Backend::Executor}) {
+    Traced T = runTraced(Src, B);
+    EXPECT_EQ(T.Out, Want) << backendName(B);
+    EXPECT_GT(T.Fragments, 0u);
+    EXPECT_EQ(T.ShapeReloads, 0u) << backendName(B);
+  }
+}
+
+// The 14 SunSpider programs of perfbench, traced: each prints its
+// .expected, no fragment reloads an object's shape unless the header class
+// was written in between, and crypto-sha1's `| 0` sums are int arithmetic
+// (only its product, which a double does not hold exactly, stays a call).
+TEST(FilterEndToEnd, CorpusReloadsNoShapeAndFoldsSha1Sums) {
+  namespace fs = std::filesystem;
+  const char *Programs[] = {
+      "bitops-bitwise-and", "bitops-3bit-bits-in-byte", "bitops-bits-in-byte",
+      "bitops-nsieve-bits", "access-nsieve",            "access-fannkuch",
+      "access-nbody",       "math-cordic",              "math-partial-sums",
+      "math-spectral-norm", "3d-morph",                 "crypto-sha1",
+      "string-base64",      "string-validate-input"};
+  auto Slurp = [](const fs::path &P) {
+    std::ifstream F(P);
+    std::stringstream S;
+    S << F.rdbuf();
+    return S.str();
+  };
+  for (const char *Name : Programs) {
+    fs::path P = fs::path(TRACEJIT_PERFBENCH_PROGRAMS) / Name;
+    std::string Src = Slurp(P.string() + ".js");
+    std::string Want = Slurp(P.string() + ".expected");
+    ASSERT_FALSE(Src.empty()) << P;
+    for (Backend B : {Backend::Native, Backend::Executor}) {
+      Traced T = runTraced(Src, B);
+      EXPECT_EQ(T.Out, Want) << Name << " " << backendName(B);
+      EXPECT_EQ(T.ShapeReloads, 0u) << Name << " " << backendName(B);
+      if (std::string(Name) == "crypto-sha1") {
+        EXPECT_LE(T.ToInt32Calls, 1u) << backendName(B);
+      }
+    }
   }
 }

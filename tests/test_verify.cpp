@@ -161,7 +161,7 @@ TEST(VerifyWriter, ExitConstSlots) {
 TEST(VerifyWriter, TarAddressingUnaligned) {
   StreamFixture F;
   LIns *Tar = F.W.ins0(LOp::ParamTar);
-  F.W.insLoad(LOp::LdI, Tar, 12); // not 8-aligned
+  F.W.insLoad(LOp::LdI, Tar, 12, Acc::Tar); // not 8-aligned
   ASSERT_TRUE(F.W.failed());
   EXPECT_EQ(F.W.error().Rule, VerifyRule::TarAddressing);
 }
@@ -169,16 +169,65 @@ TEST(VerifyWriter, TarAddressingUnaligned) {
 TEST(VerifyWriter, TarAddressingNegative) {
   StreamFixture F;
   LIns *Tar = F.W.ins0(LOp::ParamTar);
-  F.W.insStore(LOp::StI, F.W.insImmI(5), Tar, -8);
+  F.W.insStore(LOp::StI, F.W.insImmI(5), Tar, -8, Acc::Tar);
   ASSERT_TRUE(F.W.failed());
   EXPECT_EQ(F.W.error().Rule, VerifyRule::TarAddressing);
+}
+
+TEST(VerifyWriter, AccessClassMustFitTheBase) {
+  // Each access names exactly one class: the TAR class on param.tar and
+  // only there, the VM class on an absolute base, no store to a read-only
+  // cell.
+  auto Rule = [](auto Emit) {
+    StreamFixture F;
+    LIns *Tar = F.W.ins0(LOp::ParamTar);
+    LIns *Obj = F.W.insLoad(LOp::LdQ, Tar, 0, Acc::Tar);
+    LIns *Abs = F.W.insImmQ(0x1000);
+    EXPECT_FALSE(F.W.failed());
+    Emit(F.W, Tar, Obj, Abs);
+    return F.W.failed() ? F.W.error().Rule : VerifyRule::None;
+  };
+  using W = VerifyWriter;
+  EXPECT_EQ(Rule([](W &V, LIns *, LIns *O, LIns *) {
+              V.insLoad(LOp::LdQ, O, 8, Acc::None);
+            }),
+            VerifyRule::AccessClass);
+  EXPECT_EQ(Rule([](W &V, LIns *, LIns *O, LIns *) {
+              V.insLoad(LOp::LdQ, O, 8, Acc::Header | Acc::Slots);
+            }),
+            VerifyRule::AccessClass);
+  EXPECT_EQ(Rule([](W &V, LIns *T, LIns *, LIns *) {
+              V.insLoad(LOp::LdQ, T, 8, Acc::Header);
+            }),
+            VerifyRule::AccessClass);
+  EXPECT_EQ(Rule([](W &V, LIns *, LIns *O, LIns *) {
+              V.insLoad(LOp::LdQ, O, 8, Acc::Tar);
+            }),
+            VerifyRule::AccessClass);
+  EXPECT_EQ(Rule([](W &V, LIns *, LIns *O, LIns *) {
+              V.insLoad(LOp::LdI, O, 0, Acc::Vm);
+            }),
+            VerifyRule::AccessClass);
+  EXPECT_EQ(Rule([](W &V, LIns *, LIns *O, LIns *) {
+              V.insStore(LOp::StI, V.insImmI(1), O, 4, Acc::ReadOnly);
+            }),
+            VerifyRule::AccessClass);
+  // What the recorder emits passes: a VM word, and a heap class on a
+  // pinned (absolute) object.
+  EXPECT_EQ(Rule([](W &V, LIns *, LIns *O, LIns *A) {
+              V.insLoad(LOp::LdI, A, 0, Acc::Vm);
+              V.insLoad(LOp::LdQ, A, 8, Acc::Header);
+              V.insLoad(LOp::LdI, O, 4, Acc::ReadOnly);
+              V.insStore(LOp::StQ, V.insImmQ(1), O, 8, Acc::Slots);
+            }),
+            VerifyRule::None);
 }
 
 TEST(VerifyWriter, ShiftCountNotImmediate) {
   StreamFixture F;
   LIns *Tar = F.W.ins0(LOp::ParamTar);
-  LIns *Q = F.W.insLoad(LOp::LdQ, Tar, 0);
-  LIns *Count = F.W.insLoad(LOp::LdI, Tar, 8); // i32 but not ImmI
+  LIns *Q = F.W.insLoad(LOp::LdQ, Tar, 0, Acc::Tar);
+  LIns *Count = F.W.insLoad(LOp::LdI, Tar, 8, Acc::Tar); // i32 but not ImmI
   F.W.ins2(LOp::ShrQ, Q, Count);
   ASSERT_TRUE(F.W.failed());
   EXPECT_EQ(F.W.error().Rule, VerifyRule::ShiftCountNotImm);
@@ -236,9 +285,9 @@ TEST(VerifyWriter, FirstErrorLatches) {
 TEST(VerifyWriter, CleanStreamReportsNothing) {
   StreamFixture F;
   LIns *Tar = F.W.ins0(LOp::ParamTar);
-  LIns *X = F.W.insLoad(LOp::LdI, Tar, 0);
+  LIns *X = F.W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *Y = F.W.ins2(LOp::AddI, X, F.W.insImmI(1));
-  F.W.insStore(LOp::StI, Y, Tar, 0);
+  F.W.insStore(LOp::StI, Y, Tar, 0, Acc::Tar);
   LIns *C = F.W.ins2(LOp::LtI, Y, F.W.insImmI(100));
   F.W.insGuard(LOp::GuardT, C, F.exit(0));
   F.W.ins0(LOp::Loop);
@@ -307,7 +356,7 @@ TEST(VerifyTrace, ResultTypeTampered) {
 TEST(VerifyTrace, TarSlotOutsideDomain) {
   TraceFixture F;
   LIns *Tar = F.Buf.ins0(LOp::ParamTar);
-  F.Buf.insLoad(LOp::LdI, Tar, 5 * 8);
+  F.Buf.insLoad(LOp::LdI, Tar, 5 * 8, Acc::Tar);
   F.Buf.insLoop();
   F.Frag.RequiredTarSlots = 4; // slot 5 is out of range
   EXPECT_EQ(F.run(), VerifyRule::TarAddressing);
@@ -396,9 +445,9 @@ TEST(VerifyTrace, JmpFragToNonRoot) {
 TEST(VerifyTrace, CleanTracePasses) {
   TraceFixture F;
   LIns *Tar = F.Buf.ins0(LOp::ParamTar);
-  LIns *X = F.Buf.insLoad(LOp::LdI, Tar, 8);
+  LIns *X = F.Buf.insLoad(LOp::LdI, Tar, 8, Acc::Tar);
   LIns *Y = F.Buf.ins2(LOp::AddI, X, F.Buf.insImmI(1));
-  F.Buf.insStore(LOp::StI, Y, Tar, 8);
+  F.Buf.insStore(LOp::StI, Y, Tar, 8, Acc::Tar);
   LIns *C = F.Buf.ins2(LOp::LtI, Y, F.Buf.insImmI(100));
   F.Buf.insGuard(LOp::GuardT, C, F.exit(1));
   F.Buf.insLoop();
@@ -415,7 +464,7 @@ TEST(VerifyTrace, LoadOfABoxedEntrySlot) {
   F.Frag.EntryTypes.NumGlobals = 1;
   F.Frag.EntryTypes.Types = {TraceType::Boxed, TraceType::Int};
   LIns *Tar = F.Buf.ins0(LOp::ParamTar);
-  F.Buf.insLoad(LOp::LdI, Tar, 0);
+  F.Buf.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   F.Buf.insLoop();
   EXPECT_EQ(F.run(), VerifyRule::UntypedTarSlot);
 }
@@ -434,7 +483,7 @@ TEST(VerifyTrace, StoreTypesABoxedEntrySlot) {
   F.Frag.EntryTypes.NumGlobals = 1;
   F.Frag.EntryTypes.Types = {TraceType::Boxed, TraceType::Int};
   LIns *Tar = F.Buf.ins0(LOp::ParamTar);
-  F.Buf.insStore(LOp::StI, F.Buf.insImmI(3), Tar, 0);
+  F.Buf.insStore(LOp::StI, F.Buf.insImmI(3), Tar, 0, Acc::Tar);
   F.Buf.insExit(F.exit(1));
   EXPECT_EQ(F.run(), VerifyRule::None);
 }
@@ -506,7 +555,7 @@ TEST(VerifyTrace, BackEdgeDropsASlotTheEntryMapTypes) {
   C.Frag.Root = &Root;
   C.Frag.EntryTypes = B.Frag.EntryTypes;
   LIns *Tar = C.Buf.ins0(LOp::ParamTar);
-  C.Buf.insStore(LOp::StI, C.Buf.insImmI(4), Tar, 8);
+  C.Buf.insStore(LOp::StI, C.Buf.insImmI(4), Tar, 8, Acc::Tar);
   C.Buf.insJmpFrag(&Root);
   C.Frag.RequiredTarSlots = 2;
   EXPECT_EQ(C.run(), VerifyRule::None);
