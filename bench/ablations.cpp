@@ -297,9 +297,9 @@ Section stitching() {
 // --- §6.4: preemption guard -----------------------------------------------------
 
 Section preempt() {
-  EngineOptions Off = withStats(tracingOptions());
+  EngineOptions Off = tracingOptions();
   Off.EnablePreemptGuard = false;
-  EngineOptions Deadline = withStats(tracingOptions());
+  EngineOptions Deadline = tracingOptions();
   // Far enough out that it never fires: only the poll is paid.
   Deadline.EvalDeadlineMs = 24ull * 60 * 60 * 1000;
   std::vector<BenchProgram> Programs = suite();
@@ -320,14 +320,17 @@ Section preempt() {
            "never reaches code on trace either: on the\nprograms that "
            "allocate on trace (access-nbody, string-base64) the guard-off "
            "rows\ncollect less often (1 vs 5 and 0 vs 3 times) and measure "
-           "heap growth, not the guard.";
+           "heap growth, not the guard.\nThe timed rows collect no stats; "
+           "the two +stats rows count the collections.";
   return {"preempt",
           "§6.4: preemption-guard overhead (guard off / on / +deadline poll)",
           Claim,
           Programs,
           {{"guard-off", Off},
-           {"guard-on", withStats(tracingOptions())},
-           {"deadline", Deadline}},
+           {"guard-on", tracingOptions()},
+           {"deadline", Deadline},
+           {"guard-off+stats", withStats(Off)},
+           {"guard-on+stats", withStats(tracingOptions())}},
           {{"GCs", &VMStats::GCs}}};
 }
 

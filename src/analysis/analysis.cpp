@@ -802,12 +802,16 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
           R0 = *std::min_element(Cands, Cands + 4);
           R1 = *std::max_element(Cands, Cands + 4);
         }
-        // A 0 product with a negative operand is -0, a double.
+        // A 0 product with a negative operand is -0, a double. A square
+        // (both operands read one state slot) is 0 only for 0, as the
+        // recorder's guardNotNegZero also assumes.
         auto SpansZero = [](const AbstractValue &V) {
           return V.Lo <= 0 && V.Hi >= 0;
         };
-        bool MayNegZero = O == Op::Mul && ((Lhs.Lo < 0 && SpansZero(Rhs)) ||
-                                           (Rhs.Lo < 0 && SpansZero(Lhs)));
+        bool Square = Lhs.RefSlot >= 0 && Lhs.RefSlot == Rhs.RefSlot;
+        bool MayNegZero = O == Op::Mul && !Square &&
+                          ((Lhs.Lo < 0 && SpansZero(Rhs)) ||
+                           (Rhs.Lo < 0 && SpansZero(Lhs)));
         if (R0 >= INT32_MIN && R1 <= INT32_MAX) {
           if (Collect)
             A->NoOverflow.insert(Pc);

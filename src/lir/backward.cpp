@@ -9,8 +9,6 @@
 
 namespace tracejit {
 
-static bool isTarBase(const LIns *Base) { return Base->Op == LOp::ParamTar; }
-
 uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
                              const TypeMap *Entry) {
   // Determine the slot-domain size.
@@ -26,11 +24,11 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
   // in the body mentions it.
   uint32_t BackedgeExitSlots = 0;
   for (LIns *I : Body) {
-    if (I->isLoad() && isTarBase(I->A)) {
+    if (I->isLoad() && I->Loc == Acc::Tar) {
       uint32_t S = (uint32_t)(I->Disp / 8);
       NoteSlot(S + 1);
       TarLoadSlots.push_back(S);
-    } else if (I->isStore() && isTarBase(I->B)) {
+    } else if (I->isStore() && I->Loc == Acc::Tar) {
       NoteSlot((uint32_t)(I->Disp / 8) + 1);
     } else if (I->Exit) {
       NoteSlot(NumGlobals + I->Exit->Sp);
@@ -115,8 +113,8 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
     case LOp::StI:
     case LOp::StQ:
     case LOp::StD: {
-      if (!isTarBase(I->B))
-        break; // heap store: always observable
+      if (I->Loc != Acc::Tar)
+        break; // heap or VM store: always observable
       uint32_t S = (uint32_t)(I->Disp / 8);
       if (S >= Live.size() || !Live[S]) {
         Body.erase(Body.begin() + (long)K);
@@ -130,7 +128,7 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
     case LOp::LdQ:
     case LOp::LdD:
     case LOp::LdUB:
-      if (isTarBase(I->A)) {
+      if (I->Loc == Acc::Tar) {
         uint32_t S = (uint32_t)(I->Disp / 8);
         if (S < Live.size())
           Live[S] = true;

@@ -29,11 +29,12 @@
 namespace tracejit {
 
 /// Expression simplification: constant folding plus algebraic identities.
-/// Given the CallInfo of the runtime's ToInt32(double), it also folds a
-/// call of it on an exact int sum into int32 arithmetic (insCall).
+/// \p ToInt32 is the CallInfo of the runtime's ToInt32(double) (passed in
+/// so that lir/ does not depend on trace/); a call of it on an exact int
+/// sum folds into int32 arithmetic (insCall).
 class ExprFilter : public LirWriter {
 public:
-  explicit ExprFilter(LirWriter *Out, const CallInfo *ToInt32 = nullptr)
+  ExprFilter(LirWriter *Out, const CallInfo *ToInt32)
       : LirWriter(Out), ToInt32(ToInt32) {}
 
   LIns *ins1(LOp Op, LIns *A) override;

@@ -5,17 +5,11 @@
 //  * an SSA value never changes, so a fact established by a passed guard
 //    (GuardT(c) implies c != 0 downstream) holds for the rest of the trace
 //    and is never invalidated;
-//  * memory is the only mutable state. The passes here split it by base
-//    into three disjoint parts: TAR slots (base == ParamTar; written only
-//    by explicit TAR stores and by TreeCall, which runs an inner tree over
-//    the same TAR), absolute addresses (base == ImmQ; VM communication
-//    channels such as the preempt flag and stats counters -- treated as
-//    volatile: never merged, never hoisted), and the heap (everything
-//    else; clobbered by heap stores, impure calls and TreeCall). The
-//    forward CseFilter (filters.h) uses the finer location classes the
-//    recorder sets on each access (LIns::Loc, lir.h), which refine this
-//    split; the dead-store pass in backward.cpp already relies on calls
-//    not writing the TAR, and we inherit that invariant.
+//  * memory is the only mutable state, split into the disjoint location
+//    classes the recorder puts on every load and store (LIns::Loc and
+//    Acc, lir.h). A class changes only through a store of that class, an
+//    impure call whose CallInfo::Writes names it, or a TreeCall (every
+//    class); VM words are volatile and never move.
 //
 //===----------------------------------------------------------------------===//
 
@@ -339,9 +333,9 @@ IndVarResult runIndVar(Fragment &F, std::vector<LIns *> &Body) {
 //  * ParamTar and immediates are trivially invariant (imms move only when a
 //    hoisted instruction uses them, to preserve define-before-use).
 //  * A pure op / pure call is invariant iff all operands are.
-//  * A load is invariant iff its base is, its location class is never
-//    stored in the whole trace, it is not an absolute (ImmQ-based) load,
-//    and no unhoisted guard precedes it -- a load must not move above a
+//  * A load is invariant iff its base is, nothing in the whole trace writes
+//    its location class (for the TAR: its slot; for the heap: any heap
+//    class), it is not a VM load, and no unhoisted guard precedes it -- a load must not move above a
 //    guard that stays in the loop, because that guard may be what proves
 //    the access safe.
 //  * A guard (or overflow op) hoists iff its condition/operands do; its
@@ -363,23 +357,27 @@ HoistResult runHoist(Fragment &F) {
       Body.back()->Op != LOp::Loop)
     return R;
 
-  // Whole-trace clobber summary per location class.
+  // Whole-trace clobber summary: the classes written anywhere, and the TAR
+  // slots stored (Written holds Acc::Tar only after a tree call, which
+  // writes every slot of the shared TAR).
   std::unordered_set<int32_t> TarStored;
-  bool HeapStored = false;
-  bool TarClobberAll = false;
+  AccSet Written = Acc::None;
   for (const LIns *I : Body) {
-    if (I->isStore()) {
-      if (I->B->Op == LOp::ParamTar)
-        TarStored.insert(I->Disp / 8);
-      else if (I->B->Op != LOp::ImmQ)
-        HeapStored = true;
-    } else if (I->Op == LOp::Call && !I->CI->Pure) {
-      HeapStored = true;
-    } else if (I->Op == LOp::TreeCall) {
-      HeapStored = true;
-      TarClobberAll = true; // the inner tree writes the shared TAR
-    }
+    if (I->isStore() && I->Loc == Acc::Tar)
+      TarStored.insert(I->Disp / 8);
+    else if (I->isStore())
+      Written |= I->Loc;
+    else if (I->Op == LOp::Call && !I->CI->Pure)
+      Written |= I->CI->Writes;
+    else if (I->Op == LOp::TreeCall)
+      Written |= Acc::All;
   }
+  // A heap load hoists only when the trace writes no heap class at all.
+  // Hoisting past writes to other classes would be sound, but the values
+  // then stay live across the loop and spill: sunspider's code grew by 1%
+  // with no speed to show for it.
+  if (Written & Acc::Heap)
+    Written |= Acc::Heap | Acc::ReadOnly;
 
   std::unordered_set<const LIns *> Avail;   // usable as hoisted operands
   std::unordered_set<const LIns *> Hoisted; // instructions that move
@@ -448,15 +446,9 @@ HoistResult runHoist(Fragment &F) {
     case LOp::LdQ:
     case LOp::LdD:
     case LOp::LdUB: {
-      bool Ok = IsAvail(I->A) && !SeenUnhoistedGuard;
-      if (Ok) {
-        if (I->A->Op == LOp::ParamTar)
-          Ok = !TarClobberAll && !TarStored.count(I->Disp / 8);
-        else if (I->A->Op == LOp::ImmQ)
-          Ok = false; // absolute loads are VM channels; never invariant
-        else
-          Ok = !HeapStored;
-      }
+      bool Ok = IsAvail(I->A) && !SeenUnhoistedGuard &&
+                I->Loc != Acc::Vm && !(Written & I->Loc) &&
+                !(I->Loc == Acc::Tar && TarStored.count(I->Disp / 8));
       if (Ok) {
         Avail.insert(I);
         Hoisted.insert(I);

@@ -162,7 +162,7 @@ uint64_t sigShim(void *Addr, const uint64_t *W) {
 
 template <typename R, typename... As>
 CallInfo makeCI(R (*Fn)(As...), const char *Name, bool Pure,
-                AccSet Writes = Acc::None) {
+                AccSet Writes = Acc::Heap) {
   CallInfo CI;
   CI.Addr = (void *)Fn;
   CI.Name = Name;
@@ -182,33 +182,42 @@ CallInfo makeCI(R (*Fn)(As...), const char *Name, bool Pure,
 const HelperCalls &helperCalls() {
   static HelperCalls H = [] {
     HelperCalls C;
-    // The last argument is CallInfo::Writes, the location classes a helper
-    // may write (lir.h, Acc). It is none for the helpers that only
-    // allocate (a new cell has an address no earlier load used) or only
-    // read; the preempt flag they may raise is a VM word.
+    // The last argument is CallInfo::Writes, the location classes an impure
+    // helper may write (lir.h, Acc); left out, it is the whole heap. It is
+    // stated as none for the helpers that only allocate (a new cell has an
+    // address no earlier load used) or only read; the preempt flag they may
+    // raise is a VM word.
     C.ToInt32D = makeCI(tj_ToInt32D, "js_ToInt32", /*Pure=*/true);
     C.ModI = makeCI(tj_ModI, "js_imod", /*Pure=*/true);
     C.ModD = makeCI(tj_ModD, "js_dmod", /*Pure=*/true);
-    C.BoxDouble = makeCI(tj_BoxDouble, "js_BoxDouble", /*Pure=*/false);
+    C.BoxDouble =
+        makeCI(tj_BoxDouble, "js_BoxDouble", /*Pure=*/false, Acc::None);
     // Growing an array moves its element storage and raises its length.
     C.ArraySetV = makeCI(tj_ArraySetV, "js_Array_set", /*Pure=*/false,
                          Acc::Header | Acc::Elems);
     C.ArraySetD = makeCI(tj_ArraySetD, "js_Array_setd", /*Pure=*/false,
                          Acc::Header | Acc::Elems);
-    C.ConcatSS = makeCI(tj_ConcatSS, "js_ConcatStrings", /*Pure=*/false);
-    C.ConcatSN = makeCI(tj_ConcatSN, "js_ConcatStrNum", /*Pure=*/false);
+    C.ConcatSS =
+        makeCI(tj_ConcatSS, "js_ConcatStrings", /*Pure=*/false, Acc::None);
+    C.ConcatSN =
+        makeCI(tj_ConcatSN, "js_ConcatStrNum", /*Pure=*/false, Acc::None);
     C.EqSS = makeCI(tj_EqSS, "js_EqualStrings", /*Pure=*/true);
-    C.CharAt = makeCI(tj_CharAt, "js_String_charAt", /*Pure=*/false);
+    C.CharAt =
+        makeCI(tj_CharAt, "js_String_charAt", /*Pure=*/false, Acc::None);
     C.FromCharCode1 =
-        makeCI(tj_FromCharCode1, "js_String_fromCharCode", /*Pure=*/false);
-    C.NewArray = makeCI(tj_NewArray, "js_NewArray", /*Pure=*/false);
-    C.NewObject = makeCI(tj_NewObject, "js_NewObject", /*Pure=*/false);
+        makeCI(tj_FromCharCode1, "js_String_fromCharCode", /*Pure=*/false,
+               Acc::None);
+    C.NewArray =
+        makeCI(tj_NewArray, "js_NewArray", /*Pure=*/false, Acc::None);
+    C.NewObject =
+        makeCI(tj_NewObject, "js_NewObject", /*Pure=*/false, Acc::None);
     // Adding a property moves the shape and may move the slot storage.
     C.InitProp = makeCI(tj_InitProp, "js_InitProp", /*Pure=*/false,
                         Acc::Header | Acc::Slots);
     // Not pure: the result depends on the object's current contents.
     C.GetPropGeneric =
-        makeCI(tj_GetPropGeneric, "js_GetPropGeneric", /*Pure=*/false);
+        makeCI(tj_GetPropGeneric, "js_GetPropGeneric", /*Pure=*/false,
+               Acc::None);
     C.ArrayPushV = makeCI(tj_ArrayPushV, "js_Array_push", /*Pure=*/false,
                           Acc::Header | Acc::Elems);
     C.TruthyD = makeCI(tj_TruthyD, "js_TruthyD", /*Pure=*/true);
@@ -217,7 +226,8 @@ const HelperCalls &helperCalls() {
         makeCI((double (*)(double, double))nullptr, "math2", /*Pure=*/true);
     // Writes only the VM's random state, which no trace loads.
     C.MathD_CTX =
-        makeCI((double (*)(VMContext *))nullptr, "mathctx", /*Pure=*/false);
+        makeCI((double (*)(VMContext *))nullptr, "mathctx", /*Pure=*/false,
+               Acc::None);
     return C;
   }();
   return H;

@@ -302,6 +302,46 @@ TEST(Analysis, FactsSurviveAcrossEvalAndAnalyze) {
   EXPECT_GT(E.stats().StaticGuardsElided, 0u);
 }
 
+// --- Negative zero -----------------------------------------------------------
+
+namespace {
+
+/// The mask of local \p Local at the one loop header of function \p Fn.
+TypeMask headerMaskOfLocal(const char *Src, const char *Fn, uint32_t Local) {
+  EngineOptions O;
+  VMContext Ctx(O);
+  EngineError Err;
+  EXPECT_NE(compileSource(Ctx, Src, &Err), nullptr) << Err.describe();
+  for (auto &S : Ctx.Scripts) {
+    if (S->Name != Fn)
+      continue;
+    auto A = analyzeScript(*S, Ctx.Globals.size());
+    EXPECT_TRUE(A->Converged);
+    EXPECT_EQ(A->Headers.size(), 1u);
+    if (A->Headers.size() != 1 ||
+        Local >= A->Headers.begin()->second.Locals.size())
+      return 0;
+    return A->Headers.begin()->second.Locals[Local];
+  }
+  ADD_FAILURE() << "no function " << Fn;
+  return 0;
+}
+
+} // namespace
+
+// An int product that may be 0 with a negative operand may be -0, a double;
+// a square is 0 only for 0, so a square over a range spanning 0 stays int.
+TEST(Analysis, SquareSpanningZeroStaysIntAndOtherProductsMayBeNegativeZero) {
+  const char *Src = "function sq() { var s = 0;\n"
+                    "  for (var i = -5; i < 5; ++i) s = i * i;\n"
+                    "  return s; }\n"
+                    "function mul() { var s = 0; var k = 0;\n"
+                    "  for (var i = -5; i < 5; ++i) { k = i; s = i * k; }\n"
+                    "  return s; }\n";
+  EXPECT_EQ(headerMaskOfLocal(Src, "sq", 0), MaskInt);
+  EXPECT_EQ(headerMaskOfLocal(Src, "mul", 0), MaskInt | MaskDouble);
+}
+
 // --- Loop-header liveness ----------------------------------------------------
 //
 // Locals are numbered in declaration order, parameters first: in

@@ -21,7 +21,7 @@ struct PipelineFixture : ::testing::Test {
   Arena A;
   LirBuffer Buf{A};
   CseFilter Cse{&Buf};
-  ExprFilter Expr{&Cse};
+  ExprFilter Expr{&Cse, &helperCalls().ToInt32D};
   LirWriter &W = Expr;
   Fragment Frag;
 
@@ -340,14 +340,8 @@ TEST_F(ShapeGuardFixture, ReadOnlyCellsSurviveStoresAndHelpers) {
 
 namespace {
 
-/// The forward pipeline as the recorder builds it, with the fold keyed on
-/// the runtime's ToInt32 helper.
-struct FoldFixture : ::testing::Test {
-  Arena A;
-  LirBuffer Buf{A};
-  CseFilter Cse{&Buf};
-  ExprFilter Expr{&Cse, &helperCalls().ToInt32D};
-  LirWriter &W = Expr;
+/// Two int TAR slots under the forward pipeline.
+struct FoldFixture : PipelineFixture {
   LIns *Tar = W.ins0(LOp::ParamTar);
   LIns *X = W.insLoad(LOp::LdI, Tar, 0, Acc::Tar);
   LIns *Y = W.insLoad(LOp::LdI, Tar, 8, Acc::Tar);
@@ -408,9 +402,6 @@ TEST_F(FoldFixture, OnlyTheToInt32HelperFolds) {
   LIns *Sum = W.ins2(LOp::AddD, d(X), d(Y));
   LIns *Args[1] = {Sum};
   EXPECT_EQ(W.insCall(&helperCalls().TruthyD, Args, 1)->Op, LOp::Call);
-  ExprFilter Plain{&Cse};
-  EXPECT_EQ(Plain.insCall(&helperCalls().ToInt32D, Args, 1)->Op, LOp::Call)
-      << "without the helper's CallInfo the filter knows no ToInt32";
 }
 
 TEST(DeadStoreElim, RemovesStoresAboveExitStackDepth) {

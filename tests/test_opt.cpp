@@ -292,6 +292,51 @@ TEST_F(HoistTest, LoopConditionGuardDoesNotBlockHoisting) {
   EXPECT_EQ(R.GuardsHoisted, 0u) << "the loop guard itself stays";
 }
 
+TEST_F(HoistTest, LoadsHoistByLocationClass) {
+  // An allocating helper writes no class a load reads, so the object's
+  // shape still hoists past it, base ParamTar or absolute alike; a VM word
+  // never hoists.
+  makeLoopFragment();
+  LIns *Tar = W().ins0(LOp::ParamTar);
+  LIns *Obj = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
+  LIns *D = W().insLoad(LOp::LdD, Tar, 24, Acc::Tar);
+  LIns *Args[2] = {W().insImmQ(0x1000), D};
+  W().insCall(&helperCalls().BoxDouble, Args, 2);
+  LIns *Shape = W().insLoad(LOp::LdQ, Obj, 8, Acc::Header);
+  LIns *Global = W().insImmQ(0x2000);
+  LIns *GlobalShape = W().insLoad(LOp::LdQ, Global, 8, Acc::Header);
+  LIns *Flag = W().insLoad(LOp::LdI, W().insImmQ(0x3000), 0, Acc::Vm);
+  LIns *I = W().insLoad(LOp::LdI, Tar, 0, Acc::Tar);
+  W().insStore(LOp::StI, W().ins2(LOp::AddI, I, Flag), Tar, 0, Acc::Tar);
+  W().insStore(LOp::StQ, W().ins2(LOp::AddQ, Shape, GlobalShape), Tar, 32,
+               Acc::Tar);
+  W().insLoop();
+  seal();
+
+  optimizeTrace(F, only(OptPass::Hoist), 0, nullptr);
+  EXPECT_TRUE(inPrologue(Shape));
+  EXPECT_TRUE(inPrologue(GlobalShape));
+  EXPECT_FALSE(inPrologue(Flag)) << "VM words are volatile";
+}
+
+TEST_F(HoistTest, AnyHeapWriteKeepsHeapLoadsInTheLoop) {
+  // A named-slot store leaves the shape alone, but heap loads hoist only
+  // from a loop that writes no heap class at all.
+  makeLoopFragment();
+  LIns *Tar = W().ins0(LOp::ParamTar);
+  LIns *Obj = W().insLoad(LOp::LdQ, Tar, 16, Acc::Tar);
+  LIns *Shape = W().insLoad(LOp::LdQ, Obj, 8, Acc::Header);
+  LIns *Slots = W().insLoad(LOp::LdQ, Obj, 16, Acc::Header);
+  W().insStore(LOp::StQ, Shape, Slots, 0, Acc::Slots);
+  W().insLoop();
+  seal();
+
+  optimizeTrace(F, only(OptPass::Hoist), 0, nullptr);
+  EXPECT_TRUE(inPrologue(Obj));
+  EXPECT_FALSE(inPrologue(Shape));
+  EXPECT_FALSE(inPrologue(Slots));
+}
+
 TEST_F(HoistTest, BranchFragmentNeverGetsPrologue) {
   makeLoopFragment();
   F.Kind = FragmentKind::Branch;
