@@ -103,8 +103,9 @@ uint16_t Parser::addConst(Value V) {
 }
 
 uint16_t Parser::addNumberConst(double D) {
-  if (std::isfinite(D) && D == std::floor(D) &&
-      Value::fitsInt31((int64_t)D) && !(D == 0 && std::signbit(D)))
+  // Range first: casting a double outside int64 (1e300) is undefined.
+  if (D >= Value::Int31Min && D <= Value::Int31Max && D == std::floor(D) &&
+      !(D == 0 && std::signbit(D)))
     return addConst(Value::makeInt((int32_t)D));
   // Compare double constants by bits to dedupe (NaN != NaN by value).
   for (size_t I = 0; I < Script->Consts.size(); ++I) {

@@ -150,17 +150,22 @@ Value Interpreter::getPropValue(const Value &Base, String *Name) {
   return Base.toObject()->readProperty(Name);
 }
 
+/// The largest array index: the array's length, one more, must fit in a
+/// uint32. Checked before any cast of the index to an integer type.
+static constexpr double MaxArrayIndex = 4294967294.0;
+
 Value Interpreter::getElemValue(const Value &Base, const Value &Index) {
   if (Base.isObject()) {
     Object *O = Base.toObject();
     if (O->isArray()) {
       double D = toNumber(Index);
-      int64_t I = (int64_t)D;
-      if ((double)I != D || I < 0) {
+      if (!(D >= 0) || D != std::floor(D)) {
         rtError("non-integer array index");
         return Value::undefined();
       }
-      return O->getElement((uint32_t)I);
+      if (D > MaxArrayIndex)
+        return Value::undefined(); // no such element
+      return O->getElement((uint32_t)D);
     }
     rtError("indexing a non-array object");
     return Value::undefined();
@@ -168,10 +173,9 @@ Value Interpreter::getElemValue(const Value &Base, const Value &Index) {
   if (Base.isString()) {
     String *S = Base.toString();
     double D = toNumber(Index);
-    int64_t I = (int64_t)D;
-    if ((double)I != D || I < 0 || I >= (int64_t)S->length())
+    if (!(D >= 0 && D < S->length()) || D != std::floor(D))
       return Value::undefined();
-    Value R = Value::makeString(Ctx.Atoms.unitString(S->charAt((uint32_t)I)));
+    Value R = Value::makeString(Ctx.Atoms.unitString(S->charAt((uint32_t)D)));
     Ctx.maybeScheduleGC(); // the first use of a unit string allocates it
     return R;
   }
@@ -186,12 +190,15 @@ bool Interpreter::setElemValue(const Value &Base, const Value &Index,
     return false;
   }
   double D = toNumber(Index);
-  int64_t I = (int64_t)D;
-  if ((double)I != D || I < 0) {
+  if (!(D >= 0) || D != std::floor(D)) {
     rtError("non-integer array index");
     return false;
   }
-  Base.toObject()->setElement(Ctx.TheHeap, (uint32_t)I, V);
+  if (D > MaxArrayIndex) {
+    rtError("array index out of range");
+    return false;
+  }
+  Base.toObject()->setElement(Ctx.TheHeap, (uint32_t)D, V);
   return true;
 }
 

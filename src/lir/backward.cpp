@@ -72,8 +72,7 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
   uint32_t Removed = 0;
   for (size_t K = Body.size(); K-- > 0;) {
     LIns *I = Body[K];
-    switch (I->Op) {
-    case LOp::Loop:
+    if (I->Op == LOp::Loop) {
       // The next iteration re-imports everything the trace loads from the
       // TAR anywhere in its body, and every exit it can take writes back
       // from the TAR directly -- so the loop-header state (the slots the
@@ -88,54 +87,26 @@ uint32_t eliminateDeadStores(std::vector<LIns *> &Body, uint32_t NumGlobals,
         LiveTyped(*Entry);
       else
         LiveRange(BackedgeExitSlots);
-      break;
-    case LOp::JmpFrag:
-      // The target fragment reads the slots its entry map types.
-      LiveTyped(I->Target->EntryTypes);
-      break;
-    case LOp::TreeCall:
-      // The inner tree reads its typed entry slots, and its exits restore
-      // from the TAR; it may also write slots, but treating those as live
-      // is conservative and safe.
-      LiveTyped(I->Target->EntryTypes);
-      if (I->Exit)
-        ExitLive(I->Exit);
-      break;
-    case LOp::GuardT:
-    case LOp::GuardF:
-    case LOp::AddOvI:
-    case LOp::SubOvI:
-    case LOp::MulOvI:
-    case LOp::Exit:
-      if (I->Exit)
-        ExitLive(I->Exit);
-      break;
-    case LOp::StI:
-    case LOp::StQ:
-    case LOp::StD: {
-      if (I->Loc != Acc::Tar)
-        break; // heap or VM store: always observable
-      uint32_t S = (uint32_t)(I->Disp / 8);
-      if (S >= Live.size() || !Live[S]) {
-        Body.erase(Body.begin() + (long)K);
-        ++Removed;
-        break;
-      }
-      Live[S] = false; // this store satisfies later reads
-      break;
     }
-    case LOp::LdI:
-    case LOp::LdQ:
-    case LOp::LdD:
-    case LOp::LdUB:
-      if (I->Loc == Acc::Tar) {
-        uint32_t S = (uint32_t)(I->Disp / 8);
-        if (S < Live.size())
-          Live[S] = true;
-      }
-      break;
-    default:
-      break;
+    // A JmpFrag or TreeCall target reads the slots its entry map types. An
+    // inner tree may also write slots, but treating those as live is
+    // conservative and safe.
+    if (I->Op == LOp::JmpFrag || I->Op == LOp::TreeCall)
+      LiveTyped(I->Target->EntryTypes);
+    // Guards, exits and a tree call's mismatch exit restore from the TAR.
+    if (I->Exit)
+      ExitLive(I->Exit);
+    if (I->Loc != Acc::Tar)
+      continue; // not a TAR access; a heap or VM store is always observable
+    uint32_t S = (uint32_t)(I->Disp / 8);
+    if (I->isLoad()) {
+      if (S < Live.size())
+        Live[S] = true;
+    } else if (S >= Live.size() || !Live[S]) {
+      Body.erase(Body.begin() + (long)K);
+      ++Removed;
+    } else {
+      Live[S] = false; // this store satisfies later reads
     }
   }
   return Removed;
@@ -155,28 +126,9 @@ uint32_t eliminateDeadCode(std::vector<LIns *> &Body) {
   };
 
   for (LIns *I : Body) {
-    bool Root = false;
-    switch (I->Op) {
-    case LOp::StI:
-    case LOp::StQ:
-    case LOp::StD:
-    case LOp::GuardT:
-    case LOp::GuardF:
-    case LOp::AddOvI:
-    case LOp::SubOvI:
-    case LOp::MulOvI:
-    case LOp::Exit:
-    case LOp::TreeCall:
-    case LOp::Loop:
-    case LOp::JmpFrag:
-      Root = true;
-      break;
-    case LOp::Call:
-      Root = !I->CI->Pure;
-      break;
-    default:
-      break;
-    }
+    // Roots: every effect, and everything that can leave the trace.
+    bool Root = I->isStore() || I->isGuard() || I->isTerminator() ||
+                (I->Op == LOp::Call && !I->CI->Pure);
     if (Root)
       Mark(Mark, I);
   }

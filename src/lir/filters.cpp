@@ -2,6 +2,7 @@
 
 #include "lir/filters.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -13,27 +14,30 @@ static bool isImmI(LIns *I, int32_t V) {
   return I->Op == LOp::ImmI && I->Imm.ImmI32 == V;
 }
 
-LIns *ExprFilter::ins1(LOp Op, LIns *A) {
-  // Constant folding on unary ops.
-  if (A->Op == LOp::ImmI) {
-    int32_t V = A->Imm.ImmI32;
-    switch (Op) {
-    case LOp::I2D:
-      return insImmD((double)V);
-    case LOp::UI2D:
-      return insImmD((double)(uint32_t)V);
-    case LOp::UI2Q:
-      return insImmQ((int64_t)(uint32_t)V);
-    default:
-      break;
-    }
+/// An immediate of type \p Ty, or an absent operand where \p Ty is Void.
+static bool isImmOf(const LIns *I, LTy Ty) {
+  return Ty == LTy::Void || (I->isImm() && I->Ty == Ty);
+}
+
+LIns *ExprFilter::fold(LOp Op, LIns *A, LIns *B) {
+  const LirOpInfo &Info = lirOp(Op);
+  uint64_t R;
+  if (!(Info.Flags & OpFold) || !isImmOf(A, Info.A) || !isImmOf(B, Info.B) ||
+      !evalLir(Op, A->immWord(), B ? B->immWord() : 0, R))
+    return nullptr;
+  switch (Info.Result) {
+  case LTy::Q:
+    return insImmQ((int64_t)R);
+  case LTy::D:
+    return insImmD(std::bit_cast<double>(R));
+  default:
+    return insImmI((int32_t)R);
   }
-  if (A->Op == LOp::ImmD && Op == LOp::D2I)
-    return insImmI((int32_t)A->Imm.ImmDbl);
-  if (A->Op == LOp::ImmD && Op == LOp::NegD)
-    return insImmD(-A->Imm.ImmDbl);
-  if (A->Op == LOp::ImmQ && Op == LOp::Q2I)
-    return insImmI((int32_t)A->Imm.ImmQ64);
+}
+
+LIns *ExprFilter::ins1(LOp Op, LIns *A) {
+  if (LIns *K = fold(Op, A, nullptr))
+    return K;
 
   // The language-specific INT<->DOUBLE narrowing from §5.1: "LIR that
   // converts an INT to a DOUBLE and then back again would be removed".
@@ -47,77 +51,8 @@ LIns *ExprFilter::ins1(LOp Op, LIns *A) {
 }
 
 LIns *ExprFilter::ins2(LOp Op, LIns *A, LIns *B) {
-  // Integer constant folding.
-  if (A->Op == LOp::ImmI && B->Op == LOp::ImmI) {
-    int64_t X = A->Imm.ImmI32, Y = B->Imm.ImmI32;
-    switch (Op) {
-    case LOp::AddI:
-      return insImmI((int32_t)(X + Y));
-    case LOp::SubI:
-      return insImmI((int32_t)(X - Y));
-    case LOp::MulI:
-      return insImmI((int32_t)(X * Y));
-    case LOp::AndI:
-      return insImmI((int32_t)(X & Y));
-    case LOp::OrI:
-      return insImmI((int32_t)(X | Y));
-    case LOp::XorI:
-      return insImmI((int32_t)(X ^ Y));
-    case LOp::ShlI:
-      return insImmI((int32_t)((uint32_t)X << (Y & 31)));
-    case LOp::ShrI:
-      return insImmI((int32_t)X >> (Y & 31));
-    case LOp::UshrI:
-      return insImmI((int32_t)((uint32_t)X >> (Y & 31)));
-    case LOp::EqI:
-      return insImmI(X == Y);
-    case LOp::NeI:
-      return insImmI(X != Y);
-    case LOp::LtI:
-      return insImmI(X < Y);
-    case LOp::LeI:
-      return insImmI(X <= Y);
-    case LOp::GtI:
-      return insImmI(X > Y);
-    case LOp::GeI:
-      return insImmI(X >= Y);
-    case LOp::LtUI:
-      return insImmI((uint32_t)X < (uint32_t)Y);
-    default:
-      break;
-    }
-  }
-  // Double constant folding.
-  if (A->Op == LOp::ImmD && B->Op == LOp::ImmD) {
-    double X = A->Imm.ImmDbl, Y = B->Imm.ImmDbl;
-    switch (Op) {
-    case LOp::AddD:
-      return insImmD(X + Y);
-    case LOp::SubD:
-      return insImmD(X - Y);
-    case LOp::MulD:
-      return insImmD(X * Y);
-    case LOp::DivD:
-      return insImmD(X / Y);
-    case LOp::EqD:
-      return insImmI(X == Y);
-    case LOp::NeD:
-      return insImmI(X != Y);
-    case LOp::LtD:
-      return insImmI(X < Y);
-    case LOp::LeD:
-      return insImmI(X <= Y);
-    case LOp::GtD:
-      return insImmI(X > Y);
-    case LOp::GeD:
-      return insImmI(X >= Y);
-    default:
-      break;
-    }
-  }
-  // Pointer-equality folding.
-  if (Op == LOp::EqQ && A->Op == LOp::ImmQ && B->Op == LOp::ImmQ)
-    return insImmI(A->Imm.ImmQ64 == B->Imm.ImmQ64);
+  if (LIns *K = fold(Op, A, B))
+    return K;
 
   // Algebraic identities.
   switch (Op) {
@@ -281,14 +216,15 @@ LIns *ExprFilter::insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) {
 }
 
 LIns *ExprFilter::insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) {
-  // Fold overflow-checked arithmetic on constants when no overflow occurs.
-  if (A->Op == LOp::ImmI && B->Op == LOp::ImmI) {
-    int64_t X = A->Imm.ImmI32, Y = B->Imm.ImmI32;
-    int64_t R = Op == LOp::AddOvI ? X + Y : Op == LOp::SubOvI ? X - Y : X * Y;
-    bool NegZero = Op == LOp::MulOvI && R == 0 && (X < 0 || Y < 0);
-    if (R >= INT32_MIN && R <= INT32_MAX && !NegZero)
-      return insImmI((int32_t)R);
-  }
+  // Fold overflow-checked arithmetic on constants when no overflow occurs,
+  // except a zero product with a negative factor: JS gives -0 there.
+  bool NegZero = Op == LOp::MulOvI && A->Op == LOp::ImmI &&
+                 B->Op == LOp::ImmI &&
+                 (int64_t)A->Imm.ImmI32 * B->Imm.ImmI32 == 0 &&
+                 (A->Imm.ImmI32 < 0 || B->Imm.ImmI32 < 0);
+  if (!NegZero)
+    if (LIns *K = fold(Op, A, B))
+      return K;
   // x +/- 0 and x * 1 cannot overflow.
   if ((Op == LOp::AddOvI || Op == LOp::SubOvI) && isImmI(B, 0))
     return A;

@@ -44,6 +44,10 @@ public:
   LIns *insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) override;
 
 private:
+  /// \p Op over immediates \p A and \p B (null when unary) as an immediate,
+  /// computed by evalLir, when the opcode table marks \p Op folded and it
+  /// does not overflow; null otherwise.
+  LIns *fold(LOp Op, LIns *A, LIns *B);
   /// The wrapping int32 sum of the leaves of int-sum tree \p D.
   LIns *intSum(LIns *D);
 

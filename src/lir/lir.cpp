@@ -2,6 +2,7 @@
 
 #include "lir/lir.h"
 
+#include <bit>
 #include <cassert>
 
 namespace tracejit {
@@ -26,171 +27,160 @@ const char *accName(AccSet A) {
 }
 
 const char *lopName(LOp Op) {
-  switch (Op) {
-  case LOp::ParamTar:
-    return "param.tar";
-  case LOp::ImmI:
-    return "immi";
-  case LOp::ImmQ:
-    return "immq";
-  case LOp::ImmD:
-    return "immd";
-  case LOp::LdI:
-    return "ldi";
-  case LOp::LdQ:
-    return "ldq";
-  case LOp::LdD:
-    return "ldd";
-  case LOp::LdUB:
-    return "ldub";
-  case LOp::StI:
-    return "sti";
-  case LOp::StQ:
-    return "stq";
-  case LOp::StD:
-    return "std";
-  case LOp::AddI:
-    return "addi";
-  case LOp::SubI:
-    return "subi";
-  case LOp::MulI:
-    return "muli";
-  case LOp::AndI:
-    return "andi";
-  case LOp::OrI:
-    return "ori";
-  case LOp::XorI:
-    return "xori";
-  case LOp::ShlI:
-    return "shli";
-  case LOp::ShrI:
-    return "shri";
-  case LOp::UshrI:
-    return "ushri";
-  case LOp::AddOvI:
-    return "addov";
-  case LOp::SubOvI:
-    return "subov";
-  case LOp::MulOvI:
-    return "mulov";
-  case LOp::AddQ:
-    return "addq";
-  case LOp::AndQ:
-    return "andq";
-  case LOp::OrQ:
-    return "orq";
-  case LOp::ShlQ:
-    return "shlq";
-  case LOp::ShrQ:
-    return "shrq";
-  case LOp::SarQ:
-    return "sarq";
-  case LOp::Q2I:
-    return "q2i";
-  case LOp::UI2Q:
-    return "ui2q";
-  case LOp::EqI:
-    return "eqi";
-  case LOp::NeI:
-    return "nei";
-  case LOp::LtI:
-    return "lti";
-  case LOp::LeI:
-    return "lei";
-  case LOp::GtI:
-    return "gti";
-  case LOp::GeI:
-    return "gei";
-  case LOp::LtUI:
-    return "ltui";
-  case LOp::EqQ:
-    return "eqq";
-  case LOp::AddD:
-    return "addd";
-  case LOp::SubD:
-    return "subd";
-  case LOp::MulD:
-    return "muld";
-  case LOp::DivD:
-    return "divd";
-  case LOp::NegD:
-    return "negd";
-  case LOp::EqD:
-    return "eqd";
-  case LOp::NeD:
-    return "ned";
-  case LOp::LtD:
-    return "ltd";
-  case LOp::LeD:
-    return "led";
-  case LOp::GtD:
-    return "gtd";
-  case LOp::GeD:
-    return "ged";
-  case LOp::I2D:
-    return "i2d";
-  case LOp::UI2D:
-    return "ui2d";
-  case LOp::D2I:
-    return "d2i";
-  case LOp::Call:
-    return "call";
-  case LOp::GuardT:
-    return "xf"; // exits if condition false (paper's xf mnemonic)
-  case LOp::GuardF:
-    return "xt";
-  case LOp::Exit:
-    return "exit";
-  case LOp::TreeCall:
-    return "treecall";
-  case LOp::Loop:
-    return "loop";
-  case LOp::JmpFrag:
-    return "jmpfrag";
-  case LOp::NumOps:
-    break;
-  }
-  return "?";
+  return Op < LOp::NumOps ? lirOp(Op).Name : "?";
 }
 
-LTy resultType(LOp Op) {
+uint64_t LIns::immWord() const {
   switch (Op) {
-  case LOp::ParamTar:
+  case LOp::ImmI:
+    return (uint32_t)Imm.ImmI32;
   case LOp::ImmQ:
-  case LOp::LdQ:
-  case LOp::AddQ:
-  case LOp::AndQ:
-  case LOp::OrQ:
-  case LOp::ShlQ:
-  case LOp::ShrQ:
-  case LOp::SarQ:
-  case LOp::UI2Q:
-    return LTy::Q;
-  case LOp::ImmD:
-  case LOp::LdD:
-  case LOp::AddD:
-  case LOp::SubD:
-  case LOp::MulD:
-  case LOp::DivD:
-  case LOp::NegD:
-  case LOp::I2D:
-  case LOp::UI2D:
-    return LTy::D;
-  case LOp::StI:
-  case LOp::StQ:
-  case LOp::StD:
-  case LOp::GuardT:
-  case LOp::GuardF:
-  case LOp::Exit:
-  case LOp::Loop:
-  case LOp::JmpFrag:
-  case LOp::TreeCall:
-    return LTy::Void;
-  case LOp::Call:
-    return LTy::Void; // actual type comes from CallInfo
+    return (uint64_t)Imm.ImmQ64;
   default:
-    return LTy::I32;
+    return std::bit_cast<uint64_t>(Imm.ImmDbl);
   }
+}
+
+bool evalLir(LOp Op, uint64_t A, uint64_t B, uint64_t &R) {
+  int32_t X = (int32_t)A, Y = (int32_t)B;
+  double DX = std::bit_cast<double>(A), DY = std::bit_cast<double>(B);
+  auto I = [&](int64_t V) { R = (uint32_t)V; }; // int32 wraps, as native
+  auto D = [&](double V) { R = std::bit_cast<uint64_t>(V); };
+  auto Ov = [&](int64_t V) {
+    if (V < INT32_MIN || V > INT32_MAX)
+      return false;
+    I(V);
+    return true;
+  };
+  switch (Op) {
+  case LOp::AddI:
+    I((int64_t)X + Y);
+    break;
+  case LOp::SubI:
+    I((int64_t)X - Y);
+    break;
+  case LOp::MulI:
+    I((int64_t)X * Y);
+    break;
+  case LOp::AndI:
+    I(X & Y);
+    break;
+  case LOp::OrI:
+    I(X | Y);
+    break;
+  case LOp::XorI:
+    I(X ^ Y);
+    break;
+  case LOp::ShlI:
+    I((uint32_t)X << (Y & 31));
+    break;
+  case LOp::ShrI:
+    I(X >> (Y & 31));
+    break;
+  case LOp::UshrI:
+    I((uint32_t)X >> (Y & 31));
+    break;
+  case LOp::AddOvI:
+    return Ov((int64_t)X + Y);
+  case LOp::SubOvI:
+    return Ov((int64_t)X - Y);
+  case LOp::MulOvI:
+    return Ov((int64_t)X * Y);
+  case LOp::AddQ:
+    R = A + B;
+    break;
+  case LOp::AndQ:
+    R = A & B;
+    break;
+  case LOp::OrQ:
+    R = A | B;
+    break;
+  case LOp::ShlQ:
+    R = A << (Y & 63);
+    break;
+  case LOp::ShrQ:
+    R = A >> (Y & 63);
+    break;
+  case LOp::SarQ:
+    R = (uint64_t)((int64_t)A >> (Y & 63));
+    break;
+  case LOp::Q2I:
+  case LOp::UI2Q:
+    R = (uint32_t)A;
+    break;
+  case LOp::EqI:
+    R = X == Y;
+    break;
+  case LOp::NeI:
+    R = X != Y;
+    break;
+  case LOp::LtI:
+    R = X < Y;
+    break;
+  case LOp::LeI:
+    R = X <= Y;
+    break;
+  case LOp::GtI:
+    R = X > Y;
+    break;
+  case LOp::GeI:
+    R = X >= Y;
+    break;
+  case LOp::LtUI:
+    R = (uint32_t)X < (uint32_t)Y;
+    break;
+  case LOp::EqQ:
+    R = A == B;
+    break;
+  case LOp::AddD:
+    D(DX + DY);
+    break;
+  case LOp::SubD:
+    D(DX - DY);
+    break;
+  case LOp::MulD:
+    D(DX * DY);
+    break;
+  case LOp::DivD:
+    D(DX / DY);
+    break;
+  case LOp::NegD:
+    D(-DX);
+    break;
+  case LOp::EqD:
+    R = DX == DY;
+    break;
+  case LOp::NeD:
+    R = DX != DY;
+    break;
+  case LOp::LtD:
+    R = DX < DY;
+    break;
+  case LOp::LeD:
+    R = DX <= DY;
+    break;
+  case LOp::GtD:
+    R = DX > DY;
+    break;
+  case LOp::GeD:
+    R = DX >= DY;
+    break;
+  case LOp::I2D:
+    D(X);
+    break;
+  case LOp::UI2D:
+    D((uint32_t)X);
+    break;
+  case LOp::D2I:
+    // cvttsd2si: NaN and anything outside int32 give the "integer
+    // indefinite" value.
+    I(DX > -2147483649.0 && DX < 2147483648.0 ? (int32_t)DX : INT32_MIN);
+    break;
+  default:
+    assert(!"evalLir: not a value opcode");
+    R = 0;
+  }
+  return true;
 }
 
 // --- Base writer: forward everything downstream ---------------------------------
@@ -229,140 +219,99 @@ LIns *LirWriter::insJmpFrag(Fragment *Target) {
 
 // --- Buffer -----------------------------------------------------------------------
 
-LIns *LirBuffer::ins0(LOp Op) {
-  LIns *I = fresh();
-  I->Op = Op;
-  I->Ty = resultType(Op);
-  return append(I);
-}
-
-LIns *LirBuffer::ins1(LOp Op, LIns *A) {
-  LIns *I = fresh();
-  I->Op = Op;
-  I->Ty = resultType(Op);
-  I->A = A;
-  return append(I);
-}
-
-LIns *LirBuffer::ins2(LOp Op, LIns *A, LIns *B) {
-  LIns *I = fresh();
+LIns *LirBuffer::make(LOp Op, LIns *A, LIns *B) {
+  LIns *I = TheArena.make<LIns>();
   I->Op = Op;
   I->Ty = resultType(Op);
   I->A = A;
   I->B = B;
-  return append(I);
+  I->Id = NextId++;
+  Body.push_back(I);
+  return I;
 }
 
+LIns *LirBuffer::ins0(LOp Op) { return make(Op); }
+LIns *LirBuffer::ins1(LOp Op, LIns *A) { return make(Op, A); }
+LIns *LirBuffer::ins2(LOp Op, LIns *A, LIns *B) { return make(Op, A, B); }
+
 LIns *LirBuffer::insImmI(int32_t V) {
-  LIns *I = fresh();
-  I->Op = LOp::ImmI;
-  I->Ty = LTy::I32;
+  LIns *I = make(LOp::ImmI);
   I->Imm.ImmI32 = V;
-  return append(I);
+  return I;
 }
 
 LIns *LirBuffer::insImmQ(int64_t V) {
-  LIns *I = fresh();
-  I->Op = LOp::ImmQ;
-  I->Ty = LTy::Q;
+  LIns *I = make(LOp::ImmQ);
   I->Imm.ImmQ64 = V;
-  return append(I);
+  return I;
 }
 
 LIns *LirBuffer::insImmD(double V) {
-  LIns *I = fresh();
-  I->Op = LOp::ImmD;
-  I->Ty = LTy::D;
+  LIns *I = make(LOp::ImmD);
   I->Imm.ImmDbl = V;
-  return append(I);
+  return I;
 }
 
 LIns *LirBuffer::insLoad(LOp Op, LIns *Base, int32_t Disp, AccSet Loc) {
-  LIns *I = fresh();
-  I->Op = Op;
-  I->Ty = resultType(Op);
-  I->A = Base;
+  LIns *I = make(Op, Base);
   I->Disp = Disp;
   I->Loc = Loc;
-  return append(I);
+  return I;
 }
 
 LIns *LirBuffer::insStore(LOp Op, LIns *Val, LIns *Base, int32_t Disp,
                           AccSet Loc) {
-  LIns *I = fresh();
-  I->Op = Op;
-  I->Ty = LTy::Void;
-  I->A = Val;
-  I->B = Base;
+  LIns *I = make(Op, Val, Base);
   I->Disp = Disp;
   I->Loc = Loc;
-  return append(I);
+  return I;
 }
 
 LIns *LirBuffer::insCall(const CallInfo *CI, LIns **Args, uint32_t N) {
   assert(N == CI->NArgs && "call arity mismatch");
-  LIns *I = fresh();
-  I->Op = LOp::Call;
+  LIns *I = make(LOp::Call);
   I->Ty = CI->Ret;
   I->CI = CI;
   I->NCallArgs = (uint8_t)N;
   I->CallArgs = TheArena.makeArray<LIns *>(N);
   for (uint32_t K = 0; K < N; ++K)
     I->CallArgs[K] = Args[K];
-  return append(I);
+  return I;
 }
 
 LIns *LirBuffer::insGuard(LOp Op, LIns *Cond, ExitDescriptor *Exit) {
-  LIns *I = fresh();
-  I->Op = Op;
-  I->Ty = LTy::Void;
-  I->A = Cond;
+  LIns *I = make(Op, Cond);
   I->Exit = Exit;
-  return append(I);
+  return I;
 }
 
 LIns *LirBuffer::insOvf(LOp Op, LIns *A, LIns *B, ExitDescriptor *Exit) {
-  LIns *I = fresh();
-  I->Op = Op;
-  I->Ty = LTy::I32;
-  I->A = A;
-  I->B = B;
+  LIns *I = make(Op, A, B);
   I->Exit = Exit;
-  return append(I);
+  return I;
 }
 
 LIns *LirBuffer::insExit(ExitDescriptor *Exit) {
-  LIns *I = fresh();
-  I->Op = LOp::Exit;
-  I->Ty = LTy::Void;
+  LIns *I = make(LOp::Exit);
   I->Exit = Exit;
-  return append(I);
+  return I;
 }
 
 LIns *LirBuffer::insTreeCall(Fragment *Inner, ExitDescriptor *Expected,
                              ExitDescriptor *MismatchExit) {
-  LIns *I = fresh();
-  I->Op = LOp::TreeCall;
-  I->Ty = LTy::Void;
+  LIns *I = make(LOp::TreeCall);
   I->Target = Inner;
   I->ExpectedExit = Expected;
   I->Exit = MismatchExit;
-  return append(I);
+  return I;
 }
 
-LIns *LirBuffer::insLoop() {
-  LIns *I = fresh();
-  I->Op = LOp::Loop;
-  I->Ty = LTy::Void;
-  return append(I);
-}
+LIns *LirBuffer::insLoop() { return make(LOp::Loop); }
 
 LIns *LirBuffer::insJmpFrag(Fragment *Target) {
-  LIns *I = fresh();
-  I->Op = LOp::JmpFrag;
-  I->Ty = LTy::Void;
+  LIns *I = make(LOp::JmpFrag);
   I->Target = Target;
-  return append(I);
+  return I;
 }
 
 } // namespace tracejit

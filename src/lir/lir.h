@@ -35,104 +35,150 @@ enum class LTy : uint8_t {
   D,   ///< IEEE double
 };
 
+/// Flags of an opcode (LirOpInfo::Flags).
+enum LirOpFlag : uint8_t {
+  /// A value op: no side effect, no trap, the result depends only on the
+  /// operands. CSE, hoisting and DCE may move or drop it freely.
+  OpPure = 1 << 0,
+  OpLoad = 1 << 1,
+  OpStore = 1 << 2,
+  /// Carries an exit descriptor it may leave the trace through.
+  OpGuard = 1 << 3,
+  /// Ends the trace; the verifier requires exactly one, last.
+  OpTerm = 1 << 4,
+  OpImm = 1 << 5,
+  /// ExprFilter folds it when every operand is an immediate (evalLir).
+  OpFold = 1 << 6,
+};
+
+// clang-format off
+/// Every LIR opcode, described once (nanojit's LIRopcode.tbl). Each row is
+///   X(Op, mnemonic, result, operand A, operand B, flags, mirror, negation)
+/// An operand typed Void is absent or typed elsewhere (a call's arguments
+/// by its CallInfo, which also gives the call's result). For stores, A is
+/// the value and B the base. For compares, the mirror is the relation with
+/// the operands swapped and the negation the relation that holds exactly
+/// when this one does not; NumOps means there is none.
+#define TRACEJIT_LIR_OPS(X)                                                    \
+  /* Entry: the TAR base pointer. */                                           \
+  X(ParamTar, "param.tar", Q,    Void, Void, 0,              NumOps, NumOps)   \
+  /* Constants. */                                                             \
+  X(ImmI,     "immi",      I32,  Void, Void, OpImm,          NumOps, NumOps)   \
+  X(ImmQ,     "immq",      Q,    Void, Void, OpImm,          NumOps, NumOps)   \
+  X(ImmD,     "immd",      D,    Void, Void, OpImm,          NumOps, NumOps)   \
+  /* Memory: A = base, Disp = byte offset. LdUB zero-extends a byte. */        \
+  X(LdI,      "ldi",       I32,  Q,    Void, OpLoad,         NumOps, NumOps)   \
+  X(LdQ,      "ldq",       Q,    Q,    Void, OpLoad,         NumOps, NumOps)   \
+  X(LdD,      "ldd",       D,    Q,    Void, OpLoad,         NumOps, NumOps)   \
+  X(LdUB,     "ldub",      I32,  Q,    Void, OpLoad,         NumOps, NumOps)   \
+  X(StI,      "sti",       Void, I32,  Q,    OpStore,        NumOps, NumOps)   \
+  X(StQ,      "stq",       Void, Q,    Q,    OpStore,        NumOps, NumOps)   \
+  X(StD,      "std",       Void, D,    Q,    OpStore,        NumOps, NumOps)   \
+  /* 32-bit integer ALU; ShrI is arithmetic, UshrI logical. */                 \
+  X(AddI,     "addi",      I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  X(SubI,     "subi",      I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  X(MulI,     "muli",      I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  X(AndI,     "andi",      I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  X(OrI,      "ori",       I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  X(XorI,     "xori",      I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  X(ShlI,     "shli",      I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  X(ShrI,     "shri",      I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  X(UshrI,    "ushri",     I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  /* Overflow-checked: exit on signed overflow. */                             \
+  X(AddOvI,   "addov",     I32,  I32,  I32,  OpGuard|OpFold, NumOps, NumOps)   \
+  X(SubOvI,   "subov",     I32,  I32,  I32,  OpGuard|OpFold, NumOps, NumOps)   \
+  X(MulOvI,   "mulov",     I32,  I32,  I32,  OpGuard|OpFold, NumOps, NumOps)   \
+  /* 64-bit ALU (tags, addresses); shift counts are immediates. ShrQ is */     \
+  /* logical, SarQ arithmetic; Q2I truncates, UI2Q zero-extends. */            \
+  X(AddQ,     "addq",      Q,    Q,    Q,    OpPure,         NumOps, NumOps)   \
+  X(AndQ,     "andq",      Q,    Q,    Q,    OpPure,         NumOps, NumOps)   \
+  X(OrQ,      "orq",       Q,    Q,    Q,    OpPure,         NumOps, NumOps)   \
+  X(ShlQ,     "shlq",      Q,    Q,    I32,  OpPure,         NumOps, NumOps)   \
+  X(ShrQ,     "shrq",      Q,    Q,    I32,  OpPure,         NumOps, NumOps)   \
+  X(SarQ,     "sarq",      Q,    Q,    I32,  OpPure,         NumOps, NumOps)   \
+  X(Q2I,      "q2i",       I32,  Q,    Void, OpPure|OpFold,  NumOps, NumOps)   \
+  X(UI2Q,     "ui2q",      Q,    I32,  Void, OpPure|OpFold,  NumOps, NumOps)   \
+  /* Integer compares -> 0/1; LtUI is unsigned (bounds checks). */             \
+  X(EqI,      "eqi",       I32,  I32,  I32,  OpPure|OpFold,  EqI,    NeI)      \
+  X(NeI,      "nei",       I32,  I32,  I32,  OpPure|OpFold,  NeI,    EqI)      \
+  X(LtI,      "lti",       I32,  I32,  I32,  OpPure|OpFold,  GtI,    GeI)      \
+  X(LeI,      "lei",       I32,  I32,  I32,  OpPure|OpFold,  GeI,    GtI)      \
+  X(GtI,      "gti",       I32,  I32,  I32,  OpPure|OpFold,  LtI,    LeI)      \
+  X(GeI,      "gei",       I32,  I32,  I32,  OpPure|OpFold,  LeI,    LtI)      \
+  X(LtUI,     "ltui",      I32,  I32,  I32,  OpPure|OpFold,  NumOps, NumOps)   \
+  X(EqQ,      "eqq",       I32,  Q,    Q,    OpPure|OpFold,  EqQ,    NumOps)   \
+  /* Double arithmetic. */                                                     \
+  X(AddD,     "addd",      D,    D,    D,    OpPure|OpFold,  NumOps, NumOps)   \
+  X(SubD,     "subd",      D,    D,    D,    OpPure|OpFold,  NumOps, NumOps)   \
+  X(MulD,     "muld",      D,    D,    D,    OpPure|OpFold,  NumOps, NumOps)   \
+  X(DivD,     "divd",      D,    D,    D,    OpPure|OpFold,  NumOps, NumOps)   \
+  X(NegD,     "negd",      D,    D,    Void, OpPure|OpFold,  NumOps, NumOps)   \
+  /* Double compares -> 0/1. NaN compares false, except NeD (JS !=): */        \
+  /* only EqD and NeD negate each other. */                                    \
+  X(EqD,      "eqd",       I32,  D,    D,    OpPure|OpFold,  EqD,    NeD)      \
+  X(NeD,      "ned",       I32,  D,    D,    OpPure|OpFold,  NeD,    EqD)      \
+  X(LtD,      "ltd",       I32,  D,    D,    OpPure|OpFold,  GtD,    NumOps)   \
+  X(LeD,      "led",       I32,  D,    D,    OpPure|OpFold,  GeD,    NumOps)   \
+  X(GtD,      "gtd",       I32,  D,    D,    OpPure|OpFold,  LtD,    NumOps)   \
+  X(GeD,      "ged",       I32,  D,    D,    OpPure|OpFold,  LeD,    NumOps)   \
+  /* Conversions. UI2D reads a uint32 (>>> results); D2I truncates as */       \
+  /* cvttsd2si does, so pair it with an exactness guard where needed. */       \
+  X(I2D,      "i2d",       D,    I32,  Void, OpPure|OpFold,  NumOps, NumOps)   \
+  X(UI2D,     "ui2d",      D,    I32,  Void, OpPure|OpFold,  NumOps, NumOps)   \
+  X(D2I,      "d2i",       I32,  D,    Void, OpPure|OpFold,  NumOps, NumOps)   \
+  /* Calls to C helpers and typed natives (signature in the CallInfo). */      \
+  X(Call,     "call",      Void, Void, Void, 0,              NumOps, NumOps)   \
+  /* Guards: A = condition. GuardT exits if A is false (the paper's xf), */    \
+  /* GuardF if it is true. */                                                  \
+  X(GuardT,   "xf",        Void, I32,  Void, OpGuard,        NumOps, NumOps)   \
+  X(GuardF,   "xt",        Void, I32,  Void, OpGuard,        NumOps, NumOps)   \
+  /* Unconditional transfer off-trace. */                                      \
+  X(Exit,     "exit",      Void, Void, Void, OpTerm,         NumOps, NumOps)   \
+  /* Call a nested tree (Target); exits through the attached descriptor */     \
+  /* unless the inner tree returns through ExpectedExit. */                    \
+  X(TreeCall, "treecall",  Void, Void, Void, OpGuard,        NumOps, NumOps)   \
+  /* Close the loop: jump back to this fragment's entry. */                    \
+  X(Loop,     "loop",      Void, Void, Void, OpTerm,         NumOps, NumOps)   \
+  /* Tail-jump to another fragment (branch -> anchor, linked peers). */        \
+  X(JmpFrag,  "jmpfrag",   Void, Void, Void, OpTerm,         NumOps, NumOps)
+// clang-format on
+
 enum class LOp : uint8_t {
-  // Entry.
-  ParamTar, ///< The TAR base pointer (Q).
-
-  // Constants.
-  ImmI,
-  ImmQ,
-  ImmD,
-
-  // Memory. A = base (Q), Disp = byte offset. LdUB zero-extends a byte.
-  LdI,
-  LdQ,
-  LdD,
-  LdUB,
-  // Stores: A = value, B = base, Disp = byte offset.
-  StI,
-  StQ,
-  StD,
-
-  // 32-bit integer ALU.
-  AddI,
-  SubI,
-  MulI,
-  AndI,
-  OrI,
-  XorI,
-  ShlI,
-  ShrI,  ///< arithmetic shift right
-  UshrI, ///< logical shift right
-  // Overflow-checked (guards attached; exit on signed overflow).
-  AddOvI,
-  SubOvI,
-  MulOvI,
-
-  // 64-bit ALU (tag manipulation, address arithmetic).
-  AddQ,
-  AndQ,
-  OrQ,
-  ShlQ, ///< shift by immediate count (B = ImmI)
-  ShrQ, ///< logical; shift by immediate count
-  SarQ, ///< arithmetic; shift by immediate count
-  Q2I,  ///< truncate to low 32 bits
-  UI2Q, ///< zero-extend int32 to 64-bit
-
-  // Integer comparisons -> I32 0/1.
-  EqI,
-  NeI,
-  LtI,
-  LeI,
-  GtI,
-  GeI,
-  LtUI, ///< unsigned < (bounds checks)
-  // Pointer comparison.
-  EqQ,
-
-  // Double arithmetic.
-  AddD,
-  SubD,
-  MulD,
-  DivD,
-  NegD,
-  // Double comparisons -> I32 0/1; NaN compares false (JS semantics).
-  EqD,
-  NeD, ///< true iff ordered-and-unequal OR unordered (JS !=)
-  LtD,
-  LeD,
-  GtD,
-  GeD,
-
-  // Conversions.
-  I2D,
-  UI2D, ///< uint32 -> double (>>> results)
-  D2I,  ///< truncating; pair with an exactness guard where needed
-
-  // Calls to C helpers / typed natives.
-  Call,
-
-  // Guards: A = I32 condition; Exit attached. GuardT exits if A is FALSE
-  // (the condition must hold to stay on trace); GuardF exits if A is TRUE.
-  GuardT,
-  GuardF,
-
-  // Unconditional transfer off-trace (trace tail that cannot loop back).
-  Exit,
-
-  // Call a nested trace tree (Target fragment); exits through the attached
-  // descriptor if the inner tree does not return through ExpectedExit.
-  TreeCall,
-
-  // Close the loop: jump back to this fragment's entry.
-  Loop,
-
-  // Tail-jump to another fragment (branch trace -> tree anchor; linked
-  // type-unstable peers).
-  JmpFrag,
-
+#define TRACEJIT_LOP_ENUM(Op, ...) Op,
+  TRACEJIT_LIR_OPS(TRACEJIT_LOP_ENUM)
+#undef TRACEJIT_LOP_ENUM
   NumOps
 };
+
+/// One row of TRACEJIT_LIR_OPS.
+struct LirOpInfo {
+  const char *Name;
+  LTy Result, A, B;
+  uint8_t Flags; ///< LirOpFlag bits.
+  LOp Mirror, Negation;
+};
+
+inline constexpr LirOpInfo LirOpTable[] = {
+#define TRACEJIT_LOP_INFO(Op, Name, R, A, B, Flags, Mirror, Negation)          \
+  {Name, LTy::R, LTy::A, LTy::B, (uint8_t)(Flags), LOp::Mirror, LOp::Negation},
+    TRACEJIT_LIR_OPS(TRACEJIT_LOP_INFO)
+#undef TRACEJIT_LOP_INFO
+};
+
+constexpr const LirOpInfo &lirOp(LOp Op) { return LirOpTable[(size_t)Op]; }
+constexpr bool lirOpHas(LOp Op, LirOpFlag F) { return lirOp(Op).Flags & F; }
+
+/// Result type of an opcode; Void for a call, whose CallInfo gives it.
+constexpr LTy resultType(LOp Op) { return lirOp(Op).Result; }
+
+/// The constant semantics of every pure and overflow-checked opcode, over
+/// raw TAR-layout words (an int32 zero-extended, a double's bits): sets
+/// \p R to \p Op applied to \p A and \p B (ignored when unary). Returns
+/// false, leaving \p R alone, when an overflow-checked op overflows. D2I is
+/// cvttsd2si: INT32_MIN for NaN and out-of-range inputs. Shared by the
+/// executor backend and ExprFilter's constant folds, so a folded constant
+/// is what the reference backend computes.
+bool evalLir(LOp Op, uint64_t A, uint64_t B, uint64_t &R);
 
 /// A set of memory location classes (nanojit's AccSet). Every load and
 /// store names the one class it touches; every CallInfo names the classes
@@ -206,22 +252,16 @@ struct LIns {
   Fragment *Target = nullptr;        ///< TreeCall / JmpFrag target.
   ExitDescriptor *ExpectedExit = nullptr; ///< TreeCall expected return.
 
-  bool isGuard() const {
-    return Op == LOp::GuardT || Op == LOp::GuardF || Op == LOp::AddOvI ||
-           Op == LOp::SubOvI || Op == LOp::MulOvI || Op == LOp::TreeCall;
-  }
-  bool isLoad() const {
-    return Op == LOp::LdI || Op == LOp::LdQ || Op == LOp::LdD ||
-           Op == LOp::LdUB;
-  }
-  bool isStore() const {
-    return Op == LOp::StI || Op == LOp::StQ || Op == LOp::StD;
-  }
-  bool isImm() const {
-    return Op == LOp::ImmI || Op == LOp::ImmQ || Op == LOp::ImmD;
-  }
+  bool isGuard() const { return lirOpHas(Op, OpGuard); }
+  bool isLoad() const { return lirOpHas(Op, OpLoad); }
+  bool isStore() const { return lirOpHas(Op, OpStore); }
+  bool isImm() const { return lirOpHas(Op, OpImm); }
+  bool isTerminator() const { return lirOpHas(Op, OpTerm); }
+  /// The raw TAR-layout word of an immediate (see evalLir).
+  uint64_t immWord() const;
 };
 
+/// Mnemonic of \p Op, or "?" out of range.
 const char *lopName(LOp Op);
 
 /// Streaming writer interface: the recorder emits into the head of a filter
@@ -285,20 +325,13 @@ public:
   Arena &arena() { return TheArena; }
 
 private:
-  LIns *append(LIns *I) {
-    I->Id = NextId++;
-    Body.push_back(I);
-    return I;
-  }
-  LIns *fresh() { return TheArena.make<LIns>(); }
+  /// Append a new \p Op, typed by the opcode table, over \p A and \p B.
+  LIns *make(LOp Op, LIns *A = nullptr, LIns *B = nullptr);
 
   Arena &TheArena;
   std::vector<LIns *> Body;
   uint32_t NextId = 0;
 };
-
-/// Result type of an opcode given the IR's typing rules.
-LTy resultType(LOp Op);
 
 /// Render one instruction / a whole body for diagnostics and tests. The
 /// PrologueEnd overload brackets a loop-optimized body with "-- prologue --"

@@ -29,56 +29,6 @@ namespace tracejit {
 
 namespace {
 
-/// Pure value-producing ops: no side effects, no traps, result depends only
-/// on operands. Loads, overflow-checked ops, guards and calls are handled
-/// separately by each pass.
-bool isPureValueOp(LOp Op) {
-  switch (Op) {
-  case LOp::AddI:
-  case LOp::SubI:
-  case LOp::MulI:
-  case LOp::AndI:
-  case LOp::OrI:
-  case LOp::XorI:
-  case LOp::ShlI:
-  case LOp::ShrI:
-  case LOp::UshrI:
-  case LOp::AddQ:
-  case LOp::AndQ:
-  case LOp::OrQ:
-  case LOp::ShlQ:
-  case LOp::ShrQ:
-  case LOp::SarQ:
-  case LOp::Q2I:
-  case LOp::UI2Q:
-  case LOp::EqI:
-  case LOp::NeI:
-  case LOp::LtI:
-  case LOp::LeI:
-  case LOp::GtI:
-  case LOp::GeI:
-  case LOp::LtUI:
-  case LOp::EqQ:
-  case LOp::AddD:
-  case LOp::SubD:
-  case LOp::MulD:
-  case LOp::DivD:
-  case LOp::NegD:
-  case LOp::EqD:
-  case LOp::NeD:
-  case LOp::LtD:
-  case LOp::LeD:
-  case LOp::GtD:
-  case LOp::GeD:
-  case LOp::I2D:
-  case LOp::UI2D:
-  case LOp::D2I:
-    return true;
-  default:
-    return false;
-  }
-}
-
 // --- Induction-variable recognition -----------------------------------------
 //
 // Range facts come from passed guards over integer comparisons: after
@@ -102,24 +52,9 @@ IndVarResult runIndVar(Fragment &F, std::vector<LIns *> &Body) {
 
   auto AddFact = [&](LOp Rel, const LIns *L, const LIns *RHS) {
     Facts[L].push_back({Rel, RHS});
-    LOp Sw;
-    switch (Rel) { // mirror signed relations: a < b  ==  b > a
-    case LOp::LtI:
-      Sw = LOp::GtI;
-      break;
-    case LOp::LeI:
-      Sw = LOp::GeI;
-      break;
-    case LOp::GtI:
-      Sw = LOp::LtI;
-      break;
-    case LOp::GeI:
-      Sw = LOp::LeI;
-      break;
-    default:
-      return; // LtUI has no mirror
-    }
-    Facts[RHS].push_back({Sw, L});
+    // a < b == b > a; LtUI has no mirror (no GtUI).
+    if (LOp Sw = lirOp(Rel).Mirror; Sw != LOp::NumOps)
+      Facts[RHS].push_back({Sw, L});
   };
 
   auto HasFact = [&](const LIns *L, LOp Rel, auto Pred) -> bool {
@@ -226,26 +161,8 @@ IndVarResult runIndVar(Fragment &F, std::vector<LIns *> &Body) {
   for (LIns *I : Body) {
     if (I->Op == LOp::GuardT || I->Op == LOp::GuardF) {
       const LIns *C = I->A;
-      LOp Rel = C->Op;
-      if (I->Op == LOp::GuardF) {
-        switch (C->Op) { // a passed GuardF establishes the negation
-        case LOp::LtI:
-          Rel = LOp::GeI;
-          break;
-        case LOp::LeI:
-          Rel = LOp::GtI;
-          break;
-        case LOp::GtI:
-          Rel = LOp::LeI;
-          break;
-        case LOp::GeI:
-          Rel = LOp::LtI;
-          break;
-        default:
-          Rel = LOp::NumOps;
-          break;
-        }
-      }
+      // A passed GuardF establishes the negation.
+      LOp Rel = I->Op == LOp::GuardF ? lirOp(C->Op).Negation : C->Op;
       switch (Rel) {
       case LOp::LtI:
       case LOp::LeI:
@@ -456,7 +373,7 @@ HoistResult runHoist(Fragment &F) {
       break;
     }
     default:
-      if (isPureValueOp(I->Op) && IsAvail(I->A) && IsAvail(I->B)) {
+      if (lirOpHas(I->Op, OpPure) && IsAvail(I->A) && IsAvail(I->B)) {
         Avail.insert(I);
         Hoisted.insert(I);
       }

@@ -55,89 +55,31 @@ RuleHit wantOperand(LOp Op, const LIns *O, LTy Want, const char *Which) {
   return {};
 }
 
-RuleHit wantOperands(LOp Op, const LIns *A, LTy WantA, const LIns *B,
-                     LTy WantB) {
-  if (RuleHit H = wantOperand(Op, A, WantA, "first"))
-    return H;
-  return wantOperand(Op, B, WantB, "second");
-}
-
-/// Operand typing rules per opcode (the I/Q/D domains of §3.1), shared by
-/// both verifier entry points. For stores, A is the value and B the base, matching both the
-/// LIns layout and the insStore argument order.
+/// Operand typing rules per opcode (the I/Q/D domains of §3.1): the
+/// operand types of the opcode table (lir.h), shared by both verifier
+/// entry points. For stores, A is the value and B the base, matching both
+/// the LIns layout and the insStore argument order.
 RuleHit checkOperandTypes(LOp Op, const LIns *A, const LIns *B) {
-  switch (Op) {
-  case LOp::AddI:
-  case LOp::SubI:
-  case LOp::MulI:
-  case LOp::AndI:
-  case LOp::OrI:
-  case LOp::XorI:
-  case LOp::ShlI:
-  case LOp::ShrI:
-  case LOp::UshrI:
-  case LOp::AddOvI:
-  case LOp::SubOvI:
-  case LOp::MulOvI:
-  case LOp::EqI:
-  case LOp::NeI:
-  case LOp::LtI:
-  case LOp::LeI:
-  case LOp::GtI:
-  case LOp::GeI:
-  case LOp::LtUI:
-    return wantOperands(Op, A, LTy::I32, B, LTy::I32);
-  case LOp::AddD:
-  case LOp::SubD:
-  case LOp::MulD:
-  case LOp::DivD:
-  case LOp::EqD:
-  case LOp::NeD:
-  case LOp::LtD:
-  case LOp::LeD:
-  case LOp::GtD:
-  case LOp::GeD:
-    return wantOperands(Op, A, LTy::D, B, LTy::D);
-  case LOp::NegD:
-  case LOp::D2I:
-    return wantOperand(Op, A, LTy::D, "first");
-  case LOp::I2D:
-  case LOp::UI2D:
-  case LOp::UI2Q:
-    return wantOperand(Op, A, LTy::I32, "first");
-  case LOp::Q2I:
-    return wantOperand(Op, A, LTy::Q, "first");
-  case LOp::AddQ:
-  case LOp::AndQ:
-  case LOp::OrQ:
-  case LOp::EqQ:
-    return wantOperands(Op, A, LTy::Q, B, LTy::Q);
-  case LOp::ShlQ:
-  case LOp::ShrQ:
-  case LOp::SarQ:
-    if (RuleHit H = wantOperands(Op, A, LTy::Q, B, LTy::I32))
-      return H;
-    if (B->Op != LOp::ImmI)
-      return {VerifyRule::ShiftCountNotImm,
-              std::string(lopName(Op)) + " count must be an immediate"};
-    return {};
-  case LOp::LdI:
-  case LOp::LdQ:
-  case LOp::LdD:
-  case LOp::LdUB:
-    return wantOperand(Op, A, LTy::Q, "base");
-  case LOp::StI:
-    return wantOperands(Op, A, LTy::I32, B, LTy::Q);
-  case LOp::StQ:
-    return wantOperands(Op, A, LTy::Q, B, LTy::Q);
-  case LOp::StD:
-    return wantOperands(Op, A, LTy::D, B, LTy::Q);
-  case LOp::GuardT:
-  case LOp::GuardF:
-    return wantOperand(Op, A, LTy::I32, "condition");
-  default:
-    return {};
+  const LirOpInfo &Info = lirOp(Op);
+  if (Info.A == LTy::Void)
+    return {}; // no operands, or typed by the CallInfo
+  if (Info.B == LTy::Void) {
+    const char *Which = "first";
+    if (lirOpHas(Op, OpLoad))
+      Which = "base";
+    else if (Op == LOp::GuardT || Op == LOp::GuardF)
+      Which = "condition";
+    return wantOperand(Op, A, Info.A, Which);
   }
+  if (RuleHit H = wantOperand(Op, A, Info.A, "first"))
+    return H;
+  if (RuleHit H = wantOperand(Op, B, Info.B, "second"))
+    return H;
+  if ((Op == LOp::ShlQ || Op == LOp::ShrQ || Op == LOp::SarQ) &&
+      B->Op != LOp::ImmI)
+    return {VerifyRule::ShiftCountNotImm,
+            std::string(lopName(Op)) + " count must be an immediate"};
+  return {};
 }
 
 /// TAR base+disp addressing: slots are 8 bytes and indexed from 0, so a
@@ -180,8 +122,7 @@ RuleHit checkAccessClass(LOp Op, const LIns *Base, AccSet Loc) {
     return Bad("the TAR class goes with base param.tar, and only there");
   if (Loc == Acc::Vm && Base->Op != LOp::ImmQ)
     return Bad("the VM class needs an absolute base");
-  bool Store = Op == LOp::StI || Op == LOp::StQ || Op == LOp::StD;
-  if (Loc == Acc::ReadOnly && Store)
+  if (Loc == Acc::ReadOnly && lirOpHas(Op, OpStore))
     return Bad("a store to an immutable cell");
   return {};
 }
@@ -601,8 +542,7 @@ bool verifyTrace(const Fragment &F, uint32_t NumGlobals, VerifyError &Err,
 
     // A trace is one straight line: exactly one terminator, and it is the
     // last instruction ("the VM simply ends the trace with an exit", §3.2).
-    bool IsTerm =
-        I->Op == LOp::Loop || I->Op == LOp::Exit || I->Op == LOp::JmpFrag;
+    bool IsTerm = I->isTerminator();
     bool IsLast = Idx + 1 == F.Body.size();
     if (IsTerm && !IsLast)
       return Fail(VerifyRule::Terminator, I,

@@ -398,21 +398,6 @@ void TraceRecorder::finishRootEntry() {
 
 // --- Exits ------------------------------------------------------------------------------
 
-/// The unboxed TAR word of immediate \p I (the layout unboxForTar uses).
-static uint64_t tarWordOfImm(const LIns *I) {
-  switch (I->Op) {
-  case LOp::ImmI:
-    return (uint64_t)(uint32_t)I->Imm.ImmI32;
-  case LOp::ImmQ:
-    return (uint64_t)I->Imm.ImmQ64;
-  default: {
-    uint64_t W;
-    __builtin_memcpy(&W, &I->Imm.ImmDbl, 8);
-    return W;
-  }
-  }
-}
-
 ExitDescriptor *TraceRecorder::snapshot(ExitKind Kind, uint32_t Pc) {
   ExitDescriptor *E = F->makeExit();
   E->Kind = Kind;
@@ -428,7 +413,7 @@ ExitDescriptor *TraceRecorder::snapshot(ExitKind Kind, uint32_t Pc) {
     auto It = Tracker.find(S);
     if (It != Tracker.end() && It->second.InTar && It->second.Ins &&
         It->second.Ins->isImm())
-      E->ConstSlots.push_back({S, tarWordOfImm(It->second.Ins)});
+      E->ConstSlots.push_back({S, It->second.Ins->immWord()});
   }
   return E;
 }

@@ -36,13 +36,10 @@ size_t formatNumber(double D, char *Buf) {
   if (std::isinf(D))
     return Put(D > 0 ? "Infinity" : "-Infinity");
   // Integral values in the safe range print without a fraction, as in JS
-  // (and -0 as "-0", as printf's "%.0f" does).
-  if (D == std::floor(D) && std::fabs(D) < 1e15) {
-    if (D == 0 && std::signbit(D))
-      return Put("-0");
+  // (and -0 as "0": ToString drops the sign of zero).
+  if (D == std::floor(D) && std::fabs(D) < 1e15)
     return (size_t)(std::to_chars(Buf, Buf + NumberBufSize, (int64_t)D).ptr -
                     Buf);
-  }
   // Shortest round-trip representation.
   return (size_t)(std::to_chars(Buf, Buf + NumberBufSize, D).ptr - Buf);
 }

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <emmintrin.h>
 
 #include "api/engine.h"
 #include "interp/vmcontext.h"
@@ -14,6 +17,7 @@
 #include "jit/compiler_x64.h"
 #include "jit/execmem.h"
 #include "jit/executor.h"
+#include "lir/filters.h"
 #include "lir/lir.h"
 #include "lir/verify.h"
 #include "support/arena.h"
@@ -435,6 +439,168 @@ TEST_F(BackendFixture, FoldedImmediatesMatchTheExecutor) {
     Buf.insExit(E);
     F.Body = Buf.instructions();
     checkBoth(F, {~0ull, ~0ull, 0, 0}, E);
+  }
+}
+
+namespace {
+
+// Edge operands for the table-driven differentials below, per LIR type.
+// Doubles: NaN, +-0, +-Inf, the int32 limits, 2^31, +-1e10, 1e300.
+const int32_t EdgeInts[] = {0,  1,  -1,   7,         31,
+                            32, 33, -300, INT32_MIN, INT32_MAX};
+const double EdgeDoubles[] = {NAN,         0.0,          -0.0,  INFINITY,
+                              -INFINITY,   -2147483648., 2147483647.,
+                              2147483648., 1e10,         -1e10, 1e300,
+                              2.5,         -0.75};
+const int64_t EdgeQuads[] = {0,         1, -1, (int64_t)1 << 40,
+                             INT64_MIN, 0x7ff8000000000000, 0xdeadbeef};
+
+/// The TAR words of the edge operands of type \p T ({0} for Void).
+std::vector<uint64_t> edgeWords(LTy T) {
+  std::vector<uint64_t> W;
+  if (T == LTy::I32)
+    for (int32_t V : EdgeInts)
+      W.push_back((uint32_t)V);
+  else if (T == LTy::D)
+    for (double V : EdgeDoubles)
+      W.push_back(std::bit_cast<uint64_t>(V));
+  else if (T == LTy::Q)
+    for (int64_t V : EdgeQuads)
+      W.push_back((uint64_t)V);
+  else
+    W.push_back(0);
+  return W;
+}
+
+LIns *immOf(LirWriter &W, LTy T, uint64_t Word) {
+  if (T == LTy::D)
+    return W.insImmD(std::bit_cast<double>(Word));
+  if (T == LTy::Q)
+    return W.insImmQ((int64_t)Word);
+  return W.insImmI((int32_t)Word);
+}
+
+LOp loadOf(LTy T) {
+  return T == LTy::D ? LOp::LdD : T == LTy::Q ? LOp::LdQ : LOp::LdI;
+}
+LOp storeOf(LTy T) {
+  return T == LTy::D ? LOp::StD : T == LTy::Q ? LOp::StQ : LOp::StI;
+}
+TraceType slotType(LTy T) {
+  return T == LTy::D   ? TraceType::Double
+         : T == LTy::Q ? TraceType::Object
+                       : TraceType::Int;
+}
+
+} // namespace
+
+TEST_F(BackendFixture, EveryPureOpMatchesTheExecutor) {
+  // Every value op of the opcode table on the edge operands of its types:
+  // tar[2] = Op(tar[0], tar[1]), compiled once and run on each pair. A Q
+  // shift takes its count as an immediate (the verifier's rule).
+  ASSERT_TRUE(BE.valid());
+  for (size_t K = 0; K < (size_t)LOp::NumOps; ++K) {
+    LOp Op = (LOp)K;
+    const LirOpInfo &Info = lirOp(Op);
+    if (!(Info.Flags & OpPure))
+      continue;
+    bool ImmCount = Info.A == LTy::Q && Info.B == LTy::I32;
+    std::vector<uint64_t> Counts = {0};
+    if (ImmCount)
+      Counts = {0, 1, 3, 31, 32, 63};
+    for (uint64_t Count : Counts) {
+      Fragment F;
+      LirBuffer Buf(A);
+      LIns *Tar = Buf.ins0(LOp::ParamTar);
+      LIns *X = Buf.insLoad(loadOf(Info.A), Tar, 0, Acc::Tar);
+      LIns *Y = Info.B == LTy::Void ? nullptr
+                : ImmCount ? Buf.insImmI((int32_t)Count)
+                           : Buf.insLoad(loadOf(Info.B), Tar, 8, Acc::Tar);
+      LIns *Res = Y ? Buf.ins2(Op, X, Y) : Buf.ins1(Op, X);
+      Buf.insStore(storeOf(Info.Result), Res, Tar, 16, Acc::Tar);
+      ExitDescriptor *E = stackExit(
+          F, {slotType(Info.A), slotType(Info.B), slotType(Info.Result)});
+      Buf.insExit(E);
+      F.Body = Buf.instructions();
+      VerifyError Err;
+      ASSERT_TRUE(verifyTrace(F, 0, Err)) << Err.describe();
+      ASSERT_EQ(BE.compile(&F), CompileResult::Ok) << lopName(Op);
+      for (uint64_t AW : edgeWords(Info.A))
+        for (uint64_t BW : edgeWords(ImmCount ? LTy::Void : Info.B)) {
+          std::vector<uint64_t> TarN = {AW, BW, ~0ull, 0};
+          TarN.resize(64);
+          std::vector<uint64_t> TarX = TarN;
+          EXPECT_EQ(BE.enter(TarN.data(), &F), E);
+          EXPECT_EQ(LirExecutor::run(&F, (uint8_t *)TarX.data(), &Ctx), E);
+          EXPECT_EQ(TarN[2], TarX[2])
+              << lopName(Op) << " a=" << std::hex << AW << " b=" << BW
+              << " count=" << std::dec << Count;
+        }
+    }
+  }
+  // D2I is cvttsd2si: INT32_MIN for NaN and anything outside int32.
+  for (double D : EdgeDoubles) {
+    uint64_t R = 0;
+    ASSERT_TRUE(evalLir(LOp::D2I, std::bit_cast<uint64_t>(D), 0, R));
+    EXPECT_EQ((int32_t)R, _mm_cvttsd_si32(_mm_set_sd(D))) << D;
+  }
+}
+
+TEST_F(BackendFixture, FoldsAreWhatTheExecutorComputes) {
+  // ExprFilter folds exactly the ops the table marks: on immediates, each
+  // folds to the word the executor computes for the same op left unfolded,
+  // unless the op overflows (the executor exits) or is a zero product with
+  // a negative factor (JS -0: the mulov stays). The other value ops stay.
+  for (size_t K = 0; K < (size_t)LOp::NumOps; ++K) {
+    LOp Op = (LOp)K;
+    const LirOpInfo &Info = lirOp(Op);
+    if (!(Info.Flags & (OpPure | OpFold)))
+      continue;
+    bool Ovf = Info.Flags & OpGuard;
+    bool Binary = Info.B != LTy::Void;
+    for (uint64_t AW : edgeWords(Info.A))
+      for (uint64_t BW : edgeWords(Info.B)) {
+        SCOPED_TRACE(std::string(lopName(Op)) + " a=" + std::to_string(AW) +
+                     " b=" + std::to_string(BW));
+        Fragment F;
+        ExitDescriptor *Overflow = stackExit(F, {TraceType::Int});
+        LirBuffer FoldBuf(A);
+        ExprFilter Expr(&FoldBuf, &helperCalls().ToInt32D);
+        LIns *KA = immOf(Expr, Info.A, AW);
+        LIns *KB = Binary ? immOf(Expr, Info.B, BW) : nullptr;
+        LIns *Folded = Ovf      ? Expr.insOvf(Op, KA, KB, Overflow)
+                       : Binary ? Expr.ins2(Op, KA, KB)
+                                : Expr.ins1(Op, KA);
+
+        LirBuffer Buf(A);
+        LIns *Tar = Buf.ins0(LOp::ParamTar);
+        LIns *XA = immOf(Buf, Info.A, AW);
+        LIns *XB = Binary ? immOf(Buf, Info.B, BW) : nullptr;
+        LIns *Res = Ovf      ? Buf.insOvf(Op, XA, XB, Overflow)
+                    : Binary ? Buf.ins2(Op, XA, XB)
+                             : Buf.ins1(Op, XA);
+        Buf.insStore(storeOf(Info.Result), Res, Tar, 0, Acc::Tar);
+        ExitDescriptor *Done = stackExit(F, {slotType(Info.Result)});
+        Buf.insExit(Done);
+        F.Body = Buf.instructions();
+        std::vector<uint64_t> T(8, 0);
+        ExitDescriptor *Took = LirExecutor::run(&F, (uint8_t *)T.data(), &Ctx);
+
+        if (!(Info.Flags & OpFold)) {
+          if (Folded != KA && Folded != KB) { // not an algebraic identity
+            EXPECT_EQ(Folded->Op, Op) << "folded an op the table keeps";
+          }
+        } else if (Took == Overflow) {
+          EXPECT_FALSE(Folded->isImm()) << "folded an overflow";
+        } else if (!Folded->isImm()) {
+          EXPECT_EQ(Op, LOp::MulOvI) << "a marked op did not fold";
+          EXPECT_EQ(T[0], 0u);
+          EXPECT_TRUE((int32_t)AW < 0 || (int32_t)BW < 0);
+        } else {
+          EXPECT_EQ(Took, Done);
+          EXPECT_EQ(Folded->immWord(), T[0]);
+        }
+      }
   }
 }
 

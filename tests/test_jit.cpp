@@ -321,3 +321,57 @@ TEST(Jit, Figure11CountersPopulated) {
   // The loop is hot: native coverage should dominate interpretation.
   EXPECT_GT(S.BytecodesNative, S.BytecodesInterpreted);
 }
+
+// An array index is an integer in [0, 2^32 - 2]. Past that range a read
+// gives undefined, never a small index that the uint32 cast wraps to (b[0]
+// for 2^32). Each index arrives after the loop has compiled.
+TEST(Jit, ArrayIndexOutOfRangeReadsUndefined) {
+  std::string Src = "var b = [7, 8], k = 1, line = '';\n"
+                    "for (var i = 0; i < 120; ++i) {\n"
+                    "  if (i == 40) k = 4294967295;\n"
+                    "  if (i == 60) k = 4294967296;\n"
+                    "  if (i == 80) k = 1e300;\n"
+                    "  if (i == 100) k = 0;\n"
+                    "  var v = b[k];\n"
+                    "  if (i % 20 == 0) line = line + v + ',';\n"
+                    "}\n"
+                    "print(line, b[4294967294], b[4294967296], b[1e300]);";
+  diff3Traced(Src);
+  EXPECT_EQ(runConfig(Src, interpOpts()),
+            "8,8,undefined,undefined,undefined,7, undefined undefined "
+            "undefined\n");
+}
+
+// A store past the largest index raises a RuntimeError instead of writing
+// far past the element buffer (I + 1 wrapped to 0 for 2^32 - 1) or into a
+// wrapped index (a[0] for 2^32), interpreted and from a compiled loop; the
+// engine stays usable afterwards.
+TEST(Jit, ArrayStoreOutOfRangeRaises) {
+  for (const char *K : {"4294967295", "4294967296", "1e300"}) {
+    std::string Src = "var a = [1], k = 0;\n"
+                      "for (var i = 0; i < 100; ++i) {\n"
+                      "  if (i == 60) k = ";
+    Src += K;
+    Src += ";\n"
+           "  a[k] = i;\n"
+           "}\n";
+    for (const EngineOptions &O :
+         {interpOpts(), nativeOpts(), executorOpts()}) {
+      SCOPED_TRACE(std::string("k = ") + K + (O.EnableJit ? " jit" : ""));
+      Engine E(O);
+      std::string Out;
+      E.setPrintHook([&](const std::string &S) { Out += S; });
+      auto R = E.eval(Src);
+      ASSERT_FALSE(R.ok());
+      EXPECT_EQ(R.Err.Kind, ErrorKind::Runtime);
+      EXPECT_NE(R.Err.describe().find("array index out of range"),
+                std::string::npos)
+          << R.Err.describe();
+      if (O.EnableJit) {
+        EXPECT_GE(E.stats().TracesCompleted, 1u);
+      }
+      ASSERT_TRUE(E.eval("print(a[0], a.length, i);").ok());
+      EXPECT_EQ(Out, "59 1 60\n");
+    }
+  }
+}

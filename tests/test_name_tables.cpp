@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 
+#include "lir/lir.h"
 #include "support/events.h"
 
 using namespace tracejit;
@@ -49,4 +50,8 @@ TEST(NameTables, VerifyRulesAllNamed) {
 TEST(NameTables, JitEventKindsAllNamed) {
   checkTable<JitEventKind>((size_t)JitEventKind::NumKinds, jitEventKindName,
                            "JitEventKind");
+}
+
+TEST(NameTables, LirOpsAllNamed) {
+  checkTable<LOp>((size_t)LOp::NumOps, lopName, "LOp");
 }

@@ -187,6 +187,21 @@ TEST_P(StringNumber, NaNAndInfinityAreNumberConstants) {
   EXPECT_GE(R.Stats.TracesCompleted, 1u);
 }
 
+TEST_P(StringNumber, NegativeZeroConvertsToZero) {
+  // ToString(-0) is "0": print, and string + number on trace
+  // (js_ConcatStrNum) in both orders. 1 / x keeps the sign visible.
+  Observed R = runAgainstInterpreter(R"(
+    var x = -0, s = "", t = "";
+    for (var i = 0; i < 300; ++i) {
+      s = "" + x;
+      t = x + "|" + (0 * -1);
+    }
+    print(-0, s, t, 1 / x);
+  )");
+  EXPECT_EQ(R.Out, "0 0 0|0 -Infinity\n");
+  EXPECT_GE(R.Stats.TracesCompleted, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Runtime, StringNumber,
                          ::testing::Values(Backend::Native, Backend::Executor),
                          [](const ::testing::TestParamInfo<Backend> &I) {

@@ -81,6 +81,12 @@ TEST(Value, NumberToString) {
   EXPECT_EQ(numberToString(-1.0 / 0.0), "-Infinity");
 }
 
+TEST(Value, NegativeZeroToStringIsZero) {
+  // ToString drops the sign of zero; only Object.is and 1 / x tell -0 apart.
+  EXPECT_EQ(numberToString(-0.0), "0");
+  EXPECT_EQ(numberToString(0.0), "0");
+}
+
 TEST(Strings, InternIsIdentity) {
   Heap H;
   AtomTable Atoms(H);
