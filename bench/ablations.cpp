@@ -13,7 +13,7 @@
 //   nesting    §4 nested trace trees on vs. off
 //   filters    §5.1 LIR pass pipeline, one pass left out at a time
 //   stitching  §6.2 trace stitching on vs. off
-//   preempt    §6.4 preemption-guard and deadline-poll cost
+//   preempt    §6.4 preemption-guard cost
 //   cache      code-cache flush churn under a one-page cache
 //   ic         property inline caches: mono-, poly- and megamorphic sites
 //
@@ -299,9 +299,6 @@ Section stitching() {
 Section preempt() {
   EngineOptions Off = tracingOptions();
   Off.EnablePreemptGuard = false;
-  EngineOptions Deadline = tracingOptions();
-  // Far enough out that it never fires: only the poll is paid.
-  Deadline.EvalDeadlineMs = 24ull * 60 * 60 * 1000;
   std::vector<BenchProgram> Programs = suite();
   // Very short loop body: the worst case the paper calls out.
   Programs.push_back({"short-loop-worst-case",
@@ -313,22 +310,18 @@ Section preempt() {
   std::string Claim =
       "\"We measured less than a 1% increase in runtime on most benchmarks "
       "for this extra guard.\nIn practice, the cost is detectable only for "
-      "programs with very short loops.\" The deadline\nconfig adds the "
-      "interpreter's clock poll, one read per ";
-  Claim += std::to_string(VMContext::DeadlinePollInterval);
-  Claim += " interpreted loop edges.\nWith the guard off, a GC request "
-           "never reaches code on trace either: on the\nprograms that "
-           "allocate on trace (access-nbody, string-base64) the guard-off "
-           "rows\ncollect less often (1 vs 5 and 0 vs 3 times) and measure "
-           "heap growth, not the guard.\nThe timed rows collect no stats; "
-           "the two +stats rows count the collections.";
+      "programs with very short loops.\"\nWith the guard off, a GC request "
+      "never reaches code on trace either: on the\nprograms that "
+      "allocate on trace (access-nbody, string-base64) the guard-off "
+      "rows\ncollect less often (1 vs 5 and 0 vs 3 times) and measure "
+      "heap growth, not the guard.\nThe timed rows collect no stats; "
+      "the two +stats rows count the collections.";
   return {"preempt",
-          "§6.4: preemption-guard overhead (guard off / on / +deadline poll)",
+          "§6.4: preemption-guard overhead (guard off / on)",
           Claim,
           Programs,
           {{"guard-off", Off},
            {"guard-on", tracingOptions()},
-           {"deadline", Deadline},
            {"guard-off+stats", withStats(Off)},
            {"guard-on+stats", withStats(tracingOptions())}},
           {{"GCs", &VMStats::GCs}}};

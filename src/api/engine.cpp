@@ -71,18 +71,12 @@ void Engine::deadlineTimerMain() {
   while (!TimerStop) {
     if (!TimerArmed) {
       TimerCv.wait(L);
-      continue;
-    }
-    auto Now = std::chrono::steady_clock::now();
-    if (Now < TimerDeadline) {
+    } else if (std::chrono::steady_clock::now() < TimerDeadline) {
       TimerCv.wait_until(L, TimerDeadline);
-      continue;
+    } else {
+      Ctx.requestInterrupt(InterruptDeadline);
+      TimerArmed = false; // raised once; idle until the next eval arms it
     }
-    // Expired: raise, then keep re-raising every few ms while armed, so a
-    // benign safe-point service that consumed the bit alongside a GC
-    // request cannot swallow the termination.
-    Ctx.requestInterrupt(InterruptDeadline);
-    TimerCv.wait_for(L, std::chrono::milliseconds(5));
   }
 }
 
@@ -90,15 +84,20 @@ void Engine::refreshListenerGate() {
   Ctx.EventListener = Mux.empty() ? nullptr : &Mux;
 }
 
-EvalResult Engine::eval(std::string_view Source) {
+EvalResult Engine::eval(std::string_view Source, std::string_view FileName) {
+  return eval(Source, FileName, Ctx.Opts.EvalDeadlineMs);
+}
+
+EvalResult Engine::eval(std::string_view Source, std::string_view FileName,
+                        uint64_t DeadlineMs) {
   EvalResult R;
   Ctx.HasError = false;
   Ctx.ErrorMessage.clear();
   Ctx.ErrorCode = ErrorKind::Runtime;
   Ctx.ErrorLine = Ctx.ErrorCol = 0;
   Ctx.LastResult = Value::undefined();
-  // Drop termination bits left over from a previous request (a watchdog
-  // raise that lost the race with request completion) but keep a pending
+  // Drop termination bits left over from a previous request (a host
+  // interrupt that lost the race with its completion) but keep a pending
   // GC request -- the heap's needs outlive any one script.
   Ctx.PreemptFlag.fetch_and(~InterruptTermination, std::memory_order_acq_rel);
   if (Monitor)
@@ -109,28 +108,22 @@ EvalResult Engine::eval(std::string_view Source) {
   FunctionScript *Top = compileSource(Ctx, Source, &ParseErr);
   if (!Top) {
     R.Err = std::move(ParseErr);
+    R.Err.File = FileName;
     return R;
   }
   // Static facts must exist before execution: with HotLoopThreshold=2 the
   // first recording can start within this very eval.
   analyzeNewScripts(FirstScript);
 
-  const bool Deadline = Ctx.Opts.EvalDeadlineMs > 0;
-  if (Deadline) {
-    auto At = std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(Ctx.Opts.EvalDeadlineMs);
-    Ctx.DeadlineArmed = true;
-    Ctx.DeadlineAt = At;
-    Ctx.DeadlinePollCountdown = 0;
-    armDeadlineTimer(At);
-  }
+  if (DeadlineMs)
+    armDeadlineTimer(std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(DeadlineMs));
   {
     ActivityScope T(Ctx.Stats, Activity::Interpret, Ctx.Opts.CollectStats);
     Interp->run(Top);
   }
-  if (Deadline) {
+  if (DeadlineMs) {
     disarmDeadlineTimer();
-    Ctx.DeadlineArmed = false;
     // A raise that landed after the script finished must not leak into the
     // next request.
     Ctx.PreemptFlag.fetch_and(~InterruptDeadline, std::memory_order_acq_rel);
@@ -142,17 +135,11 @@ EvalResult Engine::eval(std::string_view Source) {
     R.Err.Line = Ctx.ErrorLine;
     R.Err.Col = Ctx.ErrorCol;
     R.Err.Message = Ctx.ErrorMessage;
+    R.Err.File = FileName;
     Ctx.HasError = false;
     return R;
   }
   R.LastValue = Ctx.LastResult;
-  return R;
-}
-
-EvalResult Engine::eval(std::string_view Source, std::string_view FileName) {
-  EvalResult R = eval(Source);
-  if (!R.ok())
-    R.Err.File = FileName;
   return R;
 }
 

@@ -50,11 +50,15 @@ public:
   /// the result (with line/column where known); the engine stays usable
   /// afterwards. On success, EvalResult::LastValue is the value of the
   /// program's last top-level expression statement.
-  EvalResult eval(std::string_view Source);
-
-  /// Same, but errors carry \p FileName so EngineError::describe() renders
+  ///
+  /// Errors carry \p FileName so EngineError::describe() renders
   /// "file:line:col" diagnostics (what the repl uses for script files).
-  EvalResult eval(std::string_view Source, std::string_view FileName);
+  EvalResult eval(std::string_view Source, std::string_view FileName = {});
+
+  /// Same, under this eval's own deadline in milliseconds (0 = none)
+  /// instead of the EngineOptions::EvalDeadlineMs default.
+  EvalResult eval(std::string_view Source, std::string_view FileName,
+                  uint64_t DeadlineMs);
 
   /// Result of Engine::analyze: parse + static analysis, no execution.
   struct AnalysisReport {
@@ -181,11 +185,14 @@ private:
   /// AnalysisRan event per script.
   void analyzeNewScripts(size_t FirstScript);
 
-  // Deadline timer thread (EvalDeadlineMs): spawned lazily on the first
-  // deadline-armed eval, it raises InterruptDeadline at expiry so traces
-  // that never reach the interpreter's clock poll still exit through their
-  // §6.4 guard. Joined in ~Engine before Ctx dies (Ctx is the first member,
-  // so it outlives the join regardless).
+  // Deadline timer thread, the only thing that enforces deadlines: spawned
+  // lazily by the first eval with a deadline, it raises InterruptDeadline
+  // once at expiry and then sleeps until the next eval arms it. Once is
+  // enough: eval clears stale bits before arming, and serviceInterrupts
+  // takes every pending bit in one exchange and acts on all of them. The
+  // next loop edge, interpreted or on trace (§6.4 guard), ends the script.
+  // Joined in ~Engine before Ctx dies (Ctx is the first member, so it
+  // outlives the join regardless).
   void armDeadlineTimer(std::chrono::steady_clock::time_point At);
   void disarmDeadlineTimer();
   void deadlineTimerMain();

@@ -247,12 +247,12 @@ struct EngineOptions {
 
   // --- Resource governance ----------------------------------------------------
 
-  /// Wall-clock budget for one Engine::eval, in milliseconds; 0 = no
-  /// deadline. Enforced cooperatively: the interpreter polls a monotonic
-  /// clock every few loop edges and hot traces reach the same check through
-  /// their §6.4 preempt guard, so an expired deadline terminates the script
-  /// as ErrorKind::Timeout at the next safe point. The engine stays fully
-  /// reusable afterwards (heap, trace cache, and ICs intact).
+  /// Default wall-clock budget for one Engine::eval, in milliseconds; 0 =
+  /// no deadline (an eval may pass its own). At expiry the engine's timer
+  /// thread raises InterruptDeadline once; the next loop edge, interpreted
+  /// or on trace through its §6.4 preempt guard, terminates the script as
+  /// ErrorKind::Timeout. The engine stays fully reusable afterwards (heap,
+  /// trace cache, and ICs intact).
   uint64_t EvalDeadlineMs = 0;
 
   /// Heap quota, in bytes; 0 = unlimited. When live allocation stays above

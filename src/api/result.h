@@ -25,9 +25,11 @@ enum class ErrorKind : uint8_t {
   Parse,
   Runtime,
   StackOverflow, ///< EngineOptions::MaxFrames (or the value stack) exceeded.
-  Timeout,       ///< A deadline fired (EvalDeadlineMs or a server watchdog).
+  Timeout,       ///< A deadline fired (EvalDeadlineMs or a per-eval deadline).
   Interrupted,   ///< The host asked for termination (Engine::requestInterrupt).
-  OutOfMemory,   ///< Collection could not get under EngineOptions::MaxHeapBytes.
+  OutOfMemory,   ///< Collection could not get under the heap quota
+                 ///< (EngineOptions::MaxHeapBytes), or an array's storage
+                 ///< could not grow.
 };
 
 inline const char *errorKindName(ErrorKind K) {

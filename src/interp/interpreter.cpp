@@ -198,7 +198,10 @@ bool Interpreter::setElemValue(const Value &Base, const Value &Index,
     rtError("array index out of range");
     return false;
   }
-  Base.toObject()->setElement(Ctx.TheHeap, (uint32_t)D, V);
+  if (!Base.toObject()->setElement(Ctx.TheHeap, (uint32_t)D, V)) {
+    rtError(ErrorKind::OutOfMemory, "array storage cannot grow to that index");
+    return false;
+  }
   return true;
 }
 

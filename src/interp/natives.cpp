@@ -235,8 +235,12 @@ Value Interpreter::callPropValue(Value Recv, String *Name, const Value *Args,
     Object *A = Recv.toObject();
     std::string_view M = Name->view();
     if (M == "push") {
-      for (uint32_t K = 0; K < N; ++K)
-        A->setElement(C.TheHeap, A->arrayLength(), Args[K]);
+      for (uint32_t K = 0; K < N; ++K) {
+        if (!A->setElement(C.TheHeap, A->arrayLength(), Args[K])) {
+          rtError(ErrorKind::OutOfMemory, "array storage cannot grow");
+          return Value::undefined();
+        }
+      }
       return Value::makeInt((int32_t)A->arrayLength());
     }
     if (M == "join") {

@@ -78,6 +78,7 @@ struct VMContext {
       : Opts(O), Atoms(TheHeap),
         FrameReturnPcs((size_t)O.MaxFrames + 1, 0),
         RandomState(0x2545F4914F6CDD1DULL) {
+    TheHeap.setQuota(O.MaxHeapBytes);
     TheHeap.addRootProvider([this](Marker &M) {
       for (Value &V : Globals.Values)
         M.markValue(V);
@@ -97,7 +98,7 @@ struct VMContext {
   /// monitor within one iteration. std::atomic<uint32_t> is
   /// layout-compatible with the plain 4-byte compare traces compile in
   /// (`cmp dword [r15+d8], 0`), and makes cross-thread
-  /// raises (the Engine deadline timer, the ScriptServer watchdog)
+  /// raises (the Engine deadline timer, Engine::requestInterrupt)
   /// well-defined. This word is the one sanctioned cross-thread touch of
   /// engine state.
   std::atomic<uint32_t> PreemptFlag{0};
@@ -194,31 +195,6 @@ struct VMContext {
   ErrorKind ErrorCode = ErrorKind::Runtime; ///< Kind of the pending error.
   uint32_t ErrorLine = 0;                   ///< 1-based; 0 when unknown.
   uint32_t ErrorCol = 0;
-
-  // --- Deadline governor state (owning thread only) ---------------------------
-
-  /// Armed by Engine::eval when EvalDeadlineMs is set. The interpreter
-  /// polls the monotonic clock every DeadlinePollInterval loop edges (hot
-  /// traces don't poll -- the Engine's timer thread or the server watchdog
-  /// raises InterruptDeadline, and the §6.4 guard drives the trace out).
-  bool DeadlineArmed = false;
-  std::chrono::steady_clock::time_point DeadlineAt{};
-  uint32_t DeadlinePollCountdown = 0;
-  static constexpr uint32_t DeadlinePollInterval = 64;
-
-  /// Cheap loop-edge deadline check: one decrement most edges, one clock
-  /// read every DeadlinePollInterval-th.
-  void pollDeadline() {
-    if (!DeadlineArmed)
-      return;
-    if (DeadlinePollCountdown > 0) {
-      --DeadlinePollCountdown;
-      return;
-    }
-    DeadlinePollCountdown = DeadlinePollInterval;
-    if (std::chrono::steady_clock::now() >= DeadlineAt)
-      requestInterrupt(InterruptDeadline);
-  }
 
   /// Where `print` output goes; tests capture it, examples print to stdout.
   std::function<void(const std::string &)> PrintHook;

@@ -2,7 +2,6 @@
 
 #include "serve/server.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "api/engine.h"
@@ -24,7 +23,6 @@ ScriptServer::ScriptServer(const ServerConfig &C) : Cfg(C) {
     Cfg.QueueDepth = 1;
   WorkerStats.resize(Cfg.Workers);
   WorkerRecycles.assign(Cfg.Workers, 0);
-  Active.resize(Cfg.Workers);
   if (Cfg.Engine.OffThreadCompile && !Cfg.Engine.SharedCompileService)
     CompileSvc = std::make_unique<CompileService>();
   Threads.reserve(Cfg.Workers);
@@ -35,7 +33,7 @@ ScriptServer::ScriptServer(const ServerConfig &C) : Cfg(C) {
 ScriptServer::~ScriptServer() { stop(); }
 
 uint64_t ScriptServer::submit(std::string Source) {
-  return submit(std::move(Source), Cfg.DeadlineMs);
+  return submit(std::move(Source), Cfg.Engine.EvalDeadlineMs);
 }
 
 uint64_t ScriptServer::submit(std::string Source, uint64_t DeadlineMs) {
@@ -76,12 +74,7 @@ void ScriptServer::stop() {
   {
     std::lock_guard<std::mutex> L(Mu);
     Stopped = true;
-    WatchdogStop = true;
   }
-  WatchdogCv.notify_all();
-  // Workers are joined, so no new watchdog can spawn under our feet.
-  if (Watchdog.joinable())
-    Watchdog.join();
   // The shared compiler dies after every engine that could reference it
   // (engines live on the worker threads just joined).
   CompileSvc.reset();
@@ -99,36 +92,10 @@ std::vector<uint32_t> ScriptServer::workerRecycles() const {
   return WorkerRecycles;
 }
 
-void ScriptServer::watchdogMain() {
-  std::unique_lock<std::mutex> L(Mu);
-  while (!WatchdogStop) {
-    auto Now = std::chrono::steady_clock::now();
-    auto Next = Now + std::chrono::hours(1);
-    bool AnyOverdue = false;
-    for (ActiveEval &A : Active) {
-      if (!A.Armed)
-        continue;
-      if (A.Deadline <= Now) {
-        // Overdue: raise the termination bit. Keep re-raising on later
-        // passes while the eval stays active -- a benign GC service on the
-        // worker consumes the whole interrupt word and could otherwise
-        // swallow a raise that raced with it.
-        A.Ctx->requestInterrupt(InterruptDeadline);
-        AnyOverdue = true;
-      } else if (A.Deadline < Next) {
-        Next = A.Deadline;
-      }
-    }
-    if (AnyOverdue)
-      Next = std::min(Next, Now + std::chrono::milliseconds(2));
-    WatchdogCv.wait_until(L, Next);
-  }
-}
-
 void ScriptServer::workerMain(uint32_t Index) {
   // The engine is born, used, and destroyed on this thread; nothing inside
   // it is ever touched from another thread except the atomic interrupt
-  // word (the watchdog's one sanctioned cross-thread signal). The only
+  // word, which only the engine's own deadline timer raises. The only
   // other shared machinery is the compile service, which has its own
   // locking discipline.
   EngineOptions EO = Cfg.Engine;
@@ -156,18 +123,8 @@ void ScriptServer::workerMain(uint32_t Index) {
       Req = std::move(Requests.front());
       Requests.pop_front();
       ++BusyWorkers;
-      if (Req.DeadlineMs) {
-        Active[Index] = {&E->context(),
-                         std::chrono::steady_clock::now() +
-                             std::chrono::milliseconds(Req.DeadlineMs),
-                         true};
-        if (!Watchdog.joinable())
-          Watchdog = std::thread([this] { watchdogMain(); });
-      }
     }
     SubmitCv.notify_one(); // a queue slot freed up
-    if (Req.DeadlineMs)
-      WatchdogCv.notify_all();
 
     RequestResult RR;
     RR.Id = Req.Id;
@@ -175,7 +132,7 @@ void ScriptServer::workerMain(uint32_t Index) {
     auto Start = std::chrono::steady_clock::now();
     RR.QueueMs = msBetween(Req.Submitted, Start);
     Captured.clear();
-    EvalResult ER = E->eval(Req.Source);
+    EvalResult ER = E->eval(Req.Source, {}, Req.DeadlineMs);
     auto End = std::chrono::steady_clock::now();
     RR.EvalMs = msBetween(Start, End);
     RR.TotalMs = msBetween(Req.Submitted, End);
@@ -202,7 +159,6 @@ void ScriptServer::workerMain(uint32_t Index) {
 
     {
       std::lock_guard<std::mutex> L(Mu);
-      Active[Index].Armed = false; // before the engine can be recycled
       Results.push_back(std::move(RR));
       if (!Recycle)
         --BusyWorkers;

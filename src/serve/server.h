@@ -24,13 +24,12 @@
 //
 // Resource governance (see DESIGN.md "Resource governance & interruption"):
 // each request may carry a deadline (per-request override or the
-// ServerConfig::DeadlineMs default). A single watchdog thread tracks every
-// in-flight eval and raises InterruptDeadline on overdue contexts -- the
-// interrupt word is the one sanctioned cross-thread touch of engine state.
-// A worker whose engine dies of OutOfMemory (or fails RecycleAfterFailures
-// requests in a row) destroys and rebuilds its Engine on its own thread,
-// banking the old engine's statistics, so one poisoned context cannot
-// degrade the rest of a long-lived serving process.
+// Engine.EvalDeadlineMs default), which the worker hands to Engine::eval;
+// the engine's own deadline timer enforces it. A worker whose engine dies
+// of OutOfMemory (or fails RecycleAfterFailures requests in a row)
+// destroys and rebuilds its Engine on its own thread, banking the old
+// engine's statistics, so one poisoned context cannot degrade the rest of
+// a long-lived serving process.
 //
 //===----------------------------------------------------------------------===//
 
@@ -55,18 +54,16 @@ namespace tracejit {
 
 class CompileService;
 class Engine;
-class VMContext;
 
 namespace serve {
 
 struct ServerConfig {
   uint32_t Workers = 1;     ///< Engine contexts (one per worker thread).
   uint32_t QueueDepth = 1024; ///< Bound on requests waiting for a worker.
-  EngineOptions Engine;     ///< Options every context is created with.
-  /// Default per-request deadline in milliseconds (0 = none). The watchdog
-  /// thread terminates any request still running past its deadline; the
-  /// result comes back with TimedOut set and the worker serves on.
-  uint64_t DeadlineMs = 0;
+  /// Options every context is created with. Engine.EvalDeadlineMs is the
+  /// default per-request deadline: a request still running past it comes
+  /// back with TimedOut set and the worker serves on.
+  EngineOptions Engine;
   /// Recycle a worker's engine after this many consecutive failed requests
   /// (0 = only recycle on OutOfMemory). An OOM result always recycles: the
   /// heap that hit its quota starts over empty.
@@ -78,7 +75,7 @@ struct RequestResult {
   uint64_t Id = 0;
   uint32_t Worker = 0;   ///< Index of the context that served it.
   bool Ok = false;
-  bool TimedOut = false; ///< Terminated by the deadline watchdog.
+  bool TimedOut = false; ///< Terminated by its deadline.
   ErrorKind ErrKind = ErrorKind::None; ///< Error taxonomy when !Ok.
   double QueueMs = 0;    ///< submit() -> worker pickup.
   double EvalMs = 0;     ///< Engine::eval wall time.
@@ -97,7 +94,7 @@ public:
 
   /// Enqueue one script; returns its request id. Blocks while the queue is
   /// at QueueDepth (producer-side backpressure). The request runs under the
-  /// ServerConfig::DeadlineMs default deadline. After stop() the server
+  /// Engine.EvalDeadlineMs default deadline. After stop() the server
   /// refuses work: submit returns 0 (never a valid id) and enqueues
   /// nothing.
   uint64_t submit(std::string Source);
@@ -135,18 +132,7 @@ private:
     uint64_t DeadlineMs = 0; ///< Resolved at submit (override or default).
   };
 
-  /// One worker's in-flight eval, as the watchdog sees it. Registered
-  /// under Mu before eval and disarmed (still under Mu) before the result
-  /// is published -- and in particular before the engine can be recycled,
-  /// so the watchdog never holds a context pointer into a dead engine.
-  struct ActiveEval {
-    VMContext *Ctx = nullptr;
-    std::chrono::steady_clock::time_point Deadline{};
-    bool Armed = false;
-  };
-
   void workerMain(uint32_t Index);
-  void watchdogMain();
 
   ServerConfig Cfg;
   std::unique_ptr<CompileService> CompileSvc;
@@ -155,19 +141,15 @@ private:
   std::condition_variable WorkCv;   ///< Workers wait for requests/stop.
   std::condition_variable SubmitCv; ///< Producers wait for queue space.
   std::condition_variable IdleCv;   ///< drain() waits for quiescence.
-  std::condition_variable WatchdogCv; ///< Watchdog waits for deadlines.
   std::deque<PendingRequest> Requests;
   std::vector<RequestResult> Results;
   std::vector<VMStats> WorkerStats;
   std::vector<uint32_t> WorkerRecycles; ///< Per-worker rebuild count.
-  std::vector<ActiveEval> Active;       ///< Indexed by worker; watchdog feed.
   uint32_t BusyWorkers = 0;
   uint64_t NextId = 1;
   bool Stopping = false;
   bool Stopped = false;
-  bool WatchdogStop = false;
 
-  std::thread Watchdog; ///< Spawned lazily by the first deadlined request.
   std::vector<std::thread> Threads; ///< Last: started after state is ready.
 };
 

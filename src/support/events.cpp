@@ -11,154 +11,19 @@
 
 namespace tracejit {
 
-// --- Name tables ---------------------------------------------------------------
-//
-// Each enum's names live in one X-macro list. The static_asserts below pin
-// both the count (a new enumerator without a name entry fails to compile)
-// and the position (a reordered entry fails to compile), so a name can
-// never silently print as "?". tests/test_name_tables.cpp re-checks the
-// same properties at runtime across the public lookup functions.
-
-#define TJ_FOR_EACH_ABORT_REASON(M)                                            \
-  M(None, "none")                                                              \
-  M(UntrackedSlot, "untracked-slot")                                           \
-  M(NonNumericArith, "non-numeric-arith")                                      \
-  M(MixedConcat, "mixed-concat")                                               \
-  M(UntraceableCompare, "untraceable-compare")                                 \
-  M(NonNumericBitop, "non-numeric-bitop")                                      \
-  M(NonNumericIndex, "non-numeric-index")                                      \
-  M(PropOnPrimitive, "prop-on-primitive")                                      \
-  M(PropAddsSlot, "prop-adds-slot")                                            \
-  M(UnknownStringProp, "unknown-string-prop")                                  \
-  M(ElemOnNonArray, "elem-on-non-array")                                       \
-  M(InitPropOnNonObject, "initprop-on-non-object")                             \
-  M(RecursiveCall, "recursive-call")                                           \
-  M(CallOfNonFunction, "call-of-non-function")                                 \
-  M(UntraceableNative, "untraceable-native")                                   \
-  M(UnsupportedReceiver, "unsupported-receiver")                               \
-  M(ReturnBelowEntryFrame, "return-below-entry-frame")                         \
-  M(TraceTooLong, "trace-too-long")                                            \
-  M(UnsupportedBytecode, "unsupported-bytecode")                               \
-  M(ExitOnlyCrossing, "exit-only-crossing")                                    \
-  M(NestingDisabled, "nesting-disabled")                                       \
-  M(InnerTreeNotReady, "inner-tree-not-ready")                                 \
-  M(InnerTreeSideExit, "inner-tree-side-exit")                                 \
-  M(PreemptedInInnerCall, "preempted-in-inner-call")                           \
-  M(DispatchUnwound, "dispatch-unwound")                                       \
-  M(CompilePoolExhausted, "compile-pool-exhausted")                            \
-  M(CompileOverflow, "compile-overflow")                                       \
-  M(CompileUnsupported, "compile-unsupported")                                 \
-  M(CompileFault, "compile-fault")                                             \
-  M(CompileQueueFull, "compile-queue-full")                                    \
-  M(VerifyFailed, "verify-failed")                                             \
-  M(Interrupted, "interrupted")
-
-#define TJ_FOR_EACH_VERIFY_RULE(M)                                             \
-  M(None, "none")                                                              \
-  M(MissingOperand, "missing-operand")                                         \
-  M(UseBeforeDef, "use-before-def")                                            \
-  M(DanglingOperand, "dangling-operand")                                       \
-  M(OperandType, "operand-type")                                               \
-  M(ResultType, "result-type")                                                 \
-  M(CallSignature, "call-signature")                                           \
-  M(GuardWithoutExit, "guard-without-exit")                                    \
-  M(ShiftCountNotImm, "shift-count-not-imm")                                   \
-  M(TarAddressing, "tar-addressing")                                           \
-  M(ExitTypeMapLength, "exit-type-map-length")                                 \
-  M(ExitFrameBounds, "exit-frame-bounds")                                      \
-  M(ExitConstSlots, "exit-const-slots")                                        \
-  M(TransferTarget, "transfer-target")                                         \
-  M(TreeCallTypeMaps, "tree-call-type-maps")                                   \
-  M(Terminator, "terminator")                                                  \
-  M(PrologueShape, "prologue-shape")                                           \
-  M(PrologueEffect, "prologue-effect")                                         \
-  M(PrologueExit, "prologue-exit")                                             \
-  M(UntypedTarSlot, "untyped-tar-slot")                                       \
-  M(AccessClass, "access-class")
-
-#define TJ_FOR_EACH_JIT_EVENT_KIND(M)                                          \
-  M(LoopHot, "LoopHot")                                                        \
-  M(RecordStart, "RecordStart")                                                \
-  M(RecordAbort, "RecordAbort")                                                \
-  M(TreeCompiled, "TreeCompiled")                                              \
-  M(BranchCompiled, "BranchCompiled")                                          \
-  M(SideExit, "SideExit")                                                      \
-  M(Blacklisted, "Blacklisted")                                                \
-  M(TreeCall, "TreeCall")                                                      \
-  M(StitchedTransfer, "StitchedTransfer")                                      \
-  M(GC, "GC")                                                                  \
-  M(CacheFlush, "CacheFlush")                                                  \
-  M(FragmentRetired, "FragmentRetired")                                        \
-  M(JitDisabled, "JitDisabled")                                                \
-  M(BackendFallback, "BackendFallback")                                        \
-  M(IcTransition, "IcTransition")                                              \
-  M(IcInvalidateAll, "IcInvalidateAll")                                        \
-  M(CompileJobQueued, "CompileJobQueued")                                      \
-  M(CompileJobDropped, "CompileJobDropped")                                    \
-  M(ScriptInterrupted, "ScriptInterrupted")                                    \
-  M(EngineRecycled, "EngineRecycled")                                          \
-  M(AnalysisRan, "AnalysisRan")
-
-namespace {
-
-#define TJ_NAME_ENTRY(N, S) S,
-constexpr const char *AbortReasonNames[] = {
-    TJ_FOR_EACH_ABORT_REASON(TJ_NAME_ENTRY)};
-constexpr const char *VerifyRuleNames[] = {
-    TJ_FOR_EACH_VERIFY_RULE(TJ_NAME_ENTRY)};
-constexpr const char *JitEventKindNames[] = {
-    TJ_FOR_EACH_JIT_EVENT_KIND(TJ_NAME_ENTRY)};
-#undef TJ_NAME_ENTRY
-
-static_assert(sizeof(AbortReasonNames) / sizeof(const char *) ==
-                  (size_t)AbortReason::NumReasons,
-              "AbortReason gained a value without a name-table entry");
-static_assert(sizeof(VerifyRuleNames) / sizeof(const char *) ==
-                  (size_t)VerifyRule::NumRules,
-              "VerifyRule gained a value without a name-table entry");
-static_assert(sizeof(JitEventKindNames) / sizeof(const char *) ==
-                  (size_t)JitEventKind::NumKinds,
-              "JitEventKind gained a value without a name-table entry");
-
-// Positional checks: each list entry must sit at its enumerator's index.
-#define TJ_IDX_ENTRY(N, S) Idx_##N,
-enum : size_t { TJ_FOR_EACH_ABORT_REASON(TJ_IDX_ENTRY) };
-#undef TJ_IDX_ENTRY
-#define TJ_IDX_CHECK(N, S)                                                     \
-  static_assert(Idx_##N == (size_t)AbortReason::N,                             \
-                "AbortReason name-table order mismatch: " #N);
-TJ_FOR_EACH_ABORT_REASON(TJ_IDX_CHECK)
-#undef TJ_IDX_CHECK
-
-#define TJ_IDX_ENTRY(N, S) RuleIdx_##N,
-enum : size_t { TJ_FOR_EACH_VERIFY_RULE(TJ_IDX_ENTRY) };
-#undef TJ_IDX_ENTRY
-#define TJ_IDX_CHECK(N, S)                                                     \
-  static_assert(RuleIdx_##N == (size_t)VerifyRule::N,                          \
-                "VerifyRule name-table order mismatch: " #N);
-TJ_FOR_EACH_VERIFY_RULE(TJ_IDX_CHECK)
-#undef TJ_IDX_CHECK
-
-#define TJ_IDX_ENTRY(N, S) KindIdx_##N,
-enum : size_t { TJ_FOR_EACH_JIT_EVENT_KIND(TJ_IDX_ENTRY) };
-#undef TJ_IDX_ENTRY
-#define TJ_IDX_CHECK(N, S)                                                     \
-  static_assert(KindIdx_##N == (size_t)JitEventKind::N,                        \
-                "JitEventKind name-table order mismatch: " #N);
-TJ_FOR_EACH_JIT_EVENT_KIND(TJ_IDX_CHECK)
-#undef TJ_IDX_CHECK
-
-} // namespace
+// Each name table is generated from the same X-macro rows as its enum, so
+// the two cannot disagree in count or order.
+#define TRACEJIT_NAME(Name, Str) Str,
 
 const char *abortReasonName(AbortReason R) {
-  return (size_t)R < (size_t)AbortReason::NumReasons
-             ? AbortReasonNames[(size_t)R]
-             : "?";
+  static constexpr const char *Names[] = {
+      TRACEJIT_ABORT_REASONS(TRACEJIT_NAME)};
+  return R < AbortReason::NumReasons ? Names[(size_t)R] : "?";
 }
 
 const char *verifyRuleName(VerifyRule R) {
-  return (size_t)R < (size_t)VerifyRule::NumRules ? VerifyRuleNames[(size_t)R]
-                                                  : "?";
+  static constexpr const char *Names[] = {TRACEJIT_VERIFY_RULES(TRACEJIT_NAME)};
+  return R < VerifyRule::NumRules ? Names[(size_t)R] : "?";
 }
 
 const char *faultSiteName(FaultSite S) {
@@ -178,10 +43,12 @@ const char *faultSiteName(FaultSite S) {
 }
 
 const char *jitEventKindName(JitEventKind K) {
-  return (size_t)K < (size_t)JitEventKind::NumKinds
-             ? JitEventKindNames[(size_t)K]
-             : "?";
+  static constexpr const char *Names[] = {
+      TRACEJIT_JIT_EVENT_KINDS(TRACEJIT_NAME)};
+  return K < JitEventKind::NumKinds ? Names[(size_t)K] : "?";
 }
+
+#undef TRACEJIT_NAME
 
 // --- JitEventMux ---------------------------------------------------------------
 

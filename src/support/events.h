@@ -31,149 +31,223 @@
 
 namespace tracejit {
 
-/// Why a recording was aborted. Grouped by which layer detected the
-/// problem; keep abortReasonName() in sync.
+// clang-format off
+/// Why a recording was aborted, grouped by which layer detected the
+/// problem. Each row is X(Enumerator, name); the enum and
+/// abortReasonName() are both generated from it.
+#define TRACEJIT_ABORT_REASONS(X)                                              \
+  X(None,                  "none")                                             \
+  /* --- Recorder: type-speculation failures --- */                            \
+  /* Read of a slot the trace never imported. */                               \
+  X(UntrackedSlot,         "untracked-slot")                                   \
+  /* Arithmetic (incl. negation) on non-numbers. */                            \
+  X(NonNumericArith,       "non-numeric-arith")                                \
+  /* `+` of a string and a non-number, non-string. */                          \
+  X(MixedConcat,           "mixed-concat")                                     \
+  /* Comparison operand types unsupported. */                                  \
+  X(UntraceableCompare,    "untraceable-compare")                              \
+  /* Bitwise op on non-numbers. */                                             \
+  X(NonNumericBitop,       "non-numeric-bitop")                                \
+  /* Element index is not a number. */                                         \
+  X(NonNumericIndex,       "non-numeric-index")                                \
+  /* --- Recorder: object-model failures --- */                                \
+  /* Property read/store on a non-object. */                                   \
+  X(PropOnPrimitive,       "prop-on-primitive")                                \
+  /* Property store would grow the shape. */                                   \
+  X(PropAddsSlot,          "prop-adds-slot")                                   \
+  /* Unsupported property of a string. */                                      \
+  X(UnknownStringProp,     "unknown-string-prop")                              \
+  /* Element read/store on a non-array object. */                              \
+  X(ElemOnNonArray,        "elem-on-non-array")                                \
+  X(InitPropOnNonObject,   "initprop-on-non-object")                           \
+  /* --- Recorder: call failures --- */                                        \
+  /* Callee already on the virtual frame chain. */                             \
+  X(RecursiveCall,         "recursive-call")                                   \
+  /* Callee is not callable. */                                                \
+  X(CallOfNonFunction,     "call-of-non-function")                             \
+  /* Native/method with no traceable fast path. */                             \
+  X(UntraceableNative,     "untraceable-native")                               \
+  /* Method call on an unsupported receiver. */                                \
+  X(UnsupportedReceiver,   "unsupported-receiver")                             \
+  /* Return would pop below the trace entry frame. */                          \
+  X(ReturnBelowEntryFrame, "return-below-entry-frame")                         \
+  /* --- Recorder: structural limits --- */                                    \
+  /* MaxTraceLength (trace/recorder.cpp) exceeded. */                          \
+  X(TraceTooLong,          "trace-too-long")                                   \
+  /* Opcode with no recording routine / corrupt code. */                       \
+  X(UnsupportedBytecode,   "unsupported-bytecode")                             \
+  /* A root left its loop at the loop's test: the trunk would only exit. */    \
+  /* Never a failure, and bounded (TierPolicy::discardsExitOnly). */           \
+  X(ExitOnlyCrossing,      "exit-only-crossing")                               \
+  /* --- Monitor-level aborts --- */                                           \
+  /* Hit an inner loop header with nesting off. */                             \
+  X(NestingDisabled,       "nesting-disabled")                                 \
+  /* Inner tree not yet compiled (§4.2, forgiven). */                          \
+  X(InnerTreeNotReady,     "inner-tree-not-ready")                             \
+  /* Inner tree side-exited mid-call (forgiven). */                            \
+  X(InnerTreeSideExit,     "inner-tree-side-exit")                             \
+  /* Preempt flag fired during a nested tree call. */                          \
+  X(PreemptedInInnerCall,  "preempted-in-inner-call")                          \
+  /* Interpreter dispatch returned while recording. */                         \
+  X(DispatchUnwound,       "dispatch-unwound")                                 \
+  /* --- Backend compile failures (code-cache lifecycle governance) --- */     \
+  /* The code cache could not satisfy the reservation. */                      \
+  X(CompilePoolExhausted,  "compile-pool-exhausted")                           \
+  /* Emitted code overflowed the assembler estimate. */                        \
+  X(CompileOverflow,       "compile-overflow")                                 \
+  /* LIR the backend cannot compile (opcode/spills). */                        \
+  X(CompileUnsupported,    "compile-unsupported")                              \
+  /* Injected CompileFail. */                                                  \
+  X(CompileFault,          "compile-fault")                                    \
+  /* Off-thread compile queue at capacity (backpressure); the recording */     \
+  /* is dropped with the usual backoff. */                                     \
+  X(CompileQueueFull,      "compile-queue-full")                               \
+  /* --- LIR verifier (lir/verify.h) --- */                                    \
+  /* The verifier rejected the trace; the failed rule is counted in */         \
+  /* VMStats::VerifyFailuresByRule. */                                         \
+  X(VerifyFailed,          "verify-failed")                                    \
+  /* --- Resource governance --- */                                            \
+  /* The script was terminated (deadline / host interrupt / heap quota) */     \
+  /* while recording; the recording is discarded without blacklisting. */     \
+  X(Interrupted,           "interrupted")
+// clang-format on
+
 enum class AbortReason : uint8_t {
-  None = 0,
-
-  // --- Recorder: type-speculation failures ---------------------------------
-  UntrackedSlot,      ///< Read of a slot the trace never imported.
-  NonNumericArith,    ///< Arithmetic (incl. negation) on non-numbers.
-  MixedConcat,        ///< `+` of a string and a non-number, non-string.
-  UntraceableCompare, ///< Comparison operand types unsupported.
-  NonNumericBitop,    ///< Bitwise op on non-numbers.
-  NonNumericIndex,    ///< Element index is not a number.
-
-  // --- Recorder: object-model failures -------------------------------------
-  PropOnPrimitive,    ///< Property read/store on a non-object.
-  PropAddsSlot,       ///< Property store would grow the shape.
-  UnknownStringProp,  ///< Unsupported property of a string.
-  ElemOnNonArray,     ///< Element read/store on a non-array object.
-  InitPropOnNonObject,
-
-  // --- Recorder: call failures ----------------------------------------------
-  RecursiveCall,        ///< Callee already on the virtual frame chain.
-  CallOfNonFunction,    ///< Callee is not callable.
-  UntraceableNative,    ///< Native/method with no traceable fast path.
-  UnsupportedReceiver,  ///< Method call on an unsupported receiver.
-  ReturnBelowEntryFrame,///< Return would pop below the trace entry frame.
-
-  // --- Recorder: structural limits ------------------------------------------
-  TraceTooLong,        ///< MaxTraceLength (trace/recorder.cpp) exceeded.
-  UnsupportedBytecode, ///< Opcode with no recording routine / corrupt code.
-  ExitOnlyCrossing,    ///< A root left its loop at the loop's test: the
-                       ///< trunk would only exit. Never a failure, and
-                       ///< bounded (TierPolicy::discardsExitOnly).
-
-  // --- Monitor-level aborts ---------------------------------------------------
-  NestingDisabled,     ///< Hit an inner loop header with nesting off.
-  InnerTreeNotReady,   ///< Inner tree not yet compiled (§4.2, forgiven).
-  InnerTreeSideExit,   ///< Inner tree side-exited mid-call (forgiven).
-  PreemptedInInnerCall,///< Preempt flag fired during a nested tree call.
-  DispatchUnwound,     ///< Interpreter dispatch returned while recording.
-
-  // --- Backend compile failures (code-cache lifecycle governance) -----------
-  CompilePoolExhausted,///< The code cache could not satisfy the reservation.
-  CompileOverflow,     ///< Emitted code overflowed the assembler estimate.
-  CompileUnsupported,  ///< LIR the backend cannot compile (opcode/spills).
-  CompileFault,        ///< Injected CompileFail.
-  CompileQueueFull,    ///< Off-thread compile queue at capacity (backpressure);
-                       ///< the recording is dropped with the usual backoff.
-
-  // --- LIR verifier (lir/verify.h) -------------------------------------------
-  VerifyFailed,        ///< The verifier rejected the trace; the failed rule
-                       ///< is counted in VMStats::VerifyFailuresByRule.
-
-  // --- Resource governance ----------------------------------------------------
-  Interrupted,         ///< The script was terminated (deadline / host
-                       ///< interrupt / heap quota) while recording; the
-                       ///< recording is discarded without blacklisting.
-
+#define TRACEJIT_ENUMERATOR(Name, Str) Name,
+  TRACEJIT_ABORT_REASONS(TRACEJIT_ENUMERATOR)
   NumReasons
 };
 
 const char *abortReasonName(AbortReason R);
 
+// clang-format off
 /// Invariant catalogue of the LIR verifier (src/lir/verify.h). Each rule is
 /// one mechanically checkable clause of the paper's correctness story:
 /// straight-line SSA LIR (§3.1), typed guards with exit maps (§2, §4), and
-/// filter pipelines that preserve both (§5.1). Keep verifyRuleName() in
-/// sync.
+/// filter pipelines that preserve both (§5.1). Each row is
+/// X(Enumerator, name); the enum and verifyRuleName() are generated from it.
+#define TRACEJIT_VERIFY_RULES(X)                                               \
+  X(None,              "none")                                                 \
+  /* A required operand slot is null. */                                       \
+  X(MissingOperand,    "missing-operand")                                      \
+  /* Operand defined later than its use (SSA order). */                        \
+  X(UseBeforeDef,      "use-before-def")                                       \
+  /* Operand is not in the trace body (e.g. DCE victim). */                    \
+  X(DanglingOperand,   "dangling-operand")                                     \
+  /* Operand type does not match the op signature. */                          \
+  X(OperandType,       "operand-type")                                         \
+  /* Instruction result type disagrees with the opcode. */                     \
+  X(ResultType,        "result-type")                                          \
+  /* Call arity/argument types disagree with CallInfo. */                      \
+  X(CallSignature,     "call-signature")                                       \
+  /* Guard/overflow/exit op lacks an ExitDescriptor. */                        \
+  X(GuardWithoutExit,  "guard-without-exit")                                   \
+  /* 64-bit shift count is not an ImmI. */                                     \
+  X(ShiftCountNotImm,  "shift-count-not-imm")                                  \
+  /* TAR access disp negative, unaligned, or outside the fragment's slot */    \
+  /* domain. */                                                                \
+  X(TarAddressing,     "tar-addressing")                                       \
+  /* Exit type map length != NumGlobals + Sp. */                               \
+  X(ExitTypeMapLength, "exit-type-map-length")                                 \
+  /* Exit Sp/frame chain inconsistent (bases, pcs). */                         \
+  X(ExitFrameBounds,   "exit-frame-bounds")                                    \
+  /* Exit-constant slot unsorted, outside the stack above the tree's */        \
+  /* entry Sp, or not a typed word. */                                         \
+  X(ExitConstSlots,    "exit-const-slots")                                     \
+  /* TreeCall/JmpFrag target linkage broken. */                                \
+  X(TransferTarget,    "transfer-target")                                      \
+  /* Call-site and inner-entry type maps disagree. */                          \
+  X(TreeCallTypeMaps,  "tree-call-type-maps")                                  \
+  /* Trace does not end in exactly one terminator. */                          \
+  X(Terminator,        "terminator")                                           \
+  /* PrologueEnd out of range, or a prologue on a fragment that does not */    \
+  /* end in Loop. */                                                           \
+  X(PrologueShape,     "prologue-shape")                                       \
+  /* Prologue contains a side effect (store, impure call, TreeCall, Exit, */   \
+  /* JmpFrag) -- entry deopt would not be transparent. */                      \
+  X(PrologueEffect,    "prologue-effect")                                      \
+  /* A hoisted guard's exit is not the fragment's entry-state Deopt exit. */   \
+  X(PrologueExit,      "prologue-exit")                                        \
+  /* A TAR read (load, exit write-back, fragment transfer) of a slot */        \
+  /* holding no typed value there: Boxed at entry and not stored since. */     \
+  X(UntypedTarSlot,    "untyped-tar-slot")                                     \
+  /* A load/store names no single location class, or one its base */          \
+  /* contradicts (lir.h, Acc). */                                              \
+  X(AccessClass,       "access-class")
+// clang-format on
+
 enum class VerifyRule : uint8_t {
-  None = 0,
-  MissingOperand,    ///< A required operand slot is null.
-  UseBeforeDef,      ///< Operand defined later than its use (SSA order).
-  DanglingOperand,   ///< Operand is not in the trace body (e.g. DCE victim).
-  OperandType,       ///< Operand type does not match the op signature.
-  ResultType,        ///< Instruction result type disagrees with the opcode.
-  CallSignature,     ///< Call arity/argument types disagree with CallInfo.
-  GuardWithoutExit,  ///< Guard/overflow/exit op lacks an ExitDescriptor.
-  ShiftCountNotImm,  ///< 64-bit shift count is not an ImmI.
-  TarAddressing,     ///< TAR access disp negative, unaligned, or outside
-                     ///< the fragment's slot domain.
-  ExitTypeMapLength, ///< Exit type map length != NumGlobals + Sp.
-  ExitFrameBounds,   ///< Exit Sp/frame chain inconsistent (bases, pcs).
-  ExitConstSlots,    ///< Exit-constant slot unsorted, outside the stack
-                     ///< above the tree's entry Sp, or not a typed word.
-  TransferTarget,    ///< TreeCall/JmpFrag target linkage broken.
-  TreeCallTypeMaps,  ///< Call-site and inner-entry type maps disagree.
-  Terminator,        ///< Trace does not end in exactly one terminator.
-  PrologueShape,     ///< PrologueEnd out of range, or a prologue on a
-                     ///< fragment that does not end in Loop.
-  PrologueEffect,    ///< Prologue contains a side effect (store, impure
-                     ///< call, TreeCall, Exit, JmpFrag) -- entry deopt
-                     ///< would not be transparent.
-  PrologueExit,      ///< A hoisted guard's exit is not the fragment's
-                     ///< entry-state Deopt exit.
-  UntypedTarSlot,    ///< A TAR read (load, exit write-back, fragment
-                     ///< transfer) of a slot holding no typed value there:
-                     ///< Boxed at entry and not stored since.
-  AccessClass,       ///< A load/store names no single location class, or
-                     ///< one its base contradicts (lir.h, Acc).
+  TRACEJIT_VERIFY_RULES(TRACEJIT_ENUMERATOR)
   NumRules
 };
 
 const char *verifyRuleName(VerifyRule R);
 
-/// What happened. Keep jitEventKindName() in sync.
+// clang-format off
+/// What happened. Each row is X(Enumerator, name); the enum and
+/// jitEventKindName() are both generated from it.
+#define TRACEJIT_JIT_EVENT_KINDS(X)                                            \
+  /* A loop header crossed the hot threshold. */                               \
+  X(LoopHot,           "LoopHot")                                              \
+  /* The recorder attached at a loop header / side exit. */                    \
+  X(RecordStart,       "RecordStart")                                          \
+  /* Recording aborted; Reason says why. */                                    \
+  X(RecordAbort,       "RecordAbort")                                          \
+  /* A root trace finished compiling. */                                       \
+  X(TreeCompiled,      "TreeCompiled")                                         \
+  /* A branch trace finished compiling. */                                     \
+  X(BranchCompiled,    "BranchCompiled")                                       \
+  /* A compiled trace exited through a guard. */                               \
+  X(SideExit,          "SideExit")                                             \
+  /* A loop header was blacklisted (§3.3). */                                  \
+  X(Blacklisted,       "Blacklisted")                                          \
+  /* An outer recording called into an inner tree (§4.1). */                   \
+  X(TreeCall,          "TreeCall")                                             \
+  /* A side exit was patched to jump to a trace (§6.2). */                     \
+  X(StitchedTransfer,  "StitchedTransfer")                                     \
+  /* The heap was collected at a safe point. */                                \
+  X(GC,                "GC")                                                   \
+  /* Whole code cache flushed; Arg0 = new generation, Arg1 = native */         \
+  /* bytes reclaimed. */                                                       \
+  X(CacheFlush,        "CacheFlush")                                           \
+  /* One fragment retired by a flush; Arg0 = its native bytes, Arg1 = its */   \
+  /* generation. */                                                            \
+  X(FragmentRetired,   "FragmentRetired")                                      \
+  /* Kill switch: too many flushes in one eval; the engine is */               \
+  /* interpreter-only from here. Arg0 = flush count that tripped it. */        \
+  X(JitDisabled,       "JitDisabled")                                          \
+  /* Native backend unavailable at startup (mmap denied or injected); the */   \
+  /* LIR executor serves instead. */                                           \
+  X(BackendFallback,   "BackendFallback")                                      \
+  /* A property IC changed state (vm/ic.h ladder). Arg0 = new ICState raw */   \
+  /* value, Arg1 = entry count. */                                             \
+  X(IcTransition,      "IcTransition")                                         \
+  /* Every property IC was reset (cache flush). Arg0 = ICs that were */        \
+  /* non-empty. */                                                             \
+  X(IcInvalidateAll,   "IcInvalidateAll")                                      \
+  /* A recording was handed to the background compiler (OffThreadCompile). */  \
+  /* Arg0 = jobs now pending. */                                               \
+  X(CompileJobQueued,  "CompileJobQueued")                                     \
+  /* A finished/queued compile job was discarded instead of published */       \
+  /* (stale generation, flush, shutdown). Arg0 = job generation, Arg1 = */     \
+  /* current generation. */                                                    \
+  X(CompileJobDropped, "CompileJobDropped")                                    \
+  /* A governor terminated the running script at a safe point. Arg0 = the */   \
+  /* interrupt bits that were pending, Arg1 = the resulting ErrorKind raw */   \
+  /* value. */                                                                 \
+  X(ScriptInterrupted, "ScriptInterrupted")                                    \
+  /* A serving worker destroyed and rebuilt its Engine (after OOM or too */    \
+  /* many consecutive failures). Arg0 = worker index, Arg1 = consecutive */    \
+  /* failures. */                                                              \
+  X(EngineRecycled,    "EngineRecycled")                                       \
+  /* The static analyzer processed a parsed script (analysis/analysis.h). */   \
+  /* Arg0 = published fact count, Arg1 = diagnostic count. */                  \
+  X(AnalysisRan,       "AnalysisRan")
+// clang-format on
+
 enum class JitEventKind : uint8_t {
-  LoopHot,          ///< A loop header crossed the hot threshold.
-  RecordStart,      ///< The recorder attached at a loop header / side exit.
-  RecordAbort,      ///< Recording aborted; Reason says why.
-  TreeCompiled,     ///< A root trace finished compiling.
-  BranchCompiled,   ///< A branch trace finished compiling.
-  SideExit,         ///< A compiled trace exited through a guard.
-  Blacklisted,      ///< A loop header was blacklisted (§3.3).
-  TreeCall,         ///< An outer recording called into an inner tree (§4.1).
-  StitchedTransfer, ///< A side exit was patched to jump to a trace (§6.2).
-  GC,               ///< The heap was collected at a safe point.
-  CacheFlush,       ///< Whole code cache flushed; Arg0 = new generation,
-                    ///< Arg1 = native bytes reclaimed.
-  FragmentRetired,  ///< One fragment retired by a flush; Arg0 = its native
-                    ///< bytes, Arg1 = its generation.
-  JitDisabled,      ///< Kill switch: too many flushes in one eval; the
-                    ///< engine is interpreter-only from here. Arg0 = flush
-                    ///< count that tripped it.
-  BackendFallback,  ///< Native backend unavailable at startup (mmap denied
-                    ///< or injected); the LIR executor serves instead.
-  IcTransition,     ///< A property IC changed state (vm/ic.h ladder).
-                    ///< Arg0 = new ICState raw value, Arg1 = entry count.
-  IcInvalidateAll,  ///< Every property IC was reset (cache flush).
-                    ///< Arg0 = ICs that were non-empty.
-  CompileJobQueued, ///< A recording was handed to the background compiler
-                    ///< (OffThreadCompile). Arg0 = jobs now pending.
-  CompileJobDropped,///< A finished/queued compile job was discarded instead
-                    ///< of published (stale generation, flush, shutdown).
-                    ///< Arg0 = job generation, Arg1 = current generation.
-  ScriptInterrupted,///< A governor terminated the running script at a safe
-                    ///< point. Arg0 = the interrupt bits that were pending,
-                    ///< Arg1 = the resulting ErrorKind raw value.
-  EngineRecycled,   ///< A serving worker destroyed and rebuilt its Engine
-                    ///< (after OOM or too many consecutive failures).
-                    ///< Arg0 = worker index, Arg1 = consecutive failures.
-  AnalysisRan,      ///< The static analyzer processed a parsed script
-                    ///< (analysis/analysis.h). Arg0 = published fact count,
-                    ///< Arg1 = diagnostic count.
+  TRACEJIT_JIT_EVENT_KINDS(TRACEJIT_ENUMERATOR)
+#undef TRACEJIT_ENUMERATOR
   NumKinds
 };
 

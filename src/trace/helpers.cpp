@@ -29,11 +29,12 @@ uint64_t tj_BoxDouble(VMContext *Ctx, double D) {
   return V.bits();
 }
 
+// The element stores return 0 to side-exit (a negative index, or storage
+// that cannot grow); the interpreter then redoes the store and raises the
+// error itself.
 int32_t tj_ArraySetV(VMContext *Ctx, Object *A, int32_t Idx, uint64_t Bits) {
-  if (Idx < 0)
-    return 0;
-  A->setElement(Ctx->TheHeap, (uint32_t)Idx, Value::fromBits(Bits));
-  return 1;
+  return Idx >= 0 &&
+         A->setElement(Ctx->TheHeap, (uint32_t)Idx, Value::fromBits(Bits));
 }
 
 int32_t tj_ArraySetD(VMContext *Ctx, Object *A, int32_t Idx, double D) {
@@ -41,8 +42,7 @@ int32_t tj_ArraySetD(VMContext *Ctx, Object *A, int32_t Idx, double D) {
     return 0;
   Value V = Ctx->TheHeap.boxDouble(D);
   Ctx->maybeScheduleGC();
-  A->setElement(Ctx->TheHeap, (uint32_t)Idx, V);
-  return 1;
+  return A->setElement(Ctx->TheHeap, (uint32_t)Idx, V);
 }
 
 uint64_t tj_ConcatSS(VMContext *Ctx, String *A, String *B) {
@@ -98,7 +98,12 @@ uint64_t tj_GetPropGeneric(Object *O, String *Name) {
 }
 
 int32_t tj_ArrayPushV(VMContext *Ctx, Object *A, uint64_t Bits) {
-  A->setElement(Ctx->TheHeap, A->arrayLength(), Value::fromBits(Bits));
+  // A push has no exit to take: record the error and raise the heap-quota
+  // bit, and the next loop edge's §6.4 guard ends the script with it.
+  if (!A->setElement(Ctx->TheHeap, A->arrayLength(), Value::fromBits(Bits))) {
+    Ctx->raiseError(ErrorKind::OutOfMemory, "array storage cannot grow");
+    Ctx->requestInterrupt(InterruptHeapQuota);
+  }
   return (int32_t)A->arrayLength();
 }
 

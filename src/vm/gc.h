@@ -140,6 +140,12 @@ public:
   void collect();
 
   size_t bytesAllocated() const { return BytesAllocated; }
+
+  /// EngineOptions::MaxHeapBytes (0 = none). Cells are held to it at safe
+  /// points (VMContext::overHeapQuota); out-of-line storage that is not a
+  /// cell, an array's element buffer, refuses to grow past it.
+  size_t quota() const { return Quota; }
+  void setQuota(size_t Bytes) { Quota = Bytes; }
   uint64_t collections() const { return NumCollections; }
 
   /// Test hook: force the next wantsGC() to be true.
@@ -201,6 +207,7 @@ private:
   std::array<SizeClass, NumClasses> Classes;
   std::vector<GCCell *> LargeCells;
   size_t BytesAllocated = 0;
+  size_t Quota = 0;
   size_t GCTrigger = 4 * 1024 * 1024;
   uint64_t NumCollections = 0;
   std::vector<std::function<void(class Marker &)>> RootProviders;

@@ -2,6 +2,8 @@
 
 #include "vm/object.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -79,24 +81,33 @@ void Object::applyTransition(Shape *To, uint32_t Slot, Value V) {
   NamedSlots[Slot] = V;
 }
 
-void Object::setElement(Heap &H, uint32_t I, Value V) {
-  (void)H;
-  if (I >= ElemCapacity) {
-    uint32_t NewCap = ElemCapacity ? ElemCapacity * 2 : 8;
-    if (NewCap < I + 1)
-      NewCap = I + 1;
-    auto *NewData = static_cast<Value *>(std::malloc(sizeof(Value) * NewCap));
-    if (ElemData)
-      std::memcpy(NewData, ElemData, sizeof(Value) * ElemCapacity);
-    for (uint32_t J = ElemCapacity; J < NewCap; ++J)
-      NewData[J] = Value::undefined();
-    std::free(ElemData);
-    ElemData = NewData;
-    ElemCapacity = NewCap;
-  }
+bool Object::growElements(Heap &H, uint64_t MinCap) {
+  // Capacities are uint32_t; doubling is done in 64 bits so it cannot wrap.
+  uint64_t Limit = UINT32_MAX;
+  if (H.quota())
+    Limit = std::min<uint64_t>(Limit, H.quota() / sizeof(Value));
+  if (MinCap > Limit)
+    return false;
+  uint64_t NewCap = std::clamp<uint64_t>(
+      ElemCapacity ? 2 * (uint64_t)ElemCapacity : 8, MinCap, Limit);
+  auto *NewData =
+      static_cast<Value *>(std::realloc(ElemData, sizeof(Value) * NewCap));
+  if (!NewData)
+    return false; // realloc left the old buffer in place
+  for (uint64_t J = ElemCapacity; J < NewCap; ++J)
+    NewData[J] = Value::undefined();
+  ElemData = NewData;
+  ElemCapacity = (uint32_t)NewCap;
+  return true;
+}
+
+bool Object::setElement(Heap &H, uint32_t I, Value V) {
+  if (I >= ElemCapacity && !growElements(H, (uint64_t)I + 1))
+    return false;
   ElemData[I] = V;
   if (I >= ArrayLen)
     ArrayLen = I + 1;
+  return true;
 }
 
 void Object::trace(Marker &M) const {

@@ -106,7 +106,10 @@ public:
     return Value::undefined();
   }
   /// Write element \p I, growing the dense storage and length as needed.
-  void setElement(Heap &H, uint32_t I, Value V);
+  /// False, with nothing written, when the storage cannot grow: it would
+  /// pass the heap's quota, or malloc failed. The caller raises
+  /// ErrorKind::OutOfMemory.
+  bool setElement(Heap &H, uint32_t I, Value V);
 
   const Value *elementsData() const { return ElemData; }
   uint32_t elementsCapacity() const { return ElemCapacity; }
@@ -134,6 +137,7 @@ private:
                                    TheShape(S) {}
   static Object *alloc(Heap &H, ObjectKind K, Shape *S);
   void growNamedSlots(uint32_t Count);
+  bool growElements(Heap &H, uint64_t MinCap);
 
   ObjectKind OKind;
   Shape *TheShape;

@@ -1,12 +1,12 @@
 //===- test_governance.cpp - Resource governance & interruption ----------------===//
 //
 // Covers the cooperative-interruption machinery: the interrupt bitmask and
-// its safe points, script deadlines (in-thread clock poll and the engine
-// timer thread reaching hot traces through the §6.4 guard), heap quotas
-// terminating as OutOfMemory with a fully reusable engine, structured
-// stack-overflow errors with source positions, fault-injected allocation
-// failure, and the serving watchdog: per-request deadlines, hostile-traffic
-// chaos across four workers, and the engine-recycle policy.
+// its safe points, script deadlines (the engine timer's one raise reaching
+// interpreted loop edges and hot traces through the §6.4 guard), heap
+// quotas terminating as OutOfMemory with a fully reusable engine,
+// structured stack-overflow errors with source positions, fault-injected
+// allocation failure, and serving under deadlines: per-request deadlines,
+// hostile-traffic chaos across four workers, and the engine-recycle policy.
 //
 // The Watchdog suite runs under ThreadSanitizer in CI (see ci.yml).
 //
@@ -138,7 +138,7 @@ TEST(Governance, HostInterruptTerminatesFromAnotherThread) {
   O.EnableJit = true;
   Engine E(O);
   std::atomic<bool> Done{false};
-  // Re-raise until eval returns, as a real watchdog would: a single raise
+  // Re-raise until eval returns, as a host must: a single raise
   // landing before eval (which clears stale termination bits) would be
   // dropped and the loop would run forever.
   std::thread Killer([&] {
@@ -215,13 +215,35 @@ TEST(Governance, DeadlineTerminatesHotLoopOnTrace) {
 
 TEST(Governance, DeadlineAlsoCoversTheInterpreter) {
   EngineOptions O;
-  O.EnableJit = false; // only the in-thread clock poll can catch it
+  O.EnableJit = false; // the timer's raise lands at an interpreted loop edge
   O.EvalDeadlineMs = 60;
   Engine E(O);
   auto R = E.eval(InfiniteLoop);
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.Err.Kind, ErrorKind::Timeout);
   EXPECT_TRUE(E.eval("42;").ok());
+}
+
+TEST(Governance, DeadlineRaisedOnceEndsEveryBackToBackEval) {
+  // The timer raises InterruptDeadline once per eval. A raise that a
+  // safe point lost, or that leaked into the next eval, would hang one of
+  // these loops or fail the bounded eval at the end.
+  for (bool Jit : {true, false}) {
+    SCOPED_TRACE(Jit ? "jit" : "interpreter");
+    EngineOptions O;
+    O.EnableJit = Jit;
+    O.EvalDeadlineMs = 1;
+    Engine E(O);
+    for (int I = 0; I < 100; ++I) {
+      auto R = E.eval(InfiniteLoop);
+      ASSERT_FALSE(R.ok()) << "eval " << I;
+      ASSERT_EQ(R.Err.Kind, ErrorKind::Timeout) << "eval " << I;
+    }
+    auto R = E.eval("var s = 0; for (var i = 0; i < 1000; ++i) s += 2; s;",
+                    {}, /*DeadlineMs=*/60000);
+    ASSERT_TRUE(R.ok()) << R.Err.describe();
+    EXPECT_EQ(R.LastValue.numberValue(), 2000.0);
+  }
 }
 
 TEST(Governance, DeadlineAndHeapQuotaReachABlacklistedLoop) {
@@ -357,6 +379,76 @@ TEST(Governance, HeapQuotaTerminatesAsOOMThenEngineReusesBitForBit) {
   EXPECT_EQ(ReusedOut, FreshOut) << "survivor diverged from a fresh engine";
 }
 
+/// Interpreter, native backend, executor; all under a 1 MiB heap quota, so
+/// no array here may hold more than 131072 elements.
+std::vector<EngineOptions> quotaConfigs() {
+  std::vector<EngineOptions> Configs(3);
+  Configs[0].EnableJit = false;
+  Configs[1].EnableJit = Configs[2].EnableJit = true;
+  Configs[1].JitBackend = Backend::Native;
+  Configs[2].JitBackend = Backend::Executor;
+  for (EngineOptions &O : Configs) {
+    O.CollectStats = true;
+    O.MaxHeapBytes = 1u << 20;
+  }
+  return Configs;
+}
+
+TEST(Governance, ElementStorePastTheQuotaIsOOM) {
+  // A store at a huge index is refused before anything is allocated.
+  for (const EngineOptions &O : quotaConfigs()) {
+    SCOPED_TRACE(O.EnableJit ? "jit" : "interpreter");
+    Engine E(O);
+    auto R = E.eval("var a = [1]; a[2147483647] = 2;");
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.Err.Kind, ErrorKind::OutOfMemory) << R.Err.describe();
+    EXPECT_EQ(R.Err.Line, 1u);
+  }
+  // Growing stores, on trace through the store helper: the first index
+  // past the quota's 131072 elements is 132000.
+  for (const EngineOptions &O : quotaConfigs()) {
+    SCOPED_TRACE(O.EnableJit ? "jit" : "interpreter");
+    Engine E(O);
+    std::string Out;
+    E.setPrintHook([&](const std::string &S) { Out += S; });
+    auto R = E.eval("var a = [];\n"
+                    "for (var i = 0; i < 1000; ++i) a[i * 1000] = i;\n");
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.Err.Kind, ErrorKind::OutOfMemory) << R.Err.describe();
+    EXPECT_EQ(R.Err.Line, 2u);
+    if (O.EnableJit) {
+      EXPECT_GE(E.stats().TracesCompleted, 1u);
+    }
+    ASSERT_TRUE(E.eval("print(a.length, a[131000], i);").ok());
+    EXPECT_EQ(Out, "131001 131 132\n");
+    auto R2 = E.eval("var s = 0; for (var j = 0; j < 1000; ++j) s += j; s;");
+    ASSERT_TRUE(R2.ok()) << R2.Err.describe();
+    EXPECT_EQ(R2.LastValue.numberValue(), 499500.0);
+  }
+}
+
+TEST(Governance, PushPastTheQuotaIsOOM) {
+  for (const EngineOptions &O : quotaConfigs()) {
+    SCOPED_TRACE(O.EnableJit ? "jit" : "interpreter");
+    Engine E(O);
+    std::string Out;
+    E.setPrintHook([&](const std::string &S) { Out += S; });
+    auto R = E.eval("var a = [];\n"
+                    "for (var i = 0; i < 1000000; ++i) a.push(i);\n");
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.Err.Kind, ErrorKind::OutOfMemory) << R.Err.describe();
+    EXPECT_NE(R.Err.Message.find("array storage cannot grow"),
+              std::string::npos)
+        << R.Err.describe();
+    ASSERT_TRUE(E.eval("print(a.length, a[131071]);").ok());
+    EXPECT_EQ(Out, "131072 131071\n");
+    auto R2 = E.eval("var b = []; for (var j = 0; j < 1000; ++j) b.push(j);"
+                     "b.length;");
+    ASSERT_TRUE(R2.ok()) << R2.Err.describe();
+    EXPECT_EQ(R2.LastValue.numberValue(), 1000.0);
+  }
+}
+
 TEST(Governance, InjectedHeapAllocFailTerminatesAsOOM) {
   EngineOptions O;
   O.EnableJit = false;
@@ -373,7 +465,7 @@ TEST(Governance, InjectedHeapAllocFailTerminatesAsOOM) {
   EXPECT_GT(AllocChecks, 50) << "injector never reached the failure point";
 }
 
-// --- Serving watchdog ---------------------------------------------------------
+// --- Serving under deadlines -------------------------------------------------
 
 TEST(Watchdog, SubmitAfterStopReturnsZero) {
   ServerConfig C;
@@ -407,6 +499,23 @@ TEST(Watchdog, PerRequestDeadlineOverridesConfig) {
   S.stop();
 }
 
+TEST(Watchdog, OneMsDeadlineEndsEveryRequestOnFourWorkers) {
+  ServerConfig C;
+  C.Workers = 4;
+  C.Engine.EnableJit = true;
+  ScriptServer S(C);
+  for (int I = 0; I < 200; ++I)
+    S.submit(InfiniteLoop, 1);
+  S.drain(); // a lost raise would hang here
+  std::vector<RequestResult> Results = S.takeResults();
+  ASSERT_EQ(Results.size(), 200u);
+  for (const RequestResult &R : Results) {
+    EXPECT_FALSE(R.Ok);
+    EXPECT_TRUE(R.TimedOut) << R.Error;
+  }
+  S.stop();
+}
+
 TEST(Watchdog, ChaosMixedHostileTraffic) {
   // The acceptance scenario: four workers fed a mix of infinite loops,
   // allocation bombs, and well-behaved scripts. Every well-behaved request
@@ -415,7 +524,7 @@ TEST(Watchdog, ChaosMixedHostileTraffic) {
   ServerConfig C;
   C.Workers = 4;
   C.QueueDepth = 64;
-  C.DeadlineMs = 250; // headroom for sanitizer builds
+  C.Engine.EvalDeadlineMs = 250; // headroom for sanitizer builds
   C.Engine.EnableJit = true;
   C.Engine.MaxHeapBytes = 4u << 20;
   ScriptServer S(C);
@@ -445,7 +554,7 @@ TEST(Watchdog, ChaosMixedHostileTraffic) {
     if (InfiniteIds.count(R.Id)) {
       EXPECT_FALSE(R.Ok);
       EXPECT_TRUE(R.TimedOut) << R.Error;
-      EXPECT_LE(R.EvalMs, 2.0 * C.DeadlineMs)
+      EXPECT_LE(R.EvalMs, 2.0 * C.Engine.EvalDeadlineMs)
           << "hostile request outlived 2x its deadline";
     } else if (BombIds.count(R.Id)) {
       // A bomb dies of its quota, or of the deadline if allocation is slow
@@ -453,7 +562,7 @@ TEST(Watchdog, ChaosMixedHostileTraffic) {
       EXPECT_FALSE(R.Ok);
       EXPECT_TRUE(R.ErrKind == ErrorKind::OutOfMemory || R.TimedOut)
           << R.Error;
-      EXPECT_LE(R.EvalMs, 2.0 * C.DeadlineMs);
+      EXPECT_LE(R.EvalMs, 2.0 * C.Engine.EvalDeadlineMs);
     } else {
       ASSERT_TRUE(WantById.count(R.Id));
       EXPECT_TRUE(R.Ok) << R.Error;
@@ -489,7 +598,7 @@ TEST(Watchdog, InjectedFaultsForceRecyclesAndServerSurvives) {
   ServerConfig C;
   C.Workers = 4;
   C.QueueDepth = 64;
-  C.DeadlineMs = 100;
+  C.Engine.EvalDeadlineMs = 100;
   C.RecycleAfterFailures = 3;
   C.Engine.EnableJit = true;
   C.Engine.FaultInjector = [Armed, Checks](FaultSite S) {

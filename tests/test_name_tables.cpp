@@ -1,9 +1,10 @@
 //===- test_name_tables.cpp - Enum name-table completeness --------------------===//
 //
-// The X-macro lists in support/events.cpp pin each name table's size and
-// order at compile time; this suite re-checks the runtime-visible half of
-// the contract: every in-range enumerator resolves to a real, distinct
-// name (never the "?" fallback), and out-of-range lookups degrade to "?"
+// Each enum and its name table are generated from one X-macro list
+// (support/events.h, lir/lir.h), so they agree in size and order by
+// construction; this suite checks the runtime-visible half of the
+// contract: every in-range enumerator resolves to a real, distinct name
+// (never the "?" fallback), and out-of-range lookups degrade to "?"
 // instead of reading past the table.
 //
 //===----------------------------------------------------------------------===//
