@@ -447,7 +447,7 @@ Section ic() {
            {"ic-misses", &VMStats::IcMisses},
            {"rec-hits", &VMStats::IcRecorderHits},
            {"rec-generic", &VMStats::IcRecorderGeneric},
-           {"mega-sites", &VMStats::IcMegamorphicSites},
+           {"mega-sites", &VMStats::IcMegaSites},
            {"traces", &VMStats::TracesCompleted}}};
 }
 

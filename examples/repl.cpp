@@ -16,9 +16,6 @@
 // "--no-jit", "--native" / "--executor", "--no-stats", "--no-blacklisting",
 // "-O0" / "-O2", "--jit-opt=[+|-]pass,...", "--deadline-ms=N".
 //
-// `--analyze` is lint mode: parse and statically analyze the script files,
-// print the findings, and run nothing.
-//
 // `--dump-native DIR` writes each compiled fragment's native code to
 // DIR/frag-<id>.bin when the scripts finish (or at :quit), for objdump and
 // scripts/native_breakdown.py. With `--no-stats` the code is what a
@@ -70,12 +67,9 @@ int main(int argc, char **argv) {
   Opts.CollectStats = true;
   std::vector<std::string> Files;
   std::string DumpNativeDir;
-  bool LintOnly = false;
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    if (A == "--analyze") {
-      LintOnly = true;
-    } else if (A == "--dump-native") {
+    if (A == "--dump-native") {
       if (I + 1 == argc) {
         std::cerr << "--dump-native requires a directory\n";
         return 2;
@@ -93,42 +87,6 @@ int main(int argc, char **argv) {
 
   auto E = std::make_unique<Engine>(Opts);
   E->setPrintHook([](const std::string &S) { std::cout << S; });
-
-  // Lint mode (--analyze): parse + static analysis only, no execution.
-  // Exit 1 when any file fails to parse or produces findings, so CI can
-  // gate on a clean report.
-  if (LintOnly) {
-    if (Files.empty()) {
-      std::cerr << "--analyze requires at least one script file\n";
-      return 2;
-    }
-    bool AnyFinding = false;
-    for (const std::string &Path : Files) {
-      std::ifstream In(Path);
-      if (!In) {
-        std::cerr << "cannot open " << Path << "\n";
-        return 1;
-      }
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      auto Report = E->analyze(Buf.str(), Path);
-      if (!Report.Ok) {
-        std::cerr << Report.Err.describe() << "\n";
-        AnyFinding = true;
-        continue;
-      }
-      for (const AnalysisDiagnostic &D : Report.Diagnostics) {
-        std::cerr << Path << ":" << D.Line << ":" << D.Col
-                  << ": warning: [" << analysisDiagKindName(D.Kind) << "] "
-                  << D.Message;
-        if (!D.Function.empty())
-          std::cerr << " (in function " << D.Function << ")";
-        std::cerr << "\n";
-        AnyFinding = true;
-      }
-    }
-    return AnyFinding ? 1 : 0;
-  }
 
   // Script mode: run each file through the FileName-carrying eval so
   // diagnostics say which script failed, then exit without a prompt.

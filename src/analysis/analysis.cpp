@@ -6,9 +6,6 @@
 //   * a type mask (one bit per runtime representation, join = OR);
 //   * an int32 interval, meaningful only while the mask stays within
 //     Int/Bool (booleans live as 0/1 so truthiness shares the machinery);
-//   * a definite-assignment bit (for the use-before-def lint);
-//   * an allocation-site set (<= 4 literal NewObject/NewArray pcs, with
-//     Unknown / Overflow escape hatches) for the megamorphic pre-marking;
 //   * provenance: which state slot the value aliases (so a branch on
 //     `GetLocal x` can refine x itself), and -- for compare results --
 //     the relation plus both operands' compare-time ranges.
@@ -23,8 +20,8 @@
 // Widening: every cycle in the bytecode runs through a LoopHeader (the
 // parser emits one per source loop), so blocks that begin with
 // LoopHeader/Nop3 are the widening points -- any interval bound that grew
-// since the last visit is snapped to the int32 extreme. Masks, site sets,
-// and the assignment bit live in finite lattices and need no widening.
+// since the last visit is snapped to the next script literal or the int32
+// extreme. Masks live in a finite lattice and need no widening.
 // A per-analysis visit budget backstops convergence; exceeding it
 // publishes no facts (Converged = false), which is always sound.
 //
@@ -35,9 +32,7 @@
 #include "vm/gc.h" // Value::numberValue is defined with DoubleCell in view
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <optional>
@@ -61,93 +56,9 @@ TypeMask maskOfValue(const Value &V) {
   return MaskUndefined;
 }
 
-std::string typeMaskName(TypeMask M) {
-  if (M == 0)
-    return "bottom";
-  if (M == MaskTop)
-    return "top";
-  static const struct {
-    TypeMask Bit;
-    const char *Name;
-  } Bits[] = {
-      {MaskInt, "int"},       {MaskDouble, "double"},
-      {MaskBool, "boolean"},  {MaskString, "string"},
-      {MaskObject, "object"}, {MaskNull, "null"},
-      {MaskUndefined, "undefined"},
-  };
-  std::string Out;
-  for (const auto &B : Bits) {
-    if (!(M & B.Bit))
-      continue;
-    if (!Out.empty())
-      Out += '|';
-    Out += B.Name;
-  }
-  return Out;
-}
-
-const char *analysisDiagKindName(AnalysisDiagKind K) {
-  switch (K) {
-  case AnalysisDiagKind::UnreachableCode:
-    return "unreachable-code";
-  case AnalysisDiagKind::UseBeforeDef:
-    return "use-before-def";
-  case AnalysisDiagKind::ConstantCondition:
-    return "constant-condition";
-  case AnalysisDiagKind::TypeError:
-    return "type-error";
-  }
-  return "?";
-}
-
 namespace {
 
 // --- Abstract values -------------------------------------------------------
-
-/// Distinct literal allocation sites a value may originate from.
-struct SiteSet {
-  static constexpr unsigned Cap = 4;
-  uint32_t Pcs[Cap] = {0, 0, 0, 0};
-  uint8_t N = 0;
-  bool Unknown = false;  ///< Drew from a non-literal source (call, global...).
-  bool Overflow = false; ///< More than Cap distinct sites joined.
-
-  static SiteSet unknown() {
-    SiteSet S;
-    S.Unknown = true;
-    return S;
-  }
-  static SiteSet literal(uint32_t Pc) {
-    SiteSet S;
-    S.Pcs[0] = Pc;
-    S.N = 1;
-    return S;
-  }
-  void add(uint32_t Pc) {
-    for (unsigned I = 0; I < N; ++I)
-      if (Pcs[I] == Pc)
-        return;
-    if (N < Cap) {
-      Pcs[N++] = Pc;
-      return;
-    }
-    Overflow = true;
-  }
-  void join(const SiteSet &O) {
-    Unknown |= O.Unknown;
-    Overflow |= O.Overflow;
-    for (unsigned I = 0; I < O.N; ++I)
-      add(O.Pcs[I]);
-  }
-  bool operator==(const SiteSet &O) const {
-    if (N != O.N || Unknown != O.Unknown || Overflow != O.Overflow)
-      return false;
-    for (unsigned I = 0; I < N; ++I)
-      if (Pcs[I] != O.Pcs[I])
-        return false;
-    return true;
-  }
-};
 
 enum class CmpRel : uint8_t { None, Lt, Le, Gt, Ge, Eq, Ne };
 
@@ -175,23 +86,20 @@ struct AbstractValue {
   TypeMask Mask = MaskTop;
   int32_t Lo = INT32_MIN; ///< Interval; meaningful when Mask subset of Int|Bool.
   int32_t Hi = INT32_MAX;
-  bool Literal = false;  ///< Pushed directly by PushConst/PushUndefined.
-  bool Frac = false;     ///< Certainly a double with a nonzero fractional
-                         ///< part (survives +/- with int-valued operands, so
-                         ///< boxNumber can never renormalize it to Int).
-  bool OvfD = false;     ///< The Double bit of Mask is present only because
-                         ///< int arithmetic might overflow (or multiply
-                         ///< to -0) -- no genuine
-                         ///< double source reaches this value. Demotion
-                         ///< facts ignore such slots: seeding them would
-                         ///< pessimize loops that never overflow at runtime.
-  bool Assigned = false; ///< Definitely written (use-before-def lint).
-  int32_t RefSlot = -1;  ///< State slot this value aliases, or -1.
+  bool Frac = false;    ///< Certainly a double with a nonzero fractional
+                        ///< part (survives +/- with int-valued operands, so
+                        ///< boxNumber can never renormalize it to Int).
+  bool OvfD = false;    ///< The Double bit of Mask is present only because
+                        ///< int arithmetic might overflow (or multiply
+                        ///< to -0) -- no genuine
+                        ///< double source reaches this value. Demotion
+                        ///< facts ignore such slots: seeding them would
+                        ///< pessimize loops that never overflow at runtime.
+  int32_t RefSlot = -1; ///< State slot this value aliases, or -1.
   CmpRel Rel = CmpRel::None; ///< Compare provenance (value is `A Rel B`).
   int32_t CmpA = -1, CmpB = -1;
   int32_t ALo = INT32_MIN, AHi = INT32_MAX; ///< Operand ranges at compare time.
   int32_t BLo = INT32_MIN, BHi = INT32_MAX;
-  SiteSet Sites;
 
   bool rangeMeaningful() const {
     return Mask != 0 && !(Mask & ~(MaskInt | MaskBool));
@@ -206,35 +114,26 @@ struct AbstractValue {
     CmpA = CmpB = -1;
   }
 
-  static AbstractValue top() {
-    AbstractValue V;
-    V.Assigned = true;
-    V.Sites = SiteSet::unknown();
-    return V;
-  }
+  static AbstractValue top() { return AbstractValue(); }
   static AbstractValue ofMask(TypeMask M) {
-    AbstractValue V = top();
+    AbstractValue V;
     V.Mask = M;
     if (!V.rangeMeaningful())
       V.clearRange();
-    if (!(M & MaskObject))
-      V.Sites = SiteSet();
     return V;
   }
   static AbstractValue intRange(int32_t Lo, int32_t Hi) {
-    AbstractValue V = top();
+    AbstractValue V;
     V.Mask = MaskInt;
     V.Lo = Lo;
     V.Hi = Hi;
-    V.Sites = SiteSet();
     return V;
   }
   static AbstractValue boolVal(int Truth /* 0, 1, or -1 unknown */) {
-    AbstractValue V = top();
+    AbstractValue V;
     V.Mask = MaskBool;
     V.Lo = Truth < 0 ? 0 : Truth;
     V.Hi = Truth < 0 ? 1 : Truth;
-    V.Sites = SiteSet();
     return V;
   }
 
@@ -247,9 +146,7 @@ struct AbstractValue {
     Hi = std::max(Hi, O.Hi);
     if (!rangeMeaningful())
       clearRange();
-    Literal = Literal && O.Literal;
     Frac = Frac && O.Frac;
-    Assigned = Assigned && O.Assigned;
     if (RefSlot != O.RefSlot)
       RefSlot = -1;
     if (Rel != O.Rel || CmpA != O.CmpA || CmpB != O.CmpB) {
@@ -261,16 +158,13 @@ struct AbstractValue {
       BLo = std::min(BLo, O.BLo);
       BHi = std::max(BHi, O.BHi);
     }
-    Sites.join(O.Sites);
   }
 
   bool operator==(const AbstractValue &O) const {
-    return Mask == O.Mask && Lo == O.Lo && Hi == O.Hi &&
-           Literal == O.Literal && Frac == O.Frac && OvfD == O.OvfD &&
-           Assigned == O.Assigned &&
-           RefSlot == O.RefSlot && Rel == O.Rel && CmpA == O.CmpA &&
-           CmpB == O.CmpB && ALo == O.ALo && AHi == O.AHi && BLo == O.BLo &&
-           BHi == O.BHi && Sites == O.Sites;
+    return Mask == O.Mask && Lo == O.Lo && Hi == O.Hi && Frac == O.Frac &&
+           OvfD == O.OvfD && RefSlot == O.RefSlot && Rel == O.Rel &&
+           CmpA == O.CmpA && CmpB == O.CmpB && ALo == O.ALo && AHi == O.AHi &&
+           BLo == O.BLo && BHi == O.BHi;
   }
 };
 
@@ -413,18 +307,14 @@ private:
   AbsState entryState() const;
   bool joinInto(uint32_t BlockIdx, const AbsState &New, bool Widen);
   /// Interpret one block from its in-state; successor edges are reported
-  /// through \p Edge. When \p Collect is set, facts and diagnostics are
-  /// recorded into the result (the post-fixpoint replay).
+  /// through \p Edge. When \p Collect is set, facts are recorded into the
+  /// result (the post-fixpoint replay).
   template <typename EdgeFn>
   void stepBlock(uint32_t BlockIdx, AbsState St, bool Collect, EdgeFn Edge);
 
   void refineEdge(AbsState &St, const AbstractValue &Cond, bool CondTruthy,
                   bool &Feasible);
-  void diagnose(AnalysisDiagKind K, uint32_t Pc, std::string Msg);
-  void collectUnreachable();
   void collectHeaderFacts();
-
-  std::set<std::pair<uint8_t, uint32_t>> Reported;
 };
 
 void Analyzer::buildCfg() {
@@ -453,9 +343,7 @@ AbsState Analyzer::entryState() const {
     if (L < S.Arity) {
       St.Slots[LocalBase + L] = AbstractValue::top();
     } else {
-      AbstractValue V = AbstractValue::ofMask(MaskUndefined);
-      V.Assigned = false; // the use-before-def lint keys off this
-      St.Slots[LocalBase + L] = V;
+      St.Slots[LocalBase + L] = AbstractValue::ofMask(MaskUndefined);
     }
   }
   return St;
@@ -504,20 +392,6 @@ bool Analyzer::joinInto(uint32_t BlockIdx, const AbsState &New, bool Widen) {
   ++Blocks[BlockIdx].GrowJoins;
   Old = std::move(Joined);
   return true;
-}
-
-void Analyzer::diagnose(AnalysisDiagKind K, uint32_t Pc, std::string Msg) {
-  if (!Reported.insert({(uint8_t)K, Pc}).second)
-    return;
-  AnalysisDiagnostic D;
-  D.Kind = K;
-  D.Pc = Pc;
-  LineNote N = S.lineAt(Pc);
-  D.Line = N.Line;
-  D.Col = N.Col;
-  D.Message = std::move(Msg);
-  D.Function = S.Name;
-  A->Diags.push_back(std::move(D));
 }
 
 /// Range refinement for `A Rel B` known to hold, where \p V is the state
@@ -652,16 +526,12 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
         double D = C.numberValue();
         V.Frac = D == D && D != std::floor(D);
       }
-      V.Literal = true;
       push(St, std::move(V));
       break;
     }
-    case Op::PushUndefined: {
-      AbstractValue V = AbstractValue::ofMask(MaskUndefined);
-      V.Literal = true;
-      push(St, std::move(V));
+    case Op::PushUndefined:
+      push(St, AbstractValue::ofMask(MaskUndefined));
       break;
-    }
     case Op::Pop:
     case Op::PopResult:
       pop(St);
@@ -678,14 +548,7 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
     case Op::GetLocal: {
       uint32_t L = S.u16At(Pc + 1);
       AbstractValue V = St.Slots[LocalBase + L];
-      if (Collect && L >= S.Arity && V.Mask == MaskUndefined && !V.Assigned) {
-        char Buf[96];
-        snprintf(Buf, sizeof(Buf),
-                 "local slot %u is read before it is assigned", L);
-        diagnose(AnalysisDiagKind::UseBeforeDef, Pc, Buf);
-      }
       V.RefSlot = (int32_t)(LocalBase + L);
-      V.Literal = false;
       push(St, std::move(V));
       break;
     }
@@ -695,7 +558,6 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
       invalidateRefsTo(St, Slot);
       AbstractValue V = stackTop(St); // store peeks; value stays pushed
       V.clearProvenance();
-      V.Assigned = true;
       St.Slots[Slot] = std::move(V);
       stackTop(St).RefSlot = Slot;
       break;
@@ -706,7 +568,6 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
           G < NumGlobals ? St.Slots[G] : AbstractValue::top();
       if (G < NumGlobals)
         V.RefSlot = (int32_t)G;
-      V.Literal = false;
       push(St, std::move(V));
       break;
     }
@@ -716,63 +577,34 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
         invalidateRefsTo(St, (int32_t)G);
         AbstractValue V = stackTop(St);
         V.clearProvenance();
-        V.Assigned = true;
         St.Slots[G] = std::move(V);
         stackTop(St).RefSlot = (int32_t)G;
       }
       break;
     }
-    case Op::GetProp: {
-      AbstractValue R = pop(St);
-      if (Collect) {
-        if (R.Mask && !(R.Mask & (MaskObject | MaskString)))
-          diagnose(AnalysisDiagKind::TypeError, Pc,
-                   "cannot read property of non-object (receiver is " +
-                       typeMaskName(R.Mask) + ")");
-        if ((R.Mask & MaskObject) && R.Sites.Overflow && !R.Sites.Unknown)
-          A->MegamorphicSites.push_back(Pc);
-      }
+    case Op::GetProp:
+      pop(St);
       push(St, AbstractValue::top());
       break;
-    }
     case Op::SetProp: {
       AbstractValue V = pop(St);
-      AbstractValue R = pop(St);
-      if (Collect) {
-        if (R.Mask && !(R.Mask & MaskObject))
-          diagnose(AnalysisDiagKind::TypeError, Pc,
-                   "property store on a non-object (receiver is " +
-                       typeMaskName(R.Mask) + ")");
-        if ((R.Mask & MaskObject) && R.Sites.Overflow && !R.Sites.Unknown)
-          A->MegamorphicSites.push_back(Pc);
-      }
+      pop(St); // receiver
       V.clearProvenance();
       push(St, std::move(V)); // the stored value is the expression result
       break;
     }
-    case Op::InitProp: {
-      AbstractValue V = pop(St); // object literal element; object stays
-      (void)V;
+    case Op::InitProp:
+      pop(St); // object literal element; object stays
       break;
-    }
-    case Op::GetElem: {
+    case Op::GetElem:
       pop(St); // index
-      AbstractValue Base = pop(St);
-      if (Collect && Base.Mask && !(Base.Mask & (MaskObject | MaskString)))
-        diagnose(AnalysisDiagKind::TypeError, Pc,
-                 "indexing a non-object (base is " + typeMaskName(Base.Mask) +
-                     ")");
+      pop(St); // base
       push(St, AbstractValue::top());
       break;
-    }
     case Op::SetElem: {
       AbstractValue V = pop(St);
       pop(St); // index
-      AbstractValue Base = pop(St);
-      if (Collect && Base.Mask && !(Base.Mask & MaskObject))
-        diagnose(AnalysisDiagKind::TypeError, Pc,
-                 "element store on a non-array (base is " +
-                     typeMaskName(Base.Mask) + ")");
+      pop(St); // base
       V.clearProvenance();
       push(St, std::move(V));
       break;
@@ -999,14 +831,6 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
     case Op::JumpIfTrue: {
       AbstractValue Cond = pop(St);
       int T = truthiness(Cond);
-      if (Collect) {
-        if (T >= 0)
-          A->BranchConst[Pc] = T != 0;
-        if (T >= 0 && !Cond.Literal)
-          diagnose(AnalysisDiagKind::ConstantCondition, Pc,
-                   T ? "condition is always true"
-                     : "condition is always false");
-      }
       uint32_t Target = S.u32At(Pc + 1);
       bool TakenWhenTruthy = O == Op::JumpIfTrue;
       // Truthy direction.
@@ -1029,26 +853,9 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
       Pc = Next;
       continue;
     }
-    case Op::Call: {
-      uint32_t Argc = S.Code[Pc + 1];
-      AbstractValue Callee = stackTop(St, Argc);
-      if (Collect && Callee.Mask && !(Callee.Mask & MaskObject))
-        diagnose(AnalysisDiagKind::TypeError, Pc,
-                 "calling a non-function (callee is " +
-                     typeMaskName(Callee.Mask) + ")");
-      for (uint32_t I = 0; I <= Argc; ++I)
-        pop(St);
-      clobberGlobals(St);
-      push(St, AbstractValue::top());
-      break;
-    }
+    case Op::Call:
     case Op::CallProp: {
-      uint32_t Argc = S.Code[Pc + 3];
-      AbstractValue Recv = stackTop(St, Argc);
-      if (Collect && Recv.Mask && !(Recv.Mask & (MaskObject | MaskString)))
-        diagnose(AnalysisDiagKind::TypeError, Pc,
-                 "cannot read property of non-object (receiver is " +
-                     typeMaskName(Recv.Mask) + ")");
+      uint32_t Argc = S.Code[Pc + (O == Op::Call ? 1 : 3)];
       for (uint32_t I = 0; I <= Argc; ++I)
         pop(St);
       clobberGlobals(St);
@@ -1068,17 +875,12 @@ void Analyzer::stepBlock(uint32_t BlockIdx, AbsState St, bool Collect,
       uint32_t N = S.u16At(Pc + 1);
       for (uint32_t I = 0; I < N; ++I)
         pop(St);
-      AbstractValue V = AbstractValue::ofMask(MaskObject);
-      V.Sites = SiteSet::literal(Pc);
-      push(St, std::move(V));
+      push(St, AbstractValue::ofMask(MaskObject));
       break;
     }
-    case Op::NewObject: {
-      AbstractValue V = AbstractValue::ofMask(MaskObject);
-      V.Sites = SiteSet::literal(Pc);
-      push(St, std::move(V));
+    case Op::NewObject:
+      push(St, AbstractValue::ofMask(MaskObject));
       break;
-    }
     default:
       // Unknown opcode: give up on this script rather than guess.
       Failed = true;
@@ -1142,35 +944,6 @@ void Analyzer::collectHeaderFacts() {
   A->DemoteLocals.assign(DemoteL.begin(), DemoteL.end());
 }
 
-void Analyzer::collectUnreachable() {
-  // Ops a dead region may consist of entirely without being worth a
-  // warning: compiler-synthesized epilogues (the implicit trailing
-  // ReturnUndefined after an explicit return) and loop scaffolding.
-  auto Synthetic = [](Op O) {
-    return O == Op::Nop || O == Op::ReturnUndefined || O == Op::Jump ||
-           O == Op::LoopHeader || O == Op::Nop3 || O == Op::Pop;
-  };
-  uint32_t BI = 0;
-  while (BI < Blocks.size()) {
-    if (In[BI]) {
-      ++BI;
-      continue;
-    }
-    uint32_t First = BI;
-    while (BI < Blocks.size() && !In[BI])
-      ++BI;
-    uint32_t Start = Blocks[First].Start, End = Blocks[BI - 1].End;
-    bool AllSynthetic = true;
-    for (uint32_t Pc = Start; Pc < End; Pc += opLen(Pc))
-      if (!Synthetic(S.opAt(Pc))) {
-        AllSynthetic = false;
-        break;
-      }
-    if (!AllSynthetic)
-      diagnose(AnalysisDiagKind::UnreachableCode, Start, "unreachable code");
-  }
-}
-
 std::unique_ptr<ScriptAnalysis> Analyzer::run() {
   A = std::make_unique<ScriptAnalysis>();
   A->ScriptId = S.Id;
@@ -1231,8 +1004,8 @@ std::unique_ptr<ScriptAnalysis> Analyzer::run() {
     return Empty;
   }
 
-  // Post-fixpoint replay over reachable blocks: collect diagnostics and
-  // the published facts from the settled in-states.
+  // Post-fixpoint replay over reachable blocks: collect the published
+  // facts from the settled in-states.
   for (uint32_t BI = 0; BI < Blocks.size(); ++BI) {
     if (!In[BI])
       continue;
@@ -1240,20 +1013,6 @@ std::unique_ptr<ScriptAnalysis> Analyzer::run() {
               [](uint32_t, const AbsState &) {});
   }
   collectHeaderFacts();
-  collectUnreachable();
-
-  std::sort(A->MegamorphicSites.begin(), A->MegamorphicSites.end());
-  A->MegamorphicSites.erase(
-      std::unique(A->MegamorphicSites.begin(), A->MegamorphicSites.end()),
-      A->MegamorphicSites.end());
-  std::sort(A->Diags.begin(), A->Diags.end(),
-            [](const AnalysisDiagnostic &X, const AnalysisDiagnostic &Y) {
-              if (X.Line != Y.Line)
-                return X.Line < Y.Line;
-              if (X.Col != Y.Col)
-                return X.Col < Y.Col;
-              return X.Pc < Y.Pc;
-            });
   return std::move(A);
 }
 

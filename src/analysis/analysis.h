@@ -3,20 +3,19 @@
 // A whole-script static analysis over the frontend bytecode: CFG
 // construction (basic blocks split at jump targets and loop headers) plus a
 // worklist-driven, flow-sensitive abstract interpretation over a type
-// lattice, with integer ranges and allocation-site sets riding along.
+// lattice, with integer ranges riding along.
 //
 // The dynamic trace compiler pays for every type fact with a runtime guard;
 // this pass proves a subset of those facts ahead of time, so that:
 //
-//  * the recorder can skip guards the lattice already proves (a branch
-//    whose condition is constant on every path, an int add whose operand
-//    ranges cannot overflow int32) -- counted as StaticGuardsElided;
+//  * the recorder can skip the overflow check of an int add, subtract or
+//    multiply whose operand ranges cannot leave int32 -- counted as
+//    StaticGuardsElided;
 //  * the oracle can be pre-seeded: slots that are provably int-and-double
 //    at a loop header get demotion facts before the first recording (§3.2
-//    without the record/fail/re-record churn), and property sites whose
-//    receiver set is statically unbounded are pre-marked megamorphic;
-//  * the repl gains a `--analyze` lint mode reporting unreachable code,
-//    use-before-def, constant conditions, and guaranteed type errors.
+//    without the record/fail/re-record churn);
+//  * the ValidateStaticFacts cross-check has per-header type masks to test
+//    interpreted loop headers against.
 //
 // Its second job is independent of the lattice: a backward liveness pass
 // over the same
@@ -45,7 +44,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -78,30 +76,6 @@ using TypeMask = uint8_t;
 /// traceTypeOf).
 TypeMask maskOfValue(const Value &V);
 
-/// Render a mask for diagnostics ("int|double", "top", "bottom").
-std::string typeMaskName(TypeMask M);
-
-// --- Diagnostics ----------------------------------------------------------------
-
-enum class AnalysisDiagKind : uint8_t {
-  UnreachableCode,   ///< Basic block no execution can reach.
-  UseBeforeDef,      ///< Local read while provably still undefined.
-  ConstantCondition, ///< Branch condition proven always true/false.
-  TypeError,         ///< Operation guaranteed to raise a runtime type error.
-};
-
-const char *analysisDiagKindName(AnalysisDiagKind K);
-
-/// One lint finding, positioned via the script's LineNote table.
-struct AnalysisDiagnostic {
-  AnalysisDiagKind Kind = AnalysisDiagKind::UnreachableCode;
-  uint32_t Pc = 0;
-  uint32_t Line = 0; ///< 1-based; 0 when no note covers the pc.
-  uint32_t Col = 0;
-  std::string Message;
-  std::string Function; ///< Enclosing function name; empty at top level.
-};
-
 // --- Per-script results ----------------------------------------------------------
 
 /// Everything the consumers need, extracted after the fixpoint. All facts
@@ -113,9 +87,6 @@ struct ScriptAnalysis {
   uint32_t NumGlobals = 0;
   /// False when the fixpoint hit its safety bound; no facts are published.
   bool Converged = true;
-
-  /// JumpIfFalse/JumpIfTrue pcs whose *condition* truthiness is constant.
-  std::unordered_map<uint32_t, bool> BranchConst;
 
   /// Add/Sub/Mul pcs where both operands are proven Int and the result
   /// range cannot leave int32: the overflow check is redundant.
@@ -129,22 +100,14 @@ struct ScriptAnalysis {
   };
   std::unordered_map<uint32_t, HeaderFacts> Headers;
 
-  /// GetProp/SetProp pcs whose receiver draws from more distinct literal
-  /// allocation sites than a polymorphic IC can serve (and from nothing
-  /// unknown, so the bound is real). Pre-marked megamorphic in the oracle.
-  std::vector<uint32_t> MegamorphicSites;
-
   /// Slots whose mask at some loop header is exactly Int|Double: seeds for
   /// the §3.2 demotion oracle (global slots / local slots of this script).
   std::vector<uint32_t> DemoteGlobals;
   std::vector<uint32_t> DemoteLocals;
 
-  std::vector<AnalysisDiagnostic> Diags;
-
   uint32_t factCount() const {
-    return (uint32_t)(BranchConst.size() + NoOverflow.size() + Headers.size() +
-                      MegamorphicSites.size() + DemoteGlobals.size() +
-                      DemoteLocals.size());
+    return (uint32_t)(NoOverflow.size() + Headers.size() +
+                      DemoteGlobals.size() + DemoteLocals.size());
   }
 };
 

@@ -2,8 +2,6 @@
 
 #include "api/engine.h"
 
-#include <algorithm>
-
 #include "frontend/parser.h"
 #include "interp/natives.h"
 #include "trace/monitor.h"
@@ -113,7 +111,7 @@ EvalResult Engine::eval(std::string_view Source, std::string_view FileName,
   }
   // Static facts must exist before execution: with HotLoopThreshold=2 the
   // first recording can start within this very eval.
-  analyzeNewScripts(FirstScript);
+  runAnalysis(FirstScript);
 
   if (DeadlineMs)
     armDeadlineTimer(std::chrono::steady_clock::now() +
@@ -143,7 +141,7 @@ EvalResult Engine::eval(std::string_view Source, std::string_view FileName,
   return R;
 }
 
-void Engine::analyzeNewScripts(size_t FirstScript) {
+void Engine::runAnalysis(size_t FirstScript) {
   for (size_t I = FirstScript; I < Ctx.Scripts.size(); ++I) {
     FunctionScript *S = Ctx.Scripts[I].get();
     if (Ctx.Analyses.count(S))
@@ -151,12 +149,9 @@ void Engine::analyzeNewScripts(size_t FirstScript) {
     std::unique_ptr<ScriptAnalysis> A = analyzeScript(*S, Ctx.Globals.size());
     ++Ctx.Stats.AnalysisRuns;
     Ctx.Stats.AnalysisFacts += A->factCount();
-    Ctx.Stats.AnalysisDiagnostics += A->Diags.size();
     if (Monitor && A->Converged) {
       // Seed the oracle before any recording sees this script: proven
-      // int-and-double slots get their §3.2 demotion fact up front, and
-      // statically unbounded property sites never get a doomed first
-      // recording.
+      // int-and-double slots get their §3.2 demotion fact up front.
       for (uint32_t G : A->DemoteGlobals) {
         Monitor->noteStaticDemotion(Oracle::globalKey(G));
         ++Ctx.Stats.StaticDemotionsSeeded;
@@ -165,51 +160,16 @@ void Engine::analyzeNewScripts(size_t FirstScript) {
         Monitor->noteStaticDemotion(Oracle::localKey(S->Id, L));
         ++Ctx.Stats.StaticDemotionsSeeded;
       }
-      for (uint32_t Pc : A->MegamorphicSites) {
-        Monitor->notePropSite(S->Id, Pc, /*Megamorphic=*/true);
-        ++Ctx.Stats.StaticMegaSeeded;
-      }
     }
     if (Ctx.EventListener) {
       JitEvent E;
       E.Kind = JitEventKind::AnalysisRan;
       E.ScriptId = S->Id;
       E.Arg0 = A->factCount();
-      E.Arg1 = A->Diags.size();
       Ctx.emitEvent(E);
     }
     Ctx.Analyses[S] = std::move(A);
   }
-}
-
-Engine::AnalysisReport Engine::analyze(std::string_view Source,
-                                       std::string_view FileName) {
-  AnalysisReport R;
-  EngineError ParseErr;
-  size_t FirstScript = Ctx.Scripts.size();
-  FunctionScript *Top = compileSource(Ctx, Source, &ParseErr);
-  if (!Top) {
-    R.Err = std::move(ParseErr);
-    if (!FileName.empty())
-      R.Err.File = FileName;
-    return R;
-  }
-  R.Ok = true;
-  analyzeNewScripts(FirstScript);
-  for (size_t I = FirstScript; I < Ctx.Scripts.size(); ++I) {
-    auto It = Ctx.Analyses.find(Ctx.Scripts[I].get());
-    if (It == Ctx.Analyses.end())
-      continue;
-    for (const AnalysisDiagnostic &D : It->second->Diags)
-      R.Diagnostics.push_back(D);
-  }
-  std::sort(R.Diagnostics.begin(), R.Diagnostics.end(),
-            [](const AnalysisDiagnostic &X, const AnalysisDiagnostic &Y) {
-              if (X.Line != Y.Line)
-                return X.Line < Y.Line;
-              return X.Col < Y.Col;
-            });
-  return R;
 }
 
 void Engine::setPrintHook(std::function<void(const std::string &)> Hook) {

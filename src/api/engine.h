@@ -60,22 +60,6 @@ public:
   EvalResult eval(std::string_view Source, std::string_view FileName,
                   uint64_t DeadlineMs);
 
-  /// Result of Engine::analyze: parse + static analysis, no execution.
-  struct AnalysisReport {
-    bool Ok = false;    ///< False = parse error (Err is filled in).
-    EngineError Err;
-    /// Lint findings across every script of the source, ordered by
-    /// line/column. See analysis/analysis.h for the diagnostic taxonomy.
-    std::vector<AnalysisDiagnostic> Diagnostics;
-  };
-
-  /// Lint mode (the repl's `--analyze`): compile \p Source and run the
-  /// bytecode abstract interpreter over every script in it, returning the
-  /// diagnostics instead of executing. The compiled scripts stay in the
-  /// context, so a later eval of the same source reuses their facts.
-  AnalysisReport analyze(std::string_view Source,
-                         std::string_view FileName = {});
-
   /// Where `print` output goes (default: stdout).
   void setPrintHook(std::function<void(const std::string &)> Hook);
 
@@ -181,9 +165,9 @@ private:
   void refreshListenerGate();
 
   /// Run the static analyzer over Ctx.Scripts[FirstScript..): cache the
-  /// results, seed the oracle (demotions, megamorphic sites), and emit one
-  /// AnalysisRan event per script.
-  void analyzeNewScripts(size_t FirstScript);
+  /// results, seed the oracle's demotions, and emit one AnalysisRan event
+  /// per script.
+  void runAnalysis(size_t FirstScript);
 
   // Deadline timer thread, the only thing that enforces deadlines: spawned
   // lazily by the first eval with a deadline, it raises InterruptDeadline

@@ -29,7 +29,7 @@ enum class ErrorKind : uint8_t {
   Interrupted,   ///< The host asked for termination (Engine::requestInterrupt).
   OutOfMemory,   ///< Collection could not get under the heap quota
                  ///< (EngineOptions::MaxHeapBytes), or an array's storage
-                 ///< could not grow.
+                 ///< could not be allocated or grow.
 };
 
 inline const char *errorKindName(ErrorKind K) {

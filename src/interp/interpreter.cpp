@@ -430,7 +430,7 @@ void Interpreter::icInsert(PropertyIC &IC, const ICEntry &E,
     NewState = IC.N == 1 ? ICState::Mono : ICState::Poly;
   } else {
     NewState = ICState::Mega;
-    ++Ctx.Stats.IcMegamorphicSites; // rare, counted unconditionally like GCs
+    ++Ctx.Stats.IcMegaSites; // rare, counted unconditionally like GCs
   }
   if (NewState == IC.State)
     return;

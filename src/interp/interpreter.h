@@ -47,6 +47,13 @@ public:
 
   VMContext &context() { return Ctx; }
 
+  /// Raise a runtime error at the current pc (kind defaults to Runtime;
+  /// pushFrameForCall raises StackOverflow, the Array constructor
+  /// OutOfMemory). Source position comes from the current script's line
+  /// notes.
+  void rtError(const char *Msg);
+  void rtError(ErrorKind Kind, const char *Msg);
+
   // --- State access for the trace engine -----------------------------------
   std::vector<Frame> &frames() { return Frames; }
   Value *stackData() { return Stack.data(); }
@@ -109,12 +116,6 @@ private:
   Value getElemValue(const Value &Base, const Value &Index);
   bool setElemValue(const Value &Base, const Value &Index, const Value &V);
   Value callPropValue(Value Recv, String *Name, const Value *Args, uint32_t N);
-
-  /// Raise a runtime error at the current pc (kind defaults to Runtime;
-  /// pushFrameForCall raises StackOverflow). Source position comes from the
-  /// current script's line notes.
-  void rtError(const char *Msg);
-  void rtError(ErrorKind Kind, const char *Msg);
 
   // The dispatch loop keeps pc and sp in locals; Pc and Sp are their spill
   // copies, current whenever the loop calls out (interp/dispatch.inc lists

@@ -85,15 +85,16 @@ static Value nativePrint(Interpreter &I, Value, const Value *Args,
 static Value nativeArrayCtor(Interpreter &I, Value, const Value *Args,
                              uint32_t N) {
   VMContext &C = I.context();
-  if (N == 1 && Args[0].isNumber()) {
-    double D = Args[0].numberValue();
-    if (D >= 0 && D == std::floor(D) && D < 1e8)
-      return Value::makeObject(
-          Object::createArray(C.TheHeap, C.Shapes, (uint32_t)D));
+  double D = N == 1 && Args[0].isNumber() ? Args[0].numberValue() : -1;
+  bool Sized = D >= 0 && D == std::floor(D) && D < 1e8;
+  Object *A = Object::createArray(C.TheHeap, C.Shapes, Sized ? (uint32_t)D : N);
+  if (!A) {
+    I.rtError(ErrorKind::OutOfMemory, "array storage cannot be allocated");
+    return Value::undefined();
   }
-  Object *A = Object::createArray(C.TheHeap, C.Shapes, N);
-  for (uint32_t K = 0; K < N; ++K)
-    A->setElement(C.TheHeap, K, Args[K]);
+  if (!Sized)
+    for (uint32_t K = 0; K < N; ++K)
+      A->setElement(C.TheHeap, K, Args[K]);
   return Value::makeObject(A);
 }
 

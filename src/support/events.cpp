@@ -164,8 +164,7 @@ std::string LogJitEventListener::format(const JitEvent &E) {
     Out += Buf;
     break;
   case JitEventKind::AnalysisRan:
-    snprintf(Buf, sizeof(Buf), " facts=%" PRIu64 " diagnostics=%" PRIu64,
-             E.Arg0, E.Arg1);
+    snprintf(Buf, sizeof(Buf), " facts=%" PRIu64, E.Arg0);
     Out += Buf;
     break;
   default:
@@ -304,7 +303,6 @@ std::string ChromeTraceCollector::renderJson() const {
       break;
     case JitEventKind::AnalysisRan:
       Args += numArg("facts", E.Arg0, Args.empty());
-      Args += numArg("diagnostics", E.Arg1);
       break;
     default:
       break;

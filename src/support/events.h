@@ -241,7 +241,7 @@ const char *verifyRuleName(VerifyRule R);
   /* failures. */                                                              \
   X(EngineRecycled,    "EngineRecycled")                                       \
   /* The static analyzer processed a parsed script (analysis/analysis.h). */   \
-  /* Arg0 = published fact count, Arg1 = diagnostic count. */                  \
+  /* Arg0 = published fact count. */                                           \
   X(AnalysisRan,       "AnalysisRan")
 // clang-format on
 

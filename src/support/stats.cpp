@@ -53,7 +53,7 @@ std::string VMStats::report() const {
            (unsigned long long)TreeCalls, (unsigned long long)UnstableLinks,
            (unsigned long long)LoopsBlacklisted);
   Out += Buf;
-  if (IcHits || IcMisses || IcInvalidations || IcMegamorphicSites ||
+  if (IcHits || IcMisses || IcInvalidations || IcMegaSites ||
       IcRecorderHits || IcRecorderGeneric) {
     snprintf(Buf, sizeof(Buf),
              "inline caches: hits=%llu misses=%llu invalidated=%llu "
@@ -61,7 +61,7 @@ std::string VMStats::report() const {
              "recorder-generic=%llu\n",
              (unsigned long long)IcHits, (unsigned long long)IcMisses,
              (unsigned long long)IcInvalidations,
-             (unsigned long long)IcMegamorphicSites,
+             (unsigned long long)IcMegaSites,
              (unsigned long long)IcRecorderHits,
              (unsigned long long)IcRecorderGeneric);
     Out += Buf;
@@ -110,17 +110,14 @@ std::string VMStats::report() const {
     Out += Buf;
   }
   if (AnalysisRuns || StaticGuardsElided || StaticDemotionsSeeded ||
-      StaticMegaSeeded || StaticFactChecks) {
+      StaticFactChecks) {
     snprintf(Buf, sizeof(Buf),
-             "static analysis: runs=%llu facts=%llu diagnostics=%llu "
-             "guards-elided=%llu demotions-seeded=%llu mega-seeded=%llu "
-             "fact-checks=%llu contradictions=%llu\n",
+             "static analysis: runs=%llu facts=%llu guards-elided=%llu "
+             "demotions-seeded=%llu fact-checks=%llu contradictions=%llu\n",
              (unsigned long long)AnalysisRuns,
              (unsigned long long)AnalysisFacts,
-             (unsigned long long)AnalysisDiagnostics,
              (unsigned long long)StaticGuardsElided,
              (unsigned long long)StaticDemotionsSeeded,
-             (unsigned long long)StaticMegaSeeded,
              (unsigned long long)StaticFactChecks,
              (unsigned long long)StaticFactContradictions);
     Out += Buf;

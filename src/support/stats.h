@@ -64,7 +64,7 @@ const char *activityName(Activity A);
   X(IcHits)                                                                    \
   X(IcMisses)                                                                  \
   X(IcInvalidations)                                                           \
-  X(IcMegamorphicSites)                                                        \
+  X(IcMegaSites)                                                               \
   X(IcRecorderHits)                                                            \
   X(IcRecorderGeneric)                                                         \
   /* Code-cache lifecycle: whole-cache flushes, native bytes and          */ \
@@ -109,10 +109,8 @@ const char *activityName(Activity A);
   /* counts failed ValidateStaticFacts checks and must stay 0.            */ \
   X(AnalysisRuns)                                                              \
   X(AnalysisFacts)                                                             \
-  X(AnalysisDiagnostics)                                                       \
   X(StaticGuardsElided)                                                        \
   X(StaticDemotionsSeeded)                                                     \
-  X(StaticMegaSeeded)                                                          \
   X(StaticFactChecks)                                                          \
   X(StaticFactContradictions)
 

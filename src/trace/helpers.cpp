@@ -79,6 +79,14 @@ uint64_t tj_FromCharCode1(VMContext *Ctx, int32_t C) {
 uint64_t tj_NewArray(VMContext *Ctx, int32_t Len) {
   Object *A = Object::createArray(Ctx->TheHeap, Ctx->Shapes,
                                   Len < 0 ? 0 : (uint32_t)Len);
+  if (!A) {
+    // As tj_ArrayPushV: the result is unguarded, so hand the trace an empty
+    // array and let the next loop edge end the script with the error.
+    Ctx->raiseError(ErrorKind::OutOfMemory,
+                    "array storage cannot be allocated");
+    Ctx->requestInterrupt(InterruptHeapQuota);
+    A = Object::createArray(Ctx->TheHeap, Ctx->Shapes, 0);
+  }
   Ctx->maybeScheduleGC();
   return (uint64_t)(uintptr_t)A;
 }

@@ -989,21 +989,6 @@ void TraceRecorder::recordBranch(Op O, uint32_t Pc) {
   const bool GuardLeavesLoop = InAnchorFrame && OutsideLoop(Resume);
   if (T->Op == LOp::ImmI)
     return; // statically known: no divergence possible
-  // The abstract interpreter may have proven this branch single-sided over
-  // every execution; if so the guard can never fire and is dead weight on
-  // the trace.
-  if (const ScriptAnalysis *A = Ctx.analysisOf(script())) {
-    auto It = A->BranchConst.find(Pc);
-    if (It != A->BranchConst.end()) {
-      if (It->second == ActualTruthy) {
-        ++Ctx.Stats.StaticGuardsElided;
-        return;
-      }
-      // Fact contradicts the live value: the fact is wrong. Record the
-      // guard as usual; the validator counter makes the bug visible.
-      ++Ctx.Stats.StaticFactContradictions;
-    }
-  }
   ExitDescriptor *E;
   if (GuardLeavesLoop) {
     E = snapshot(ExitKind::LoopExit, Resume);

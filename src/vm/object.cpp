@@ -24,12 +24,8 @@ Object *Object::create(Heap &H, ShapeTree &Shapes) {
 
 Object *Object::createArray(Heap &H, ShapeTree &Shapes, uint32_t Length) {
   Object *O = Object::alloc(H, ObjectKind::Array, Shapes.emptyShape());
-  if (Length) {
-    O->ElemData = static_cast<Value *>(std::malloc(sizeof(Value) * Length));
-    for (uint32_t I = 0; I < Length; ++I)
-      O->ElemData[I] = Value::undefined();
-    O->ElemCapacity = Length;
-  }
+  if (Length && !O->growElements(H, Length, /*Exact=*/true))
+    return nullptr; // the cell is garbage with no storage
   O->ArrayLen = Length;
   return O;
 }
@@ -81,15 +77,17 @@ void Object::applyTransition(Shape *To, uint32_t Slot, Value V) {
   NamedSlots[Slot] = V;
 }
 
-bool Object::growElements(Heap &H, uint64_t MinCap) {
+bool Object::growElements(Heap &H, uint64_t MinCap, bool Exact) {
   // Capacities are uint32_t; doubling is done in 64 bits so it cannot wrap.
   uint64_t Limit = UINT32_MAX;
   if (H.quota())
     Limit = std::min<uint64_t>(Limit, H.quota() / sizeof(Value));
   if (MinCap > Limit)
     return false;
-  uint64_t NewCap = std::clamp<uint64_t>(
-      ElemCapacity ? 2 * (uint64_t)ElemCapacity : 8, MinCap, Limit);
+  uint64_t NewCap =
+      Exact ? MinCap
+            : std::clamp<uint64_t>(
+                  ElemCapacity ? 2 * (uint64_t)ElemCapacity : 8, MinCap, Limit);
   auto *NewData =
       static_cast<Value *>(std::realloc(ElemData, sizeof(Value) * NewCap));
   if (!NewData)

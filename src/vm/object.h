@@ -43,6 +43,9 @@ enum class ObjectKind : uint8_t {
 class Object : public GCCell {
 public:
   static Object *create(Heap &H, ShapeTree &Shapes);
+  /// An array of \p Length undefined elements, its storage exactly that
+  /// size. Null when the storage cannot be allocated (as for setElement);
+  /// the caller raises ErrorKind::OutOfMemory.
   static Object *createArray(Heap &H, ShapeTree &Shapes, uint32_t Length);
   static Object *createFunction(Heap &H, ShapeTree &Shapes,
                                 FunctionScript *Script);
@@ -137,7 +140,11 @@ private:
                                    TheShape(S) {}
   static Object *alloc(Heap &H, ObjectKind K, Shape *S);
   void growNamedSlots(uint32_t Count);
-  bool growElements(Heap &H, uint64_t MinCap);
+  /// The one allocator of element storage: grow it to hold \p MinCap
+  /// elements, exactly that many when \p Exact, else twice the capacity (8
+  /// from empty) within the quota, and never fewer than \p MinCap. False,
+  /// with nothing changed, past Heap::quota() or when realloc fails.
+  bool growElements(Heap &H, uint64_t MinCap, bool Exact = false);
 
   ObjectKind OKind;
   Shape *TheShape;

@@ -1,19 +1,21 @@
 //===- test_analysis.cpp - Bytecode abstract interpreter tests ----------------===//
 //
-// Covers the static analysis end to end: the lint diagnostics surfaced by
-// Engine::analyze (--analyze in the repl), the guard elision the recorder
-// performs from published facts, the §3.2 demotion and megamorphic seeds
-// handed to the oracle, the ValidateStaticFacts runtime cross-check, and
-// the contract that switching the analysis off reproduces the baseline
-// pipeline behavior exactly. The last section covers the loop-header
-// liveness pass (computeLoopLiveness).
+// Covers the static analysis end to end: the overflow-guard elision the
+// recorder performs from published facts, the §3.2 demotion seeds handed
+// to the oracle, and the ValidateStaticFacts runtime cross-check, on small
+// programs and on the perfbench corpus. The last section covers the
+// loop-header liveness pass (computeLoopLiveness).
 //
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/analysis.h"
 #include "api/engine.h"
@@ -46,91 +48,7 @@ EvalRun runWith(const std::string &Src, const EngineOptions &O) {
   return R;
 }
 
-Engine::AnalysisReport analyze(const std::string &Src) {
-  Engine E;
-  return E.analyze(Src, "test.js");
-}
-
-bool hasDiag(const Engine::AnalysisReport &R, AnalysisDiagKind K,
-             uint32_t Line) {
-  return std::any_of(R.Diagnostics.begin(), R.Diagnostics.end(),
-                     [&](const AnalysisDiagnostic &D) {
-                       return D.Kind == K && D.Line == Line && D.Col > 0;
-                     });
-}
-
 } // namespace
-
-// --- Lint diagnostics (the --analyze mode) -----------------------------------
-
-TEST(Analysis, ConstantConditionIsFlaggedWithPosition) {
-  auto R = analyze("var x = 1;\n"
-                   "if (x) { print(1); }\n");
-  ASSERT_TRUE(R.Ok);
-  EXPECT_TRUE(hasDiag(R, AnalysisDiagKind::ConstantCondition, 2))
-      << "diagnostics: " << R.Diagnostics.size();
-}
-
-TEST(Analysis, UnreachableElseOfConstantBranch) {
-  auto R = analyze("var x = 0;\n"
-                   "if (x) {\n"
-                   "  print(1);\n"
-                   "}\n");
-  ASSERT_TRUE(R.Ok);
-  EXPECT_TRUE(hasDiag(R, AnalysisDiagKind::ConstantCondition, 2));
-  EXPECT_TRUE(hasDiag(R, AnalysisDiagKind::UnreachableCode, 3));
-}
-
-TEST(Analysis, CodeAfterReturnIsUnreachable) {
-  auto R = analyze("function f() {\n"
-                   "  return 1;\n"
-                   "  print(2);\n"
-                   "}\n"
-                   "f();\n");
-  ASSERT_TRUE(R.Ok);
-  EXPECT_TRUE(hasDiag(R, AnalysisDiagKind::UnreachableCode, 3));
-  // The finding is attributed to its enclosing function.
-  bool Named = false;
-  for (const auto &D : R.Diagnostics)
-    if (D.Kind == AnalysisDiagKind::UnreachableCode && D.Function == "f")
-      Named = true;
-  EXPECT_TRUE(Named);
-}
-
-TEST(Analysis, UseBeforeDefOnLocal) {
-  auto R = analyze("function f() {\n"
-                   "  var a;\n"
-                   "  var b = a + 1;\n"
-                   "  return b;\n"
-                   "}\n"
-                   "f();\n");
-  ASSERT_TRUE(R.Ok);
-  EXPECT_TRUE(hasDiag(R, AnalysisDiagKind::UseBeforeDef, 3));
-}
-
-TEST(Analysis, GuaranteedTypeErrorOnPrimitiveReceiver) {
-  auto R = analyze("var x = 1;\n"
-                   "var y = x.foo;\n");
-  ASSERT_TRUE(R.Ok);
-  EXPECT_TRUE(hasDiag(R, AnalysisDiagKind::TypeError, 2));
-}
-
-TEST(Analysis, RealLoopHasNoFalsePositives) {
-  auto R = analyze("var s = 0;\n"
-                   "for (var i = 0; i < 100; ++i) {\n"
-                   "  if (i % 2 == 0) s = s + i;\n"
-                   "}\n"
-                   "print(s);\n");
-  ASSERT_TRUE(R.Ok);
-  EXPECT_TRUE(R.Diagnostics.empty())
-      << "first: " << (R.Diagnostics.empty() ? "" : R.Diagnostics[0].Message);
-}
-
-TEST(Analysis, ParseErrorIsReportedNotThrown) {
-  auto R = analyze("var (;");
-  EXPECT_FALSE(R.Ok);
-  EXPECT_FALSE(R.Err.describe().empty());
-}
 
 // --- Recorder guard elision --------------------------------------------------
 
@@ -194,26 +112,6 @@ TEST(Analysis, DoesNotSeedDemotionForPureIntLoop) {
                   "print(primes);\n",
                   jitOpts());
   EXPECT_EQ(R.Stats.StaticDemotionsSeeded, 0u);
-}
-
-TEST(Analysis, PreMarksMegamorphicPropertySite) {
-  // o draws from five distinct literal allocation sites -- more than a
-  // polymorphic IC chain holds -- and from nothing unknown, so the o.x
-  // site is pre-marked megamorphic before the first recording.
-  EvalRun R = runWith("function pick(n) {\n"
-                  "  var o = {x: 1};\n"
-                  "  if (n == 1) { o = {x: 2, a: 1}; }\n"
-                  "  if (n == 2) { o = {x: 3, b: 1}; }\n"
-                  "  if (n == 3) { o = {x: 4, c: 1}; }\n"
-                  "  if (n == 4) { o = {x: 5, d: 1}; }\n"
-                  "  return o.x;\n"
-                  "}\n"
-                  "var t = 0;\n"
-                  "for (var i = 0; i < 100; ++i) t = t + pick(i % 5);\n"
-                  "print(t);\n",
-                  jitOpts());
-  EXPECT_GT(R.Stats.StaticMegaSeeded, 0u);
-  EXPECT_EQ(R.Stats.VerifyFailures, 0u);
 }
 
 // --- Runtime cross-validation ------------------------------------------------
@@ -285,20 +183,62 @@ TEST(Analysis, HeaderFactsHoldWhereATraceDroppedADeadLocal) {
   ADD_FAILURE() << "no function f";
 }
 
+// Every header fact holds on the real corpus: each perfbench program (read
+// in place) prints its .expected on both backends with every interpreted
+// loop header checked against the analysis.
+TEST(Analysis, CorpusHeaderFactsHoldOnBothBackends) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> Programs;
+  for (const auto &Ent : fs::directory_iterator(TRACEJIT_PERFBENCH_PROGRAMS))
+    if (Ent.path().extension() == ".js")
+      Programs.push_back(Ent.path());
+  std::sort(Programs.begin(), Programs.end());
+  ASSERT_FALSE(Programs.empty());
+  auto Slurp = [](const fs::path &P) {
+    std::ifstream F(P);
+    std::stringstream S;
+    S << F.rdbuf();
+    return S.str();
+  };
+  for (Backend B : {Backend::Native, Backend::Executor}) {
+    for (const fs::path &P : Programs) {
+      SCOPED_TRACE(P.filename().string() +
+                   (B == Backend::Native ? " native" : " executor"));
+      EngineOptions O;
+      O.CollectStats = true;
+      O.ValidateStaticFacts = true;
+      O.JitBackend = B;
+      Engine E(O);
+      std::string Out;
+      E.setPrintHook([&](const std::string &S) { Out += S; });
+      EvalResult R = E.eval(Slurp(P));
+      ASSERT_TRUE(R.ok()) << R.Err.describe();
+      fs::path Expected = P;
+      Expected.replace_extension(".expected");
+      EXPECT_EQ(Out, Slurp(Expected));
+      EXPECT_GT(E.stats().StaticFactChecks, 0u);
+      EXPECT_EQ(E.stats().StaticFactContradictions, 0u);
+    }
+  }
+}
+
 // --- Direct analyzeScript facts ----------------------------------------------
 
-TEST(Analysis, FactsSurviveAcrossEvalAndAnalyze) {
-  // analyze() caches the compiled scripts' facts in the context, so a
-  // subsequent eval of new source still runs analysis independently.
+TEST(Analysis, FactsSurviveAcrossEvals) {
+  // Each eval analyzes the scripts it compiles and keeps the facts of the
+  // earlier ones, so a second eval of new source on the same engine still
+  // gets its own facts.
   Engine E(jitOpts());
-  auto Rep = E.analyze("var q = 1; if (q) { print(q); }");
-  ASSERT_TRUE(Rep.Ok);
-  EXPECT_FALSE(Rep.Diagnostics.empty());
   std::string Out;
   E.setPrintHook([&](const std::string &S) { Out += S; });
-  auto R = E.eval("var s = 0; for (var i = 0; i < 1000; ++i) s = s + 1; print(s);");
-  ASSERT_TRUE(R.ok());
-  EXPECT_EQ(Out, "1000\n");
+  ASSERT_TRUE(E.eval("var q = 1; if (q) { print(q); }").ok());
+  uint64_t Runs = E.stats().AnalysisRuns;
+  EXPECT_GT(Runs, 0u);
+  auto R =
+      E.eval("var s = 0; for (var i = 0; i < 1000; ++i) s = s + 1; print(s);");
+  ASSERT_TRUE(R.ok()) << R.Err.describe();
+  EXPECT_EQ(Out, "1\n1000\n");
+  EXPECT_GT(E.stats().AnalysisRuns, Runs);
   EXPECT_GT(E.stats().StaticGuardsElided, 0u);
 }
 

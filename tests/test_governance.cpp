@@ -449,6 +449,94 @@ TEST(Governance, PushPastTheQuotaIsOOM) {
   }
 }
 
+/// An array literal of \p N copies of `i`.
+static std::string literalOf(int N) {
+  std::string L = "[i";
+  for (int K = 1; K < N; ++K)
+    L += ", i";
+  return L + "]";
+}
+
+TEST(Governance, ArrayCtorPastTheQuotaIsOOM) {
+  // 99999999 elements would take 800 MB against the 1 MiB quota.
+  for (const EngineOptions &O : quotaConfigs()) {
+    SCOPED_TRACE(O.EnableJit ? "jit" : "interpreter");
+    Engine E(O);
+    auto R = E.eval("var a = Array(99999999);");
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.Err.Kind, ErrorKind::OutOfMemory) << R.Err.describe();
+    EXPECT_NE(R.Err.Message.find("array storage cannot be allocated"),
+              std::string::npos)
+        << R.Err.describe();
+    EXPECT_EQ(R.Err.Line, 1u);
+    auto R2 = E.eval("var b = Array(1000); var s = 0;\n"
+                     "for (var j = 0; j < 1000; ++j) s += j;\n"
+                     "b.length + s;");
+    ASSERT_TRUE(R2.ok()) << R2.Err.describe();
+    EXPECT_EQ(R2.LastValue.numberValue(), 1000.0 + 499500.0);
+  }
+}
+
+TEST(Governance, ArrayLiteralPastTheQuotaIsOOM) {
+  // A 64 KiB quota holds 8192 elements; the literal has 10000.
+  for (EngineOptions O : quotaConfigs()) {
+    SCOPED_TRACE(O.EnableJit ? "jit" : "interpreter");
+    O.MaxHeapBytes = 64 << 10;
+    Engine E(O);
+    auto R = E.eval("var s = 0;\n"
+                    "for (var i = 0; i < 1000; ++i) {\n"
+                    "  var a = " + literalOf(10000) + "; s += a[0];\n"
+                    "}\n");
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.Err.Kind, ErrorKind::OutOfMemory) << R.Err.describe();
+    EXPECT_NE(R.Err.Message.find("array storage cannot be allocated"),
+              std::string::npos)
+        << R.Err.describe();
+    EXPECT_EQ(R.Err.Line, 3u);
+    auto R2 = E.eval("var t = 0;\n"
+                     "for (var j = 0; j < 1000; ++j) { var b = [j, 1]; "
+                     "t += b[0] + b[1]; }\n"
+                     "t;");
+    ASSERT_TRUE(R2.ok()) << R2.Err.describe();
+    EXPECT_EQ(R2.LastValue.numberValue(), 500500.0);
+  }
+}
+
+TEST(Governance, ArrayLiteralOnTraceOutOfStorageIsOOM) {
+  // f's loop compiles with its 20-element literal; lowering the element
+  // storage limit to 8 elements afterwards makes the literal's allocation
+  // fail inside the compiled trace (js_NewArray), whose result is
+  // unguarded: the trace gets an empty array and the next loop edge ends
+  // the script.
+  const std::string F = "function f(n) { var s = 0;\n"
+                        "  for (var i = 0; i < n; ++i) {\n"
+                        "    var a = " + literalOf(20) + "; s += a[0];\n"
+                        "  }\n"
+                        "  return s; }\n";
+  for (const EngineOptions &O : quotaConfigs()) {
+    if (!O.EnableJit)
+      continue;
+    SCOPED_TRACE(O.JitBackend == Backend::Native ? "native" : "executor");
+    Engine E(O);
+    auto R1 = E.eval(F + "f(1000);");
+    ASSERT_TRUE(R1.ok()) << R1.Err.describe();
+    ASSERT_GE(E.stats().TreesCompiled, 1u);
+    uint64_t Enters = E.stats().TraceEnters;
+    E.context().TheHeap.setQuota(8 * sizeof(Value));
+    auto R = E.eval("f(1000);");
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.Err.Kind, ErrorKind::OutOfMemory) << R.Err.describe();
+    EXPECT_NE(R.Err.Message.find("array storage cannot be allocated"),
+              std::string::npos)
+        << R.Err.describe();
+    EXPECT_GT(E.stats().TraceEnters, Enters);
+    E.context().TheHeap.setQuota(O.MaxHeapBytes);
+    auto R2 = E.eval("f(1000);");
+    ASSERT_TRUE(R2.ok()) << R2.Err.describe();
+    EXPECT_EQ(R2.LastValue.numberValue(), 499500.0);
+  }
+}
+
 TEST(Governance, InjectedHeapAllocFailTerminatesAsOOM) {
   EngineOptions O;
   O.EnableJit = false;

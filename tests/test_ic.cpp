@@ -113,7 +113,7 @@ TEST(InlineCaches, PolyThenMegaLadder) {
     countStates(E, C);
     EXPECT_GE(C[(size_t)ICState::Poly], 1u) << "the os[i%4].x site is poly";
     EXPECT_EQ(C[(size_t)ICState::Mega], 0u);
-    EXPECT_EQ(E.stats().IcMegamorphicSites, 0u);
+    EXPECT_EQ(E.stats().IcMegaSites, 0u);
   }
   {
     EngineOptions O = interpIc();
@@ -129,7 +129,7 @@ TEST(InlineCaches, PolyThenMegaLadder) {
     size_t C[4];
     countStates(E, C);
     EXPECT_GE(C[(size_t)ICState::Mega], 1u) << "five-plus shapes overflow";
-    EXPECT_GE(E.stats().IcMegamorphicSites, 1u);
+    EXPECT_GE(E.stats().IcMegaSites, 1u);
   }
 }
 
@@ -150,7 +150,7 @@ TEST(InlineCaches, EveryGenericFallCountsAsAMiss) {
                      "print(s);")
                   .ok());
   VMStats S = E.stats();
-  EXPECT_EQ(S.IcMegamorphicSites, 1u);
+  EXPECT_EQ(S.IcMegaSites, 1u);
   EXPECT_EQ(S.IcHits + S.IcMisses, 4000u) << "one count per read";
   EXPECT_GE(S.IcMisses, 2000u) << "four of eight shapes miss every time";
 }
